@@ -2,11 +2,13 @@
 //! multipoint query and the single-cluster quadratic must evaluate
 //! blocks through `distance_batch` **bit-for-bit** identically to the
 //! scalar path, under both covariance schemes and at every block size —
-//! and the blocked k-NN selection over them must match a full sort.
+//! and the blocked k-NN selection over them must match a full sort, as
+//! must the quantized two-phase scan when the query spans two plan
+//! chunks.
 
 use proptest::prelude::*;
 use qcluster_core::{Cluster, ClusterDistance, CovarianceScheme, DisjunctiveQuery, FeedbackPoint};
-use qcluster_index::{LinearScan, Neighbor, QueryDistance};
+use qcluster_index::{LinearScan, Neighbor, QuantizedScan, QueryDistance};
 
 /// A cluster's points with spread in both dimensions, so covariances
 /// are non-degenerate under both schemes.
@@ -150,6 +152,43 @@ proptest! {
             });
             want.truncate(k);
             prop_assert_eq!(got, want);
+        }
+    }
+    /// Six representatives compile into two phase-1 plan chunks (four
+    /// components + two) whose harmonic terms accumulate per point; the
+    /// streamed two-phase scan must still equal the exact scan bit for
+    /// bit, at the default window and at one tight enough to force the
+    /// re-streamed second round.
+    #[test]
+    fn two_phase_scan_with_two_plan_chunks_equals_linear_scan(
+        groups in prop::collection::vec(cluster_points(0.0), 6),
+        corpus in prop::collection::vec(
+            (-6.0..30.0f64, -6.0..30.0f64).prop_map(|(x, y)| vec![x, y]),
+            260..700,
+        ),
+        k in 1usize..25,
+    ) {
+        let clusters: Vec<Cluster> = groups
+            .iter()
+            .enumerate()
+            .map(|(g, pts)| {
+                let shifted: Vec<Vec<f64>> = pts
+                    .iter()
+                    .map(|p| p.iter().map(|v| v + 4.0 * g as f64).collect())
+                    .collect();
+                make_cluster(&shifted, g * 1000, 1.0 + g as f64)
+            })
+            .collect();
+        let q = DisjunctiveQuery::new(&clusters, CovarianceScheme::default_diagonal()).unwrap();
+        prop_assert_eq!(q.num_representatives(), 6);
+        let want = LinearScan::new(&corpus).knn(&q, k);
+        let quant = QuantizedScan::from_rows(&corpus);
+        for window in [None, Some(k)] {
+            let (got, stats) = quant.two_phase_knn(&q, k, window);
+            prop_assert_eq!(&got, &want, "window={:?}", window);
+            prop_assert_eq!(stats.plan_misses, 0);
+            prop_assert_eq!(stats.fallback_rescans, 0);
+            prop_assert_eq!(stats.second_rounds, u64::from(window.is_some()));
         }
     }
 }

@@ -4,6 +4,10 @@
 //! Phase 1 walks a `u8` code column at ~4× the memory bandwidth of the
 //! exact `f64` column and computes a **sound lower bound** on every
 //! point's distance, keeping the best `m` candidates in a bounded heap.
+//! The bounds are never materialised: the column streams through the
+//! kernel one [`QUANT_BLOCK_TILES`] block at a time into a stack buffer
+//! and [`TopK::offer_block`] picks the survivors before the next block
+//! overwrites it, so a scan allocates nothing proportional to `n`.
 //! Phase 2 reranks only those candidates with the exact `f64` kernel.
 //! Because the bound is sound (never exceeds the exact computed
 //! distance) and the final acceptance check is verified against the
@@ -14,7 +18,9 @@
 //! second rerank: the k-th exact distance from the first round
 //! upper-bounds the true k-th distance, so reranking every point whose
 //! lower bound falls at or under it is provably exhaustive — the
-//! candidate set is sized by the quantization error bound itself.
+//! candidate set is sized by the quantization error bound itself. That
+//! round streams phase 1 a second time (same kernel, same bounds)
+//! rather than reading an array kept from the first.
 //!
 //! # The bound
 //!
@@ -608,8 +614,11 @@ pub struct QuantScanStats {
     pub phase1_points: u64,
     /// Candidates exactly reranked in phase 2.
     pub reranked: u64,
-    /// Full exact rescans taken because the candidate window could not
-    /// be certified (or a bound self-check failed).
+    /// Bound-driven second rounds: the window did not certify, so
+    /// phase 1 was streamed again to rerank every point with `LB ≤ τ`.
+    pub second_rounds: u64,
+    /// Full exact rescans taken because an exact distance violated its
+    /// lower bound (broken soundness margins, never a tight window).
     pub fallback_rescans: u64,
     /// Queries that could not compile a quantized plan and ran exact.
     pub plan_misses: u64,
@@ -620,6 +629,7 @@ impl QuantScanStats {
     pub fn absorb(&mut self, other: &QuantScanStats) {
         self.phase1_points += other.phase1_points;
         self.reranked += other.reranked;
+        self.second_rounds += other.second_rounds;
         self.fallback_rescans += other.fallback_rescans;
         self.plan_misses += other.plan_misses;
     }
@@ -768,9 +778,7 @@ impl TileCorpus {
                 self.dim,
                 &mut dist[..pts],
             );
-            for (p, &d) in dist[..pts].iter().enumerate() {
-                heap.offer(base_id + p, d);
-            }
+            heap.offer_block(&dist[..pts], |p| base_id + p);
             base_tile += bt;
         }
         heap.into_sorted()
@@ -799,13 +807,7 @@ impl QuantizedScan {
     ///
     /// Panics when `points` is empty or dimensionalities disagree.
     pub fn from_rows(points: &[Vec<f64>]) -> Self {
-        let corpus = TileCorpus::from_rows(points);
-        let dim = corpus.dim();
-        let mut flat = Vec::with_capacity(points.len() * dim);
-        for p in points {
-            flat.extend_from_slice(p);
-        }
-        Self::with_corpus(corpus, &flat, dim)
+        Self::with_corpus(TileCorpus::from_rows(points))
     }
 
     /// Builds from a flat row-major corpus.
@@ -814,11 +816,13 @@ impl QuantizedScan {
     ///
     /// See [`TileCorpus::from_flat`].
     pub fn from_flat(data: &[f64], dim: usize) -> Self {
-        Self::with_corpus(TileCorpus::from_flat(data, dim), data, dim)
+        Self::with_corpus(TileCorpus::from_flat(data, dim))
     }
 
-    fn with_corpus(corpus: TileCorpus, flat: &[f64], dim: usize) -> Self {
-        let params = QuantParams::fit(flat, dim);
+    /// Fits params over the tiles just built (bit-identical to a
+    /// row-major fit, see [`QuantParams::fit_tiles`]) and codes them.
+    fn with_corpus(corpus: TileCorpus) -> Self {
+        let params = QuantParams::fit_tiles(corpus.tiles(), corpus.dim(), corpus.len());
         let mut codes = vec![0u8; corpus.tiles().len()];
         params.encode_tiles(corpus.tiles(), &mut codes);
         QuantizedScan {
@@ -888,14 +892,26 @@ impl QuantizedScan {
     /// ties at `D` itself are settled by the strict inequality. When the
     /// heap never filled, every point was reranked.
     ///
+    /// Phase 1 is streamed: each block of bounds lives in a stack buffer
+    /// until [`TopK::offer_block`] has taken its survivors. The heap
+    /// ends holding the `m` smallest `(LB, id)` pairs — what selecting
+    /// from a materialised bound array would give — because blocks
+    /// arrive in ascending id, so a later point tying the heap's worst
+    /// bound loses the id tie-break either way and a strict `<` filter
+    /// drops nothing the heap would have kept.
+    ///
     /// When the window is too tight to certify, the scan does **not**
     /// rescan exactly: the k-th *exact* distance `τ` from the first
     /// rerank upper-bounds the true k-th distance, so a second rerank
     /// over every point with `LB ≤ τ` provably contains the true top-k
     /// — the candidate set is sized by the quantization error bound
-    /// itself rather than a guessed window. Only a bound violated by an
-    /// exact distance (`D < LB`, impossible unless the soundness margins
-    /// are broken) falls back to one full exact pass.
+    /// itself rather than a guessed window. That set is collected by
+    /// streaming phase 1 again with `τ` as a fixed inclusive threshold
+    /// (counted in [`QuantScanStats::second_rounds`]): one more kernel
+    /// pass on the rare path buys an allocation-free common one. Only a
+    /// bound violated by an exact distance (`D < LB`, impossible unless
+    /// the soundness margins are broken) falls back to one full exact
+    /// pass.
     ///
     /// # Panics
     ///
@@ -926,17 +942,13 @@ impl QuantizedScan {
             .max(kk)
             .min(n);
 
-        // Phase 1: every point's lower bound (kept whole — 4 bytes per
-        // point — so a failed certification can re-select candidates
-        // without re-running the kernel), plus a heap of the m smallest.
-        let ntiles = self.corpus.ntiles();
-        let mut acc = Vec::new();
-        let mut lb = vec![0.0f32; ntiles * TILE_LANES];
-        plan.lower_bounds(&self.codes, ntiles, &mut acc, &mut lb);
+        // Phase 1, streamed: each block's bounds live in a stack buffer
+        // just long enough for the heap's block filter to pick the
+        // survivors — nothing proportional to `n` is ever written.
         let mut heap = TopK::new(m);
-        for (p, &b) in lb[..n].iter().enumerate() {
-            heap.offer(p, f64::from(b));
-        }
+        self.stream_bounds(&plan, |base_id, lb| {
+            heap.offer_block(lb, |p| base_id + p);
+        });
         stats.phase1_points = n as u64;
         let overflowed = n > m;
         let cands = heap.into_sorted();
@@ -960,16 +972,19 @@ impl QuantizedScan {
             // seen so far) upper-bounds the true k-th distance, and
             // `LB ≤ D` for every point, so {p : LB ≤ τ} ⊇ true top-k.
             // Any outside point has D ≥ LB > τ ≥ final d_k, strictly —
-            // exactness needs no further certification.
+            // exactness needs no further certification. The bounds are
+            // not kept from round one: the same kernel re-streams the
+            // same values and the fixed inclusive threshold collects
+            // the set, already in id order.
+            stats.second_rounds = 1;
             let tau = result.threshold().expect("m ≥ kk candidates reranked");
-            let by_id: Vec<(usize, f64)> = lb[..n]
-                .iter()
-                .enumerate()
-                .filter_map(|(p, &b)| {
+            let mut by_id: Vec<(usize, f64)> = Vec::new();
+            self.stream_bounds(&plan, |base_id, lb| {
+                by_id.extend(lb.iter().enumerate().filter_map(|(p, &b)| {
                     let b = f64::from(b);
-                    (b <= tau).then_some((p, b))
-                })
-                .collect();
+                    (b <= tau).then_some((base_id + p, b))
+                }));
+            });
             let (result, unsound2) = self.rerank(query, kk, &by_id);
             stats.reranked += by_id.len() as u64;
             unsound = unsound2;
@@ -982,6 +997,24 @@ impl QuantizedScan {
         // or memory corruption): serve the query exactly anyway.
         stats.fallback_rescans = 1;
         (self.knn(query, k), stats)
+    }
+
+    /// Runs the phase-1 kernel over the code column one
+    /// [`QUANT_BLOCK_TILES`] block at a time; `visit(base_id, bounds)`
+    /// sees each block's lower bounds for real points only — the
+    /// padding lanes of the final tile never leave this function.
+    fn stream_bounds(&self, plan: &QuantPlan, mut visit: impl FnMut(usize, &[f32])) {
+        const BLOCK: usize = QUANT_BLOCK_TILES * TILE_LANES;
+        let tile = self.corpus.dim() * TILE_LANES;
+        let n = self.corpus.len();
+        let mut acc = Vec::with_capacity(BLOCK);
+        let mut lb = [0.0f32; BLOCK];
+        for (b, codes) in self.codes.chunks(QUANT_BLOCK_TILES * tile).enumerate() {
+            let lanes = codes.len() / self.corpus.dim();
+            let base_id = b * BLOCK;
+            plan.lower_bounds(codes, lanes / TILE_LANES, &mut acc, &mut lb[..lanes]);
+            visit(base_id, &lb[..lanes.min(n - base_id)]);
+        }
     }
 
     /// Exactly reranks `by_id` (ascending-id `(id, lower_bound)` pairs)
@@ -1005,12 +1038,9 @@ impl QuantizedScan {
                     .copy_point(id, &mut rows[i * dim..(i + 1) * dim]);
             }
             query.distance_batch(&rows[..chunk.len() * dim], dim, &mut dist[..chunk.len()]);
-            for (i, &(id, bound)) in chunk.iter().enumerate() {
-                if dist[i] < bound {
-                    unsound = true;
-                }
-                result.offer(id, dist[i]);
-            }
+            let dist = &dist[..chunk.len()];
+            unsound |= dist.iter().zip(chunk).any(|(&d, &(_, bound))| d < bound);
+            result.offer_block(dist, |i| chunk[i].0);
         }
         (result, unsound)
     }

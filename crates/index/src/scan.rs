@@ -111,9 +111,7 @@ impl LinearScan {
         while start < self.len {
             let count = SCAN_BLOCK_POINTS.min(self.len - start);
             query.distance_batch(self.block(start, count), self.dim, &mut dists[..count]);
-            for (i, &d) in dists[..count].iter().enumerate() {
-                top.offer(start + i, d);
-            }
+            top.offer_block(&dists[..count], |i| start + i);
             start += count;
         }
         top.into_sorted()

@@ -5,9 +5,17 @@
 //! `QuantizedScan::two_phase_knn` returns the same neighbor ids in the
 //! same order with the same `f64::to_bits` distances as
 //! `LinearScan::knn`. Phase 1 may only ever *shrink* the rerank set —
-//! never change the answer — and when the certified window is too small
-//! the scan must fall back to an exact pass rather than return an
-//! approximate top-k.
+//! never change the answer — and when the window is too small to
+//! certify, the scan must run its bound-driven second round (phase 1
+//! streamed again, every point with `LB ≤ τ` reranked) rather than
+//! return an approximate top-k; a full exact rescan is reserved for a
+//! violated bound and must never happen here.
+//!
+//! Phase 1 is streamed block by block and never materialises its
+//! bounds, so the deterministic tests at the bottom compare it against
+//! an oracle that does: all bounds from one `QuantPlan::lower_bounds`
+//! call, the `m` smallest by `(bound, id)`. Corpora there span several
+//! blocks and end in ragged tiles (`n % 8 ≠ 0`, `n % 256 ≠ 0`).
 //!
 //! Three corpus shapes stress the bound where it is weakest:
 //!
@@ -22,13 +30,14 @@
 
 use proptest::prelude::*;
 use qcluster_index::{
-    default_rerank_window, EuclideanQuery, LinearScan, QuantizedScan, WeightedEuclideanQuery,
+    default_rerank_window, EuclideanQuery, LinearScan, QuantizedScan, QueryDistance,
+    WeightedEuclideanQuery,
 };
 
 /// Asserts the quantized scan answers `query` identically to the exact
-/// scan for every `k` in `ks`, at both the default and an oversized
-/// rerank window.
-fn assert_equivalent<Q: qcluster_index::QueryDistance>(
+/// scan for every `k` in `ks`, at the default, an oversized and the
+/// tightest (`k`, forcing the second round) rerank window.
+fn assert_equivalent<Q: QueryDistance>(
     points: &[Vec<f64>],
     query: &Q,
     ks: &[usize],
@@ -37,7 +46,12 @@ fn assert_equivalent<Q: qcluster_index::QueryDistance>(
     let quant = QuantizedScan::from_rows(points);
     for &k in ks {
         let want = exact.knn(query, k);
-        for window in [None, Some(default_rerank_window(k)), Some(points.len() * 2)] {
+        for window in [
+            None,
+            Some(default_rerank_window(k)),
+            Some(points.len() * 2),
+            Some(k),
+        ] {
             let (got, stats) = quant.two_phase_knn(query, k, window);
             prop_assert_eq!(got.len(), want.len(), "k={} window={:?}", k, window);
             for (g, w) in got.iter().zip(want.iter()) {
@@ -50,9 +64,10 @@ fn assert_equivalent<Q: qcluster_index::QueryDistance>(
                     window
                 );
             }
-            // A fallback rescan is allowed (it is how correctness is
-            // certified when the window is too tight), but a plan miss
-            // is not: these queries are all diagonal-form.
+            // A tight window costs a second round, never an exact
+            // rescan (that would mean a violated bound), and these
+            // queries are all diagonal-form, so every plan compiles.
+            prop_assert_eq!(stats.fallback_rescans, 0);
             prop_assert_eq!(stats.plan_misses, 0);
         }
     }
@@ -170,5 +185,143 @@ proptest! {
         let dim = points[0].len();
         let query = EuclideanQuery::new(raw_center[..dim].to_vec());
         assert_equivalent(&points, &query, &[1, 4, 23])?;
+    }
+}
+
+/// A deterministic xorshift corpus in `[-2, 2)^dim`.
+fn seeded_corpus(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut state = seed | 1;
+    let mut rnd = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    };
+    (0..n)
+        .map(|_| (0..dim).map(|_| rnd() * 4.0).collect())
+        .collect()
+}
+
+/// Sizes spanning two to six phase-1 blocks, none a multiple of the
+/// tile (8) or the block (256).
+const RAGGED_SIZES: [usize; 6] = [257, 263, 511, 777, 1031, 1499];
+
+/// What a materialise-then-select scan would do: every bound from one
+/// kernel call, the `m` smallest by `(bound, id)` reranked, and — when
+/// their k-th exact distance τ does not certify against the largest
+/// admitted bound — every point with `bound ≤ τ` reranked again.
+/// Returns `(reranked, second_rounds)`.
+fn oracle_counts<Q: QueryDistance>(
+    points: &[Vec<f64>],
+    quant: &QuantizedScan,
+    query: &Q,
+    k: usize,
+    window: Option<usize>,
+) -> (u64, u64) {
+    let n = points.len();
+    let plan = query.quantized_plan(quant.params()).expect("plan compiles");
+    let ntiles = quant.corpus().ntiles();
+    let mut bounds = vec![0.0f32; ntiles * 8];
+    plan.lower_bounds(quant.codes(), ntiles, &mut Vec::new(), &mut bounds);
+    let mut order: Vec<(f64, usize)> = bounds[..n]
+        .iter()
+        .enumerate()
+        .map(|(id, &b)| (f64::from(b), id))
+        .collect();
+    order.sort_by(|a, b| a.partial_cmp(b).expect("finite bounds"));
+    let kk = k.min(n);
+    let m = window
+        .unwrap_or_else(|| default_rerank_window(kk))
+        .max(kk)
+        .min(n);
+    let heap_max = order[m - 1].0;
+    let mut exact: Vec<f64> = order[..m]
+        .iter()
+        .map(|&(_, id)| query.distance(&points[id]))
+        .collect();
+    exact.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+    let tau = exact[kk - 1];
+    if n <= m || tau < heap_max {
+        (m as u64, 0)
+    } else {
+        let second = order.iter().filter(|&&(b, _)| b <= tau).count();
+        ((m + second) as u64, 1)
+    }
+}
+
+/// The streamed scan reranks exactly the oracle's sets on multi-block
+/// ragged corpora — same answers as the exact scan, same `reranked`
+/// and `second_rounds` as materialise-then-select — and a window of
+/// `k` always takes the second round, never an exact rescan.
+#[test]
+fn streamed_scan_reranks_the_oracle_sets_on_ragged_corpora() {
+    for (i, &n) in RAGGED_SIZES.iter().enumerate() {
+        let dim = 3 + i;
+        let points = seeded_corpus(n, dim, 0x9e37_79b9_7f4a_7c15 ^ n as u64);
+        let exact = LinearScan::new(&points);
+        let quant = QuantizedScan::from_rows(&points);
+        let weights: Vec<f64> = (0..dim).map(|j| [0.5, 2.0, 0.0, 1.0][j % 4]).collect();
+        for probe in [0, n / 2, n - 1] {
+            let queries: [Box<dyn QueryDistance>; 2] = [
+                Box::new(EuclideanQuery::new(points[probe].clone())),
+                Box::new(WeightedEuclideanQuery::new(
+                    points[probe].iter().map(|v| v + 0.03).collect(),
+                    weights.clone(),
+                )),
+            ];
+            for query in &queries {
+                for k in [1usize, 10, 50] {
+                    let want = exact.knn(query, k);
+                    for window in [None, Some(k), Some(2 * k)] {
+                        let (got, stats) = quant.two_phase_knn(query, k, window);
+                        let ctx = format!("n={n} probe={probe} k={k} window={window:?}");
+                        assert_eq!(got.len(), want.len(), "{ctx}");
+                        for (g, w) in got.iter().zip(&want) {
+                            assert_eq!(g.id, w.id, "{ctx}");
+                            assert_eq!(g.distance.to_bits(), w.distance.to_bits(), "{ctx}");
+                        }
+                        let (reranked, second_rounds) =
+                            oracle_counts(&points, &quant, query, k, window);
+                        assert_eq!(stats.reranked, reranked, "{ctx}");
+                        assert_eq!(stats.second_rounds, second_rounds, "{ctx}");
+                        assert_eq!(stats.phase1_points, n as u64, "{ctx}");
+                        assert_eq!(stats.fallback_rescans, 0, "{ctx}");
+                        assert_eq!(stats.plan_misses, 0, "{ctx}");
+                        if window == Some(k) {
+                            // m = k candidates cannot certify: their
+                            // k-th exact distance is at least the
+                            // largest of their bounds.
+                            assert_eq!(stats.second_rounds, 1, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The final tile's padding lanes hold zero codes — the per-dimension
+/// minima. A query sitting exactly there gives them the smallest bound
+/// in the corpus; they must still never be offered, returned or
+/// counted.
+#[test]
+fn padding_lanes_never_enter_the_candidate_set() {
+    for n in [13usize, 261, 1499] {
+        let points = seeded_corpus(n, 4, 0xdead_beef ^ n as u64);
+        let quant = QuantizedScan::from_rows(&points);
+        let exact = LinearScan::new(&points);
+        let query = EuclideanQuery::new(quant.params().min().to_vec());
+        for (k, window) in [(5, Some(5)), (5, None), (n, None)] {
+            let (got, stats) = quant.two_phase_knn(&query, k, window);
+            assert_eq!(got, exact.knn(&query, k), "n={n} k={k}");
+            assert!(got.iter().all(|nb| nb.id < n), "n={n} k={k}");
+            assert_eq!(stats.phase1_points, n as u64);
+            assert_eq!(
+                (stats.reranked, stats.second_rounds),
+                oracle_counts(&points, &quant, &query, k, window),
+                "n={n} k={k} window={window:?}"
+            );
+            assert_eq!(stats.fallback_rescans, 0);
+        }
     }
 }

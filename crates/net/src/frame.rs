@@ -426,8 +426,15 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: u32) -> std::io::Result<ReadF
 mod tests {
     use super::*;
 
+    // `encode_frame` consults the process-wide `net.frame.corrupt`
+    // failpoint, which `corrupt_failpoint_breaks_the_crc` arms: every
+    // test that encodes a frame holds the failpoint lock, so the
+    // harness's parallel threads never see that arming.
+    use qcluster_failpoint::test_lock;
+
     #[test]
     fn roundtrip_preserves_everything() {
+        let _serial = test_lock();
         let payload = br#"{"Stats":null}"#;
         let buf = encode_frame(FrameKind::Request, 42, payload);
         assert_eq!(buf.len(), HEADER_LEN + payload.len());
@@ -440,6 +447,7 @@ mod tests {
 
     #[test]
     fn corrupt_payload_byte_is_a_crc_mismatch() {
+        let _serial = test_lock();
         let mut buf = encode_frame(FrameKind::Response, 7, b"hello");
         let last = buf.len() - 1;
         buf[last] ^= 0x01;
@@ -451,6 +459,7 @@ mod tests {
 
     #[test]
     fn bad_magic_version_kind_and_oversize_are_detected() {
+        let _serial = test_lock();
         let good = encode_frame(FrameKind::Request, 1, b"x");
 
         let mut bad = good.clone();
@@ -494,6 +503,7 @@ mod tests {
 
     #[test]
     fn truncation_reports_needed_and_have() {
+        let _serial = test_lock();
         let buf = encode_frame(FrameKind::Request, 3, b"abcdef");
         match decode_frame(&buf[..buf.len() - 2], DEFAULT_MAX_PAYLOAD) {
             Err(FrameError::Truncated { needed, have }) => {
@@ -525,6 +535,7 @@ mod tests {
 
     #[test]
     fn header_truncated_inside_the_request_id_field_salvages_nothing() {
+        let _serial = test_lock();
         // Regression pin: a connection that dies mid-header must never
         // "salvage" a request id from the partial bytes — even when the
         // tear lands inside (or after) the id field at bytes 8..16, the
@@ -561,7 +572,7 @@ mod tests {
 
     #[test]
     fn corrupt_failpoint_breaks_the_crc() {
-        let _lock = qcluster_failpoint::test_lock();
+        let _lock = test_lock();
         qcluster_failpoint::clear_all();
         let _g = qcluster_failpoint::scoped(
             "net.frame.corrupt",
