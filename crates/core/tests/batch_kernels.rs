@@ -189,6 +189,10 @@ proptest! {
             prop_assert_eq!(stats.plan_misses, 0);
             prop_assert_eq!(stats.fallback_rescans, 0);
             prop_assert_eq!(stats.second_rounds, u64::from(window.is_some()));
+            // Two chunks accumulate through `out`, so the screen must
+            // stay off: every tile runs the tail, in either round.
+            let ntiles = corpus.len().div_ceil(8) as u64;
+            prop_assert_eq!(stats.tail_tiles, ntiles * (1 + stats.second_rounds));
         }
     }
 }

@@ -5,9 +5,13 @@
 //! exact `f64` column and computes a **sound lower bound** on every
 //! point's distance, keeping the best `m` candidates in a bounded heap.
 //! The bounds are never materialised: the column streams through the
-//! kernel one [`QUANT_BLOCK_TILES`] block at a time into a stack buffer
-//! and [`TopK::offer_block`] picks the survivors before the next block
-//! overwrites it, so a scan allocates nothing proportional to `n`.
+//! kernel one [`QUANT_BLOCK_TILES`] block at a time, and the kernel is
+//! a **screen** — the heap's current worst bound τ is turned into
+//! thresholds on the raw code polynomial ([`QuantPlan::screen_block`]),
+//! a tile none of whose lanes can still beat τ is dropped after one
+//! compare, and only the others pay for the square root and the
+//! divides, land in a stack buffer and reach [`TopK::offer_block`]. A
+//! scan allocates nothing proportional to `n`.
 //! Phase 2 reranks only those candidates with the exact `f64` kernel.
 //! Because the bound is sound (never exceeds the exact computed
 //! distance) and the final acceptance check is verified against the
@@ -19,8 +23,9 @@
 //! upper-bounds the true k-th distance, so reranking every point whose
 //! lower bound falls at or under it is provably exhaustive — the
 //! candidate set is sized by the quantization error bound itself. That
-//! round streams phase 1 a second time (same kernel, same bounds)
-//! rather than reading an array kept from the first.
+//! round streams phase 1 a second time (same kernel, same bounds,
+//! screened against that fixed threshold) rather than reading an array
+//! kept from the first.
 //!
 //! # The bound
 //!
@@ -281,6 +286,9 @@ pub struct QuantSpec<'a> {
 /// split into chunks whose per-point harmonic terms accumulate.
 const CHUNK_COMPONENTS: usize = 4;
 
+// One bit per tile of a block in the kernels' `u32` flag word.
+const _: () = assert!(QUANT_BLOCK_TILES <= u32::BITS as usize);
+
 #[derive(Debug, Clone)]
 struct PlanChunk {
     gc: usize,
@@ -300,6 +308,102 @@ struct PlanChunk {
     guard: f32,
 }
 
+/// `_mm256_max_ps(x, 0)` for one lane: `x` when it is greater than
+/// zero, `+0.0` otherwise — for NaN and `−0.0` too.
+#[inline]
+fn pos(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        0.0
+    }
+}
+
+/// The aggregate's last step as the kernels compute it: `total / av`,
+/// a quotient that is not finite (no component bounded the point, or
+/// the division overflowed) replaced by the trivial bound `0`.
+#[inline]
+fn finish(total: f32, av: f32) -> f32 {
+    let v = total / av;
+    if v < f32::INFINITY {
+        pos(v)
+    } else {
+        0.0
+    }
+}
+
+/// Ulps a threshold derived in `f64` may be raised by before the screen
+/// gives up and switches itself off for that τ.
+const SCREEN_BUMPS: usize = 32;
+
+/// Starting at `start`, the first of [`SCREEN_BUMPS`] consecutive
+/// floats that satisfies `ok`.
+fn bump_until(start: f32, ok: impl Fn(f32) -> bool) -> Option<f32> {
+    let mut x = start;
+    for _ in 0..SCREEN_BUMPS {
+        if ok(x) {
+            return Some(x);
+        }
+        x = x.next_up();
+    }
+    None
+}
+
+impl PlanChunk {
+    /// Scalar replica of the kernels' per-component tail: the raw
+    /// polynomial sum `s` of component `r` to its lower bound, op for
+    /// op in the AVX2 kernel's order (the portable kernel calls this
+    /// very function). Every op is a correctly rounded IEEE op that is
+    /// monotone in `s`, so the whole tail is non-decreasing in `s`.
+    #[inline]
+    fn tail(&self, r: usize, s: f32) -> f32 {
+        let rt = pos(s + self.c0[r] - self.abs[r]).sqrt();
+        let rr = pos(rt - self.err[r]);
+        pos((rr * rr).mul_add(LB_DEFLATE, -self.guard))
+    }
+
+    /// Adds the chunk's harmonic terms `mass_r / lb(r)` onto `av` in
+    /// component order — non-increasing in every `lb(r)`.
+    #[inline]
+    fn accumulate(&self, mut av: f32, lb: impl Fn(usize) -> f32) -> f32 {
+        for r in 0..self.gc {
+            av += self.mass[r] / lb(r);
+        }
+        av
+    }
+}
+
+/// One chunk's pass over a block: what the kernels need besides the
+/// codes.
+struct ChunkPass<'a> {
+    chunk: &'a PlanChunk,
+    /// A tile whose every lane has `s_r > theta[r]` for every component
+    /// is dropped before the tail; `+∞` drops nothing.
+    theta: &'a [f32; CHUNK_COMPONENTS],
+    /// `false` on a plan's first chunk, `true` when `out` already holds
+    /// the earlier chunks' partial sums.
+    carry: bool,
+    /// The plan's total mass on its last chunk (finish the aggregate),
+    /// `None` when more chunks follow (leave the partial sum in `out`).
+    total: Option<f32>,
+}
+
+/// Per-component thresholds on the raw code polynomial for one heap
+/// threshold `tau` — see [`QuantPlan::screen`].
+#[derive(Debug, Clone, Copy)]
+struct Screen {
+    tau: f32,
+    theta: [f32; CHUNK_COMPONENTS],
+}
+
+impl Screen {
+    /// Drops nothing: every tile runs the tail.
+    const OFF: Screen = Screen {
+        tau: f32::INFINITY,
+        theta: [f32::INFINITY; CHUNK_COMPONENTS],
+    };
+}
+
 /// A query compiled against one corpus' [`QuantParams`]: the phase-1
 /// evaluator. Built per (query, segment) pair by
 /// [`QueryDistance::quantized_plan`]; `None` means the query (or the
@@ -309,6 +413,10 @@ pub struct QuantPlan {
     dim: usize,
     chunks: Vec<PlanChunk>,
     total_mass: f32,
+    /// Whether [`Self::screen`] may ever return finite thresholds: one
+    /// chunk, usable `f32` masses, and no reachable component bounds
+    /// for which `total_mass / Σ mass_r/LB_r` overflows.
+    screenable: bool,
 }
 
 impl QuantPlan {
@@ -326,6 +434,8 @@ impl QuantPlan {
         // Σ q(Aq+B) polynomial (2 rounded ops per dimension, ~2.4e-7
         // each; ×4 headroom also covers f64→f32 coefficient rounding).
         let kappa = dim as f64 * 1e-6;
+        let total_mass = total_mass as f32;
+        let mut overflow_safe = false;
         let mut chunks = Vec::with_capacity(specs.len().div_ceil(CHUNK_COMPONENTS));
         for group in specs.chunks(CHUNK_COMPONENTS) {
             let gc = group.len();
@@ -334,6 +444,10 @@ impl QuantPlan {
             let mut erra = [0.0f32; CHUNK_COMPONENTS];
             let mut absa = [0.0f32; CHUNK_COMPONENTS];
             let mut massa = [0.0f32; CHUNK_COMPONENTS];
+            // `2·S` per component: no computed polynomial sum exceeds it
+            // (the true sum is at most `S`, its `f32` evaluation error
+            // at most `κ·S`).
+            let mut s_cap = [0.0f32; CHUNK_COMPONENTS];
             let mut guard = 0.0f64;
             for (r, spec) in group.iter().enumerate() {
                 if spec.center.len() != dim {
@@ -403,9 +517,10 @@ impl QuantPlan {
                 erra[r] = e_safe as f32;
                 absa[r] = abs_margin as f32;
                 massa[r] = spec.mass as f32;
+                s_cap[r] = (2.0 * s_quant) as f32;
                 guard = guard.max(g);
             }
-            chunks.push(PlanChunk {
+            let chunk = PlanChunk {
                 gc,
                 coeffs8,
                 c0: c0a,
@@ -413,12 +528,26 @@ impl QuantPlan {
                 abs: absa,
                 mass: massa,
                 guard: guard as f32,
-            });
+            };
+            // The overflow guard of the screen. `finish` clamps a
+            // quotient that is not finite to 0, the one step of the
+            // aggregate that is not monotone; with every component at
+            // the largest bound its polynomial can reach the quotient
+            // is at its largest, so if that one is finite the clamp is
+            // out of reach.
+            let usable = |m: f32| m > 0.0 && m < f32::INFINITY;
+            let least = chunk.accumulate(0.0, |r| chunk.tail(r, s_cap[r]));
+            overflow_safe = usable(total_mass)
+                && chunk.mass[..gc].iter().all(|&m| usable(m))
+                && least > 0.0
+                && (total_mass / least).is_finite();
+            chunks.push(chunk);
         }
         Some(QuantPlan {
             dim,
+            screenable: chunks.len() == 1 && overflow_safe,
             chunks,
-            total_mass: total_mass as f32,
+            total_mass,
         })
     }
 
@@ -428,182 +557,361 @@ impl QuantPlan {
     }
 
     /// Evaluates phase-1 lower bounds for `ntiles` tiles of codes into
-    /// `out` (one `f32` per lane, padding lanes included). `acc` is a
-    /// reusable scratch buffer.
+    /// `out` (one `f32` per lane, padding lanes included): the screened
+    /// kernel with the screen off. `_acc` is unused — the kernel keeps
+    /// a multi-chunk plan's partial sums in `out` itself — and stays so
+    /// callers written against the accumulator-pass version compile.
     ///
     /// # Panics
     ///
     /// Panics when `codes.len() != ntiles*dim*8` or
     /// `out.len() != ntiles*8`.
-    pub fn lower_bounds(&self, codes: &[u8], ntiles: usize, acc: &mut Vec<f32>, out: &mut [f32]) {
+    pub fn lower_bounds(&self, codes: &[u8], ntiles: usize, _acc: &mut Vec<f32>, out: &mut [f32]) {
         assert_eq!(
             codes.len(),
             ntiles * self.dim * TILE_LANES,
             "codes length mismatch"
         );
         assert_eq!(out.len(), ntiles * TILE_LANES, "out length mismatch");
-        acc.clear();
-        acc.resize(out.len(), 0.0);
-        for chunk in &self.chunks {
-            accumulate_chunk(codes, self.dim, ntiles, chunk, acc);
+        let blocks = codes
+            .chunks(QUANT_BLOCK_TILES * self.dim * TILE_LANES)
+            .zip(out.chunks_mut(QUANT_BLOCK_TILES * TILE_LANES));
+        for (codes, out) in blocks {
+            self.run_block(codes, out.len() / TILE_LANES, &Screen::OFF, out);
         }
-        for (o, &a) in out.iter_mut().zip(acc.iter()) {
-            let v = self.total_mass / a;
-            *o = if v.is_finite() { v.max(0.0) } else { 0.0 };
+    }
+
+    /// Phase 1 as a screen, over one block of at most
+    /// [`QUANT_BLOCK_TILES`] tiles: bit `t` of the result is set when
+    /// tile `t` was *flagged* — its eight lanes of `out` then hold
+    /// exactly what [`Self::lower_bounds`] computes for them. A tile
+    /// left unflagged was dropped on the raw code polynomial, before
+    /// the square root and the divides: every one of its lanes is
+    /// proven to have a lower bound `≥ tau`, and its lanes of `out` are
+    /// untouched. When nothing can be proven for this `tau` (not
+    /// positive, not finite, NaN) or this plan (several chunks, masses
+    /// whose ratio could overflow the aggregate) every tile is flagged.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ntiles > QUANT_BLOCK_TILES`,
+    /// `codes.len() != ntiles*dim*8` or `out.len() != ntiles*8`.
+    pub fn screen_block(&self, codes: &[u8], ntiles: usize, tau: f32, out: &mut [f32]) -> u32 {
+        self.run_block(codes, ntiles, &self.screen(tau), out)
+    }
+
+    /// Turns a heap threshold `tau` into per-component thresholds
+    /// `θ_r` on the raw polynomial sums such that a lane with
+    /// `s_r > θ_r` for **every** component has a computed lower bound
+    /// `≥ tau`.
+    ///
+    /// Two steps, each guessed by inverting the arithmetic in `f64` and
+    /// then *verified on the `f32` arithmetic itself*: a common
+    /// component level `L` with `aggregate(L, …, L) ≥ tau`, and per
+    /// component a `θ_r` with `tail_r(next_up(θ_r)) ≥ L`. The tail is
+    /// non-decreasing in `s_r` and the aggregate non-decreasing in
+    /// every component bound (its one non-monotone step is excluded by
+    /// `screenable`), so `s_r > θ_r ⇒ LB_r ≥ L` for all `r`
+    /// `⇒ LB ≥ aggregate(L, …, L) ≥ tau` — whatever the guesses were.
+    /// A guess the verification rejects is raised an ulp at a time; if
+    /// [`SCREEN_BUMPS`] do not fix it the screen stays off for this
+    /// `tau` (`θ = +∞`), which is always sound.
+    fn screen(&self, tau: f32) -> Screen {
+        let mut screen = Screen { tau, ..Screen::OFF };
+        // `tau > 0.0` is false for NaN.
+        if !(self.screenable && tau > 0.0 && tau < f32::INFINITY) {
+            return screen;
         }
+        let chunk = &self.chunks[0];
+        let mass_sum: f64 = chunk.mass[..chunk.gc].iter().map(|&m| f64::from(m)).sum();
+        let guess = f64::from(tau) * mass_sum / f64::from(self.total_mass);
+        let Some(level) = bump_until(guess as f32, |l| {
+            finish(self.total_mass, chunk.accumulate(0.0, |_| l)) >= tau
+        }) else {
+            return screen;
+        };
+        let mut theta = Screen::OFF.theta;
+        let squared = (f64::from(level) + f64::from(chunk.guard)) / f64::from(LB_DEFLATE);
+        for (r, slot) in theta[..chunk.gc].iter_mut().enumerate() {
+            let root = squared.sqrt() + f64::from(chunk.err[r]);
+            let guess = root * root - f64::from(chunk.c0[r]) + f64::from(chunk.abs[r]);
+            match bump_until(guess as f32, |s| chunk.tail(r, s.next_up()) >= level) {
+                Some(s) => *slot = s,
+                None => return screen,
+            }
+        }
+        screen.theta = theta;
+        screen
+    }
+
+    /// Runs every chunk of the plan over one block. Returns the flagged
+    /// tiles (see [`Self::screen_block`]).
+    fn run_block(&self, codes: &[u8], ntiles: usize, screen: &Screen, out: &mut [f32]) -> u32 {
+        self.run_block_with(screen_chunk, codes, ntiles, screen, out)
+    }
+
+    /// [`Self::run_block`] over an explicit chunk kernel.
+    fn run_block_with(
+        &self,
+        kernel: impl Fn(&[u8], usize, usize, &ChunkPass<'_>, &mut [f32]) -> u32,
+        codes: &[u8],
+        ntiles: usize,
+        screen: &Screen,
+        out: &mut [f32],
+    ) -> u32 {
+        assert!(ntiles <= QUANT_BLOCK_TILES, "block too large");
+        assert_eq!(
+            codes.len(),
+            ntiles * self.dim * TILE_LANES,
+            "codes length mismatch"
+        );
+        assert_eq!(out.len(), ntiles * TILE_LANES, "out length mismatch");
+        // A later chunk adds onto what the earlier ones left in `out`,
+        // so a plan of several chunks must not drop tiles.
+        debug_assert!(self.chunks.len() == 1 || screen.theta == Screen::OFF.theta);
+        let last = self.chunks.len() - 1;
+        let mut flags = 0;
+        for (i, chunk) in self.chunks.iter().enumerate() {
+            let pass = ChunkPass {
+                chunk,
+                theta: &screen.theta,
+                carry: i > 0,
+                total: (i == last).then_some(self.total_mass),
+            };
+            flags = kernel(codes, self.dim, ntiles, &pass, out);
+        }
+        flags
     }
 }
 
-/// Adds `Σ_r mass_r / LB_r(p)` for one component chunk into `acc`,
-/// dispatching to the AVX2+FMA kernel when the CPU has it.
-fn accumulate_chunk(codes: &[u8], dim: usize, ntiles: usize, chunk: &PlanChunk, acc: &mut [f32]) {
+/// One chunk over one block, on the AVX2+FMA kernel when the CPU has
+/// it: screens every tile on its raw polynomial sums, runs the tail on
+/// the flagged ones and returns their bit mask.
+fn screen_chunk(
+    codes: &[u8],
+    dim: usize,
+    ntiles: usize,
+    pass: &ChunkPass<'_>,
+    out: &mut [f32],
+) -> u32 {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
-            // SAFETY: feature presence just checked; slice lengths are
-            // validated by the caller's asserts.
-            unsafe {
-                match chunk.gc {
-                    1 => avx2::lb_chunk::<1>(codes, dim, ntiles, chunk, acc),
-                    2 => avx2::lb_chunk::<2>(codes, dim, ntiles, chunk, acc),
-                    3 => avx2::lb_chunk::<3>(codes, dim, ntiles, chunk, acc),
-                    _ => avx2::lb_chunk::<4>(codes, dim, ntiles, chunk, acc),
+            assert_eq!(codes.len(), ntiles * dim * TILE_LANES);
+            assert_eq!(out.len(), ntiles * TILE_LANES);
+            // SAFETY: feature presence and slice lengths just checked.
+            return unsafe {
+                match pass.chunk.gc {
+                    // One component is two FMA chains a tile: two tiles
+                    // an iteration keep four independent chains in
+                    // flight; an odd last tile goes through alone.
+                    1 => {
+                        let pairs = ntiles & !1;
+                        avx2::screen_chunk::<1, 2>(codes, dim, 0..pairs, pass, out)
+                            | avx2::screen_chunk::<1, 1>(codes, dim, pairs..ntiles, pass, out)
+                    }
+                    2 => avx2::screen_chunk::<2, 1>(codes, dim, 0..ntiles, pass, out),
+                    3 => avx2::screen_chunk::<3, 1>(codes, dim, 0..ntiles, pass, out),
+                    _ => avx2::screen_chunk::<4, 1>(codes, dim, 0..ntiles, pass, out),
                 }
-            }
-            return;
+            };
         }
     }
-    lb_chunk_portable(codes, dim, ntiles, chunk, acc);
+    screen_chunk_portable(codes, dim, ntiles, pass, out)
 }
 
-/// Portable phase-1 chunk kernel: same structure as the AVX2 path with
-/// eight-lane arrays the autovectorizer can pick up. Rounding may differ
-/// from the intrinsics path; both stay below the plan's margins, so
-/// either yields a sound bound.
-fn lb_chunk_portable(codes: &[u8], dim: usize, ntiles: usize, chunk: &PlanChunk, acc: &mut [f32]) {
+/// Portable chunk kernel: the structure of the AVX2 one with
+/// eight-lane arrays the autovectorizer can pick up. Its polynomial
+/// sums may round differently from the intrinsics path (no fused
+/// multiply-add, one chain); both stay below the plan's margins, so
+/// either yields a sound bound, and the screen compares whichever sums
+/// the running kernel computed. The tail is [`PlanChunk::tail`] itself.
+fn screen_chunk_portable(
+    codes: &[u8],
+    dim: usize,
+    ntiles: usize,
+    pass: &ChunkPass<'_>,
+    out: &mut [f32],
+) -> u32 {
+    let chunk = pass.chunk;
     let gc = chunk.gc;
     let tile = dim * TILE_LANES;
-    let mut q = vec![0.0f32; tile];
-    for t in 0..ntiles {
-        let ctile = &codes[t * tile..(t + 1) * tile];
-        for i in 0..tile {
-            q[i] = f32::from(ctile[i]);
-        }
-        let mut d = [[0.0f32; TILE_LANES]; CHUNK_COMPONENTS];
-        for j in 0..dim {
-            let col = &q[j * TILE_LANES..(j + 1) * TILE_LANES];
+    let mut flags = 0u32;
+    for (t, (ctile, out)) in codes
+        .chunks_exact(tile)
+        .zip(out.chunks_exact_mut(TILE_LANES))
+        .enumerate()
+        .take(ntiles)
+    {
+        let mut s = [[0.0f32; TILE_LANES]; CHUNK_COMPONENTS];
+        for (j, col) in ctile.chunks_exact(TILE_LANES).enumerate() {
+            let mut q = [0.0f32; TILE_LANES];
+            for l in 0..TILE_LANES {
+                q[l] = f32::from(col[l]);
+            }
             for r in 0..gc {
                 let base = (j * gc + r) * 2 * TILE_LANES;
                 let a = chunk.coeffs8[base];
                 let b = chunk.coeffs8[base + TILE_LANES];
                 for l in 0..TILE_LANES {
-                    d[r][l] += col[l] * (a * col[l] + b);
+                    s[r][l] += q[l] * (a * q[l] + b);
                 }
             }
         }
-        let out = &mut acc[t * TILE_LANES..(t + 1) * TILE_LANES];
-        for r in 0..gc {
-            let (c0, e, ab, m) = (chunk.c0[r], chunk.err[r], chunk.abs[r], chunk.mass[r]);
-            for l in 0..TILE_LANES {
-                let rt = (d[r][l] + c0 - ab).max(0.0).sqrt();
-                let rr = (rt - e).max(0.0);
-                let lb = (rr * rr * LB_DEFLATE - chunk.guard).max(0.0);
-                out[l] += m / lb;
-            }
+        // No short-circuit, so the compares stay vector ops; a NaN sum
+        // compares false and keeps its tile.
+        let above = (0..gc).fold(true, |all, r| {
+            s[r].iter().fold(all, |all, &v| all & (v > pass.theta[r]))
+        });
+        if above {
+            continue;
+        }
+        flags |= 1 << t;
+        for l in 0..TILE_LANES {
+            let carried = if pass.carry { out[l] } else { 0.0 };
+            let av = chunk.accumulate(carried, |r| chunk.tail(r, s[r][l]));
+            out[l] = pass.total.map_or(av, |total| finish(total, av));
         }
     }
+    flags
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{PlanChunk, LB_DEFLATE, TILE_LANES};
-    #[cfg(target_arch = "x86_64")]
+    use super::{ChunkPass, LB_DEFLATE, TILE_LANES};
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
-    /// AVX2+FMA phase-1 chunk kernel. One u8→f32 column conversion per
-    /// dimension is shared across components; coefficients come 8-wide
-    /// from memory (micro-fused FMA operands); each component keeps two
-    /// accumulator chains (even/odd dimensions) so the loop is bound by
-    /// FMA throughput, not latency.
+    /// Eight `u8` codes of one dimension as `f32` lanes.
     ///
     /// # Safety
     ///
-    /// Requires `avx2` and `fma`; `codes.len() == ntiles*dim*8` and
-    /// `acc.len() == ntiles*8`.
+    /// Requires `avx2`; `p` must be valid for an 8-byte read.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_codes(p: *const u8) -> __m256 {
+        _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(p.cast())))
+    }
+
+    /// `acc + q·(a·q + b)` with the 8-wide `a` at `ab` and `b` behind it.
+    ///
+    /// # Safety
+    ///
+    /// Requires `avx` and `fma`; `ab` must be valid for a 64-byte read.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn lb_chunk<const GC: usize>(
+    unsafe fn term(ab: *const f32, q: __m256, acc: __m256) -> __m256 {
+        let inner = _mm256_fmadd_ps(_mm256_loadu_ps(ab), q, _mm256_loadu_ps(ab.add(TILE_LANES)));
+        _mm256_fmadd_ps(q, inner, acc)
+    }
+
+    /// AVX2+FMA chunk kernel over tiles `tiles` of a block, `NT` tiles
+    /// an iteration (a remainder shorter than `NT` is left to the
+    /// caller). One u8→f32 column conversion per dimension is shared
+    /// across components; coefficients come 8-wide from memory
+    /// (micro-fused FMA operands); each component of each tile keeps
+    /// two accumulator chains (even/odd dimensions), so `GC·NT ≥ 2`
+    /// makes the loop bound by FMA throughput, not latency.
+    ///
+    /// A tile whose every lane exceeds `pass.theta` in every component
+    /// stops at one compare and movemask per component; the others run
+    /// the tail ([`super::PlanChunk::tail`] lane for lane), add their
+    /// harmonic terms, finish the aggregate on the plan's last chunk
+    /// and store their lanes to `out`. Returns the bit mask of those.
+    ///
+    /// # Safety
+    ///
+    /// Requires `avx2` and `fma`; `codes.len() ≥ tiles.end*dim*8`,
+    /// `out.len() ≥ tiles.end*8` and `tiles.end ≤ 32`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn screen_chunk<const GC: usize, const NT: usize>(
         codes: &[u8],
         dim: usize,
-        ntiles: usize,
-        chunk: &PlanChunk,
-        acc: &mut [f32],
-    ) {
+        tiles: Range<usize>,
+        pass: &ChunkPass<'_>,
+        out: &mut [f32],
+    ) -> u32 {
+        let chunk = pass.chunk;
         debug_assert_eq!(chunk.gc, GC);
+        debug_assert!(codes.len() >= tiles.end * dim * TILE_LANES);
+        debug_assert!(out.len() >= tiles.end * TILE_LANES && tiles.end <= 32);
         let tile = dim * TILE_LANES;
         let cf = chunk.coeffs8.as_ptr();
         let deflate = _mm256_set1_ps(LB_DEFLATE);
         let guard = _mm256_set1_ps(chunk.guard);
         let zero = _mm256_setzero_ps();
-        for t in 0..ntiles {
+        let mut theta = [zero; GC];
+        for r in 0..GC {
+            theta[r] = _mm256_set1_ps(pass.theta[r]);
+        }
+        let mut flags = 0u32;
+        let mut t = tiles.start;
+        while t + NT <= tiles.end {
             let ct = codes.as_ptr().add(t * tile);
-            let mut da = [_mm256_setzero_ps(); GC];
-            let mut db = [_mm256_setzero_ps(); GC];
+            let mut da = [[zero; GC]; NT];
+            let mut db = [[zero; GC]; NT];
             let mut j = 0;
             while j + 1 < dim {
-                let q0 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(
-                    ct.add(j * TILE_LANES).cast(),
-                )));
-                let q1 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(
-                    ct.add((j + 1) * TILE_LANES).cast(),
-                )));
-                for r in 0..GC {
-                    let b0 = cf.add((j * GC + r) * 2 * TILE_LANES);
-                    let t0 = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(b0),
-                        q0,
-                        _mm256_loadu_ps(b0.add(TILE_LANES)),
-                    );
-                    da[r] = _mm256_fmadd_ps(q0, t0, da[r]);
-                    let b1 = cf.add(((j + 1) * GC + r) * 2 * TILE_LANES);
-                    let t1 = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(b1),
-                        q1,
-                        _mm256_loadu_ps(b1.add(TILE_LANES)),
-                    );
-                    db[r] = _mm256_fmadd_ps(q1, t1, db[r]);
+                for i in 0..NT {
+                    let q0 = load_codes(ct.add(i * tile + j * TILE_LANES));
+                    let q1 = load_codes(ct.add(i * tile + (j + 1) * TILE_LANES));
+                    for r in 0..GC {
+                        da[i][r] = term(cf.add((j * GC + r) * 2 * TILE_LANES), q0, da[i][r]);
+                        db[i][r] = term(cf.add(((j + 1) * GC + r) * 2 * TILE_LANES), q1, db[i][r]);
+                    }
                 }
                 j += 2;
             }
             if j < dim {
-                let q0 = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(
-                    ct.add(j * TILE_LANES).cast(),
-                )));
-                for r in 0..GC {
-                    let b0 = cf.add((j * GC + r) * 2 * TILE_LANES);
-                    let t0 = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(b0),
-                        q0,
-                        _mm256_loadu_ps(b0.add(TILE_LANES)),
-                    );
-                    da[r] = _mm256_fmadd_ps(q0, t0, da[r]);
+                for i in 0..NT {
+                    let q0 = load_codes(ct.add(i * tile + j * TILE_LANES));
+                    for r in 0..GC {
+                        da[i][r] = term(cf.add((j * GC + r) * 2 * TILE_LANES), q0, da[i][r]);
+                    }
                 }
             }
-            let ap = acc.as_mut_ptr().add(t * TILE_LANES);
-            let mut av = _mm256_loadu_ps(ap);
-            for r in 0..GC {
-                let dd = _mm256_sub_ps(
-                    _mm256_add_ps(_mm256_add_ps(da[r], db[r]), _mm256_set1_ps(chunk.c0[r])),
-                    _mm256_set1_ps(chunk.abs[r]),
-                );
-                let rt = _mm256_sqrt_ps(_mm256_max_ps(dd, zero));
-                let rr = _mm256_max_ps(_mm256_sub_ps(rt, _mm256_set1_ps(chunk.err[r])), zero);
-                let lb =
-                    _mm256_max_ps(_mm256_fmsub_ps(_mm256_mul_ps(rr, rr), deflate, guard), zero);
-                av = _mm256_add_ps(av, _mm256_div_ps(_mm256_set1_ps(chunk.mass[r]), lb));
+            for i in 0..NT {
+                let mut s = [zero; GC];
+                // Ordered compare: a NaN sum is "not above" and keeps
+                // its tile.
+                let mut above = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+                for r in 0..GC {
+                    s[r] = _mm256_add_ps(da[i][r], db[i][r]);
+                    above = _mm256_and_ps(above, _mm256_cmp_ps::<_CMP_GT_OQ>(s[r], theta[r]));
+                }
+                if _mm256_movemask_ps(above) == 0xff {
+                    continue;
+                }
+                flags |= 1 << (t + i);
+                let op = out.as_mut_ptr().add((t + i) * TILE_LANES);
+                let mut av = if pass.carry {
+                    _mm256_loadu_ps(op)
+                } else {
+                    zero
+                };
+                for r in 0..GC {
+                    let dd = _mm256_sub_ps(
+                        _mm256_add_ps(s[r], _mm256_set1_ps(chunk.c0[r])),
+                        _mm256_set1_ps(chunk.abs[r]),
+                    );
+                    let rt = _mm256_sqrt_ps(_mm256_max_ps(dd, zero));
+                    let rr = _mm256_max_ps(_mm256_sub_ps(rt, _mm256_set1_ps(chunk.err[r])), zero);
+                    let lb =
+                        _mm256_max_ps(_mm256_fmsub_ps(_mm256_mul_ps(rr, rr), deflate, guard), zero);
+                    av = _mm256_add_ps(av, _mm256_div_ps(_mm256_set1_ps(chunk.mass[r]), lb));
+                }
+                if let Some(total) = pass.total {
+                    // `super::finish`, eight lanes at a time.
+                    let v = _mm256_div_ps(_mm256_set1_ps(total), av);
+                    let finite = _mm256_cmp_ps::<_CMP_LT_OQ>(v, _mm256_set1_ps(f32::INFINITY));
+                    av = _mm256_max_ps(_mm256_and_ps(v, finite), zero);
+                }
+                _mm256_storeu_ps(op, av);
             }
-            _mm256_storeu_ps(ap, av);
+            t += NT;
         }
+        flags
     }
 }
 
@@ -614,6 +922,12 @@ pub struct QuantScanStats {
     pub phase1_points: u64,
     /// Candidates exactly reranked in phase 2.
     pub reranked: u64,
+    /// Tiles phase 1 ran the square-root/divide tail on — the ones the
+    /// screen on the raw code polynomial could not drop, second round
+    /// included. Against `ceil(phase1_points / 8)` per round this is
+    /// the screen's "useful work / attempts" ratio; an exact count for
+    /// a given corpus, query and window.
+    pub tail_tiles: u64,
     /// Bound-driven second rounds: the window did not certify, so
     /// phase 1 was streamed again to rerank every point with `LB ≤ τ`.
     pub second_rounds: u64,
@@ -629,6 +943,7 @@ impl QuantScanStats {
     pub fn absorb(&mut self, other: &QuantScanStats) {
         self.phase1_points += other.phase1_points;
         self.reranked += other.reranked;
+        self.tail_tiles += other.tail_tiles;
         self.second_rounds += other.second_rounds;
         self.fallback_rescans += other.fallback_rescans;
         self.plan_misses += other.plan_misses;
@@ -892,13 +1207,17 @@ impl QuantizedScan {
     /// ties at `D` itself are settled by the strict inequality. When the
     /// heap never filled, every point was reranked.
     ///
-    /// Phase 1 is streamed: each block of bounds lives in a stack buffer
-    /// until [`TopK::offer_block`] has taken its survivors. The heap
-    /// ends holding the `m` smallest `(LB, id)` pairs — what selecting
-    /// from a materialised bound array would give — because blocks
-    /// arrive in ascending id, so a later point tying the heap's worst
-    /// bound loses the id tie-break either way and a strict `<` filter
-    /// drops nothing the heap would have kept.
+    /// Phase 1 is streamed and screened: before each block the heap's
+    /// worst bound τ becomes thresholds on the raw code polynomial, the
+    /// kernel drops every tile whose lanes all have `LB ≥ τ` and the
+    /// others' bounds live in a stack buffer until
+    /// [`TopK::offer_block`] has taken its survivors. The heap ends
+    /// holding the `m` smallest `(LB, id)` pairs — what selecting from
+    /// a materialised bound array would give — because blocks arrive
+    /// in ascending id, so a later point tying the heap's worst bound
+    /// loses the id tie-break either way and a strict `<` filter drops
+    /// nothing the heap would have kept; τ only falls while a block is
+    /// offered, so a lane the screen drops is one that filter rejects.
     ///
     /// When the window is too tight to certify, the scan does **not**
     /// rescan exactly: the k-th *exact* distance `τ` from the first
@@ -906,7 +1225,8 @@ impl QuantizedScan {
     /// over every point with `LB ≤ τ` provably contains the true top-k
     /// — the candidate set is sized by the quantization error bound
     /// itself rather than a guessed window. That set is collected by
-    /// streaming phase 1 again with `τ` as a fixed inclusive threshold
+    /// streaming phase 1 again with `τ` as a fixed inclusive threshold,
+    /// screened against the next `f32` above it
     /// (counted in [`QuantScanStats::second_rounds`]): one more kernel
     /// pass on the rare path buys an allocation-free common one. Only a
     /// bound violated by an exact distance (`D < LB`, impossible unless
@@ -942,12 +1262,15 @@ impl QuantizedScan {
             .max(kk)
             .min(n);
 
-        // Phase 1, streamed: each block's bounds live in a stack buffer
-        // just long enough for the heap's block filter to pick the
-        // survivors — nothing proportional to `n` is ever written.
+        // Phase 1, streamed: the tiles the screen could not drop live
+        // in a stack buffer just long enough for the heap's block
+        // filter to pick the survivors — nothing proportional to `n` is
+        // ever written. The heap's bounds are widened `f32`s, so the
+        // narrowing is exact.
         let mut heap = TopK::new(m);
-        self.stream_bounds(&plan, |base_id, lb| {
+        stats.tail_tiles = self.stream_bounds(&plan, f32::INFINITY, |base_id, lb| {
             heap.offer_block(lb, |p| base_id + p);
+            heap.threshold().map_or(f32::INFINITY, |worst| worst as f32)
         });
         stats.phase1_points = n as u64;
         let overflowed = n > m;
@@ -975,15 +1298,23 @@ impl QuantizedScan {
             // exactness needs no further certification. The bounds are
             // not kept from round one: the same kernel re-streams the
             // same values and the fixed inclusive threshold collects
-            // the set, already in id order.
+            // the set, already in id order. A tile the screen proves
+            // `LB ≥ above > τ` on holds no member of it.
             stats.second_rounds = 1;
             let tau = result.threshold().expect("m ≥ kk candidates reranked");
+            let nearest = tau as f32;
+            let above = if f64::from(nearest) > tau {
+                nearest
+            } else {
+                nearest.next_up()
+            };
             let mut by_id: Vec<(usize, f64)> = Vec::new();
-            self.stream_bounds(&plan, |base_id, lb| {
+            stats.tail_tiles += self.stream_bounds(&plan, above, |base_id, lb| {
                 by_id.extend(lb.iter().enumerate().filter_map(|(p, &b)| {
                     let b = f64::from(b);
                     (b <= tau).then_some((base_id + p, b))
                 }));
+                above
             });
             let (result, unsound2) = self.rerank(query, kk, &by_id);
             stats.reranked += by_id.len() as u64;
@@ -999,22 +1330,48 @@ impl QuantizedScan {
         (self.knn(query, k), stats)
     }
 
-    /// Runs the phase-1 kernel over the code column one
-    /// [`QUANT_BLOCK_TILES`] block at a time; `visit(base_id, bounds)`
-    /// sees each block's lower bounds for real points only — the
-    /// padding lanes of the final tile never leave this function.
-    fn stream_bounds(&self, plan: &QuantPlan, mut visit: impl FnMut(usize, &[f32])) {
+    /// Runs the screened phase-1 kernel over the code column one
+    /// [`QUANT_BLOCK_TILES`] block at a time. Each block is screened
+    /// against the latest threshold — `tau` at first, then whatever
+    /// `visit` returned last (`+∞`: nothing to screen against yet).
+    /// `visit(base_id, bounds)` sees each run of consecutive flagged
+    /// tiles, ascending, real points only — the padding lanes of the
+    /// final tile never leave this function. Returns the number of
+    /// flagged tiles.
+    fn stream_bounds(
+        &self,
+        plan: &QuantPlan,
+        mut tau: f32,
+        mut visit: impl FnMut(usize, &[f32]) -> f32,
+    ) -> u64 {
         const BLOCK: usize = QUANT_BLOCK_TILES * TILE_LANES;
         let tile = self.corpus.dim() * TILE_LANES;
         let n = self.corpus.len();
-        let mut acc = Vec::with_capacity(BLOCK);
         let mut lb = [0.0f32; BLOCK];
+        let mut screen = Screen::OFF;
+        let mut tail_tiles = 0;
         for (b, codes) in self.codes.chunks(QUANT_BLOCK_TILES * tile).enumerate() {
-            let lanes = codes.len() / self.corpus.dim();
+            // Thresholds are derived once per value of τ, not per block.
+            if tau != screen.tau {
+                screen = plan.screen(tau);
+            }
+            let ntiles = codes.len() / tile;
             let base_id = b * BLOCK;
-            plan.lower_bounds(codes, lanes / TILE_LANES, &mut acc, &mut lb[..lanes]);
-            visit(base_id, &lb[..lanes.min(n - base_id)]);
+            let valid = (ntiles * TILE_LANES).min(n - base_id);
+            let mut flags = plan.run_block(codes, ntiles, &screen, &mut lb[..ntiles * TILE_LANES]);
+            tail_tiles += u64::from(flags.count_ones());
+            while flags != 0 {
+                let first = flags.trailing_zeros();
+                let lo = first as usize * TILE_LANES;
+                let run = (flags >> first).trailing_ones() as usize;
+                let hi = (lo + run * TILE_LANES).min(valid);
+                tau = visit(base_id + lo, &lb[lo..hi]);
+                // Adding the run's lowest bit carries through the run
+                // and clears it.
+                flags &= flags.wrapping_add(1 << first);
+            }
         }
+        tail_tiles
     }
 
     /// Exactly reranks `by_id` (ascending-id `(id, lower_bound)` pairs)
@@ -1206,6 +1563,107 @@ mod tests {
                 lb[i],
                 q.distance(p)
             );
+        }
+    }
+
+    /// Nothing calls the portable kernel on an x86 host with AVX2, so
+    /// this does: the same blocks through `screen_chunk_portable` and
+    /// through the dispatching `screen_chunk`. Their polynomial sums
+    /// round differently, so the bounds may differ in the last bits —
+    /// but both must be sound against the exact distance, both must
+    /// select candidates that rerank to the exact top-k, and each
+    /// kernel's screen must agree with that kernel's own bounds.
+    #[test]
+    fn portable_and_dispatched_kernels_are_sound_and_give_the_same_top_k() {
+        type Kernel = fn(&[u8], usize, usize, &ChunkPass<'_>, &mut [f32]) -> u32;
+        let (n, dim, k) = (1003, 7, 10);
+        let pts = corpus(n, dim);
+        let qs = QuantizedScan::from_rows(&pts);
+        let ntiles = qs.corpus().ntiles();
+        let block = QUANT_BLOCK_TILES * dim * TILE_LANES;
+        let weights = [1.0, 0.5, 2.0, 0.0, 0.75, 1.5, 0.25];
+        // One, three and six components: one tile pair per iteration,
+        // one wide chunk, two chunks.
+        for comps in [1usize, 3, 6] {
+            let specs: Vec<QuantSpec<'_>> = (0..comps)
+                .map(|r| QuantSpec {
+                    weights: (r % 2 == 0).then_some(&weights[..]),
+                    center: &pts[17 * r + 3],
+                    mass: 1.0 + r as f64,
+                })
+                .collect();
+            let total: f64 = specs.iter().map(|s| s.mass).sum();
+            let plan = QuantPlan::build(qs.params(), &specs, total).expect("plan compiles");
+            let exact = |p: &[f64]| {
+                let terms: f64 = specs
+                    .iter()
+                    .map(|s| {
+                        let d: f64 = (0..dim)
+                            .map(|j| s.weights.map_or(1.0, |w| w[j]) * (p[j] - s.center[j]).powi(2))
+                            .sum();
+                        s.mass / d
+                    })
+                    .sum();
+                total / terms
+            };
+            let mut want: Vec<(f64, usize)> =
+                pts.iter().enumerate().map(|(i, p)| (exact(p), i)).collect();
+            want.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+            want.truncate(k);
+
+            for kernel in [screen_chunk_portable as Kernel, screen_chunk as Kernel] {
+                let run = |screen: &Screen, out: &mut [f32]| -> Vec<u32> {
+                    qs.codes()
+                        .chunks(block)
+                        .zip(out.chunks_mut(QUANT_BLOCK_TILES * TILE_LANES))
+                        .map(|(c, o)| {
+                            plan.run_block_with(kernel, c, o.len() / TILE_LANES, screen, o)
+                        })
+                        .collect()
+                };
+                let mut lb = vec![0.0f32; ntiles * TILE_LANES];
+                let flags = run(&Screen::OFF, &mut lb);
+                assert_eq!(
+                    flags.iter().map(|f| f.count_ones() as usize).sum::<usize>(),
+                    ntiles
+                );
+                for (i, p) in pts.iter().enumerate() {
+                    assert!(f64::from(lb[i]) <= exact(p), "comps={comps} point {i}");
+                }
+
+                // The 4k smallest bounds rerank to the exact top-k.
+                let mut order: Vec<(f32, usize)> =
+                    lb[..n].iter().enumerate().map(|(i, &b)| (b, i)).collect();
+                order.sort_by(|a, b| a.partial_cmp(b).expect("finite bounds"));
+                let tau = order[4 * k - 1].0;
+                let mut got: Vec<(f64, usize)> = order[..4 * k]
+                    .iter()
+                    .map(|&(_, i)| (exact(&pts[i]), i))
+                    .collect();
+                got.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+                got.truncate(k);
+                assert!(got[k - 1].0 < f64::from(tau), "window certifies");
+                assert_eq!(got, want, "comps={comps}");
+
+                // Screened at that threshold: a flagged tile repeats
+                // the unscreened lanes, a dropped one holds nothing
+                // below the threshold and is left alone.
+                let mut screened = vec![-1.0f32; ntiles * TILE_LANES];
+                let flags = run(&plan.screen(tau), &mut screened);
+                let mut dropped = 0;
+                for t in 0..ntiles {
+                    let lanes = t * TILE_LANES..(t + 1) * TILE_LANES;
+                    if flags[t / QUANT_BLOCK_TILES] >> (t % QUANT_BLOCK_TILES) & 1 == 1 {
+                        assert_eq!(screened[lanes.clone()], lb[lanes]);
+                    } else {
+                        dropped += 1;
+                        assert!(lb[lanes.clone()].iter().all(|&b| b >= tau));
+                        assert!(screened[lanes].iter().all(|&b| b == -1.0));
+                    }
+                }
+                // One chunk screens; two chunks must not.
+                assert_eq!(dropped > 0, comps <= CHUNK_COMPONENTS, "comps={comps}");
+            }
         }
     }
 }

@@ -14,8 +14,11 @@
 //! Phase 1 is streamed block by block and never materialises its
 //! bounds, so the deterministic tests at the bottom compare it against
 //! an oracle that does: all bounds from one `QuantPlan::lower_bounds`
-//! call, the `m` smallest by `(bound, id)`. Corpora there span several
-//! blocks and end in ragged tiles (`n % 8 ≠ 0`, `n % 256 ≠ 0`).
+//! call, the `m` smallest by `(bound, id)`. The oracle also predicts
+//! `tail_tiles` — it knows what the heap's worst bound was when each
+//! block started and asks `QuantPlan::screen_block` how many tiles that
+//! threshold leaves. Corpora there span several blocks and end in
+//! ragged tiles (`n % 8 ≠ 0`, `n % 256 ≠ 0`).
 //!
 //! Three corpus shapes stress the bound where it is weakest:
 //!
@@ -30,8 +33,8 @@
 
 use proptest::prelude::*;
 use qcluster_index::{
-    default_rerank_window, EuclideanQuery, LinearScan, QuantizedScan, QueryDistance,
-    WeightedEuclideanQuery,
+    default_rerank_window, EuclideanQuery, LinearScan, QuantPlan, QuantizedScan, QueryDistance,
+    WeightedEuclideanQuery, QUANT_BLOCK_TILES,
 };
 
 /// Asserts the quantized scan answers `query` identically to the exact
@@ -210,14 +213,19 @@ const RAGGED_SIZES: [usize; 6] = [257, 263, 511, 777, 1031, 1499];
 /// kernel call, the `m` smallest by `(bound, id)` reranked, and — when
 /// their k-th exact distance τ does not certify against the largest
 /// admitted bound — every point with `bound ≤ τ` reranked again.
-/// Returns `(reranked, second_rounds)`.
+///
+/// `tail_tiles` is replayed block by block: the streamed heap is full
+/// once `m` points were offered and its worst bound is then the `m`-th
+/// smallest `(bound, id)` among the ids before the block; the second
+/// round screens every block against the next `f32` above τ.
+/// Returns `(reranked, second_rounds, tail_tiles)`.
 fn oracle_counts<Q: QueryDistance>(
     points: &[Vec<f64>],
     quant: &QuantizedScan,
     query: &Q,
     k: usize,
     window: Option<usize>,
-) -> (u64, u64) {
+) -> (u64, u64, u64) {
     let n = points.len();
     let plan = query.quantized_plan(quant.params()).expect("plan compiles");
     let ntiles = quant.corpus().ntiles();
@@ -241,18 +249,54 @@ fn oracle_counts<Q: QueryDistance>(
         .collect();
     exact.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
     let tau = exact[kk - 1];
+    let block = QUANT_BLOCK_TILES * 8;
+    let first_round = count_tail_tiles(quant, &plan, |b| {
+        let seen = (b * block).min(n);
+        if seen < m {
+            return f32::INFINITY;
+        }
+        let mut before: Vec<(f32, usize)> = bounds[..seen].iter().copied().zip(0..).collect();
+        before.sort_by(|a, b| a.partial_cmp(b).expect("finite bounds"));
+        before[m - 1].0
+    });
     if n <= m || tau < heap_max {
-        (m as u64, 0)
+        (m as u64, 0, first_round)
     } else {
         let second = order.iter().filter(|&&(b, _)| b <= tau).count();
-        ((m + second) as u64, 1)
+        let nearest = tau as f32;
+        let above = if f64::from(nearest) > tau {
+            nearest
+        } else {
+            nearest.next_up()
+        };
+        let second_round = count_tail_tiles(quant, &plan, |_| above);
+        ((m + second) as u64, 1, first_round + second_round)
     }
 }
 
+/// Tiles `QuantPlan::screen_block` flags over the whole code column
+/// when block `b` is screened against `tau_of(b)`.
+fn count_tail_tiles(quant: &QuantizedScan, plan: &QuantPlan, tau_of: impl Fn(usize) -> f32) -> u64 {
+    let tile = quant.corpus().dim() * 8;
+    let mut out = [0.0f32; QUANT_BLOCK_TILES * 8];
+    quant
+        .codes()
+        .chunks(QUANT_BLOCK_TILES * tile)
+        .enumerate()
+        .map(|(b, codes)| {
+            let nt = codes.len() / tile;
+            u64::from(
+                plan.screen_block(codes, nt, tau_of(b), &mut out[..nt * 8])
+                    .count_ones(),
+            )
+        })
+        .sum()
+}
+
 /// The streamed scan reranks exactly the oracle's sets on multi-block
-/// ragged corpora — same answers as the exact scan, same `reranked`
-/// and `second_rounds` as materialise-then-select — and a window of
-/// `k` always takes the second round, never an exact rescan.
+/// ragged corpora — same answers as the exact scan, same `reranked`,
+/// `second_rounds` and `tail_tiles` as materialise-then-select — and a
+/// window of `k` always takes the second round, never an exact rescan.
 #[test]
 fn streamed_scan_reranks_the_oracle_sets_on_ragged_corpora() {
     for (i, &n) in RAGGED_SIZES.iter().enumerate() {
@@ -280,10 +324,13 @@ fn streamed_scan_reranks_the_oracle_sets_on_ragged_corpora() {
                             assert_eq!(g.id, w.id, "{ctx}");
                             assert_eq!(g.distance.to_bits(), w.distance.to_bits(), "{ctx}");
                         }
-                        let (reranked, second_rounds) =
+                        let (reranked, second_rounds, tail_tiles) =
                             oracle_counts(&points, &quant, query, k, window);
                         assert_eq!(stats.reranked, reranked, "{ctx}");
                         assert_eq!(stats.second_rounds, second_rounds, "{ctx}");
+                        assert_eq!(stats.tail_tiles, tail_tiles, "{ctx}");
+                        let ntiles = quant.corpus().ntiles() as u64;
+                        assert!(tail_tiles <= ntiles * (1 + second_rounds), "{ctx}");
                         assert_eq!(stats.phase1_points, n as u64, "{ctx}");
                         assert_eq!(stats.fallback_rescans, 0, "{ctx}");
                         assert_eq!(stats.plan_misses, 0, "{ctx}");
@@ -317,7 +364,7 @@ fn padding_lanes_never_enter_the_candidate_set() {
             assert!(got.iter().all(|nb| nb.id < n), "n={n} k={k}");
             assert_eq!(stats.phase1_points, n as u64);
             assert_eq!(
-                (stats.reranked, stats.second_rounds),
+                (stats.reranked, stats.second_rounds, stats.tail_tiles),
                 oracle_counts(&points, &quant, &query, k, window),
                 "n={n} k={k} window={window:?}"
             );

@@ -1032,7 +1032,8 @@ impl Router {
         }
         let sess = self.session_state(session)?;
 
-        // Resolve vectors partition by partition (local id = global -
+        // Resolve vectors with one scatter: a `FetchVectors` leg to
+        // every owning partition's leader (local id = global -
         // id_base), preserving the caller's input order in `points`.
         let mut by_owner: HashMap<usize, Vec<usize>> = HashMap::new();
         for (i, &id) in relevant_ids.iter().enumerate() {
@@ -1041,33 +1042,58 @@ impl Router {
         let mut points: Vec<Option<FeedPointDto>> = vec![None; relevant_ids.len()];
         let mut owners: Vec<(usize, Vec<usize>)> = by_owner.into_iter().collect();
         owners.sort_by_key(|(p, _)| *p);
-        for (p, indices) in owners {
-            let id_base = self.partitions[p].id_base;
-            let leader = self.partitions[p].leader.load(Ordering::Acquire);
-            let local_ids: Vec<usize> =
-                indices.iter().map(|&i| relevant_ids[i] - id_base).collect();
-            let response = self
-                .call_replica(p, leader, Request::FetchVectors { ids: local_ids })
-                .map_err(|kind| RouterError::Unavailable(vec![self.failure(p, leader, kind)]))?;
-            let Response::Vectors { vectors } = response else {
-                return Err(RouterError::Protocol(format!(
-                    "partition {p} answered FetchVectors with something else"
-                )));
-            };
-            if vectors.len() != indices.len() {
-                return Err(RouterError::Protocol(format!(
-                    "partition {p} resolved {} of {} vectors",
-                    vectors.len(),
-                    indices.len()
-                )));
+        let deadline = Instant::now() + self.config.node_deadline;
+        let legs: Vec<(Leg, Vec<usize>)> = owners
+            .into_iter()
+            .map(|(p, indices)| {
+                let id_base = self.partitions[p].id_base;
+                let leader = self.partitions[p].leader.load(Ordering::Acquire);
+                let ids = indices.iter().map(|&i| relevant_ids[i] - id_base).collect();
+                let leg = self.dispatch_leg(p, leader, Request::FetchVectors { ids });
+                (leg, indices)
+            })
+            .collect();
+        // Every leg is collected, also after one has failed — a leg
+        // left behind would leave a half-open breaker's probe without
+        // its outcome. The lowest failing partition names the error.
+        let mut failed: Option<RouterError> = None;
+        for (mut leg, indices) in legs {
+            let (p, leader) = (leg.partition, leg.replica);
+            let outcome = self.collect_leg(&mut leg, deadline);
+            if failed.is_some() {
+                continue;
             }
-            for (&i, vector) in indices.iter().zip(vectors) {
-                points[i] = Some(FeedPointDto {
-                    id: relevant_ids[i],
-                    vector,
-                    score: scores.map_or(self.config.default_score, |s| s[i]),
-                });
+            match outcome {
+                Ok(Response::Vectors { vectors }) if vectors.len() == indices.len() => {
+                    for (&i, vector) in indices.iter().zip(vectors) {
+                        points[i] = Some(FeedPointDto {
+                            id: relevant_ids[i],
+                            vector,
+                            score: scores.map_or(self.config.default_score, |s| s[i]),
+                        });
+                    }
+                }
+                Ok(Response::Vectors { vectors }) => {
+                    failed = Some(RouterError::Protocol(format!(
+                        "partition {p} resolved {} of {} vectors",
+                        vectors.len(),
+                        indices.len()
+                    )));
+                }
+                Ok(_) => {
+                    failed = Some(RouterError::Protocol(format!(
+                        "partition {p} answered FetchVectors with something else"
+                    )));
+                }
+                Err(kind) => {
+                    failed = Some(RouterError::Unavailable(
+                        vec![self.failure(p, leader, kind)],
+                    ));
+                }
             }
+        }
+        if let Some(error) = failed {
+            return Err(error);
         }
         let points: Vec<FeedPointDto> = points
             .into_iter()

@@ -66,7 +66,7 @@ proptest! {
 
 mod end_to_end {
     use qcluster_net::{ClientConfig, Server, ServerConfig};
-    use qcluster_router::{Partition, ReadPreference, Router, RouterConfig, ShardMap};
+    use qcluster_router::{Partition, ReadPreference, Router, RouterConfig, RouterError, ShardMap};
     use qcluster_service::{dispatch, Request, Response, Service, ServiceConfig, ShardKind};
     use std::net::SocketAddr;
     use std::sync::Arc;
@@ -106,18 +106,13 @@ mod end_to_end {
         }
     }
 
-    #[test]
-    fn healthy_cluster_matches_single_node_bit_for_bit() {
-        let total = 240;
-        let dim = 4;
-        let points = grid_corpus(total, dim);
-        let bases = [0usize, 100, 170];
-
-        // Three in-process node servers, each over its slice.
+    /// Three in-process node servers, each over its slice of
+    /// `points`, behind one router.
+    fn boot(points: &[Vec<f64>], bases: [usize; 3]) -> (Vec<Server>, Router) {
         let mut servers = Vec::new();
         let mut partitions = Vec::new();
         for (i, &id_base) in bases.iter().enumerate() {
-            let end = bases.get(i + 1).copied().unwrap_or(total);
+            let end = bases.get(i + 1).copied().unwrap_or(points.len());
             let service = node_service(&points[id_base..end]);
             let server = Server::bind("127.0.0.1:0", service, ServerConfig::default()).unwrap();
             let addr: SocketAddr = server.local_addr();
@@ -128,6 +123,15 @@ mod end_to_end {
             servers.push(server);
         }
         let router = Router::new(ShardMap::new(partitions).unwrap(), router_config()).unwrap();
+        (servers, router)
+    }
+
+    #[test]
+    fn healthy_cluster_matches_single_node_bit_for_bit() {
+        let total = 240;
+        let dim = 4;
+        let points = grid_corpus(total, dim);
+        let (servers, router) = boot(&points, [0, 100, 170]);
 
         // Single-node reference over the whole corpus.
         let reference = node_service(&points);
@@ -189,11 +193,12 @@ mod end_to_end {
             }
         }
 
-        // Feedback parity: mark the same global ids on both sides (one
-        // id per partition, so the router exercises cross-partition
-        // vector resolution), then compare the refined round.
-        let marked = vec![5usize, 120, 200];
-        let scores = vec![3.0f64, 2.0, 4.0];
+        // Feedback parity: mark the same global ids on both sides
+        // (every partition owns some, out of partition order, so the
+        // router's scatter has to put the resolved vectors back in the
+        // caller's order), then compare the refined round.
+        let marked = vec![200usize, 5, 120, 7, 171];
+        let scores = vec![3.0f64, 2.0, 4.0, 1.0, 2.5];
         let fed = router.feed(session, &marked, Some(&scores)).unwrap();
         assert!(matches!(fed, Response::FeedAccepted { .. }));
         let Response::FeedAccepted { .. } = dispatch(
@@ -237,6 +242,39 @@ mod end_to_end {
         }
 
         router.close_session(session).unwrap();
+        drop(router);
+        for server in servers {
+            server.shutdown();
+        }
+    }
+
+    /// The `FetchVectors` legs of a feed are one scatter: with two of
+    /// three owners down, both dead legs are still collected (each
+    /// records its failure — a breaker probe is never left without an
+    /// outcome) and the error names the lowest failing partition, as
+    /// the one-partition-at-a-time loop did.
+    #[test]
+    fn feed_collects_every_fetch_leg_and_names_the_lowest_failing_partition() {
+        let points = grid_corpus(240, 4);
+        let (mut servers, router) = boot(&points, [0, 100, 170]);
+        let session = router.create_session(None).unwrap();
+        for server in servers.drain(1..) {
+            server.shutdown();
+        }
+        let before = router.cluster_gauges();
+        let err = router.feed(session, &[200, 5, 120], None).unwrap_err();
+        let RouterError::Unavailable(failures) = err else {
+            panic!("expected Unavailable, got {err:?}")
+        };
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].partition, 1);
+        let after = router.cluster_gauges();
+        assert_eq!(
+            (after.node_failures + after.node_timeouts)
+                - (before.node_failures + before.node_timeouts),
+            2,
+            "both dead legs must have been collected"
+        );
         drop(router);
         for server in servers {
             server.shutdown();
