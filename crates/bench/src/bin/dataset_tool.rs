@@ -7,31 +7,16 @@
 //! dataset-tool query   <file.json> <image-id> [k]
 //! dataset-tool render  <category> <index> <out.ppm> [--paper-scale]
 //! dataset-tool stats   <file.json> [k]
-//! dataset-tool convert <in> <out>
-//! dataset-tool synth   <out.qseg> <n> <dim> [--centers G] [--seed S]
 //! ```
 //!
 //! `build` renders the corpus (or generates the semantic-gap workload),
 //! extracts features, and saves the prepared dataset; `info` prints its
 //! shape; `query` runs one k-NN search and prints the ranked result with
-//! ground-truth annotations. `convert` re-encodes a dataset between
-//! formats by output extension: `.json` (JSON), `.qseg` (a raw
-//! `qcluster-store` vector segment — labels dropped), anything else the
-//! binary `QDSB` dataset; the input format is sniffed automatically.
-//! `synth` streams a synthetic clustered corpus at arbitrary scale
-//! (e.g. the 10M-point quantize-bench corpus) straight into a sealed
-//! format-v2 segment — tile-native columns plus the u8 code column —
-//! without building a labeled dataset in memory.
-//!
-//! **Deprecation**: `convert` and `synth` have moved to the unified
-//! `qcluster` binary (`qcluster convert`, `qcluster synth <out.qseg>`)
-//! in `crates/cli`; the aliases here remain for compatibility and
-//! forward to the same library paths.
+//! ground-truth annotations. Format conversion and synthetic segments
+//! are `qcluster convert` / `qcluster synth` (`crates/cli`).
 
 use qcluster_bench::{image_dataset, semantic_gap_dataset, Scale};
-use qcluster_eval::{
-    load_dataset, load_dataset_auto, save_dataset, save_dataset_binary, RelevanceOracle,
-};
+use qcluster_eval::{load_dataset, save_dataset, RelevanceOracle};
 use qcluster_imaging::FeatureKind;
 use qcluster_index::EuclideanQuery;
 use std::path::Path;
@@ -40,7 +25,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        eprintln!("usage: dataset-tool <build|info|query> ...");
+        eprintln!("usage: dataset-tool <build|info|stats|query|render> ...");
         return ExitCode::FAILURE;
     };
     let result = match command.as_str() {
@@ -49,8 +34,6 @@ fn main() -> ExitCode {
         "query" => query(&args[1..]),
         "render" => render(&args[1..]),
         "stats" => stats(&args[1..]),
-        "convert" => convert(&args[1..]),
-        "synth" => synth(&args[1..]),
         other => Err(format!("unknown command: {other}")),
     };
     match result {
@@ -93,75 +76,6 @@ fn stats(args: &[String]) -> Result<(), String> {
     if d.categories.len() > 20 {
         println!("… ({} more)", d.categories.len() - 20);
     }
-    Ok(())
-}
-
-fn convert(args: &[String]) -> Result<(), String> {
-    eprintln!("note: `dataset-tool convert` is deprecated; use `qcluster convert`");
-    let input = args.first().ok_or("convert needs an input path")?;
-    let output = args.get(1).ok_or("convert needs an output path")?;
-    let dataset = load_dataset_auto(Path::new(input)).map_err(|e| e.to_string())?;
-    let out_path = Path::new(output);
-    let kind = match out_path.extension().and_then(|e| e.to_str()) {
-        Some("json") => {
-            save_dataset(&dataset, out_path).map_err(|e| e.to_string())?;
-            "JSON dataset"
-        }
-        Some("qseg") => {
-            // A raw vector segment: ground-truth labels are dropped, the
-            // vectors become loadable by any qcluster-store reader.
-            qcluster_store::write_segment(out_path, dataset.dim(), dataset.vectors())
-                .map_err(|e| e.to_string())?;
-            "vector segment (labels dropped)"
-        }
-        _ => {
-            save_dataset_binary(&dataset, out_path).map_err(|e| e.to_string())?;
-            "binary dataset"
-        }
-    };
-    println!(
-        "converted {} vectors x {} dims: {input} -> {output} ({kind})",
-        dataset.len(),
-        dataset.dim()
-    );
-    Ok(())
-}
-
-fn synth(args: &[String]) -> Result<(), String> {
-    eprintln!(
-        "note: `dataset-tool synth` is deprecated; use `qcluster synth <out.qseg> <n> <dim>`"
-    );
-    let [path, n, dim, ..] = args else {
-        return Err("synth needs <out.qseg> <n> <dim>".into());
-    };
-    let n: u64 = n.parse().map_err(|_| "n must be an integer")?;
-    let dim: usize = dim.parse().map_err(|_| "dim must be an integer")?;
-    let flag = |name: &str, default: u64| -> Result<u64, String> {
-        match args.iter().position(|a| a == name) {
-            Some(i) => args
-                .get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("{name} needs an integer value")),
-            None => Ok(default),
-        }
-    };
-    let centers = flag("--centers", 16)?;
-    let seed = flag("--seed", 42)?;
-    let start = std::time::Instant::now();
-    let sealed = qcluster_bench::synth_segment(
-        Path::new(path),
-        n,
-        dim,
-        usize::try_from(centers).map_err(|_| "centers out of range")?,
-        seed,
-    )
-    .map_err(|e| e.to_string())?;
-    let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    println!(
-        "sealed {sealed} x {dim} synthetic vectors ({centers} centers, seed {seed}) \
-         to {path}: {bytes} bytes in {:.1}s",
-        start.elapsed().as_secs_f64()
-    );
     Ok(())
 }
 

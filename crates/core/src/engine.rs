@@ -124,7 +124,6 @@ pub struct QclusterEngine {
     clusters: Vec<Cluster>,
     iteration: usize,
     last_merge: MergeOutcome,
-    version: u64,
 }
 
 impl QclusterEngine {
@@ -135,7 +134,6 @@ impl QclusterEngine {
             clusters: Vec::new(),
             iteration: 0,
             last_merge: MergeOutcome::default(),
-            version: 0,
         }
     }
 
@@ -164,24 +162,11 @@ impl QclusterEngine {
         self.last_merge
     }
 
-    /// Monotonic cluster-state version.
-    ///
-    /// Bumped exactly when the cluster set can change — on every
-    /// successful [`QclusterEngine::feed`] and on
-    /// [`QclusterEngine::reset`] — and never by [`QclusterEngine::query`].
-    /// A compiled [`DisjunctiveQuery`] therefore stays valid for as long
-    /// as the version it was compiled at matches, which is what the
-    /// service layer's per-session plan cache keys on.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Drops all state, starting a fresh session.
     pub fn reset(&mut self) {
         self.clusters.clear();
         self.iteration = 0;
         self.last_merge = MergeOutcome::default();
-        self.version += 1;
     }
 
     /// Ingests one round of user-marked relevant points (Algorithm 1
@@ -251,7 +236,6 @@ impl QclusterEngine {
             threshold,
         )?;
         self.iteration += 1;
-        self.version += 1;
         Ok(())
     }
 
@@ -449,24 +433,6 @@ mod tests {
         e.feed(&pts).unwrap();
         let total_mass: f64 = e.clusters().iter().map(|c| c.mass()).sum();
         assert!((total_mass - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn version_bumps_on_feed_and_reset_not_query() {
-        let mut e = QclusterEngine::new(QclusterConfig::default());
-        assert_eq!(e.version(), 0);
-        e.feed(&group(0.0, 0.0, 0, 3)).unwrap();
-        assert_eq!(e.version(), 1);
-        let _ = e.query().unwrap();
-        let _ = e.query().unwrap();
-        assert_eq!(e.version(), 1, "query must not invalidate plans");
-        e.feed(&group(0.2, 0.2, 10, 3)).unwrap();
-        assert_eq!(e.version(), 2);
-        e.reset();
-        assert_eq!(e.version(), 3, "reset must invalidate plans");
-        // A failed feed leaves the version untouched.
-        assert!(e.feed(&[]).is_err());
-        assert_eq!(e.version(), 3);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   diff-able, streamed through buffered readers/writers.
 //! - **Binary** ([`save_dataset_binary`]/[`load_dataset_binary`]) — a
 //!   CRC-checked fixed-width format reusing the `qcluster-store` codec;
-//!   bit-exact `f64` round-trips and much faster loads (see
-//!   `benches/store.rs` in `qcluster-bench`).
+//!   bit-exact `f64` round-trips and much faster loads.
 //!
 //! [`load_dataset_auto`] sniffs the leading magic and accepts either.
 

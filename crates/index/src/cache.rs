@@ -12,44 +12,22 @@
 //! to a node in a session is a **miss** (a disk read); subsequent accesses
 //! across any number of iterations are **hits**.
 
-/// A per-session cache of index node ids.
-///
-/// By default the buffer is unbounded (every node read once stays
-/// resident — the idealized multipoint-approach accounting). For a
-/// realistic memory-bounded buffer pool, construct with
-/// [`NodeCache::with_capacity`]: residency is then limited to `capacity`
-/// nodes with least-recently-used eviction.
+/// A per-session cache of index node ids: every node read once stays
+/// resident (the idealized multipoint-approach accounting).
 #[derive(Debug, Clone, Default)]
 pub struct NodeCache {
-    /// Clock value of the last access per node; 0 = not resident.
-    last_used: Vec<u64>,
-    /// Monotone access clock.
-    clock: u64,
-    /// Maximum resident nodes (`usize::MAX` = unbounded).
-    capacity: usize,
-    /// Currently resident node count.
+    /// Whether each node has been read in this session.
+    seen: Vec<bool>,
     resident: usize,
     hits: u64,
     misses: u64,
 }
 
 impl NodeCache {
-    /// An unbounded cache sized for a tree with `num_nodes` nodes.
+    /// A cache sized for a tree with `num_nodes` nodes.
     pub fn new(num_nodes: usize) -> Self {
-        Self::with_capacity(num_nodes, usize::MAX)
-    }
-
-    /// A cache holding at most `capacity` resident nodes (LRU eviction).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn with_capacity(num_nodes: usize, capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
         NodeCache {
-            last_used: vec![0; num_nodes],
-            clock: 0,
-            capacity,
+            seen: vec![false; num_nodes],
             resident: 0,
             hits: 0,
             misses: 0,
@@ -63,28 +41,12 @@ impl NodeCache {
     /// Panics when `node` is out of range for the tree this cache was
     /// sized for.
     pub fn access(&mut self, node: usize) -> bool {
-        assert!(node < self.last_used.len(), "node id out of range");
-        self.clock += 1;
-        if self.last_used[node] != 0 {
-            self.last_used[node] = self.clock;
+        assert!(node < self.seen.len(), "node id out of range");
+        if self.seen[node] {
             self.hits += 1;
             return true;
         }
-        // Miss: admit, evicting the LRU resident if at capacity.
-        if self.resident >= self.capacity {
-            if let Some(victim) = self
-                .last_used
-                .iter()
-                .enumerate()
-                .filter(|&(_, &t)| t != 0)
-                .min_by_key(|&(_, &t)| t)
-                .map(|(i, _)| i)
-            {
-                self.last_used[victim] = 0;
-                self.resident -= 1;
-            }
-        }
-        self.last_used[node] = self.clock;
+        self.seen[node] = true;
         self.resident += 1;
         self.misses += 1;
         false
@@ -107,8 +69,7 @@ impl NodeCache {
 
     /// Empties the cache and zeroes the counters (start of a new session).
     pub fn clear(&mut self) {
-        self.last_used.iter_mut().for_each(|c| *c = 0);
-        self.clock = 0;
+        self.seen.fill(false);
         self.resident = 0;
         self.hits = 0;
         self.misses = 0;
@@ -150,65 +111,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_evicts_lru() {
-        let mut c = NodeCache::with_capacity(4, 2);
-        assert!(!c.access(0));
-        assert!(!c.access(1));
-        assert!(c.access(0)); // 0 now most recent; LRU = 1
-        assert!(!c.access(2)); // evicts 1
-        assert_eq!(c.resident(), 2);
-        assert!(c.access(0), "0 must survive");
-        assert!(!c.access(1), "1 was evicted");
-    }
-
-    #[test]
-    fn exact_capacity_boundary_holds_without_eviction() {
-        // Fill to exactly `capacity` residents: no eviction may fire, and
-        // every filled node must still hit.
-        let mut c = NodeCache::with_capacity(5, 3);
-        assert!(!c.access(0));
-        assert!(!c.access(1));
-        assert!(!c.access(2));
-        assert_eq!(c.resident(), 3, "exactly at capacity, nothing evicted");
-        for node in 0..3 {
-            assert!(c.access(node), "node {node} resident at the boundary");
-        }
-        assert_eq!(c.misses(), 3);
-        assert_eq!(c.hits(), 3);
-
-        // One access past capacity evicts exactly one (the LRU), keeping
-        // residency pinned at `capacity`.
-        assert!(!c.access(3));
-        assert_eq!(c.resident(), 3);
-    }
-
-    #[test]
-    fn re_touch_promotes_residency_across_evictions() {
-        let mut c = NodeCache::with_capacity(6, 2);
-        assert!(!c.access(0));
-        assert!(!c.access(1)); // LRU order: 0, 1
-        assert!(c.access(0)); // re-touch 0 → LRU order: 1, 0
-        assert!(!c.access(2)); // evicts 1, not the re-touched 0
-        assert!(c.access(0), "re-touched node survived the eviction");
-        assert!(!c.access(1), "stale node was the victim");
-        // The re-admission of 1 just now evicted 2 (0 was re-touched
-        // again above): the promotion keeps following recency.
-        assert!(c.access(0));
-        assert!(!c.access(2));
-    }
-
-    #[test]
-    fn capacity_one_thrashes() {
-        let mut c = NodeCache::with_capacity(3, 1);
-        assert!(!c.access(0));
-        assert!(!c.access(1));
-        assert!(!c.access(0));
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.resident(), 1);
-    }
-
-    #[test]
-    fn unbounded_never_evicts() {
+    fn every_node_read_once_stays_resident() {
         let mut c = NodeCache::new(100);
         for i in 0..100 {
             assert!(!c.access(i));
@@ -217,11 +120,5 @@ mod tests {
             assert!(c.access(i));
         }
         assert_eq!(c.resident(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = NodeCache::with_capacity(4, 0);
     }
 }

@@ -47,6 +47,20 @@ pub struct SearchStats {
     pub quant_plan_misses: u64,
 }
 
+impl SearchStats {
+    /// Accumulates another search's counters (one shard's, one node's).
+    pub fn absorb(&mut self, other: &SearchStats) {
+        self.nodes_accessed += other.nodes_accessed;
+        self.cache_hits += other.cache_hits;
+        self.disk_reads += other.disk_reads;
+        self.distance_evaluations += other.distance_evaluations;
+        self.quant_phase1_points += other.quant_phase1_points;
+        self.quant_reranked += other.quant_reranked;
+        self.quant_fallbacks += other.quant_fallbacks;
+        self.quant_plan_misses += other.quant_plan_misses;
+    }
+}
+
 /// Max-heap entry for the result set (largest distance on top).
 #[derive(Debug, PartialEq)]
 struct Candidate {

@@ -50,10 +50,10 @@ pub enum ReplRequest {
     /// it carries the leader's term and lease duration, and a follower
     /// whose current term is higher rejects it with
     /// [`ReplReply::StaleTerm`] instead of applying. An empty `frames`
-    /// is a pure fence probe / lease renewal. `term == 0` is the legacy
-    /// unfenced path (single-router bootstrap): always accepted.
+    /// is a pure fence probe / lease renewal. Terms start at 1:
+    /// `term == 0` is answered with [`ReplReply::Err`].
     Apply {
-        /// The shipper's leadership term (0 = unfenced legacy ship).
+        /// The shipper's leadership term (positive).
         term: u64,
         /// Lease duration granted from the follower's receipt time, in
         /// milliseconds (0 = no lease refresh).
@@ -105,7 +105,7 @@ pub enum ReplReply {
         /// Vectors durable on disk (equals `total` when the node runs
         /// a store; 0 when memory-only).
         durable: u64,
-        /// Highest term this node has acknowledged (0 = never fenced).
+        /// Highest term this node has acknowledged (0 = none yet).
         term: u64,
         /// Whether the node currently holds an unexpired leader lease.
         leased: bool,

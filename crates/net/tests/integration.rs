@@ -10,7 +10,8 @@ use std::thread;
 use std::time::Duration;
 
 use qcluster_net::{
-    encode_frame, Client, ClientConfig, FrameKind, NetError, Server, ServerConfig, HEADER_LEN,
+    encode_frame, Client, ClientConfig, FrameKind, NetError, ReplReply, ReplRequest, Server,
+    ServerConfig, HEADER_LEN,
 };
 use qcluster_service::{dispatch, Request, Response, Service, ServiceConfig};
 
@@ -414,4 +415,43 @@ fn expect_close(stream: &mut TcpStream) {
             Err(e) => panic!("expected clean close, got error: {e}"),
         }
     }
+}
+
+/// Terms start at 1: a node answers `Apply{term: 0}` with a typed error
+/// and changes neither its term nor its lease — before any leader won
+/// it, and after.
+#[test]
+fn apply_at_term_zero_is_a_typed_error_and_changes_nothing() {
+    let node = service();
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&node), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), fast_client_config()).unwrap();
+    let mut exchange = |request: ReplRequest| {
+        ReplReply::decode(&client.repl_call(&request.encode()).unwrap()).unwrap()
+    };
+    let apply_zero = || ReplRequest::Apply {
+        term: 0,
+        lease_ms: 60_000,
+        frames: Vec::new(),
+    };
+
+    match exchange(apply_zero()) {
+        ReplReply::Err { msg } => assert!(msg.contains("term must be positive"), "{msg}"),
+        other => panic!("Apply{{term: 0}} must be refused, got {other:?}"),
+    }
+    assert_eq!(node.consensus_status(), (0, false));
+
+    let vote = ReplRequest::Vote {
+        term: 2,
+        lease_ms: 0,
+    };
+    assert!(matches!(
+        exchange(vote),
+        ReplReply::Vote {
+            granted: true,
+            term: 2
+        }
+    ));
+    assert!(matches!(exchange(apply_zero()), ReplReply::Err { .. }));
+    assert_eq!(node.consensus_status(), (2, false));
+    server.shutdown();
 }

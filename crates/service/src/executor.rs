@@ -11,16 +11,15 @@
 //!
 //! [`Executor::try_knn`] is the fault-tolerant fan-out. Each shard job
 //! runs under `catch_unwind`, so a panicking shard becomes a per-shard
-//! failure instead of a poisoned pool; an optional deadline bounds the
-//! collection wait, and whatever arrived in time is merged into a
-//! *degraded* result annotated with `shards_ok / shards_total` coverage
-//! ([`FanoutReport`]). A per-shard circuit breaker trips after
-//! consecutive failures and skips that shard (degraded coverage) until
-//! a cooldown elapses, then half-opens to probe it with a single job.
-//! Admission control bounds the total jobs in flight, rejecting new
-//! fan-outs with [`ServiceError::Overloaded`] instead of queueing
-//! without bound. Dead workers are respawned transparently on the next
-//! fan-out ([`Executor::heal`]).
+//! failure instead of a poisoned pool. Deadline-bounded collection,
+//! per-shard circuit breakers and the attribution of every missing
+//! shard are [`crate::fanout::gather`]'s; whatever arrived in time is
+//! merged into a *degraded* result annotated with `shards_ok /
+//! shards_total` coverage ([`FanoutReport`]). Admission control bounds
+//! the total jobs in flight, rejecting new fan-outs with
+//! [`ServiceError::Overloaded`] instead of queueing without bound. Dead
+//! workers are respawned transparently on the next fan-out
+//! ([`Executor::heal`]).
 //!
 //! ## Failpoints
 //!
@@ -31,9 +30,10 @@
 //! its next job (exercising [`Executor::heal`]).
 
 use crate::error::ServiceError;
+use crate::fanout::{gather, Breaker, Miss};
 use crate::metrics::{HistogramSummary, LatencyHistogram};
 use crate::shard::ShardedCorpus;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, Sender};
 use qcluster_failpoint as failpoint;
 use qcluster_index::{merge_top_k, Neighbor, NodeCache, QueryDistance, SearchStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -147,72 +147,6 @@ pub struct ExecutorFaults {
     pub workers_respawned: u64,
 }
 
-/// Circuit-breaker state for one shard.
-///
-/// Closed → (threshold consecutive failures) → Open(until) →
-/// (cooldown) → HalfOpen (one probe) → Closed on success, re-Open on
-/// failure.
-#[derive(Debug, Default)]
-struct BreakerInner {
-    consecutive_failures: u32,
-    open_until: Option<Instant>,
-    probing: bool,
-}
-
-#[derive(Debug, Default)]
-struct ShardBreaker {
-    state: Mutex<BreakerInner>,
-    trips: AtomicU64,
-}
-
-impl ShardBreaker {
-    fn lock(&self) -> std::sync::MutexGuard<'_, BreakerInner> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Whether a job for this shard may run now. In the open state this
-    /// admits exactly one half-open probe once the cooldown elapsed.
-    fn admit(&self, now: Instant) -> bool {
-        let mut s = self.lock();
-        match s.open_until {
-            None => true,
-            Some(until) if now < until => false,
-            Some(_) if s.probing => false,
-            Some(_) => {
-                s.probing = true;
-                true
-            }
-        }
-    }
-
-    fn record_success(&self) {
-        let mut s = self.lock();
-        s.consecutive_failures = 0;
-        s.open_until = None;
-        s.probing = false;
-    }
-
-    /// Returns `true` when this failure tripped (or re-tripped) the
-    /// breaker.
-    fn record_failure(&self, now: Instant, threshold: u32, cooldown: Duration) -> bool {
-        let mut s = self.lock();
-        s.consecutive_failures = s.consecutive_failures.saturating_add(1);
-        let trip = s.probing || s.consecutive_failures >= threshold;
-        s.probing = false;
-        if trip {
-            s.open_until = Some(now + cooldown);
-            self.trips.fetch_add(1, Ordering::Relaxed);
-        }
-        trip
-    }
-}
-
-/// What one shard job sends back to the collector.
-type ShardOutcome = (
-    usize,
-    Result<(Vec<Neighbor>, SearchStats), ShardFailureKind>,
-);
-
 /// Decrements the in-flight job counter when the job finishes — on the
 /// success path, the failure path, and the unwind path alike.
 struct QueueSlot(Arc<AtomicUsize>);
@@ -240,7 +174,7 @@ pub struct Executor {
     /// Shard jobs queued or running (admission control).
     queued: Arc<AtomicUsize>,
     /// Per-shard breakers, grown on demand to the corpus size.
-    breakers: Mutex<Vec<Arc<ShardBreaker>>>,
+    breakers: Mutex<Vec<Arc<Breaker>>>,
     respawned: AtomicU64,
     next_worker_id: AtomicUsize,
     /// Per-shard k-NN execution latency, recorded at the job site
@@ -265,25 +199,12 @@ fn spawn_worker(id: usize, rx: Receiver<Job>) -> Result<JoinHandle<()>, ServiceE
 }
 
 impl Executor {
-    /// Spawns a pool of `num_workers` threads (at least one) with
-    /// default fault-tolerance tunables.
+    /// Spawns a pool of `config.num_workers` threads (at least one).
     ///
     /// # Errors
     ///
     /// [`ServiceError::Spawn`] when the OS refuses a thread; any workers
     /// already spawned are shut down cleanly.
-    pub fn new(num_workers: usize) -> Result<Self, ServiceError> {
-        Executor::with_config(ExecutorConfig {
-            num_workers,
-            ..ExecutorConfig::default()
-        })
-    }
-
-    /// Spawns a pool with explicit fault-tolerance tunables.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Spawn`] when the OS refuses a thread.
     pub fn with_config(config: ExecutorConfig) -> Result<Self, ServiceError> {
         let (tx, rx) = channel::unbounded::<Job>();
         let num_workers = config.num_workers.max(1);
@@ -333,7 +254,7 @@ impl Executor {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .iter()
-            .map(|b| b.trips.load(Ordering::Relaxed))
+            .map(|b| b.trips())
             .sum();
         ExecutorFaults {
             breaker_trips: trips,
@@ -378,45 +299,12 @@ impl Executor {
     }
 
     /// One breaker per shard index, growing the table on demand.
-    fn breakers_for(&self, num_shards: usize) -> Vec<Arc<ShardBreaker>> {
+    fn breakers_for(&self, num_shards: usize) -> Vec<Arc<Breaker>> {
         let mut breakers = self.breakers.lock().unwrap_or_else(|e| e.into_inner());
         while breakers.len() < num_shards {
-            breakers.push(Arc::new(ShardBreaker::default()));
+            breakers.push(Arc::new(Breaker::default()));
         }
         breakers[..num_shards].to_vec()
-    }
-
-    /// Runs `query` against every shard of `corpus` in parallel and
-    /// merges the per-shard top-`k` into the global top-`k` (ties by
-    /// id), panicking on failure. Prefer [`Executor::try_knn`] on
-    /// request paths — this wrapper keeps the original infallible
-    /// contract for tests and benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k == 0`, the query dimensionality disagrees with the
-    /// corpus, `caches` is present with the wrong length, or the
-    /// fan-out fails.
-    pub fn knn(
-        &self,
-        corpus: &ShardedCorpus,
-        query: &dyn FanoutQuery,
-        k: usize,
-        caches: Option<&[Arc<Mutex<NodeCache>>]>,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        assert!(k > 0, "k must be positive");
-        assert_eq!(query.dim(), corpus.dim(), "query dimensionality mismatch");
-        if let Some(caches) = caches {
-            assert_eq!(
-                caches.len(),
-                corpus.num_shards(),
-                "one cache per shard required"
-            );
-        }
-        let report = self
-            .try_knn(corpus, query, k, caches, None)
-            .expect("undeadlined fan-out on a healthy pool");
-        (report.neighbors, report.stats)
     }
 
     /// The fault-tolerant fan-out: runs `query` against every shard of
@@ -473,134 +361,67 @@ impl Executor {
         let num_shards = corpus.num_shards();
         let breakers = self.breakers_for(num_shards);
         let started = Instant::now();
-        let mut failures: Vec<ShardFailure> = Vec::new();
 
-        // Circuit breakers decide which shards run at all.
-        let admitted: Vec<usize> = (0..num_shards)
-            .filter(|&i| {
-                if breakers[i].admit(started) {
-                    true
-                } else {
-                    failures.push(ShardFailure {
-                        shard: i,
-                        kind: ShardFailureKind::BreakerOpen,
-                    });
-                    false
-                }
-            })
-            .collect();
-
-        // Admission control: reserve queue slots for the whole fan-out
-        // or reject it outright.
-        if !admitted.is_empty() {
-            let prev = self.queued.fetch_add(admitted.len(), Ordering::AcqRel);
-            if prev + admitted.len() > self.config.max_queued_jobs {
-                self.queued.fetch_sub(admitted.len(), Ordering::AcqRel);
-                return Err(ServiceError::Overloaded {
-                    queued: prev,
-                    capacity: self.config.max_queued_jobs,
-                });
-            }
+        // Admission control: reserve a queue slot for every shard or
+        // reject the fan-out outright, before any breaker hands out a
+        // half-open probe.
+        let prev = self.queued.fetch_add(num_shards, Ordering::AcqRel);
+        if prev + num_shards > self.config.max_queued_jobs {
+            self.queued.fetch_sub(num_shards, Ordering::AcqRel);
+            return Err(ServiceError::Overloaded {
+                queued: prev,
+                capacity: self.config.max_queued_jobs,
+            });
         }
 
-        let (result_tx, result_rx) = channel::unbounded::<ShardOutcome>();
-        for &i in &admitted {
-            let shard = Arc::clone(&corpus.shards()[i]);
-            let shard_query = query.clone_fanout();
-            let cache = caches.map(|c| Arc::clone(&c[i]));
-            let result_tx = result_tx.clone();
-            let slot = QueueSlot(Arc::clone(&self.queued));
-            let shard_latency = Arc::clone(&self.shard_latency);
-            self.submit(Box::new(move || {
-                let _slot = slot;
-                let job_start = Instant::now();
-                let outcome = run_shard_job(i, &shard, &*shard_query, k, cache.as_ref());
-                if outcome.is_ok() {
-                    shard_latency.record(job_start.elapsed());
-                }
-                // A send failure means the requester gave up; drop quietly.
-                let _ = result_tx.send((i, outcome));
-            }))?;
-        }
-        drop(result_tx);
+        let outcomes = gather(
+            &breakers,
+            self.config.breaker_threshold,
+            self.config.breaker_cooldown,
+            deadline,
+            |i, reply| {
+                let shard = Arc::clone(&corpus.shards()[i]);
+                let shard_query = query.clone_fanout();
+                let cache = caches.map(|c| Arc::clone(&c[i]));
+                // The job owns its reservation from here, also when the
+                // submit below fails and drops it unrun.
+                let slot = QueueSlot(Arc::clone(&self.queued));
+                let shard_latency = Arc::clone(&self.shard_latency);
+                self.submit(Box::new(move || {
+                    let _slot = slot;
+                    let job_start = Instant::now();
+                    let outcome = run_shard_job(i, &shard, &*shard_query, k, cache.as_ref());
+                    if outcome.is_ok() {
+                        shard_latency.record(job_start.elapsed());
+                    }
+                    reply.send(outcome);
+                }))
+                .map_err(|e| ShardFailureKind::Failed(e.to_string()))
+            },
+        );
 
-        // Collect until every admitted shard reported or the deadline
-        // elapsed. `arrived` attributes timeouts to specific shards.
-        let mut arrived = vec![false; num_shards];
-        let mut per_shard: Vec<Vec<Neighbor>> = Vec::with_capacity(admitted.len());
+        let mut per_shard: Vec<Vec<Neighbor>> = Vec::with_capacity(num_shards);
         let mut stats = SearchStats::default();
-        let mut shards_ok = 0usize;
-        let mut received = 0usize;
-        let mut lost = false;
-        while received < admitted.len() {
-            let outcome = match deadline {
-                None => match result_rx.recv() {
-                    Ok(o) => o,
-                    Err(_) => {
-                        lost = true;
-                        break;
-                    }
-                },
-                Some(d) => {
-                    let now = Instant::now();
-                    let Some(wait) = d.checked_duration_since(now).filter(|w| !w.is_zero()) else {
-                        break; // deadline elapsed
-                    };
-                    match result_rx.recv_timeout(wait) {
-                        Ok(o) => o,
-                        Err(RecvTimeoutError::Timeout) => break,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            lost = true;
-                            break;
-                        }
-                    }
-                }
-            };
-            received += 1;
-            let (shard, result) = outcome;
-            arrived[shard] = true;
-            match result {
+        let mut failures: Vec<ShardFailure> = Vec::new();
+        for (shard, outcome) in outcomes.into_iter().enumerate() {
+            let kind = match outcome {
                 Ok((neighbors, shard_stats)) => {
-                    breakers[shard].record_success();
-                    stats.nodes_accessed += shard_stats.nodes_accessed;
-                    stats.cache_hits += shard_stats.cache_hits;
-                    stats.disk_reads += shard_stats.disk_reads;
-                    stats.distance_evaluations += shard_stats.distance_evaluations;
-                    stats.quant_phase1_points += shard_stats.quant_phase1_points;
-                    stats.quant_reranked += shard_stats.quant_reranked;
-                    stats.quant_fallbacks += shard_stats.quant_fallbacks;
-                    stats.quant_plan_misses += shard_stats.quant_plan_misses;
+                    stats.absorb(&shard_stats);
                     per_shard.push(neighbors);
-                    shards_ok += 1;
+                    continue;
                 }
-                Err(kind) => {
-                    breakers[shard].record_failure(
-                        Instant::now(),
-                        self.config.breaker_threshold,
-                        self.config.breaker_cooldown,
-                    );
-                    failures.push(ShardFailure { shard, kind });
+                Err(Miss::BreakerOpen) => {
+                    // A skipped shard never took its reserved slot.
+                    self.queued.fetch_sub(1, Ordering::AcqRel);
+                    ShardFailureKind::BreakerOpen
                 }
-            }
+                Err(Miss::Failed(kind)) => kind,
+                Err(Miss::Timeout) => ShardFailureKind::Timeout,
+                Err(Miss::Lost) => ShardFailureKind::Lost,
+            };
+            failures.push(ShardFailure { shard, kind });
         }
-
-        // Shards that never reported: timed out (deadline path) or lost
-        // with a dying worker (disconnect path).
-        for &i in &admitted {
-            if !arrived[i] {
-                let kind = if lost {
-                    ShardFailureKind::Lost
-                } else {
-                    breakers[i].record_failure(
-                        Instant::now(),
-                        self.config.breaker_threshold,
-                        self.config.breaker_cooldown,
-                    );
-                    ShardFailureKind::Timeout
-                };
-                failures.push(ShardFailure { shard: i, kind });
-            }
-        }
+        let shards_ok = per_shard.len();
 
         if shards_ok == 0 {
             let waited_ms = started.elapsed().as_millis() as u64;
@@ -617,7 +438,6 @@ impl Executor {
             };
         }
 
-        failures.sort_by_key(|f| f.shard);
         Ok(FanoutReport {
             neighbors: merge_top_k(per_shard, k),
             stats,
@@ -704,6 +524,14 @@ mod tests {
     use crate::shard::ShardKind;
     use qcluster_index::{EuclideanQuery, LinearScan};
 
+    fn pool(num_workers: usize) -> Executor {
+        Executor::with_config(ExecutorConfig {
+            num_workers,
+            ..ExecutorConfig::default()
+        })
+        .unwrap()
+    }
+
     fn spiral(n: usize) -> Vec<Vec<f64>> {
         (0..n)
             .map(|i| {
@@ -717,12 +545,13 @@ mod tests {
     fn parallel_knn_is_exact() {
         let pts = spiral(500);
         let expect = LinearScan::new(&pts).knn(&EuclideanQuery::new(vec![1.0, -2.0, 3.0]), 25);
-        let executor = Executor::new(3).unwrap();
+        let executor = pool(3);
         for kind in [ShardKind::Scan, ShardKind::Tree] {
             for shards in [1, 2, 4, 7] {
                 let corpus = ShardedCorpus::build(&pts, shards, kind);
                 let q = EuclideanQuery::new(vec![1.0, -2.0, 3.0]);
-                let (got, stats) = executor.knn(&corpus, &q, 25, None);
+                let report = executor.try_knn(&corpus, &q, 25, None, None).unwrap();
+                let (got, stats) = (report.neighbors, report.stats);
                 assert_eq!(got.len(), 25, "{kind:?}/{shards}");
                 for (a, b) in got.iter().zip(expect.iter()) {
                     assert_eq!(a.id, b.id, "{kind:?}/{shards}");
@@ -737,17 +566,22 @@ mod tests {
     fn session_caches_accumulate_hits_across_queries() {
         let pts = spiral(400);
         let corpus = ShardedCorpus::build(&pts, 4, ShardKind::Tree);
-        let executor = Executor::new(2).unwrap();
+        let executor = pool(2);
         let caches: Vec<Arc<Mutex<NodeCache>>> = corpus
             .shards()
             .iter()
             .map(|s| Arc::new(Mutex::new(NodeCache::new(s.num_nodes()))))
             .collect();
         let q = EuclideanQuery::new(vec![0.0, 0.0, 2.0]);
-        let (_, first) = executor.knn(&corpus, &q, 10, Some(&caches));
+        let knn = |q| {
+            executor
+                .try_knn(&corpus, q, 10, Some(&caches), None)
+                .unwrap()
+        };
+        let first = knn(&q).stats;
         assert_eq!(first.cache_hits, 0);
         let q2 = EuclideanQuery::new(vec![0.1, -0.1, 2.0]);
-        let (_, second) = executor.knn(&corpus, &q2, 10, Some(&caches));
+        let second = knn(&q2).stats;
         assert!(second.cache_hits > 0, "refined query must reuse nodes");
         assert!(second.disk_reads < first.disk_reads);
     }
@@ -756,30 +590,21 @@ mod tests {
     fn executor_outlives_many_rounds_and_drops_cleanly() {
         let pts = spiral(120);
         let corpus = ShardedCorpus::build(&pts, 3, ShardKind::Scan);
-        let executor = Executor::new(4).unwrap();
+        let executor = pool(4);
         assert_eq!(executor.num_workers(), 4);
         for round in 0..50 {
             let q = EuclideanQuery::new(vec![round as f64 * 0.05, 0.0, 1.0]);
-            let (got, _) = executor.knn(&corpus, &q, 5, None);
-            assert_eq!(got.len(), 5);
+            let report = executor.try_knn(&corpus, &q, 5, None, None).unwrap();
+            assert_eq!(report.neighbors.len(), 5);
         }
         drop(executor); // must join workers without hanging
-    }
-
-    #[test]
-    #[should_panic(expected = "dimensionality mismatch")]
-    fn dimension_mismatch_panics() {
-        let corpus = ShardedCorpus::build(&spiral(10), 2, ShardKind::Scan);
-        let executor = Executor::new(1).unwrap();
-        let q = EuclideanQuery::new(vec![0.0]);
-        let _ = executor.knn(&corpus, &q, 1, None);
     }
 
     #[test]
     fn try_knn_reports_full_coverage_on_healthy_pool() {
         let pts = spiral(200);
         let corpus = ShardedCorpus::build(&pts, 4, ShardKind::Scan);
-        let executor = Executor::new(2).unwrap();
+        let executor = pool(2);
         let q = EuclideanQuery::new(vec![0.5, 0.5, 1.0]);
         let report = executor.try_knn(&corpus, &q, 10, None, None).unwrap();
         assert_eq!(report.shards_ok, 4);
@@ -793,7 +618,7 @@ mod tests {
     #[test]
     fn try_knn_rejects_invalid_requests_with_typed_errors() {
         let corpus = ShardedCorpus::build(&spiral(20), 2, ShardKind::Scan);
-        let executor = Executor::new(1).unwrap();
+        let executor = pool(1);
         let q = EuclideanQuery::new(vec![0.0, 0.0, 0.0]);
         assert!(matches!(
             executor.try_knn(&corpus, &q, 0, None, None),
@@ -818,9 +643,12 @@ mod tests {
     fn generous_deadline_changes_nothing() {
         let pts = spiral(300);
         let corpus = ShardedCorpus::build(&pts, 3, ShardKind::Tree);
-        let executor = Executor::new(2).unwrap();
+        let executor = pool(2);
         let q = EuclideanQuery::new(vec![1.0, 0.0, 2.0]);
-        let (plain, _) = executor.knn(&corpus, &q, 15, None);
+        let plain = executor
+            .try_knn(&corpus, &q, 15, None, None)
+            .unwrap()
+            .neighbors;
         let deadline = Instant::now() + Duration::from_secs(60);
         let report = executor
             .try_knn(&corpus, &q, 15, None, Some(deadline))
@@ -833,32 +661,37 @@ mod tests {
         }
     }
 
+    /// A fan-out that admission control rejects must not strand a
+    /// half-open probe: the shard is probed by the next fan-out.
     #[test]
-    fn breaker_admits_closed_trips_then_half_opens() {
-        let breaker = ShardBreaker::default();
-        let t0 = Instant::now();
-        let cooldown = Duration::from_millis(50);
-        assert!(breaker.admit(t0));
-        assert!(!breaker.record_failure(t0, 2, cooldown));
-        assert!(breaker.admit(t0));
-        assert!(
-            breaker.record_failure(t0, 2, cooldown),
-            "second failure trips"
-        );
-        assert!(!breaker.admit(t0), "open: skip");
-        assert!(!breaker.admit(t0 + Duration::from_millis(10)), "still open");
-        // Cooldown elapsed: exactly one half-open probe.
-        let after = t0 + Duration::from_millis(60);
-        assert!(breaker.admit(after), "half-open probe admitted");
-        assert!(!breaker.admit(after), "only one probe at a time");
-        // Probe failure re-trips immediately (no threshold wait).
-        assert!(breaker.record_failure(after, 2, cooldown));
-        assert!(!breaker.admit(after + Duration::from_millis(10)));
-        // Next probe succeeds: breaker closes fully.
-        let later = after + Duration::from_millis(60);
-        assert!(breaker.admit(later));
-        breaker.record_success();
-        assert!(breaker.admit(later), "closed again: everyone admitted");
-        assert_eq!(breaker.trips.load(Ordering::Relaxed), 2);
+    fn overloaded_fanout_does_not_leak_the_half_open_probe() {
+        let corpus = ShardedCorpus::build(&spiral(60), 2, ShardKind::Scan);
+        let executor = Executor::with_config(ExecutorConfig {
+            num_workers: 2,
+            max_queued_jobs: 8,
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::ZERO,
+        })
+        .unwrap();
+        let q = EuclideanQuery::new(vec![0.5, 0.5, 1.0]);
+
+        // Shard 0 tripped, its (zero) cooldown already over: the next
+        // admission is the half-open probe.
+        executor.breakers_for(2)[0].record_failure(Instant::now(), 1, Duration::ZERO);
+        assert_eq!(executor.fault_stats().breaker_trips, 1);
+
+        // One fan-out arrives while the queue is full.
+        executor.queued.fetch_add(8, Ordering::AcqRel);
+        assert!(matches!(
+            executor.try_knn(&corpus, &q, 5, None, None),
+            Err(ServiceError::Overloaded { .. })
+        ));
+        executor.queued.fetch_sub(8, Ordering::AcqRel);
+
+        // The next one probes shard 0 and closes its breaker.
+        let report = executor.try_knn(&corpus, &q, 5, None, None).unwrap();
+        assert_eq!(report.shards_ok, 2, "{:?}", report.failures);
+        assert_eq!(executor.fault_stats().breaker_trips, 1);
+        assert_eq!(executor.queued.load(Ordering::Acquire), 0);
     }
 }

@@ -14,6 +14,9 @@
 //!   channels; one query fans out across all shards (each job gets its
 //!   own query clone, because refined queries are `Send` but not `Sync`)
 //!   and the per-shard top-k lists merge into the global top-k.
+//! - [`fanout`] — the one fault-tolerant fan-out primitive (circuit
+//!   breaker, deadline-bounded collection, typed attribution of every
+//!   missing leg) under both the executor and the cluster router.
 //! - [`session`] — per-client state (engine + per-shard node caches)
 //!   behind a registry with idle-TTL expiry and a max-sessions cap with
 //!   LRU eviction.
@@ -52,6 +55,7 @@
 
 pub mod error;
 pub mod executor;
+pub mod fanout;
 pub mod metrics;
 pub mod protocol;
 pub mod service;

@@ -539,7 +539,7 @@ pub struct ClusterGauges {
     /// Queries served from a replica under a stale-bounded read.
     pub stale_reads: u64,
     /// Current replication term per partition, as this router last won
-    /// or observed it (gauge; empty single-node, 0 = unfenced legacy).
+    /// or observed it (gauge; empty single-node, 0 = none won yet).
     #[serde(default)]
     pub terms: Vec<u64>,
     /// Leader elections this router won (term/vote handshakes that

@@ -136,6 +136,19 @@ impl From<SearchStats> for SearchStatsDto {
     }
 }
 
+impl From<SearchStatsDto> for SearchStats {
+    /// The wire carries four of the counters; the rest read zero.
+    fn from(s: SearchStatsDto) -> Self {
+        SearchStats {
+            nodes_accessed: s.nodes_accessed,
+            cache_hits: s.cache_hits,
+            disk_reads: s.disk_reads,
+            distance_evaluations: s.distance_evaluations,
+            ..SearchStats::default()
+        }
+    }
+}
+
 /// A service response.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {

@@ -20,6 +20,9 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+/// Side-buffer size at which the live-ingest overlay index rebuilds.
+const OVERLAY_REBUILD_THRESHOLD: usize = 256;
+
 /// Everything tunable about a service instance.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -30,24 +33,16 @@ pub struct ServiceConfig {
     /// Index structure per shard ([`ShardKind::Quantized`] turns on the
     /// two-phase u8 scan; results stay bit-for-bit exact).
     pub shard_kind: ShardKind,
-    /// Phase-2 rerank window for quantized shards (`None` = the
-    /// `default_rerank_window` heuristic; ignored by other kinds).
-    pub quant_rerank_window: Option<usize>,
     /// Maximum live sessions.
     pub max_sessions: usize,
     /// Idle TTL before a session may be reaped (`None` = never).
     pub idle_ttl: Option<Duration>,
     /// At capacity, evict the LRU session instead of failing creation.
     pub evict_lru_at_capacity: bool,
-    /// Per-shard node-cache capacity (`None` = unbounded residency).
-    pub cache_capacity: Option<usize>,
     /// Configuration for default (Qcluster) engines.
     pub engine: QclusterConfig,
     /// Relevance score assigned to id-only feedback.
     pub default_score: f64,
-    /// Side-buffer size at which the live-ingest overlay index rebuilds
-    /// (only relevant for durable services; see [`Service::ingest`]).
-    pub overlay_rebuild_threshold: usize,
     /// Deadline applied to queries that do not carry their own
     /// (`None` = wait for every shard). On expiry the query returns a
     /// degraded partial result over the shards that responded.
@@ -67,14 +62,11 @@ impl Default for ServiceConfig {
             num_shards: 4,
             num_workers: 4,
             shard_kind: ShardKind::Tree,
-            quant_rerank_window: None,
             max_sessions: 64,
             idle_ttl: None,
             evict_lru_at_capacity: true,
-            cache_capacity: None,
             engine: QclusterConfig::default(),
             default_score: 3.0,
-            overlay_rebuild_threshold: 256,
             default_deadline: None,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(1),
@@ -146,7 +138,7 @@ struct LiveState {
 /// from granting two contending candidates in the same window.
 #[derive(Debug, Default)]
 struct ConsensusState {
-    /// Highest term acknowledged (0 = never fenced).
+    /// Highest term acknowledged (0 = no leader has won this node yet).
     term: u64,
     /// While unexpired, a leader at `term` holds this node.
     lease_until: Option<Instant>,
@@ -180,12 +172,7 @@ impl Service {
     /// Panics on an empty corpus, ragged dimensionalities, or zero
     /// shards/sessions.
     pub fn new(points: &[Vec<f64>], config: ServiceConfig) -> Result<Self, ServiceError> {
-        let corpus = ShardedCorpus::build_with_window(
-            points,
-            config.num_shards,
-            config.shard_kind,
-            config.quant_rerank_window,
-        );
+        let corpus = ShardedCorpus::build(points, config.num_shards, config.shard_kind);
         let executor = Executor::with_config(ExecutorConfig {
             num_workers: config.num_workers,
             max_queued_jobs: config.max_queued_jobs,
@@ -293,6 +280,23 @@ impl Service {
         self.base_len + self.lock_live().overlay.as_ref().map_or(0, |o| o.len())
     }
 
+    /// The vector stored under corpus id `id`: base shards first, the
+    /// live-ingest overlay past them.
+    fn vector_of(&self, live: &LiveState, id: usize) -> Result<Vec<f64>, ServiceError> {
+        if id < self.base_len {
+            return Ok(self.corpus.point(id).to_vec());
+        }
+        match live.overlay.as_ref() {
+            Some(overlay) if id - self.base_len < overlay.len() => {
+                Ok(overlay.point(id - self.base_len).to_vec())
+            }
+            overlay => Err(ServiceError::InvalidImageId {
+                id,
+                corpus_len: self.base_len + overlay.map_or(0, |o| o.len()),
+            }),
+        }
+    }
+
     /// The sharded corpus.
     pub fn corpus(&self) -> &ShardedCorpus {
         &self.corpus
@@ -317,13 +321,7 @@ impl Service {
         self.corpus
             .shards()
             .iter()
-            .map(|s| {
-                let cache = match self.config.cache_capacity {
-                    Some(cap) => NodeCache::with_capacity(s.num_nodes(), cap),
-                    None => NodeCache::new(s.num_nodes()),
-                };
-                Arc::new(Mutex::new(cache))
-            })
+            .map(|s| Arc::new(Mutex::new(NodeCache::new(s.num_nodes()))))
             .collect()
     }
 
@@ -469,34 +467,17 @@ impl Service {
             // Scoped: the live lock must be released before `feed` takes
             // the session lock (lock order is session → live).
             let live = self.lock_live();
-            let total = self.base_len + live.overlay.as_ref().map_or(0, |o| o.len());
             relevant_ids
                 .iter()
                 .enumerate()
                 .map(|(i, &id)| {
-                    if id >= total {
-                        return Err(ServiceError::InvalidImageId {
-                            id,
-                            corpus_len: total,
-                        });
-                    }
+                    let vector = self.vector_of(&live, id)?;
                     let score = scores.map_or(self.config.default_score, |s| s[i]);
                     if score <= 0.0 || !score.is_finite() {
                         return Err(ServiceError::InvalidRequest(format!(
                             "score {score} for id {id} must be positive and finite"
                         )));
                     }
-                    let vector = if id < self.base_len {
-                        self.corpus.point(id).to_vec()
-                    } else {
-                        let overlay = live.overlay.as_ref().ok_or_else(|| {
-                            ServiceError::Internal(format!(
-                                "id {id} past base corpus {} but no overlay exists",
-                                self.base_len
-                            ))
-                        })?;
-                        overlay.point(id - self.base_len).to_vec()
-                    };
                     Ok(FeedbackPoint::new(id, vector, score))
                 })
                 .collect::<Result<Vec<_>, _>>()?
@@ -508,12 +489,12 @@ impl Service {
     /// query (e.g. the disjunctive multipoint query) and fans it out
     /// across the shards through the session's node caches.
     ///
-    /// Compiled plans are cached per session, keyed on the engine's
-    /// [`ServiceEngine::plan_version`]: repeat queries between feedback
-    /// rounds skip recompilation (covariance inversion and expanded-form
-    /// precomputation) and only re-run the k-NN. A feed or reset bumps
-    /// the version, so the next query recompiles. Hits and misses show
-    /// up in the service metrics as `plan_cache_hits` / `plan_cache_misses`.
+    /// The compiled plan is cached in the session: repeat queries
+    /// between feedback rounds skip recompilation (covariance inversion
+    /// and expanded-form precomputation) and only re-run the k-NN. The
+    /// session drops it whenever it hands the engine out mutably (feed,
+    /// reset), so the next query recompiles. Hits and misses show up in
+    /// the service metrics as `plan_cache_hits` / `plan_cache_misses`.
     ///
     /// # Errors
     ///
@@ -544,22 +525,16 @@ impl Service {
         let handle = self.registry.get(session)?;
         let start = Instant::now();
         let mut guard = handle.lock();
-        let query = match guard.engine().plan_version() {
-            Some(version) => match guard.cached_plan(version) {
-                Some(cached) => {
-                    self.metrics.record_plan_cache_hit();
-                    cached
-                }
-                None => {
-                    let compiled = guard.engine().query().map_err(ServiceError::from_core)?;
-                    self.metrics.record_plan_cache_miss();
-                    guard.store_plan(version, compiled.clone_fanout());
-                    compiled
-                }
-            },
+        let query = match guard.cached_plan() {
+            Some(cached) => {
+                self.metrics.record_plan_cache_hit();
+                cached
+            }
             None => {
+                let compiled = guard.engine().query().map_err(ServiceError::from_core)?;
                 self.metrics.record_plan_cache_miss();
-                guard.engine().query().map_err(ServiceError::from_core)?
+                guard.store_plan(compiled.clone_fanout());
+                compiled
             }
         };
         self.run_query(&mut guard, &*query, k, start, deadline)
@@ -670,10 +645,7 @@ impl Service {
                 for n in &mut extra {
                     n.id += self.base_len;
                 }
-                stats.nodes_accessed += extra_stats.nodes_accessed;
-                stats.cache_hits += extra_stats.cache_hits;
-                stats.disk_reads += extra_stats.disk_reads;
-                stats.distance_evaluations += extra_stats.distance_evaluations;
+                stats.absorb(&extra_stats);
                 neighbors = merge_top_k(vec![neighbors, extra], k);
             }
         }
@@ -731,7 +703,7 @@ impl Service {
             None => {
                 live.overlay = Some(DynamicIndex::with_rebuild_threshold(
                     vec![vector],
-                    self.config.overlay_rebuild_threshold,
+                    OVERLAY_REBUILD_THRESHOLD,
                 ));
             }
         }
@@ -772,28 +744,7 @@ impl Service {
     /// [`ServiceError::InvalidImageId`] for any out-of-range id.
     pub fn vectors_by_id(&self, ids: &[usize]) -> Result<Vec<Vec<f64>>, ServiceError> {
         let live = self.lock_live();
-        let total = self.base_len + live.overlay.as_ref().map_or(0, |o| o.len());
-        ids.iter()
-            .map(|&id| {
-                if id >= total {
-                    return Err(ServiceError::InvalidImageId {
-                        id,
-                        corpus_len: total,
-                    });
-                }
-                if id < self.base_len {
-                    Ok(self.corpus.point(id).to_vec())
-                } else {
-                    let overlay = live.overlay.as_ref().ok_or_else(|| {
-                        ServiceError::Internal(format!(
-                            "id {id} past base corpus {} but no overlay exists",
-                            self.base_len
-                        ))
-                    })?;
-                    Ok(overlay.point(id - self.base_len).to_vec())
-                }
-            })
-            .collect()
+        ids.iter().map(|&id| self.vector_of(&live, id)).collect()
     }
 
     /// Serves a replication chunk for a follower catching up from
@@ -822,18 +773,7 @@ impl Service {
         let end = total.min(from.saturating_add(max as u64));
         let mut frames = Vec::new();
         for id in from..end {
-            let idx = id as usize;
-            let vector = if idx < self.base_len {
-                self.corpus.point(idx).to_vec()
-            } else {
-                let overlay = live.overlay.as_ref().ok_or_else(|| {
-                    ServiceError::Internal(format!(
-                        "id {id} past base corpus {} but no overlay exists",
-                        self.base_len
-                    ))
-                })?;
-                overlay.point(idx - self.base_len).to_vec()
-            };
+            let vector = self.vector_of(&live, id as usize)?;
             frames.extend_from_slice(&encode_record_frame(&WalRecord::Ingest { id, vector }));
         }
         Ok((total, frames))
@@ -920,11 +860,7 @@ impl Service {
     /// [`ServiceError::Storage`] when persisting the advanced term
     /// fails (the vote is not granted in that case).
     pub fn handle_vote(&self, term: u64, lease_ms: u64) -> Result<(bool, u64), ServiceError> {
-        if term == 0 {
-            return Err(ServiceError::InvalidRequest(
-                "vote term must be positive (0 is the unfenced bootstrap term)".into(),
-            ));
-        }
+        positive_term(term)?;
         let mut guard = self.lock_live();
         let live = &mut *guard;
         let now = Instant::now();
@@ -946,17 +882,18 @@ impl Service {
     /// lost leadership — it must stop and re-discover) and `None` when
     /// the ship may be applied. A ship at or above this node's term
     /// adopts the term (durably, when advancing) and refreshes the
-    /// leader lease by `lease_ms`; `term == 0` is the legacy unfenced
-    /// path, accepted only while this node has never seen a fenced
-    /// leader (after that, an unfenced shipper is a zombie).
+    /// leader lease by `lease_ms`.
     ///
     /// Failpoint `repl.apply.stale_term` (any armed action) forces the
     /// stale verdict, for fencing-path tests.
     ///
     /// # Errors
     ///
+    /// [`ServiceError::InvalidRequest`] for `term == 0` (a shipper wins
+    /// a term before its first ship; nothing is changed), and
     /// [`ServiceError::Storage`] when persisting an advanced term fails.
     pub fn fence_apply(&self, term: u64, lease_ms: u64) -> Result<Option<u64>, ServiceError> {
+        positive_term(term)?;
         if qcluster_failpoint::active()
             && qcluster_failpoint::evaluate_sleepy("repl.apply.stale_term").is_some()
         {
@@ -964,16 +901,6 @@ impl Service {
         }
         let mut guard = self.lock_live();
         let live = &mut *guard;
-        if term == 0 {
-            // Legacy unfenced ship: accepted only while this node has
-            // never been fenced. Once any leader won a term here, an
-            // unfenced shipper is by definition a zombie.
-            return if live.consensus.term == 0 {
-                Ok(None)
-            } else {
-                Ok(Some(live.consensus.term))
-            };
-        }
         if term < live.consensus.term {
             return Ok(Some(live.consensus.term));
         }
@@ -1021,6 +948,17 @@ impl Service {
             self.executor.shard_latency(),
         )
     }
+}
+
+/// Terms start at 1: 0 is a node's state before any leader won it,
+/// never a term a candidate may bid or a leader may ship at.
+fn positive_term(term: u64) -> Result<(), ServiceError> {
+    if term == 0 {
+        return Err(ServiceError::InvalidRequest(
+            "replication term must be positive (0 = never elected)".into(),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1373,7 +1311,7 @@ mod tests {
         assert_eq!(s.plan_cache_misses, 1);
         assert_eq!(s.plan_cache_hits, 2);
 
-        // Feedback bumps the engine version: next query recompiles.
+        // Feedback drops the session's plan: next query recompiles.
         svc.feed_ids(id, &[3, 4], None).unwrap();
         svc.query(id, 5).unwrap();
         svc.query(id, 5).unwrap();
@@ -1383,14 +1321,17 @@ mod tests {
     }
 
     #[test]
-    fn unversioned_engine_always_misses_plan_cache() {
+    fn qpm_sessions_hit_the_plan_cache_too() {
         let svc = small_service();
         let id = svc.create_session_named("qpm").unwrap();
         svc.feed_ids(id, &[0, 1, 2], None).unwrap();
-        svc.query(id, 4).unwrap();
+        let first = svc.query(id, 4).unwrap();
+        let second = svc.query(id, 4).unwrap();
+        assert_eq!(first.neighbors, second.neighbors);
+        svc.feed_ids(id, &[3], None).unwrap();
         svc.query(id, 4).unwrap();
         let s = svc.stats();
-        assert_eq!(s.plan_cache_hits, 0);
+        assert_eq!(s.plan_cache_hits, 1);
         assert_eq!(s.plan_cache_misses, 2);
     }
 

@@ -48,15 +48,6 @@ pub trait ServiceEngine: Send {
     fn num_clusters(&self) -> Option<usize> {
         None
     }
-
-    /// Monotonic version of the engine state the compiled query depends
-    /// on, for engines that track one. While two calls report the same
-    /// version, [`ServiceEngine::query`] is guaranteed to compile an
-    /// equivalent plan, so the service may reuse a cached one. `None`
-    /// (the default) disables plan caching for this engine.
-    fn plan_version(&self) -> Option<u64> {
-        None
-    }
 }
 
 impl ServiceEngine for QclusterEngine {
@@ -78,10 +69,6 @@ impl ServiceEngine for QclusterEngine {
 
     fn num_clusters(&self) -> Option<usize> {
         Some(QclusterEngine::num_clusters(self))
-    }
-
-    fn plan_version(&self) -> Option<u64> {
-        Some(QclusterEngine::version(self))
     }
 }
 
@@ -107,21 +94,15 @@ impl ServiceEngine for QueryPointMovement {
     }
 }
 
-/// A compiled query plan retained across queries of one session, valid
-/// while the engine's [`ServiceEngine::plan_version`] stays unchanged.
-struct CachedPlan {
-    version: u64,
-    query: Box<dyn FanoutQuery>,
-}
-
 /// One client's retrieval state.
 pub struct Session {
     id: u64,
     engine: Box<dyn ServiceEngine>,
     /// One node cache per shard, shared with in-flight executor jobs.
     caches: Vec<Arc<Mutex<NodeCache>>>,
-    /// Last compiled plan, keyed on the engine's plan version.
-    plan: Option<CachedPlan>,
+    /// The engine's last compiled query, valid until the next
+    /// [`Session::engine_mut_for_feed`].
+    plan: Option<Box<dyn FanoutQuery>>,
     feeds: u64,
     queries: u64,
 }
@@ -172,9 +153,13 @@ impl Session {
         &*self.engine
     }
 
-    /// Mutable access for feeds; bumps the feed counter.
+    /// Mutable access for feeds; bumps the feed counter. This is the
+    /// only `&mut` route to the engine, so whatever the caller does with
+    /// it (feed, reset) may change what [`ServiceEngine::query`]
+    /// compiles: the cached plan is dropped here.
     pub fn engine_mut_for_feed(&mut self) -> &mut dyn ServiceEngine {
         self.feeds += 1;
+        self.plan = None;
         &mut *self.engine
     }
 
@@ -184,17 +169,15 @@ impl Session {
         &self.caches
     }
 
-    /// A clone of the cached plan, if one exists for exactly `version`.
-    pub fn cached_plan(&self, version: u64) -> Option<Box<dyn FanoutQuery>> {
-        self.plan
-            .as_ref()
-            .filter(|p| p.version == version)
-            .map(|p| p.query.clone_fanout())
+    /// A clone of the cached plan, if the engine has not been handed
+    /// out mutably since it was stored.
+    pub fn cached_plan(&self) -> Option<Box<dyn FanoutQuery>> {
+        self.plan.as_ref().map(|p| p.clone_fanout())
     }
 
-    /// Retains `query` as the plan for `version`, replacing any prior one.
-    pub fn store_plan(&mut self, version: u64, query: Box<dyn FanoutQuery>) {
-        self.plan = Some(CachedPlan { version, query });
+    /// Retains `query` as the engine's current compiled plan.
+    pub fn store_plan(&mut self, query: Box<dyn FanoutQuery>) {
+        self.plan = Some(query);
     }
 
     /// Feed rounds so far.
@@ -535,6 +518,23 @@ mod tests {
         assert_eq!(r.get(41).unwrap().lock().id(), 41);
         let (next, _) = r.create(mk_session).unwrap();
         assert!(next > 41, "allocator must clear restored ids");
+    }
+
+    #[test]
+    fn cached_plan_lives_until_the_engine_is_handed_out_mutably() {
+        let mut session = mk_session(1);
+        let pts = [FeedbackPoint::new(0, vec![1.0, 0.0], 2.0)];
+        session.engine_mut_for_feed().feed(&pts).unwrap();
+        assert!(session.cached_plan().is_none());
+        let plan = session.engine().query().unwrap();
+        session.store_plan(plan);
+        assert!(session.cached_plan().is_some(), "hit between feeds");
+        session.engine_mut_for_feed().feed(&pts).unwrap();
+        assert!(session.cached_plan().is_none(), "miss after feed");
+        let plan = session.engine().query().unwrap();
+        session.store_plan(plan);
+        session.engine_mut_for_feed().reset();
+        assert!(session.cached_plan().is_none(), "miss after reset");
     }
 
     #[test]

@@ -44,28 +44,16 @@ pub struct Shard {
     index: ShardIndex,
     /// Global id of this shard's first point.
     base: usize,
-    /// Phase-2 rerank window override for quantized shards (`None` =
-    /// `qcluster_index::default_rerank_window`).
-    rerank_window: Option<usize>,
 }
 
 impl Shard {
-    fn build(
-        points: &[Vec<f64>],
-        base: usize,
-        kind: ShardKind,
-        rerank_window: Option<usize>,
-    ) -> Self {
+    fn build(points: &[Vec<f64>], base: usize, kind: ShardKind) -> Self {
         let index = match kind {
             ShardKind::Scan => ShardIndex::Scan(LinearScan::new(points)),
             ShardKind::Tree => ShardIndex::Tree(HybridTree::bulk_load(points)),
             ShardKind::Quantized => ShardIndex::Quantized(QuantizedScan::from_rows(points)),
         };
-        Shard {
-            index,
-            base,
-            rerank_window,
-        }
+        Shard { index, base }
     }
 
     /// Number of points in this shard.
@@ -111,7 +99,7 @@ impl Shard {
         let (mut neighbors, stats) = match &self.index {
             ShardIndex::Scan(s) => scan_top_k(s, query, k, cache),
             ShardIndex::Tree(t) => t.knn(&query, k, cache),
-            ShardIndex::Quantized(q) => quantized_top_k(q, query, k, self.rerank_window, cache),
+            ShardIndex::Quantized(q) => quantized_top_k(q, query, k, cache),
         };
         for n in &mut neighbors {
             n.id += self.base;
@@ -152,7 +140,6 @@ fn quantized_top_k<Q: QueryDistance + ?Sized>(
     scan: &QuantizedScan,
     query: &Q,
     k: usize,
-    window: Option<usize>,
     cache: Option<&mut NodeCache>,
 ) -> (Vec<Neighbor>, SearchStats) {
     let mut stats = SearchStats {
@@ -164,7 +151,7 @@ fn quantized_top_k<Q: QueryDistance + ?Sized>(
         stats.cache_hits = 1;
     }
     stats.disk_reads = stats.nodes_accessed - stats.cache_hits;
-    let (neighbors, q) = scan.two_phase_knn(query, k, window);
+    let (neighbors, q) = scan.two_phase_knn(query, k, None);
     // Exact f64 distance evaluations actually performed: the reranked
     // window, plus full scans when the plan was unusable (miss) or its
     // candidate set failed certification (fallback rescan).
@@ -201,22 +188,6 @@ impl ShardedCorpus {
     /// Panics on an empty corpus, `num_shards == 0`, or ragged
     /// dimensionalities.
     pub fn build(points: &[Vec<f64>], num_shards: usize, kind: ShardKind) -> Self {
-        Self::build_with_window(points, num_shards, kind, None)
-    }
-
-    /// [`ShardedCorpus::build`] with an explicit phase-2 rerank window
-    /// for [`ShardKind::Quantized`] shards (`None` = the
-    /// `default_rerank_window` heuristic; ignored by other kinds).
-    ///
-    /// # Panics
-    ///
-    /// See [`ShardedCorpus::build`].
-    pub fn build_with_window(
-        points: &[Vec<f64>],
-        num_shards: usize,
-        kind: ShardKind,
-        rerank_window: Option<usize>,
-    ) -> Self {
         assert!(!points.is_empty(), "cannot shard an empty corpus");
         assert!(num_shards > 0, "need at least one shard");
         let dim = points[0].len();
@@ -228,7 +199,7 @@ impl ShardedCorpus {
         let shards = points
             .chunks(chunk)
             .enumerate()
-            .map(|(i, slice)| Arc::new(Shard::build(slice, i * chunk, kind, rerank_window)))
+            .map(|(i, slice)| Arc::new(Shard::build(slice, i * chunk, kind)))
             .collect();
         let mut data = Vec::with_capacity(points.len() * dim);
         for p in points {
@@ -362,10 +333,6 @@ mod tests {
             stats.distance_evaluations < 200,
             "phase 1 must prune exact work"
         );
-        // An explicit window ≥ n degenerates to rerank-everything, still
-        // exact.
-        let wide = ShardedCorpus::build_with_window(&pts, 1, ShardKind::Quantized, Some(500));
-        assert_eq!(wide.shards()[0].knn(&q, 9, None).0, want);
     }
 
     #[test]

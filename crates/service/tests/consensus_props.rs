@@ -70,12 +70,6 @@ impl Model {
 
     /// Returns `None` when accepted, `Some(current)` when fenced.
     fn apply(&mut self, term: u64, lease: bool) -> Option<u64> {
-        if term == 0 {
-            if self.term == 0 {
-                return None;
-            }
-            return Some(self.term);
-        }
         if term < self.term {
             return Some(self.term);
         }
@@ -106,8 +100,7 @@ proptest! {
                     let lease_ms = if lease { LONG_LEASE_MS } else { 0 };
                     let expected = model.vote(term, lease);
                     if term == 0 {
-                        // Term 0 is reserved for the unfenced legacy
-                        // path; bidding it is a caller error.
+                        // Terms start at 1; bidding 0 is a caller error.
                         prop_assert!(service.handle_vote(0, lease_ms).is_err());
                     } else {
                         let (granted, current) = service.handle_vote(term, lease_ms).unwrap();
@@ -117,9 +110,14 @@ proptest! {
                 }
                 Op::Apply { term, lease } => {
                     let lease_ms = if lease { LONG_LEASE_MS } else { 0 };
-                    let expected = model.apply(term, lease);
-                    let verdict = service.fence_apply(term, lease_ms).unwrap();
-                    prop_assert_eq!(verdict, expected, "apply {} on {:?}", term, model);
+                    if term == 0 {
+                        // So is shipping at 0: rejected, nothing changes.
+                        prop_assert!(service.fence_apply(0, lease_ms).is_err());
+                    } else {
+                        let expected = model.apply(term, lease);
+                        let verdict = service.fence_apply(term, lease_ms).unwrap();
+                        prop_assert_eq!(verdict, expected, "apply {} on {:?}", term, model);
+                    }
                 }
             }
             let (term, _) = service.consensus_status();
@@ -142,10 +140,6 @@ fn two_candidates_cannot_both_win_one_node() {
     let (granted, term) = service.handle_vote(2, LONG_LEASE_MS).unwrap();
     assert!(!granted);
     assert_eq!(term, 1, "refusal reports the node's current term");
-    // And B cannot ship at its unwon term either: term 2 was never
-    // granted here, but the node is fenced at term 1, so B's legacy
-    // (term 0) ship is rejected too.
-    assert_eq!(service.fence_apply(0, 0).unwrap(), Some(1));
 }
 
 #[test]
@@ -175,9 +169,9 @@ fn stale_term_failpoint_forces_the_fenced_verdict() {
         Some(1),
     );
     let service = make_service();
-    // Disarmed state would accept this (node at term 0, ship term 0).
-    assert_eq!(service.fence_apply(0, 0).unwrap(), Some(0));
+    // Disarmed state would accept this (node at term 0, ship term 1).
+    assert_eq!(service.fence_apply(1, 0).unwrap(), Some(0));
     assert_eq!(qcluster_failpoint::hits("repl.apply.stale_term"), 1);
     // The failpoint is spent: the same ship is accepted again.
-    assert_eq!(service.fence_apply(0, 0).unwrap(), None);
+    assert_eq!(service.fence_apply(1, 0).unwrap(), None);
 }

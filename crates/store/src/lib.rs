@@ -10,8 +10,7 @@
 //!   sibling column and persisted quantization parameters, behind a
 //!   versioned header and a CRC-32 footer, written via staging + atomic
 //!   rename and read through a paged, validate-on-open
-//!   [`SegmentReader`]. Legacy v1 (row-major) segments still open and
-//!   are migrated on compaction.
+//!   [`SegmentReader`].
 //! - [`wal`] — the write-ahead log: length-prefixed CRC-framed
 //!   mutation records ([`WalRecord::Ingest`],
 //!   [`WalRecord::SessionSnapshot`], [`WalRecord::Checkpoint`]) with
@@ -51,7 +50,7 @@ pub mod wal;
 
 pub use codec::Crc32;
 pub use error::{Result, StoreError};
-pub use segment::{write_segment, SegmentReader, SegmentWriter, VERSION_V1, VERSION_V2};
+pub use segment::{write_segment, SegmentReader, SegmentWriter, VERSION_V2};
 pub use store::{
     CompactionStats, RecoveredState, SessionState, StoreConfig, StoreStats, VectorStore,
 };
@@ -59,32 +58,12 @@ pub use wal::{
     decode_record_frames, encode_record_frame, replay, WalCursor, WalRecord, WalReplay, WalWriter,
 };
 
-use qcluster_index::{DynamicIndex, LinearScan, QuantizedScan, TileCorpus};
+use qcluster_index::{DynamicIndex, QuantizedScan, TileCorpus};
 use std::path::Path;
 
-/// Loads one segment straight into a [`LinearScan`]: a single flat
-/// read, one buffer handoff, no per-record allocation. Works for both
-/// format versions.
-///
-/// # Errors
-///
-/// `InvalidArg` for an empty segment, otherwise see
-/// [`SegmentReader::open`].
-pub fn load_segment_scan(path: &Path) -> Result<LinearScan> {
-    let mut reader = SegmentReader::open(path)?;
-    if reader.count() == 0 {
-        return Err(StoreError::InvalidArg(
-            "cannot scan an empty segment".into(),
-        ));
-    }
-    let dim = reader.dim();
-    Ok(LinearScan::from_flat(reader.read_all_flat()?, dim))
-}
-
-/// Loads one segment into a [`QuantizedScan`]. A v2 segment's columns
+/// Loads one segment into a [`QuantizedScan`]. The segment's columns
 /// are adopted verbatim — the on-disk layout *is* the scan's working
-/// layout, so no transpose, re-fit, or re-encode happens; a v1 segment
-/// is quantized in memory (compaction migrates it for next time).
+/// layout, so no transpose, re-fit, or re-encode happens.
 ///
 /// # Errors
 ///
@@ -98,13 +77,9 @@ pub fn load_segment_quantized(path: &Path) -> Result<QuantizedScan> {
         ));
     }
     let dim = reader.dim();
-    if reader.version() == VERSION_V2 {
-        let (tiles, codes, params) = reader.load_quantized()?;
-        let corpus = TileCorpus::from_tile_parts(tiles, dim, reader.count() as usize);
-        Ok(QuantizedScan::from_parts(corpus, codes, params))
-    } else {
-        Ok(QuantizedScan::from_flat(&reader.read_all_flat()?, dim))
-    }
+    let (tiles, codes, params) = reader.load_quantized()?;
+    let corpus = TileCorpus::from_tile_parts(tiles, dim, reader.count() as usize);
+    Ok(QuantizedScan::from_parts(corpus, codes, params))
 }
 
 impl RecoveredState {

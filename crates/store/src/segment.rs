@@ -23,9 +23,8 @@
 //! └───────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! **Format v1** (row-major `count × dim × f64` records, CRC over the
-//! records) is still read transparently; [`crate::VectorStore`]
-//! migrates v1 files to v2 during compaction.
+//! Version 2 is the only format: any other version in the header is a
+//! typed `unsupported segment version` error at open.
 //!
 //! Writers stage into a `.tmp` sibling and atomically rename on
 //! [`SegmentWriter::finish`], so a crash mid-write never leaves a
@@ -42,8 +41,6 @@ use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"QSEG";
 const FOOTER_MAGIC: &[u8; 4] = b"SEGF";
-/// Row-major f64 records; no quantized column.
-pub const VERSION_V1: u32 = 1;
 /// Tile-native columnar with u8 code sibling column.
 pub const VERSION_V2: u32 = 2;
 const HEADER_LEN: u64 = 16;
@@ -219,17 +216,15 @@ pub fn write_segment(path: &Path, dim: usize, vectors: &[Vec<f64>]) -> Result<u6
     writer.finish()
 }
 
-/// Validating, paged reader over one segment file (v1 or v2).
+/// Validating, paged reader over one segment file.
 #[derive(Debug)]
 pub struct SegmentReader {
     file: File,
     path: PathBuf,
-    version: u32,
     dim: usize,
     count: u64,
     page_records: usize,
-    /// Quantization parameters (v2 only).
-    params: Option<QuantParams>,
+    params: QuantParams,
 }
 
 impl SegmentReader {
@@ -272,7 +267,7 @@ impl SegmentReader {
             return Err(StoreError::corrupt(path, "bad segment magic"));
         }
         let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version != VERSION_V1 && version != VERSION_V2 {
+        if version != VERSION_V2 {
             return Err(StoreError::corrupt(
                 path,
                 format!("unsupported segment version {version}"),
@@ -298,20 +293,12 @@ impl SegmentReader {
                 format!("header dim {dim} disagrees with footer dim {footer_dim}"),
             ));
         }
-        let body_bytes = match version {
-            VERSION_V1 => count
-                .checked_mul(dim as u64)
-                .and_then(|n| n.checked_mul(8))
-                .ok_or_else(|| StoreError::corrupt(path, "record byte count overflows"))?,
-            _ => {
-                let ntiles = count.div_ceil(TILE_LANES as u64);
-                ntiles
-                    .checked_mul(dim as u64)
-                    .and_then(|n| n.checked_mul(TILE_LANES as u64 * 9)) // 8B exact + 1B code
-                    .and_then(|n| n.checked_add(dim as u64 * PARAM_ENTRY_LEN))
-                    .ok_or_else(|| StoreError::corrupt(path, "column byte count overflows"))?
-            }
-        };
+        let body_bytes = count
+            .div_ceil(TILE_LANES as u64)
+            .checked_mul(dim as u64)
+            .and_then(|n| n.checked_mul(TILE_LANES as u64 * 9)) // 8B exact + 1B code
+            .and_then(|n| n.checked_add(dim as u64 * PARAM_ENTRY_LEN))
+            .ok_or_else(|| StoreError::corrupt(path, "column byte count overflows"))?;
         if file_len != HEADER_LEN + body_bytes + FOOTER_LEN {
             return Err(StoreError::corrupt(
                 path,
@@ -319,8 +306,7 @@ impl SegmentReader {
             ));
         }
 
-        // Streaming CRC pass over the body (v1: records; v2: params +
-        // exact + codes).
+        // Streaming CRC pass over the body (params + exact + codes).
         reader.seek(SeekFrom::Start(HEADER_LEN))?;
         let mut crc = Crc32::new();
         let mut remaining = body_bytes;
@@ -335,31 +321,26 @@ impl SegmentReader {
             return Err(StoreError::corrupt(path, "segment CRC mismatch"));
         }
 
-        let params = if version == VERSION_V2 {
-            reader.seek(SeekFrom::Start(HEADER_LEN))?;
-            let mut entry = [0u8; PARAM_ENTRY_LEN as usize];
-            let mut min = Vec::with_capacity(dim);
-            let mut delta = Vec::with_capacity(dim);
-            let mut max_err = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                reader.read_exact(&mut entry)?;
-                min.push(f64::from_le_bytes(entry[0..8].try_into().expect("8 bytes")));
-                delta.push(f64::from_le_bytes(
-                    entry[8..16].try_into().expect("8 bytes"),
-                ));
-                max_err.push(f64::from_le_bytes(
-                    entry[16..24].try_into().expect("8 bytes"),
-                ));
-            }
-            Some(QuantParams::from_parts(min, delta, max_err))
-        } else {
-            None
-        };
+        reader.seek(SeekFrom::Start(HEADER_LEN))?;
+        let mut entry = [0u8; PARAM_ENTRY_LEN as usize];
+        let mut min = Vec::with_capacity(dim);
+        let mut delta = Vec::with_capacity(dim);
+        let mut max_err = Vec::with_capacity(dim);
+        for _ in 0..dim {
+            reader.read_exact(&mut entry)?;
+            min.push(f64::from_le_bytes(entry[0..8].try_into().expect("8 bytes")));
+            delta.push(f64::from_le_bytes(
+                entry[8..16].try_into().expect("8 bytes"),
+            ));
+            max_err.push(f64::from_le_bytes(
+                entry[16..24].try_into().expect("8 bytes"),
+            ));
+        }
+        let params = QuantParams::from_parts(min, delta, max_err);
 
         Ok(SegmentReader {
             file,
             path: path.to_path_buf(),
-            version,
             dim,
             count,
             page_records,
@@ -367,9 +348,10 @@ impl SegmentReader {
         })
     }
 
-    /// Segment format version ([`VERSION_V1`] or [`VERSION_V2`]).
+    /// Segment format version (always [`VERSION_V2`]: `open` rejects
+    /// everything else).
     pub fn version(&self) -> u32 {
-        self.version
+        VERSION_V2
     }
 
     /// Record dimensionality.
@@ -382,22 +364,14 @@ impl SegmentReader {
         self.count
     }
 
-    /// Quantization parameters (`None` for a v1 segment).
-    pub fn quant_params(&self) -> Option<&QuantParams> {
-        self.params.as_ref()
-    }
-
     /// Number of pages ([`Self::page`] accepts `0..num_pages()`).
     pub fn num_pages(&self) -> usize {
         (self.count as usize).div_ceil(self.page_records)
     }
 
-    /// Offset of the exact column (v1: records; v2: tiles).
+    /// Offset of the exact (tile) column.
     fn exact_offset(&self) -> u64 {
-        match self.version {
-            VERSION_V1 => HEADER_LEN,
-            _ => HEADER_LEN + self.dim as u64 * PARAM_ENTRY_LEN,
-        }
+        HEADER_LEN + self.dim as u64 * PARAM_ENTRY_LEN
     }
 
     /// Reads `bytes` from `offset` into `buf` (resized to fit),
@@ -423,33 +397,20 @@ impl SegmentReader {
         let start = page * self.page_records;
         let len = self.page_records.min(self.count as usize - start);
         out.reserve(len * self.dim);
+        // Read the covering tile range once, then gather each record's
+        // strided lane.
         let mut buf = Vec::new();
-        match self.version {
-            VERSION_V1 => {
-                let offset = self.exact_offset() + (start as u64) * (self.dim as u64) * 8;
-                self.read_span(offset, len * self.dim * 8, &mut buf)?;
-                out.extend(
-                    buf.chunks_exact(8)
-                        .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes"))),
-                );
-            }
-            _ => {
-                // Read the covering tile range once, then gather each
-                // record's strided lane.
-                let t0 = start / TILE_LANES;
-                let t1 = (start + len - 1) / TILE_LANES;
-                let tile_f64 = self.dim * TILE_LANES;
-                let offset = self.exact_offset() + (t0 * tile_f64 * 8) as u64;
-                self.read_span(offset, (t1 - t0 + 1) * tile_f64 * 8, &mut buf)?;
-                let word = |idx: usize| {
-                    f64::from_le_bytes(buf[idx * 8..idx * 8 + 8].try_into().expect("8 bytes"))
-                };
-                for r in start..start + len {
-                    let (t, l) = (r / TILE_LANES - t0, r % TILE_LANES);
-                    for j in 0..self.dim {
-                        out.push(word(t * tile_f64 + j * TILE_LANES + l));
-                    }
-                }
+        let t0 = start / TILE_LANES;
+        let t1 = (start + len - 1) / TILE_LANES;
+        let tile_f64 = self.dim * TILE_LANES;
+        let offset = self.exact_offset() + (t0 * tile_f64 * 8) as u64;
+        self.read_span(offset, (t1 - t0 + 1) * tile_f64 * 8, &mut buf)?;
+        let word =
+            |idx: usize| f64::from_le_bytes(buf[idx * 8..idx * 8 + 8].try_into().expect("8 bytes"));
+        for r in start..start + len {
+            let (t, l) = (r / TILE_LANES - t0, r % TILE_LANES);
+            for j in 0..self.dim {
+                out.push(word(t * tile_f64 + j * TILE_LANES + l));
             }
         }
         Ok(len)
@@ -507,21 +468,14 @@ impl SegmentReader {
         Ok(flat.chunks_exact(self.dim).map(<[f64]>::to_vec).collect())
     }
 
-    /// Loads the v2 columns verbatim: the tile-major exact column, the
+    /// Loads the columns verbatim: the tile-major exact column, the
     /// tile-major code column, and the quantization parameters — the
     /// zero-transpose path into `qcluster_index::QuantizedScan::from_parts`.
     ///
     /// # Errors
     ///
-    /// `InvalidArg` for a v1 segment (no quantized column — re-encode
-    /// via compaction), `Corrupt` on a short read, or I/O failures.
+    /// `Corrupt` on a short read, or I/O failures.
     pub fn load_quantized(&mut self) -> Result<(Vec<f64>, Vec<u8>, QuantParams)> {
-        let Some(params) = self.params.clone() else {
-            return Err(StoreError::InvalidArg(format!(
-                "segment version {} has no quantized column",
-                self.version
-            )));
-        };
         let ntiles = (self.count as usize).div_ceil(TILE_LANES);
         let tile_f64 = self.dim * TILE_LANES;
         let mut buf = Vec::new();
@@ -533,33 +487,8 @@ impl SegmentReader {
         let codes_off = self.exact_offset() + (ntiles * tile_f64 * 8) as u64;
         let mut codes = Vec::new();
         self.read_span(codes_off, ntiles * tile_f64, &mut codes)?;
-        Ok((tiles, codes, params))
+        Ok((tiles, codes, self.params.clone()))
     }
-}
-
-/// Writes a v1 (row-major records) segment byte-for-byte, as
-/// pre-migration stores left them on disk. Test fixture only.
-#[cfg(test)]
-pub(crate) fn write_segment_v1(path: &Path, dim: usize, vectors: &[Vec<f64>]) {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&VERSION_V1.to_le_bytes());
-    bytes.extend_from_slice(&(dim as u32).to_le_bytes());
-    bytes.extend_from_slice(&0u32.to_le_bytes());
-    let mut crc = Crc32::new();
-    for v in vectors {
-        assert_eq!(v.len(), dim);
-        for &x in v {
-            let b = x.to_le_bytes();
-            crc.update(&b);
-            bytes.extend_from_slice(&b);
-        }
-    }
-    bytes.extend_from_slice(&(vectors.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&(dim as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc.finish().to_le_bytes());
-    bytes.extend_from_slice(FOOTER_MAGIC);
-    std::fs::write(path, bytes).unwrap();
 }
 
 #[cfg(test)]
@@ -653,28 +582,25 @@ mod tests {
         assert_eq!(&tiles, fresh.corpus().tiles());
         assert_eq!(&codes, fresh.codes());
         assert_eq!(&params, fresh.params());
-        assert_eq!(reader.quant_params(), Some(&params));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn v1_segments_still_open_and_read() {
-        let dir = tmp_dir("v1");
+    fn any_other_version_is_a_typed_error_at_open() {
+        let dir = tmp_dir("version");
         let path = dir.join("seg.qseg");
-        let vecs = vectors(10, 3);
-        write_segment_v1(&path, 3, &vecs);
-        let mut reader = SegmentReader::open_with_page_size(&path, 4).unwrap();
-        assert_eq!(reader.version(), VERSION_V1);
-        assert_eq!(reader.count(), 10);
-        assert!(reader.quant_params().is_none());
-        assert_eq!(reader.read_all().unwrap(), vecs);
-        let flat = reader.read_all_flat().unwrap();
-        let want: Vec<f64> = vecs.iter().flatten().copied().collect();
-        assert_eq!(flat, want);
-        assert!(matches!(
-            reader.load_quantized(),
-            Err(StoreError::InvalidArg(_))
-        ));
+        write_segment(&path, 3, &vectors(10, 3)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        for version in [0u32, 1, 3] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match SegmentReader::open(&path) {
+                Err(StoreError::Corrupt { detail, .. }) => {
+                    assert_eq!(detail, format!("unsupported segment version {version}"))
+                }
+                other => panic!("version {version}: {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -23,7 +23,7 @@
 //! must outlive the fold: live session snapshots and a checkpoint.
 
 use crate::error::{Result, StoreError};
-use crate::segment::{write_segment, SegmentReader, VERSION_V2};
+use crate::segment::{write_segment, SegmentReader};
 use crate::wal::{replay, WalRecord, WalWriter};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -100,8 +100,6 @@ pub struct CompactionStats {
     pub segments: u64,
     /// Records in the rewritten WAL (session snapshots + checkpoint).
     pub wal_records: u64,
-    /// Legacy v1 segments rewritten to format v2 during this fold.
-    pub migrated_segments: u64,
 }
 
 /// The durable segment + WAL vector store.
@@ -112,8 +110,6 @@ pub struct VectorStore {
     dim: Option<usize>,
     /// Sealed segment paths in id order.
     segments: Vec<PathBuf>,
-    /// Format version per sealed segment (parallel to `segments`).
-    segment_versions: Vec<u32>,
     /// Total vectors across sealed segments.
     segment_vectors: u64,
     /// Vectors living only in the WAL (id order), kept resident so
@@ -203,7 +199,6 @@ impl VectorStore {
 
         let mut vectors: Vec<Vec<f64>> = Vec::new();
         let mut dim: Option<usize> = None;
-        let mut segment_versions = Vec::with_capacity(segments.len());
         for path in &segments {
             let mut reader = SegmentReader::open(path)?;
             match dim {
@@ -216,7 +211,6 @@ impl VectorStore {
                 }
                 Some(_) => {}
             }
-            segment_versions.push(reader.version());
             let flat = reader.read_all_flat()?;
             vectors.extend(flat.chunks_exact(reader.dim()).map(<[f64]>::to_vec));
         }
@@ -297,7 +291,6 @@ impl VectorStore {
             config,
             dim,
             segments,
-            segment_versions,
             segment_vectors,
             wal_tail,
             sessions,
@@ -384,7 +377,6 @@ impl VectorStore {
         let path = self.next_segment_path();
         write_segment(&path, dim, points)?;
         self.segments.push(path);
-        self.segment_versions.push(VERSION_V2);
         self.segment_vectors = points.len() as u64;
         self.dim = Some(dim);
         Ok(())
@@ -471,27 +463,8 @@ impl VectorStore {
             let path = self.next_segment_path();
             write_segment(&path, dim, &self.wal_tail)?;
             self.segments.push(path);
-            self.segment_versions.push(VERSION_V2);
             self.segment_vectors += folded;
             self.wal_tail.clear();
-        }
-
-        // Migrate any legacy v1 segments to format v2 in place: read,
-        // re-seal (staged + atomic rename over the old file), same ids.
-        // Idempotent across crashes — an un-renamed `.tmp` is swept on
-        // the next open and the v1 original stays valid until then.
-        let mut migrated = 0u64;
-        for i in 0..self.segments.len() {
-            if self.segment_versions[i] != VERSION_V2 {
-                let path = self.segments[i].clone();
-                let mut reader = SegmentReader::open(&path)?;
-                let dim = reader.dim();
-                let flat = reader.read_all_flat()?;
-                let rows: Vec<Vec<f64>> = flat.chunks_exact(dim).map(<[f64]>::to_vec).collect();
-                write_segment(&path, dim, &rows)?;
-                self.segment_versions[i] = VERSION_V2;
-                migrated += 1;
-            }
         }
 
         // Failpoint `store.compact.crash`: abort in the crash window
@@ -531,7 +504,6 @@ impl VectorStore {
             folded_vectors: folded,
             segments: self.segments.len() as u64,
             wal_records: keep.len() as u64,
-            migrated_segments: migrated,
         })
     }
 
@@ -676,31 +648,46 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A row-major version-1 segment file, byte for byte as builds
+    /// before the tile-native format left them on disk.
+    fn v1_segment_bytes(dim: usize, vectors: &[Vec<f64>]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(b"QSEG");
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&(dim as u32).to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        let body = bytes.len();
+        for x in vectors.iter().flatten() {
+            bytes.extend_from_slice(&x.to_le_bytes());
+        }
+        let crc = crate::codec::Crc32::checksum(&bytes[body..]);
+        bytes.extend_from_slice(&(vectors.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&(dim as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes.extend_from_slice(b"SEGF");
+        bytes
+    }
+
     #[test]
-    fn compaction_migrates_v1_segments_to_v2() {
-        let dir = tmp_store("migrate");
+    fn version_1_segment_is_rejected_at_open_and_left_untouched() {
+        let dir = tmp_store("v1_rejected");
         std::fs::create_dir_all(&dir).unwrap();
-        // A store left behind by a pre-v2 build: one legacy segment.
-        let legacy = vecs(10, 3, 0.0);
-        crate::segment::write_segment_v1(&dir.join("seg-000000.qseg"), 3, &legacy);
-        let (mut store, recovered) = VectorStore::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(recovered.vectors, legacy, "v1 still opens");
-        for v in vecs(3, 3, 90.0) {
-            store.ingest(v).unwrap();
+        let path = dir.join("seg-000000.qseg");
+        let legacy = v1_segment_bytes(3, &vecs(10, 3, 0.0));
+        std::fs::write(&path, &legacy).unwrap();
+        match VectorStore::open(&dir, StoreConfig::default()) {
+            Err(StoreError::Corrupt { path: at, detail }) => {
+                assert_eq!(at, path);
+                assert_eq!(detail, "unsupported segment version 1");
+            }
+            other => panic!("a version-1 segment must not open: {other:?}"),
         }
-        let stats = store.compact().unwrap();
-        assert_eq!(stats.migrated_segments, 1);
-        assert_eq!(stats.segments, 2);
-        // Both segments are now v2 and the corpus is bitwise intact.
-        for (i, path) in [(0, "seg-000000.qseg"), (1, "seg-000001.qseg")] {
-            let reader = SegmentReader::open(&dir.join(path)).unwrap();
-            assert_eq!(reader.version(), VERSION_V2, "segment {i}");
-        }
-        let second = store.compact().unwrap();
-        assert_eq!(second.migrated_segments, 0, "migration is one-shot");
-        let (_, recovered) = VectorStore::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(recovered.vectors[..10].to_vec(), legacy);
-        assert_eq!(recovered.vectors.len(), 13);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["seg-000000.qseg"], "nothing created beside it");
+        assert_eq!(std::fs::read(&path).unwrap(), legacy, "not rewritten");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -709,7 +696,7 @@ mod tests {
         let dir = tmp_store("term");
         {
             let (mut store, recovered) = VectorStore::open(&dir, StoreConfig::default()).unwrap();
-            assert_eq!(recovered.term, 0, "fresh store starts unfenced");
+            assert_eq!(recovered.term, 0, "fresh store: no leader yet");
             assert_eq!(store.term(), 0);
             store.set_term(3).unwrap();
             store.set_term(7).unwrap();

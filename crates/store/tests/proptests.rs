@@ -14,10 +14,10 @@
 
 use proptest::prelude::*;
 use qcluster_store::{
-    replay, write_segment, Crc32, SegmentReader, StoreConfig, VectorStore, WalRecord, WalWriter,
+    replay, write_segment, SegmentReader, StoreConfig, VectorStore, WalRecord, WalWriter,
     VERSION_V2,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Unique scratch path per proptest case (cases run sequentially per
@@ -33,32 +33,6 @@ fn uniform_vectors(max_n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     (1usize..6).prop_flat_map(move |dim| {
         prop::collection::vec(prop::collection::vec(-1.0e9..1.0e9f64, dim), 1..max_n)
     })
-}
-
-/// Writes a legacy row-major format-v1 segment byte-for-byte, without
-/// going through `SegmentWriter` (which only emits v2). Keeps the
-/// migration tests honest: the input is the historical on-disk layout,
-/// not whatever today's writer produces.
-fn write_v1_segment(path: &Path, dim: usize, vectors: &[Vec<f64>]) {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"QSEG");
-    bytes.extend_from_slice(&1u32.to_le_bytes());
-    bytes.extend_from_slice(&(dim as u32).to_le_bytes());
-    bytes.extend_from_slice(&0u32.to_le_bytes());
-    let mut crc = Crc32::new();
-    for v in vectors {
-        assert_eq!(v.len(), dim);
-        for &x in v {
-            let b = x.to_le_bytes();
-            crc.update(&b);
-            bytes.extend_from_slice(&b);
-        }
-    }
-    bytes.extend_from_slice(&(vectors.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&(dim as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc.finish().to_le_bytes());
-    bytes.extend_from_slice(b"SEGF");
-    std::fs::write(path, bytes).unwrap();
 }
 
 fn assert_bitwise_eq(got: &[Vec<f64>], want: &[Vec<f64>]) -> Result<(), TestCaseError> {
@@ -222,51 +196,6 @@ proptest! {
             .cloned()
             .collect();
         assert_bitwise_eq(&recovered.vectors, &want)?;
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Legacy v1 segments open bitwise-intact, and one compaction
-    /// migrates every one of them to v2 in place — same path, same ids,
-    /// same bits — after which recovery still returns the full corpus.
-    #[test]
-    fn v1_segments_open_and_migrate_to_v2_on_compaction(
-        old in uniform_vectors(20),
-        newer_n in 0usize..12,
-    ) {
-        let dir = scratch("v1_migrate");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let dim = old[0].len();
-        write_v1_segment(&dir.join("seg-000000.qseg"), dim, &old);
-        let newer: Vec<Vec<f64>> = (0..newer_n)
-            .map(|i| (0..dim).map(|j| ((i * 13 + j) as f64).mul_add(-0.21, 8.5)).collect())
-            .collect();
-
-        let stats = {
-            let (mut store, recovered) =
-                VectorStore::open(&dir, StoreConfig::default()).unwrap();
-            // The legacy segment opens bitwise-intact pre-migration.
-            assert_bitwise_eq(&recovered.vectors, &old)?;
-            for v in &newer {
-                store.ingest(v.clone()).unwrap();
-            }
-            store.compact().unwrap()
-        };
-        prop_assert_eq!(stats.migrated_segments, 1);
-
-        // Every segment on disk is now v2; a second compaction finds
-        // nothing left to migrate.
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().is_some_and(|e| e == "qseg") {
-                prop_assert_eq!(SegmentReader::open(&path).unwrap().version(), VERSION_V2);
-            }
-        }
-        let (mut store, recovered) = VectorStore::open(&dir, StoreConfig::default()).unwrap();
-        let want: Vec<Vec<f64>> = old.iter().chain(newer.iter()).cloned().collect();
-        prop_assert_eq!(recovered.segment_vectors, want.len());
-        assert_bitwise_eq(&recovered.vectors, &want)?;
-        prop_assert_eq!(store.compact().unwrap().migrated_segments, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
