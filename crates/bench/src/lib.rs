@@ -215,7 +215,8 @@ pub fn synth_segment(
     writer.finish()
 }
 
-/// Serializes one service [`MetricsSnapshot`] into the shared metrics
+/// Serializes one service [`MetricsSnapshot`](qcluster_service::MetricsSnapshot)
+/// into the shared metrics
 /// artifact schema:
 ///
 /// ```json

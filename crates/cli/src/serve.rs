@@ -14,7 +14,8 @@
 //! `qcluster eval --cluster` connects).
 //!
 //! With a scrape path set, a background thread periodically snapshots
-//! the primary node's [`MetricsSnapshot`] into the standard bench
+//! the primary node's [`MetricsSnapshot`](qcluster_service::MetricsSnapshot)
+//! into the standard bench
 //! metrics artifact (`qcluster_bench::write_metrics_artifact`), so a
 //! long-lived `serve` can be monitored by tailing one JSON file.
 

@@ -29,19 +29,14 @@
 pub mod bbox;
 pub mod cache;
 pub mod distance;
-pub mod dynamic;
-pub mod incremental;
 pub mod knn;
 pub mod quant;
-pub mod range;
 pub mod scan;
 pub mod tree;
 
 pub use bbox::BoundingBox;
 pub use cache::NodeCache;
 pub use distance::{EuclideanQuery, QueryDistance, WeightedEuclideanQuery};
-pub use dynamic::{DynamicIndex, DynamicStats};
-pub use incremental::KnnIter;
 pub use knn::{merge_top_k, Neighbor, SearchStats, TopK};
 pub use quant::{
     default_rerank_window, QuantParams, QuantPlan, QuantScanStats, QuantSpec, QuantizedScan,

@@ -61,12 +61,40 @@ impl LinearScan {
         LinearScan { data, dim, len }
     }
 
+    /// A scan over no points yet, to be grown with [`LinearScan::push`]
+    /// — the service's live-ingest overlay. Its `knn` returns no
+    /// neighbours until the first push.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dim == 0`.
+    pub fn empty(dim: usize) -> Self {
+        assert!(dim > 0, "dim must be positive");
+        LinearScan {
+            data: Vec::new(),
+            dim,
+            len: 0,
+        }
+    }
+
+    /// Appends one point; its id is the length before the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dimensionality mismatch.
+    pub fn push(&mut self, point: &[f64]) {
+        assert_eq!(point.len(), self.dim, "point dimensionality mismatch");
+        self.data.extend_from_slice(point);
+        self.len += 1;
+    }
+
     /// Number of points.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// `true` when empty (never, by construction).
+    /// `true` for a scan built by [`LinearScan::empty`] and not yet
+    /// pushed to.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -116,27 +144,6 @@ impl LinearScan {
         }
         top.into_sorted()
     }
-
-    /// All points within `radius` of the query (distance ≤ radius).
-    pub fn range<Q: QueryDistance + ?Sized>(&self, query: &Q, radius: f64) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        let mut dists = [0.0f64; SCAN_BLOCK_POINTS];
-        let mut start = 0;
-        while start < self.len {
-            let count = SCAN_BLOCK_POINTS.min(self.len - start);
-            query.distance_batch(self.block(start, count), self.dim, &mut dists[..count]);
-            for (i, &d) in dists[..count].iter().enumerate() {
-                if d <= radius {
-                    out.push(Neighbor {
-                        id: start + i,
-                        distance: d,
-                    });
-                }
-            }
-            start += count;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -156,12 +163,30 @@ mod tests {
     }
 
     #[test]
-    fn range_query_filters_by_radius() {
-        let pts = vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![5.0, 5.0]];
-        let scan = LinearScan::new(&pts);
-        let q = EuclideanQuery::new(vec![0.0, 0.0]);
-        let within = scan.range(&q, 1.0);
-        assert_eq!(within.len(), 2);
+    fn empty_plus_push_equals_new() {
+        // 600 points: more than two scan blocks, with exact duplicates
+        // so ties are broken by id.
+        let pts: Vec<Vec<f64>> = (0..600)
+            .map(|i| {
+                let a = (i % 150) as f64 * 0.37;
+                vec![a.cos() * 3.0, a.sin() * 2.0, a * 0.01]
+            })
+            .collect();
+        let built = LinearScan::new(&pts);
+        let mut grown = LinearScan::empty(3);
+        let q = EuclideanQuery::new(vec![0.5, -0.25, 0.1]);
+        assert!(grown.is_empty());
+        assert!(grown.knn(&q, 5).is_empty(), "no points, no neighbours");
+        for p in &pts {
+            grown.push(p);
+        }
+        assert_eq!(grown.len(), built.len());
+        for id in 0..pts.len() {
+            assert_eq!(grown.point(id), built.point(id));
+        }
+        for k in [1, 7, 600, 1000] {
+            assert_eq!(grown.knn(&q, k), built.knn(&q, k), "k = {k}");
+        }
     }
 
     #[test]

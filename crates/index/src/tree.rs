@@ -158,12 +158,6 @@ impl HybridTree {
         self.leaf_capacity
     }
 
-    /// The point stored at position `pos` of the internal layout.
-    #[inline]
-    pub(crate) fn point_at(&self, pos: usize) -> &[f64] {
-        &self.data[pos * self.dim..(pos + 1) * self.dim]
-    }
-
     /// The bounding box of the whole data set.
     pub fn root_bbox(&self) -> &BoundingBox {
         self.nodes[self.root].bbox()

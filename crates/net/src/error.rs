@@ -2,7 +2,7 @@
 //!
 //! [`NetError`] is what the *caller* of the transport sees (a client
 //! call failing, a server failing to bind). Frame-level decode problems
-//! live in [`FrameError`](crate::frame::FrameError) and are wrapped
+//! live in [`FrameError`] and are wrapped
 //! here; request-level failures never become a `NetError` — they travel
 //! back over the wire as typed
 //! [`Response::Error`](qcluster_service::Response::Error) frames.

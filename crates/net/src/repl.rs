@@ -1,4 +1,5 @@
-//! Binary replication protocol carried in [`FrameKind::ReplRequest`] /
+//! Binary replication protocol carried in
+//! [`FrameKind::ReplRequest`](crate::frame::FrameKind::ReplRequest) /
 //! [`FrameKind::ReplResponse`](crate::frame::FrameKind::ReplResponse)
 //! frames.
 //!

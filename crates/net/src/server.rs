@@ -1,6 +1,6 @@
 //! The TCP server: an acceptor thread, per-connection reader/writer
 //! threads, and a shared bounded handler pool executing
-//! [`dispatch`](qcluster_service::dispatch).
+//! [`dispatch`].
 //!
 //! ## Threading model
 //!
@@ -678,24 +678,11 @@ fn handle_repl(service: &Service, req: ReplRequest) -> ReplReply {
             term,
             lease_ms,
             frames,
-        } => {
-            // Fence before touching the WAL: a ship from a deposed
-            // leader must not append a single record.
-            match service.fence_apply(term, lease_ms) {
-                Ok(Some(current)) => return ReplReply::StaleTerm { current },
-                Ok(None) => {}
-                Err(e) => return ReplReply::Err { msg: e.to_string() },
-            }
-            if frames.is_empty() {
-                // Pure fence probe / lease renewal.
-                let (total, _) = service.replication_status();
-                return ReplReply::Applied { total, applied: 0 };
-            }
-            match service.apply_replication(&frames) {
-                Ok((total, applied)) => ReplReply::Applied { total, applied },
-                Err(e) => ReplReply::Err { msg: e.to_string() },
-            }
-        }
+        } => match service.apply_fenced(term, lease_ms, &frames) {
+            Ok(Ok((total, applied))) => ReplReply::Applied { total, applied },
+            Ok(Err(current)) => ReplReply::StaleTerm { current },
+            Err(e) => ReplReply::Err { msg: e.to_string() },
+        },
         ReplRequest::Status => {
             let (total, durable) = service.replication_status();
             let (term, leased) = service.consensus_status();

@@ -6,8 +6,8 @@ use std::fmt;
 
 /// Everything that can go wrong handling a service request.
 ///
-/// Serializable so it travels inside [`Response::Error`]
-/// (crate::protocol::Response::Error) unchanged.
+/// Serializable so it travels inside
+/// [`Response::Error`](crate::protocol::Response::Error) unchanged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServiceError {
     /// The session id is unknown (never created, closed, or evicted).

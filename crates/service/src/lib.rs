@@ -27,7 +27,7 @@
 //!
 //! A service can also be **durable**: [`Service::open_durable`] backs it
 //! with a `qcluster-store` segment + WAL directory, enabling live
-//! `Request::Ingest` (WAL-append + in-memory overlay index, ids stable
+//! `Request::Ingest` (WAL-append + in-memory flat overlay, ids stable
 //! across restarts), `Request::Flush` (WAL → segment compaction), and
 //! crash recovery that restores the corpus and the session registry.
 //!
@@ -61,6 +61,7 @@ pub mod protocol;
 pub mod service;
 pub mod session;
 pub mod shard;
+mod writer;
 
 pub use error::ServiceError;
 pub use executor::{

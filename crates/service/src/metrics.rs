@@ -442,8 +442,8 @@ impl ServiceMetrics {
     /// A serializable snapshot; `active_sessions` is supplied by the
     /// session registry (the metrics object does not track liveness
     /// itself, so the gauge can never drift from the registry's truth),
-    /// and `storage` by the durable store / live-ingest overlay for the
-    /// same reason (all zero for a memory-only service). `breaker_trips`
+    /// and `storage` by the durable store for the same reason (all zero
+    /// for a memory-only service). `breaker_trips`
     /// and `workers_respawned` are sampled from the executor, which owns
     /// those counters, and `shard_latency` likewise (the executor's
     /// workers record per-shard execution time at the job site).
@@ -637,8 +637,6 @@ impl MetricsSnapshot {
         self.storage.segments += other.storage.segments;
         self.storage.segment_vectors += other.storage.segment_vectors;
         self.storage.wal_vectors += other.storage.wal_vectors;
-        self.storage.index_rebuilds += other.storage.index_rebuilds;
-        self.storage.index_buffered += other.storage.index_buffered;
         self.faults.shard_panics += other.faults.shard_panics;
         self.faults.shard_failures += other.faults.shard_failures;
         self.faults.shard_timeouts += other.faults.shard_timeouts;
@@ -749,8 +747,8 @@ pub struct FaultGauges {
     pub workers_respawned: u64,
 }
 
-/// Storage and live-index gauges sampled at snapshot time (the durable
-/// subsystem owns these; the metrics object never caches them).
+/// Storage gauges sampled at snapshot time (the durable subsystem owns
+/// these; the metrics object never caches them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StorageGauges {
     /// WAL frames appended since the store opened.
@@ -763,10 +761,6 @@ pub struct StorageGauges {
     pub segment_vectors: u64,
     /// Vectors durable only in the WAL.
     pub wal_vectors: u64,
-    /// Live-ingest overlay rebuilds (side-buffer folds) so far.
-    pub index_rebuilds: u64,
-    /// Overlay points awaiting the next rebuild.
-    pub index_buffered: u64,
 }
 
 /// Point-in-time view of every service metric, as returned by the
@@ -811,7 +805,7 @@ pub struct MetricsSnapshot {
     pub flushes: u64,
     /// Crash recoveries performed (durable opens that found state).
     pub recoveries: u64,
-    /// Storage + overlay gauges (all zero for a memory-only service).
+    /// Storage gauges (all zero for a memory-only service).
     pub storage: StorageGauges,
     /// Fault-path counters (panics, timeouts, breaker activity, …).
     pub faults: FaultGauges,

@@ -2,26 +2,24 @@
 //! metrics behind one concurrency-safe façade.
 //!
 //! Every public method takes `&self` — a single [`Service`] value wrapped
-//! in an [`Arc`](std::sync::Arc) is the intended deployment shape, with
-//! any number of client threads calling into it concurrently.
+//! in an [`Arc`] is the intended deployment shape, with any number of
+//! client threads calling into it concurrently.
 
 use crate::error::ServiceError;
 use crate::executor::{Executor, ExecutorConfig, FanoutQuery, ShardFailureKind};
-use crate::metrics::{MetricsSnapshot, ServiceMetrics, StorageGauges};
+use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::session::{RegistryConfig, ServiceEngine, Session, SessionRegistry};
 use crate::shard::{ShardKind, ShardedCorpus};
+use crate::writer::Writer;
 use qcluster_baselines::QueryPointMovement;
 use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine};
-use qcluster_index::{merge_top_k, DynamicIndex, EuclideanQuery, Neighbor, NodeCache, SearchStats};
+use qcluster_index::{merge_top_k, EuclideanQuery, LinearScan, Neighbor, NodeCache, SearchStats};
 use qcluster_store::{
     decode_record_frames, encode_record_frame, CompactionStats, StoreConfig, VectorStore, WalRecord,
 };
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
-
-/// Side-buffer size at which the live-ingest overlay index rebuilds.
-const OVERLAY_REBUILD_THRESHOLD: usize = 256;
 
 /// Everything tunable about a service instance.
 #[derive(Debug, Clone)]
@@ -115,38 +113,15 @@ pub struct IngestOutcome {
     pub total: usize,
 }
 
-/// Mutable live-ingest state: the durable store plus the in-memory
-/// overlay index holding every vector ingested since this process
-/// opened the store. The overlay is created lazily on the first ingest
-/// because the underlying tree cannot be bulk-loaded empty.
-///
-/// Lock order: a session lock (registry → session) is always taken
-/// *before* this mutex, never after — queries hold their session guard
-/// while merging overlay results.
-#[derive(Debug, Default)]
-struct LiveState {
-    store: Option<VectorStore>,
-    overlay: Option<DynamicIndex>,
-    consensus: ConsensusState,
-}
-
-/// Replication-consensus state for this node: the highest term it has
-/// acknowledged (persisted through the store when durable, so a
-/// SIGKILLed node cannot forget a fence across restarts) plus the two
-/// leases that make leadership safe. The leader lease marks applies at
-/// the current term as live leadership; the vote lease stops this node
-/// from granting two contending candidates in the same window.
-#[derive(Debug, Default)]
-struct ConsensusState {
-    /// Highest term acknowledged (0 = no leader has won this node yet).
-    term: u64,
-    /// While unexpired, a leader at `term` holds this node.
-    lease_until: Option<Instant>,
-    /// While unexpired, competing vote requests are refused.
-    vote_until: Option<Instant>,
-}
-
 /// The concurrent multi-session retrieval service.
+///
+/// Reads and writes are split by who touches what. Queries read the
+/// immutable sharded base corpus and the `overlay`; everything that can
+/// fsync or move the replication term goes through the `writer` mutex.
+/// Lock order is writer → overlay and nothing else nests: the overlay
+/// lock is a leaf (held for one scan, a batch of row copies, or one
+/// `extend_from_slice`), and the writer is never taken with a session
+/// guard held.
 #[derive(Debug)]
 pub struct Service {
     corpus: ShardedCorpus,
@@ -156,7 +131,15 @@ pub struct Service {
     config: ServiceConfig,
     /// Vectors in the sharded base corpus; overlay ids start here.
     base_len: usize,
-    live: Mutex<LiveState>,
+    /// Whether a store backs the writer (fixed at open).
+    durable: bool,
+    writer: Mutex<Writer>,
+    /// Every vector ingested since this process opened the store, row
+    /// `i` holding corpus id `base_len + i`. Appended to only by the
+    /// writer's holder, after the WAL append has returned — so a
+    /// visible row is a durable one, and the overlay's length is stable
+    /// for whoever holds the writer.
+    overlay: RwLock<LinearScan>,
 }
 
 impl Service {
@@ -172,6 +155,14 @@ impl Service {
     /// Panics on an empty corpus, ragged dimensionalities, or zero
     /// shards/sessions.
     pub fn new(points: &[Vec<f64>], config: ServiceConfig) -> Result<Self, ServiceError> {
+        Self::build(points, config, Writer::default())
+    }
+
+    fn build(
+        points: &[Vec<f64>],
+        config: ServiceConfig,
+        writer: Writer,
+    ) -> Result<Self, ServiceError> {
         let corpus = ShardedCorpus::build(points, config.num_shards, config.shard_kind);
         let executor = Executor::with_config(ExecutorConfig {
             num_workers: config.num_workers,
@@ -184,6 +175,7 @@ impl Service {
             idle_ttl: config.idle_ttl,
             evict_lru_at_capacity: config.evict_lru_at_capacity,
         });
+        let overlay = RwLock::new(LinearScan::empty(corpus.dim()));
         Ok(Service {
             corpus,
             executor,
@@ -191,7 +183,9 @@ impl Service {
             metrics: ServiceMetrics::new(),
             config,
             base_len: points.len(),
-            live: Mutex::new(LiveState::default()),
+            durable: writer.is_durable(),
+            writer: Mutex::new(writer),
+            overlay,
         })
     }
 
@@ -218,7 +212,6 @@ impl Service {
     ) -> Result<Self, ServiceError> {
         let (mut store, recovered) = VectorStore::open(dir, store_config)?;
         let had_prior = !recovered.vectors.is_empty() || !recovered.sessions.is_empty();
-        let recovered_term = recovered.term;
         let base = if recovered.vectors.is_empty() {
             if seed.is_empty() {
                 return Err(ServiceError::InvalidRequest(
@@ -226,22 +219,11 @@ impl Service {
                 ));
             }
             store.bootstrap(seed)?;
-            seed.to_vec()
+            seed
         } else {
-            recovered.vectors
+            &recovered.vectors
         };
-        let service = {
-            let mut s = Service::new(&base, config)?;
-            s.live = Mutex::new(LiveState {
-                store: Some(store),
-                overlay: None,
-                consensus: ConsensusState {
-                    term: recovered_term,
-                    ..ConsensusState::default()
-                },
-            });
-            s
-        };
+        let service = Service::build(base, config, Writer::durable(store, recovered.term))?;
         for snap in &recovered.sessions {
             let engine = service.engine_by_name(&snap.engine);
             let caches = service.fresh_caches();
@@ -266,34 +248,36 @@ impl Service {
         }
     }
 
-    fn lock_live(&self) -> MutexGuard<'_, LiveState> {
-        self.live.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock_writer(&self) -> MutexGuard<'_, Writer> {
+        self.writer.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn read_overlay(&self) -> RwLockReadGuard<'_, LinearScan> {
+        self.overlay.read().unwrap_or_else(|e| e.into_inner())
     }
 
     /// `true` when the service is backed by a durable store.
     pub fn is_durable(&self) -> bool {
-        self.lock_live().store.is_some()
+        self.durable
     }
 
     /// Total corpus size: base shards plus the live-ingest overlay.
     pub fn total_vectors(&self) -> usize {
-        self.base_len + self.lock_live().overlay.as_ref().map_or(0, |o| o.len())
+        self.base_len + self.read_overlay().len()
     }
 
     /// The vector stored under corpus id `id`: base shards first, the
     /// live-ingest overlay past them.
-    fn vector_of(&self, live: &LiveState, id: usize) -> Result<Vec<f64>, ServiceError> {
+    fn vector_of(&self, overlay: &LinearScan, id: usize) -> Result<Vec<f64>, ServiceError> {
         if id < self.base_len {
-            return Ok(self.corpus.point(id).to_vec());
-        }
-        match live.overlay.as_ref() {
-            Some(overlay) if id - self.base_len < overlay.len() => {
-                Ok(overlay.point(id - self.base_len).to_vec())
-            }
-            overlay => Err(ServiceError::InvalidImageId {
+            Ok(self.corpus.point(id).to_vec())
+        } else if id - self.base_len < overlay.len() {
+            Ok(overlay.point(id - self.base_len).to_vec())
+        } else {
+            Err(ServiceError::InvalidImageId {
                 id,
-                corpus_len: self.base_len + overlay.map_or(0, |o| o.len()),
-            }),
+                corpus_len: self.base_len + overlay.len(),
+            })
         }
     }
 
@@ -370,8 +354,8 @@ impl Service {
         Ok(id)
     }
 
-    /// Best-effort durable session snapshot (no-op for a memory-only
-    /// service). Takes the live lock, so callers must not hold it.
+    /// Durable session snapshot (no-op for a memory-only service).
+    /// Takes the writer, so callers must hold no session guard.
     fn snapshot_session(
         &self,
         session: u64,
@@ -379,11 +363,8 @@ impl Service {
         feeds: u64,
         live: bool,
     ) -> Result<(), ServiceError> {
-        let mut state = self.lock_live();
-        if let Some(store) = state.store.as_mut() {
-            store.record_session(session, engine, feeds, live)?;
-        }
-        Ok(())
+        self.lock_writer()
+            .record_session(session, engine, feeds, live)
     }
 
     /// Closes a session explicitly.
@@ -464,14 +445,14 @@ impl Service {
             }
         }
         let points = {
-            // Scoped: the live lock must be released before `feed` takes
-            // the session lock (lock order is session → live).
-            let live = self.lock_live();
+            // Scoped: the overlay lock is a leaf, released before `feed`
+            // takes the session lock.
+            let overlay = self.read_overlay();
             relevant_ids
                 .iter()
                 .enumerate()
                 .map(|(i, &id)| {
-                    let vector = self.vector_of(&live, id)?;
+                    let vector = self.vector_of(&overlay, id)?;
                     let score = scores.map_or(self.config.default_score, |s| s[i]);
                     if score <= 0.0 || !score.is_finite() {
                         return Err(ServiceError::InvalidRequest(format!(
@@ -636,18 +617,20 @@ impl Service {
             self.metrics.record_degraded_response();
         }
         let (mut neighbors, mut stats) = (report.neighbors, report.stats);
-        {
-            // Merge in live-ingested vectors (ids offset past the base
-            // corpus). Session lock is already held; live comes second.
-            let live = self.lock_live();
-            if let Some(overlay) = live.overlay.as_ref() {
-                let (mut extra, extra_stats) = overlay.knn(&query, k, None);
-                for n in &mut extra {
-                    n.id += self.base_len;
-                }
-                stats.absorb(&extra_stats);
-                neighbors = merge_top_k(vec![neighbors, extra], k);
+        // Merge in live-ingested vectors (ids offset past the base
+        // corpus): one exact flat scan under the overlay's read lock.
+        let extra = {
+            let overlay = self.read_overlay();
+            (!overlay.is_empty()).then(|| {
+                stats.distance_evaluations += overlay.len() as u64;
+                overlay.knn(query, k)
+            })
+        };
+        if let Some(mut extra) = extra {
+            for n in &mut extra {
+                n.id += self.base_len;
             }
+            neighbors = merge_top_k(vec![neighbors, extra], k);
         }
         self.metrics
             .record_cache(stats.cache_hits, stats.disk_reads);
@@ -669,10 +652,10 @@ impl Service {
     }
 
     /// Durably ingests one vector into the live corpus: WAL-append (fsync
-    /// per [`StoreConfig::fsync_on_commit`]), then insert into the
-    /// in-memory overlay index. The returned id is immediately queryable
-    /// and feedable, and survives restarts — recovery folds overlay
-    /// vectors into the base shards under the same ids.
+    /// per [`StoreConfig::fsync_on_commit`]), then publish to the
+    /// in-memory overlay. The returned id is immediately queryable and
+    /// feedable, and survives restarts — recovery folds overlay vectors
+    /// into the base shards under the same ids.
     ///
     /// # Errors
     ///
@@ -680,6 +663,11 @@ impl Service {
     /// WAL append fails, [`ServiceError::DimensionMismatch`], or
     /// [`ServiceError::InvalidRequest`] for non-finite components.
     pub fn ingest(&self, vector: Vec<f64>) -> Result<IngestOutcome, ServiceError> {
+        self.check_ingestable(&vector)?;
+        self.append(&mut self.lock_writer(), vector)
+    }
+
+    fn check_ingestable(&self, vector: &[f64]) -> Result<(), ServiceError> {
         if vector.len() != self.corpus.dim() {
             return Err(ServiceError::DimensionMismatch {
                 expected: self.corpus.dim(),
@@ -691,30 +679,22 @@ impl Service {
                 "vector components must be finite".into(),
             ));
         }
-        let mut live = self.lock_live();
-        let store = live.store.as_mut().ok_or_else(|| {
-            ServiceError::Storage("service is memory-only; ingest needs open_durable".into())
-        })?;
-        let store_id = store.ingest(vector.clone())?;
-        match live.overlay.as_mut() {
-            Some(overlay) => {
-                overlay.insert(vector);
-            }
-            None => {
-                live.overlay = Some(DynamicIndex::with_rebuild_threshold(
-                    vec![vector],
-                    OVERLAY_REBUILD_THRESHOLD,
-                ));
-            }
-        }
-        let total = self.base_len + live.overlay.as_ref().map_or(0, |o| o.len());
-        debug_assert_eq!(store_id as usize + 1, total, "store and overlay ids agree");
-        drop(live);
+        Ok(())
+    }
+
+    /// WAL-appends `vector` and then — the fsync has returned — copies
+    /// it onto the overlay, all inside the caller's hold of the writer,
+    /// so overlay position ≡ store id.
+    fn append(&self, writer: &mut Writer, vector: Vec<f64>) -> Result<IngestOutcome, ServiceError> {
+        let id = writer.append(vector.clone())? as usize;
+        let total = {
+            let mut overlay = self.overlay.write().unwrap_or_else(|e| e.into_inner());
+            overlay.push(&vector);
+            self.base_len + overlay.len()
+        };
+        debug_assert_eq!(id + 1, total, "store and overlay ids agree");
         self.metrics.record_ingest();
-        Ok(IngestOutcome {
-            id: store_id as usize,
-            total,
-        })
+        Ok(IngestOutcome { id, total })
     }
 
     /// Folds the WAL into a sealed segment (compaction) and fsyncs
@@ -725,12 +705,7 @@ impl Service {
     /// [`ServiceError::Storage`] when the service is memory-only or the
     /// fold fails.
     pub fn flush(&self) -> Result<CompactionStats, ServiceError> {
-        let mut live = self.lock_live();
-        let store = live.store.as_mut().ok_or_else(|| {
-            ServiceError::Storage("service is memory-only; flush needs open_durable".into())
-        })?;
-        let stats = store.compact()?;
-        drop(live);
+        let stats = self.lock_writer().compact()?;
         self.metrics.record_flush();
         Ok(stats)
     }
@@ -743,8 +718,8 @@ impl Service {
     ///
     /// [`ServiceError::InvalidImageId`] for any out-of-range id.
     pub fn vectors_by_id(&self, ids: &[usize]) -> Result<Vec<Vec<f64>>, ServiceError> {
-        let live = self.lock_live();
-        ids.iter().map(|&id| self.vector_of(&live, id)).collect()
+        let overlay = self.read_overlay();
+        ids.iter().map(|&id| self.vector_of(&overlay, id)).collect()
     }
 
     /// Serves a replication chunk for a follower catching up from
@@ -763,8 +738,8 @@ impl Service {
     /// node's committed total (the requester is ahead — it should not
     /// be fetching from us).
     pub fn replication_chunk(&self, from: u64, max: u32) -> Result<(u64, Vec<u8>), ServiceError> {
-        let live = self.lock_live();
-        let total = (self.base_len + live.overlay.as_ref().map_or(0, |o| o.len())) as u64;
+        let overlay = self.read_overlay();
+        let total = (self.base_len + overlay.len()) as u64;
         if from > total {
             return Err(ServiceError::InvalidRequest(format!(
                 "replication fetch from {from} but committed total is {total}"
@@ -773,7 +748,7 @@ impl Service {
         let end = total.min(from.saturating_add(max as u64));
         let mut frames = Vec::new();
         for id in from..end {
-            let vector = self.vector_of(&live, id as usize)?;
+            let vector = self.vector_of(&overlay, id as usize)?;
             frames.extend_from_slice(&encode_record_frame(&WalRecord::Ingest { id, vector }));
         }
         Ok((total, frames))
@@ -784,7 +759,8 @@ impl Service {
     /// local committed total are skipped (duplicate delivery is safe);
     /// the record at exactly the total is ingested durably; a record
     /// beyond it is a gap and fails the whole chunk without applying
-    /// anything past it.
+    /// anything past it. The whole chunk is one hold of the writer, so
+    /// two deliveries of the same record cannot both pass the check.
     ///
     /// Returns `(committed_total_after, newly_applied)`.
     ///
@@ -794,14 +770,42 @@ impl Service {
     /// failures, [`ServiceError::InvalidRequest`] for gaps or
     /// non-ingest records.
     pub fn apply_replication(&self, frames: &[u8]) -> Result<(u64, u64), ServiceError> {
-        let records = decode_record_frames(frames)?;
+        self.apply_frames(&mut self.lock_writer(), frames)
+    }
+
+    /// [`Service::fence_apply`] and [`Service::apply_replication`] in
+    /// one hold of the writer, so no vote can be granted between a
+    /// ship's fence and its append. `Ok(Err(current_term))` is the stale
+    /// verdict (nothing applied); empty `frames` is a pure fence probe /
+    /// lease renewal.
+    ///
+    /// # Errors
+    ///
+    /// Everything the two halves return.
+    pub fn apply_fenced(
+        &self,
+        term: u64,
+        lease_ms: u64,
+        frames: &[u8],
+    ) -> Result<Result<(u64, u64), u64>, ServiceError> {
+        let mut writer = self.lock_writer();
+        // Fence before touching the WAL: a ship from a deposed leader
+        // must not append a single record.
+        if let Some(current) = writer.fence(term, lease_ms)? {
+            return Ok(Err(current));
+        }
+        self.apply_frames(&mut writer, frames).map(Ok)
+    }
+
+    fn apply_frames(&self, writer: &mut Writer, frames: &[u8]) -> Result<(u64, u64), ServiceError> {
         let mut applied = 0u64;
-        for record in records {
+        for record in decode_record_frames(frames)? {
             let WalRecord::Ingest { id, vector } = record else {
                 return Err(ServiceError::InvalidRequest(
                     "replication chunk carried a non-ingest record".into(),
                 ));
             };
+            // Stable until we append: only the writer's holder does.
             let total = self.total_vectors() as u64;
             if id < total {
                 continue; // Idempotent re-delivery.
@@ -811,7 +815,8 @@ impl Service {
                     "replication gap: record id {id} but local total is {total}"
                 )));
             }
-            self.ingest(vector)?;
+            self.check_ingestable(&vector)?;
+            self.append(writer, vector)?;
             applied += 1;
         }
         Ok((self.total_vectors() as u64, applied))
@@ -823,7 +828,7 @@ impl Service {
     /// lose everything on restart).
     pub fn replication_status(&self) -> (u64, u64) {
         let total = self.total_vectors() as u64;
-        let durable = if self.is_durable() { total } else { 0 };
+        let durable = if self.durable { total } else { 0 };
         (total, durable)
     }
 
@@ -832,12 +837,7 @@ impl Service {
     /// (persisted when durable); `leased` is whether a leader at that
     /// term currently holds an unexpired lease here.
     pub fn consensus_status(&self) -> (u64, bool) {
-        let live = self.lock_live();
-        let leased = live
-            .consensus
-            .lease_until
-            .is_some_and(|until| until > Instant::now());
-        (live.consensus.term, leased)
+        self.lock_writer().consensus_status()
     }
 
     /// Considers a vote request from a candidate leader at `term`.
@@ -860,21 +860,7 @@ impl Service {
     /// [`ServiceError::Storage`] when persisting the advanced term
     /// fails (the vote is not granted in that case).
     pub fn handle_vote(&self, term: u64, lease_ms: u64) -> Result<(bool, u64), ServiceError> {
-        positive_term(term)?;
-        let mut guard = self.lock_live();
-        let live = &mut *guard;
-        let now = Instant::now();
-        let leased = live.consensus.vote_until.is_some_and(|t| t > now)
-            || live.consensus.lease_until.is_some_and(|t| t > now);
-        if term <= live.consensus.term || leased {
-            return Ok((false, live.consensus.term));
-        }
-        if let Some(store) = live.store.as_mut() {
-            store.set_term(term)?;
-        }
-        live.consensus.term = term;
-        live.consensus.vote_until = (lease_ms > 0).then(|| now + Duration::from_millis(lease_ms));
-        Ok((true, term))
+        self.lock_writer().vote(term, lease_ms)
     }
 
     /// Fences one replication `Apply` at the shipper's `term`. Returns
@@ -893,52 +879,13 @@ impl Service {
     /// a term before its first ship; nothing is changed), and
     /// [`ServiceError::Storage`] when persisting an advanced term fails.
     pub fn fence_apply(&self, term: u64, lease_ms: u64) -> Result<Option<u64>, ServiceError> {
-        positive_term(term)?;
-        if qcluster_failpoint::active()
-            && qcluster_failpoint::evaluate_sleepy("repl.apply.stale_term").is_some()
-        {
-            return Ok(Some(self.lock_live().consensus.term));
-        }
-        let mut guard = self.lock_live();
-        let live = &mut *guard;
-        if term < live.consensus.term {
-            return Ok(Some(live.consensus.term));
-        }
-        if term > live.consensus.term {
-            if let Some(store) = live.store.as_mut() {
-                store.set_term(term)?;
-            }
-            live.consensus.term = term;
-            // A live leader at a newer term supersedes any vote-lease.
-            live.consensus.vote_until = None;
-        }
-        if lease_ms > 0 {
-            live.consensus.lease_until = Some(Instant::now() + Duration::from_millis(lease_ms));
-        }
-        Ok(None)
+        self.lock_writer().fence(term, lease_ms)
     }
 
     /// A point-in-time snapshot of every service metric, with storage
-    /// and overlay gauges sampled live.
+    /// gauges sampled live.
     pub fn stats(&self) -> MetricsSnapshot {
-        let storage = {
-            let live = self.lock_live();
-            let mut g = StorageGauges::default();
-            if let Some(store) = live.store.as_ref() {
-                let s = store.stats();
-                g.wal_appends = s.wal_appends;
-                g.wal_fsyncs = s.wal_fsyncs;
-                g.segments = s.segments;
-                g.segment_vectors = s.segment_vectors;
-                g.wal_vectors = s.wal_vectors;
-            }
-            if let Some(overlay) = live.overlay.as_ref() {
-                let d = overlay.stats();
-                g.index_rebuilds = d.rebuilds as u64;
-                g.index_buffered = d.buffered as u64;
-            }
-            g
-        };
+        let storage = self.lock_writer().storage_gauges();
         let faults = self.executor.fault_stats();
         self.metrics.snapshot(
             self.registry.len() as u64,
@@ -948,17 +895,6 @@ impl Service {
             self.executor.shard_latency(),
         )
     }
-}
-
-/// Terms start at 1: 0 is a node's state before any leader won it,
-/// never a term a candidate may bid or a leader may ship at.
-fn positive_term(term: u64) -> Result<(), ServiceError> {
-    if term == 0 {
-        return Err(ServiceError::InvalidRequest(
-            "replication term must be positive (0 = never elected)".into(),
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1203,6 +1139,70 @@ mod tests {
         assert_eq!(stats.storage.wal_vectors, 6);
         assert!(stats.storage.wal_appends >= 6);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A durable service over base B plus ingested I answers exactly
+    /// like an in-memory service over B ∪ I — whichever side of
+    /// `base_len` a vector sits on, before and after a reopen folds I
+    /// into the base shards.
+    #[test]
+    fn overlay_answers_bit_for_bit_like_one_corpus() {
+        let base = two_blob_corpus(20);
+        // 12 ingested vectors: copies of base points (ties straddle
+        // `base_len`, and the copy must lose to the lower base id), a
+        // pair of duplicates inside the overlay, and fresh points.
+        let mut ingested: Vec<Vec<f64>> = vec![
+            base[3].clone(),
+            base[27].clone(),
+            vec![0.2, 0.1],
+            vec![0.2, 0.1],
+        ];
+        ingested.extend((0..8).map(|i| {
+            let a = i as f64 * 0.8;
+            vec![10.0 + a.cos() * 0.4, 10.0 + a.sin() * 0.4]
+        }));
+        let union: Vec<Vec<f64>> = base.iter().chain(&ingested).cloned().collect();
+        let k = 20; // more than the whole overlay
+        let marked = [1, 3, 5, 40, 42, 43, 22, 27, 41, 44, 45];
+
+        let bits = |out: &QueryOutcome| -> Vec<(usize, u64)> {
+            out.neighbors
+                .iter()
+                .map(|n| (n.id, n.distance.to_bits()))
+                .collect()
+        };
+        let rounds = |svc: &Service| {
+            let session = svc.create_session().unwrap();
+            let example = svc.query_vector(session, base[3].clone(), k).unwrap();
+            let fed = svc.feed_ids(session, &marked, None).unwrap();
+            assert!(fed.clusters.unwrap() >= 2, "a disjunctive query");
+            let refined = svc.query(session, k).unwrap();
+            (bits(&example), bits(&refined))
+        };
+
+        for kind in [ShardKind::Scan, ShardKind::Tree, ShardKind::Quantized] {
+            let config = ServiceConfig {
+                shard_kind: kind,
+                ..durable_config()
+            };
+            let want = rounds(&Service::new(&union, config.clone()).unwrap());
+            assert_eq!(want.0[0].0, 3, "{kind:?}: the base id wins its tie");
+            assert_eq!(want.0[1].0, 40, "{kind:?}: its overlay copy is next");
+
+            let dir = tmp_dir(&format!("differential_{kind:?}"));
+            let svc =
+                Service::open_durable(&dir, &base, config.clone(), StoreConfig::default()).unwrap();
+            for v in &ingested {
+                svc.ingest(v.clone()).unwrap();
+            }
+            assert_eq!(rounds(&svc), want, "{kind:?}: base + overlay");
+            drop(svc);
+
+            let svc = Service::open_durable(&dir, &[], config, StoreConfig::default()).unwrap();
+            assert_eq!(svc.total_vectors(), union.len());
+            assert_eq!(rounds(&svc), want, "{kind:?}: after reopen");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! failpoint is armed (see `degraded_query_meets_deadline_with_partial_coverage`,
 //! which re-runs its query after disarming).
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -16,8 +16,9 @@ use qcluster_failpoint::{self as failpoint, Action};
 use qcluster_index::{EuclideanQuery, LinearScan};
 use qcluster_service::{
     dispatch, Executor, ExecutorConfig, Request, Response, Service, ServiceConfig, ServiceError,
-    ShardKind, ShardedCorpus,
+    ShardKind, ShardedCorpus, StoreConfig,
 };
+use qcluster_store::{encode_record_frame, WalRecord};
 
 /// Four well-spread blobs, 64 points each — shard `i` of 4 holds ids
 /// `[64 i, 64 (i + 1))`.
@@ -361,4 +362,111 @@ fn lru_eviction_racing_inflight_query_completes_cleanly() {
         Err(ServiceError::UnknownSession(id)) if id == victim
     ));
     assert_eq!(svc.stats().evictions, 1);
+}
+
+/// A durable service over [`corpus`] in a fresh scratch directory.
+fn durable_service(tag: &str) -> (Service, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("qsvc_chaos_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let svc = Service::open_durable(
+        &dir,
+        &corpus(),
+        ServiceConfig {
+            num_shards: 2,
+            num_workers: 2,
+            ..ServiceConfig::default()
+        },
+        StoreConfig::default(),
+    )
+    .expect("open durable service");
+    (svc, dir)
+}
+
+/// Writes leave the read path: while an ingest sits in a stalled WAL
+/// fsync — holding the writer — a query over a non-empty overlay
+/// answers at once, from everything acked so far and nothing else.
+#[test]
+fn query_does_not_wait_behind_a_stalled_wal_fsync() {
+    let _serial = failpoint::test_lock();
+    failpoint::clear_all();
+
+    let (svc, dir) = durable_service("fsync_stall");
+    let svc = Arc::new(svc);
+    assert_eq!(svc.ingest(vec![100.0, 100.0]).unwrap().id, 256);
+    let session = svc.create_session().unwrap();
+
+    let stall = failpoint::scoped("wal.fsync", Action::Sleep(600));
+    let ingest = {
+        let svc = Arc::clone(&svc);
+        thread::spawn(move || svc.ingest(vec![100.5, 100.5]))
+    };
+    // Once the failpoint has fired, the ingest thread is asleep inside
+    // its fsync, holding the writer for the next 600 ms.
+    let patience = Instant::now() + Duration::from_secs(10);
+    while stall.hits() == 0 && Instant::now() < patience {
+        thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(stall.hits(), 1, "the ingest reached its fsync");
+
+    let started = Instant::now();
+    let out = svc.query_vector(session, vec![100.4, 100.4], 2).unwrap();
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_millis(250),
+        "query waited {waited:?} behind a 600 ms fsync stall"
+    );
+    // The stalled vector is not acked, so not yet visible.
+    let ids: Vec<usize> = out.neighbors.iter().map(|n| n.id).collect();
+    assert_eq!(ids[0], 256, "the acked overlay vector: {ids:?}");
+    assert!(ids[1] < 256, "then the base corpus: {ids:?}");
+    assert_eq!(svc.total_vectors(), 257);
+
+    let acked = ingest.join().unwrap().expect("stalled ingest completes");
+    drop(stall);
+    assert_eq!((acked.id, acked.total), (257, 258));
+    let out = svc.query_vector(session, vec![100.4, 100.4], 2).unwrap();
+    assert_eq!(out.neighbors[0].id, 257, "queryable once acked");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two deliveries of the same shipped record race at `id == total`
+/// while the WAL fsync stalls: the check and the append are one hold of
+/// the writer, so exactly one applies it — in memory and on disk.
+#[test]
+fn racing_deliveries_of_one_record_apply_it_once() {
+    let _serial = failpoint::test_lock();
+    failpoint::clear_all();
+
+    let (svc, dir) = durable_service("repl_race");
+    let svc = Arc::new(svc);
+    let frames = encode_record_frame(&WalRecord::Ingest {
+        id: 256,
+        vector: vec![100.0, 100.0],
+    });
+
+    let stall = failpoint::scoped("wal.fsync", Action::Sleep(600));
+    let start = Arc::new(Barrier::new(2));
+    let deliveries: Vec<_> = (0..2)
+        .map(|_| {
+            let (svc, start, frames) = (Arc::clone(&svc), Arc::clone(&start), frames.clone());
+            thread::spawn(move || {
+                start.wait();
+                svc.apply_replication(&frames)
+            })
+        })
+        .collect();
+    let mut outcomes: Vec<(u64, u64)> = deliveries
+        .into_iter()
+        .map(|d| d.join().unwrap().expect("both deliveries succeed"))
+        .collect();
+    drop(stall);
+    outcomes.sort_unstable();
+    assert_eq!(outcomes, vec![(257, 0), (257, 1)], "(total, applied)");
+    assert_eq!(svc.total_vectors(), 257);
+
+    drop(svc);
+    let reopened =
+        Service::open_durable(&dir, &[], ServiceConfig::default(), StoreConfig::default()).unwrap();
+    assert_eq!(reopened.total_vectors(), 257, "one copy on disk");
+    std::fs::remove_dir_all(&dir).ok();
 }

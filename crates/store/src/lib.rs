@@ -21,7 +21,7 @@
 //!   segments.
 //!
 //! ```
-//! use qcluster_store::{RecoveredState, StoreConfig, VectorStore};
+//! use qcluster_store::{StoreConfig, VectorStore};
 //!
 //! let dir = std::env::temp_dir().join(format!("qstore_doc_{}", std::process::id()));
 //! # std::fs::remove_dir_all(&dir).ok();
@@ -31,11 +31,10 @@
 //! assert_eq!(id, 2);
 //! drop(store);
 //!
-//! // Crash-restart: everything committed comes back, index-ready.
+//! // Crash-restart: everything committed comes back, in id order.
 //! let (_store, recovered) = VectorStore::open(&dir, StoreConfig::default())?;
 //! assert_eq!(recovered.vectors.len(), 3);
-//! let index = recovered.into_index(1024);
-//! assert_eq!(index.len(), 3);
+//! assert_eq!(recovered.vectors[2], vec![2.0, 2.0]);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok::<(), qcluster_store::StoreError>(())
 //! ```
@@ -58,7 +57,7 @@ pub use wal::{
     decode_record_frames, encode_record_frame, replay, WalCursor, WalRecord, WalReplay, WalWriter,
 };
 
-use qcluster_index::{DynamicIndex, QuantizedScan, TileCorpus};
+use qcluster_index::{QuantizedScan, TileCorpus};
 use std::path::Path;
 
 /// Loads one segment into a [`QuantizedScan`]. The segment's columns
@@ -80,25 +79,4 @@ pub fn load_segment_quantized(path: &Path) -> Result<QuantizedScan> {
     let (tiles, codes, params) = reader.load_quantized()?;
     let corpus = TileCorpus::from_tile_parts(tiles, dim, reader.count() as usize);
     Ok(QuantizedScan::from_parts(corpus, codes, params))
-}
-
-impl RecoveredState {
-    /// Restores a [`DynamicIndex`] from the recovered corpus without a
-    /// per-insert rebuild churn: segment vectors become the bulk-loaded
-    /// tree, the WAL tail lands in the index's side buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty recovered corpus (per
-    /// [`DynamicIndex::from_parts`]).
-    pub fn into_index(self, rebuild_threshold: usize) -> DynamicIndex {
-        let indexed = if self.segment_vectors == 0 {
-            // Nothing sealed yet: bulk-load everything (recovery-time
-            // cost identical, and the tree covers the whole corpus).
-            self.vectors.len()
-        } else {
-            self.segment_vectors
-        };
-        DynamicIndex::from_parts(self.vectors, indexed, rebuild_threshold)
-    }
 }

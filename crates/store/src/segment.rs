@@ -364,8 +364,8 @@ impl SegmentReader {
         self.count
     }
 
-    /// Number of pages ([`Self::page`] accepts `0..num_pages()`).
-    pub fn num_pages(&self) -> usize {
+    /// Number of pages [`Self::read_all_flat`] reads through.
+    fn num_pages(&self) -> usize {
         (self.count as usize).div_ceil(self.page_records)
     }
 
@@ -386,14 +386,9 @@ impl SegmentReader {
         Ok(())
     }
 
-    /// Appends one page of records, row-major, onto `out`.
-    fn append_page_flat(&mut self, page: usize, out: &mut Vec<f64>) -> Result<usize> {
-        if page >= self.num_pages() {
-            return Err(StoreError::InvalidArg(format!(
-                "page {page} out of range ({} pages)",
-                self.num_pages()
-            )));
-        }
+    /// Appends page `page < num_pages()` of records, row-major, onto
+    /// `out`.
+    fn append_page_flat(&mut self, page: usize, out: &mut Vec<f64>) -> Result<()> {
         let start = page * self.page_records;
         let len = self.page_records.min(self.count as usize - start);
         out.reserve(len * self.dim);
@@ -413,21 +408,7 @@ impl SegmentReader {
                 out.push(word(t * tile_f64 + j * TILE_LANES + l));
             }
         }
-        Ok(len)
-    }
-
-    /// Reads one page of records, row-major, into the reusable `out`
-    /// buffer (cleared first). Returns the record count — the flat
-    /// sibling of [`SegmentReader::page`] with zero per-record
-    /// allocations.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidArg` for an out-of-range page, `Corrupt` on a short read
-    /// (the file shrank after open), or I/O failures.
-    pub fn read_page_flat(&mut self, page: usize, out: &mut Vec<f64>) -> Result<usize> {
-        out.clear();
-        self.append_page_flat(page, out)
+        Ok(())
     }
 
     /// Reads every record into one flat row-major buffer — ready for
@@ -435,7 +416,8 @@ impl SegmentReader {
     ///
     /// # Errors
     ///
-    /// See [`SegmentReader::read_page_flat`].
+    /// `Corrupt` on a short read (the file shrank after open), or I/O
+    /// failures.
     pub fn read_all_flat(&mut self) -> Result<Vec<f64>> {
         let mut out = Vec::with_capacity(self.count as usize * self.dim);
         for page in 0..self.num_pages() {
@@ -444,25 +426,11 @@ impl SegmentReader {
         Ok(out)
     }
 
-    /// Reads one page of records (the final page may be short).
-    ///
-    /// Prefer [`SegmentReader::read_page_flat`] in hot paths — this
-    /// convenience form allocates one `Vec` per record.
-    ///
-    /// # Errors
-    ///
-    /// See [`SegmentReader::read_page_flat`].
-    pub fn page(&mut self, page: usize) -> Result<Vec<Vec<f64>>> {
-        let mut flat = Vec::new();
-        self.append_page_flat(page, &mut flat)?;
-        Ok(flat.chunks_exact(self.dim).map(<[f64]>::to_vec).collect())
-    }
-
     /// Reads every record, page by page.
     ///
     /// # Errors
     ///
-    /// See [`SegmentReader::page`].
+    /// See [`SegmentReader::read_all_flat`].
     pub fn read_all(&mut self) -> Result<Vec<Vec<f64>>> {
         let flat = self.read_all_flat()?;
         Ok(flat.chunks_exact(self.dim).map(<[f64]>::to_vec).collect())
@@ -529,42 +497,6 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "bitwise-equal round trip");
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn paged_reads_cover_exactly_the_records() {
-        let dir = tmp_dir("pages");
-        let path = dir.join("seg.qseg");
-        let vecs = vectors(10, 3);
-        write_segment(&path, 3, &vecs).unwrap();
-        let mut reader = SegmentReader::open_with_page_size(&path, 4).unwrap();
-        assert_eq!(reader.num_pages(), 3);
-        assert_eq!(reader.page(0).unwrap().len(), 4);
-        assert_eq!(reader.page(2).unwrap().len(), 2, "short final page");
-        assert_eq!(reader.page(1).unwrap(), vecs[4..8].to_vec());
-        assert!(reader.page(3).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn flat_page_reads_match_the_convenience_form() {
-        let dir = tmp_dir("flatpages");
-        let path = dir.join("seg.qseg");
-        let vecs = vectors(29, 5); // non-tile-aligned pages and tail
-        write_segment(&path, 5, &vecs).unwrap();
-        let mut reader = SegmentReader::open_with_page_size(&path, 6).unwrap();
-        let mut flat = Vec::new();
-        for page in 0..reader.num_pages() {
-            let n = reader.read_page_flat(page, &mut flat).unwrap();
-            let rows = reader.page(page).unwrap();
-            assert_eq!(n, rows.len());
-            let want: Vec<f64> = rows.into_iter().flatten().collect();
-            assert_eq!(flat, want, "page {page}");
-        }
-        let all = reader.read_all_flat().unwrap();
-        let want: Vec<f64> = vecs.iter().flatten().copied().collect();
-        assert_eq!(all, want);
         std::fs::remove_dir_all(&dir).ok();
     }
 

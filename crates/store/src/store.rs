@@ -62,9 +62,7 @@ pub struct RecoveredState {
     /// The full corpus in id order: segment vectors, then the WAL tail.
     pub vectors: Vec<Vec<f64>>,
     /// How many of [`Self::vectors`] came from sealed segments (the
-    /// rest were replayed from the WAL — callers restoring a
-    /// [`qcluster_index::DynamicIndex`] pass this as the indexed
-    /// prefix).
+    /// rest were replayed from the WAL).
     pub segment_vectors: usize,
     /// Live sessions, ascending by id.
     pub sessions: Vec<SessionState>,

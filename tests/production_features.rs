@@ -1,12 +1,11 @@
 //! Integration tests for the production-oriented capabilities that extend
-//! the paper's scope: dataset persistence, the growable index, lazy k-NN,
-//! and multi-feature fusion — exercised together, across crates.
+//! the paper's scope: dataset persistence and multi-feature fusion —
+//! exercised together, across crates.
 
 use qcluster::core::{QclusterConfig, QclusterEngine};
-use qcluster::eval::synthetic::SemanticGapConfig;
 use qcluster::eval::{persist, Dataset, FeedbackSession, MultiFeatureDataset};
 use qcluster::imaging::{CorpusBuilder, FeatureKind};
-use qcluster::index::{DynamicIndex, EuclideanQuery};
+use qcluster::index::EuclideanQuery;
 
 #[test]
 fn persisted_dataset_reproduces_feedback_sessions() {
@@ -26,58 +25,6 @@ fn persisted_dataset_reproduces_feedback_sessions() {
         .unwrap();
     for (x, y) in a.iterations.iter().zip(b.iterations.iter()) {
         assert_eq!(x.retrieved, y.retrieved);
-    }
-}
-
-#[test]
-fn dynamic_index_serves_engine_queries_after_growth() {
-    let ds = Dataset::semantic_gap(&SemanticGapConfig {
-        categories: 20,
-        per_mode: 10,
-        ..SemanticGapConfig::default()
-    });
-    let mut index = DynamicIndex::with_rebuild_threshold(ds.vectors().to_vec(), 16);
-
-    // Grow the collection with near-duplicates of category 0's images.
-    for i in 0..40 {
-        let mut p = ds.vector(i % 20).to_vec();
-        p[0] += 1e-4;
-        index.insert(p);
-    }
-    assert!(index.rebuilds() >= 1);
-
-    // A disjunctive engine query over the grown index is exact: compare
-    // against a from-scratch bulk load of the same points.
-    let mut engine = QclusterEngine::new(QclusterConfig::default());
-    let pts: Vec<qcluster::core::FeedbackPoint> = (0..8)
-        .map(|id| qcluster::core::FeedbackPoint::new(id, ds.vector(id).to_vec(), 3.0))
-        .collect();
-    engine.feed(&pts).unwrap();
-    let query = engine.query().unwrap();
-
-    let all: Vec<Vec<f64>> = (0..index.len()).map(|i| index.point(i).to_vec()).collect();
-    let fresh = qcluster::index::HybridTree::bulk_load(&all);
-    let (grown, _) = index.knn(&query, 30, None);
-    let (reference, _) = fresh.knn(&query, 30, None);
-    for (a, b) in grown.iter().zip(reference.iter()) {
-        assert_eq!(a.id, b.id);
-    }
-}
-
-#[test]
-fn lazy_knn_matches_batch_on_real_features() {
-    let ds = Dataset::small_default(FeatureKind::CooccurrenceTexture, 8).unwrap();
-    let query = EuclideanQuery::new(ds.vector(10).to_vec());
-    let (batch, _) = ds.tree().knn(&query, 25, None);
-    let lazy: Vec<_> = ds.tree().knn_iter(&query, None).take(25).collect();
-    for (a, b) in batch.iter().zip(lazy.iter()) {
-        assert_eq!(a.id, b.id);
-    }
-    // And the stream keeps going past any fixed k, still ordered.
-    let more: Vec<_> = ds.tree().knn_iter(&query, None).take(100).collect();
-    assert_eq!(more.len(), 100);
-    for w in more.windows(2) {
-        assert!(w[0].distance <= w[1].distance + 1e-12);
     }
 }
 
