@@ -110,6 +110,27 @@ impl QuantParams {
         })
     }
 
+    /// [`QuantParams::fit`] over one `Vec` per point, without flattening
+    /// them first — bit-identical to fitting the concatenated rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dim == 0` or a point's length is not `dim`.
+    pub fn fit_rows(points: &[Vec<f64>], dim: usize) -> Self {
+        assert!(dim > 0, "dim must be positive");
+        assert!(
+            points.iter().all(|p| p.len() == dim),
+            "inconsistent dimensionality"
+        );
+        Self::fit_visit(dim, points.len(), |visit| {
+            for row in points {
+                for (j, &v) in row.iter().enumerate() {
+                    visit(j, v);
+                }
+            }
+        })
+    }
+
     /// [`QuantParams::fit`] over a tile-major column (see
     /// [`TileCorpus`]) holding `len` real points — padding lanes of the
     /// final tile are skipped, never polluting the fitted range. The
@@ -1431,9 +1452,11 @@ mod tests {
             let tiled = TileCorpus::from_flat(&flat, 5);
             let got = QuantParams::fit_tiles(tiled.tiles(), 5, n);
             assert_eq!(got, want, "n={n}");
+            assert_eq!(QuantParams::fit_rows(&pts, 5), want, "n={n}");
         }
-        // Empty corpora degrade to zero ranges in both forms.
+        // Empty corpora degrade to zero ranges in every form.
         assert_eq!(QuantParams::fit_tiles(&[], 3, 0), QuantParams::fit(&[], 3));
+        assert_eq!(QuantParams::fit_rows(&[], 3), QuantParams::fit(&[], 3));
     }
 
     #[test]

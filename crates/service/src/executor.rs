@@ -546,7 +546,7 @@ mod tests {
         let pts = spiral(500);
         let expect = LinearScan::new(&pts).knn(&EuclideanQuery::new(vec![1.0, -2.0, 3.0]), 25);
         let executor = pool(3);
-        for kind in [ShardKind::Scan, ShardKind::Tree] {
+        for kind in [ShardKind::Scan, ShardKind::Tree, ShardKind::Quantized] {
             for shards in [1, 2, 4, 7] {
                 let corpus = ShardedCorpus::build(&pts, shards, kind);
                 let q = EuclideanQuery::new(vec![1.0, -2.0, 3.0]);

@@ -8,8 +8,9 @@
 //! Subsystems:
 //!
 //! - [`shard`] — the corpus split into contiguous partitions, each with
-//!   its own index (linear scan with bounded top-k heaps, or hybrid
-//!   tree), answering k-NN with global ids.
+//!   its own index (the two-phase quantized scan by default; exact
+//!   linear scan or hybrid tree on request — see [`ShardKind`]),
+//!   answering k-NN with global ids.
 //! - [`executor`] — a persistent worker pool fed through crossbeam
 //!   channels; one query fans out across all shards (each job gets its
 //!   own query clone, because refined queries are `Send` but not `Sync`)

@@ -28,8 +28,9 @@ pub struct ServiceConfig {
     pub num_shards: usize,
     /// Worker threads in the k-NN pool.
     pub num_workers: usize,
-    /// Index structure per shard ([`ShardKind::Quantized`] turns on the
-    /// two-phase u8 scan; results stay bit-for-bit exact).
+    /// Index structure per shard. Every kind answers bit for bit the
+    /// same; the default is [`ShardKind::default`], the two-phase u8
+    /// scan.
     pub shard_kind: ShardKind,
     /// Maximum live sessions.
     pub max_sessions: usize,
@@ -59,7 +60,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             num_shards: 4,
             num_workers: 4,
-            shard_kind: ShardKind::Tree,
+            shard_kind: ShardKind::default(),
             max_sessions: 64,
             idle_ttl: None,
             evict_lru_at_capacity: true,
@@ -270,7 +271,7 @@ impl Service {
     /// live-ingest overlay past them.
     fn vector_of(&self, overlay: &LinearScan, id: usize) -> Result<Vec<f64>, ServiceError> {
         if id < self.base_len {
-            Ok(self.corpus.point(id).to_vec())
+            Ok(self.corpus.point(id))
         } else if id - self.base_len < overlay.len() {
             Ok(overlay.point(id - self.base_len).to_vec())
         } else {
@@ -915,21 +916,33 @@ mod tests {
             .collect()
     }
 
-    fn small_service() -> Service {
+    fn small_service_of(shard_kind: ShardKind) -> Service {
         Service::new(
             &two_blob_corpus(24),
             ServiceConfig {
                 num_shards: 3,
                 num_workers: 2,
+                shard_kind,
                 ..ServiceConfig::default()
             },
         )
         .unwrap()
     }
 
+    fn small_service() -> Service {
+        small_service_of(ShardKind::default())
+    }
+
+    #[test]
+    fn the_default_shard_kind_is_defined_once_and_is_quantized() {
+        assert_eq!(ServiceConfig::default().shard_kind, ShardKind::default());
+        assert_eq!(ServiceConfig::default().shard_kind, ShardKind::Quantized);
+    }
+
     #[test]
     fn full_session_lifecycle_end_to_end() {
-        let svc = small_service();
+        // Tree shards: the cache assertions below are about node reuse.
+        let svc = small_service_of(ShardKind::Tree);
         let id = svc.create_session().unwrap();
 
         // Round 0: example-image query near blob A.
@@ -964,25 +977,17 @@ mod tests {
     #[test]
     fn quantized_service_matches_exact_and_reports_gauges() {
         let points = two_blob_corpus(40);
-        let exact = Service::new(
-            &points,
-            ServiceConfig {
+        let service_of = |shard_kind| {
+            let config = ServiceConfig {
                 num_shards: 3,
                 num_workers: 2,
+                shard_kind,
                 ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let quant = Service::new(
-            &points,
-            ServiceConfig {
-                num_shards: 3,
-                num_workers: 2,
-                shard_kind: crate::shard::ShardKind::Quantized,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
+            };
+            Service::new(&points, config).unwrap()
+        };
+        let exact = service_of(ShardKind::Scan);
+        let quant = service_of(ShardKind::Quantized);
 
         let e = exact.create_session().unwrap();
         let q = quant.create_session().unwrap();
@@ -1138,6 +1143,51 @@ mod tests {
         assert_eq!(stats.ingests, 6);
         assert_eq!(stats.storage.wal_vectors, 6);
         assert!(stats.storage.wal_appends >= 6);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A quantized shard holds no row-major copy of its points:
+    /// `vectors_by_id` un-transposes them out of the tile column, and
+    /// `feed_ids` feeds exactly those bits — base and overlay alike.
+    #[test]
+    fn quantized_service_resolves_ids_to_the_ingested_bits() {
+        let dir = tmp_dir("quantized_ids");
+        // 21 base points over 2 shards: 11 + 10, both ending mid-tile.
+        let base: Vec<Vec<f64>> = two_blob_corpus(11)[..21].to_vec();
+        let ingested = vec![vec![0.1 + 0.2, -1.0 / 3.0], vec![10.25, 9.75]];
+        let union: Vec<Vec<f64>> = base.iter().chain(&ingested).cloned().collect();
+        let config = ServiceConfig {
+            shard_kind: ShardKind::Quantized,
+            ..durable_config()
+        };
+        let svc = Service::open_durable(&dir, &base, config, StoreConfig::default()).unwrap();
+        for v in &ingested {
+            svc.ingest(v.clone()).unwrap();
+        }
+
+        let ids: Vec<usize> = (0..union.len()).rev().collect();
+        let got = svc.vectors_by_id(&ids).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (&id, v) in ids.iter().zip(&got) {
+            assert_eq!(bits(v), bits(&union[id]), "id {id}");
+        }
+
+        // Feeding by id is feeding those vectors: same refined answer.
+        let marked = [0, 10, 11, 20, 21, 22];
+        let by_id = svc.create_session().unwrap();
+        svc.feed_ids(by_id, &marked, None).unwrap();
+        let by_vector = svc.create_session().unwrap();
+        let points: Vec<FeedbackPoint> = marked
+            .iter()
+            .map(|&id| FeedbackPoint::new(id, union[id].clone(), svc.config().default_score))
+            .collect();
+        svc.feed(by_vector, &points).unwrap();
+        let a = svc.query(by_id, 8).unwrap().neighbors;
+        let b = svc.query(by_vector, 8).unwrap().neighbors;
+        assert_eq!(a.len(), 8);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!((x.id, x.distance.to_bits()), (y.id, y.distance.to_bits()));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,9 +3,9 @@
 //!
 //! Shard `i` holds the contiguous id range `[i·chunk, min((i+1)·chunk, n))`,
 //! so translating a shard-local hit back to the corpus id is a single
-//! addition and [`ShardedCorpus::point`] locates any vector with one
-//! division. Contiguity also means the shards together are exactly the
-//! corpus — the merged per-shard top-k equals the global top-k.
+//! addition and [`ShardedCorpus::point`] locates any vector's owning
+//! shard with one division. Contiguity also means the shards together are
+//! exactly the corpus — the merged per-shard top-k equals the global top-k.
 
 use qcluster_index::{
     HybridTree, LinearScan, Neighbor, NodeCache, QuantizedScan, QueryDistance, SearchStats,
@@ -20,21 +20,31 @@ pub enum ShardKind {
     /// sequential-read slot.
     Scan,
     /// Bulk-loaded hybrid tree: pruned best-first search plus real
-    /// node-granular cache accounting (the multipoint approach).
-    #[default]
+    /// node-granular cache accounting (the multipoint approach). Wins on
+    /// low-dimensional, well-separated corpora, where boxes do prune, and
+    /// under the full-inverse covariance scheme; degrades to a slow scan
+    /// where they do not.
     Tree,
     /// Two-phase quantized scan: phase 1 bounds every point from its u8
     /// codes, phase 2 exactly reranks the surviving window — results
     /// bit-for-bit equal to [`ShardKind::Scan`], at a fraction of the
     /// memory bandwidth. Falls back to the exact scan whenever the
-    /// query cannot be soundly bounded.
+    /// query cannot be soundly bounded. The default: its worst case is
+    /// linear in the corpus and nothing worse.
+    #[default]
     Quantized,
 }
 
 #[derive(Debug)]
 enum ShardIndex {
     Scan(LinearScan),
-    Tree(HybridTree),
+    /// Bulk-loading permutes the tree's own buffer, so a tree shard also
+    /// keeps its points row-major in id order for [`Shard::point`]. The
+    /// scan kinds read their own column and hold each vector once.
+    Tree {
+        tree: HybridTree,
+        rows: Vec<f64>,
+    },
     Quantized(QuantizedScan),
 }
 
@@ -50,7 +60,10 @@ impl Shard {
     fn build(points: &[Vec<f64>], base: usize, kind: ShardKind) -> Self {
         let index = match kind {
             ShardKind::Scan => ShardIndex::Scan(LinearScan::new(points)),
-            ShardKind::Tree => ShardIndex::Tree(HybridTree::bulk_load(points)),
+            ShardKind::Tree => ShardIndex::Tree {
+                tree: HybridTree::bulk_load(points),
+                rows: points.concat(),
+            },
             ShardKind::Quantized => ShardIndex::Quantized(QuantizedScan::from_rows(points)),
         };
         Shard { index, base }
@@ -60,7 +73,7 @@ impl Shard {
     pub fn len(&self) -> usize {
         match &self.index {
             ShardIndex::Scan(s) => s.len(),
-            ShardIndex::Tree(t) => t.len(),
+            ShardIndex::Tree { tree, .. } => tree.len(),
             ShardIndex::Quantized(q) => q.len(),
         }
     }
@@ -80,7 +93,7 @@ impl Shard {
     pub fn num_nodes(&self) -> usize {
         match &self.index {
             ShardIndex::Scan(_) | ShardIndex::Quantized(_) => 1,
-            ShardIndex::Tree(t) => t.num_nodes(),
+            ShardIndex::Tree { tree, .. } => tree.num_nodes(),
         }
     }
 
@@ -98,13 +111,28 @@ impl Shard {
     ) -> (Vec<Neighbor>, SearchStats) {
         let (mut neighbors, stats) = match &self.index {
             ShardIndex::Scan(s) => scan_top_k(s, query, k, cache),
-            ShardIndex::Tree(t) => t.knn(&query, k, cache),
+            ShardIndex::Tree { tree, .. } => tree.knn(&query, k, cache),
             ShardIndex::Quantized(q) => quantized_top_k(q, query, k, cache),
         };
         for n in &mut neighbors {
             n.id += self.base;
         }
         (neighbors, stats)
+    }
+
+    /// The vector of the shard-local point `local`.
+    fn point(&self, local: usize) -> Vec<f64> {
+        match &self.index {
+            ShardIndex::Scan(s) => s.point(local).to_vec(),
+            ShardIndex::Tree { tree, rows } => {
+                rows[local * tree.dim()..(local + 1) * tree.dim()].to_vec()
+            }
+            ShardIndex::Quantized(q) => {
+                let mut out = vec![0.0; q.corpus().dim()];
+                q.corpus().copy_point(local, &mut out);
+                out
+            }
+        }
     }
 }
 
@@ -169,9 +197,9 @@ fn quantized_top_k<Q: QueryDistance + ?Sized>(
 #[derive(Debug, Clone)]
 pub struct ShardedCorpus {
     shards: Vec<Arc<Shard>>,
-    /// Flat copy of every point for O(1) id → vector lookups (the shards'
-    /// own buffers are permuted by tree bulk-loading).
-    data: Arc<Vec<f64>>,
+    /// Points per shard (the last one may hold fewer): id → shard is
+    /// `id / chunk`.
+    chunk: usize,
     dim: usize,
     len: usize,
 }
@@ -201,13 +229,9 @@ impl ShardedCorpus {
             .enumerate()
             .map(|(i, slice)| Arc::new(Shard::build(slice, i * chunk, kind)))
             .collect();
-        let mut data = Vec::with_capacity(points.len() * dim);
-        for p in points {
-            data.extend_from_slice(p);
-        }
         ShardedCorpus {
             shards,
-            data: Arc::new(data),
+            chunk,
             dim,
             len: points.len(),
         }
@@ -238,14 +262,15 @@ impl ShardedCorpus {
         &self.shards
     }
 
-    /// The vector of the point with global id `id`.
+    /// The vector of the point with global id `id`, read from the owning
+    /// shard.
     ///
     /// # Panics
     ///
     /// Panics when `id` is out of range.
-    pub fn point(&self, id: usize) -> &[f64] {
+    pub fn point(&self, id: usize) -> Vec<f64> {
         assert!(id < self.len, "point id out of range");
-        &self.data[id * self.dim..(id + 1) * self.dim]
+        self.shards[id / self.chunk].point(id % self.chunk)
     }
 }
 
@@ -286,14 +311,27 @@ mod tests {
 
     #[test]
     fn global_ids_and_point_lookup_round_trip() {
+        // 23 points over 4 shards: 6 + 6 + 6 + 5, so the last shard is
+        // ragged and every quantized shard ends in a padded tile.
         let pts = ring(23);
-        let corpus = ShardedCorpus::build(&pts, 4, ShardKind::Tree);
-        assert_eq!(corpus.len(), 23);
-        for (id, p) in pts.iter().enumerate() {
-            assert_eq!(corpus.point(id), p.as_slice());
+        for kind in [ShardKind::Scan, ShardKind::Tree, ShardKind::Quantized] {
+            let corpus = ShardedCorpus::build(&pts, 4, kind);
+            assert_eq!(corpus.len(), 23);
+            assert_eq!(corpus.num_shards(), 4);
+            for (id, p) in pts.iter().enumerate() {
+                assert_eq!(&corpus.point(id), p, "{kind:?}: id {id}");
+            }
+            let lens: Vec<usize> = corpus.shards().iter().map(|s| s.len()).collect();
+            assert_eq!(lens, [6, 6, 6, 5], "{kind:?}");
         }
-        let total: usize = corpus.shards().iter().map(|s| s.len()).sum();
-        assert_eq!(total, 23);
+    }
+
+    /// Local id 5 of the ragged last shard is padding inside its last
+    /// tile: readable memory, not a point.
+    #[test]
+    #[should_panic(expected = "point id out of range")]
+    fn point_lookup_past_the_end_panics() {
+        let _ = ShardedCorpus::build(&ring(23), 4, ShardKind::default()).point(23);
     }
 
     #[test]

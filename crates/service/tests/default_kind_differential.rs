@@ -1,0 +1,115 @@
+//! The shipped default answers exactly like the other shard kinds:
+//! `ServiceConfig::default()` against `Scan` and `Tree`, compared on ids
+//! and `distance.to_bits()`, over generated corpus sizes, dimensions
+//! and `k` — under the diagonal scheme (the u8 fast path) and under the
+//! full-inverse scheme (every refined shard scan a plan miss).
+//!
+//! Every generated corpus has a length that is a multiple of neither 8
+//! (a padded last tile) nor the shard count (a ragged last shard), and a
+//! pair of identical vectors either side of the first shard boundary,
+//! which the example query asks for: the tie must go to the lower id.
+
+use proptest::prelude::*;
+use qcluster_core::{CovarianceScheme, QclusterConfig};
+use qcluster_service::{Service, ServiceConfig, ShardKind};
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+const SHARDS: usize = 3;
+
+/// Two blobs, ids below `n / 2` around the origin and the rest around
+/// `(10, …, 10)`, with the point after the first shard boundary
+/// overwritten by a copy of the one before it.
+fn corpus(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut points: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            let centre = if i < n / 2 { 0.0 } else { 10.0 };
+            (0..dim)
+                .map(|_| centre + rng.gen_range(-1.0..1.0))
+                .collect()
+        })
+        .collect();
+    let chunk = n.div_ceil(SHARDS);
+    points[chunk] = points[chunk - 1].clone();
+    points
+}
+
+type Bits = Vec<(usize, u64)>;
+
+/// One session: the example query, a feed that leaves ≥ 2 clusters, the
+/// refined query.
+fn rounds(svc: &Service, example: &[f64], marked: &[usize], k: usize) -> (Bits, Bits) {
+    let bits = |neighbors: &[qcluster_index::Neighbor]| -> Bits {
+        neighbors
+            .iter()
+            .map(|n| (n.id, n.distance.to_bits()))
+            .collect()
+    };
+    let session = svc.create_session().unwrap();
+    let first = svc.query_vector(session, example.to_vec(), k).unwrap();
+    let fed = svc.feed_ids(session, marked, None).unwrap();
+    assert!(fed.clusters.unwrap() >= 2, "a disjunctive query");
+    let refined = svc.query(session, k).unwrap();
+    (bits(&first.neighbors), bits(&refined.neighbors))
+}
+
+proptest! {
+    #[test]
+    fn default_service_answers_like_scan_and_tree(
+        n in 9usize..160,
+        dim in 1usize..20,
+        k_permille in 0usize..1000,
+        seed in any::<u64>(),
+    ) {
+        let mut n = n;
+        while n % 8 == 0 || n % SHARDS == 0 {
+            n += 1;
+        }
+        // 1 ..= n + 2: from one neighbour to more than the corpus holds,
+        // past a shard's length (n / 3) two times in three.
+        let k = 1 + k_permille * (n + 2) / 1000;
+        let points = corpus(n, dim, seed);
+        let chunk = n.div_ceil(SHARDS);
+        let example = &points[chunk];
+        // Four ids from each blob.
+        let marked = [0, 1, 2, 3, n - 4, n - 3, n - 2, n - 1];
+
+        let diagonal = ServiceConfig {
+            num_shards: SHARDS,
+            num_workers: 2,
+            ..ServiceConfig::default()
+        };
+        let full = ServiceConfig {
+            engine: QclusterConfig {
+                scheme: CovarianceScheme::default_full(),
+                ..QclusterConfig::default()
+            },
+            ..diagonal.clone()
+        };
+        for base in [&diagonal, &full] {
+            let shipped = Service::new(&points, base.clone()).expect("spawn service");
+            let got = rounds(&shipped, example, &marked, k);
+            prop_assert_eq!(got.0.len(), k.min(n));
+            prop_assert_eq!(got.1.len(), k.min(n));
+            prop_assert_eq!(got.0[0], (chunk - 1, 0), "the lower id wins the tie");
+            if k > 1 {
+                prop_assert_eq!(got.0[1], (chunk, 0), "its copy across the boundary is next");
+            }
+            for kind in [ShardKind::Scan, ShardKind::Tree] {
+                let config = ServiceConfig { shard_kind: kind, ..base.clone() };
+                let other = Service::new(&points, config).expect("spawn service");
+                let want = rounds(&other, example, &marked, k);
+                prop_assert_eq!(&got, &want, "{:?} n={} dim={} k={}", kind, n, dim, k);
+            }
+
+            let quant = shipped.stats().quant;
+            prop_assert!(quant.phase1_points > 0, "the default runs the u8 scan");
+            prop_assert_eq!(quant.fallback_rescans, 0);
+            if base.engine.scheme == CovarianceScheme::default_full() {
+                // No diagonal weights, no plan: each refined shard scan
+                // is served exactly and counted.
+                prop_assert!(quant.plan_misses > 0);
+            }
+        }
+    }
+}

@@ -26,9 +26,9 @@
 //! Version 2 is the only format: any other version in the header is a
 //! typed `unsupported segment version` error at open.
 //!
-//! Writers stage into a `.tmp` sibling and atomically rename on
-//! [`SegmentWriter::finish`], so a crash mid-write never leaves a
-//! half-segment under the real name. [`SegmentReader::open`] validates
+//! Writers stage into a `.tmp` sibling and atomically rename when they
+//! seal ([`write_segment`], [`SegmentWriter::finish`]), so a crash
+//! mid-write never leaves a half-segment under the real name. [`SegmentReader::open`] validates
 //! the header, footer, file length, and column CRC before returning.
 
 use crate::codec::{read_exact_or_eof, Crc32};
@@ -64,18 +64,124 @@ pub(crate) fn sync_parent_dir(path: &Path) {
     }
 }
 
-/// Buffered writer sealing one v2 segment file.
-///
-/// Appends scatter straight into the tile-major staging column (no
-/// intermediate row buffer); [`SegmentWriter::finish`] fits the
-/// quantization parameters over the staged tiles, derives the code
-/// column, and writes the whole file in one streaming pass.
+/// The staged file of one segment: the header at creation, then the
+/// CRC'd body in file order (params, exact column, code column), then
+/// [`Staged::seal`].
 #[derive(Debug)]
-pub struct SegmentWriter {
+struct Staged {
     file: BufWriter<File>,
     tmp_path: PathBuf,
     final_path: PathBuf,
     dim: usize,
+    crc: Crc32,
+    /// Body bytes converted but not yet CRC'd and written.
+    pending: Vec<u8>,
+}
+
+impl Staged {
+    fn create(path: &Path, dim: usize) -> Result<Self> {
+        if dim == 0 {
+            return Err(StoreError::InvalidArg(
+                "segment dim must be positive".into(),
+            ));
+        }
+        let mut tmp_path = path.as_os_str().to_owned();
+        tmp_path.push(".tmp");
+        let tmp_path = PathBuf::from(tmp_path);
+        let mut file = BufWriter::new(File::create(&tmp_path)?);
+        file.write_all(MAGIC)?;
+        file.write_all(&VERSION_V2.to_le_bytes())?;
+        let dim32 = u32::try_from(dim).expect("dim fits u32");
+        file.write_all(&dim32.to_le_bytes())?;
+        file.write_all(&0u32.to_le_bytes())?;
+        Ok(Staged {
+            file,
+            tmp_path,
+            final_path: path.to_path_buf(),
+            dim,
+            crc: Crc32::new(),
+            pending: Vec::with_capacity(IO_CHUNK + 24),
+        })
+    }
+
+    fn flush_pending(&mut self) -> Result<()> {
+        self.crc.update(&self.pending);
+        self.file.write_all(&self.pending)?;
+        self.pending.clear();
+        Ok(())
+    }
+
+    fn put_f64s(&mut self, values: &[f64]) -> Result<()> {
+        for v in values {
+            self.pending.extend_from_slice(&v.to_le_bytes());
+            if self.pending.len() >= IO_CHUNK {
+                self.flush_pending()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn put_params(&mut self, params: &QuantParams) -> Result<()> {
+        for j in 0..self.dim {
+            self.put_f64s(&[params.min()[j], params.delta()[j], params.max_err()[j]])?;
+        }
+        Ok(())
+    }
+
+    fn put_codes(&mut self, codes: &[u8]) -> Result<()> {
+        self.flush_pending()?;
+        self.crc.update(codes);
+        self.file.write_all(codes)?;
+        Ok(())
+    }
+
+    /// Writes the footer, fsyncs, and atomically renames the staged file
+    /// into place. On failure the `.tmp` file is left behind for
+    /// debugging (and ignored by [`SegmentReader`] and the store).
+    fn seal(mut self, count: u64) -> Result<u64> {
+        self.flush_pending()?;
+        let dim32 = u32::try_from(self.dim).expect("dim fits u32");
+        self.file.write_all(&count.to_le_bytes())?;
+        self.file.write_all(&dim32.to_le_bytes())?;
+        self.file.write_all(&self.crc.finish().to_le_bytes())?;
+        self.file.write_all(FOOTER_MAGIC)?;
+        self.file.flush()?;
+        // Failpoint `segment.finish`: fail the seal before the staged
+        // file is published — the `.tmp` stays behind, the final path
+        // never appears, and recovery must not see a half segment.
+        if let Some(action) = qcluster_failpoint::evaluate_sleepy("segment.finish") {
+            return Err(crate::wal::injected_io("segment.finish", action).into());
+        }
+        self.file.get_ref().sync_all()?;
+        std::fs::rename(&self.tmp_path, &self.final_path)?;
+        sync_parent_dir(&self.final_path);
+        Ok(count)
+    }
+}
+
+fn dim_mismatch(got: usize, dim: usize) -> StoreError {
+    StoreError::InvalidArg(format!("vector dim {got} but segment dim {dim}"))
+}
+
+/// Column-major scatter of `vector` into lane `lane` of `tile`.
+fn scatter(tile: &mut [f64], lane: usize, vector: &[f64]) {
+    for (j, &v) in vector.iter().enumerate() {
+        tile[j * TILE_LANES + lane] = v;
+    }
+}
+
+/// Incremental writer sealing one v2 segment file, for callers that do
+/// not hold all their vectors up front.
+///
+/// Appends scatter straight into the tile-major staging column (no
+/// intermediate row buffer); [`SegmentWriter::finish`] fits the
+/// quantization parameters over the staged tiles, derives the code
+/// column, and writes the whole file in one streaming pass. The staging
+/// column is a second copy of every vector: a caller that has them all
+/// in memory uses [`write_segment`], which stages one tile.
+#[derive(Debug)]
+pub struct SegmentWriter {
+    staged: Staged,
     count: u64,
     /// Tile-major exact staging: grows one zeroed tile per 8 appends.
     tiles: Vec<f64>,
@@ -88,20 +194,8 @@ impl SegmentWriter {
     ///
     /// `InvalidArg` for `dim == 0`, otherwise I/O failures.
     pub fn create(path: &Path, dim: usize) -> Result<Self> {
-        if dim == 0 {
-            return Err(StoreError::InvalidArg(
-                "segment dim must be positive".into(),
-            ));
-        }
-        let mut tmp_path = path.as_os_str().to_owned();
-        tmp_path.push(".tmp");
-        let tmp_path = PathBuf::from(tmp_path);
-        let file = BufWriter::new(File::create(&tmp_path)?);
         Ok(SegmentWriter {
-            file,
-            tmp_path,
-            final_path: path.to_path_buf(),
-            dim,
+            staged: Staged::create(path, dim)?,
             count: 0,
             tiles: Vec::new(),
         })
@@ -119,101 +213,70 @@ impl SegmentWriter {
     ///
     /// `InvalidArg` on dimensionality mismatch.
     pub fn append(&mut self, vector: &[f64]) -> Result<()> {
-        if vector.len() != self.dim {
-            return Err(StoreError::InvalidArg(format!(
-                "vector dim {} but segment dim {}",
-                vector.len(),
-                self.dim
-            )));
+        let tile = self.staged.dim * TILE_LANES;
+        if vector.len() != self.staged.dim {
+            return Err(dim_mismatch(vector.len(), self.staged.dim));
         }
         let lane = (self.count as usize) % TILE_LANES;
         if lane == 0 {
-            self.tiles
-                .resize(self.tiles.len() + self.dim * TILE_LANES, 0.0);
+            self.tiles.resize(self.tiles.len() + tile, 0.0);
         }
-        let base = self.tiles.len() - self.dim * TILE_LANES;
-        for (j, &v) in vector.iter().enumerate() {
-            self.tiles[base + j * TILE_LANES + lane] = v;
-        }
+        let base = self.tiles.len() - tile;
+        scatter(&mut self.tiles[base..], lane, vector);
         self.count += 1;
         Ok(())
     }
 
-    /// Fits quantization parameters, writes header + params + exact
-    /// tiles + codes + footer, fsyncs, and atomically renames the
-    /// staged file into place. Returns the record count.
+    /// Fits quantization parameters, writes params + exact tiles +
+    /// codes + footer, fsyncs, and atomically renames the staged file
+    /// into place. Returns the record count.
     ///
     /// # Errors
     ///
     /// I/O failures; the staged `.tmp` file is left behind for debugging
     /// on failure (and ignored by [`SegmentReader`] and the store).
     pub fn finish(mut self) -> Result<u64> {
-        let params = QuantParams::fit_tiles(&self.tiles, self.dim, self.count as usize);
+        let params = QuantParams::fit_tiles(&self.tiles, self.staged.dim, self.count as usize);
         let mut codes = vec![0u8; self.tiles.len()];
         params.encode_tiles(&self.tiles, &mut codes);
-
-        self.file.write_all(MAGIC)?;
-        self.file.write_all(&VERSION_V2.to_le_bytes())?;
-        let dim32 = u32::try_from(self.dim).expect("dim fits u32");
-        self.file.write_all(&dim32.to_le_bytes())?;
-        self.file.write_all(&0u32.to_le_bytes())?;
-
-        let mut crc = Crc32::new();
-        let mut buf = Vec::with_capacity(IO_CHUNK + 24);
-        for j in 0..self.dim {
-            buf.extend_from_slice(&params.min()[j].to_le_bytes());
-            buf.extend_from_slice(&params.delta()[j].to_le_bytes());
-            buf.extend_from_slice(&params.max_err()[j].to_le_bytes());
-            if buf.len() >= IO_CHUNK {
-                crc.update(&buf);
-                self.file.write_all(&buf)?;
-                buf.clear();
-            }
-        }
-        for &v in &self.tiles {
-            buf.extend_from_slice(&v.to_le_bytes());
-            if buf.len() >= IO_CHUNK {
-                crc.update(&buf);
-                self.file.write_all(&buf)?;
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            crc.update(&buf);
-            self.file.write_all(&buf)?;
-        }
-        crc.update(&codes);
-        self.file.write_all(&codes)?;
-
-        self.file.write_all(&self.count.to_le_bytes())?;
-        self.file.write_all(&dim32.to_le_bytes())?;
-        self.file.write_all(&crc.finish().to_le_bytes())?;
-        self.file.write_all(FOOTER_MAGIC)?;
-        self.file.flush()?;
-        // Failpoint `segment.finish`: fail the seal before the staged
-        // file is published — the `.tmp` stays behind, the final path
-        // never appears, and recovery must not see a half segment.
-        if let Some(action) = qcluster_failpoint::evaluate_sleepy("segment.finish") {
-            return Err(crate::wal::injected_io("segment.finish", action).into());
-        }
-        self.file.get_ref().sync_all()?;
-        std::fs::rename(&self.tmp_path, &self.final_path)?;
-        sync_parent_dir(&self.final_path);
-        Ok(self.count)
+        self.staged.put_params(&params)?;
+        self.staged.put_f64s(&self.tiles)?;
+        self.staged.put_codes(&codes)?;
+        self.staged.seal(self.count)
     }
 }
 
-/// Writes `vectors` as one (v2) segment file in a single call.
+/// Writes `vectors` as one (v2) segment file in a single call — the same
+/// bytes [`SegmentWriter`] seals, without its staging column: the
+/// parameters are fitted over the rows, then each 8-point tile is
+/// transposed, coded and written as it is made, so the only corpus-sized
+/// buffer is the u8 code column (it follows the exact column in the
+/// file).
 ///
 /// # Errors
 ///
-/// See [`SegmentWriter`].
+/// `InvalidArg` for `dim == 0` or a dimensionality mismatch, otherwise
+/// I/O failures.
 pub fn write_segment(path: &Path, dim: usize, vectors: &[Vec<f64>]) -> Result<u64> {
-    let mut writer = SegmentWriter::create(path, dim)?;
-    for v in vectors {
-        writer.append(v)?;
+    let mut staged = Staged::create(path, dim)?;
+    if let Some(bad) = vectors.iter().find(|v| v.len() != dim) {
+        return Err(dim_mismatch(bad.len(), dim));
     }
-    writer.finish()
+    let params = QuantParams::fit_rows(vectors, dim);
+    staged.put_params(&params)?;
+    let mut tile = vec![0.0f64; dim * TILE_LANES];
+    let mut codes = vec![0u8; vectors.len().div_ceil(TILE_LANES) * tile.len()];
+    let groups = vectors.chunks(TILE_LANES);
+    for (group, tile_codes) in groups.zip(codes.chunks_exact_mut(tile.len())) {
+        tile.fill(0.0);
+        for (lane, vector) in group.iter().enumerate() {
+            scatter(&mut tile, lane, vector);
+        }
+        params.encode_tiles(&tile, tile_codes);
+        staged.put_f64s(&tile)?;
+    }
+    staged.put_codes(&codes)?;
+    staged.seal(vectors.len() as u64)
 }
 
 /// Validating, paged reader over one segment file.
@@ -514,6 +577,35 @@ mod tests {
         assert_eq!(&tiles, fresh.corpus().tiles());
         assert_eq!(&codes, fresh.codes());
         assert_eq!(&params, fresh.params());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The one-call writer streams tile by tile; the incremental one
+    /// stages the whole column. Same file, byte for byte — ragged last
+    /// tile, body longer than one I/O chunk, and empty included.
+    #[test]
+    fn streamed_and_staged_writers_seal_the_same_bytes() {
+        let dir = tmp_dir("samebytes");
+        for (n, dim) in [(0, 3), (1, 3), (8, 3), (13, 5), (2500, 7)] {
+            let vecs = vectors(n, dim);
+            let streamed = dir.join(format!("streamed-{n}.qseg"));
+            write_segment(&streamed, dim, &vecs).unwrap();
+            let staged = dir.join(format!("staged-{n}.qseg"));
+            let mut w = SegmentWriter::create(&staged, dim).unwrap();
+            for v in &vecs {
+                w.append(v).unwrap();
+            }
+            assert_eq!(w.finish().unwrap(), n as u64);
+            let (a, b) = (std::fs::read(&streamed), std::fs::read(&staged));
+            assert_eq!(a.unwrap(), b.unwrap(), "n={n} dim={dim}");
+        }
+        let ragged = [vec![1.0, 2.0], vec![3.0]];
+        let path = dir.join("ragged.qseg");
+        assert!(matches!(
+            write_segment(&path, 2, &ragged),
+            Err(StoreError::InvalidArg(_))
+        ));
+        assert!(!path.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
