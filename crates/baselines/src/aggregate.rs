@@ -17,6 +17,7 @@
 //! point, each with its own per-dimension weights — sufficient for every
 //! baseline (the full-covariance case lives in `qcluster-core`).
 
+use qcluster_core::Cluster;
 use qcluster_index::{BoundingBox, QueryDistance};
 
 /// Which aggregate combination rule to apply.
@@ -92,6 +93,25 @@ impl MultiPointQuery {
             kind,
             total_mass,
         }
+    }
+
+    /// One component per cluster: its centroid, its diagonal inverse
+    /// variances `1 / (σ_d² + lambda)` as per-dimension weights, and its
+    /// mass — the ingredients Eq. 5 consumes, under any aggregate rule.
+    pub fn from_clusters(clusters: &[Cluster], lambda: f64, kind: AggregateKind) -> Self {
+        let points = clusters
+            .iter()
+            .map(|c| {
+                let weights = c
+                    .covariance()
+                    .diagonal()
+                    .iter()
+                    .map(|&v| 1.0 / (v.max(0.0) + lambda))
+                    .collect();
+                (c.mean().to_vec(), weights, c.mass())
+            })
+            .collect();
+        Self::new(points, kind)
     }
 
     /// Uniform-weight constructor: every point gets unit per-dim weights

@@ -10,9 +10,9 @@
 //! both properties faithfully.
 
 use crate::aggregate::{AggregateKind, MultiPointQuery};
-use crate::method::{validate, RetrievalMethod};
+use crate::method::{absorb, RetrievalMethod};
 use qcluster_core::{CoreError, FeedbackPoint, Result};
-use qcluster_index::QueryDistance;
+use qcluster_index::FanoutQuery;
 
 /// FALCON's default exponent.
 pub const FALCON_DEFAULT_ALPHA: f64 = -5.0;
@@ -60,17 +60,10 @@ impl RetrievalMethod for Falcon {
     }
 
     fn feed(&mut self, relevant: &[FeedbackPoint]) -> Result<()> {
-        let dim = validate(relevant, self.dim)?;
-        self.dim = Some(dim);
-        for p in relevant {
-            if !self.relevant.iter().any(|q| q.id == p.id) {
-                self.relevant.push(p.clone());
-            }
-        }
-        Ok(())
+        absorb(&mut self.relevant, &mut self.dim, relevant)
     }
 
-    fn query(&self) -> Result<Box<dyn QueryDistance>> {
+    fn query(&self) -> Result<Box<dyn FanoutQuery>> {
         if self.relevant.is_empty() {
             return Err(CoreError::NoClusters);
         }

@@ -31,7 +31,7 @@ pub mod qpm;
 
 pub use aggregate::{AggregateKind, MultiPointQuery};
 pub use falcon::Falcon;
-pub use method::RetrievalMethod;
+pub use method::{method_by_name, MethodConstructor, RetrievalMethod, METHODS};
 pub use mindreader::MindReader;
 pub use qex::QueryExpansion;
 pub use qpm::QueryPointMovement;

@@ -1,15 +1,18 @@
 //! The uniform interface every relevance-feedback method exposes.
 
-use qcluster_core::{FeedbackPoint, Result};
-use qcluster_index::QueryDistance;
+use crate::{Falcon, MindReader, QueryExpansion, QueryPointMovement};
+use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine, Result};
+use qcluster_index::FanoutQuery;
 
 /// A relevance-feedback retrieval method: it ingests rounds of relevant
 /// points and produces the refined query for the next round.
 ///
 /// The evaluation harness drives every approach (Qcluster, QPM,
 /// MindReader, QEX, FALCON) through this trait, so the comparison figures
-/// (paper Figs. 7, 10–13) share one code path.
-pub trait RetrievalMethod {
+/// (paper Figs. 7, 10–13) share one code path, and the service hosts one
+/// per session: methods are `Send` and compile queries a parallel scan
+/// can clone per worker.
+pub trait RetrievalMethod: Send {
     /// Short display name ("qcluster", "qpm", …).
     fn name(&self) -> &'static str;
 
@@ -26,13 +29,39 @@ pub trait RetrievalMethod {
     ///
     /// [`qcluster_core::CoreError::NoClusters`]-like errors before any
     /// feedback has been given.
-    fn query(&self) -> Result<Box<dyn QueryDistance>>;
+    fn query(&self) -> Result<Box<dyn FanoutQuery>>;
 
     /// Clears all session state.
     fn reset(&mut self);
+
+    /// Current cluster count, for methods that expose one.
+    fn num_clusters(&self) -> Option<usize> {
+        None
+    }
 }
 
-impl RetrievalMethod for qcluster_core::QclusterEngine {
+/// Builds one fresh method; only Qcluster takes the configuration.
+pub type MethodConstructor = fn(QclusterConfig) -> Box<dyn RetrievalMethod>;
+
+/// Every hostable method by its [`RetrievalMethod::name`], with its
+/// constructor.
+pub const METHODS: [(&str, MethodConstructor); 5] = [
+    ("qcluster", |config| Box::new(QclusterEngine::new(config))),
+    ("qpm", |_| Box::new(QueryPointMovement::new())),
+    ("mindreader", |_| Box::new(MindReader::new())),
+    ("qex", |_| Box::new(QueryExpansion::new())),
+    ("falcon", |_| Box::new(Falcon::new())),
+];
+
+/// A fresh method by name, or `None` for a name not in [`METHODS`].
+pub fn method_by_name(name: &str, config: QclusterConfig) -> Option<Box<dyn RetrievalMethod>> {
+    METHODS
+        .iter()
+        .find(|(known, _)| *known == name)
+        .map(|(_, make)| make(config))
+}
+
+impl RetrievalMethod for QclusterEngine {
     fn name(&self) -> &'static str {
         "qcluster"
     }
@@ -41,27 +70,34 @@ impl RetrievalMethod for qcluster_core::QclusterEngine {
         QclusterEngine::feed(self, relevant)
     }
 
-    fn query(&self) -> Result<Box<dyn QueryDistance>> {
+    fn query(&self) -> Result<Box<dyn FanoutQuery>> {
         Ok(Box::new(QclusterEngine::query(self)?))
     }
 
     fn reset(&mut self) {
         QclusterEngine::reset(self)
     }
+
+    fn num_clusters(&self) -> Option<usize> {
+        Some(QclusterEngine::num_clusters(self))
+    }
 }
 
-use qcluster_core::QclusterEngine;
-
-/// Validates a feedback batch: non-empty, consistent dimensionality,
-/// positive scores. Returns the dimensionality.
-pub(crate) fn validate(relevant: &[FeedbackPoint], expected_dim: Option<usize>) -> Result<usize> {
+/// What every baseline's `feed` does with a batch: validate it
+/// (non-empty, dimensionality consistent with `dim`, positive scores),
+/// fix `dim`, and keep each image id not yet in `kept`.
+pub(crate) fn absorb(
+    kept: &mut Vec<FeedbackPoint>,
+    dim: &mut Option<usize>,
+    batch: &[FeedbackPoint],
+) -> Result<()> {
     use qcluster_core::CoreError;
-    let first = relevant.first().ok_or(CoreError::EmptyFeedback)?;
-    let dim = expected_dim.unwrap_or_else(|| first.dim());
-    for p in relevant {
-        if p.dim() != dim {
+    let first = batch.first().ok_or(CoreError::EmptyFeedback)?;
+    let expected = dim.unwrap_or_else(|| first.dim());
+    for p in batch {
+        if p.dim() != expected {
             return Err(CoreError::DimensionMismatch {
-                expected: dim,
+                expected,
                 found: p.dim(),
             });
         }
@@ -69,5 +105,24 @@ pub(crate) fn validate(relevant: &[FeedbackPoint], expected_dim: Option<usize>) 
             return Err(CoreError::InvalidScore(p.score));
         }
     }
-    Ok(dim)
+    *dim = Some(expected);
+    for p in batch {
+        if !kept.iter().any(|q| q.id == p.id) {
+            kept.push(p.clone());
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_table_entry_builds_the_method_it_names() {
+        for (name, make) in METHODS {
+            assert_eq!(make(QclusterConfig::default()).name(), name);
+        }
+        assert!(method_by_name("falcon9", QclusterConfig::default()).is_none());
+    }
 }

@@ -9,9 +9,9 @@
 //! single [`Cluster`] over the accumulated relevant set and queries it
 //! with the full-inverse scheme.
 
-use crate::method::{validate, RetrievalMethod};
+use crate::method::{absorb, RetrievalMethod};
 use qcluster_core::{Cluster, ClusterDistance, CoreError, CovarianceScheme, FeedbackPoint, Result};
-use qcluster_index::QueryDistance;
+use qcluster_index::FanoutQuery;
 
 /// The MindReader single-ellipsoid method.
 #[derive(Debug, Clone)]
@@ -56,17 +56,10 @@ impl RetrievalMethod for MindReader {
     }
 
     fn feed(&mut self, relevant: &[FeedbackPoint]) -> Result<()> {
-        let dim = validate(relevant, self.dim)?;
-        self.dim = Some(dim);
-        for p in relevant {
-            if !self.relevant.iter().any(|q| q.id == p.id) {
-                self.relevant.push(p.clone());
-            }
-        }
-        Ok(())
+        absorb(&mut self.relevant, &mut self.dim, relevant)
     }
 
-    fn query(&self) -> Result<Box<dyn QueryDistance>> {
+    fn query(&self) -> Result<Box<dyn FanoutQuery>> {
         let cluster = self.cluster()?;
         Ok(Box::new(ClusterDistance::new(&cluster, self.scheme)?))
     }

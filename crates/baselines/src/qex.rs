@@ -9,11 +9,11 @@
 //! (Fig. 1(c)): the convex cover drags in everything between the clusters.
 
 use crate::aggregate::{AggregateKind, MultiPointQuery};
-use crate::method::{validate, RetrievalMethod};
+use crate::method::{absorb, RetrievalMethod};
 use qcluster_core::engine::ThresholdPolicy;
 use qcluster_core::{hierarchical::hierarchical_clustering, Cluster};
 use qcluster_core::{CoreError, FeedbackPoint, Result};
-use qcluster_index::QueryDistance;
+use qcluster_index::FanoutQuery;
 
 /// The MARS query-expansion method.
 #[derive(Debug, Clone)]
@@ -77,17 +77,10 @@ impl RetrievalMethod for QueryExpansion {
     }
 
     fn feed(&mut self, relevant: &[FeedbackPoint]) -> Result<()> {
-        let dim = validate(relevant, self.dim)?;
-        self.dim = Some(dim);
-        for p in relevant {
-            if !self.relevant.iter().any(|q| q.id == p.id) {
-                self.relevant.push(p.clone());
-            }
-        }
-        Ok(())
+        absorb(&mut self.relevant, &mut self.dim, relevant)
     }
 
-    fn query(&self) -> Result<Box<dyn QueryDistance>> {
+    fn query(&self) -> Result<Box<dyn FanoutQuery>> {
         let clusters = self.clusters()?;
         // Per-representative weighted distances combined as a weighted sum
         // of NON-squared distances: the iso-distance contour is then one
@@ -95,20 +88,9 @@ impl RetrievalMethod for QueryExpansion {
         // region between them (paper Fig. 1(b)). A convex sum of *squared*
         // forms with shared weights would collapse to a single moved point
         // (parallel-axis theorem), i.e. be indistinguishable from QPM.
-        let points = clusters
-            .iter()
-            .map(|c| {
-                let weights = c
-                    .covariance()
-                    .diagonal()
-                    .iter()
-                    .map(|&v| 1.0 / (v.max(0.0) + self.lambda))
-                    .collect();
-                (c.mean().to_vec(), weights, c.mass())
-            })
-            .collect();
-        Ok(Box::new(MultiPointQuery::new(
-            points,
+        Ok(Box::new(MultiPointQuery::from_clusters(
+            &clusters,
+            self.lambda,
             AggregateKind::MultiFocal,
         )))
     }

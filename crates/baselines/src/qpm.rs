@@ -8,9 +8,9 @@
 //! and gets a high weight. The refined query is a weighted Euclidean
 //! distance, i.e. an axis-aligned ellipsoid (Fig. 1(a)).
 
-use crate::method::{validate, RetrievalMethod};
+use crate::method::{absorb, RetrievalMethod};
 use qcluster_core::{CoreError, FeedbackPoint, Result};
-use qcluster_index::{QueryDistance, WeightedEuclideanQuery};
+use qcluster_index::{FanoutQuery, WeightedEuclideanQuery};
 
 /// The MARS-style query-point-movement method.
 ///
@@ -76,14 +76,7 @@ impl QueryPointMovement {
     ///
     /// Same validation as [`RetrievalMethod::feed`].
     pub fn feed_negative(&mut self, non_relevant: &[FeedbackPoint]) -> Result<()> {
-        let dim = validate(non_relevant, self.dim)?;
-        self.dim = Some(dim);
-        for p in non_relevant {
-            if !self.negative.iter().any(|q| q.id == p.id) {
-                self.negative.push(p.clone());
-            }
-        }
-        Ok(())
+        absorb(&mut self.negative, &mut self.dim, non_relevant)
     }
 
     /// Overrides the variance ridge.
@@ -153,17 +146,10 @@ impl RetrievalMethod for QueryPointMovement {
     }
 
     fn feed(&mut self, relevant: &[FeedbackPoint]) -> Result<()> {
-        let dim = validate(relevant, self.dim)?;
-        self.dim = Some(dim);
-        for p in relevant {
-            if !self.relevant.iter().any(|q| q.id == p.id) {
-                self.relevant.push(p.clone());
-            }
-        }
-        Ok(())
+        absorb(&mut self.relevant, &mut self.dim, relevant)
     }
 
-    fn query(&self) -> Result<Box<dyn QueryDistance>> {
+    fn query(&self) -> Result<Box<dyn FanoutQuery>> {
         let center = self.current_point().ok_or(CoreError::NoClusters)?;
         let weights = self.current_weights().expect("weights follow point");
         Ok(Box::new(WeightedEuclideanQuery::new(center, weights)))

@@ -2,17 +2,17 @@
 //!
 //! Replays the paper's retrieval experiment: sample query images, run
 //! the initial example-image query plus `rounds` feedback iterations
-//! (the oracle-backed [`SimulatedUser`] marks each answer), and report
+//! (the oracle-backed simulated user marks each answer), and report
 //! mean precision@k / recall@k per iteration — the precision
 //! trajectory of the paper's Fig. 8/9.
 //!
-//! Two execution paths score the **same sampled queries**:
+//! Two doors answer the **same sampled queries** through the same
+//! closed loop (`qcluster-eval`'s [`run_session`]):
 //!
-//! - **offline** — `qcluster-eval`'s in-process [`FeedbackSession`]
-//!   over the labeled feature file; the ground-truth trajectory.
+//! - **offline** — the [`InProcessTarget`] over the labeled feature
+//!   file; the ground-truth trajectory.
 //! - **served** — real wire sessions against a `qcluster serve` stack
-//!   (single node over TCP, or a router-fronted cluster), driven with
-//!   the same protocol the loadgen fleet uses.
+//!   (single node over TCP, or a router-fronted cluster).
 //!
 //! The quality gate compares the two tables: at every iteration the
 //! served mean precision must stay within ε of the offline baseline,
@@ -22,8 +22,7 @@
 use crate::error::CliError;
 use crate::stats::PipelineStats;
 use qcluster_core::{QclusterConfig, QclusterEngine};
-use qcluster_eval::oracle::SCORE_SAME_CATEGORY;
-use qcluster_eval::{precision_at_k, Dataset, FeedbackSession, RelevanceOracle, SimulatedUser};
+use qcluster_eval::{run_session, Dataset, InProcessTarget, IterationRow, ScoreTable, UserTarget};
 use qcluster_loadgen::{SeedRng, SoakBackend};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -53,21 +52,6 @@ impl Default for EvalOptions {
             seed: 17,
         }
     }
-}
-
-/// Aggregated retrieval quality at one feedback iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IterationRow {
-    /// Iteration index (0 = the initial example-image query).
-    pub iteration: usize,
-    /// Mean precision@k over the scored sessions.
-    pub mean_precision: f64,
-    /// Sample standard deviation of precision@k.
-    pub std_precision: f64,
-    /// Mean recall@k (same-category hits / category size).
-    pub mean_recall: f64,
-    /// Sessions that contributed a score at this iteration.
-    pub sessions: usize,
 }
 
 /// One eval run's full result table.
@@ -119,57 +103,41 @@ pub fn sample_queries(corpus_len: usize, queries: usize, seed: u64) -> Vec<usize
     seen.into_iter().collect()
 }
 
-/// Per-session scores accumulated into rows.
-struct ScoreTable {
-    /// `precision[i]` = precision@k samples at iteration `i`.
-    precision: Vec<Vec<f64>>,
-    recall: Vec<Vec<f64>>,
-}
-
-impl ScoreTable {
-    fn new(iterations: usize) -> ScoreTable {
-        ScoreTable {
-            precision: vec![Vec::new(); iterations],
-            recall: vec![Vec::new(); iterations],
+/// Runs one strict session per sampled query on `target` and folds
+/// every round's answer into one report labelled `label`.
+fn score_sessions<E: std::fmt::Display>(
+    label: String,
+    stage_name: &str,
+    target: &mut dyn UserTarget<Error = E>,
+    dataset: &Dataset,
+    opts: &EvalOptions,
+    stats: &PipelineStats,
+) -> Result<EvalReport, CliError> {
+    let stage = stats.stage(stage_name);
+    let mut table = ScoreTable::new(opts.rounds + 1);
+    let queries = sample_queries(dataset.len(), opts.queries, opts.seed);
+    for &q in &queries {
+        stage.item_in();
+        let outcome = run_session(target, dataset, q, opts.k, opts.rounds)
+            .map_err(|e| CliError::stage(stage_name, e))?;
+        for (i, record) in outcome.iterations.iter().enumerate() {
+            table.observe(dataset, dataset.category(q), i, &record.retrieved, opts.k);
         }
+        stage.item_out();
     }
-
-    fn observe(
-        &mut self,
-        dataset: &Dataset,
-        category: usize,
-        iteration: usize,
-        retrieved: &[usize],
-        k: usize,
-    ) {
-        let oracle = RelevanceOracle::new(dataset);
-        let depth = retrieved.len().min(k);
-        let hits = retrieved[..depth]
-            .iter()
-            .filter(|&&id| id < dataset.len() && oracle.is_relevant(category, id))
-            .count();
-        self.precision[iteration].push(precision_at_k(dataset, category, retrieved, k));
-        self.recall[iteration].push(hits as f64 / oracle.total_relevant(category) as f64);
-    }
-
-    fn rows(&self) -> Vec<IterationRow> {
-        self.precision
-            .iter()
-            .zip(self.recall.iter())
-            .enumerate()
-            .map(|(i, (p, r))| IterationRow {
-                iteration: i,
-                mean_precision: qcluster_stats::descriptive::mean(p).unwrap_or(0.0),
-                std_precision: qcluster_stats::descriptive::sample_variance(p)
-                    .map_or(0.0, f64::sqrt),
-                mean_recall: qcluster_stats::descriptive::mean(r).unwrap_or(0.0),
-                sessions: p.len(),
-            })
-            .collect()
-    }
+    stage.finish();
+    Ok(EvalReport {
+        target: label,
+        k: opts.k,
+        rounds: opts.rounds,
+        queries: queries.len(),
+        seed: opts.seed,
+        rows: table.rows(),
+    })
 }
 
-/// Runs the offline (in-process) baseline over the labeled dataset.
+/// Runs the offline baseline over the labeled dataset: the loop's
+/// in-process door onto a default Qcluster engine.
 ///
 /// # Errors
 ///
@@ -179,36 +147,20 @@ pub fn offline_eval(
     opts: &EvalOptions,
     stats: &PipelineStats,
 ) -> Result<EvalReport, CliError> {
-    let stage = stats.stage("offline");
-    let session = FeedbackSession::new(dataset, opts.k);
     let mut engine = QclusterEngine::new(QclusterConfig::default());
-    let mut table = ScoreTable::new(opts.rounds + 1);
-    let queries = sample_queries(dataset.len(), opts.queries, opts.seed);
-    for &q in &queries {
-        stage.item_in();
-        let outcome = session
-            .run(&mut engine, q, opts.rounds)
-            .map_err(|e| CliError::stage("offline", e))?;
-        let category = dataset.category(q);
-        for (i, record) in outcome.iterations.iter().enumerate() {
-            table.observe(dataset, category, i, &record.retrieved, opts.k);
-        }
-        stage.item_out();
-    }
-    stage.finish();
-    Ok(EvalReport {
-        target: "offline".into(),
-        k: opts.k,
-        rounds: opts.rounds,
-        queries: queries.len(),
-        seed: opts.seed,
-        rows: table.rows(),
-    })
+    let mut target = InProcessTarget::new(&mut engine, dataset.tree(), true);
+    score_sessions(
+        "offline".into(),
+        "offline",
+        &mut target,
+        dataset,
+        opts,
+        stats,
+    )
 }
 
-/// Drives the same eval over a live serving stack (the loadgen wire
-/// protocol: initial example query → oracle marks → `Feed` → refined
-/// query).
+/// Drives the same eval over a live serving stack: the same loop, with
+/// one of the backend's wire targets as its door.
 ///
 /// # Errors
 ///
@@ -220,73 +172,11 @@ pub fn served_eval(
     opts: &EvalOptions,
     stats: &PipelineStats,
 ) -> Result<EvalReport, CliError> {
-    let stage = stats.stage("served");
     let mut target = backend
         .user_target()
         .map_err(|e| CliError::stage("served", e))?;
-    let mut table = ScoreTable::new(opts.rounds + 1);
-    let queries = sample_queries(dataset.len(), opts.queries, opts.seed);
-    for &q in &queries {
-        stage.item_in();
-        let category = dataset.category(q);
-        let user = SimulatedUser::new(dataset, category);
-        let session = target
-            .create_session()
-            .map_err(|e| CliError::stage("served", e))?;
-        let reply = target
-            .query(session, opts.k, Some(dataset.vector(q).to_vec()), None)
-            .map_err(|e| CliError::stage("served", e))?;
-        table.observe(dataset, category, 0, &reply.retrieved, opts.k);
-        let mut marked = mark(dataset, &user, q, &reply.retrieved);
-        for round in 0..opts.rounds {
-            let ids: Vec<usize> = marked.iter().map(|p| p.id).collect();
-            let scores: Vec<f64> = marked.iter().map(|p| p.score).collect();
-            target
-                .feed(session, &ids, &scores)
-                .map_err(|e| CliError::stage("served", e))?;
-            let reply = target
-                .query(session, opts.k, None, None)
-                .map_err(|e| CliError::stage("served", e))?;
-            table.observe(dataset, category, round + 1, &reply.retrieved, opts.k);
-            marked = mark(dataset, &user, q, &reply.retrieved);
-        }
-        let _ = target.close_session(session);
-        stage.item_out();
-    }
-    stage.finish();
-    Ok(EvalReport {
-        target: backend.label(),
-        k: opts.k,
-        rounds: opts.rounds,
-        queries: queries.len(),
-        seed: opts.seed,
-        rows: table.rows(),
-    })
-}
-
-/// Oracle-marks one answer, dropping unlabeled ids (live ingests past
-/// the labeled corpus) and falling back to the trivially relevant
-/// query example when nothing was marked.
-fn mark(
-    dataset: &Dataset,
-    user: &SimulatedUser<'_>,
-    query_image: usize,
-    retrieved: &[usize],
-) -> Vec<qcluster_core::FeedbackPoint> {
-    let labelled: Vec<usize> = retrieved
-        .iter()
-        .copied()
-        .filter(|&id| id < dataset.len())
-        .collect();
-    let mut marked = user.mark(&labelled);
-    if marked.is_empty() {
-        marked.push(qcluster_core::FeedbackPoint::new(
-            query_image,
-            dataset.vector(query_image).to_vec(),
-            SCORE_SAME_CATEGORY,
-        ));
-    }
-    marked
+    let label = backend.label();
+    score_sessions(label, "served", target.as_mut(), dataset, opts, stats)
 }
 
 /// The quality gate: every iteration's served mean precision must sit

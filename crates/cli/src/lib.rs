@@ -32,7 +32,6 @@ pub use convert::{convert, ConvertReport, ConvertedKind};
 pub use error::{CliError, SkipReason, SkippedFile};
 pub use eval::{
     compare_reports, offline_eval, sample_queries, served_eval, EvalOptions, EvalReport,
-    IterationRow,
 };
 pub use ingest::{ingest, parse_feature_kind, IngestConfig, IngestReport, IngestSource};
 pub use recipe::Recipe;

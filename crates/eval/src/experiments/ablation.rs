@@ -14,13 +14,14 @@
 //!    target count (the cost/quality trade of Algorithm 3's step 8).
 
 use crate::dataset::Dataset;
+use crate::experiments::fig10_13::run_method;
 use crate::experiments::fig6::{query_ids, Fig6Config};
-use crate::pr::pr_at;
+use crate::pr::ScoreTable;
 use crate::session::FeedbackSession;
 use crate::user::SimulatedUser;
 use qcluster_baselines::{AggregateKind, MultiPointQuery, RetrievalMethod};
-use qcluster_core::{CovarianceScheme, QclusterConfig, QclusterEngine};
-use qcluster_index::EuclideanQuery;
+use qcluster_core::{CoreError, CovarianceScheme, FeedbackPoint, QclusterConfig, QclusterEngine};
+use qcluster_index::{EuclideanQuery, FanoutQuery};
 
 /// Workload parameters (shared shape with Fig. 6).
 pub type AblationConfig = Fig6Config;
@@ -47,91 +48,57 @@ impl AblationRow {
 /// Eq. 5), but each iteration's *retrieval* query is re-compiled under the
 /// ablated aggregate, so the sweep isolates the combination rule.
 pub fn aggregate_rule_sweep(dataset: &Dataset, config: &AblationConfig) -> Vec<AblationRow> {
-    let kinds: Vec<(String, AggregateKind)> = vec![
-        ("convex (α=+1)".into(), AggregateKind::Convex),
-        ("multi-focal".into(), AggregateKind::MultiFocal),
-        (
-            "fuzzy OR α=-1".into(),
-            AggregateKind::FuzzyOr { alpha: -1.0 },
-        ),
-        (
-            "fuzzy OR α=-2".into(),
-            AggregateKind::FuzzyOr { alpha: -2.0 },
-        ),
-        (
-            "fuzzy OR α=-5".into(),
-            AggregateKind::FuzzyOr { alpha: -5.0 },
-        ),
-    ];
-    let k = config.k.min(dataset.len());
-    let queries = query_ids(dataset, config);
-    kinds
-        .into_iter()
-        .map(|(label, kind)| {
-            let mut recall = vec![0.0; config.iterations + 1];
-            for &q in &queries {
-                run_with_aggregate(dataset, q, config.iterations, k, kind, &mut recall);
-            }
-            AblationRow {
-                variant: label,
-                recall: recall
-                    .into_iter()
-                    .map(|r| r / queries.len() as f64)
-                    .collect(),
-            }
-        })
-        .collect()
+    [
+        ("convex (α=+1)", AggregateKind::Convex),
+        ("multi-focal", AggregateKind::MultiFocal),
+        ("fuzzy OR α=-1", AggregateKind::FuzzyOr { alpha: -1.0 }),
+        ("fuzzy OR α=-2", AggregateKind::FuzzyOr { alpha: -2.0 }),
+        ("fuzzy OR α=-5", AggregateKind::FuzzyOr { alpha: -5.0 }),
+    ]
+    .into_iter()
+    .map(|(label, kind)| {
+        let mut method = AblatedAggregate {
+            engine: QclusterEngine::new(QclusterConfig::default()),
+            kind,
+        };
+        AblationRow {
+            variant: label.into(),
+            recall: run_method(dataset, config, &mut method).recall,
+        }
+    })
+    .collect()
 }
 
-/// One session where retrieval uses the ablated aggregate compiled from
-/// the engine's current clusters (diagonal per-cluster weights + masses —
-/// the same ingredients Eq. 5 consumes).
-fn run_with_aggregate(
-    dataset: &Dataset,
-    query_image: usize,
-    iterations: usize,
-    k: usize,
+/// Qcluster with its retrieval query swapped: the engine clusters as
+/// usual, and `query` combines those clusters under the ablated
+/// aggregate.
+struct AblatedAggregate {
+    engine: QclusterEngine,
     kind: AggregateKind,
-    recall_acc: &mut [f64],
-) {
-    let cat = dataset.category(query_image);
-    let user = SimulatedUser::new(dataset, cat);
-    let mut engine = QclusterEngine::new(QclusterConfig::default());
+}
 
-    let initial = EuclideanQuery::new(dataset.vector(query_image).to_vec());
-    let (nn, _) = dataset.tree().knn(&initial, k, None);
-    let mut retrieved: Vec<usize> = nn.iter().map(|n| n.id).collect();
-    recall_acc[0] += pr_at(dataset, cat, &retrieved, retrieved.len()).recall;
+impl RetrievalMethod for AblatedAggregate {
+    fn name(&self) -> &'static str {
+        "qcluster-ablated-aggregate"
+    }
 
-    for it in 1..=iterations {
-        let mut marked = user.mark(&retrieved);
-        if marked.is_empty() {
-            marked.push(qcluster_core::FeedbackPoint::new(
-                query_image,
-                dataset.vector(query_image).to_vec(),
-                crate::oracle::SCORE_SAME_CATEGORY,
-            ));
+    fn feed(&mut self, relevant: &[FeedbackPoint]) -> qcluster_core::Result<()> {
+        self.engine.feed(relevant)
+    }
+
+    fn query(&self) -> qcluster_core::Result<Box<dyn FanoutQuery>> {
+        if self.engine.clusters().is_empty() {
+            return Err(CoreError::NoClusters);
         }
-        engine.feed(&marked).expect("engine feeds");
-        // Ablated query: same clusters, different combination rule.
-        let lambda = engine.config().scheme.lambda();
-        let points = engine
-            .clusters()
-            .iter()
-            .map(|c| {
-                let weights = c
-                    .covariance()
-                    .diagonal()
-                    .iter()
-                    .map(|&v| 1.0 / (v.max(0.0) + lambda))
-                    .collect();
-                (c.mean().to_vec(), weights, c.mass())
-            })
-            .collect();
-        let query = MultiPointQuery::new(points, kind);
-        let (nn, _) = dataset.tree().knn(&query, k, None);
-        retrieved = nn.iter().map(|n| n.id).collect();
-        recall_acc[it] += pr_at(dataset, cat, &retrieved, retrieved.len()).recall;
+        Ok(Box::new(MultiPointQuery::from_clusters(
+            self.engine.clusters(),
+            self.engine.config().scheme.lambda(),
+            self.kind,
+        )))
+    }
+
+    fn reset(&mut self) {
+        self.engine.reset()
     }
 }
 
@@ -149,7 +116,7 @@ pub fn scheme_quality_sweep(dataset: &Dataset, config: &AblationConfig) -> Vec<A
         });
         AblationRow {
             variant: label.into(),
-            recall: method_recall(dataset, config, &mut engine),
+            recall: run_method(dataset, config, &mut engine).recall,
         }
     })
     .collect()
@@ -171,7 +138,7 @@ pub fn merge_forcing_sweep(dataset: &Dataset, config: &AblationConfig) -> Vec<Ab
         });
         AblationRow {
             variant: label.into(),
-            recall: method_recall(dataset, config, &mut engine),
+            recall: run_method(dataset, config, &mut engine).recall,
         }
     })
     .collect()
@@ -180,22 +147,20 @@ pub fn merge_forcing_sweep(dataset: &Dataset, config: &AblationConfig) -> Vec<Ab
 /// Sweep 4: QPM's Rocchio negative-feedback weight γ. The simulated user
 /// additionally marks every *non-relevant* retrieved image as a negative
 /// example (score 1); γ = 0 reduces to the standard positive-only QPM.
+/// Negatives have no place in the closed loop's `feed`, so this sweep
+/// keeps a loop of its own around the shared marking rule.
 pub fn negative_feedback_sweep(dataset: &Dataset, config: &AblationConfig) -> Vec<AblationRow> {
+    let k = config.k.min(dataset.len());
     [0.0, 0.25, 0.5, 1.0]
         .into_iter()
         .map(|gamma| {
-            let k = config.k.min(dataset.len());
-            let queries = query_ids(dataset, config);
-            let mut recall = vec![0.0; config.iterations + 1];
-            for &q in &queries {
-                run_qpm_with_negatives(dataset, q, config.iterations, k, gamma, &mut recall);
+            let mut table = ScoreTable::new(config.iterations + 1);
+            for q in query_ids(dataset, config) {
+                run_qpm_with_negatives(dataset, q, config.iterations, k, gamma, &mut table);
             }
             AblationRow {
                 variant: format!("qpm gamma={gamma}"),
-                recall: recall
-                    .into_iter()
-                    .map(|r| r / queries.len() as f64)
-                    .collect(),
+                recall: table.rows().iter().map(|r| r.mean_recall).collect(),
             }
         })
         .collect()
@@ -207,7 +172,7 @@ fn run_qpm_with_negatives(
     iterations: usize,
     k: usize,
     gamma: f64,
-    recall_acc: &mut [f64],
+    table: &mut ScoreTable,
 ) {
     use qcluster_baselines::QueryPointMovement;
     let cat = dataset.category(query_image);
@@ -218,21 +183,14 @@ fn run_qpm_with_negatives(
     let initial = EuclideanQuery::new(dataset.vector(query_image).to_vec());
     let (nn, _) = dataset.tree().knn(&initial, k, None);
     let mut retrieved: Vec<usize> = nn.iter().map(|n| n.id).collect();
-    recall_acc[0] += pr_at(dataset, cat, &retrieved, retrieved.len()).recall;
+    table.observe(dataset, cat, 0, &retrieved, k);
 
     for it in 1..=iterations {
-        let mut marked = user.mark(&retrieved);
-        if marked.is_empty() {
-            marked.push(qcluster_core::FeedbackPoint::new(
-                query_image,
-                dataset.vector(query_image).to_vec(),
-                crate::oracle::SCORE_SAME_CATEGORY,
-            ));
-        }
-        let negatives: Vec<qcluster_core::FeedbackPoint> = retrieved
+        let marked = user.mark_or_example(&retrieved, query_image);
+        let negatives: Vec<FeedbackPoint> = retrieved
             .iter()
             .filter(|&&id| oracle.score(cat, id) == 0.0)
-            .map(|&id| qcluster_core::FeedbackPoint::new(id, dataset.vector(id).to_vec(), 1.0))
+            .map(|&id| FeedbackPoint::new(id, dataset.vector(id).to_vec(), 1.0))
             .collect();
         method.feed(&marked).expect("feeds");
         if !negatives.is_empty() {
@@ -241,7 +199,7 @@ fn run_qpm_with_negatives(
         let query = method.query().expect("compiles");
         let (nn, _) = dataset.tree().knn(&query, k, None);
         retrieved = nn.iter().map(|n| n.id).collect();
-        recall_acc[it] += pr_at(dataset, cat, &retrieved, retrieved.len()).recall;
+        table.observe(dataset, cat, it, &retrieved, k);
     }
 }
 
@@ -269,28 +227,6 @@ pub fn clustering_quality(dataset: &Dataset, config: &AblationConfig) -> (f64, f
     }
     let n = queries.len() as f64;
     (total_error / n, total_clusters / n)
-}
-
-fn method_recall(
-    dataset: &Dataset,
-    config: &AblationConfig,
-    method: &mut dyn RetrievalMethod,
-) -> Vec<f64> {
-    let k = config.k.min(dataset.len());
-    let session = FeedbackSession::new(dataset, k);
-    let queries = query_ids(dataset, config);
-    let mut recall = vec![0.0; config.iterations + 1];
-    for &q in &queries {
-        let outcome = session.run(method, q, config.iterations).expect("runs");
-        let cat = dataset.category(q);
-        for (i, rec) in outcome.iterations.iter().enumerate() {
-            recall[i] += pr_at(dataset, cat, &rec.retrieved, rec.retrieved.len()).recall;
-        }
-    }
-    recall
-        .into_iter()
-        .map(|r| r / queries.len() as f64)
-        .collect()
 }
 
 #[cfg(test)]

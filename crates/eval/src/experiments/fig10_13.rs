@@ -13,7 +13,7 @@
 
 use crate::dataset::Dataset;
 use crate::experiments::fig6::{query_ids, Fig6Config};
-use crate::pr::pr_at;
+use crate::pr::ScoreTable;
 use crate::session::FeedbackSession;
 use qcluster_baselines::{Falcon, MindReader, QueryExpansion, QueryPointMovement, RetrievalMethod};
 use qcluster_core::{QclusterConfig, QclusterEngine};
@@ -40,26 +40,20 @@ pub fn run_method(
 ) -> ApproachQuality {
     let k = config.k.min(dataset.len());
     let session = FeedbackSession::new(dataset, k);
-    let queries = query_ids(dataset, config);
-    let mut recall = vec![0.0; config.iterations + 1];
-    let mut precision = vec![0.0; config.iterations + 1];
-    for &q in &queries {
+    let mut table = ScoreTable::new(config.iterations + 1);
+    for q in query_ids(dataset, config) {
         let out = session
             .run(method, q, config.iterations)
             .expect("session runs");
-        let cat = dataset.category(q);
         for (i, rec) in out.iterations.iter().enumerate() {
-            let depth = rec.retrieved.len().min(k);
-            let p = pr_at(dataset, cat, &rec.retrieved, depth);
-            recall[i] += p.recall;
-            precision[i] += p.precision;
+            table.observe(dataset, dataset.category(q), i, &rec.retrieved, k);
         }
     }
-    let n = queries.len() as f64;
+    let rows = table.rows();
     ApproachQuality {
         name: method.name(),
-        recall: recall.into_iter().map(|r| r / n).collect(),
-        precision: precision.into_iter().map(|p| p / n).collect(),
+        recall: rows.iter().map(|r| r.mean_recall).collect(),
+        precision: rows.iter().map(|r| r.mean_precision).collect(),
     }
 }
 

@@ -3,8 +3,12 @@
 //! Every driver exposes a config struct (with a scaled-down
 //! [`Default`] for tests and a `paper_scale()` preset matching the paper's
 //! parameters where feasible) and a `run` function returning structured
-//! rows. The `repro` binary in `qcluster-bench` prints them; the criterion
-//! benches time them.
+//! rows. The `repro` binary in `qcluster-bench` prints them, timings
+//! included (Figs. 6 and 7 read [`crate::IterationRecord::elapsed`]).
+//! Every driver that runs feedback sessions does so through
+//! [`crate::FeedbackSession`], i.e. through the one closed loop of
+//! [`crate::session`]; `ablation`'s negative-feedback sweep is the one
+//! loop kept apart, because it also feeds negatives.
 //!
 //! | Module | Reproduces |
 //! |---|---|

@@ -9,14 +9,16 @@
 //!   related categories … are considered relevant").
 //! - [`user`] — the simulated user that scores retrieved images.
 //! - [`pr`] — precision/recall machinery and averaging over query sets.
-//! - [`session`] — the feedback-session driver: initial k-NN, user marks,
-//!   method refines, repeat.
+//! - [`target`] — what a simulated user drives ([`UserTarget`]), and
+//!   the in-process door onto a method and the hybrid tree.
+//! - [`session`] — Algorithm 1, written once: the [`ClosedLoop`] stepper
+//!   (example query, then mark → feed → re-query per round) over any
+//!   target, and the drivers built on it.
 //! - [`synthetic`] — the synthetic data generators of Sec. 5 (uniform
 //!   cube for Fig. 5, spherical/elliptical Gaussian clusters in ℝ¹⁶ for
 //!   Figs. 14–19 and Tables 2–3).
 //! - [`experiments`] — one driver per paper figure/table, each returning
-//!   printable structured rows (consumed by the `repro` binary and the
-//!   criterion benches).
+//!   printable structured rows (consumed by the `repro` binary).
 
 #![warn(missing_docs)]
 // Indexed loops over multiple parallel buffers are the clearest (and often
@@ -32,6 +34,7 @@ pub mod persist;
 pub mod pr;
 pub mod session;
 pub mod synthetic;
+pub mod target;
 pub mod user;
 
 pub use dataset::Dataset;
@@ -41,6 +44,9 @@ pub use persist::{
     load_dataset, load_dataset_auto, load_dataset_binary, save_dataset, save_dataset_binary,
     PersistError,
 };
-pub use pr::{average_pr_curve, pr_at, precision_at_k, PrCurve, PrPoint};
-pub use session::{FeedbackSession, IterationRecord, SessionOutcome};
+pub use pr::{average_pr_curve, pr_at, precision_at_k, IterationRow, PrCurve, PrPoint, ScoreTable};
+pub use session::{
+    run_session, ClosedLoop, FeedbackSession, IterationRecord, SessionOutcome, Step, Timed,
+};
+pub use target::{InProcessTarget, QueryReply, UserTarget};
 pub use user::SimulatedUser;

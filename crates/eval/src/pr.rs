@@ -7,6 +7,8 @@
 
 use crate::dataset::Dataset;
 use crate::oracle::RelevanceOracle;
+use qcluster_stats::descriptive::{mean, sample_variance};
+use serde::{Deserialize, Serialize};
 
 /// One (recall, precision) point at a retrieval depth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,13 +66,101 @@ pub fn precision_at_k(
     if k == 0 {
         return 0.0;
     }
+    hits_at_k(dataset, query_category, retrieved, k) as f64 / k as f64
+}
+
+/// Same-category results among the first `k` of `retrieved`; ids beyond
+/// the labelled corpus are misses.
+fn hits_at_k(dataset: &Dataset, query_category: usize, retrieved: &[usize], k: usize) -> usize {
     let oracle = RelevanceOracle::new(dataset);
-    let depth = retrieved.len().min(k);
-    let hits = retrieved[..depth]
+    retrieved[..retrieved.len().min(k)]
         .iter()
         .filter(|&&id| id < dataset.len() && oracle.is_relevant(query_category, id))
-        .count();
-    hits as f64 / k as f64
+        .count()
+}
+
+/// Aggregated retrieval quality at one feedback iteration.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct IterationRow {
+    /// Iteration index (0 = the initial example-image query).
+    pub iteration: usize,
+    /// Mean precision@k over the scored sessions.
+    pub mean_precision: f64,
+    /// Sample standard deviation of precision@k.
+    pub std_precision: f64,
+    /// Mean recall@k (same-category hits / category size).
+    pub mean_recall: f64,
+    /// Sessions that contributed a score at this iteration.
+    pub sessions: usize,
+}
+
+/// Per-iteration precision@k / recall@k samples of many sessions — the
+/// one accumulator behind `qcluster eval`'s tables, the soak fleet's
+/// quality rows and Figs. 10–13.
+#[derive(Debug, Clone)]
+pub struct ScoreTable {
+    /// `precision[i]` = precision@k samples at iteration `i`.
+    precision: Vec<Vec<f64>>,
+    recall: Vec<Vec<f64>>,
+}
+
+impl ScoreTable {
+    /// An empty table with room for `iterations` iteration indices.
+    pub fn new(iterations: usize) -> ScoreTable {
+        ScoreTable {
+            precision: vec![Vec::new(); iterations],
+            recall: vec![Vec::new(); iterations],
+        }
+    }
+
+    /// Scores one session's answer at `iteration` against the binary
+    /// same-category ground truth of `query_category`, with
+    /// [`precision_at_k`]'s treatment of short and unlabelled answers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `iteration` is past the table.
+    pub fn observe(
+        &mut self,
+        dataset: &Dataset,
+        query_category: usize,
+        iteration: usize,
+        retrieved: &[usize],
+        k: usize,
+    ) {
+        let hits = hits_at_k(dataset, query_category, retrieved, k);
+        let total = RelevanceOracle::new(dataset).total_relevant(query_category);
+        self.precision[iteration].push(precision_at_k(dataset, query_category, retrieved, k));
+        self.recall[iteration].push(hits as f64 / total as f64);
+    }
+
+    /// Appends `other`'s samples (same iteration count) after this
+    /// table's own, iteration by iteration.
+    pub fn merge(&mut self, other: &ScoreTable) {
+        for (mine, theirs) in self.precision.iter_mut().zip(&other.precision) {
+            mine.extend_from_slice(theirs);
+        }
+        for (mine, theirs) in self.recall.iter_mut().zip(&other.recall) {
+            mine.extend_from_slice(theirs);
+        }
+    }
+
+    /// One row per iteration, index order; an iteration nobody reached
+    /// reads zero.
+    pub fn rows(&self) -> Vec<IterationRow> {
+        self.precision
+            .iter()
+            .zip(self.recall.iter())
+            .enumerate()
+            .map(|(iteration, (p, r))| IterationRow {
+                iteration,
+                mean_precision: mean(p).unwrap_or(0.0),
+                std_precision: sample_variance(p).map_or(0.0, f64::sqrt),
+                mean_recall: mean(r).unwrap_or(0.0),
+                sessions: p.len(),
+            })
+            .collect()
+    }
 }
 
 /// The whole curve for one ranked list (depths `1..=ranking.len()`).
@@ -131,6 +221,29 @@ mod tests {
             vec![0, 0, 0, 0, 0, 0],
             3,
         )
+    }
+
+    #[test]
+    fn score_table_averages_per_iteration() {
+        let ds = dataset();
+        // Two users, merged in order: iteration 0 sees precision 1.0 and
+        // 0.0 at k = 2, iteration 1 one sample, iteration 2 nobody.
+        let mut a = ScoreTable::new(3);
+        a.observe(&ds, 0, 0, &[0, 1, 3], 2);
+        a.observe(&ds, 0, 1, &[0, 3], 2);
+        let mut b = ScoreTable::new(3);
+        b.observe(&ds, 0, 0, &[3, 9], 2);
+        a.merge(&b);
+        let rows = a.rows();
+        assert_eq!(rows.len(), 3);
+        assert_eq!((rows[0].iteration, rows[0].sessions), (0, 2));
+        assert!((rows[0].mean_precision - 0.5).abs() < 1e-12);
+        assert!((rows[0].std_precision - 0.5f64.sqrt()).abs() < 1e-12);
+        assert!((rows[0].mean_recall - 1.0 / 3.0).abs() < 1e-12);
+        assert!((rows[1].mean_precision - 0.5).abs() < 1e-12);
+        assert_eq!(rows[1].std_precision, 0.0, "one sample has no spread");
+        assert_eq!(rows[2].sessions, 0);
+        assert_eq!(rows[2].mean_precision, 0.0);
     }
 
     #[test]

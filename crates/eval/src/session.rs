@@ -1,21 +1,25 @@
-//! The feedback-session driver (paper Sec. 5 protocol).
+//! The feedback-session driver (paper Sec. 5 protocol, Algorithm 1).
 //!
-//! One session reproduces the paper's measurement loop: an initial k-NN
-//! from the query example, then `iterations` rounds of
-//! *mark-relevant → refine → re-query*. Every approach (Qcluster and all
-//! baselines) runs through the same driver via
-//! [`RetrievalMethod`], with the same simulated user, so the comparisons
-//! of Figs. 7 and 10–13 differ only in the refinement strategy.
+//! One session is the paper's measurement loop: an initial k-NN from the
+//! query example, then rounds of *mark-relevant → refine → re-query*.
+//! That sequence is written once, as [`ClosedLoop`]: a stepper over any
+//! [`UserTarget`] with the oracle-backed [`SimulatedUser`] doing the
+//! marking. Whoever drives it owns pacing and error policy — the soak
+//! fleet sleeps between steps and counts failures; [`run_session`] is
+//! the strict policy (first failure aborts) every evaluation uses.
 //!
-//! The driver optionally threads a [`NodeCache`] through the session —
-//! the multipoint approach's cross-iteration buffer whose effect Fig. 7
-//! measures.
+//! [`FeedbackSession`] is `run_session` through the in-process door:
+//! every approach (Qcluster and all baselines) runs through it via
+//! [`RetrievalMethod`], so the comparisons of Figs. 7 and 10–13 differ
+//! only in the refinement strategy, and a served stack driven through
+//! the same stepper differs from it only in the system under test.
 
 use crate::dataset::Dataset;
+use crate::target::{InProcessTarget, QueryReply, UserTarget};
 use crate::user::SimulatedUser;
 use qcluster_baselines::RetrievalMethod;
 use qcluster_core::FeedbackPoint;
-use qcluster_index::{EuclideanQuery, NodeCache, SearchStats};
+use qcluster_index::SearchStats;
 use std::time::{Duration, Instant};
 
 /// What one retrieval round produced.
@@ -25,7 +29,8 @@ pub struct IterationRecord {
     pub retrieved: Vec<usize>,
     /// Tree-search statistics of this round.
     pub stats: SearchStats,
-    /// Wall-clock time of the k-NN search plus query compilation.
+    /// Wall-clock time the target took: the query, plus the feed that
+    /// preceded it on a feedback round.
     pub elapsed: Duration,
     /// How many retrieved images the user marked relevant.
     pub num_marked: usize,
@@ -49,6 +54,148 @@ impl SessionOutcome {
     pub fn total_elapsed(&self) -> Duration {
         self.iterations.iter().map(|r| r.elapsed).sum()
     }
+}
+
+/// One call's outcome and how long the target took over it.
+#[derive(Debug)]
+pub struct Timed<T> {
+    /// What the call returned.
+    pub value: T,
+    /// Wall-clock time of the call.
+    pub elapsed: Duration,
+}
+
+fn timed<T>(call: impl FnOnce() -> T) -> Timed<T> {
+    let start = Instant::now();
+    let value = call();
+    Timed {
+        value,
+        elapsed: start.elapsed(),
+    }
+}
+
+/// What one [`ClosedLoop::step`] did: the feed of the previous answer's
+/// marks, then the refined query.
+#[derive(Debug)]
+pub struct Step<E> {
+    /// The `feed` call.
+    pub feed: Timed<Result<(), E>>,
+    /// The refined `query` call. It is sent even when the feed failed:
+    /// the target then answers from the last state it accepted.
+    pub query: Timed<Result<QueryReply, E>>,
+}
+
+/// Algorithm 1 for one session, one call per round.
+///
+/// [`ClosedLoop::open`] creates the session and sends the example
+/// query; each [`ClosedLoop::step`] feeds the marks of the last answer
+/// and re-queries. Every answer is marked as it arrives
+/// ([`SimulatedUser::mark_or_example`]); a failed query marks as an
+/// empty answer, so the loop always holds something to feed.
+pub struct ClosedLoop<'a, E> {
+    target: &'a mut dyn UserTarget<Error = E>,
+    user: SimulatedUser<'a>,
+    query_image: usize,
+    session: u64,
+    k: usize,
+    deadline_ms: Option<u64>,
+    marked: Vec<FeedbackPoint>,
+}
+
+impl<'a, E> ClosedLoop<'a, E> {
+    /// Opens a session on `target` and sends the example query for
+    /// `query_image`, returning the loop and that first answer.
+    ///
+    /// # Errors
+    ///
+    /// The target's session-creation failure. A failed example query is
+    /// not an `Err`: it is the returned answer, and the caller decides.
+    pub fn open(
+        target: &'a mut dyn UserTarget<Error = E>,
+        dataset: &'a Dataset,
+        query_image: usize,
+        k: usize,
+        deadline_ms: Option<u64>,
+    ) -> Result<(Self, Timed<Result<QueryReply, E>>), E> {
+        let session = target.create_session()?;
+        let mut this = ClosedLoop {
+            target,
+            user: SimulatedUser::new(dataset, dataset.category(query_image)),
+            query_image,
+            session,
+            k,
+            deadline_ms,
+            marked: Vec::new(),
+        };
+        let example = dataset.vector(query_image).to_vec();
+        let first = this.query(Some(example));
+        Ok((this, first))
+    }
+
+    fn query(&mut self, vector: Option<Vec<f64>>) -> Timed<Result<QueryReply, E>> {
+        let answer = timed(|| {
+            self.target
+                .query(self.session, self.k, vector, self.deadline_ms)
+        });
+        let retrieved = answer.value.as_ref().map_or(&[][..], |r| &r.retrieved);
+        self.marked = self.user.mark_or_example(retrieved, self.query_image);
+        answer
+    }
+
+    /// One feedback round: feeds [`ClosedLoop::marked`], then sends the
+    /// refined query.
+    pub fn step(&mut self) -> Step<E> {
+        let feed = timed(|| self.target.feed(self.session, &self.marked));
+        let query = self.query(None);
+        Step { feed, query }
+    }
+
+    /// The marks of the latest answer — what the next step will feed.
+    pub fn marked(&self) -> &[FeedbackPoint] {
+        &self.marked
+    }
+
+    /// Closes the session.
+    ///
+    /// # Errors
+    ///
+    /// The target's failure to close.
+    pub fn close(self) -> Result<(), E> {
+        self.target.close_session(self.session)
+    }
+}
+
+/// Runs one whole session on `target` under the strict policy: the
+/// example query plus `feedback_rounds` steps, the first failure aborts.
+/// `elapsed` of a feedback round is its feed plus its query.
+///
+/// # Errors
+///
+/// The first failure of any call on the target.
+pub fn run_session<E>(
+    target: &mut dyn UserTarget<Error = E>,
+    dataset: &Dataset,
+    query_image: usize,
+    k: usize,
+    feedback_rounds: usize,
+) -> Result<SessionOutcome, E> {
+    let record = |reply: QueryReply, elapsed, marked: &[FeedbackPoint]| IterationRecord {
+        retrieved: reply.retrieved,
+        stats: reply.stats,
+        elapsed,
+        num_marked: marked.len(),
+    };
+    let (mut session, first) = ClosedLoop::open(target, dataset, query_image, k, None)?;
+    let mut iterations = Vec::with_capacity(feedback_rounds + 1);
+    iterations.push(record(first.value?, first.elapsed, session.marked()));
+    for _ in 0..feedback_rounds {
+        let step = session.step();
+        step.feed.value?;
+        let elapsed = step.feed.elapsed + step.query.elapsed;
+        iterations.push(record(step.query.value?, elapsed, session.marked()));
+    }
+    session.close()?;
+    Ok(SessionOutcome { iterations })
 }
 
 /// Drives feedback sessions over one dataset.
@@ -81,13 +228,11 @@ impl<'a> FeedbackSession<'a> {
     }
 
     /// Runs `feedback_rounds` rounds of relevance feedback with `method`
-    /// for a query whose example image is `query_image`.
+    /// for a query whose example image is `query_image`:
+    /// [`run_session`] through an [`InProcessTarget`].
     ///
     /// The method is `reset` first, so one method instance can serve many
-    /// queries. If a round marks nothing relevant, the query example
-    /// itself is fed (score 3) so every method always has at least one
-    /// relevant point — mirroring that the user's example is trivially
-    /// relevant.
+    /// queries.
     ///
     /// # Errors
     ///
@@ -98,54 +243,14 @@ impl<'a> FeedbackSession<'a> {
         query_image: usize,
         feedback_rounds: usize,
     ) -> qcluster_core::Result<SessionOutcome> {
-        method.reset();
-        let query_category = self.dataset.category(query_image);
-        let user = SimulatedUser::new(self.dataset, query_category);
-        let mut cache = self
-            .use_node_cache
-            .then(|| NodeCache::new(self.dataset.tree().num_nodes()));
-        let mut iterations = Vec::with_capacity(feedback_rounds + 1);
-
-        // Initial round: plain k-NN from the example image.
-        let t0 = Instant::now();
-        let initial = EuclideanQuery::new(self.dataset.vector(query_image).to_vec());
-        let (neighbors, stats) = self.dataset.tree().knn(&initial, self.k, cache.as_mut());
-        let retrieved: Vec<usize> = neighbors.iter().map(|n| n.id).collect();
-        let mut marked = user.mark(&retrieved);
-        Self::ensure_nonempty(&mut marked, self.dataset, query_image);
-        iterations.push(IterationRecord {
-            num_marked: marked.len(),
-            retrieved,
-            stats,
-            elapsed: t0.elapsed(),
-        });
-
-        for _ in 0..feedback_rounds {
-            let t = Instant::now();
-            method.feed(&marked)?;
-            let query = method.query()?;
-            let (neighbors, stats) = self.dataset.tree().knn(&query, self.k, cache.as_mut());
-            let retrieved: Vec<usize> = neighbors.iter().map(|n| n.id).collect();
-            marked = user.mark(&retrieved);
-            Self::ensure_nonempty(&mut marked, self.dataset, query_image);
-            iterations.push(IterationRecord {
-                num_marked: marked.len(),
-                retrieved,
-                stats,
-                elapsed: t.elapsed(),
-            });
-        }
-        Ok(SessionOutcome { iterations })
-    }
-
-    fn ensure_nonempty(marked: &mut Vec<FeedbackPoint>, dataset: &Dataset, query: usize) {
-        if marked.is_empty() {
-            marked.push(FeedbackPoint::new(
-                query,
-                dataset.vector(query).to_vec(),
-                crate::oracle::SCORE_SAME_CATEGORY,
-            ));
-        }
+        let mut target = InProcessTarget::new(method, self.dataset.tree(), self.use_node_cache);
+        run_session(
+            &mut target,
+            self.dataset,
+            query_image,
+            self.k,
+            feedback_rounds,
+        )
     }
 }
 

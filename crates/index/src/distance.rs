@@ -140,6 +140,26 @@ impl<T: QueryDistance + ?Sized> QueryDistance for Box<T> {
     }
 }
 
+/// A query that can be fanned out to worker threads: evaluable, sendable,
+/// and cloneable per worker.
+///
+/// Refined queries carry interior scratch buffers, so they are `Send` but
+/// not `Sync`: a parallel scan never shares one between workers, each
+/// gets its own [`FanoutQuery::clone_fanout`]. Blanket-implemented for
+/// every `Clone + Send` [`QueryDistance`], which covers all query types
+/// in this workspace (Euclidean, weighted Euclidean, cluster,
+/// disjunctive and multipoint queries).
+pub trait FanoutQuery: QueryDistance + Send {
+    /// A boxed clone for one worker.
+    fn clone_fanout(&self) -> Box<dyn FanoutQuery>;
+}
+
+impl<T: QueryDistance + Clone + Send + 'static> FanoutQuery for T {
+    fn clone_fanout(&self) -> Box<dyn FanoutQuery> {
+        Box::new(self.clone())
+    }
+}
+
 /// Copies whole tiles through a tile kernel producing `[f64; 8]` per
 /// tile into a truncated `out` (the final tile may be padded).
 pub(crate) fn tiles_via_kernel<F: FnMut(&[f64]) -> [f64; TILE_LANES]>(

@@ -36,7 +36,7 @@ pub mod tree;
 
 pub use bbox::BoundingBox;
 pub use cache::NodeCache;
-pub use distance::{EuclideanQuery, QueryDistance, WeightedEuclideanQuery};
+pub use distance::{EuclideanQuery, FanoutQuery, QueryDistance, WeightedEuclideanQuery};
 pub use knn::{merge_top_k, Neighbor, SearchStats, TopK};
 pub use quant::{
     default_rerank_window, QuantParams, QuantPlan, QuantScanStats, QuantSpec, QuantizedScan,

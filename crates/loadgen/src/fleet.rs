@@ -2,10 +2,12 @@
 //!
 //! A *user* is a thread driving the paper's feedback protocol end to
 //! end against a live target: open a session, query with an example
-//! image, let the oracle-backed [`SimulatedUser`] mark the answer,
-//! feed the marks, think, re-query with the refined (disjunctive)
-//! query — for a planned number of iterations, over a planned number
-//! of back-to-back sessions.
+//! image, let the oracle-backed simulated user mark the answer, feed
+//! the marks, think, re-query with the refined (disjunctive) query —
+//! for a planned number of iterations, over a planned number of
+//! back-to-back sessions. The protocol itself is `qcluster-eval`'s
+//! [`ClosedLoop`]; what this module adds around each step is the soak's
+//! own: think time, abandonment, error counting, the latency histogram.
 //!
 //! Everything a user will do is decided **up front** by
 //! [`FleetPlan::build`], a pure function of `(config, corpus size)`:
@@ -13,17 +15,18 @@
 //! abandonment), and per-round think-time jitter. Execution then only
 //! *consumes* the plan, so one seed reproduces the same workload
 //! byte-for-byte regardless of scheduling, and
-//! [`offline_baseline`] can replay the identical plan through
-//! `qcluster-eval`'s in-process [`FeedbackSession`] to bound how much
+//! [`offline_baseline`] can replay the identical plan through the same
+//! loop on `qcluster-eval`'s in-process target to bound how much
 //! retrieval quality the served path may lose.
 
 use crate::chaos::{ChaosHit, ChaosScheduler};
 use crate::config::SoakConfig;
 use crate::rng::SeedRng;
-use crate::target::{SoakBackend, UserTarget};
-use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine};
-use qcluster_eval::oracle::SCORE_SAME_CATEGORY;
-use qcluster_eval::{precision_at_k, Dataset, FeedbackSession, SimulatedUser};
+use crate::target::{SoakBackend, SoakTarget};
+use qcluster_core::{QclusterConfig, QclusterEngine};
+use qcluster_eval::{
+    ClosedLoop, Dataset, FeedbackSession, IterationRow, QueryReply, ScoreTable, Timed,
+};
 use qcluster_service::LatencyHistogram;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -173,17 +176,6 @@ impl SoakCounters {
     }
 }
 
-/// Mean precision-at-k across sessions at one feedback iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IterationQuality {
-    /// Iteration index (0 = the initial example query).
-    pub iteration: usize,
-    /// Sessions that reached (and answered) this iteration.
-    pub sessions: u64,
-    /// Mean precision-at-k over those sessions.
-    pub mean_precision: f64,
-}
-
 /// Everything one soak run produced.
 #[derive(Debug)]
 pub struct SoakOutcome {
@@ -195,7 +187,7 @@ pub struct SoakOutcome {
     /// merged lock-free at the end of the run).
     pub latency: LatencyHistogram,
     /// Retrieval quality per feedback iteration.
-    pub precision: Vec<IterationQuality>,
+    pub precision: Vec<IterationRow>,
     /// Per-failpoint fire counts from the chaos scheduler.
     pub chaos: Vec<ChaosHit>,
 }
@@ -203,8 +195,7 @@ pub struct SoakOutcome {
 /// What one user thread hands back.
 struct UserResult {
     counters: SoakCounters,
-    /// `(sessions, precision sum)` per iteration index.
-    precision: Vec<(u64, f64)>,
+    precision: ScoreTable,
     latency: LatencyHistogram,
 }
 
@@ -212,44 +203,37 @@ impl UserResult {
     fn new(iterations: usize) -> UserResult {
         UserResult {
             counters: SoakCounters::default(),
-            precision: vec![(0, 0.0); iterations + 1],
+            precision: ScoreTable::new(iterations + 1),
             latency: LatencyHistogram::default(),
         }
     }
 
-    fn observe(&mut self, iteration: usize, precision: f64) {
-        let slot = &mut self.precision[iteration];
-        slot.0 += 1;
-        slot.1 += precision;
+    /// Books one query round; `false` when it went unanswered.
+    fn record_query(
+        &mut self,
+        dataset: &Dataset,
+        category: usize,
+        k: usize,
+        iteration: usize,
+        answer: Timed<Result<QueryReply, String>>,
+    ) -> bool {
+        match answer.value {
+            Ok(reply) => {
+                self.latency.record(answer.elapsed);
+                self.counters.queries_ok += 1;
+                if reply.degraded {
+                    self.counters.degraded_responses += 1;
+                }
+                self.precision
+                    .observe(dataset, category, iteration, &reply.retrieved, k);
+                true
+            }
+            Err(_) => {
+                self.counters.query_errors += 1;
+                false
+            }
+        }
     }
-}
-
-/// Marks one round's answer. Ids beyond the labelled corpus (live
-/// ingests) are invisible to the oracle and filtered out; an empty
-/// mark set falls back to the query example at the same-category score
-/// — exactly [`FeedbackSession`]'s `ensure_nonempty` protocol, so the
-/// served loop and the offline baseline feed identical relevance
-/// information.
-fn mark_round(
-    dataset: &Dataset,
-    user: &SimulatedUser<'_>,
-    query_image: usize,
-    retrieved: &[usize],
-) -> Vec<FeedbackPoint> {
-    let labelled: Vec<usize> = retrieved
-        .iter()
-        .copied()
-        .filter(|&id| id < dataset.len())
-        .collect();
-    let mut marked = user.mark(&labelled);
-    if marked.is_empty() {
-        marked.push(FeedbackPoint::new(
-            query_image,
-            dataset.vector(query_image).to_vec(),
-            SCORE_SAME_CATEGORY,
-        ));
-    }
-    marked
 }
 
 fn run_user(
@@ -259,7 +243,7 @@ fn run_user(
     plan: &UserPlan,
 ) -> UserResult {
     let mut res = UserResult::new(config.iterations);
-    let mut target: Box<dyn UserTarget> = match backend.user_target() {
+    let mut target = match backend.user_target() {
         Ok(t) => t,
         Err(_) => {
             res.counters.session_errors += plan.sessions.len() as u64;
@@ -274,107 +258,47 @@ fn run_user(
 
 fn run_session(
     dataset: &Dataset,
-    target: &mut dyn UserTarget,
+    target: &mut SoakTarget,
     config: &SoakConfig,
     plan: &SessionPlan,
     res: &mut UserResult,
 ) {
-    let query_image = plan.query_image;
-    let category = dataset.category(query_image);
-    let user = SimulatedUser::new(dataset, category);
-    let session = match target.create_session() {
-        Ok(s) => s,
-        Err(_) => {
-            res.counters.session_errors += 1;
-            return;
-        }
-    };
-
-    // Initial round: the example-image query.
-    let t = Instant::now();
-    let mut marked = match target.query(
-        session,
+    let category = dataset.category(plan.query_image);
+    let opened = ClosedLoop::open(
+        target,
+        dataset,
+        plan.query_image,
         config.k,
-        Some(dataset.vector(query_image).to_vec()),
         config.deadline_ms,
-    ) {
-        Ok(reply) => {
-            res.latency.record(t.elapsed());
-            res.counters.queries_ok += 1;
-            if reply.degraded {
-                res.counters.degraded_responses += 1;
-            }
-            res.observe(
-                0,
-                precision_at_k(dataset, category, &reply.retrieved, config.k),
-            );
-            mark_round(dataset, &user, query_image, &reply.retrieved)
-        }
-        Err(_) => {
-            res.counters.query_errors += 1;
-            res.counters.session_errors += 1;
-            let _ = target.close_session(session);
-            return;
-        }
+    );
+    let Ok((mut session, first)) = opened else {
+        res.counters.session_errors += 1;
+        return;
     };
-
-    let mut aborted = false;
-    for round in 0..plan.rounds {
-        let think = plan.think_ns[round];
+    let mut answered = res.record_query(dataset, category, config.k, 0, first);
+    for (round, &think) in plan.think_ns.iter().enumerate() {
+        if !answered {
+            break;
+        }
         if think > 0 {
             std::thread::sleep(Duration::from_nanos(think));
         }
-        let ids: Vec<usize> = marked.iter().map(|p| p.id).collect();
-        let scores: Vec<f64> = marked.iter().map(|p| p.score).collect();
-        if target.feed(session, &ids, &scores).is_err() {
+        let step = session.step();
+        if step.feed.value.is_err() {
             // Count it but keep driving: the refined query falls back
             // to the last state the server accepted.
             res.counters.feed_errors += 1;
         }
-        let t = Instant::now();
-        match target.query(session, config.k, None, config.deadline_ms) {
-            Ok(reply) => {
-                res.latency.record(t.elapsed());
-                res.counters.queries_ok += 1;
-                if reply.degraded {
-                    res.counters.degraded_responses += 1;
-                }
-                res.observe(
-                    round + 1,
-                    precision_at_k(dataset, category, &reply.retrieved, config.k),
-                );
-                marked = mark_round(dataset, &user, query_image, &reply.retrieved);
-            }
-            Err(_) => {
-                res.counters.query_errors += 1;
-                aborted = true;
-                break;
-            }
-        }
+        answered = res.record_query(dataset, category, config.k, round + 1, step.query);
     }
-    let _ = target.close_session(session);
-    if aborted {
+    let _ = session.close();
+    if !answered {
         res.counters.session_errors += 1;
     } else if plan.abandoned {
         res.counters.sessions_abandoned += 1;
     } else {
         res.counters.sessions_completed += 1;
     }
-}
-
-fn quality_from_acc(acc: Vec<(u64, f64)>) -> Vec<IterationQuality> {
-    acc.into_iter()
-        .enumerate()
-        .map(|(iteration, (sessions, sum))| IterationQuality {
-            iteration,
-            sessions,
-            mean_precision: if sessions == 0 {
-                0.0
-            } else {
-                sum / sessions as f64
-            },
-        })
-        .collect()
 }
 
 /// Runs one soak: starts the chaos scheduler and the background ingest
@@ -448,14 +372,11 @@ pub fn run_soak(
 
     let latency = LatencyHistogram::default();
     let mut counters = SoakCounters::default();
-    let mut acc = vec![(0u64, 0.0f64); config.iterations + 1];
+    let mut precision = ScoreTable::new(config.iterations + 1);
     for res in &user_results {
         latency.merge(&res.latency);
         counters.add(&res.counters);
-        for (slot, &(sessions, sum)) in acc.iter_mut().zip(res.precision.iter()) {
-            slot.0 += sessions;
-            slot.1 += sum;
-        }
+        precision.merge(&res.precision);
     }
     counters.ingests_ok = ingests_ok;
     counters.ingest_errors = ingest_errors;
@@ -464,17 +385,17 @@ pub fn run_soak(
         wall,
         counters,
         latency,
-        precision: quality_from_acc(acc),
+        precision: precision.rows(),
         chaos,
     })
 }
 
-/// Replays the *same* fleet plan through `qcluster-eval`'s in-process
-/// [`FeedbackSession`] (no sharding, no network, no faults), reporting
-/// per-iteration mean precision-at-k. This is the quality reference a
-/// chaos-free soak must match to within tie-break noise: both sides
-/// run the identical query images, iteration counts, marking protocol,
-/// and engine configuration.
+/// Replays the *same* fleet plan through the same closed loop on
+/// `qcluster-eval`'s in-process target (no sharding, no network, no
+/// faults, no think time), reporting per-iteration mean precision-at-k.
+/// This is the quality reference a chaos-free soak must match to within
+/// tie-break noise: both sides run the identical query images,
+/// iteration counts, marking protocol, and engine configuration.
 ///
 /// # Errors
 ///
@@ -482,25 +403,22 @@ pub fn run_soak(
 pub fn offline_baseline(
     dataset: &Dataset,
     config: &SoakConfig,
-) -> Result<Vec<IterationQuality>, String> {
+) -> Result<Vec<IterationRow>, String> {
     config.validate()?;
     let plan = FleetPlan::build(config, dataset.len());
     let driver = FeedbackSession::new(dataset, config.k);
     let mut engine = QclusterEngine::new(QclusterConfig::default());
-    let mut acc = vec![(0u64, 0.0f64); config.iterations + 1];
-    for user in &plan.users {
-        for session_plan in &user.sessions {
-            let outcome = driver
-                .run(&mut engine, session_plan.query_image, session_plan.rounds)
-                .map_err(|e| format!("offline session failed: {e}"))?;
-            let category = dataset.category(session_plan.query_image);
-            for (i, record) in outcome.iterations.iter().enumerate() {
-                acc[i].0 += 1;
-                acc[i].1 += precision_at_k(dataset, category, &record.retrieved, config.k);
-            }
+    let mut precision = ScoreTable::new(config.iterations + 1);
+    for session_plan in plan.users.iter().flat_map(|user| &user.sessions) {
+        let outcome = driver
+            .run(&mut engine, session_plan.query_image, session_plan.rounds)
+            .map_err(|e| format!("offline session failed: {e}"))?;
+        let category = dataset.category(session_plan.query_image);
+        for (i, record) in outcome.iterations.iter().enumerate() {
+            precision.observe(dataset, category, i, &record.retrieved, config.k);
         }
     }
-    Ok(quality_from_acc(acc))
+    Ok(precision.rows())
 }
 
 #[cfg(test)]
@@ -604,16 +522,5 @@ mod tests {
             (0..16).map(|_| s.next_vector()).collect()
         };
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn quality_accumulator_averages_per_iteration() {
-        let quality = quality_from_acc(vec![(2, 1.0), (1, 0.25), (0, 0.0)]);
-        assert_eq!(quality.len(), 3);
-        assert_eq!(quality[0].iteration, 0);
-        assert!((quality[0].mean_precision - 0.5).abs() < 1e-12);
-        assert!((quality[1].mean_precision - 0.25).abs() < 1e-12);
-        assert_eq!(quality[2].sessions, 0);
-        assert_eq!(quality[2].mean_precision, 0.0);
     }
 }

@@ -17,9 +17,11 @@
 //! - [`rng`] — derived-stream splitmix64 seeding (one `--seed`, many
 //!   independent consumers).
 //! - [`config`] — the soak shape ([`SoakConfig`]).
-//! - [`fleet`] — the pure [`FleetPlan`] and the closed-loop executor
-//!   ([`run_soak`]) plus the offline quality baseline.
-//! - [`target`] — [`UserTarget`]/[`SoakBackend`] over TCP or router.
+//! - [`fleet`] — the pure [`FleetPlan`], the fleet executor
+//!   ([`run_soak`]: think time, abandonment and counters around
+//!   `qcluster-eval`'s one closed loop) and the offline quality baseline.
+//! - [`target`] — `qcluster-eval`'s `UserTarget` over TCP or router,
+//!   and the [`SoakBackend`] control plane that mints them.
 //! - [`chaos`] — the seeded fault timeline and its scheduler.
 //! - [`report`] — the [`SoakReport`] artifact.
 
@@ -35,9 +37,9 @@ pub mod target;
 pub use chaos::{seeded_timeline, ChaosEvent, ChaosHit, ChaosKind, ChaosScheduler};
 pub use config::SoakConfig;
 pub use fleet::{
-    offline_baseline, run_soak, FleetPlan, IngestStream, IterationQuality, SessionPlan,
-    SoakCounters, SoakOutcome, UserPlan,
+    offline_baseline, run_soak, FleetPlan, IngestStream, SessionPlan, SoakCounters, SoakOutcome,
+    UserPlan,
 };
 pub use report::{soak_artifact_json, write_soak_artifact, LeaderKillReport, SoakReport};
 pub use rng::SeedRng;
-pub use target::{QueryReply, RouterBackend, SoakBackend, TcpBackend, UserTarget};
+pub use target::{RouterBackend, SoakBackend, SoakTarget, TcpBackend};

@@ -9,7 +9,8 @@
 
 use crate::chaos::ChaosHit;
 use crate::config::SoakConfig;
-use crate::fleet::{IterationQuality, SoakCounters, SoakOutcome};
+use crate::fleet::{SoakCounters, SoakOutcome};
+use qcluster_eval::IterationRow;
 use qcluster_service::{HistogramSummary, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 
@@ -45,7 +46,7 @@ pub struct SoakReport {
     /// Circuit-breaker open transitions observed server-side.
     pub breaker_trips: u64,
     /// Mean precision-at-k per feedback iteration.
-    pub precision_at_k: Vec<IterationQuality>,
+    pub precision_at_k: Vec<IterationRow>,
     /// Scheduled-chaos fire counts per failpoint.
     pub chaos: Vec<ChaosHit>,
     /// The server-side metrics snapshot at soak end (wire schema).
@@ -183,10 +184,12 @@ mod tests {
                 ..SoakCounters::default()
             },
             latency,
-            precision: vec![IterationQuality {
+            precision: vec![IterationRow {
                 iteration: 0,
-                sessions: 8,
                 mean_precision: 0.75,
+                std_precision: 0.1,
+                mean_recall: 0.5,
+                sessions: 8,
             }],
             chaos: vec![ChaosHit {
                 failpoint: "executor.shard".into(),

@@ -1,8 +1,10 @@
-//! Soak targets: what a simulated user drives, behind one trait.
+//! Soak targets: the doors of `qcluster-eval`'s closed loop that cross
+//! a socket.
 //!
-//! The fleet only speaks [`UserTarget`] (one session-capable client)
-//! and [`SoakBackend`] (the shared control plane: minting user
-//! targets, background ingest, stats). Two implementations exist:
+//! The fleet only speaks [`UserTarget`] (one session-capable client;
+//! the trait and its in-process door live in `qcluster-eval`) and
+//! [`SoakBackend`] (the shared control plane: minting user targets,
+//! background ingest, stats). Two implementations exist:
 //!
 //! - [`TcpBackend`] — every user opens its **own real TCP connection**
 //!   (`qcluster-net` client) to a served store, so the soak exercises
@@ -13,63 +15,17 @@
 //!   connections (the router is a client-side library; sharing it
 //!   across user threads is its intended concurrency model).
 
+use qcluster_core::FeedbackPoint;
+use qcluster_eval::{QueryReply, UserTarget};
 use qcluster_net::{Client, ClientConfig, NetError};
 use qcluster_router::Router;
 use qcluster_service::{MetricsSnapshot, Request, Response};
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
-/// One query round's answer, reduced to what the fleet scores.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryReply {
-    /// Ranked global corpus ids, best first (length ≤ k when degraded).
-    pub retrieved: Vec<usize>,
-    /// Whether shard or node coverage was partial.
-    pub degraded: bool,
-    /// Cluster nodes that contributed to the merge.
-    pub nodes_ok: usize,
-    /// Cluster nodes the query scattered to.
-    pub nodes_total: usize,
-}
-
-/// One user's handle on the target: a session-scoped client. Errors
-/// are strings — the fleet only counts and reports them.
-pub trait UserTarget: Send {
-    /// Opens a feedback session.
-    ///
-    /// # Errors
-    ///
-    /// Transport or service failure, rendered for the report.
-    fn create_session(&mut self) -> Result<u64, String>;
-
-    /// Runs one query round (`vector` set = initial example query,
-    /// `None` = the session's refined query).
-    ///
-    /// # Errors
-    ///
-    /// Transport or service failure, rendered for the report.
-    fn query(
-        &mut self,
-        session: u64,
-        k: usize,
-        vector: Option<Vec<f64>>,
-        deadline_ms: Option<u64>,
-    ) -> Result<QueryReply, String>;
-
-    /// Feeds one round of graded relevance marks.
-    ///
-    /// # Errors
-    ///
-    /// Transport or service failure, rendered for the report.
-    fn feed(&mut self, session: u64, ids: &[usize], scores: &[f64]) -> Result<(), String>;
-
-    /// Closes the session (best-effort at soak teardown).
-    ///
-    /// # Errors
-    ///
-    /// Transport or service failure, rendered for the report.
-    fn close_session(&mut self, session: u64) -> Result<(), String>;
-}
+/// A [`UserTarget`] as the soak drives it. Errors are strings — the
+/// fleet only counts and reports them.
+pub type SoakTarget = dyn UserTarget<Error = String>;
 
 /// The shared side of a soak target, used by the harness itself.
 pub trait SoakBackend: Sync {
@@ -78,7 +34,7 @@ pub trait SoakBackend: Sync {
     /// # Errors
     ///
     /// Connection establishment failure.
-    fn user_target(&self) -> Result<Box<dyn UserTarget>, String>;
+    fn user_target(&self) -> Result<Box<SoakTarget>, String>;
 
     /// Durably ingests one vector, returning its assigned global id.
     ///
@@ -107,19 +63,23 @@ fn unexpected(what: &str, response: &Response) -> String {
     format!("unexpected response to {what}: {response:?}")
 }
 
+/// The wire shape of a round's marks: the service resolves the vectors
+/// from the ids itself.
+fn ids_and_scores(marked: &[FeedbackPoint]) -> (Vec<usize>, Vec<f64>) {
+    marked.iter().map(|p| (p.id, p.score)).unzip()
+}
+
 fn reply_from_response(what: &str, response: Response) -> Result<QueryReply, String> {
     match response {
         Response::Neighbors {
             neighbors,
+            stats,
             degraded,
-            nodes_ok,
-            nodes_total,
             ..
         } => Ok(QueryReply {
             retrieved: neighbors.into_iter().map(|n| n.id).collect(),
+            stats: stats.into(),
             degraded,
-            nodes_ok,
-            nodes_total,
         }),
         Response::Error(e) => Err(format!("service: {e}")),
         other => Err(unexpected(what, &other)),
@@ -168,6 +128,8 @@ struct TcpTarget {
 }
 
 impl UserTarget for TcpTarget {
+    type Error = String;
+
     fn create_session(&mut self) -> Result<u64, String> {
         match self
             .client
@@ -199,13 +161,14 @@ impl UserTarget for TcpTarget {
         reply_from_response("Query", response)
     }
 
-    fn feed(&mut self, session: u64, ids: &[usize], scores: &[f64]) -> Result<(), String> {
+    fn feed(&mut self, session: u64, marked: &[FeedbackPoint]) -> Result<(), String> {
+        let (relevant_ids, scores) = ids_and_scores(marked);
         match self
             .client
             .call(&Request::Feed {
                 session,
-                relevant_ids: ids.to_vec(),
-                scores: Some(scores.to_vec()),
+                relevant_ids,
+                scores: Some(scores),
             })
             .map_err(net_err)?
         {
@@ -229,7 +192,7 @@ impl UserTarget for TcpTarget {
 }
 
 impl SoakBackend for TcpBackend {
-    fn user_target(&self) -> Result<Box<dyn UserTarget>, String> {
+    fn user_target(&self) -> Result<Box<SoakTarget>, String> {
         let client = Client::connect(self.addr, self.config.clone()).map_err(net_err)?;
         Ok(Box::new(TcpTarget { client }))
     }
@@ -279,6 +242,8 @@ struct RouterTarget {
 }
 
 impl UserTarget for RouterTarget {
+    type Error = String;
+
     fn create_session(&mut self) -> Result<u64, String> {
         self.router
             .create_session(None)
@@ -299,10 +264,11 @@ impl UserTarget for RouterTarget {
         reply_from_response("Query", report.response)
     }
 
-    fn feed(&mut self, session: u64, ids: &[usize], scores: &[f64]) -> Result<(), String> {
+    fn feed(&mut self, session: u64, marked: &[FeedbackPoint]) -> Result<(), String> {
+        let (ids, scores) = ids_and_scores(marked);
         match self
             .router
-            .feed(session, ids, Some(scores))
+            .feed(session, &ids, Some(&scores))
             .map_err(|e| format!("router: {e}"))?
         {
             Response::FeedAccepted { .. } => Ok(()),
@@ -319,7 +285,7 @@ impl UserTarget for RouterTarget {
 }
 
 impl SoakBackend for RouterBackend {
-    fn user_target(&self) -> Result<Box<dyn UserTarget>, String> {
+    fn user_target(&self) -> Result<Box<SoakTarget>, String> {
         Ok(Box::new(RouterTarget {
             router: Arc::clone(&self.router),
         }))

@@ -9,7 +9,9 @@
 //! TCP hop, neither of which may change *what* is retrieved beyond
 //! equal-distance tie ordering.
 
-use qcluster_loadgen::{offline_baseline, run_soak, SoakConfig, TcpBackend};
+use qcluster_core::{QclusterConfig, QclusterEngine};
+use qcluster_eval::{run_session, FeedbackSession};
+use qcluster_loadgen::{offline_baseline, run_soak, SoakBackend, SoakConfig, TcpBackend};
 use qcluster_net::{ClientConfig, Server, ServerConfig};
 use qcluster_service::{Service, ServiceConfig};
 use std::sync::Arc;
@@ -77,6 +79,49 @@ fn chaos_free_soak_matches_offline_baseline_within_epsilon() {
     }
     // The baseline itself must be deterministic — same seed, same curve.
     assert_eq!(offline, offline_baseline(&dataset, &config).unwrap());
+
+    server.shutdown();
+}
+
+/// With one loop on both sides the ε gate on means is backed by an
+/// exact check: the in-process target and the shipped default service
+/// over TCP, driven by the same stepper, return the same ranked ids at
+/// every round of every session.
+#[test]
+fn served_and_offline_sessions_agree_id_for_id() {
+    let _serial = qcluster_failpoint::test_lock();
+    qcluster_failpoint::clear_all();
+
+    let dataset =
+        qcluster_eval::Dataset::small_default(qcluster_imaging::FeatureKind::ColorMoments, 9)
+            .unwrap();
+    let service = Service::new(dataset.vectors(), ServiceConfig::default()).unwrap();
+    let server = Server::bind("127.0.0.1:0", Arc::new(service), ServerConfig::default()).unwrap();
+    let backend = TcpBackend::connect(server.local_addr(), ClientConfig::default()).unwrap();
+    let mut served = backend.user_target().unwrap();
+
+    let (k, rounds) = (12, 3);
+    let offline = FeedbackSession::new(&dataset, k);
+    let mut engine = QclusterEngine::new(QclusterConfig::default());
+    let ranked = |outcome: qcluster_eval::SessionOutcome| -> Vec<Vec<usize>> {
+        outcome
+            .iterations
+            .into_iter()
+            .map(|r| r.retrieved)
+            .collect()
+    };
+    let mut compared = 0;
+    for query_image in (0..dataset.len()).step_by(3) {
+        let over_wire = run_session(served.as_mut(), &dataset, query_image, k, rounds).unwrap();
+        let in_process = offline.run(&mut engine, query_image, rounds).unwrap();
+        compared += over_wire.iterations.len();
+        assert_eq!(
+            ranked(over_wire),
+            ranked(in_process),
+            "example {query_image}"
+        );
+    }
+    assert_eq!(compared, 48 * 4, "every third of 144 images, 4 rounds each");
 
     server.shutdown();
 }

@@ -35,28 +35,11 @@ use crate::metrics::{HistogramSummary, LatencyHistogram};
 use crate::shard::ShardedCorpus;
 use crossbeam::channel::{self, Receiver, Sender};
 use qcluster_failpoint as failpoint;
-use qcluster_index::{merge_top_k, Neighbor, NodeCache, QueryDistance, SearchStats};
+use qcluster_index::{merge_top_k, FanoutQuery, Neighbor, NodeCache, SearchStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// A query that can be fanned out to worker threads: evaluable, sendable,
-/// and cloneable per shard.
-///
-/// Blanket-implemented for every `Clone + Send` [`QueryDistance`], which
-/// covers all query types in this workspace (Euclidean, weighted
-/// Euclidean, cluster, and disjunctive queries).
-pub trait FanoutQuery: QueryDistance + Send {
-    /// A boxed clone for one shard job.
-    fn clone_fanout(&self) -> Box<dyn FanoutQuery>;
-}
-
-impl<T: QueryDistance + Clone + Send + 'static> FanoutQuery for T {
-    fn clone_fanout(&self) -> Box<dyn FanoutQuery> {
-        Box::new(self.clone())
-    }
-}
 
 /// A unit of work for the pool.
 type Job = Box<dyn FnOnce() + Send + 'static>;

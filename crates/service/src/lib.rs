@@ -66,15 +66,15 @@ mod writer;
 
 pub use error::ServiceError;
 pub use executor::{
-    Executor, ExecutorConfig, ExecutorFaults, FanoutQuery, FanoutReport, ShardFailure,
-    ShardFailureKind,
+    Executor, ExecutorConfig, ExecutorFaults, FanoutReport, ShardFailure, ShardFailureKind,
 };
 pub use metrics::{
     ClusterGauges, FaultGauges, HistogramSummary, LatencyHistogram, MetricsSnapshot, OpHistogram,
     OpSummary, QuantGauges, ServiceMetrics, StorageGauges, TransportGauges,
 };
 pub use protocol::{dispatch, FeedPointDto, NeighborDto, Request, Response, SearchStatsDto};
+pub use qcluster_index::FanoutQuery;
 pub use qcluster_store::{CompactionStats, StoreConfig};
 pub use service::{FeedOutcome, IngestOutcome, QueryOutcome, Service, ServiceConfig};
-pub use session::{RegistryConfig, ServiceEngine, Session, SessionHandle, SessionRegistry};
+pub use session::{RegistryConfig, Session, SessionHandle, SessionRegistry};
 pub use shard::{Shard, ShardKind, ShardedCorpus};

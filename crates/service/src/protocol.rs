@@ -16,10 +16,12 @@ use serde::{Deserialize, Serialize};
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// Open a session. `engine` selects `"qcluster"` (default when
-    /// `None`) or `"qpm"`.
+    /// Open a session. `engine` names one of the five methods of
+    /// `qcluster_baselines::METHODS` — `"qcluster"` (the default when
+    /// `None`), `"qpm"`, `"mindreader"`, `"qex"`, `"falcon"`; any other
+    /// name is an `InvalidRequest`.
     CreateSession {
-        /// Engine name, or `None` for the default.
+        /// Method name, or `None` for the default.
         engine: Option<String>,
     },
     /// Run a k-NN round. With `vector` set this is the initial
@@ -388,52 +390,64 @@ mod tests {
         .unwrap()
     }
 
+    fn open(svc: &Service, engine: Option<&str>) -> u64 {
+        let engine = engine.map(String::from);
+        match dispatch(svc, Request::CreateSession { engine }) {
+            Response::SessionCreated { session } => session,
+            other => panic!("expected SessionCreated, got {other:?}"),
+        }
+    }
+
+    fn query(
+        svc: &Service,
+        session: u64,
+        k: usize,
+        vector: Option<Vec<f64>>,
+    ) -> (Vec<NeighborDto>, SearchStatsDto) {
+        let request = Request::Query {
+            session,
+            k,
+            vector,
+            deadline_ms: None,
+        };
+        match dispatch(svc, request) {
+            Response::Neighbors {
+                neighbors, stats, ..
+            } => (neighbors, stats),
+            other => panic!("expected Neighbors, got {other:?}"),
+        }
+    }
+
+    /// Feeds `relevant_ids` at the default score; the iteration and the
+    /// reported cluster count.
+    fn feed(svc: &Service, session: u64, relevant_ids: Vec<usize>) -> (u64, Option<usize>) {
+        let request = Request::Feed {
+            session,
+            relevant_ids,
+            scores: None,
+        };
+        match dispatch(svc, request) {
+            Response::FeedAccepted {
+                iteration,
+                clusters,
+                ..
+            } => (iteration, clusters),
+            other => panic!("expected FeedAccepted, got {other:?}"),
+        }
+    }
+
     #[test]
     fn dispatch_drives_a_whole_session() {
         let svc = service();
-        let Response::SessionCreated { session } =
-            dispatch(&svc, Request::CreateSession { engine: None })
-        else {
-            panic!("expected SessionCreated");
-        };
+        let session = open(&svc, None);
 
-        let Response::Neighbors { neighbors, .. } = dispatch(
-            &svc,
-            Request::Query {
-                session,
-                k: 6,
-                vector: Some(vec![0.5, 0.5]),
-                deadline_ms: None,
-            },
-        ) else {
-            panic!("expected Neighbors");
-        };
+        let (neighbors, _) = query(&svc, session, 6, Some(vec![0.5, 0.5]));
         assert_eq!(neighbors.len(), 6);
 
         let ids: Vec<usize> = neighbors.iter().take(4).map(|n| n.id).collect();
-        let Response::FeedAccepted { iteration, .. } = dispatch(
-            &svc,
-            Request::Feed {
-                session,
-                relevant_ids: ids,
-                scores: None,
-            },
-        ) else {
-            panic!("expected FeedAccepted");
-        };
-        assert_eq!(iteration, 1);
+        assert_eq!(feed(&svc, session, ids).0, 1);
 
-        let Response::Neighbors { stats, .. } = dispatch(
-            &svc,
-            Request::Query {
-                session,
-                k: 6,
-                vector: None,
-                deadline_ms: None,
-            },
-        ) else {
-            panic!("expected refined Neighbors");
-        };
+        let (_, stats) = query(&svc, session, 6, None);
         assert!(stats.nodes_accessed > 0);
 
         let Response::Stats(snapshot) = dispatch(&svc, Request::Stats) else {
@@ -449,13 +463,48 @@ mod tests {
     }
 
     #[test]
+    fn all_five_methods_answer_through_the_front_door() {
+        use qcluster_baselines::METHODS;
+        use qcluster_core::FeedbackPoint;
+        use qcluster_index::LinearScan;
+
+        let svc = service();
+        let points = corpus();
+        let oracle = LinearScan::new(&points);
+        for (name, make) in METHODS {
+            let session = open(&svc, Some(name));
+            // Mark the answers around the example plus two images of the
+            // other blob, so the multipoint methods have two groups to
+            // represent.
+            let (example_answer, _) = query(&svc, session, 8, Some(vec![9.5, 9.5]));
+            let mut marked: Vec<usize> = example_answer.iter().map(|n| n.id).collect();
+            marked.extend([3, 4]);
+            let (_, clusters) = feed(&svc, session, marked.clone());
+            let (refined, _) = query(&svc, session, 10, None);
+
+            // The same method, fed the same points outside the service,
+            // over one flat exact scan.
+            let mut method = make(svc.config().engine);
+            let fed: Vec<FeedbackPoint> = marked
+                .iter()
+                .map(|&id| FeedbackPoint::new(id, points[id].clone(), svc.config().default_score))
+                .collect();
+            method.feed(&fed).unwrap();
+            let expected = oracle.knn(&method.query().unwrap(), 10);
+            assert_eq!(refined.len(), expected.len(), "{name}");
+            for (got, want) in refined.iter().zip(&expected) {
+                assert_eq!(got.id, want.id, "{name}");
+                assert_eq!(got.distance.to_bits(), want.distance.to_bits(), "{name}");
+            }
+            assert_eq!(clusters, method.num_clusters(), "{name}");
+            assert_eq!(clusters.is_some(), name == "qcluster", "{name}");
+        }
+    }
+
+    #[test]
     fn dispatch_rejects_hostile_field_values_with_typed_errors() {
         let svc = service();
-        let Response::SessionCreated { session } =
-            dispatch(&svc, Request::CreateSession { engine: None })
-        else {
-            panic!("expected SessionCreated");
-        };
+        let session = open(&svc, None);
         // An absurd k must be rejected before any allocation sized by it.
         assert!(matches!(
             dispatch(

@@ -6,14 +6,16 @@
 //! client threads calling into it concurrently.
 
 use crate::error::ServiceError;
-use crate::executor::{Executor, ExecutorConfig, FanoutQuery, ShardFailureKind};
+use crate::executor::{Executor, ExecutorConfig, ShardFailureKind};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::session::{RegistryConfig, ServiceEngine, Session, SessionRegistry};
+use crate::session::{RegistryConfig, Session, SessionRegistry};
 use crate::shard::{ShardKind, ShardedCorpus};
 use crate::writer::Writer;
-use qcluster_baselines::QueryPointMovement;
+use qcluster_baselines::{method_by_name, RetrievalMethod};
 use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine};
-use qcluster_index::{merge_top_k, EuclideanQuery, LinearScan, Neighbor, NodeCache, SearchStats};
+use qcluster_index::{
+    merge_top_k, EuclideanQuery, FanoutQuery, LinearScan, Neighbor, NodeCache, SearchStats,
+};
 use qcluster_store::{
     decode_record_frames, encode_record_frame, CompactionStats, StoreConfig, VectorStore, WalRecord,
 };
@@ -226,7 +228,10 @@ impl Service {
         };
         let service = Service::build(base, config, Writer::durable(store, recovered.term))?;
         for snap in &recovered.sessions {
-            let engine = service.engine_by_name(&snap.engine);
+            // An unknown name (from a newer writer's WAL) degrades to the
+            // default engine rather than failing the whole recovery.
+            let engine = method_by_name(&snap.engine, service.config.engine)
+                .unwrap_or_else(|| Box::new(QclusterEngine::new(service.config.engine)));
             let caches = service.fresh_caches();
             let feeds = snap.feeds;
             service.registry.restore(snap.session, move |id| {
@@ -237,16 +242,6 @@ impl Service {
             service.metrics.record_recovery();
         }
         Ok(service)
-    }
-
-    /// Instantiates an engine for a recovered session. Unknown names
-    /// (from a newer writer's WAL) degrade to the default engine rather
-    /// than failing the whole recovery.
-    fn engine_by_name(&self, name: &str) -> Box<dyn ServiceEngine> {
-        match name {
-            "qpm" => Box::new(QueryPointMovement::new()),
-            _ => Box::new(QclusterEngine::new(self.config.engine)),
-        }
     }
 
     fn lock_writer(&self) -> MutexGuard<'_, Writer> {
@@ -320,21 +315,18 @@ impl Service {
         self.create_session_with(Box::new(QclusterEngine::new(self.config.engine)))
     }
 
-    /// Opens a session hosting an engine selected by name
-    /// (`"qcluster"` or `"qpm"`).
+    /// Opens a session hosting the method `engine` names in
+    /// [`qcluster_baselines::METHODS`] (`"qcluster"` takes the
+    /// configured [`ServiceConfig::engine`]).
     ///
     /// # Errors
     ///
     /// [`ServiceError::InvalidRequest`] for unknown names, plus the
     /// capacity errors of [`Service::create_session`].
     pub fn create_session_named(&self, engine: &str) -> Result<u64, ServiceError> {
-        match engine {
-            "qcluster" => self.create_session(),
-            "qpm" => self.create_session_with(Box::new(QueryPointMovement::new())),
-            other => Err(ServiceError::InvalidRequest(format!(
-                "unknown engine '{other}'"
-            ))),
-        }
+        let method = method_by_name(engine, self.config.engine)
+            .ok_or_else(|| ServiceError::InvalidRequest(format!("unknown engine '{engine}'")))?;
+        self.create_session_with(method)
     }
 
     /// Opens a session hosting the given engine.
@@ -343,7 +335,10 @@ impl Service {
     ///
     /// [`ServiceError::CapacityExhausted`] when full and LRU eviction is
     /// disabled.
-    pub fn create_session_with(&self, engine: Box<dyn ServiceEngine>) -> Result<u64, ServiceError> {
+    pub fn create_session_with(
+        &self,
+        engine: Box<dyn RetrievalMethod>,
+    ) -> Result<u64, ServiceError> {
         let engine_name = engine.name();
         let caches = self.fresh_caches();
         let (id, evicted) = self

@@ -9,95 +9,17 @@
 //! registry-level atomic so eviction decisions need no session locks.
 
 use crate::error::ServiceError;
-use crate::executor::FanoutQuery;
-use qcluster_baselines::{QueryPointMovement, RetrievalMethod};
-use qcluster_core::{FeedbackPoint, QclusterEngine, Result as CoreResult};
-use qcluster_index::{NodeCache, WeightedEuclideanQuery};
+use qcluster_baselines::RetrievalMethod;
+use qcluster_index::{FanoutQuery, NodeCache};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// A retrieval engine the service can host: the [`RetrievalMethod`]
-/// lifecycle, with queries that can be fanned out across worker threads.
-///
-/// (The baseline trait's `query` returns a non-`Send` trait object, so
-/// the service needs this parallel-safe variant.)
-pub trait ServiceEngine: Send {
-    /// Short display name ("qcluster", "qpm", …).
-    fn name(&self) -> &'static str;
-
-    /// Ingests one round of user-marked relevant points.
-    ///
-    /// # Errors
-    ///
-    /// Engine-specific validation failures.
-    fn feed(&mut self, relevant: &[FeedbackPoint]) -> CoreResult<()>;
-
-    /// Compiles the refined query for the next round.
-    ///
-    /// # Errors
-    ///
-    /// `NoClusters`-like errors before any feedback.
-    fn query(&self) -> CoreResult<Box<dyn FanoutQuery>>;
-
-    /// Clears all session state.
-    fn reset(&mut self);
-
-    /// Current cluster count, for engines that expose one.
-    fn num_clusters(&self) -> Option<usize> {
-        None
-    }
-}
-
-impl ServiceEngine for QclusterEngine {
-    fn name(&self) -> &'static str {
-        "qcluster"
-    }
-
-    fn feed(&mut self, relevant: &[FeedbackPoint]) -> CoreResult<()> {
-        QclusterEngine::feed(self, relevant)
-    }
-
-    fn query(&self) -> CoreResult<Box<dyn FanoutQuery>> {
-        Ok(Box::new(QclusterEngine::query(self)?))
-    }
-
-    fn reset(&mut self) {
-        QclusterEngine::reset(self)
-    }
-
-    fn num_clusters(&self) -> Option<usize> {
-        Some(QclusterEngine::num_clusters(self))
-    }
-}
-
-impl ServiceEngine for QueryPointMovement {
-    fn name(&self) -> &'static str {
-        "qpm"
-    }
-
-    fn feed(&mut self, relevant: &[FeedbackPoint]) -> CoreResult<()> {
-        RetrievalMethod::feed(self, relevant)
-    }
-
-    fn query(&self) -> CoreResult<Box<dyn FanoutQuery>> {
-        let center = self
-            .current_point()
-            .ok_or(qcluster_core::CoreError::NoClusters)?;
-        let weights = self.current_weights().expect("weights follow point");
-        Ok(Box::new(WeightedEuclideanQuery::new(center, weights)))
-    }
-
-    fn reset(&mut self) {
-        RetrievalMethod::reset(self)
-    }
-}
-
 /// One client's retrieval state.
 pub struct Session {
     id: u64,
-    engine: Box<dyn ServiceEngine>,
+    engine: Box<dyn RetrievalMethod>,
     /// One node cache per shard, shared with in-flight executor jobs.
     caches: Vec<Arc<Mutex<NodeCache>>>,
     /// The engine's last compiled query, valid until the next
@@ -111,7 +33,7 @@ impl Session {
     /// Assembles a session around an engine and its per-shard caches.
     pub fn new(
         id: u64,
-        engine: Box<dyn ServiceEngine>,
+        engine: Box<dyn RetrievalMethod>,
         caches: Vec<Arc<Mutex<NodeCache>>>,
     ) -> Self {
         Session {
@@ -129,7 +51,7 @@ impl Session {
     /// iteration numbers keep counting from where the crash left them.
     pub fn restored(
         id: u64,
-        engine: Box<dyn ServiceEngine>,
+        engine: Box<dyn RetrievalMethod>,
         caches: Vec<Arc<Mutex<NodeCache>>>,
         feeds: u64,
     ) -> Self {
@@ -149,15 +71,15 @@ impl Session {
     }
 
     /// The hosted engine.
-    pub fn engine(&self) -> &dyn ServiceEngine {
+    pub fn engine(&self) -> &dyn RetrievalMethod {
         &*self.engine
     }
 
     /// Mutable access for feeds; bumps the feed counter. This is the
     /// only `&mut` route to the engine, so whatever the caller does with
-    /// it (feed, reset) may change what [`ServiceEngine::query`]
+    /// it (feed, reset) may change what [`RetrievalMethod::query`]
     /// compiles: the cached plan is dropped here.
-    pub fn engine_mut_for_feed(&mut self) -> &mut dyn ServiceEngine {
+    pub fn engine_mut_for_feed(&mut self) -> &mut dyn RetrievalMethod {
         self.feeds += 1;
         self.plan = None;
         &mut *self.engine
@@ -425,7 +347,8 @@ impl std::fmt::Debug for SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcluster_core::QclusterConfig;
+    use qcluster_baselines::QueryPointMovement;
+    use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine};
 
     fn mk_session(id: u64) -> Session {
         Session::new(
@@ -539,7 +462,8 @@ mod tests {
 
     #[test]
     fn qpm_engine_is_hostable() {
-        let mut engine: Box<dyn ServiceEngine> = Box::new(QueryPointMovement::new());
+        let mut session = Session::new(1, Box::new(QueryPointMovement::new()), Vec::new());
+        let engine = session.engine_mut_for_feed();
         assert_eq!(engine.name(), "qpm");
         assert!(engine.query().is_err(), "no feedback yet");
         let pts = vec![

@@ -85,7 +85,9 @@ pub enum WalRecord {
     SessionSnapshot {
         /// Session id.
         session: u64,
-        /// Hosted engine name (`"qcluster"`, `"qpm"`, …).
+        /// Hosted method's `RetrievalMethod::name()`: `"qcluster"`,
+        /// `"qpm"`, `"mindreader"`, `"qex"` or `"falcon"`. Recovery
+        /// restores a name it does not know as the default engine.
         engine: String,
         /// Feed rounds the session had completed at snapshot time.
         feeds: u64,
