@@ -39,8 +39,8 @@ pub use cache::NodeCache;
 pub use distance::{EuclideanQuery, FanoutQuery, QueryDistance, WeightedEuclideanQuery};
 pub use knn::{merge_top_k, Neighbor, SearchStats, TopK};
 pub use quant::{
-    default_rerank_window, QuantParams, QuantPlan, QuantScanStats, QuantSpec, QuantizedScan,
-    TileCorpus, QUANT_BLOCK_TILES,
+    default_rerank_window, CooperativeScan, Phase1, QuantParams, QuantPlan, QuantScanStats,
+    QuantSpec, QuantizedScan, TileCorpus, QUANT_BLOCK_TILES,
 };
 pub use scan::{LinearScan, SCAN_BLOCK_POINTS};
 pub use tree::HybridTree;

@@ -27,6 +27,11 @@
 //! screened against that fixed threshold) rather than reading an array
 //! kept from the first.
 //!
+//! A corpus split into several scans answers one query as one
+//! [`CooperativeScan`]: every part runs phase 1 against a threshold the
+//! parts share, and one finish reranks the merged candidates once.
+//! [`QuantizedScan::two_phase_knn`] is the same algorithm with one part.
+//!
 //! # The bound
 //!
 //! Per dimension `j` the corpus is affinely coded:
@@ -61,8 +66,9 @@
 //! rounds to (or below) zero.
 
 use crate::distance::QueryDistance;
-use crate::knn::{Neighbor, TopK};
+use crate::knn::{merge_top_k, Neighbor, TopK};
 use qcluster_linalg::vecops::TILE_LANES;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Number of quantization steps per dimension (`u8` codes `0..=255`).
 pub const QUANT_LEVELS: f64 = 255.0;
@@ -936,7 +942,8 @@ mod avx2 {
     }
 }
 
-/// Statistics from one [`QuantizedScan::two_phase_knn`] call.
+/// Statistics from one [`QuantizedScan::two_phase_knn`] or
+/// [`CooperativeScan::finish`] call, summed over its participants.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuantScanStats {
     /// Points filtered by the quantized phase-1 kernel.
@@ -946,14 +953,18 @@ pub struct QuantScanStats {
     /// Tiles phase 1 ran the square-root/divide tail on — the ones the
     /// screen on the raw code polynomial could not drop, second round
     /// included. Against `ceil(phase1_points / 8)` per round this is
-    /// the screen's "useful work / attempts" ratio; an exact count for
-    /// a given corpus, query and window.
+    /// the screen's "useful work / attempts" ratio. With one
+    /// participant it is an exact count for a given corpus, query and
+    /// window; with several it depends on when each participant saw
+    /// the others' thresholds, that is on scheduling.
     pub tail_tiles: u64,
     /// Bound-driven second rounds: the window did not certify, so
     /// phase 1 was streamed again to rerank every point with `LB ≤ τ`.
     pub second_rounds: u64,
-    /// Full exact rescans taken because an exact distance violated its
-    /// lower bound (broken soundness margins, never a tight window).
+    /// Full exact rescans: an exact distance violated its lower bound
+    /// (broken soundness margins, never a tight window), or fewer than
+    /// `k` candidates reached a cooperative finish because some
+    /// participant's were dropped.
     pub fallback_rescans: u64,
     /// Queries that could not compile a quantized plan and ran exact.
     pub plan_misses: u64,
@@ -1221,12 +1232,11 @@ impl QuantizedScan {
     /// acceptance — returns exactly what [`Self::knn`] would, plus
     /// phase counters. `window` overrides [`default_rerank_window`].
     ///
-    /// The acceptance argument: every point outside the candidate heap
-    /// has `LB ≥ heap_max` (the heap's final worst bound), and
-    /// `LB ≤ exact` by soundness, so when the k-th reranked distance
-    /// `D < heap_max`, no outside point can beat any returned neighbor;
-    /// ties at `D` itself are settled by the strict inequality. When the
-    /// heap never filled, every point was reranked.
+    /// This is a [`CooperativeScan`] with one participant, whose
+    /// threshold is its own: the shared threshold is always its heap's
+    /// worst bound, so the scan below is what that type's docs describe
+    /// with `H` = the heap's final worst bound (`+∞` when the corpus
+    /// fits the window and every point is reranked).
     ///
     /// Phase 1 is streamed and screened: before each block the heap's
     /// worst bound τ becomes thresholds on the raw code polynomial, the
@@ -1239,6 +1249,10 @@ impl QuantizedScan {
     /// loses the id tie-break either way and a strict `<` filter drops
     /// nothing the heap would have kept; τ only falls while a block is
     /// offered, so a lane the screen drops is one that filter rejects.
+    /// Every point outside the heap has `LB ≥ heap_max`, and
+    /// `LB ≤ exact` by soundness, so when the k-th reranked distance
+    /// `D < heap_max`, no outside point can beat any returned neighbor;
+    /// ties at `D` itself are settled by the strict inequality.
     ///
     /// When the window is too tight to certify, the scan does **not**
     /// rescan exactly: the k-th *exact* distance `τ` from the first
@@ -1263,98 +1277,24 @@ impl QuantizedScan {
         k: usize,
         window: Option<usize>,
     ) -> (Vec<Neighbor>, QuantScanStats) {
-        assert_eq!(
-            query.dim(),
-            self.corpus.dim(),
-            "query dimensionality mismatch"
-        );
-        let mut stats = QuantScanStats::default();
-        let n = self.corpus.len();
-        let plan = match query.quantized_plan(&self.params) {
-            Some(plan) => plan,
+        let scan = CooperativeScan::new(k, window, self.len());
+        match scan.phase1(self, 0, query) {
+            Some(part) => scan.finish(query, [(self, part)]),
             None => {
-                stats.plan_misses = 1;
-                return (self.knn(query, k), stats);
-            }
-        };
-        let kk = k.min(n);
-        let m = window
-            .unwrap_or_else(|| default_rerank_window(kk))
-            .max(kk)
-            .min(n);
-
-        // Phase 1, streamed: the tiles the screen could not drop live
-        // in a stack buffer just long enough for the heap's block
-        // filter to pick the survivors — nothing proportional to `n` is
-        // ever written. The heap's bounds are widened `f32`s, so the
-        // narrowing is exact.
-        let mut heap = TopK::new(m);
-        stats.tail_tiles = self.stream_bounds(&plan, f32::INFINITY, |base_id, lb| {
-            heap.offer_block(lb, |p| base_id + p);
-            heap.threshold().map_or(f32::INFINITY, |worst| worst as f32)
-        });
-        stats.phase1_points = n as u64;
-        let overflowed = n > m;
-        let cands = heap.into_sorted();
-        let heap_max = cands.last().map_or(0.0, |c| c.distance);
-
-        // Phase 2: gather candidates in id order (cache-friendly) and
-        // rerank with the exact kernel.
-        let mut by_id: Vec<(usize, f64)> = cands.iter().map(|c| (c.id, c.distance)).collect();
-        by_id.sort_unstable_by_key(|&(id, _)| id);
-        let (result, mut unsound) = self.rerank(query, kk, &by_id);
-        stats.reranked = by_id.len() as u64;
-
-        let certified =
-            !unsound && (!overflowed || result.threshold().is_some_and(|d_k| d_k < heap_max));
-        if certified {
-            return (result.into_sorted(), stats);
-        }
-
-        if !unsound {
-            // Second, bound-driven round: τ (the k-th exact distance
-            // seen so far) upper-bounds the true k-th distance, and
-            // `LB ≤ D` for every point, so {p : LB ≤ τ} ⊇ true top-k.
-            // Any outside point has D ≥ LB > τ ≥ final d_k, strictly —
-            // exactness needs no further certification. The bounds are
-            // not kept from round one: the same kernel re-streams the
-            // same values and the fixed inclusive threshold collects
-            // the set, already in id order. A tile the screen proves
-            // `LB ≥ above > τ` on holds no member of it.
-            stats.second_rounds = 1;
-            let tau = result.threshold().expect("m ≥ kk candidates reranked");
-            let nearest = tau as f32;
-            let above = if f64::from(nearest) > tau {
-                nearest
-            } else {
-                nearest.next_up()
-            };
-            let mut by_id: Vec<(usize, f64)> = Vec::new();
-            stats.tail_tiles += self.stream_bounds(&plan, above, |base_id, lb| {
-                by_id.extend(lb.iter().enumerate().filter_map(|(p, &b)| {
-                    let b = f64::from(b);
-                    (b <= tau).then_some((base_id + p, b))
-                }));
-                above
-            });
-            let (result, unsound2) = self.rerank(query, kk, &by_id);
-            stats.reranked += by_id.len() as u64;
-            unsound = unsound2;
-            if !unsound {
-                return (result.into_sorted(), stats);
+                let stats = QuantScanStats {
+                    plan_misses: 1,
+                    ..QuantScanStats::default()
+                };
+                (self.knn(query, k), stats)
             }
         }
-
-        // A violated bound means the soundness margins failed (a bug,
-        // or memory corruption): serve the query exactly anyway.
-        stats.fallback_rescans = 1;
-        (self.knn(query, k), stats)
     }
 
     /// Runs the screened phase-1 kernel over the code column one
     /// [`QUANT_BLOCK_TILES`] block at a time. Each block is screened
     /// against the latest threshold — `tau` at first, then whatever
-    /// `visit` returned last (`+∞`: nothing to screen against yet).
+    /// `visit` returned last (`+∞`: nothing to screen against yet) —
+    /// or against `shared`, when that is lower.
     /// `visit(base_id, bounds)` sees each run of consecutive flagged
     /// tiles, ascending, real points only — the padding lanes of the
     /// final tile never leave this function. Returns the number of
@@ -1363,6 +1303,7 @@ impl QuantizedScan {
         &self,
         plan: &QuantPlan,
         mut tau: f32,
+        shared: Option<&SharedThreshold>,
         mut visit: impl FnMut(usize, &[f32]) -> f32,
     ) -> u64 {
         const BLOCK: usize = QUANT_BLOCK_TILES * TILE_LANES;
@@ -1372,6 +1313,9 @@ impl QuantizedScan {
         let mut screen = Screen::OFF;
         let mut tail_tiles = 0;
         for (b, codes) in self.codes.chunks(QUANT_BLOCK_TILES * tile).enumerate() {
+            if let Some(shared) = shared {
+                tau = tau.min(shared.get());
+            }
             // Thresholds are derived once per value of τ, not per block.
             if tau != screen.tau {
                 screen = plan.screen(tau);
@@ -1394,26 +1338,288 @@ impl QuantizedScan {
         }
         tail_tiles
     }
+}
 
-    /// Exactly reranks `by_id` (ascending-id `(id, lower_bound)` pairs)
-    /// into a `kk`-bounded top-k heap. Returns the heap and whether any
-    /// exact distance violated its supposed lower bound.
+/// The phase-1 threshold the participants of one [`CooperativeScan`]
+/// share: the bits of a non-negative `f32`, whose integer order is the
+/// float order, so `fetch_min` keeps the least bound published.
+/// `Relaxed` suffices: the value publishes no other data, and which
+/// value a participant reads never decides an answer, only how much it
+/// screens (each participant records the threshold it used, `T`).
+#[derive(Debug)]
+struct SharedThreshold(AtomicU32);
+
+impl SharedThreshold {
+    fn get(&self) -> f32 {
+        f32::from_bits(self.0.load(Ordering::Relaxed))
+    }
+
+    /// Publishes a full heap's worst bound. Bounds are never negative
+    /// (the kernels clamp to `+0.0`, never `−0.0`), so their bits order
+    /// like them.
+    fn lower(&self, bound: f32) {
+        debug_assert!(bound.is_sign_positive() && !bound.is_nan());
+        if bound < self.get() {
+            self.0.fetch_min(bound.to_bits(), Ordering::Relaxed);
+        }
+    }
+}
+
+/// One k-NN query answered by a **cooperative** two-phase scan: several
+/// [`QuantizedScan`]s — *participants* — each holding a contiguous
+/// range of the global ids from its `base` on, run phase 1 against one
+/// shared threshold, and one finish reranks their candidates once.
+///
+/// Each participant's [`Self::phase1`] (on any thread, in any order,
+/// concurrently or not) streams and screens its own code column into
+/// its own heap of the `m` best `(bound, id)` pairs, screening each
+/// block against `min(own heap's worst, shared)`. `shared` is the least
+/// worst bound any participant's full heap has published — `m` points
+/// lie at or under it — so a participant that starts late drops from
+/// its first block the tiles the others already ruled out instead of
+/// re-learning its threshold from `+∞`. Phase 1 returns the
+/// candidates and `T`, the participant's final effective threshold:
+/// thresholds only fall, so every point it excluded — screened,
+/// filtered or evicted — has `LB ≥ T`.
+///
+/// [`Self::finish`] merges the candidates, keeps the `m` smallest
+/// `(LB, id)` and reranks them once. With `H` the least of the `m`-th
+/// merged bound (when the merge cut anything) and every participant's
+/// `T`, no point left out has `LB < H`, so a `k`-th reranked distance
+/// `d_k < H` certifies the answer (`d ≥ LB ≥ H > d_k`, strictly, so ties
+/// at `d_k` cannot be lost). `H` holds each *finishing* participant's
+/// own `T`: the answer is exact over the participants handed to the
+/// finish even when the threshold they screened against came from one
+/// that was not (a shard that published and then failed). Otherwise
+/// the finish runs the bound-driven second round of
+/// [`QuantizedScan::two_phase_knn`] over every participant; if fewer
+/// than `k` candidates arrived while `H` is finite — possible only when
+/// a participant's candidates were dropped — it scans them exactly.
+///
+/// With several participants a heap may miss a point that ties the
+/// shared threshold and would have won the tie on id, so the candidate
+/// set may differ from the `m` smallest `(LB, id)` of the whole corpus;
+/// such a point has `LB ≥ T ≥ H`, and the strict `d_k < H` keeps the
+/// answer exact.
+#[derive(Debug)]
+pub struct CooperativeScan {
+    k: usize,
+    /// `m`, every participant's heap size.
+    window: usize,
+    shared: SharedThreshold,
+}
+
+/// One participant's phase 1 of a [`CooperativeScan`], for
+/// [`CooperativeScan::finish`].
+#[derive(Debug)]
+pub struct Phase1 {
+    base: usize,
+    plan: QuantPlan,
+    /// The heap's `(bound, local id)` pairs.
+    candidates: Vec<Neighbor>,
+    /// `T`: no point left out of `candidates` has a smaller bound
+    /// (`+∞` when none was left out).
+    threshold: f64,
+    /// `phase1_points` and `tail_tiles`.
+    stats: QuantScanStats,
+}
+
+impl CooperativeScan {
+    /// A scan for the `k` nearest of `n` points split among its
+    /// participants; `window` overrides [`default_rerank_window`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k == 0` or `n == 0`.
+    pub fn new(k: usize, window: Option<usize>, n: usize) -> Self {
+        assert!(k > 0, "k must be positive");
+        assert!(n > 0, "corpus must be non-empty");
+        let kk = k.min(n);
+        CooperativeScan {
+            k,
+            window: window
+                .unwrap_or_else(|| default_rerank_window(kk))
+                .max(kk)
+                .min(n),
+            shared: SharedThreshold(AtomicU32::new(f32::INFINITY.to_bits())),
+        }
+    }
+
+    /// Phase 1 of the participant `scan`, whose local id `i` is global
+    /// id `base + i`. `None` when the query compiles no plan against
+    /// the participant's params: answer that one exactly instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the query dimensionality disagrees.
+    pub fn phase1<Q: QueryDistance + ?Sized>(
+        &self,
+        scan: &QuantizedScan,
+        base: usize,
+        query: &Q,
+    ) -> Option<Phase1> {
+        assert_eq!(
+            query.dim(),
+            scan.corpus.dim(),
+            "query dimensionality mismatch"
+        );
+        let plan = query.quantized_plan(&scan.params)?;
+        // The tiles the screen could not drop live in a stack buffer
+        // just long enough for the heap's block filter to pick the
+        // survivors. The heap's bounds are widened `f32`s, so the
+        // narrowing is exact.
+        let mut heap = TopK::new(self.window);
+        let tail_tiles =
+            scan.stream_bounds(&plan, f32::INFINITY, Some(&self.shared), |base_id, lb| {
+                heap.offer_block(lb, |p| base_id + p);
+                heap.threshold().map_or(f32::INFINITY, |worst| {
+                    self.shared.lower(worst as f32);
+                    worst as f32
+                })
+            });
+        let n = scan.len();
+        let threshold = if heap.len() == n {
+            f64::INFINITY
+        } else {
+            let own = heap.threshold().unwrap_or(f64::INFINITY);
+            own.min(f64::from(self.shared.get()))
+        };
+        Some(Phase1 {
+            base,
+            plan,
+            candidates: heap.into_sorted(),
+            threshold,
+            stats: QuantScanStats {
+                phase1_points: n as u64,
+                tail_tiles,
+                ..QuantScanStats::default()
+            },
+        })
+    }
+
+    /// The finish (see the type's docs): the exact top-k over the
+    /// participants given — each phase 1 paired with the scan it read —
+    /// ascending by `(distance, global id)`, and their counters summed.
+    /// Participants may come in any order; their id ranges must not
+    /// overlap.
+    pub fn finish<'a, Q: QueryDistance + ?Sized>(
+        &self,
+        query: &Q,
+        parts: impl IntoIterator<Item = (&'a QuantizedScan, Phase1)>,
+    ) -> (Vec<Neighbor>, QuantScanStats) {
+        let mut parts: Vec<(&QuantizedScan, Phase1)> = parts.into_iter().collect();
+        parts.sort_unstable_by_key(|(_, part)| part.base);
+        let owners = Owners(
+            parts
+                .iter()
+                .map(|(scan, part)| (part.base, *scan))
+                .collect(),
+        );
+        let mut stats = QuantScanStats::default();
+        let mut ceiling = f64::INFINITY;
+        let mut cands: Vec<(usize, f64)> = Vec::new();
+        for (_, part) in &parts {
+            stats.absorb(&part.stats);
+            ceiling = ceiling.min(part.threshold);
+            cands.extend(
+                part.candidates
+                    .iter()
+                    .map(|c| (part.base + c.id, c.distance)),
+            );
+        }
+        let n = owners.len();
+        if n == 0 {
+            return (Vec::new(), stats);
+        }
+        let kk = self.k.min(n);
+        let m = self.window;
+        if cands.len() > m {
+            cands.select_nth_unstable_by(m - 1, |a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            ceiling = ceiling.min(cands[m - 1].1);
+            cands.truncate(m);
+        }
+        // Gathered in id order: cache-friendly, and what the result
+        // heap's block filter needs.
+        cands.sort_unstable_by_key(|&(id, _)| id);
+        let (result, unsound) = owners.rerank(query, kk, &cands);
+        stats.reranked = cands.len() as u64;
+        let d_k = result.threshold();
+        if !unsound && (ceiling == f64::INFINITY || d_k.is_some_and(|d| d < ceiling)) {
+            return (result.into_sorted(), stats);
+        }
+
+        if let (false, Some(tau)) = (unsound, d_k) {
+            // Second, bound-driven round: τ (the k-th exact distance
+            // seen so far) upper-bounds the true k-th distance, and
+            // `LB ≤ D` for every point, so {p : LB ≤ τ} ⊇ true top-k.
+            // Any outside point has D ≥ LB > τ ≥ final d_k, strictly —
+            // exactness needs no further certification. The bounds are
+            // not kept from round one: the same kernel re-streams the
+            // same values and the fixed inclusive threshold collects
+            // the set, already in id order. A tile the screen proves
+            // `LB ≥ above > τ` on holds no member of it.
+            stats.second_rounds = 1;
+            let nearest = tau as f32;
+            let above = if f64::from(nearest) > tau {
+                nearest
+            } else {
+                nearest.next_up()
+            };
+            let mut cands: Vec<(usize, f64)> = Vec::new();
+            for (scan, part) in &parts {
+                stats.tail_tiles += scan.stream_bounds(&part.plan, above, None, |base_id, lb| {
+                    cands.extend(lb.iter().enumerate().filter_map(|(p, &b)| {
+                        let b = f64::from(b);
+                        (b <= tau).then_some((part.base + base_id + p, b))
+                    }));
+                    above
+                });
+            }
+            let (result, unsound) = owners.rerank(query, kk, &cands);
+            stats.reranked += cands.len() as u64;
+            if !unsound {
+                return (result.into_sorted(), stats);
+            }
+        }
+
+        // A violated bound means the soundness margins failed (a bug,
+        // or memory corruption); too few candidates, that some were
+        // dropped. Serve the query exactly anyway.
+        stats.fallback_rescans = 1;
+        (owners.knn(query, self.k), stats)
+    }
+}
+
+/// The participants of one finish, ascending by base: which scan holds
+/// a global id.
+struct Owners<'a>(Vec<(usize, &'a QuantizedScan)>);
+
+impl Owners<'_> {
+    /// Points over all participants.
+    fn len(&self) -> usize {
+        self.0.iter().map(|(_, scan)| scan.len()).sum()
+    }
+
+    /// Exactly reranks `cands` (ascending-global-id `(id, lower_bound)`
+    /// pairs) into a `kk`-bounded top-k heap. Returns the heap and
+    /// whether any exact distance violated its supposed lower bound.
     fn rerank<Q: QueryDistance + ?Sized>(
         &self,
         query: &Q,
         kk: usize,
-        by_id: &[(usize, f64)],
+        cands: &[(usize, f64)],
     ) -> (TopK, bool) {
-        let dim = self.corpus.dim();
+        let dim = query.dim();
         let mut result = TopK::new(kk);
         let mut unsound = false;
         let block = TILE_LANES * QUANT_BLOCK_TILES;
         let mut rows = vec![0.0f64; block * dim];
         let mut dist = vec![0.0f64; block];
-        for chunk in by_id.chunks(block) {
+        for chunk in cands.chunks(block) {
             for (i, &(id, _)) in chunk.iter().enumerate() {
-                self.corpus
-                    .copy_point(id, &mut rows[i * dim..(i + 1) * dim]);
+                let (base, scan) = self.0[self.0.partition_point(|&(base, _)| base <= id) - 1];
+                scan.corpus
+                    .copy_point(id - base, &mut rows[i * dim..(i + 1) * dim]);
             }
             query.distance_batch(&rows[..chunk.len() * dim], dim, &mut dist[..chunk.len()]);
             let dist = &dist[..chunk.len()];
@@ -1421,6 +1627,22 @@ impl QuantizedScan {
             result.offer_block(dist, |i| chunk[i].0);
         }
         (result, unsound)
+    }
+
+    /// The exact top-k over every participant.
+    fn knn<Q: QueryDistance + ?Sized>(&self, query: &Q, k: usize) -> Vec<Neighbor> {
+        let lists = self
+            .0
+            .iter()
+            .map(|&(base, scan)| {
+                let mut list = scan.knn(query, k);
+                for n in &mut list {
+                    n.id += base;
+                }
+                list
+            })
+            .collect();
+        merge_top_k(lists, k)
     }
 }
 

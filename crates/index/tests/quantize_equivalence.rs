@@ -30,51 +30,210 @@
 //!
 //! CI runs these with `PROPTEST_CASES=256` in the `quantize-equivalence`
 //! job; the default is lighter for local `cargo test`.
+//!
+//! Every shape is also cut into a `CooperativeScan` of 1–5 participants
+//! at ragged positions (duplicates straddle the cuts, so ties are broken
+//! by id *across* participants; `k` often exceeds a participant), whose
+//! phase 1 runs on threads, or one after the other, in a random order.
+//! It must answer like the exact scan too — and with a *ghost*, a
+//! participant that publishes its threshold and is then left out of the
+//! finish, like the exact scan over the others.
 
 use proptest::prelude::*;
 use qcluster_index::{
-    default_rerank_window, EuclideanQuery, LinearScan, QuantPlan, QuantizedScan, QueryDistance,
-    WeightedEuclideanQuery, QUANT_BLOCK_TILES,
+    default_rerank_window, CooperativeScan, EuclideanQuery, LinearScan, Neighbor, Phase1,
+    QuantPlan, QuantScanStats, QuantizedScan, QueryDistance, WeightedEuclideanQuery,
+    QUANT_BLOCK_TILES,
 };
+
+/// An answer as ids and distance bits.
+fn bits(neighbors: &[Neighbor]) -> Vec<(usize, u64)> {
+    neighbors
+        .iter()
+        .map(|n| (n.id, n.distance.to_bits()))
+        .collect()
+}
+
+/// Asserts two answers are the same ids with the same distance bits.
+fn assert_same(got: &[Neighbor], want: &[Neighbor], ctx: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(bits(got), bits(want), "{}", ctx);
+    Ok(())
+}
 
 /// Asserts the quantized scan answers `query` identically to the exact
 /// scan for every `k` in `ks`, at the default, an oversized and the
-/// tightest (`k`, forcing the second round) rerank window.
-fn assert_equivalent<Q: QueryDistance>(
+/// tightest (`k`, forcing the second round) rerank window — as one
+/// scan, and as the cooperative scan `split` draws (see [`Split`]).
+fn assert_equivalent<Q: QueryDistance + Sync>(
     points: &[Vec<f64>],
     query: &Q,
     ks: &[usize],
+    split: u64,
 ) -> Result<(), TestCaseError> {
     let exact = LinearScan::new(points);
     let quant = QuantizedScan::from_rows(points);
+    let mut split = Split::new(points, split);
     for &k in ks {
         let want = exact.knn(query, k);
+        let want_survivors = split.survivors_knn(points, query, k);
         for window in [
             None,
             Some(default_rerank_window(k)),
             Some(points.len() * 2),
             Some(k),
         ] {
+            let ctx = format!("k={k} window={window:?}");
             let (got, stats) = quant.two_phase_knn(query, k, window);
-            prop_assert_eq!(got.len(), want.len(), "k={} window={:?}", k, window);
-            for (g, w) in got.iter().zip(want.iter()) {
-                prop_assert_eq!(g.id, w.id, "k={} window={:?}", k, window);
-                prop_assert_eq!(
-                    g.distance.to_bits(),
-                    w.distance.to_bits(),
-                    "k={} window={:?}",
-                    k,
-                    window
-                );
-            }
+            assert_same(&got, &want, &ctx)?;
             // A tight window costs a second round, never an exact
             // rescan (that would mean a violated bound), and these
             // queries are all diagonal-form, so every plan compiles.
             prop_assert_eq!(stats.fallback_rescans, 0);
             prop_assert_eq!(stats.plan_misses, 0);
+
+            let ctx = format!("{ctx} parts={:?} order={:?}", split.bases(), split.order);
+            let (got, stats) = split.run(query, k, window, false);
+            assert_same(&got, &want, &ctx)?;
+            prop_assert_eq!(stats.fallback_rescans, 0, "{}", ctx);
+            prop_assert_eq!(stats.plan_misses, 0, "{}", ctx);
+            prop_assert_eq!(stats.phase1_points, points.len() as u64, "{}", ctx);
+            // One rerank of the merged window, not one per participant.
+            let kk = k.min(points.len());
+            let m = window
+                .unwrap_or_else(|| default_rerank_window(kk))
+                .max(kk)
+                .min(points.len());
+            prop_assert!(
+                stats.second_rounds == 1 || stats.reranked <= m as u64,
+                "{}",
+                ctx
+            );
+
+            if let Some(ghost) = split.ghost {
+                let (got, _) = split.run(query, k, window, true);
+                assert_same(&got, &want_survivors, &format!("{ctx} ghost={ghost}"))?;
+            }
         }
     }
     Ok(())
+}
+
+/// A corpus cut into cooperative participants, and how to run them —
+/// all drawn from one seed.
+struct Split {
+    /// `(base, scan)` per participant, ascending by base.
+    parts: Vec<(usize, QuantizedScan)>,
+    /// The order the participants start phase 1 in.
+    order: Vec<usize>,
+    /// With two participants or more, the one to leave out of the
+    /// finish after it has published its threshold.
+    ghost: Option<usize>,
+    rng: u64,
+}
+
+impl Split {
+    /// 1–5 non-empty parts cut at random (ragged) positions, a random
+    /// start order and a random ghost.
+    fn new(points: &[Vec<f64>], seed: u64) -> Self {
+        let mut rng = seed;
+        let n = points.len();
+        let count = (1 + splitmix(&mut rng) as usize % 5).min(n);
+        let mut bases: Vec<usize> = (1..count)
+            .map(|_| 1 + splitmix(&mut rng) as usize % (n - 1))
+            .collect();
+        bases.push(0);
+        bases.sort_unstable();
+        bases.dedup();
+        let parts: Vec<(usize, QuantizedScan)> = bases
+            .iter()
+            .zip(bases.iter().skip(1).chain([&n]))
+            .map(|(&lo, &hi)| (lo, QuantizedScan::from_rows(&points[lo..hi])))
+            .collect();
+        let mut order: Vec<usize> = (0..parts.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, splitmix(&mut rng) as usize % (i + 1));
+        }
+        let ghost = (parts.len() > 1).then(|| splitmix(&mut rng) as usize % parts.len());
+        Split {
+            parts,
+            order,
+            ghost,
+            rng,
+        }
+    }
+
+    fn bases(&self) -> Vec<usize> {
+        self.parts.iter().map(|&(base, _)| base).collect()
+    }
+
+    /// The exact top-k over every participant but the ghost, in global
+    /// ids.
+    fn survivors_knn<Q: QueryDistance>(
+        &self,
+        points: &[Vec<f64>],
+        query: &Q,
+        k: usize,
+    ) -> Vec<Neighbor> {
+        let mut rows = Vec::new();
+        let mut ids = Vec::new();
+        for (i, (base, scan)) in self.parts.iter().enumerate() {
+            if Some(i) != self.ghost {
+                rows.extend_from_slice(&points[*base..base + scan.len()]);
+                ids.extend(*base..base + scan.len());
+            }
+        }
+        let mut want = LinearScan::new(&rows).knn(query, k);
+        for n in &mut want {
+            n.id = ids[n.id];
+        }
+        want
+    }
+
+    /// One cooperative scan: phase 1 of every participant in `order` —
+    /// each on its own thread, or one after the other, by a coin flip —
+    /// then the finish. With `ghosted` the ghost runs its phase 1 first,
+    /// alone, and is left out of the finish.
+    fn run<Q: QueryDistance + Sync>(
+        &mut self,
+        query: &Q,
+        k: usize,
+        window: Option<usize>,
+        ghosted: bool,
+    ) -> (Vec<Neighbor>, QuantScanStats) {
+        let serial = splitmix(&mut self.rng) & 1 == 1;
+        let n = self.parts.iter().map(|(_, scan)| scan.len()).sum();
+        let scan = CooperativeScan::new(k, window, n);
+        let ghost = self.ghost.filter(|_| ghosted);
+        let parts = &self.parts;
+        let phase1 = |i: usize| -> (usize, Phase1) {
+            let (base, part) = &parts[i];
+            (i, scan.phase1(part, *base, query).expect("plan compiles"))
+        };
+        if let Some(ghost) = ghost {
+            drop(phase1(ghost));
+        }
+        let live = self.order.iter().copied().filter(|&i| Some(i) != ghost);
+        let done: Vec<(usize, Phase1)> = if serial {
+            live.map(phase1).collect()
+        } else {
+            std::thread::scope(|s| {
+                let threads: Vec<_> = live.map(|i| s.spawn(move || phase1(i))).collect();
+                threads
+                    .into_iter()
+                    .map(|t| t.join().expect("phase 1"))
+                    .collect()
+            })
+        };
+        scan.finish(query, done.into_iter().map(|(i, part)| (&parts[i].1, part)))
+    }
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Vectors sharing one dimensionality.
@@ -136,6 +295,7 @@ proptest! {
     fn two_phase_matches_exact_on_random_corpora(
         points in uniform_points(8, 300),
         seed in any::<u64>(),
+        split in any::<u64>(),
     ) {
         let dim = points[0].len();
         let center: Vec<f64> = (0..dim)
@@ -146,7 +306,7 @@ proptest! {
             })
             .collect();
         let query = EuclideanQuery::new(center);
-        assert_equivalent(&points, &query, &[1, 3, 17])?;
+        assert_equivalent(&points, &query, &[1, 3, 17], split)?;
     }
 
     /// Weighted queries (including zero weights, which collapse whole
@@ -156,13 +316,14 @@ proptest! {
         points in uniform_points(6, 200),
         raw_weights in prop::collection::vec(0.0..10.0f64, 6),
         raw_center in query_center(6),
+        split in any::<u64>(),
     ) {
         let dim = points[0].len();
         let query = WeightedEuclideanQuery::new(
             raw_center[..dim].to_vec(),
             raw_weights[..dim].to_vec(),
         );
-        assert_equivalent(&points, &query, &[1, 8])?;
+        assert_equivalent(&points, &query, &[1, 8], split)?;
     }
 
     /// Duplicate-heavy corpora: massive distance ties force the
@@ -171,11 +332,12 @@ proptest! {
     fn two_phase_preserves_tie_order_on_duplicates(
         points in duplicate_heavy_points(),
         raw_center in query_center(4),
+        split in any::<u64>(),
     ) {
         let dim = points[0].len();
         let query = EuclideanQuery::new(raw_center[..dim].to_vec());
         let n = points.len();
-        assert_equivalent(&points, &query, &[1, 5, n])?;
+        assert_equivalent(&points, &query, &[1, 5, n], split)?;
     }
 
     /// Constant dimensions quantize with zero delta; the error bound's
@@ -184,10 +346,11 @@ proptest! {
     fn two_phase_survives_zero_range_dimensions(
         points in zero_range_points(),
         raw_center in query_center(6),
+        split in any::<u64>(),
     ) {
         let dim = points[0].len();
         let query = EuclideanQuery::new(raw_center[..dim].to_vec());
-        assert_equivalent(&points, &query, &[1, 4, 23])?;
+        assert_equivalent(&points, &query, &[1, 4, 23], split)?;
     }
 }
 
@@ -339,6 +502,47 @@ fn streamed_scan_reranks_the_oracle_sets_on_ragged_corpora() {
                             // k-th exact distance is at least the
                             // largest of their bounds.
                             assert_eq!(stats.second_rounds, 1, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The same ragged multi-block corpora cut into cooperative
+/// participants: whatever the cut and the start order, the answer is the
+/// exact scan's, a window of `k` takes the second round instead of a
+/// rescan, and a ghost's threshold costs the others no neighbour.
+#[test]
+fn cooperative_scan_matches_exact_on_ragged_corpora() {
+    for (i, &n) in RAGGED_SIZES.iter().enumerate() {
+        let dim = 3 + i;
+        let points = seeded_corpus(n, dim, 0x5bd1_e995 ^ n as u64);
+        let exact = LinearScan::new(&points);
+        for seed in 0..4 {
+            let mut split = Split::new(&points, seed ^ n as u64);
+            for probe in [0, n / 2, n - 1] {
+                let query = EuclideanQuery::new(points[probe].clone());
+                for k in [1usize, 10, 50] {
+                    let want = bits(&exact.knn(&query, k));
+                    let want_survivors = bits(&split.survivors_knn(&points, &query, k));
+                    for window in [None, Some(k)] {
+                        let ctx = format!(
+                            "n={n} parts={:?} order={:?} probe={probe} k={k} window={window:?}",
+                            split.bases(),
+                            split.order
+                        );
+                        let (got, stats) = split.run(&query, k, window, false);
+                        assert_eq!(bits(&got), want, "{ctx}");
+                        assert_eq!(stats.fallback_rescans, 0, "{ctx}");
+                        assert_eq!(stats.phase1_points, n as u64, "{ctx}");
+                        if window == Some(k) {
+                            assert_eq!(stats.second_rounds, 1, "{ctx}");
+                        }
+                        if let Some(ghost) = split.ghost {
+                            let (got, _) = split.run(&query, k, window, true);
+                            assert_eq!(bits(&got), want_survivors, "{ctx} ghost={ghost}");
                         }
                     }
                 }

@@ -1,6 +1,12 @@
 //! The parallel k-NN executor: a persistent worker pool fed through
 //! crossbeam channels, fanning one query out across all shards and
-//! merging the per-shard top-k lists into the global result.
+//! merging the per-shard results into the global top-k.
+//!
+//! Quantized shards answer one query as one [`CooperativeScan`]: each
+//! shard job runs phase 1 against the fan-out's shared threshold and
+//! replies with its candidates, and the caller reranks the merged
+//! candidates once after [`gather`]. Every other shard job — and a
+//! quantized one whose plan misses — replies with its own top-k.
 //!
 //! Refined queries (e.g. [`DisjunctiveQuery`](qcluster_core::DisjunctiveQuery))
 //! carry interior scratch buffers, so they are `Send` but not `Sync`: the
@@ -25,17 +31,19 @@
 //!
 //! Chaos tests inject faults through `qcluster-failpoint`:
 //! `executor.shard` (any shard job) and `executor.shard.<i>` (one
-//! shard) support `panic:<msg>`, `error:<msg>`, and `sleep:<ms>`;
+//! shard) support `panic:<msg>`, `error:<msg>`, and `sleep:<ms>`, and
+//! fire after the shard's work — a quantized shard has published its
+//! threshold by then — and before its reply;
 //! `executor.worker.exit` makes a worker thread exit after completing
 //! its next job (exercising [`Executor::heal`]).
 
 use crate::error::ServiceError;
 use crate::fanout::{gather, Breaker, Miss};
 use crate::metrics::{HistogramSummary, LatencyHistogram};
-use crate::shard::ShardedCorpus;
+use crate::shard::{ShardPart, ShardedCorpus};
 use crossbeam::channel::{self, Receiver, Sender};
 use qcluster_failpoint as failpoint;
-use qcluster_index::{merge_top_k, FanoutQuery, Neighbor, NodeCache, SearchStats};
+use qcluster_index::{merge_top_k, CooperativeScan, FanoutQuery, Neighbor, NodeCache, SearchStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -61,10 +69,17 @@ pub struct ExecutorConfig {
     pub breaker_cooldown: Duration,
 }
 
+/// The default worker count of [`ExecutorConfig`] and
+/// [`ServiceConfig`](crate::ServiceConfig): one per core the machine
+/// offers, 1 when it cannot tell.
+pub(crate) fn default_num_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
-            num_workers: 4,
+            num_workers: default_num_workers(),
             max_queued_jobs: 4096,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(1),
@@ -103,7 +118,8 @@ pub struct ShardFailure {
 pub struct FanoutReport {
     /// Merged global top-k over the shards in `shards_ok`.
     pub neighbors: Vec<Neighbor>,
-    /// Search statistics summed over the responding shards.
+    /// Search statistics summed over the responding shards and the
+    /// finish of their quantized scan.
     pub stats: SearchStats,
     /// Shards whose results made it into `neighbors`.
     pub shards_ok: usize,
@@ -292,9 +308,11 @@ impl Executor {
 
     /// The fault-tolerant fan-out: runs `query` against every shard of
     /// `corpus`, collecting per-shard results until `deadline` (forever
-    /// when `None`), and merges whatever arrived. See [`FanoutReport`]
-    /// for coverage semantics; shards skipped by an open circuit
-    /// breaker or lost to panics/timeouts appear in
+    /// when `None`), and merges whatever arrived — the quantized shards'
+    /// phase-1 candidates through one finish of their shared
+    /// [`CooperativeScan`], exact over exactly those that replied. See
+    /// [`FanoutReport`] for coverage semantics; shards skipped by an
+    /// open circuit breaker or lost to panics/timeouts appear in
     /// [`FanoutReport::failures`].
     ///
     /// `caches` optionally supplies one per-shard session cache; pass
@@ -344,6 +362,7 @@ impl Executor {
         let num_shards = corpus.num_shards();
         let breakers = self.breakers_for(num_shards);
         let started = Instant::now();
+        let scan = Arc::new(CooperativeScan::new(k, None, corpus.len()));
 
         // Admission control: reserve a queue slot for every shard or
         // reject the fan-out outright, before any breaker hands out a
@@ -366,6 +385,7 @@ impl Executor {
                 let shard = Arc::clone(&corpus.shards()[i]);
                 let shard_query = query.clone_fanout();
                 let cache = caches.map(|c| Arc::clone(&c[i]));
+                let scan = Arc::clone(&scan);
                 // The job owns its reservation from here, also when the
                 // submit below fails and drops it unrun.
                 let slot = QueueSlot(Arc::clone(&self.queued));
@@ -373,7 +393,7 @@ impl Executor {
                 self.submit(Box::new(move || {
                     let _slot = slot;
                     let job_start = Instant::now();
-                    let outcome = run_shard_job(i, &shard, &*shard_query, k, cache.as_ref());
+                    let outcome = run_shard_job(i, &shard, &scan, &*shard_query, k, cache.as_ref());
                     if outcome.is_ok() {
                         shard_latency.record(job_start.elapsed());
                     }
@@ -383,14 +403,18 @@ impl Executor {
             },
         );
 
-        let mut per_shard: Vec<Vec<Neighbor>> = Vec::with_capacity(num_shards);
+        let mut lists: Vec<Vec<Neighbor>> = Vec::with_capacity(num_shards);
+        let mut parts = Vec::new();
         let mut stats = SearchStats::default();
         let mut failures: Vec<ShardFailure> = Vec::new();
         for (shard, outcome) in outcomes.into_iter().enumerate() {
             let kind = match outcome {
-                Ok((neighbors, shard_stats)) => {
+                Ok((part, shard_stats)) => {
                     stats.absorb(&shard_stats);
-                    per_shard.push(neighbors);
+                    match part {
+                        ShardPart::TopK(neighbors) => lists.push(neighbors),
+                        ShardPart::Phase1(part) => parts.push((shard, part)),
+                    }
                     continue;
                 }
                 Err(Miss::BreakerOpen) => {
@@ -404,7 +428,7 @@ impl Executor {
             };
             failures.push(ShardFailure { shard, kind });
         }
-        let shards_ok = per_shard.len();
+        let shards_ok = num_shards - failures.len();
 
         if shards_ok == 0 {
             let waited_ms = started.elapsed().as_millis() as u64;
@@ -421,8 +445,13 @@ impl Executor {
             };
         }
 
+        if !parts.is_empty() {
+            let (neighbors, finish_stats) = corpus.finish(&scan, query, parts);
+            stats.absorb(&finish_stats);
+            lists.push(neighbors);
+        }
         Ok(FanoutReport {
-            neighbors: merge_top_k(per_shard, k),
+            neighbors: merge_top_k(lists, k),
             stats,
             shards_ok,
             shards_total: num_shards,
@@ -431,17 +460,23 @@ impl Executor {
     }
 }
 
-/// The body of one shard job: failpoint evaluation, then the shard
-/// k-NN under `catch_unwind` so a panic becomes a per-shard failure.
+/// The body of one shard job: the shard's part of the fan-out, then
+/// failpoint evaluation, under `catch_unwind` so a panic becomes a
+/// per-shard failure.
 fn run_shard_job(
     shard_index: usize,
     shard: &crate::shard::Shard,
+    scan: &CooperativeScan,
     query: &dyn FanoutQuery,
     k: usize,
     cache: Option<&Arc<Mutex<NodeCache>>>,
-) -> Result<(Vec<Neighbor>, SearchStats), ShardFailureKind> {
+) -> Result<(ShardPart, SearchStats), ShardFailureKind> {
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<(Vec<Neighbor>, SearchStats), ShardFailureKind> {
+        || -> Result<(ShardPart, SearchStats), ShardFailureKind> {
+            let done = {
+                let mut cache = cache.map(|c| c.lock().unwrap_or_else(|e| e.into_inner()));
+                shard.fanout_part(scan, query, k, cache.as_deref_mut())
+            };
             // Failpoints: the shard-specific name wins over the generic
             // one; formatting only happens while any failpoint is armed.
             if failpoint::active() {
@@ -464,13 +499,7 @@ fn run_shard_job(
                     Some(failpoint::Action::Sleep(_)) | None => {}
                 }
             }
-            Ok(match cache {
-                Some(cache) => {
-                    let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-                    shard.knn(query, k, Some(&mut cache))
-                }
-                None => shard.knn(query, k, None),
-            })
+            Ok(done)
         },
     ));
     match unwound {

@@ -6,7 +6,7 @@
 //! client threads calling into it concurrently.
 
 use crate::error::ServiceError;
-use crate::executor::{Executor, ExecutorConfig, ShardFailureKind};
+use crate::executor::{default_num_workers, Executor, ExecutorConfig, ShardFailureKind};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::session::{RegistryConfig, Session, SessionRegistry};
 use crate::shard::{ShardKind, ShardedCorpus};
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Number of corpus shards (clamped so shards are never empty).
     pub num_shards: usize,
-    /// Worker threads in the k-NN pool.
+    /// Worker threads in the k-NN pool (default: one per core).
     pub num_workers: usize,
     /// Index structure per shard. Every kind answers bit for bit the
     /// same; the default is [`ShardKind::default`], the two-phase u8
@@ -61,7 +61,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             num_shards: 4,
-            num_workers: 4,
+            num_workers: default_num_workers(),
             shard_kind: ShardKind::default(),
             max_sessions: 64,
             idle_ttl: None,

@@ -8,7 +8,8 @@
 //! exactly the corpus — the merged per-shard top-k equals the global top-k.
 
 use qcluster_index::{
-    HybridTree, LinearScan, Neighbor, NodeCache, QuantizedScan, QueryDistance, SearchStats,
+    CooperativeScan, HybridTree, LinearScan, Neighbor, NodeCache, Phase1, QuantScanStats,
+    QuantizedScan, QueryDistance, SearchStats,
 };
 use std::sync::Arc;
 
@@ -120,6 +121,26 @@ impl Shard {
         (neighbors, stats)
     }
 
+    /// This shard's job in a fan-out: phase 1 of `scan` when the shard
+    /// is quantized and the query compiles a plan against its params —
+    /// the caller finishes ([`ShardedCorpus::finish`]) — and
+    /// [`Self::knn`] otherwise.
+    pub(crate) fn fanout_part<Q: QueryDistance + ?Sized>(
+        &self,
+        scan: &CooperativeScan,
+        query: &Q,
+        k: usize,
+        cache: Option<&mut NodeCache>,
+    ) -> (ShardPart, SearchStats) {
+        if let ShardIndex::Quantized(q) = &self.index {
+            if let Some(part) = scan.phase1(q, self.base, query) {
+                return (ShardPart::Phase1(part), sequential_read(cache));
+            }
+        }
+        let (neighbors, stats) = self.knn(query, k, cache);
+        (ShardPart::TopK(neighbors), stats)
+    }
+
     /// The vector of the shard-local point `local`.
     fn point(&self, local: usize) -> Vec<f64> {
         match &self.index {
@@ -136,6 +157,42 @@ impl Shard {
     }
 }
 
+/// What one shard contributes to a fan-out.
+#[derive(Debug)]
+pub(crate) enum ShardPart {
+    /// The shard's own top-k, global ids.
+    TopK(Vec<Neighbor>),
+    /// A quantized shard's phase 1, for the caller's finish.
+    Phase1(Phase1),
+}
+
+/// A scan shard's cache accounting: the whole scan is one "node", so a
+/// session's repeat scan is a buffer hit.
+fn sequential_read(cache: Option<&mut NodeCache>) -> SearchStats {
+    let hit = cache.is_some_and(|c| c.access(0));
+    SearchStats {
+        nodes_accessed: 1,
+        cache_hits: u64::from(hit),
+        disk_reads: u64::from(!hit),
+        ..SearchStats::default()
+    }
+}
+
+/// A two-phase scan's counters over `len` points as search stats. Exact
+/// f64 distance evaluations actually performed: the reranked window,
+/// plus full scans when the plan was unusable (miss) or its candidate
+/// set could not be certified (fallback rescan).
+fn quant_search_stats(q: &QuantScanStats, len: usize) -> SearchStats {
+    SearchStats {
+        distance_evaluations: q.reranked + (q.fallback_rescans + q.plan_misses) * len as u64,
+        quant_phase1_points: q.phase1_points,
+        quant_reranked: q.reranked,
+        quant_fallbacks: q.fallback_rescans,
+        quant_plan_misses: q.plan_misses,
+        ..SearchStats::default()
+    }
+}
+
 /// Bounded-heap top-k over a linear scan, delegating to the blocked
 /// [`LinearScan::knn`]: corpus points stream through
 /// [`QueryDistance::distance_batch`] in cache-sized blocks into a bounded
@@ -146,16 +203,7 @@ fn scan_top_k<Q: QueryDistance + ?Sized>(
     k: usize,
     cache: Option<&mut NodeCache>,
 ) -> (Vec<Neighbor>, SearchStats) {
-    let mut stats = SearchStats {
-        nodes_accessed: 1,
-        ..SearchStats::default()
-    };
-    // The whole scan is one "node": a session's repeat scan is a buffer hit.
-    let hit = cache.is_some_and(|c| c.access(0));
-    if hit {
-        stats.cache_hits = 1;
-    }
-    stats.disk_reads = stats.nodes_accessed - stats.cache_hits;
+    let mut stats = sequential_read(cache);
     let neighbors = scan.knn(query, k);
     stats.distance_evaluations = scan.len() as u64;
     (neighbors, stats)
@@ -170,25 +218,9 @@ fn quantized_top_k<Q: QueryDistance + ?Sized>(
     k: usize,
     cache: Option<&mut NodeCache>,
 ) -> (Vec<Neighbor>, SearchStats) {
-    let mut stats = SearchStats {
-        nodes_accessed: 1,
-        ..SearchStats::default()
-    };
-    let hit = cache.is_some_and(|c| c.access(0));
-    if hit {
-        stats.cache_hits = 1;
-    }
-    stats.disk_reads = stats.nodes_accessed - stats.cache_hits;
+    let mut stats = sequential_read(cache);
     let (neighbors, q) = scan.two_phase_knn(query, k, None);
-    // Exact f64 distance evaluations actually performed: the reranked
-    // window, plus full scans when the plan was unusable (miss) or its
-    // candidate set failed certification (fallback rescan).
-    stats.distance_evaluations =
-        q.reranked + (q.fallback_rescans + q.plan_misses) * scan.len() as u64;
-    stats.quant_phase1_points = q.phase1_points;
-    stats.quant_reranked = q.reranked;
-    stats.quant_fallbacks = q.fallback_rescans;
-    stats.quant_plan_misses = q.plan_misses;
+    stats.absorb(&quant_search_stats(&q, scan.len()));
     (neighbors, stats)
 }
 
@@ -271,6 +303,29 @@ impl ShardedCorpus {
     pub fn point(&self, id: usize) -> Vec<f64> {
         assert!(id < self.len, "point id out of range");
         self.shards[id / self.chunk].point(id % self.chunk)
+    }
+
+    /// Finishes `scan` over the shards that replied with a phase 1 —
+    /// `(shard index, part)` pairs: one rerank for all of them, exact
+    /// over exactly those shards.
+    pub(crate) fn finish<Q: QueryDistance + ?Sized>(
+        &self,
+        scan: &CooperativeScan,
+        query: &Q,
+        parts: Vec<(usize, Phase1)>,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let mut len = 0;
+        let parts = parts
+            .into_iter()
+            .map(|(i, part)| match &self.shards[i].index {
+                ShardIndex::Quantized(q) => {
+                    len += q.len();
+                    (q, part)
+                }
+                _ => unreachable!("only a quantized shard runs phase 1"),
+            });
+        let (neighbors, q) = scan.finish(query, parts);
+        (neighbors, quant_search_stats(&q, len))
     }
 }
 

@@ -118,6 +118,54 @@ fn degraded_query_meets_deadline_with_partial_coverage() {
     assert_eq!(svc.stats().faults.degraded_responses, 1);
 }
 
+/// A shard that publishes its phase-1 threshold and then fails must not
+/// cost the survivors a neighbour. The points lie along a line in id
+/// order, so the query — in the middle of shard 0's range — gives shard
+/// 0 by far the tightest heap; one worker runs the shard jobs in order,
+/// so shards 1–3 screen against that threshold and keep no candidate at
+/// all. The answer must still be the exact top-k over shards 1–3: the
+/// finish certifies against each survivor's own threshold, not only
+/// against the candidates that arrived.
+#[test]
+fn a_shard_failing_after_it_published_its_threshold_costs_the_others_nothing() {
+    let _serial = failpoint::test_lock();
+    failpoint::clear_all();
+
+    let points: Vec<Vec<f64>> = (0..2000)
+        .map(|i| {
+            let x = i as f64 * 0.01;
+            vec![x, (x * 7.0).sin() * 0.05]
+        })
+        .collect();
+    let svc = Service::new(
+        &points,
+        ServiceConfig {
+            num_shards: 4,
+            num_workers: 1,
+            shard_kind: ShardKind::Quantized,
+            breaker_threshold: 10,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("spawn service");
+    let session = svc.create_session().unwrap();
+    let query = vec![2.5, 0.0];
+
+    let _panic = failpoint::scoped("executor.shard.0", Action::Panic("published".into()));
+    let out = svc.query_vector(session, query.clone(), 10).unwrap();
+    assert_eq!((out.shards_ok, out.shards_total), (3, 4));
+
+    let mut want = LinearScan::new(&points[500..]).knn(&EuclideanQuery::new(query), 10);
+    for n in &mut want {
+        n.id += 500;
+    }
+    let bits = |list: &[qcluster_index::Neighbor]| -> Vec<(usize, u64)> {
+        list.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+    };
+    assert_eq!(bits(&out.neighbors), bits(&want));
+    assert_eq!(svc.stats().faults.shard_panics, 1);
+}
+
 /// Same scenario through the wire protocol: the response carries the
 /// coverage annotation, and the deadline rides in `deadline_ms`.
 #[test]

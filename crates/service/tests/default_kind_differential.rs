@@ -1,8 +1,9 @@
 //! The shipped default answers exactly like the other shard kinds:
 //! `ServiceConfig::default()` against `Scan` and `Tree`, compared on ids
 //! and `distance.to_bits()`, over generated corpus sizes, dimensions
-//! and `k` — under the diagonal scheme (the u8 fast path) and under the
-//! full-inverse scheme (every refined shard scan a plan miss).
+//! and `k`, at 1, 2 and 4 workers (the default's shards share one
+//! phase-1 threshold) — under the diagonal scheme (the u8 fast path) and
+//! under the full-inverse scheme (every refined shard scan a plan miss).
 //!
 //! Every generated corpus has a length that is a multiple of neither 8
 //! (a padded last tile) nor the shard count (a ragged last shard), and a
@@ -87,28 +88,35 @@ proptest! {
             ..diagonal.clone()
         };
         for base in [&diagonal, &full] {
-            let shipped = Service::new(&points, base.clone()).expect("spawn service");
-            let got = rounds(&shipped, example, &marked, k);
-            prop_assert_eq!(got.0.len(), k.min(n));
-            prop_assert_eq!(got.1.len(), k.min(n));
-            prop_assert_eq!(got.0[0], (chunk - 1, 0), "the lower id wins the tie");
+            let scan = Service::new(&points, ServiceConfig { shard_kind: ShardKind::Scan, ..base.clone() })
+                .expect("spawn service");
+            let want = rounds(&scan, example, &marked, k);
+            prop_assert_eq!(want.0.len(), k.min(n));
+            prop_assert_eq!(want.1.len(), k.min(n));
+            prop_assert_eq!(want.0[0], (chunk - 1, 0), "the lower id wins the tie");
             if k > 1 {
-                prop_assert_eq!(got.0[1], (chunk, 0), "its copy across the boundary is next");
+                prop_assert_eq!(want.0[1], (chunk, 0), "its copy across the boundary is next");
             }
-            for kind in [ShardKind::Scan, ShardKind::Tree] {
-                let config = ServiceConfig { shard_kind: kind, ..base.clone() };
-                let other = Service::new(&points, config).expect("spawn service");
-                let want = rounds(&other, example, &marked, k);
-                prop_assert_eq!(&got, &want, "{:?} n={} dim={} k={}", kind, n, dim, k);
-            }
+            let tree = Service::new(&points, ServiceConfig { shard_kind: ShardKind::Tree, ..base.clone() })
+                .expect("spawn service");
+            prop_assert_eq!(&rounds(&tree, example, &marked, k), &want, "Tree n={} dim={} k={}", n, dim, k);
 
-            let quant = shipped.stats().quant;
-            prop_assert!(quant.phase1_points > 0, "the default runs the u8 scan");
-            prop_assert_eq!(quant.fallback_rescans, 0);
-            if base.engine.scheme == CovarianceScheme::default_full() {
-                // No diagonal weights, no plan: each refined shard scan
-                // is served exactly and counted.
-                prop_assert!(quant.plan_misses > 0);
+            // One worker hands the shared threshold from shard job to
+            // shard job; more race for it.
+            for workers in [1, 2, 4] {
+                let config = ServiceConfig { num_workers: workers, ..base.clone() };
+                let shipped = Service::new(&points, config).expect("spawn service");
+                let got = rounds(&shipped, example, &marked, k);
+                prop_assert_eq!(&got, &want, "workers={} n={} dim={} k={}", workers, n, dim, k);
+
+                let quant = shipped.stats().quant;
+                prop_assert!(quant.phase1_points > 0, "the default runs the u8 scan");
+                prop_assert_eq!(quant.fallback_rescans, 0);
+                if base.engine.scheme == CovarianceScheme::default_full() {
+                    // No diagonal weights, no plan: each refined shard scan
+                    // is served exactly and counted.
+                    prop_assert!(quant.plan_misses > 0);
+                }
             }
         }
     }

@@ -137,7 +137,6 @@ fn main() {
     std::fs::remove_dir_all(&store_dir).ok();
     let config = ServiceConfig {
         num_shards: 4,
-        num_workers: 4,
         ..ServiceConfig::default()
     };
     let service = Arc::new(
