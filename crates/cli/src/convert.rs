@@ -1,5 +1,4 @@
-//! `qcluster convert` — re-encode a feature dataset between formats,
-//! folded in from `dataset-tool convert`.
+//! `qcluster convert` — re-encode a feature dataset between formats.
 //!
 //! The output format is chosen by extension: `.json` (JSON dataset),
 //! `.qseg` (a raw `qcluster-store` vector segment — ground-truth

@@ -5,8 +5,9 @@
 //! a reduced feature dataset (`ingest`), seal it into a durable store
 //! (`build`), bind the TCP retrieval stack on it (`serve`), grade
 //! relevance-feedback quality over the wire (`eval`), re-encode
-//! datasets (`convert`), and chain all of it from one TOML recipe
-//! (`run`). Each stage reports per-stage throughput through a shared
+//! datasets (`convert`), chain all of it from one TOML recipe
+//! (`run`), and regenerate the paper's tables and figures (`repro`,
+//! which lives in the binary). Each stage reports per-stage throughput through a shared
 //! [`stats::PipelineStats`] reporter and verifies the conservation
 //! invariant `items_in == items_out + skipped`.
 //!

@@ -8,6 +8,7 @@
 //! qcluster eval    <features> [flags]              grade feedback quality (wire/offline)
 //! qcluster convert <in> <out>                      re-encode a dataset by extension
 //! qcluster run     <recipe.toml> [flags]           the whole pipeline from one recipe
+//! qcluster repro   <experiment>... [flags]         the paper's tables and figures
 //! ```
 //!
 //! All heavy lifting lives in the `qcluster_cli` library so the same
@@ -25,7 +26,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-const USAGE: &str = "usage: qcluster <synth|ingest|build|serve|eval|convert|run> ...\n\
+mod repro;
+
+const USAGE: &str = "usage: qcluster <synth|ingest|build|serve|eval|convert|run|repro> ...\n\
   synth   <out-dir> [--categories N] [--images-per-category N] [--image-size N]\n\
           [--categories-per-super N] [--seed N]\n\
   synth   <out.qseg> <n> <dim> [--centers G] [--seed S]\n\
@@ -37,7 +40,8 @@ const USAGE: &str = "usage: qcluster <synth|ingest|build|serve|eval|convert|run>
   eval    <features> [--addr HOST:PORT] [--k N] [--rounds N] [--queries N]\n\
           [--seed N] [--epsilon F] [--json] [--progress]\n\
   convert <in> <out.json|.qseg|.qdsb>\n\
-  run     <recipe.toml> [--workdir DIR] [--json] [--progress]";
+  run     <recipe.toml> [--workdir DIR] [--json] [--progress]\n\
+  repro   <fig5..fig19|table2|table3|headline|ablation|all>... [--paper-scale] [--csv DIR]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,6 +57,7 @@ fn main() -> ExitCode {
         "eval" => cmd_eval(&args[1..]),
         "convert" => cmd_convert(&args[1..]),
         "run" => cmd_run(&args[1..]),
+        "repro" => repro::cmd_repro(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(())
@@ -162,7 +167,6 @@ fn cmd_synth(args: &[String]) -> Result<(), CliError> {
     )?;
     let out = PathBuf::from(parsed.positional(0, "output path")?);
     if out.extension().and_then(|e| e.to_str()) == Some("qseg") {
-        // Segment mode, folded in from `dataset-tool synth`.
         let n: u64 = parsed
             .positional(1, "vector count <n>")?
             .parse()

@@ -16,7 +16,7 @@
 //! With a scrape path set, a background thread periodically snapshots
 //! the primary node's [`MetricsSnapshot`](qcluster_service::MetricsSnapshot)
 //! into the standard bench
-//! metrics artifact (`qcluster_bench::write_metrics_artifact`), so a
+//! metrics artifact (`qcluster_loadgen::write_metrics_artifact`), so a
 //! long-lived `serve` can be monitored by tailing one JSON file.
 
 use crate::error::CliError;
@@ -104,7 +104,8 @@ impl ServeHandle {
             let _ = t.join();
         }
         if let Some(path) = &self.scrape_json {
-            let _ = qcluster_bench::write_metrics_artifact(path, "serve", &self.primary().stats());
+            let _ =
+                qcluster_loadgen::write_metrics_artifact(path, "serve", &self.primary().stats());
         }
         for server in self.servers.drain(..) {
             server.shutdown();
@@ -214,7 +215,7 @@ pub fn serve(
                     return;
                 }
                 if let Err(e) =
-                    qcluster_bench::write_metrics_artifact(&path, "serve", &service.stats())
+                    qcluster_loadgen::write_metrics_artifact(&path, "serve", &service.stats())
                 {
                     eprintln!("  [serve] scrape failed: {e}");
                 }

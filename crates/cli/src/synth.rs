@@ -1,5 +1,4 @@
-//! `qcluster synth` — the synthetic generators, folded in from
-//! `dataset-tool`.
+//! `qcluster synth` — the synthetic generators.
 //!
 //! Two modes:
 //!
@@ -10,13 +9,13 @@
 //!   from, so the full pipeline runs from files on disk like it would
 //!   against a real collection.
 //! - `qcluster synth <out.qseg> <n> <dim> …` streams a synthetic
-//!   clustered vector corpus straight into a sealed format-v2 segment
-//!   (the `dataset-tool synth` behavior, kept verbatim for the
-//!   quantize-bench workflow).
+//!   clustered vector corpus straight into a sealed format-v2 segment,
+//!   at any `n`, without holding the corpus in memory.
 
 use crate::error::CliError;
 use crate::stats::PipelineStats;
 use qcluster_imaging::{Corpus, CorpusBuilder};
+use qcluster_store::{SegmentWriter, StoreError};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
@@ -69,9 +68,9 @@ pub struct SynthImagesConfig {
 
 impl Default for SynthImagesConfig {
     fn default() -> Self {
-        // The quick-scale corpus shape from `qcluster_bench::image_corpus`:
-        // big enough that feedback has room to improve precision, small
-        // enough to render in seconds.
+        // The quick-scale corpus of `qcluster repro`: big enough that
+        // feedback has room to improve precision, small enough to render
+        // in seconds.
         SynthImagesConfig {
             categories: 60,
             images_per_category: 20,
@@ -180,12 +179,18 @@ pub fn read_manifest(dir: &Path) -> Result<Manifest, CliError> {
     Ok(manifest)
 }
 
-/// The `dataset-tool synth` segment mode: streams an `n`-point
-/// synthetic clustered corpus into a sealed v2 segment at `path`.
+/// Streams an `n`-point synthetic clustered corpus point by point into
+/// a sealed format-v2 segment at `path` (tile-native columns + u8 code
+/// column); only the writer's own column staging buffer is held in
+/// memory.
+///
+/// Points are drawn around `centers` well-separated cluster centers
+/// with per-dimension jitter, deterministic in `seed`. Returns the
+/// number of points sealed.
 ///
 /// # Errors
 ///
-/// Store failures, rendered with the output path.
+/// `n == 0` and store failures, rendered with the output path.
 pub fn synth_segment(
     path: &Path,
     n: u64,
@@ -193,8 +198,38 @@ pub fn synth_segment(
     centers: usize,
     seed: u64,
 ) -> Result<u64, CliError> {
-    qcluster_bench::synth_segment(path, n, dim, centers, seed)
-        .map_err(|e| CliError::stage("synth", format!("{}: {e}", path.display())))
+    let failed = |e: StoreError| CliError::stage("synth", format!("{}: {e}", path.display()));
+    if n == 0 {
+        return Err(failed(StoreError::InvalidArg(
+            "synth corpus needs at least one point".into(),
+        )));
+    }
+    // SplitMix64: cheap enough that generation never dominates a
+    // 10M-point run, unlike a cryptographic stream.
+    let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+
+    let centers = centers.max(1);
+    let grid: Vec<Vec<f64>> = (0..centers)
+        .map(|_| (0..dim).map(|_| unit() * 20.0 - 10.0).collect())
+        .collect();
+    let mut writer = SegmentWriter::create(path, dim).map_err(failed)?;
+    let mut point = vec![0.0f64; dim];
+    for i in 0..n {
+        let c = &grid[(i % centers as u64) as usize];
+        for (x, &base) in point.iter_mut().zip(c.iter()) {
+            *x = base + unit() * 2.0 - 1.0;
+        }
+        writer.append(&point).map_err(failed)?;
+    }
+    writer.finish().map_err(failed)
 }
 
 #[cfg(test)]

@@ -143,6 +143,33 @@ mod tests {
     }
 
     #[test]
+    fn convex_aggregate_misses_the_or_region() {
+        // The same ranking under the convex (arithmetic-mean) aggregate
+        // favours the region between the two centers, so it recovers
+        // only a small part of the OR-region Eq. 5 finds.
+        let cfg = Fig5Config::default();
+        let points = uniform_cube(cfg.num_points, 3, -2.0, 2.0, cfg.seed);
+        let in_region = |p: &[f64]| {
+            CENTERS
+                .iter()
+                .any(|c| qcluster_linalg::vecops::sq_euclidean(p, c) <= 1.0)
+        };
+        let region = points.iter().filter(|p| in_region(p)).count();
+        let convex = MultiPointQuery::uniform(
+            CENTERS.iter().map(|c| c.to_vec()).collect(),
+            AggregateKind::Convex,
+        );
+        let top = LinearScan::new(&points).knn(&convex, region);
+        let convex_overlap =
+            top.iter().filter(|n| in_region(&points[n.id])).count() as f64 / region as f64;
+        let disjunctive_overlap = run(&cfg).overlap_fraction;
+        assert!(
+            convex_overlap < 0.5 && convex_overlap < disjunctive_overlap / 2.0,
+            "convex {convex_overlap} vs disjunctive {disjunctive_overlap}"
+        );
+    }
+
+    #[test]
     fn retrieved_points_are_tagged() {
         let r = run(&Fig5Config::default());
         assert_eq!(r.retrieved.len(), r.in_or_region.max(1));

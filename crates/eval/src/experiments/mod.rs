@@ -3,7 +3,7 @@
 //! Every driver exposes a config struct (with a scaled-down
 //! [`Default`] for tests and a `paper_scale()` preset matching the paper's
 //! parameters where feasible) and a `run` function returning structured
-//! rows. The `repro` binary in `qcluster-bench` prints them, timings
+//! rows. `qcluster repro` (in `qcluster-cli`) prints them, timings
 //! included (Figs. 6 and 7 read [`crate::IterationRecord::elapsed`]).
 //! Every driver that runs feedback sessions does so through
 //! [`crate::FeedbackSession`], i.e. through the one closed loop of

@@ -18,7 +18,7 @@
 //!   cube for Fig. 5, spherical/elliptical Gaussian clusters in ℝ¹⁶ for
 //!   Figs. 14–19 and Tables 2–3).
 //! - [`experiments`] — one driver per paper figure/table, each returning
-//!   printable structured rows (consumed by the `repro` binary).
+//!   printable structured rows (consumed by `qcluster repro`).
 
 #![warn(missing_docs)]
 // Indexed loops over multiple parallel buffers are the clearest (and often
@@ -26,7 +26,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod dataset;
-pub mod diagnostics;
 pub mod experiments;
 pub mod fusion;
 pub mod oracle;

@@ -4,7 +4,7 @@
 //! semantic-gap corpus (7,500 points), serves it on a real TCP socket,
 //! and drives the full default soak (200 users × 3 feedback
 //! iterations, background ingest, two scheduled chaos events), writing
-//! the SLO artifact to `crates/bench/BENCH_soak.json`.
+//! the SLO artifact to `crates/loadgen/BENCH_soak.json`.
 //!
 //! Common invocations:
 //!
@@ -19,6 +19,7 @@
 //! soak --scrape 127.0.0.1:4100 # one-shot Stats scrape of a live node
 //! ```
 
+use qcluster_eval::synthetic::SemanticGapConfig;
 use qcluster_loadgen::{
     run_soak, seeded_timeline, LeaderKillReport, RouterBackend, SoakBackend, SoakConfig,
     SoakReport, TcpBackend,
@@ -63,7 +64,7 @@ fn parse_args() -> Result<Args, String> {
         deadline_ms: None,
         chaos: None,
         chaos_window_ms: None,
-        out: PathBuf::from("crates/bench/BENCH_soak.json"),
+        out: PathBuf::from("crates/loadgen/BENCH_soak.json"),
         cluster: false,
         kill_leader_ms: None,
         smoke: false,
@@ -183,7 +184,7 @@ fn scrape(addr: &str, out: &std::path::Path) -> Result<(), String> {
         .map_err(|e| format!("stats: {e}"))?
     {
         Response::Stats(snapshot) => {
-            qcluster_bench::write_metrics_artifact(out, "stats", &snapshot)
+            qcluster_loadgen::write_metrics_artifact(out, "stats", &snapshot)
                 .map_err(|e| format!("write artifact: {e}"))?;
             println!("wrote stats scrape of {addr} to {}", out.display());
             Ok(())
@@ -276,7 +277,10 @@ fn run() -> Result<(), String> {
     config.validate()?;
 
     eprintln!("building quick-scale semantic-gap corpus…");
-    let dataset = qcluster_bench::semantic_gap_dataset(qcluster_bench::Scale::Quick);
+    let dataset = qcluster_eval::Dataset::semantic_gap(&SemanticGapConfig {
+        categories: 150,
+        ..Default::default()
+    });
     let points: Vec<Vec<f64>> = (0..dataset.len())
         .map(|i| dataset.vector(i).to_vec())
         .collect();

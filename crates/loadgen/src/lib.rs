@@ -40,6 +40,9 @@ pub use fleet::{
     offline_baseline, run_soak, FleetPlan, IngestStream, SessionPlan, SoakCounters, SoakOutcome,
     UserPlan,
 };
-pub use report::{soak_artifact_json, write_soak_artifact, LeaderKillReport, SoakReport};
+pub use report::{
+    host_fingerprint_json, metrics_artifact_json, soak_artifact_json, write_metrics_artifact,
+    write_soak_artifact, LeaderKillReport, SoakReport,
+};
 pub use rng::SeedRng;
 pub use target::{RouterBackend, SoakBackend, SoakTarget, TcpBackend};

@@ -1,6 +1,6 @@
 //! The SLO report: one JSON artifact per soak run.
 //!
-//! The artifact (`crates/bench/BENCH_soak.json` by default) follows
+//! The artifact (`crates/loadgen/BENCH_soak.json` by default) follows
 //! the workspace's bench-artifact convention — a `bench` tag and the
 //! host fingerprint up front — and embeds the server-side
 //! `MetricsSnapshot` under the *same schema* the wire `Stats` request
@@ -133,6 +133,68 @@ impl SoakReport {
     }
 }
 
+/// Host + build fingerprint embedded in every artifact, one
+/// `"key": value,` line per field at the given indent.
+///
+/// Core-count-dependent numbers must stay auditable from the artifact
+/// alone: the JSON records how many cores the host had, what the build
+/// targeted (`target_cpu` mirrors the workspace `.cargo/config.toml`
+/// pin, `target_features` proves it took effect), and when the run
+/// happened.
+pub fn host_fingerprint_json(indent: &str) -> String {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let timestamp = std::time::SystemTime::now()
+        .duration_since(std::time::SystemTime::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0);
+    let mut features: Vec<&str> = Vec::new();
+    #[cfg(target_feature = "avx2")]
+    features.push("avx2");
+    #[cfg(target_feature = "fma")]
+    features.push("fma");
+    #[cfg(target_feature = "sse4.2")]
+    features.push("sse4.2");
+    #[cfg(target_feature = "neon")]
+    features.push("neon");
+    format!(
+        "{indent}\"cores\": {cores},\n\
+         {indent}\"arch\": \"{arch}\",\n\
+         {indent}\"target_cpu\": \"native\",\n\
+         {indent}\"target_features\": [{features}],\n\
+         {indent}\"unix_timestamp\": {timestamp},\n",
+        arch = std::env::consts::ARCH,
+        features = features
+            .iter()
+            .map(|f| format!("\"{f}\""))
+            .collect::<Vec<_>>()
+            .join(", "),
+    )
+}
+
+/// `{ "bench": "<bench>", <host fingerprint…>, "<key>": <body> }`.
+fn artifact_json<T: Serialize>(
+    bench: &str,
+    key: &str,
+    body: &T,
+) -> Result<String, serde_json::Error> {
+    let body = serde_json::to_string_pretty(body)?;
+    Ok(format!(
+        "{{\n  \"bench\": \"{bench}\",\n{fingerprint}  \"{key}\": {body}\n}}\n",
+        fingerprint = host_fingerprint_json("  "),
+    ))
+}
+
+fn write_artifact(
+    path: impl AsRef<std::path::Path>,
+    json: Result<String, serde_json::Error>,
+) -> std::io::Result<()> {
+    let json =
+        json.map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    std::fs::write(path, json)
+}
+
 /// Serializes one report into the shared bench-artifact schema:
 ///
 /// ```json
@@ -143,11 +205,7 @@ impl SoakReport {
 ///
 /// Serialization failure.
 pub fn soak_artifact_json(report: &SoakReport) -> Result<String, serde_json::Error> {
-    let body = serde_json::to_string_pretty(report)?;
-    Ok(format!(
-        "{{\n  \"bench\": \"soak\",\n{fingerprint}  \"report\": {body}\n}}\n",
-        fingerprint = qcluster_bench::host_fingerprint_json("  "),
-    ))
+    artifact_json("soak", "report", report)
 }
 
 /// Writes [`soak_artifact_json`] to `path`.
@@ -159,9 +217,43 @@ pub fn write_soak_artifact(
     path: impl AsRef<std::path::Path>,
     report: &SoakReport,
 ) -> std::io::Result<()> {
-    let json = soak_artifact_json(report)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, json)
+    write_artifact(path, soak_artifact_json(report))
+}
+
+/// Serializes one service [`MetricsSnapshot`] into the shared metrics
+/// artifact schema:
+///
+/// ```json
+/// { "bench": "<name>", <host fingerprint…>, "metrics": { …snapshot… } }
+/// ```
+///
+/// The `metrics` value is the serde serialization of `MetricsSnapshot`
+/// itself — the exact bytes a wire `Request::Stats` round-trip carries —
+/// so the soak report, one-shot scrapes of a live server, and any
+/// external monitoring that polls `Stats` all parse **one** schema and
+/// can be diffed against each other field-for-field.
+///
+/// # Errors
+///
+/// Serialization failure.
+pub fn metrics_artifact_json(
+    bench: &str,
+    snapshot: &MetricsSnapshot,
+) -> Result<String, serde_json::Error> {
+    artifact_json(bench, "metrics", snapshot)
+}
+
+/// Writes [`metrics_artifact_json`] to `path` (one-shot `Stats` dump).
+///
+/// # Errors
+///
+/// Serialization or filesystem failures, as `std::io::Error`.
+pub fn write_metrics_artifact(
+    path: impl AsRef<std::path::Path>,
+    bench: &str,
+    snapshot: &MetricsSnapshot,
+) -> std::io::Result<()> {
+    write_artifact(path, metrics_artifact_json(bench, snapshot))
 }
 
 #[cfg(test)]
@@ -247,6 +339,35 @@ mod tests {
         let body = serde_json::to_string(value.get("report").unwrap()).unwrap();
         let decoded: SoakReport = serde_json::from_str(&body).unwrap();
         assert_eq!(decoded, report);
+    }
+
+    #[test]
+    fn metrics_artifact_is_valid_json_with_fingerprint_and_snapshot() {
+        let snapshot = metrics();
+        let json = metrics_artifact_json("stats", &snapshot).unwrap();
+        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(value.get("bench").and_then(|v| v.as_str()), Some("stats"));
+        assert!(value.get("cores").is_some());
+        assert!(value.get("unix_timestamp").is_some());
+        // The embedded metrics round-trip back into the snapshot type:
+        // one schema for the artifact and the wire.
+        let metrics = serde_json::to_string(value.get("metrics").unwrap()).unwrap();
+        let decoded: MetricsSnapshot = serde_json::from_str(&metrics).unwrap();
+        assert_eq!(decoded, snapshot);
+    }
+
+    #[test]
+    fn host_fingerprint_records_auditable_host_facts() {
+        let json = host_fingerprint_json("  ");
+        assert!(json.contains("\"cores\": "));
+        assert!(json.contains("\"target_cpu\": \"native\""));
+        assert!(json.contains("\"unix_timestamp\": "));
+        assert!(json.contains(std::env::consts::ARCH));
+        // Every line must be a complete `"key": value,` fragment so it
+        // can be spliced into hand-built JSON objects.
+        for line in json.lines() {
+            assert!(line.trim_end().ends_with(','), "fragment line: {line:?}");
+        }
     }
 
     #[test]

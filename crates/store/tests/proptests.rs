@@ -8,14 +8,17 @@
 //!   the log appendable.
 //! - **Segment round-trip**: write → reopen returns bitwise-identical
 //!   vectors (`f64::to_bits` equality, not epsilon equality).
+//! - **Quantized load**: a sealed segment adopted as a `QuantizedScan`
+//!   answers two-phase k-NN exactly like its own exact column.
 //!
 //! CI runs these with `PROPTEST_CASES=256` in the `storage-recovery`
 //! job; the default is lighter for local `cargo test`.
 
 use proptest::prelude::*;
+use qcluster_index::{EuclideanQuery, QueryDistance, WeightedEuclideanQuery};
 use qcluster_store::{
-    replay, write_segment, SegmentReader, StoreConfig, VectorStore, WalRecord, WalWriter,
-    VERSION_V2,
+    load_segment_quantized, replay, write_segment, SegmentReader, StoreConfig, StoreError,
+    VectorStore, WalRecord, WalWriter, VERSION_V2,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -198,4 +201,66 @@ proptest! {
         assert_bitwise_eq(&recovered.vectors, &want)?;
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// `load_segment_quantized` over a ragged corpus (the last tile is
+/// padded) holding duplicate points: two-phase k-NN returns exactly the
+/// exact column's ids and distance bits, with the default rerank window
+/// and with a window of `k` (too tight to certify here, so the second
+/// round runs). An empty segment is refused.
+#[test]
+fn quantized_segment_load_answers_like_the_exact_scan() {
+    use rand::{Rng, SeedableRng};
+    let (n, dim, k) = (203usize, 5usize, 10usize);
+    assert_ne!(n % 8, 0, "the corpus must end in a padded tile");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(26);
+    let mut vectors: Vec<Vec<f64>> = Vec::with_capacity(n);
+    for i in 0..n {
+        let v = if i % 7 == 6 {
+            vectors[i / 2].clone()
+        } else {
+            (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect()
+        };
+        vectors.push(v);
+    }
+    let path = scratch("quantized_load");
+    std::fs::remove_file(&path).ok();
+    write_segment(&path, dim, &vectors).unwrap();
+    let scan = load_segment_quantized(&path).unwrap();
+    assert_eq!(scan.len(), n);
+
+    let queries: Vec<Box<dyn QueryDistance>> = vec![
+        Box::new(EuclideanQuery::new(vectors[6].clone())),
+        Box::new(EuclideanQuery::new(vec![0.5; dim])),
+        Box::new(WeightedEuclideanQuery::new(
+            vectors[100].clone(),
+            vec![2.0, 0.5, 1.0, 0.0, 3.0],
+        )),
+    ];
+    for query in &queries {
+        let exact = scan.corpus().knn(query.as_ref(), k);
+        for window in [None, Some(k)] {
+            let (got, stats) = scan.two_phase_knn(query.as_ref(), k, window);
+            assert_eq!(stats.plan_misses, 0, "the query compiles a plan");
+            if window.is_some() {
+                assert!(stats.second_rounds > 0, "a window of k cannot certify");
+            }
+            assert_eq!(got.len(), exact.len());
+            for (g, e) in got.iter().zip(exact.iter()) {
+                assert_eq!(g.id, e.id, "window {window:?}");
+                assert_eq!(
+                    g.distance.to_bits(),
+                    e.distance.to_bits(),
+                    "window {window:?}"
+                );
+            }
+        }
+    }
+
+    write_segment(&path, dim, &[]).unwrap();
+    assert!(matches!(
+        load_segment_quantized(&path),
+        Err(StoreError::InvalidArg(_))
+    ));
+    std::fs::remove_file(&path).ok();
 }

@@ -87,3 +87,66 @@ fn retrieved_ids_are_valid_and_unique() {
         }
     }
 }
+
+#[test]
+fn multimodal_category_is_kept_as_separate_clusters() {
+    // The paper's Example 1: "bird" images come in two visual modes
+    // (light-green and dark-blue backgrounds). Every category here is
+    // such a two-mode category; feedback must keep the modes apart as
+    // separate clusters and keep retrieving both.
+    let corpus = CorpusBuilder::new()
+        .categories(60)
+        .images_per_category(20)
+        .image_size(24)
+        .multimodal_fraction(1.0)
+        .jitter(0.5)
+        .seed(7)
+        .build();
+    let ds = Dataset::from_corpus(&corpus, FeatureKind::ColorMoments).expect("features build");
+    let per = corpus.images_per_category();
+    let category = ds.category(0);
+    let mode = |id: usize| corpus.mode_of(category, id % per);
+
+    let mut engine = QclusterEngine::new(QclusterConfig::default());
+    let outcome = FeedbackSession::new(&ds, 30)
+        .run(&mut engine, 0, 4)
+        .expect("session runs");
+    let last = outcome.iterations.last().expect("non-empty");
+    let relevant: Vec<usize> = last
+        .retrieved
+        .iter()
+        .copied()
+        .filter(|&id| ds.category(id) == category)
+        .collect();
+    for m in 0..2 {
+        assert!(
+            relevant.iter().any(|&id| mode(id) == m),
+            "mode {m} lost: {relevant:?}"
+        );
+    }
+    // Each mode has a cluster whose same-category members are mostly
+    // from that mode: the two modes stay separate representatives.
+    let majority_modes: Vec<usize> = engine
+        .clusters()
+        .iter()
+        .filter_map(|c| {
+            let ids = c.members().iter().map(|p| p.id);
+            let (a, b) =
+                ids.filter(|&id| ds.category(id) == category)
+                    .fold((0, 0), |(a, b), id| {
+                        if mode(id) == 0 {
+                            (a + 1, b)
+                        } else {
+                            (a, b + 1)
+                        }
+                    });
+            (a != b).then_some(if a > b { 0 } else { 1 })
+        })
+        .collect();
+    for m in 0..2 {
+        assert!(
+            majority_modes.contains(&m),
+            "no cluster stands for mode {m}: {majority_modes:?}"
+        );
+    }
+}

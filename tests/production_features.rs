@@ -53,6 +53,43 @@ fn fusion_over_real_image_features() {
 }
 
 #[test]
+fn fused_ranking_beats_either_feature_alone() {
+    // Color and texture fail on different categories, so the 1:1
+    // fusion is more precise than either feature on its own.
+    let corpus = CorpusBuilder::new()
+        .categories(40)
+        .images_per_category(20)
+        .image_size(24)
+        .jitter(0.8)
+        .seed(19)
+        .build();
+    let color = Dataset::from_corpus(&corpus, FeatureKind::ColorMoments).unwrap();
+    let texture = Dataset::from_corpus(&corpus, FeatureKind::CooccurrenceTexture).unwrap();
+    let stack = MultiFeatureDataset::new(vec![color, texture]);
+
+    let k = 20;
+    let mut hits = [0usize; 3]; // color only, texture only, fused
+    for q in (0..stack.len()).step_by(53) {
+        let qc = EuclideanQuery::new(stack.feature(0).vector(q).to_vec());
+        let qt = EuclideanQuery::new(stack.feature(1).vector(q).to_vec());
+        for (slot, weights) in [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]].iter().enumerate() {
+            hits[slot] += stack
+                .knn_fused(&[&qc, &qt], weights, k)
+                .iter()
+                .filter(|n| stack.category(n.id) == stack.category(q))
+                .count();
+        }
+    }
+    assert!(
+        hits[2] > hits[0] && hits[2] > hits[1],
+        "color {} texture {} fused {}",
+        hits[0],
+        hits[1],
+        hits[2]
+    );
+}
+
+#[test]
 fn all_four_feature_kinds_build_consistent_datasets() {
     let corpus = CorpusBuilder::new()
         .categories(6)
