@@ -88,6 +88,8 @@ pub struct QuantParams {
     min: Vec<f64>,
     delta: Vec<f64>,
     max_err: Vec<f64>,
+    /// Every fitted value was finite (no NaN, no ±∞).
+    finite: bool,
 }
 
 impl QuantParams {
@@ -197,6 +199,7 @@ impl QuantParams {
             min,
             delta,
             max_err: vec![0.0; dim],
+            finite: finite.iter().all(|&f| f),
         };
         let mut measured = vec![0.0f64; dim];
         each(&mut |j, v| {
@@ -219,7 +222,9 @@ impl QuantParams {
         params
     }
 
-    /// Rebuilds params from persisted columns (segment format v2).
+    /// Rebuilds params from persisted columns (segment format v2). A
+    /// segment is sealed only over finite values, so the result is
+    /// [`Self::is_finite`].
     ///
     /// # Panics
     ///
@@ -232,6 +237,7 @@ impl QuantParams {
             min,
             delta,
             max_err,
+            finite: true,
         }
     }
 
@@ -253,6 +259,14 @@ impl QuantParams {
     /// Per-dimension reconstruction error bounds.
     pub fn max_err(&self) -> &[f64] {
         &self.max_err
+    }
+
+    /// `false` when a fitted value was NaN or ±∞: the values can then
+    /// only be scanned exactly, where a NaN distance cannot be ordered.
+    /// A finite range too wide to code also leaves a `max_err` at `∞`
+    /// (no [`QuantPlan`], an exact scan), but its values are finite.
+    pub fn is_finite(&self) -> bool {
+        self.finite
     }
 
     /// Codes one value of dimension `j`.
@@ -1708,6 +1722,19 @@ mod tests {
     fn non_finite_values_poison_the_plan() {
         let data = vec![1.0, f64::NAN, 2.0, 3.0];
         let params = QuantParams::fit(&data, 2);
+        assert!(!params.is_finite());
+        let q = EuclideanQuery::new(vec![0.0, 0.0]);
+        assert!(q.quantized_plan(&params).is_none());
+    }
+
+    /// A finite range wider than `f64` can code has no plan either, but
+    /// it is not a non-finite value.
+    #[test]
+    fn a_range_too_wide_to_code_is_still_finite() {
+        let data = vec![-1e308, 0.0, 1e308, 1.0];
+        let params = QuantParams::fit(&data, 2);
+        assert!(params.is_finite());
+        assert_eq!(params.max_err()[0], f64::INFINITY);
         let q = EuclideanQuery::new(vec![0.0, 0.0]);
         assert!(q.quantized_plan(&params).is_none());
     }

@@ -509,7 +509,7 @@ fn run_shard_job(
 }
 
 /// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -560,7 +560,7 @@ mod tests {
         let executor = pool(3);
         for kind in [ShardKind::Scan, ShardKind::Tree, ShardKind::Quantized] {
             for shards in [1, 2, 4, 7] {
-                let corpus = ShardedCorpus::build(&pts, shards, kind);
+                let corpus = ShardedCorpus::build(&pts, shards, kind).unwrap();
                 let q = EuclideanQuery::new(vec![1.0, -2.0, 3.0]);
                 let report = executor.try_knn(&corpus, &q, 25, None, None).unwrap();
                 let (got, stats) = (report.neighbors, report.stats);
@@ -577,7 +577,7 @@ mod tests {
     #[test]
     fn session_caches_accumulate_hits_across_queries() {
         let pts = spiral(400);
-        let corpus = ShardedCorpus::build(&pts, 4, ShardKind::Tree);
+        let corpus = ShardedCorpus::build(&pts, 4, ShardKind::Tree).unwrap();
         let executor = pool(2);
         let caches: Vec<Arc<Mutex<NodeCache>>> = corpus
             .shards()
@@ -601,7 +601,7 @@ mod tests {
     #[test]
     fn executor_outlives_many_rounds_and_drops_cleanly() {
         let pts = spiral(120);
-        let corpus = ShardedCorpus::build(&pts, 3, ShardKind::Scan);
+        let corpus = ShardedCorpus::build(&pts, 3, ShardKind::Scan).unwrap();
         let executor = pool(4);
         assert_eq!(executor.num_workers(), 4);
         for round in 0..50 {
@@ -615,7 +615,7 @@ mod tests {
     #[test]
     fn try_knn_reports_full_coverage_on_healthy_pool() {
         let pts = spiral(200);
-        let corpus = ShardedCorpus::build(&pts, 4, ShardKind::Scan);
+        let corpus = ShardedCorpus::build(&pts, 4, ShardKind::Scan).unwrap();
         let executor = pool(2);
         let q = EuclideanQuery::new(vec![0.5, 0.5, 1.0]);
         let report = executor.try_knn(&corpus, &q, 10, None, None).unwrap();
@@ -629,7 +629,7 @@ mod tests {
 
     #[test]
     fn try_knn_rejects_invalid_requests_with_typed_errors() {
-        let corpus = ShardedCorpus::build(&spiral(20), 2, ShardKind::Scan);
+        let corpus = ShardedCorpus::build(&spiral(20), 2, ShardKind::Scan).unwrap();
         let executor = pool(1);
         let q = EuclideanQuery::new(vec![0.0, 0.0, 0.0]);
         assert!(matches!(
@@ -654,7 +654,7 @@ mod tests {
     #[test]
     fn generous_deadline_changes_nothing() {
         let pts = spiral(300);
-        let corpus = ShardedCorpus::build(&pts, 3, ShardKind::Tree);
+        let corpus = ShardedCorpus::build(&pts, 3, ShardKind::Tree).unwrap();
         let executor = pool(2);
         let q = EuclideanQuery::new(vec![1.0, 0.0, 2.0]);
         let plain = executor
@@ -677,7 +677,7 @@ mod tests {
     /// half-open probe: the shard is probed by the next fan-out.
     #[test]
     fn overloaded_fanout_does_not_leak_the_half_open_probe() {
-        let corpus = ShardedCorpus::build(&spiral(60), 2, ShardKind::Scan);
+        let corpus = ShardedCorpus::build(&spiral(60), 2, ShardKind::Scan).unwrap();
         let executor = Executor::with_config(ExecutorConfig {
             num_workers: 2,
             max_queued_jobs: 8,

@@ -6,7 +6,9 @@
 //! client threads calling into it concurrently.
 
 use crate::error::ServiceError;
-use crate::executor::{default_num_workers, Executor, ExecutorConfig, ShardFailureKind};
+use crate::executor::{
+    default_num_workers, panic_message, Executor, ExecutorConfig, ShardFailureKind,
+};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::session::{RegistryConfig, Session, SessionRegistry};
 use crate::shard::{ShardKind, ShardedCorpus};
@@ -151,22 +153,23 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Spawn`] when a worker thread cannot be created.
+    /// [`ServiceError::InvalidRequest`] for an empty or ragged corpus or
+    /// a non-finite component, [`ServiceError::Spawn`] when a worker
+    /// thread cannot be created.
     ///
     /// # Panics
     ///
-    /// Panics on an empty corpus, ragged dimensionalities, or zero
-    /// shards/sessions.
+    /// Panics on zero shards or sessions.
     pub fn new(points: &[Vec<f64>], config: ServiceConfig) -> Result<Self, ServiceError> {
-        Self::build(points, config, Writer::default())
+        let corpus = ShardedCorpus::build(points, config.num_shards, config.shard_kind)?;
+        Self::build(corpus, config, Writer::default())
     }
 
     fn build(
-        points: &[Vec<f64>],
+        corpus: ShardedCorpus,
         config: ServiceConfig,
         writer: Writer,
     ) -> Result<Self, ServiceError> {
-        let corpus = ShardedCorpus::build(points, config.num_shards, config.shard_kind);
         let executor = Executor::with_config(ExecutorConfig {
             num_workers: config.num_workers,
             max_queued_jobs: config.max_queued_jobs,
@@ -180,12 +183,12 @@ impl Service {
         });
         let overlay = RwLock::new(LinearScan::empty(corpus.dim()));
         Ok(Service {
+            base_len: corpus.len(),
             corpus,
             executor,
             registry,
             metrics: ServiceMetrics::new(),
             config,
-            base_len: points.len(),
             durable: writer.is_durable(),
             writer: Mutex::new(writer),
             overlay,
@@ -195,18 +198,23 @@ impl Service {
     /// Opens a durable service over a store directory.
     ///
     /// On a fresh directory the store is bootstrapped from `seed` (which
-    /// becomes ids `0..seed.len()`). On a directory with prior state the
-    /// full durable corpus — sealed segments plus the WAL tail, torn
-    /// final record discarded — is recovered as the base shards, live
-    /// sessions are restored under their original ids (engines come back
-    /// *fresh*: feedback state is not persisted, so clients re-feed
-    /// after a crash), and `seed` is ignored.
+    /// becomes ids `0..seed.len()`): the seal runs on a scoped thread
+    /// while this thread shards the same rows, each checking them on its
+    /// own, and the call returns once both are done — the segment is
+    /// fsynced and renamed into place before the service exists. On a
+    /// directory with prior state the full durable corpus — sealed
+    /// segments plus the WAL tail, torn final record discarded — is
+    /// recovered as the base shards, live sessions are restored under
+    /// their original ids (engines come back *fresh*: feedback state is
+    /// not persisted, so clients re-feed after a crash), and `seed` is
+    /// ignored.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Storage`] for I/O or corruption, and
+    /// [`ServiceError::Storage`] for I/O or corruption, or when the seal
+    /// fails or panics (the shards built beside it are dropped), and
     /// [`ServiceError::InvalidRequest`] when the directory is empty and
-    /// no seed was given (the service cannot shard an empty corpus).
+    /// the seed is empty, ragged or holds a non-finite component.
     pub fn open_durable(
         dir: &Path,
         seed: &[Vec<f64>],
@@ -215,18 +223,33 @@ impl Service {
     ) -> Result<Self, ServiceError> {
         let (mut store, recovered) = VectorStore::open(dir, store_config)?;
         let had_prior = !recovered.vectors.is_empty() || !recovered.sessions.is_empty();
-        let base = if recovered.vectors.is_empty() {
+        let corpus = if recovered.vectors.is_empty() {
             if seed.is_empty() {
                 return Err(ServiceError::InvalidRequest(
                     "durable open needs prior state or a non-empty seed".into(),
                 ));
             }
-            store.bootstrap(seed)?;
-            seed
+            // Shards stay on this thread: built on others, they raise
+            // the peak through per-thread malloc arenas (DESIGN.md §10).
+            // A bad seed fails both sides before the seal creates a
+            // file; the shard build's error is the one reported.
+            std::thread::scope(|scope| {
+                let seal = scope.spawn(|| store.bootstrap(seed));
+                let corpus = ShardedCorpus::build(seed, config.num_shards, config.shard_kind);
+                let sealed = seal.join();
+                let corpus = corpus?;
+                match sealed {
+                    Ok(sealed) => sealed.map(|()| corpus).map_err(ServiceError::from),
+                    Err(panic) => Err(ServiceError::Storage(format!(
+                        "segment seal panicked: {}",
+                        panic_message(&*panic)
+                    ))),
+                }
+            })?
         } else {
-            &recovered.vectors
+            ShardedCorpus::build(&recovered.vectors, config.num_shards, config.shard_kind)?
         };
-        let service = Service::build(base, config, Writer::durable(store, recovered.term))?;
+        let service = Service::build(corpus, config, Writer::durable(store, recovered.term))?;
         for snap in &recovered.sessions {
             // An unknown name (from a newer writer's WAL) degrades to the
             // default engine rather than failing the whole recovery.

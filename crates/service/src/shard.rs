@@ -7,6 +7,7 @@
 //! shard with one division. Contiguity also means the shards together are
 //! exactly the corpus — the merged per-shard top-k equals the global top-k.
 
+use crate::error::ServiceError;
 use qcluster_index::{
     CooperativeScan, HybridTree, LinearScan, Neighbor, NodeCache, Phase1, QuantScanStats,
     QuantizedScan, QueryDistance, SearchStats,
@@ -243,30 +244,60 @@ impl ShardedCorpus {
     /// which may be smaller than requested for tiny corpora — shards are
     /// never empty.
     ///
+    /// # Errors
+    ///
+    /// [`ServiceError::InvalidRequest`] for an empty corpus, ragged or
+    /// zero dimensionalities, or a NaN or ±∞ component — so no k-NN
+    /// worker ever orders a NaN distance. The quantized kind's fit
+    /// already reads every value and records a non-finite one; the other
+    /// kinds pay a pass of their own, made first because a tree's median
+    /// split cannot order a NaN.
+    ///
     /// # Panics
     ///
-    /// Panics on an empty corpus, `num_shards == 0`, or ragged
-    /// dimensionalities.
-    pub fn build(points: &[Vec<f64>], num_shards: usize, kind: ShardKind) -> Self {
-        assert!(!points.is_empty(), "cannot shard an empty corpus");
+    /// Panics when `num_shards == 0`.
+    pub fn build(
+        points: &[Vec<f64>],
+        num_shards: usize,
+        kind: ShardKind,
+    ) -> Result<Self, ServiceError> {
         assert!(num_shards > 0, "need at least one shard");
-        let dim = points[0].len();
-        assert!(
-            points.iter().all(|p| p.len() == dim),
-            "all points must share one dimensionality"
-        );
+        let dim = points.first().map_or(0, Vec::len);
+        if dim == 0 {
+            return Err(ServiceError::InvalidRequest(
+                "the corpus needs at least one vector of positive dimensionality".into(),
+            ));
+        }
+        if let Some(i) = points.iter().position(|p| p.len() != dim) {
+            return Err(ServiceError::InvalidRequest(format!(
+                "corpus vector {i} has {} components, vector 0 has {dim}",
+                points[i].len()
+            )));
+        }
+        let non_finite =
+            || ServiceError::InvalidRequest("corpus vector components must be finite".into());
+        if kind != ShardKind::Quantized && !points.iter().flatten().all(|v| v.is_finite()) {
+            return Err(non_finite());
+        }
         let chunk = points.len().div_ceil(num_shards);
-        let shards = points
+        let shards: Vec<Arc<Shard>> = points
             .chunks(chunk)
             .enumerate()
             .map(|(i, slice)| Arc::new(Shard::build(slice, i * chunk, kind)))
             .collect();
-        ShardedCorpus {
+        let finite = shards.iter().all(|s| match &s.index {
+            ShardIndex::Quantized(q) => q.params().is_finite(),
+            _ => true,
+        });
+        if !finite {
+            return Err(non_finite());
+        }
+        Ok(ShardedCorpus {
             shards,
             chunk,
             dim,
             len: points.len(),
-        }
+        })
     }
 
     /// Number of shards actually built.
@@ -349,7 +380,7 @@ mod tests {
         let q = EuclideanQuery::new(vec![0.4, -0.3]);
         let expect = LinearScan::new(&pts).knn(&q, 12);
         for kind in [ShardKind::Scan, ShardKind::Tree, ShardKind::Quantized] {
-            let corpus = ShardedCorpus::build(&pts, 5, kind);
+            let corpus = ShardedCorpus::build(&pts, 5, kind).unwrap();
             let per_shard: Vec<Vec<Neighbor>> = corpus
                 .shards()
                 .iter()
@@ -370,7 +401,7 @@ mod tests {
         // ragged and every quantized shard ends in a padded tile.
         let pts = ring(23);
         for kind in [ShardKind::Scan, ShardKind::Tree, ShardKind::Quantized] {
-            let corpus = ShardedCorpus::build(&pts, 4, kind);
+            let corpus = ShardedCorpus::build(&pts, 4, kind).unwrap();
             assert_eq!(corpus.len(), 23);
             assert_eq!(corpus.num_shards(), 4);
             for (id, p) in pts.iter().enumerate() {
@@ -386,12 +417,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "point id out of range")]
     fn point_lookup_past_the_end_panics() {
-        let _ = ShardedCorpus::build(&ring(23), 4, ShardKind::default()).point(23);
+        let _ = ShardedCorpus::build(&ring(23), 4, ShardKind::default())
+            .unwrap()
+            .point(23);
     }
 
     #[test]
     fn tiny_corpus_clamps_shard_count() {
-        let corpus = ShardedCorpus::build(&ring(3), 8, ShardKind::Scan);
+        let corpus = ShardedCorpus::build(&ring(3), 8, ShardKind::Scan).unwrap();
         assert!(corpus.num_shards() <= 3);
         assert!(corpus.shards().iter().all(|s| !s.is_empty()));
     }
@@ -399,7 +432,7 @@ mod tests {
     #[test]
     fn scan_shard_cache_models_sequential_reads() {
         let pts = ring(10);
-        let corpus = ShardedCorpus::build(&pts, 1, ShardKind::Scan);
+        let corpus = ShardedCorpus::build(&pts, 1, ShardKind::Scan).unwrap();
         let shard = &corpus.shards()[0];
         let mut cache = NodeCache::new(shard.num_nodes());
         let q = EuclideanQuery::new(vec![1.0, 0.0]);
@@ -414,8 +447,8 @@ mod tests {
     fn quantized_shard_is_bit_for_bit_exact_and_counts_phases() {
         let pts = ring(200);
         let q = EuclideanQuery::new(vec![0.4, -0.3]);
-        let exact = ShardedCorpus::build(&pts, 1, ShardKind::Scan);
-        let quant = ShardedCorpus::build(&pts, 1, ShardKind::Quantized);
+        let exact = ShardedCorpus::build(&pts, 1, ShardKind::Scan).unwrap();
+        let quant = ShardedCorpus::build(&pts, 1, ShardKind::Quantized).unwrap();
         let (want, _) = exact.shards()[0].knn(&q, 9, None);
         let (got, stats) = quant.shards()[0].knn(&q, 9, None);
         assert_eq!(got, want, "two-phase results must be bit-for-bit exact");
@@ -431,7 +464,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
-        let corpus = ShardedCorpus::build(&ring(5), 1, ShardKind::Scan);
+        let corpus = ShardedCorpus::build(&ring(5), 1, ShardKind::Scan).unwrap();
         let q = EuclideanQuery::new(vec![0.0, 0.0]);
         let _ = corpus.shards()[0].knn(&q, 0, None);
     }

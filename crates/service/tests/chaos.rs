@@ -1,6 +1,8 @@
 //! Fault-injection suite for the query path: panicking shards, slow
 //! shards racing deadlines, circuit breakers, admission control, worker
-//! death, and session eviction racing in-flight queries.
+//! death, and session eviction racing in-flight queries; then the
+//! durable boot's seal failing, panicking or stalling beside the shard
+//! build, and seeds no shard may hold.
 //!
 //! Failpoints are process-global, so every test serializes through
 //! `failpoint::test_lock()` and clears the registry on entry; the whole
@@ -326,7 +328,7 @@ fn dead_workers_are_respawned_on_the_next_fanout() {
     let points = corpus();
     // Exactly one job per worker: each idle worker takes one shard job,
     // completes it, and dies — leaving no job stranded in the queue.
-    let sharded = ShardedCorpus::build(&points, 2, ShardKind::Scan);
+    let sharded = ShardedCorpus::build(&points, 2, ShardKind::Scan).unwrap();
     let executor = Executor::with_config(ExecutorConfig {
         num_workers: 2,
         ..ExecutorConfig::default()
@@ -412,21 +414,26 @@ fn lru_eviction_racing_inflight_query_completes_cleanly() {
     assert_eq!(svc.stats().evictions, 1);
 }
 
-/// A durable service over [`corpus`] in a fresh scratch directory.
-fn durable_service(tag: &str) -> (Service, std::path::PathBuf) {
+/// A fresh scratch directory for a store.
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("qsvc_chaos_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let svc = Service::open_durable(
-        &dir,
-        &corpus(),
-        ServiceConfig {
-            num_shards: 2,
-            num_workers: 2,
-            ..ServiceConfig::default()
-        },
-        StoreConfig::default(),
-    )
-    .expect("open durable service");
+    dir
+}
+
+fn durable_config() -> ServiceConfig {
+    ServiceConfig {
+        num_shards: 2,
+        num_workers: 2,
+        ..ServiceConfig::default()
+    }
+}
+
+/// A durable service over [`corpus`] in a fresh scratch directory.
+fn durable_service(tag: &str) -> (Service, std::path::PathBuf) {
+    let dir = fresh_dir(tag);
+    let svc = Service::open_durable(&dir, &corpus(), durable_config(), StoreConfig::default())
+        .expect("open durable service");
     (svc, dir)
 }
 
@@ -516,5 +523,179 @@ fn racing_deliveries_of_one_record_apply_it_once() {
     let reopened =
         Service::open_durable(&dir, &[], ServiceConfig::default(), StoreConfig::default()).unwrap();
     assert_eq!(reopened.total_vectors(), 257, "one copy on disk");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The sealed segment files in `dir`.
+fn segments_in(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("seg-") && n.ends_with(".qseg"))
+        .collect()
+}
+
+/// A seed with a NaN, an ∞ or a ragged vector is refused at boot by both
+/// constructors, for every shard kind, and a durable boot seals nothing —
+/// no k-NN worker ever sees such a value.
+#[test]
+fn a_bad_seed_is_a_typed_error_at_boot() {
+    let _serial = failpoint::test_lock();
+    failpoint::clear_all();
+
+    let mut seeds = Vec::new();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut seed = corpus();
+        seed[7][1] = bad;
+        seeds.push(seed);
+    }
+    let mut ragged = corpus();
+    ragged[100].push(1.0);
+    seeds.push(ragged);
+
+    for seed in &seeds {
+        for kind in [ShardKind::Quantized, ShardKind::Scan, ShardKind::Tree] {
+            let config = ServiceConfig {
+                shard_kind: kind,
+                ..durable_config()
+            };
+            let refused = Service::new(seed, config);
+            assert!(
+                matches!(refused, Err(ServiceError::InvalidRequest(_))),
+                "{kind:?}: {refused:?}"
+            );
+        }
+        let dir = fresh_dir("bad_seed");
+        let refused = Service::open_durable(&dir, seed, durable_config(), StoreConfig::default());
+        assert!(
+            matches!(refused, Err(ServiceError::InvalidRequest(_))),
+            "{refused:?}"
+        );
+        assert!(segments_in(&dir).is_empty(), "nothing sealed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A finite vector whose range `f64` cannot code (its quantized shard
+/// then scans exactly) is durable data like any other: it flushes into a
+/// segment and the node reopens over it.
+#[test]
+fn a_finite_vector_too_wide_to_code_flushes_and_reopens() {
+    let _serial = failpoint::test_lock();
+    failpoint::clear_all();
+
+    let (svc, dir) = durable_service("wide_range");
+    let wide = vec![-1e308, 0.0];
+    assert_eq!(svc.ingest(wide.clone()).unwrap().id, 256);
+    // With it, the folded WAL tail spans a range too wide to code.
+    svc.ingest(vec![5.0, 5.0]).unwrap();
+    svc.flush().expect("a finite range seals");
+    drop(svc);
+
+    let reopened = Service::open_durable(&dir, &[], durable_config(), StoreConfig::default())
+        .expect("reopens over what it acked");
+    assert_eq!(reopened.total_vectors(), 258);
+    let session = reopened.create_session().unwrap();
+    let out = reopened.query_vector(session, wide, 1).unwrap();
+    assert!(!out.degraded());
+    assert_eq!(out.neighbors[0].id, 256);
+    assert_eq!(out.neighbors[0].distance, 0.0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The answers of `svc` to a few example queries, distance bits included.
+fn answers(svc: &Service) -> Vec<Vec<(usize, u64)>> {
+    let session = svc.create_session().unwrap();
+    [[0.5, 0.5], [25.0, 0.5], [10.3, 9.7], [31.0, 30.0]]
+        .into_iter()
+        .map(|q| {
+            let out = svc.query_vector(session, q.to_vec(), 9).unwrap();
+            assert!(!out.degraded());
+            let hits = out.neighbors.iter();
+            hits.map(|n| (n.id, n.distance.to_bits())).collect()
+        })
+        .collect()
+}
+
+/// The seal that runs beside the shard build keeps failing cleanly: an
+/// I/O error is a typed error that leaves no segment, and the next boot
+/// from the same seed answers bit for bit like a memory-only service.
+#[test]
+fn a_failed_seal_at_boot_leaves_no_segment_and_a_retry_boots() {
+    let _serial = failpoint::test_lock();
+    failpoint::clear_all();
+    let dir = fresh_dir("seal_error");
+
+    let fp =
+        failpoint::scoped_counted("segment.finish", Action::Error("ENOSPC".into()), 0, Some(1));
+    let refused = Service::open_durable(&dir, &corpus(), durable_config(), StoreConfig::default());
+    assert!(
+        matches!(refused, Err(ServiceError::Storage(_))),
+        "{refused:?}"
+    );
+    assert_eq!(fp.hits(), 1);
+    drop(fp);
+    assert!(segments_in(&dir).is_empty(), "{:?}", segments_in(&dir));
+
+    let durable =
+        Service::open_durable(&dir, &corpus(), durable_config(), StoreConfig::default()).unwrap();
+    assert_eq!(segments_in(&dir).len(), 1);
+    let memory = Service::new(&corpus(), durable_config()).unwrap();
+    assert_eq!(answers(&durable), answers(&memory));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A seal thread that panics is a typed error on the calling thread,
+/// not a process panic.
+#[test]
+fn a_panicking_seal_at_boot_is_a_typed_error() {
+    let _serial = failpoint::test_lock();
+    failpoint::clear_all();
+    let dir = fresh_dir("seal_panic");
+
+    let fp = failpoint::scoped_counted("segment.finish", Action::Panic("torn".into()), 0, Some(1));
+    let refused = Service::open_durable(&dir, &corpus(), durable_config(), StoreConfig::default());
+    assert!(
+        matches!(&refused, Err(ServiceError::Storage(msg)) if msg.contains("panicked")),
+        "{refused:?}"
+    );
+    assert_eq!(fp.hits(), 1);
+    drop(fp);
+    assert!(segments_in(&dir).is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The durability point does not move: however long the seal takes, the
+/// boot returns only after its segment is fsynced and renamed into place.
+#[test]
+fn a_durable_boot_returns_after_its_segment_is_in_place() {
+    let _serial = failpoint::test_lock();
+    failpoint::clear_all();
+    let dir = fresh_dir("seal_sleep");
+
+    let fp = failpoint::scoped("segment.finish", Action::Sleep(300));
+    let started = Instant::now();
+    let svc = Service::open_durable(&dir, &corpus(), durable_config(), StoreConfig::default())
+        .expect("slow seal still boots");
+    let waited = started.elapsed();
+    assert_eq!(fp.hits(), 1);
+    drop(fp);
+    assert!(
+        waited >= Duration::from_millis(300),
+        "returned after {waited:?}"
+    );
+    assert_eq!(segments_in(&dir).len(), 1, "renamed into place");
+    let staged = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| {
+            e.as_ref()
+                .unwrap()
+                .path()
+                .extension()
+                .is_some_and(|x| x == "tmp")
+        })
+        .count();
+    assert_eq!(staged, 0, "no staging file left");
+    assert_eq!(svc.total_vectors(), corpus().len());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,17 +7,22 @@
 //! a segment is therefore `mmap`-compatible in spirit even though the
 //! reader goes through buffered I/O.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
-/// Incremental CRC-32 (ISO-HDLC / zlib polynomial).
+/// Incremental CRC-32 (ISO-HDLC / zlib polynomial), sliced by 16: each
+/// step folds 16 input bytes into the state through 16 independent table
+/// lookups, and only a tail shorter than 16 bytes goes byte at a time.
 #[derive(Debug, Clone)]
 pub struct Crc32 {
     state: u32,
 }
 
-/// The 256-entry lookup table for the reflected polynomial 0xEDB88320.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `tables[0]` is the byte table for the reflected polynomial 0xEDB88320;
+/// `tables[k][b]` advances `tables[k - 1][b]` over one more zero byte, so
+/// the byte `k` places before the end of a 16-byte block is folded in
+/// through `tables[k]`.
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -30,13 +35,23 @@ const fn crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
 impl Default for Crc32 {
     fn default() -> Self {
@@ -52,10 +67,22 @@ impl Crc32 {
 
     /// Folds `bytes` into the running checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = (self.state ^ u32::from(b)) & 0xFF;
-            self.state = (self.state >> 8) ^ CRC_TABLE[idx as usize];
+        let t = |k: usize, b: u8| CRC_TABLES[k][usize::from(b)];
+        let mut state = self.state;
+        let mut blocks = bytes.chunks_exact(16);
+        for b in &mut blocks {
+            // Written out: a loop or a fold over the 16 lanes measured
+            // ≈ 2× slower.
+            let s = (state ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
+            state = t(15, s[0]) ^ t(14, s[1]) ^ t(13, s[2]) ^ t(12, s[3]);
+            state ^= t(11, b[4]) ^ t(10, b[5]) ^ t(9, b[6]) ^ t(8, b[7]);
+            state ^= t(7, b[8]) ^ t(6, b[9]) ^ t(5, b[10]) ^ t(4, b[11]);
+            state ^= t(3, b[12]) ^ t(2, b[13]) ^ t(1, b[14]) ^ t(0, b[15]);
         }
+        for &b in blocks.remainder() {
+            state = (state >> 8) ^ t(0, state as u8 ^ b);
+        }
+        self.state = state;
     }
 
     /// The finalized checksum value.
@@ -164,24 +191,72 @@ pub fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> std::io::Re
     Ok(true)
 }
 
-/// Writes all of `bytes`, updating `crc` with exactly what was written.
-///
-/// # Errors
-///
-/// I/O failures.
-pub fn write_checksummed<W: Write>(
-    writer: &mut W,
-    crc: &mut Crc32,
-    bytes: &[u8],
-) -> std::io::Result<()> {
-    writer.write_all(bytes)?;
-    crc.update(bytes);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time loop every build before the sliced kernel ran,
+    /// kept as the reference the kernel must agree with.
+    fn reference_crc(bytes: &[u8]) -> u32 {
+        let mut state = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            let idx = (state ^ u32::from(b)) & 0xFF;
+            state = (state >> 8) ^ CRC_TABLES[0][idx as usize];
+        }
+        state ^ 0xFFFF_FFFF
+    }
+
+    /// `len` bytes from a fixed 64-bit LCG.
+    fn seeded_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut s = seed;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (s >> 56) as u8
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn sliced_crc_equals_the_byte_loop(
+            bytes in prop::collection::vec(any::<u8>(), 0..=4096),
+            cuts in prop::collection::vec(0..4097usize, 0..6),
+            offset in 0..16usize,
+        ) {
+            let want = reference_crc(&bytes);
+            prop_assert_eq!(Crc32::checksum(&bytes), want);
+
+            // The same bytes fed as successive updates, split anywhere.
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                crc.update(&bytes[at..cut]);
+                at = cut;
+            }
+            prop_assert_eq!(crc.finish(), want);
+
+            // A slice starting `offset` bytes into a larger buffer.
+            let mut padded = vec![0xA5u8; offset];
+            padded.extend_from_slice(&bytes);
+            padded.extend_from_slice(&[0x5A; 7]);
+            prop_assert_eq!(Crc32::checksum(&padded[offset..offset + bytes.len()]), want);
+        }
+    }
+
+    /// The byte loop's checksum of one seeded mebibyte, as builds before
+    /// the sliced kernel computed it.
+    #[test]
+    fn crc32_of_a_seeded_mebibyte_is_pinned() {
+        let bytes = seeded_bytes(1 << 20, 20_030_609);
+        assert_eq!(reference_crc(&bytes), 0x25D2_A957);
+        assert_eq!(Crc32::checksum(&bytes), 0x25D2_A957);
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

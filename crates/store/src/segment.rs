@@ -81,9 +81,7 @@ struct Staged {
 impl Staged {
     fn create(path: &Path, dim: usize) -> Result<Self> {
         if dim == 0 {
-            return Err(StoreError::InvalidArg(
-                "segment dim must be positive".into(),
-            ));
+            return Err(zero_dim());
         }
         let mut tmp_path = path.as_os_str().to_owned();
         tmp_path.push(".tmp");
@@ -100,7 +98,8 @@ impl Staged {
             final_path: path.to_path_buf(),
             dim,
             crc: Crc32::new(),
-            pending: Vec::with_capacity(IO_CHUNK + 24),
+            // A chunk plus the largest single append, one tile's codes.
+            pending: Vec::with_capacity(IO_CHUNK + dim * TILE_LANES),
         })
     }
 
@@ -128,11 +127,34 @@ impl Staged {
         Ok(())
     }
 
-    fn put_codes(&mut self, codes: &[u8]) -> Result<()> {
-        self.flush_pending()?;
-        self.crc.update(codes);
-        self.file.write_all(codes)?;
-        Ok(())
+    /// Writes the body — params, the exact column, then the code column —
+    /// and seals. `fill(t, tile)` overwrites `tile` with tile `t`,
+    /// zero-padded past the last point; it runs twice per tile, once per
+    /// column, so neither column is ever held whole here: the code column
+    /// is coded and written one tile at a time like the exact one.
+    fn seal_columns(
+        mut self,
+        params: &QuantParams,
+        count: u64,
+        mut fill: impl FnMut(usize, &mut [f64]),
+    ) -> Result<u64> {
+        self.put_params(params)?;
+        let ntiles = (count as usize).div_ceil(TILE_LANES);
+        let mut tile = vec![0.0f64; self.dim * TILE_LANES];
+        for t in 0..ntiles {
+            fill(t, &mut tile);
+            self.put_f64s(&tile)?;
+        }
+        let mut codes = vec![0u8; tile.len()];
+        for t in 0..ntiles {
+            fill(t, &mut tile);
+            params.encode_tiles(&tile, &mut codes);
+            self.pending.extend_from_slice(&codes);
+            if self.pending.len() >= IO_CHUNK {
+                self.flush_pending()?;
+            }
+        }
+        self.seal(count)
     }
 
     /// Writes the footer, fsyncs, and atomically renames the staged file
@@ -159,6 +181,10 @@ impl Staged {
     }
 }
 
+fn zero_dim() -> StoreError {
+    StoreError::InvalidArg("segment dim must be positive".into())
+}
+
 fn dim_mismatch(got: usize, dim: usize) -> StoreError {
     StoreError::InvalidArg(format!("vector dim {got} but segment dim {dim}"))
 }
@@ -175,8 +201,8 @@ fn scatter(tile: &mut [f64], lane: usize, vector: &[f64]) {
 ///
 /// Appends scatter straight into the tile-major staging column (no
 /// intermediate row buffer); [`SegmentWriter::finish`] fits the
-/// quantization parameters over the staged tiles, derives the code
-/// column, and writes the whole file in one streaming pass. The staging
+/// quantization parameters over the staged tiles and writes the file,
+/// coding the code column one tile at a time. The staging
 /// column is a second copy of every vector: a caller that has them all
 /// in memory uses [`write_segment`], which stages one tile.
 #[derive(Debug)]
@@ -233,50 +259,60 @@ impl SegmentWriter {
     ///
     /// # Errors
     ///
-    /// I/O failures; the staged `.tmp` file is left behind for debugging
-    /// on failure (and ignored by [`SegmentReader`] and the store).
-    pub fn finish(mut self) -> Result<u64> {
-        let params = QuantParams::fit_tiles(&self.tiles, self.staged.dim, self.count as usize);
-        let mut codes = vec![0u8; self.tiles.len()];
-        params.encode_tiles(&self.tiles, &mut codes);
-        self.staged.put_params(&params)?;
-        self.staged.put_f64s(&self.tiles)?;
-        self.staged.put_codes(&codes)?;
-        self.staged.seal(self.count)
+    /// `InvalidArg` for a non-finite component, otherwise I/O failures;
+    /// the staged `.tmp` file is left behind for debugging on failure
+    /// (and ignored by [`SegmentReader`] and the store).
+    pub fn finish(self) -> Result<u64> {
+        let SegmentWriter {
+            staged,
+            count,
+            tiles,
+        } = self;
+        let params = finite(QuantParams::fit_tiles(&tiles, staged.dim, count as usize))?;
+        staged.seal_columns(&params, count, |t, tile| {
+            tile.copy_from_slice(&tiles[t * tile.len()..(t + 1) * tile.len()]);
+        })
+    }
+}
+
+/// `params` when the values they were fitted over are all finite.
+fn finite(params: QuantParams) -> Result<QuantParams> {
+    if params.is_finite() {
+        Ok(params)
+    } else {
+        Err(StoreError::InvalidArg(
+            "segment vector components must be finite".into(),
+        ))
     }
 }
 
 /// Writes `vectors` as one (v2) segment file in a single call — the same
 /// bytes [`SegmentWriter`] seals, without its staging column: the
 /// parameters are fitted over the rows, then each 8-point tile is
-/// transposed, coded and written as it is made, so the only corpus-sized
-/// buffer is the u8 code column (it follows the exact column in the
-/// file).
+/// transposed and written as it is made, and transposed again, coded and
+/// written for the code column that follows. No buffer is larger than
+/// one tile.
 ///
 /// # Errors
 ///
-/// `InvalidArg` for `dim == 0` or a dimensionality mismatch, otherwise
-/// I/O failures.
+/// `InvalidArg` for `dim == 0`, a dimensionality mismatch or a
+/// non-finite component — no file is created then — otherwise I/O
+/// failures.
 pub fn write_segment(path: &Path, dim: usize, vectors: &[Vec<f64>]) -> Result<u64> {
-    let mut staged = Staged::create(path, dim)?;
+    if dim == 0 {
+        return Err(zero_dim());
+    }
     if let Some(bad) = vectors.iter().find(|v| v.len() != dim) {
         return Err(dim_mismatch(bad.len(), dim));
     }
-    let params = QuantParams::fit_rows(vectors, dim);
-    staged.put_params(&params)?;
-    let mut tile = vec![0.0f64; dim * TILE_LANES];
-    let mut codes = vec![0u8; vectors.len().div_ceil(TILE_LANES) * tile.len()];
-    let groups = vectors.chunks(TILE_LANES);
-    for (group, tile_codes) in groups.zip(codes.chunks_exact_mut(tile.len())) {
+    let params = finite(QuantParams::fit_rows(vectors, dim))?;
+    Staged::create(path, dim)?.seal_columns(&params, vectors.len() as u64, |t, tile| {
         tile.fill(0.0);
+        let group = &vectors[t * TILE_LANES..vectors.len().min((t + 1) * TILE_LANES)];
         for (lane, vector) in group.iter().enumerate() {
-            scatter(&mut tile, lane, vector);
+            scatter(tile, lane, vector);
         }
-        params.encode_tiles(&tile, tile_codes);
-        staged.put_f64s(&tile)?;
-    }
-    staged.put_codes(&codes)?;
-    staged.seal(vectors.len() as u64)
+    })
 }
 
 /// Validating, paged reader over one segment file.

@@ -353,8 +353,9 @@ impl VectorStore {
     ///
     /// # Errors
     ///
-    /// `InvalidArg` when the store already holds vectors or on ragged /
-    /// empty input, otherwise I/O failures.
+    /// `InvalidArg` when the store already holds vectors or on ragged,
+    /// empty or non-finite input (nothing is written then), otherwise I/O
+    /// failures.
     pub fn bootstrap(&mut self, points: &[Vec<f64>]) -> Result<()> {
         if !self.is_empty() {
             return Err(StoreError::InvalidArg(
@@ -367,11 +368,6 @@ impl VectorStore {
             ));
         };
         let dim = first.len();
-        if points.iter().any(|p| p.len() != dim) {
-            return Err(StoreError::InvalidArg(
-                "bootstrap vectors must share one dimensionality".into(),
-            ));
-        }
         let path = self.next_segment_path();
         write_segment(&path, dim, points)?;
         self.segments.push(path);
@@ -730,6 +726,38 @@ mod tests {
             store.bootstrap(&vecs(2, 2, 0.0)),
             Err(StoreError::InvalidArg(_)),
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A seed holding a NaN, an ∞ or a ragged vector seals nothing: the
+    /// store stays empty, no segment or staging file appears, and a good
+    /// seed bootstraps afterwards.
+    #[test]
+    fn rejects_ragged_and_non_finite_seeds() {
+        let dir = tmp_store("bad_seed");
+        let (mut store, _) = VectorStore::open(&dir, StoreConfig::default()).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut seed = vecs(100, 2, 0.0);
+            seed[7][1] = bad;
+            assert!(
+                matches!(store.bootstrap(&seed), Err(StoreError::InvalidArg(_))),
+                "{bad}"
+            );
+        }
+        let mut ragged = vecs(100, 2, 0.0);
+        ragged[9].push(1.0);
+        assert!(matches!(
+            store.bootstrap(&ragged),
+            Err(StoreError::InvalidArg(_))
+        ));
+        assert!(store.is_empty());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["wal.log"], "nothing staged or sealed");
+        store.bootstrap(&vecs(100, 2, 0.0)).unwrap();
+        assert_eq!(store.total_vectors(), 100);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
