@@ -40,8 +40,8 @@ pub struct SoakReport {
     pub client_latency: HistogramSummary,
     /// Degraded answers per answered query.
     pub degraded_rate: f64,
-    /// Requests shed (write-queue sheds + admission rejections) per
-    /// attempted query.
+    /// Requests shed (admission rejections, plus the transport's
+    /// `write_queue_sheds`, which is 0) per attempted query.
     pub shed_rate: f64,
     /// Circuit-breaker open transitions observed server-side.
     pub breaker_trips: u64,

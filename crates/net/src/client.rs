@@ -3,10 +3,14 @@
 //! queries.
 //!
 //! A [`Client`] is single-threaded by design: one stream, request ids
-//! issued monotonically, responses matched back by id. Pipelining comes
+//! issued monotonically, responses checked against them in order. Pipelining comes
 //! from [`Client::pipeline`] keeping a window of requests in flight on
-//! the one connection — the server executes them concurrently on its
-//! handler pool and responses may return out of order.
+//! the one connection. The server answers them one at a time, in
+//! arrival order, so pipelining saves round trips, not execution time;
+//! concurrent execution takes concurrent connections. Beyond its first
+//! request a window leaves at most 32 KiB of requests unanswered, so a
+//! write never waits on a server that is itself waiting for the client
+//! to read its responses.
 //!
 //! On any transport failure the client drops its connection and the
 //! *next* call redials (with backoff). Failed calls are **not**
@@ -16,9 +20,13 @@
 use crate::error::NetError;
 use crate::frame::{self, FrameKind, ReadFrame, DEFAULT_MAX_PAYLOAD};
 use qcluster_service::{Request, Response};
-use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, SystemTime};
+
+/// Request bytes a pipelined window may leave unanswered beyond its
+/// first request: well inside the sockets' default buffers, so every
+/// such write lands in the kernel without the server reading.
+const PIPELINE_BYTES: usize = 32 * 1024;
 
 /// Tunables for [`Client`].
 #[derive(Debug, Clone)]
@@ -101,14 +109,16 @@ impl Client {
         Ok(responses.remove(0))
     }
 
-    /// Sends every request down the pipe before reading any response:
-    /// maximum pipelining (window = batch size).
+    /// Maximum pipelining: [`Client::pipeline`] with the window the
+    /// size of the batch.
     pub fn query_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, NetError> {
         self.pipeline(requests, requests.len())
     }
 
-    /// Runs `requests` keeping up to `window` in flight, returning
-    /// responses in request order (the wire order may differ).
+    /// Runs `requests` keeping up to `window` in flight (and, beyond
+    /// the first, at most 32 KiB of them), returning responses in
+    /// request order — the order the server answers in; a response
+    /// with any other id is a protocol error.
     pub fn pipeline(
         &mut self,
         requests: &[Request],
@@ -143,12 +153,18 @@ impl Client {
     ) -> Result<Vec<Response>, NetError> {
         let stream = self.stream.as_mut().expect("connected");
         let n = payloads.len();
-        let mut by_id: HashMap<u64, Response> = HashMap::with_capacity(n);
+        let mut responses = Vec::with_capacity(n);
         let mut sent = 0usize;
-        while by_id.len() < n {
-            while sent < n && sent - by_id.len() < window {
+        let mut unanswered_bytes = 0usize;
+        while responses.len() < n {
+            while sent < n
+                && sent - responses.len() < window
+                && (sent == responses.len()
+                    || unanswered_bytes + payloads[sent].len() <= PIPELINE_BYTES)
+            {
                 let id = first_id + sent as u64;
                 frame::write_frame(stream, FrameKind::Request, id, payloads[sent].as_bytes())?;
+                unanswered_bytes += payloads[sent].len();
                 sent += 1;
             }
             match frame::read_frame(stream, self.config.max_frame_len)? {
@@ -172,18 +188,15 @@ impl Client {
                         };
                         return Err(NetError::Rejected(why));
                     }
-                    let idx = f.request_id.checked_sub(first_id);
-                    match idx {
-                        Some(i) if (i as usize) < n && !by_id.contains_key(&f.request_id) => {
-                            by_id.insert(f.request_id, response);
-                        }
-                        _ => {
-                            return Err(NetError::Protocol(format!(
-                                "response for unknown request id {}",
-                                f.request_id
-                            )));
-                        }
+                    let expected = first_id + responses.len() as u64;
+                    if f.request_id != expected {
+                        return Err(NetError::Protocol(format!(
+                            "response for request id {}, expected {expected}",
+                            f.request_id
+                        )));
                     }
+                    unanswered_bytes -= payloads[responses.len()].len();
+                    responses.push(response);
                 }
                 ReadFrame::Idle => {
                     // The socket read timeout IS the response deadline
@@ -192,23 +205,21 @@ impl Client {
                     return Err(NetError::Timeout(format!(
                         "no response within {:?} ({} of {} received)",
                         self.config.read_timeout,
-                        by_id.len(),
+                        responses.len(),
                         n
                     )));
                 }
                 ReadFrame::Eof => {
                     return Err(NetError::Closed(format!(
                         "server closed with {} of {} responses outstanding",
-                        n - by_id.len(),
+                        n - responses.len(),
                         n
                     )));
                 }
                 ReadFrame::Corrupt { error, .. } => return Err(NetError::Frame(error)),
             }
         }
-        Ok((0..n)
-            .map(|i| by_id.remove(&(first_id + i as u64)).expect("all collected"))
-            .collect())
+        Ok(responses)
     }
 
     /// Sends one replication request ([`crate::repl::ReplRequest`]

@@ -21,8 +21,8 @@ pub enum NetError {
     Timeout(String),
     /// The connection closed before the operation completed.
     Closed(String),
-    /// The server refused the connection or request at the transport
-    /// level (capacity reject, pre-dispatch shed) with a typed reason.
+    /// The server refused the connection at the transport level (the
+    /// `max_connections` reject) with a typed reason.
     Rejected(String),
     /// The peer violated the framing protocol (e.g. a response carrying
     /// a request id this client never issued).

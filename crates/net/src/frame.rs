@@ -20,7 +20,8 @@
 //! ```
 //!
 //! The request id is chosen by the client and echoed by the server, so
-//! responses can come back **out of order** (pipelining). Id `0` is
+//! a pipelining client matches each response to its request (the
+//! server answers one connection's requests in arrival order). Id `0` is
 //! reserved for connection-level messages the server originates itself
 //! (e.g. a capacity reject before any request was read).
 //!

@@ -11,16 +11,17 @@
 //! - [`frame`] — the wire format: a 24-byte header (`"QNET"` magic,
 //!   version, kind, request id, payload length, CRC-32) plus a JSON
 //!   payload, with a recoverable/fatal split on decode errors.
-//! - [`server`] — an acceptor thread, per-connection reader/writer
-//!   threads, and a shared bounded handler pool; out-of-order response
-//!   pipelining keyed by request id, typed `Overloaded` shedding,
-//!   slowloris read deadlines, and graceful drain-then-close shutdown.
+//! - [`server`] — an acceptor thread and one thread per connection
+//!   that reads a request, runs it, and writes its response before
+//!   reading the next (in-order answers, no hand-off); typed
+//!   `Overloaded` rejects past `max_connections`, slowloris read
+//!   deadlines, and graceful drain-then-close shutdown.
 //! - [`client`] — a blocking client with connect/read/write timeouts,
 //!   automatic reconnect (capped exponential backoff, full jitter), and
 //!   pipelined batch queries.
 //!
-//! Transport activity (connections, frames, decode errors, sheds,
-//! shutdown drains) is recorded into the fronted service's
+//! Transport activity (connections, frames, decode errors, shutdown
+//! drains) is recorded into the fronted service's
 //! [`ServiceMetrics`](qcluster_service::ServiceMetrics), so a wire
 //! `Request::Stats` round-trip reports the transport's own counters.
 //!

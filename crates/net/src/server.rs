@@ -1,53 +1,50 @@
-//! The TCP server: an acceptor thread, per-connection reader/writer
-//! threads, and a shared bounded handler pool executing
-//! [`dispatch`].
+//! The TCP server: an acceptor thread and one thread per connection,
+//! which reads a request, runs [`dispatch`], writes the response and
+//! reads the next.
 //!
 //! ## Threading model
 //!
 //! ```text
-//!   acceptor ──accept──▶ per-conn reader ──Job──▶ handler pool (N)
-//!                              │                        │
-//!                              │ decode-error replies   │ responses
-//!                              ▼                        ▼
-//!                        bounded writer queue ──▶ per-conn writer ──▶ socket
+//!   acceptor ──accept──▶ per-conn thread: read frame ─▶ dispatch ─▶ write response ─┐
+//!                                              ▲                                    │
+//!                                              └────────────────────────────────────┘
 //! ```
 //!
-//! The reader decodes frames and *admits* requests; the handler pool
-//! executes them (panic-isolated); the writer serializes responses in
-//! completion order — responses for a pipelined connection can return
-//! **out of order**, matched by request id.
+//! A request runs on the thread that read it: no hand-off to a handler
+//! pool, none to a writer. A connection's requests are therefore
+//! answered one at a time, **in arrival order**; concurrency comes from
+//! connections (up to `max_connections`) and from the executor's
+//! fan-out inside each request.
 //!
-//! ## Backpressure and shedding
+//! ## Backpressure
 //!
-//! Two bounds protect the server:
-//!
-//! - **Per-connection in-flight cap** (`writer_queue_depth`): a
-//!   connection with that many requests decoded-but-unanswered gets a
-//!   typed `Overloaded` reply instead of execution. The reply itself
-//!   uses a *blocking* enqueue, so a peer that keeps flooding stops
-//!   being read — its TCP window fills and the backpressure reaches the
-//!   sender.
-//! - **Handler pool admission** (`max_queued_jobs`): when the shared
-//!   job queue is full, the request is shed with a typed `Overloaded`
-//!   reply rather than queued unboundedly.
+//! Nothing is queued in the server. A connection's next request is not
+//! read until its previous response is written, so a peer that
+//! pipelines faster than it is answered fills its own TCP window and
+//! stalls in its own `write`. A peer that stops reading its responses
+//! stalls the connection thread in `write` for at most
+//! `write_timeout`, after which the connection is closed. Beyond that,
+//! `max_connections` bounds the threads and the executor's admission
+//! control bounds the shard jobs, each with a typed `Overloaded` reply.
 //!
 //! ## Graceful shutdown
 //!
 //! [`Server::shutdown`] walks a three-stage state machine: **stop
-//! accepting** (shutdown flag; acceptor exits), **drain** (half-close
-//! every connection's read side so no new requests arrive, wait up to
-//! `drain_deadline` for in-flight requests to finish and their
-//! responses to be written), **close** (force-close sockets, join
-//! threads up to a grace period, detach stragglers). The returned
-//! [`ShutdownReport`] says how clean it was.
+//! accepting** (shutdown flag, one loopback connect wakes the blocked
+//! acceptor, which exits), **drain** (half-close every connection's
+//! read side so no new requests arrive, wait up to `drain_deadline` for
+//! in-flight requests to finish and their responses to be written),
+//! **close** (force-close sockets, join threads up to a grace period,
+//! detach stragglers). The returned [`ShutdownReport`] says how clean
+//! it was.
 
 use crate::error::NetError;
 use crate::frame::{self, FrameKind, ReadFrame, DEFAULT_MAX_PAYLOAD};
 use crate::repl::{ReplReply, ReplRequest};
-use crossbeam::channel::{bounded, BoundedSender, Receiver, RecvTimeoutError, TrySendError};
 use qcluster_service::{dispatch, Request, Response, Service, ServiceError};
 use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::BufReader;
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,17 +55,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Connections beyond this are rejected with a best-effort typed
-    /// `Overloaded` frame (request id 0) and closed.
+    /// `Overloaded` frame (request id 0) and closed. Each open
+    /// connection holds one thread.
     pub max_connections: usize,
-    /// Threads in the shared request-handler pool.
-    pub num_handlers: usize,
-    /// Per-connection pipelining cap: requests decoded but not yet
-    /// answered. Beyond it the reader sheds with a typed `Overloaded`
-    /// reply. Also sizes the writer queue.
-    pub writer_queue_depth: usize,
-    /// Bound on the shared handler-pool job queue; admission beyond it
-    /// sheds with a typed `Overloaded` reply.
-    pub max_queued_jobs: usize,
     /// Socket read timeout. Elapsing while *idle* (between frames) is
     /// benign; elapsing *mid-frame* closes the connection (slowloris
     /// defense). Also bounds shutdown-latency for idle readers.
@@ -87,9 +76,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 64,
-            num_handlers: 4,
-            writer_queue_depth: 32,
-            max_queued_jobs: 256,
             read_timeout: Duration::from_millis(500),
             write_timeout: Duration::from_secs(5),
             max_frame_len: DEFAULT_MAX_PAYLOAD,
@@ -99,7 +85,7 @@ impl Default for ServerConfig {
 }
 
 /// What [`Server::shutdown`] accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShutdownReport {
     /// In-flight requests whose responses were written during the
     /// drain window.
@@ -120,12 +106,11 @@ impl ShutdownReport {
     }
 }
 
-/// State shared by the acceptor, readers, writers, and handlers.
+/// State shared by the acceptor and the connection threads.
 struct Shared {
     service: Arc<Service>,
     config: ServerConfig,
     shutdown: AtomicBool,
-    force_close: AtomicBool,
     active_conns: AtomicUsize,
     /// Requests decoded but whose responses are not yet written.
     inflight: AtomicUsize,
@@ -135,76 +120,30 @@ struct Shared {
     conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
-/// RAII in-flight accounting: created at admission, dropped once the
-/// response is written (or abandoned on any failure path), so the
-/// drain wait in shutdown always makes progress.
-struct InflightGuard {
-    shared: Arc<Shared>,
-    conn_inflight: Arc<AtomicUsize>,
-}
+/// RAII in-flight accounting: made when a request is decoded and
+/// counted, dropped once its response is written (or abandoned on any
+/// failure path), so the drain wait in shutdown always makes progress.
+struct InflightGuard<'a>(&'a AtomicUsize);
 
-impl InflightGuard {
-    fn new(shared: &Arc<Shared>, conn_inflight: &Arc<AtomicUsize>) -> InflightGuard {
-        shared.inflight.fetch_add(1, Ordering::SeqCst);
-        conn_inflight.fetch_add(1, Ordering::SeqCst);
-        InflightGuard {
-            shared: Arc::clone(shared),
-            conn_inflight: Arc::clone(conn_inflight),
-        }
-    }
-}
-
-impl Drop for InflightGuard {
+impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        self.conn_inflight.fetch_sub(1, Ordering::SeqCst);
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
-}
-
-/// One admitted request traveling to the handler pool.
-struct Job {
-    request_id: u64,
-    request: Request,
-    reply: BoundedSender<WriteItem>,
-    guard: InflightGuard,
-}
-
-/// What a [`WriteItem`] carries: a protocol response (JSON, kind 2) or
-/// a pre-encoded replication reply (binary, kind 4). The writer thread
-/// picks the frame kind from the body, so both protocols share one
-/// ordered writer queue per connection.
-enum WriteBody {
-    Response(Response),
-    Repl(Vec<u8>),
-}
-
-/// One response (or transport-level error reply) traveling to a
-/// connection's writer.
-struct WriteItem {
-    request_id: u64,
-    body: WriteBody,
-    /// Present for admitted requests; `None` for decode-error, shed,
-    /// and replication replies, which never counted as in-flight.
-    guard: Option<InflightGuard>,
 }
 
 /// A framed TCP server fronting one shared [`Service`].
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    /// Per-connection reader/writer handles (pruned opportunistically).
+    /// Per-connection thread handles (pruned opportunistically).
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    handler_threads: Vec<JoinHandle<()>>,
+    /// `None` once shut down.
     acceptor: Option<JoinHandle<()>>,
-    /// Keeps the handler pool alive; dropped during shutdown so the
-    /// handlers exit once the queue drains.
-    job_tx: Option<BoundedSender<Job>>,
-    finished: bool,
 }
 
 impl Server {
-    /// Binds a listener, starts the acceptor and handler pool, and
-    /// begins serving `service`.
+    /// Binds a listener, starts the acceptor, and begins serving
+    /// `service`.
     pub fn bind(
         addr: impl ToSocketAddrs,
         service: Arc<Service>,
@@ -214,44 +153,27 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             service,
-            config: config.clone(),
+            config,
             shutdown: AtomicBool::new(false),
-            force_close: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             drained: AtomicU64::new(0),
             conns: Mutex::new(HashMap::new()),
         });
-        let (job_tx, job_rx) = bounded::<Job>(config.max_queued_jobs.max(1));
-        let mut handler_threads = Vec::with_capacity(config.num_handlers);
-        for i in 0..config.num_handlers.max(1) {
-            let shared = Arc::clone(&shared);
-            let job_rx = job_rx.clone();
-            handler_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("qnet-handler-{i}"))
-                    .spawn(move || handler_loop(shared, job_rx))
-                    .map_err(NetError::Io)?,
-            );
-        }
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let job_tx = job_tx.clone();
             let conn_threads = Arc::clone(&conn_threads);
             std::thread::Builder::new()
                 .name("qnet-acceptor".into())
-                .spawn(move || acceptor_loop(shared, listener, job_tx, conn_threads))
+                .spawn(move || acceptor_loop(shared, listener, conn_threads))
                 .map_err(NetError::Io)?
         };
         Ok(Server {
             shared,
             local_addr,
             conn_threads,
-            handler_threads,
             acceptor: Some(acceptor),
-            job_tx: Some(job_tx),
-            finished: false,
         })
     }
 
@@ -265,80 +187,50 @@ impl Server {
         self.shared.inflight.load(Ordering::SeqCst)
     }
 
-    /// Connections currently open.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active_conns.load(Ordering::SeqCst)
-    }
-
     /// Gracefully shuts down: stop accepting, drain in-flight requests
     /// up to the configured deadline, then close everything.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shutdown_inner()
     }
 
+    /// Runs once; a second call (the `Drop` after `shutdown`) finds
+    /// the acceptor gone and reports nothing.
     fn shutdown_inner(&mut self) -> ShutdownReport {
-        if self.finished {
-            return ShutdownReport {
-                drained: 0,
-                aborted_inflight: 0,
-                detached_threads: 0,
-            };
-        }
-        self.finished = true;
+        let Some(acceptor) = self.acceptor.take() else {
+            return ShutdownReport::default();
+        };
         let shared = &self.shared;
-        // Stage 1: stop accepting. The acceptor polls the flag.
+        let mut detached_threads = 0;
+        // Stage 1: stop accepting. The acceptor is blocked in `accept`;
+        // one connect wakes it to see the flag. If that connect fails
+        // the acceptor is left blocked and detached.
         shared.shutdown.store(true, Ordering::SeqCst);
-        // Stage 2: drain. Half-close every connection's read side so
-        // readers see EOF and stop admitting, while writers keep
-        // flushing responses for requests already in flight.
-        {
-            let conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-            for stream in conns.values() {
-                let _ = stream.shutdown(Shutdown::Read);
-            }
+        if wake(self.local_addr) {
+            let _ = acceptor.join();
+        } else {
+            detached_threads += 1;
         }
+        // Stage 2: drain. Half-close every connection's read side so no
+        // new request arrives, while a request already running still
+        // writes its response.
+        shutdown_all(shared, Shutdown::Read);
         let deadline = Instant::now() + shared.config.drain_deadline;
         while shared.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
         let aborted_inflight = shared.inflight.load(Ordering::SeqCst);
-        // Stage 3: close. Writers notice `force_close` on their next
-        // queue-poll tick; sockets are torn down under them.
-        shared.force_close.store(true, Ordering::SeqCst);
-        {
-            let conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-            for stream in conns.values() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-        drop(self.job_tx.take());
-        let mut detached_threads = 0;
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        // Stage 3: close. Sockets are torn down under any connection
+        // thread still running a request; its write fails and it exits.
+        shutdown_all(shared, Shutdown::Both);
+        // No connection thread starts after the acceptor exited. Any still
+        // running after the grace period (e.g. one wedged in a
+        // pathological query) is detached with the server, rather than
+        // blocking shutdown forever.
         let grace = Instant::now() + Duration::from_secs(2);
-        let mut pending: Vec<JoinHandle<()>> = {
-            let mut guard = self.conn_threads.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *guard)
-        };
-        pending.append(&mut self.handler_threads);
-        while !pending.is_empty() && Instant::now() < grace {
-            let mut i = 0;
-            while i < pending.len() {
-                if pending[i].is_finished() {
-                    let _ = pending.swap_remove(i).join();
-                } else {
-                    i += 1;
-                }
-            }
-            if !pending.is_empty() {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+        while prune_finished(&self.conn_threads) > 0 && Instant::now() < grace {
+            std::thread::sleep(Duration::from_millis(5));
         }
-        // Stragglers (e.g. a handler wedged in a pathological query)
-        // are detached rather than blocking shutdown forever.
-        detached_threads += pending.len();
-        drop(pending);
+        detached_threads += prune_finished(&self.conn_threads);
         ShutdownReport {
             drained: shared.drained.load(Ordering::SeqCst),
             aborted_inflight,
@@ -349,58 +241,70 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if !self.finished {
-            let _ = self.shutdown_inner();
-        }
+        let _ = self.shutdown_inner();
     }
+}
+
+/// Shuts every open connection's socket down `how`.
+fn shutdown_all(shared: &Shared, how: Shutdown) {
+    let conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
+    for stream in conns.values() {
+        let _ = stream.shutdown(how);
+    }
+}
+
+/// Connects to the listener once so a blocked `accept` returns; an
+/// unspecified bind address is reached through loopback.
+fn wake(addr: SocketAddr) -> bool {
+    let mut addr = addr;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
 }
 
 fn acceptor_loop(
     shared: Arc<Shared>,
     listener: TcpListener,
-    job_tx: BoundedSender<Job>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
     let mut next_conn_id: u64 = 1;
     loop {
+        let accepted = listener.accept();
+        // Once the flag is up, whatever was accepted — the shutdown's
+        // wake-up or a late client — is dropped uncounted.
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if qcluster_failpoint::active()
-                    && qcluster_failpoint::evaluate_sleepy("net.accept").is_some()
-                {
-                    shared.service.metrics().record_connection_rejected();
-                    drop(stream);
-                    continue;
-                }
-                let active = shared.active_conns.load(Ordering::SeqCst);
-                if active >= shared.config.max_connections {
-                    reject_connection(&shared, stream, active);
-                    continue;
-                }
-                let conn_id = next_conn_id;
-                next_conn_id += 1;
-                if let Err(_e) = spawn_connection(&shared, &job_tx, &conn_threads, conn_id, stream)
-                {
-                    shared.service.metrics().record_connection_rejected();
-                }
-                prune_finished(&conn_threads);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+        let stream = match accepted {
+            Ok((stream, _peer)) => stream,
             Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
+                // E.g. out of descriptors: back off instead of spinning.
                 std::thread::sleep(Duration::from_millis(5));
+                continue;
             }
+        };
+        if qcluster_failpoint::active()
+            && qcluster_failpoint::evaluate_sleepy("net.accept").is_some()
+        {
+            shared.service.metrics().record_connection_rejected();
+            drop(stream);
+            continue;
         }
+        let active = shared.active_conns.load(Ordering::SeqCst);
+        if active >= shared.config.max_connections {
+            reject_connection(&shared, stream, active);
+            continue;
+        }
+        let conn_id = next_conn_id;
+        next_conn_id += 1;
+        if spawn_connection(&shared, &conn_threads, conn_id, stream).is_err() {
+            shared.service.metrics().record_connection_rejected();
+        }
+        prune_finished(&conn_threads);
     }
 }
 
@@ -413,15 +317,13 @@ fn reject_connection(shared: &Arc<Shared>, mut stream: TcpStream, active: usize)
         queued: active,
         capacity: shared.config.max_connections,
     });
-    if let Ok(payload) = serde_json::to_string(&response) {
-        let _ = frame::write_frame(&mut stream, FrameKind::Response, 0, payload.as_bytes());
-    }
+    let payload = encode_response(&response);
+    let _ = frame::write_frame(&mut stream, FrameKind::Response, 0, &payload);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
 fn spawn_connection(
     shared: &Arc<Shared>,
-    job_tx: &BoundedSender<Job>,
     conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
     conn_id: u64,
     stream: TcpStream,
@@ -429,7 +331,6 @@ fn spawn_connection(
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(shared.config.read_timeout))?;
     stream.set_write_timeout(Some(shared.config.write_timeout))?;
-    let write_half = stream.try_clone()?;
     let registry_clone = stream.try_clone()?;
     shared
         .conns
@@ -438,50 +339,48 @@ fn spawn_connection(
         .insert(conn_id, registry_clone);
     shared.active_conns.fetch_add(1, Ordering::SeqCst);
     shared.service.metrics().record_connection_opened();
-    // The writer queue is twice the in-flight cap so decode-error and
-    // shed replies (which bypass in-flight accounting) rarely block
-    // the reader; when they do, that block IS the backpressure.
-    let (reply_tx, reply_rx) = bounded::<WriteItem>(shared.config.writer_queue_depth.max(1) * 2);
-    let conn_inflight = Arc::new(AtomicUsize::new(0));
-    let reader = {
-        let shared = Arc::clone(shared);
-        let job_tx = job_tx.clone();
-        let reply_tx = reply_tx.clone();
-        let conn_inflight = Arc::clone(&conn_inflight);
-        std::thread::Builder::new()
-            .name(format!("qnet-read-{conn_id}"))
-            .spawn(move || reader_loop(shared, stream, job_tx, reply_tx, conn_inflight))?
-    };
-    let writer = {
+    let spawned = {
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
-            .name(format!("qnet-write-{conn_id}"))
-            .spawn(move || writer_loop(shared, conn_id, write_half, reply_rx))
+            .name(format!("qnet-conn-{conn_id}"))
+            .spawn(move || {
+                connection_loop(&shared, stream);
+                close_connection(&shared, conn_id);
+            })
     };
-    let writer = match writer {
-        Ok(w) => w,
-        Err(e) => {
-            // Roll back: without a writer the connection is useless.
-            shared
-                .conns
+    match spawned {
+        Ok(thread) => {
+            conn_threads
                 .lock()
-                .unwrap_or_else(|er| er.into_inner())
-                .remove(&conn_id);
-            shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-            shared.service.metrics().record_connection_closed();
-            let _ = reader.join();
-            return Err(e);
+                .unwrap_or_else(|e| e.into_inner())
+                .push(thread);
+            Ok(())
         }
-    };
-    let mut guard = conn_threads.lock().unwrap_or_else(|e| e.into_inner());
-    guard.push(reader);
-    guard.push(writer);
-    Ok(())
+        Err(e) => {
+            close_connection(shared, conn_id);
+            Err(e)
+        }
+    }
+}
+
+/// Unregisters a connection whose thread is done (or never started)
+/// and closes its socket.
+fn close_connection(shared: &Shared, conn_id: u64) {
+    if let Some(stream) = shared
+        .conns
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .remove(&conn_id)
+    {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    shared.active_conns.fetch_sub(1, Ordering::SeqCst);
+    shared.service.metrics().record_connection_closed();
 }
 
 /// Joins connection threads that have already exited, so long-lived
-/// servers do not accumulate dead handles.
-fn prune_finished(conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>) {
+/// servers do not accumulate dead handles; returns how many still run.
+fn prune_finished(conn_threads: &Mutex<Vec<JoinHandle<()>>>) -> usize {
     let mut guard = conn_threads.lock().unwrap_or_else(|e| e.into_inner());
     let mut i = 0;
     while i < guard.len() {
@@ -491,179 +390,143 @@ fn prune_finished(conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>) {
             i += 1;
         }
     }
+    guard.len()
 }
 
-fn reader_loop(
-    shared: Arc<Shared>,
-    mut stream: TcpStream,
-    job_tx: BoundedSender<Job>,
-    reply_tx: BoundedSender<WriteItem>,
-    conn_inflight: Arc<AtomicUsize>,
-) {
+/// One connection's life: read a frame, answer it, write the answer,
+/// read the next. Returns when the peer closes, the socket fails, a
+/// fatal decode error was answered, or shutdown began.
+fn connection_loop(shared: &Shared, stream: TcpStream) {
     let max_payload = shared.config.max_frame_len;
-    let depth = shared.config.writer_queue_depth.max(1);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+    // Buffered reads: a small frame costs one `read` instead of three.
+    let mut reader = BufReader::new(stream);
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let (request_id, (kind, body, guard), fatal) =
+            match frame::read_frame(&mut reader, max_payload) {
+                Ok(ReadFrame::Frame(f)) => {
+                    // Failpoint `net.read`: sever the connection exactly
+                    // on the next received frame (a deterministic
+                    // mid-exchange connection loss — it is never answered).
+                    if qcluster_failpoint::active()
+                        && qcluster_failpoint::evaluate_sleepy("net.read").is_some()
+                    {
+                        break;
+                    }
+                    shared.service.metrics().record_frame_in();
+                    (f.request_id, answer(shared, f.kind, &f.payload), false)
+                }
+                Ok(ReadFrame::Idle) => continue,
+                Ok(ReadFrame::Corrupt { request_id, error }) => {
+                    shared.service.metrics().record_decode_error();
+                    let reply = invalid(format!("frame decode failed: {error}"));
+                    (request_id, reply, error.is_fatal())
+                }
+                Ok(ReadFrame::Eof) | Err(_) => break,
+            };
+        if !write_reply(shared, reader.get_mut(), kind, request_id, &body) || fatal {
             break;
         }
-        match frame::read_frame(&mut stream, max_payload) {
-            Ok(ReadFrame::Idle) => continue,
-            Ok(ReadFrame::Eof) => break,
-            Ok(ReadFrame::Corrupt { request_id, error }) => {
-                shared.service.metrics().record_decode_error();
-                let fatal = error.is_fatal();
-                let response = Response::Error(ServiceError::InvalidRequest(format!(
-                    "frame decode failed: {error}"
-                )));
-                let delivered = reply_tx
-                    .send(WriteItem {
-                        request_id,
-                        body: WriteBody::Response(response),
-                        guard: None,
-                    })
-                    .is_ok();
-                if fatal || !delivered {
-                    break;
-                }
-            }
-            Ok(ReadFrame::Frame(f)) => {
-                // Failpoint `net.read`: sever the connection exactly on
-                // the next received frame (a deterministic mid-exchange
-                // connection loss — the frame is never answered).
-                if qcluster_failpoint::active()
-                    && qcluster_failpoint::evaluate_sleepy("net.read").is_some()
-                {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    break;
-                }
-                shared.service.metrics().record_frame_in();
-                if f.kind == FrameKind::ReplRequest {
-                    // Replication runs inline on the reader thread: the
-                    // follower's Apply stream must be processed in
-                    // arrival order, and skipping the handler pool keeps
-                    // WAL shipping from competing with query admission.
-                    let reply = match ReplRequest::decode(&f.payload) {
-                        Ok(req) => {
-                            let service = Arc::clone(&shared.service);
-                            catch_unwind(AssertUnwindSafe(move || handle_repl(&service, req)))
-                                .unwrap_or_else(|_| ReplReply::Err {
-                                    msg: "replication handler panicked".into(),
-                                })
-                        }
-                        Err(e) => {
-                            shared.service.metrics().record_decode_error();
-                            ReplReply::Err {
-                                msg: format!("replication payload did not parse: {e}"),
-                            }
-                        }
-                    };
-                    if reply_tx
-                        .send(WriteItem {
-                            request_id: f.request_id,
-                            body: WriteBody::Repl(reply.encode()),
-                            guard: None,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                    continue;
-                }
-                if f.kind != FrameKind::Request {
-                    shared.service.metrics().record_decode_error();
-                    let response = Response::Error(ServiceError::InvalidRequest(
-                        "expected a request frame, got a response frame".into(),
-                    ));
-                    if reply_tx
-                        .send(WriteItem {
-                            request_id: f.request_id,
-                            body: WriteBody::Response(response),
-                            guard: None,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                    continue;
-                }
-                let parsed: Result<Request, String> = std::str::from_utf8(&f.payload)
-                    .map_err(|e| format!("payload is not utf-8: {e}"))
-                    .and_then(|s| serde_json::from_str::<Request>(s).map_err(|e| format!("{e}")));
-                let request = match parsed {
-                    Ok(request) => request,
-                    Err(e) => {
-                        shared.service.metrics().record_decode_error();
-                        let response = Response::Error(ServiceError::InvalidRequest(format!(
-                            "request payload did not parse: {e}"
-                        )));
-                        if reply_tx
-                            .send(WriteItem {
-                                request_id: f.request_id,
-                                body: WriteBody::Response(response),
-                                guard: None,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                        continue;
-                    }
-                };
-                // Pipelining cap: shed instead of queueing unboundedly.
-                if conn_inflight.load(Ordering::SeqCst) >= depth {
-                    shared.service.metrics().record_write_queue_shed();
-                    let response = Response::Error(ServiceError::Overloaded {
-                        queued: depth,
-                        capacity: depth,
-                    });
-                    if reply_tx
-                        .send(WriteItem {
-                            request_id: f.request_id,
-                            body: WriteBody::Response(response),
-                            guard: None,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                    continue;
-                }
-                let guard = InflightGuard::new(&shared, &conn_inflight);
-                let job = Job {
-                    request_id: f.request_id,
-                    request,
-                    reply: reply_tx.clone(),
-                    guard,
-                };
-                match job_tx.try_send(job) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(job)) => {
-                        shared.service.metrics().record_write_queue_shed();
-                        let response = Response::Error(ServiceError::Overloaded {
-                            queued: shared.config.max_queued_jobs,
-                            capacity: shared.config.max_queued_jobs,
-                        });
-                        // Keep the guard until the shed reply is
-                        // enqueued so in-flight accounting stays exact.
-                        if reply_tx
-                            .send(WriteItem {
-                                request_id: job.request_id,
-                                body: WriteBody::Response(response),
-                                guard: Some(job.guard),
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            Err(_) => break,
+        if guard.is_some() && shared.shutdown.load(Ordering::SeqCst) {
+            shared.drained.fetch_add(1, Ordering::SeqCst);
+            shared.service.metrics().record_shutdown_drains(1);
         }
     }
-    // Dropping reply_tx lets the writer exit once outstanding jobs for
-    // this connection have flushed their responses.
+}
+
+/// Runs one received frame to its reply: a protocol request through
+/// [`dispatch`] (panic-isolated, counted in flight by the returned
+/// guard until its reply is written), a replication request through
+/// [`handle_repl`], anything else to a typed error.
+fn answer<'a>(
+    shared: &'a Shared,
+    kind: FrameKind,
+    payload: &[u8],
+) -> (FrameKind, Vec<u8>, Option<InflightGuard<'a>>) {
+    match kind {
+        FrameKind::ReplRequest => {
+            // Replication answers in arrival order on this thread like
+            // everything else: the follower's Apply stream must.
+            let reply = match ReplRequest::decode(payload) {
+                Ok(req) => catch_unwind(AssertUnwindSafe(|| handle_repl(&shared.service, req)))
+                    .unwrap_or_else(|_| ReplReply::Err {
+                        msg: "replication handler panicked".into(),
+                    }),
+                Err(e) => {
+                    shared.service.metrics().record_decode_error();
+                    ReplReply::Err {
+                        msg: format!("replication payload did not parse: {e}"),
+                    }
+                }
+            };
+            (FrameKind::ReplResponse, reply.encode(), None)
+        }
+        FrameKind::Request => {
+            let parsed = std::str::from_utf8(payload)
+                .map_err(|e| format!("payload is not utf-8: {e}"))
+                .and_then(|s| serde_json::from_str::<Request>(s).map_err(|e| format!("{e}")));
+            match parsed {
+                Ok(request) => {
+                    shared.inflight.fetch_add(1, Ordering::SeqCst);
+                    let guard = InflightGuard(&shared.inflight);
+                    let response =
+                        catch_unwind(AssertUnwindSafe(|| dispatch(&shared.service, request)))
+                            .unwrap_or_else(|_| {
+                                Response::Error(ServiceError::Internal(
+                                    "request handler panicked; request failed cleanly".into(),
+                                ))
+                            });
+                    (FrameKind::Response, encode_response(&response), Some(guard))
+                }
+                Err(e) => {
+                    shared.service.metrics().record_decode_error();
+                    invalid(format!("request payload did not parse: {e}"))
+                }
+            }
+        }
+        FrameKind::Response | FrameKind::ReplResponse => {
+            shared.service.metrics().record_decode_error();
+            invalid("expected a request frame, got a response frame".into())
+        }
+    }
+}
+
+/// A typed `InvalidRequest` reply, counted in flight by no one.
+fn invalid<'a>(msg: String) -> (FrameKind, Vec<u8>, Option<InflightGuard<'a>>) {
+    let response = Response::Error(ServiceError::InvalidRequest(msg));
+    (FrameKind::Response, encode_response(&response), None)
+}
+
+/// A response's JSON payload; an unserializable response is reported
+/// rather than silently dropped.
+fn encode_response(response: &Response) -> Vec<u8> {
+    serde_json::to_string(response)
+        .unwrap_or_else(|_| {
+            serde_json::to_string(&Response::Error(ServiceError::Internal(
+                "response failed to serialize".into(),
+            )))
+            .unwrap_or_else(|_| String::from("{}"))
+        })
+        .into_bytes()
+}
+
+/// Writes one reply frame; `false` means the connection is done.
+fn write_reply(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    kind: FrameKind,
+    request_id: u64,
+    payload: &[u8],
+) -> bool {
+    // Failpoint `net.write`: the connection is torn down exactly as on
+    // a real socket error.
+    if qcluster_failpoint::active() && qcluster_failpoint::evaluate_sleepy("net.write").is_some() {
+        return false;
+    }
+    let written = frame::write_frame(stream, kind, request_id, payload).is_ok();
+    if written {
+        shared.service.metrics().record_frame_out();
+    }
+    written
 }
 
 /// Serves one replication request against the fronted service. Every
@@ -698,98 +561,4 @@ fn handle_repl(service: &Service, req: ReplRequest) -> ReplReply {
             Err(e) => ReplReply::Err { msg: e.to_string() },
         },
     }
-}
-
-fn handler_loop(shared: Arc<Shared>, job_rx: Receiver<Job>) {
-    while let Ok(job) = job_rx.recv() {
-        let Job {
-            request_id,
-            request,
-            reply,
-            guard,
-        } = job;
-        let service = Arc::clone(&shared.service);
-        let response = catch_unwind(AssertUnwindSafe(move || dispatch(&service, request)))
-            .unwrap_or_else(|_| {
-                Response::Error(ServiceError::Internal(
-                    "request handler panicked; request failed cleanly".into(),
-                ))
-            });
-        let _ = reply.send(WriteItem {
-            request_id,
-            body: WriteBody::Response(response),
-            guard: Some(guard),
-        });
-    }
-}
-
-fn writer_loop(
-    shared: Arc<Shared>,
-    conn_id: u64,
-    mut stream: TcpStream,
-    reply_rx: Receiver<WriteItem>,
-) {
-    loop {
-        match reply_rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(item) => {
-                if qcluster_failpoint::active()
-                    && qcluster_failpoint::evaluate_sleepy("net.write").is_some()
-                {
-                    // Simulated write failure: the connection is torn
-                    // down exactly as on a real socket error.
-                    break;
-                }
-                let WriteItem {
-                    request_id,
-                    body,
-                    guard,
-                } = item;
-                let (kind, payload) = match body {
-                    WriteBody::Response(response) => {
-                        let payload = match serde_json::to_string(&response) {
-                            Ok(p) => p.into_bytes(),
-                            Err(_) => {
-                                // Unserializable response: report rather
-                                // than silently dropping the reply.
-                                serde_json::to_string(&Response::Error(ServiceError::Internal(
-                                    "response failed to serialize".into(),
-                                )))
-                                .unwrap_or_else(|_| String::from("{}"))
-                                .into_bytes()
-                            }
-                        };
-                        (FrameKind::Response, payload)
-                    }
-                    WriteBody::Repl(bytes) => (FrameKind::ReplResponse, bytes),
-                };
-                match frame::write_frame(&mut stream, kind, request_id, &payload) {
-                    Ok(()) => {
-                        shared.service.metrics().record_frame_out();
-                        if guard.is_some() && shared.shutdown.load(Ordering::SeqCst) {
-                            shared.drained.fetch_add(1, Ordering::SeqCst);
-                            shared.service.metrics().record_shutdown_drains(1);
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.force_close.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Tear down both halves so the reader unblocks, then drain leftover
-    // items so their in-flight guards release.
-    let _ = stream.shutdown(Shutdown::Both);
-    shared
-        .conns
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&conn_id);
-    shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-    shared.service.metrics().record_connection_closed();
-    while let Ok(_leftover) = reply_rx.try_recv() {}
 }

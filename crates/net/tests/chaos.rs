@@ -1,19 +1,25 @@
 //! Failpoint-driven chaos suite for the transport: mid-stream
 //! connection drops, corrupt frames, accept-time drops, write failures,
-//! pool exhaustion shedding, and graceful shutdown draining a slow
-//! in-flight query.
+//! slow pipelined queries answered in order, and graceful shutdown
+//! draining a slow in-flight query.
 //!
 //! Failpoints are process-global, so every test serializes through
 //! `failpoint::test_lock()` and clears the registry on entry. Every
 //! scenario re-runs its operation with the failpoints disarmed and
 //! checks the answer is bit-for-bit identical to in-process `dispatch`.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use qcluster_failpoint::{self as failpoint, Action};
-use qcluster_net::{Client, ClientConfig, NetError, Server, ServerConfig};
+use qcluster_net::frame::{read_frame, ReadFrame};
+use qcluster_net::{
+    encode_frame, Client, ClientConfig, FrameKind, NetError, Server, ServerConfig,
+    DEFAULT_MAX_PAYLOAD,
+};
 use qcluster_service::{dispatch, Request, Response, Service, ServiceConfig, ServiceError};
 
 fn corpus() -> Vec<Vec<f64>> {
@@ -237,22 +243,18 @@ fn write_failure_tears_down_and_reconnects() {
     server.shutdown();
 }
 
-/// Pool exhaustion: with a tiny per-connection in-flight cap and slow
-/// shard jobs, a deep pipelined batch gets typed `Overloaded` replies
-/// for the overflow instead of unbounded queueing — and the shed
-/// counter records every one.
+/// A connection's requests are answered one at a time, in arrival
+/// order: eight queries pipelined on one raw socket, each slowed by
+/// `executor.shard` sleeps, come back in request-id order, none is
+/// shed as `Overloaded`, and the shed counter stays at zero.
 #[test]
-fn pipelining_past_capacity_sheds_with_typed_overloaded() {
+fn pipelined_queries_are_answered_in_order_without_shedding() {
     let _serial = failpoint::test_lock();
     failpoint::clear_all();
 
     let svc = service();
     let local = service();
-    let config = ServerConfig {
-        writer_queue_depth: 2,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", Arc::clone(&svc), config).unwrap();
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&svc), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr(), client_config()).unwrap();
     let Response::SessionCreated { session } = client
         .call(&Request::CreateSession { engine: None })
@@ -261,33 +263,33 @@ fn pipelining_past_capacity_sheds_with_typed_overloaded() {
         panic!("expected SessionCreated")
     };
 
-    // Every shard job sleeps, so admitted queries hold their in-flight
-    // slots long enough for the rest of the batch to overflow the cap.
-    failpoint::configure("executor.shard", Action::Sleep(150));
-    let requests: Vec<Request> = (0..8).map(|i| query(session, i as f64, 0.0)).collect();
-    let responses = client.query_many(&requests).unwrap();
-    assert_eq!(responses.len(), 8);
-    let overloaded = responses
-        .iter()
-        .filter(|r| matches!(r, Response::Error(ServiceError::Overloaded { .. })))
-        .count();
-    let answered = responses
-        .iter()
-        .filter(|r| matches!(r, Response::Neighbors { .. }))
-        .count();
-    assert!(
-        overloaded >= 1,
-        "the overflow must shed with typed Overloaded frames"
-    );
-    assert!(answered >= 2, "admitted queries must still answer");
-    assert_eq!(
-        overloaded + answered,
-        8,
-        "every request gets exactly one reply"
-    );
-    assert!(svc.stats().transport.write_queue_sheds >= overloaded as u64);
+    let slow = failpoint::scoped("executor.shard", Action::Sleep(20));
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let ids: Vec<u64> = (1..=8).collect();
+    for &id in &ids {
+        let payload = serde_json::to_string(&query(session, id as f64, 0.0)).unwrap();
+        raw.write_all(&encode_frame(FrameKind::Request, id, payload.as_bytes()))
+            .unwrap();
+    }
+    let mut answered = Vec::new();
+    for _ in &ids {
+        let ReadFrame::Frame(f) = read_frame(&mut raw, DEFAULT_MAX_PAYLOAD).unwrap() else {
+            panic!("expected a response frame")
+        };
+        let response: Response =
+            serde_json::from_str(std::str::from_utf8(&f.payload).unwrap()).unwrap();
+        assert!(
+            matches!(response, Response::Neighbors { .. }),
+            "request {} got {response:?}",
+            f.request_id
+        );
+        answered.push(f.request_id);
+    }
+    assert_eq!(answered, ids, "answers leave in arrival order");
+    assert_eq!(svc.stats().transport.write_queue_sheds, 0);
+    drop(slow);
 
-    failpoint::clear_all();
     assert_clean_query(&mut client, session, &local);
     server.shutdown();
 }

@@ -355,12 +355,18 @@ fn connection_over_capacity_is_rejected_with_typed_frame() {
     server.shutdown();
 }
 
-/// Responses can legitimately return out of order; `query_many`
-/// reorders them by request id. Exercised by pipelining a mix of slow
-/// (big-k) and fast queries.
+/// `query_many` returns responses in request order, also when they
+/// are far larger than the sockets' default buffers: 64 of the 128
+/// pipelined answers carry all 4,096 points (≈ 10 MB of JSON). Then 64
+/// `FetchVectors` of every id (≈ 20 KB a request, ≈ 2 MB in all) come
+/// back whole too: the client must read while it still has requests
+/// to send, or both sides block writing.
 #[test]
 fn pipelined_batch_returns_in_request_order() {
-    let svc = service();
+    let points: Vec<Vec<f64>> = (0..4096)
+        .map(|i| vec![(i % 64) as f64, (i / 64) as f64])
+        .collect();
+    let svc = Arc::new(Service::new(&points, ServiceConfig::default()).unwrap());
     let server = Server::bind("127.0.0.1:0", Arc::clone(&svc), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr(), fast_client_config()).unwrap();
     let Response::SessionCreated { session } = client
@@ -369,27 +375,47 @@ fn pipelined_batch_returns_in_request_order() {
     else {
         panic!("expected SessionCreated")
     };
-    let requests: Vec<Request> = (0..16)
+    let k = |i: usize| if i.is_multiple_of(2) { 4096 } else { 1 };
+    let requests: Vec<Request> = (0..128)
         .map(|i| Request::Query {
             session,
-            k: if i % 2 == 0 { 64 } else { 1 },
-            vector: Some(vec![i as f64, 0.0]),
+            k: k(i),
+            vector: Some(vec![(i % 64) as f64, 0.0]),
             deadline_ms: None,
         })
         .collect();
     let responses = client.query_many(&requests).unwrap();
-    assert_eq!(responses.len(), 16);
+    assert_eq!(responses.len(), 128);
     for (i, r) in responses.iter().enumerate() {
         let Response::Neighbors { neighbors, .. } = r else {
             panic!("expected Neighbors at slot {i}, got {r:?}")
         };
-        assert_eq!(
-            neighbors.len(),
-            if i % 2 == 0 { 64 } else { 1 },
-            "slot {i} k mismatch"
-        );
+        assert_eq!(neighbors.len(), k(i), "slot {i} k mismatch");
     }
-    server.shutdown();
+    let ids: Vec<usize> = (0..points.len()).collect();
+    let fetches = vec![Request::FetchVectors { ids }; 64];
+    for (i, r) in client.query_many(&fetches).unwrap().iter().enumerate() {
+        let Response::Vectors { vectors } = r else {
+            panic!("expected Vectors at slot {i}, got {r:?}")
+        };
+        assert_eq!(vectors, &points, "slot {i}");
+    }
+    assert!(server.shutdown().clean());
+}
+
+/// An idle server shuts down at once: the acceptor blocked in `accept`
+/// is woken, not polled.
+#[test]
+fn idle_server_shuts_down_cleanly_within_a_second() {
+    let server = Server::bind("127.0.0.1:0", service(), ServerConfig::default()).unwrap();
+    let started = std::time::Instant::now();
+    let report = server.shutdown();
+    assert!(report.clean(), "{report:?}");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        started.elapsed()
+    );
 }
 
 /// Reads exactly one frame (header + payload) off a raw socket.

@@ -85,6 +85,7 @@ impl Router {
                     .send(NodeJob::Call { request, reply })
                     .map_err(|_| NodeFailureKind::Transport("node worker exited".into()))
             },
+            || {},
         );
         outcomes
             .into_iter()

@@ -1,6 +1,12 @@
-//! The parallel k-NN executor: a persistent worker pool fed through
-//! crossbeam channels, fanning one query out across all shards and
-//! merging the per-shard results into the global top-k.
+//! The parallel k-NN executor: one query fanned out across all shards,
+//! the per-shard results merged into the global top-k.
+//!
+//! A fan-out without a deadline (the default) runs its shard jobs on
+//! the calling thread, helped by pool workers while a core is free,
+//! if the caller finds a core free and no other fan-out waiting on the
+//! pool ([`Executor::try_knn`]). Any other fan-out — one with a
+//! deadline, or one arriving at a saturated node — queues its jobs on
+//! the pool, first come first served, and no caller overtakes it.
 //!
 //! Quantized shards answer one query as one [`CooperativeScan`]: each
 //! shard job runs phase 1 against the fan-out's shared threshold and
@@ -40,10 +46,11 @@
 use crate::error::ServiceError;
 use crate::fanout::{gather, Breaker, Miss};
 use crate::metrics::{HistogramSummary, LatencyHistogram};
-use crate::shard::{ShardPart, ShardedCorpus};
+use crate::shard::{Shard, ShardPart, ShardedCorpus};
 use crossbeam::channel::{self, Receiver, Sender};
 use qcluster_failpoint as failpoint;
 use qcluster_index::{merge_top_k, CooperativeScan, FanoutQuery, Neighbor, NodeCache, SearchStats};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -146,11 +153,20 @@ pub struct ExecutorFaults {
     pub workers_respawned: u64,
 }
 
-/// Decrements the in-flight job counter when the job finishes — on the
-/// success path, the failure path, and the unwind path alike.
-struct QueueSlot(Arc<AtomicUsize>);
+/// One unit of a shared count (a queued job, a claiming caller, a
+/// pooled fan-out), given back on drop — on the success path, the
+/// failure path, and the unwind path alike.
+struct Held(Arc<AtomicUsize>);
 
-impl Drop for QueueSlot {
+impl Held {
+    /// Adds one to `count`; returns the hold and the new count.
+    fn enter(count: &Arc<AtomicUsize>) -> (Self, usize) {
+        let now = count.fetch_add(1, Ordering::AcqRel) + 1;
+        (Held(Arc::clone(count)), now)
+    }
+}
+
+impl Drop for Held {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::AcqRel);
     }
@@ -176,6 +192,11 @@ pub struct Executor {
     breakers: Mutex<Vec<Arc<Breaker>>>,
     respawned: AtomicU64,
     next_worker_id: AtomicUsize,
+    /// Callers running their own fan-out's shard jobs right now; each
+    /// holds a core.
+    callers: Arc<AtomicUsize>,
+    /// Fan-outs whose jobs are queued on the pool, until collected.
+    pooled: Arc<AtomicUsize>,
     /// Per-shard k-NN execution latency, recorded at the job site
     /// (excludes queueing); sampled into metrics snapshots.
     shard_latency: Arc<LatencyHistogram>,
@@ -226,6 +247,8 @@ impl Executor {
             rx,
             workers: Mutex::new(workers),
             next_worker_id: AtomicUsize::new(num_workers),
+            callers: Arc::default(),
+            pooled: Arc::default(),
             config,
             queued: Arc::new(AtomicUsize::new(0)),
             breakers: Mutex::new(Vec::new()),
@@ -297,6 +320,37 @@ impl Executor {
             .map_err(|_| ServiceError::Internal("executor job channel disconnected".into()))
     }
 
+    /// Whether a fan-out without a deadline runs its own jobs: only
+    /// while a core is free and no fan-out waits on the pool, which it
+    /// would overtake. The returned hold counts the caller in
+    /// `callers` until dropped.
+    fn claim(&self) -> Option<Held> {
+        if self.pooled.load(Ordering::Acquire) > 0 {
+            return None;
+        }
+        let (held, callers) = Held::enter(&self.callers);
+        (callers <= self.config.num_workers.max(1)).then_some(held)
+    }
+
+    /// Runs a fan-out's jobs on the calling thread, in order, offering
+    /// them to at most `min(jobs − 1, num_workers − callers)` pool
+    /// workers, each of which claims jobs until none is left. A busy
+    /// node so answers each query on the thread that asked, with no
+    /// hand-off; an idle one still uses every core.
+    fn run_claimed(&self, jobs: Vec<Job>) {
+        let callers = self.callers.load(Ordering::Acquire);
+        let free = self.config.num_workers.max(1).saturating_sub(callers);
+        let helpers = free.min(jobs.len().saturating_sub(1));
+        let jobs = Arc::new(Mutex::new(jobs.into_iter()));
+        for _ in 0..helpers {
+            let jobs = Arc::clone(&jobs);
+            if self.submit(Box::new(move || drain(&jobs))).is_err() {
+                break;
+            }
+        }
+        drain(&jobs);
+    }
+
     /// One breaker per shard index, growing the table on demand.
     fn breakers_for(&self, num_shards: usize) -> Vec<Arc<Breaker>> {
         let mut breakers = self.breakers.lock().unwrap_or_else(|e| e.into_inner());
@@ -307,8 +361,10 @@ impl Executor {
     }
 
     /// The fault-tolerant fan-out: runs `query` against every shard of
-    /// `corpus`, collecting per-shard results until `deadline` (forever
-    /// when `None`), and merges whatever arrived — the quantized shards'
+    /// `corpus` (on this thread and free workers when `deadline` is
+    /// `None` and the node has a core to spare, on the pool otherwise),
+    /// collecting per-shard results until `deadline` (forever when
+    /// `None`), and merges whatever arrived — the quantized shards'
     /// phase-1 candidates through one finish of their shared
     /// [`CooperativeScan`], exact over exactly those that replied. See
     /// [`FanoutReport`] for coverage semantics; shards skipped by an
@@ -376,6 +432,11 @@ impl Executor {
             });
         }
 
+        // Run here (see `claim`), or queued on the pool and counted in
+        // `pooled` until collected.
+        let claimer = deadline.is_none().then(|| self.claim()).flatten();
+        let pooled = claimer.is_none().then(|| Held::enter(&self.pooled).0);
+        let claimable = RefCell::new(Vec::new());
         let outcomes = gather(
             &breakers,
             self.config.breaker_threshold,
@@ -388,20 +449,29 @@ impl Executor {
                 let scan = Arc::clone(&scan);
                 // The job owns its reservation from here, also when the
                 // submit below fails and drops it unrun.
-                let slot = QueueSlot(Arc::clone(&self.queued));
+                let slot = Held(Arc::clone(&self.queued));
                 let shard_latency = Arc::clone(&self.shard_latency);
-                self.submit(Box::new(move || {
-                    let _slot = slot;
+                let job: Job = Box::new(move || {
                     let job_start = Instant::now();
                     let outcome = run_shard_job(i, &shard, &scan, &*shard_query, k, cache.as_ref());
                     if outcome.is_ok() {
                         shard_latency.record(job_start.elapsed());
                     }
+                    // Released before the reply: a fan-out that returned
+                    // holds no slot.
+                    drop(slot);
                     reply.send(outcome);
-                }))
-                .map_err(|e| ShardFailureKind::Failed(e.to_string()))
+                });
+                if claimer.is_some() {
+                    claimable.borrow_mut().push(job);
+                    return Ok(());
+                }
+                self.submit(job)
+                    .map_err(|e| ShardFailureKind::Failed(e.to_string()))
             },
+            || self.run_claimed(claimable.take()),
         );
+        drop((claimer, pooled));
 
         let mut lists: Vec<Vec<Neighbor>> = Vec::with_capacity(num_shards);
         let mut parts = Vec::new();
@@ -460,12 +530,20 @@ impl Executor {
     }
 }
 
+/// Runs a fan-out's jobs, one claim at a time, until none is left.
+fn drain(jobs: &Mutex<std::vec::IntoIter<Job>>) {
+    let next = || jobs.lock().unwrap_or_else(|e| e.into_inner()).next();
+    while let Some(job) = next() {
+        job();
+    }
+}
+
 /// The body of one shard job: the shard's part of the fan-out, then
 /// failpoint evaluation, under `catch_unwind` so a panic becomes a
 /// per-shard failure.
 fn run_shard_job(
     shard_index: usize,
-    shard: &crate::shard::Shard,
+    shard: &Shard,
     scan: &CooperativeScan,
     query: &dyn FanoutQuery,
     k: usize,
@@ -670,6 +748,83 @@ mod tests {
         for (a, b) in report.neighbors.iter().zip(plain.iter()) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+        }
+    }
+
+    /// Occupies every worker until the returned sender is dropped.
+    fn block_workers(executor: &Executor) -> Sender<()> {
+        let started = Arc::new(std::sync::Barrier::new(executor.num_workers() + 1));
+        let (release, wait) = channel::unbounded::<()>();
+        for _ in 0..executor.num_workers() {
+            let (started, wait) = (Arc::clone(&started), wait.clone());
+            let job = move || {
+                started.wait();
+                let _ = wait.recv();
+            };
+            executor.submit(Box::new(job)).unwrap();
+        }
+        started.wait();
+        release
+    }
+
+    /// Runs one fan-out over a 400-point spiral on a thread of its own,
+    /// checks it against `LinearScan`, and sends its `shards_ok`.
+    fn spawn_fanout(executor: &Arc<Executor>, deadline: Option<Duration>, tx: &Sender<usize>) {
+        let (executor, tx) = (Arc::clone(executor), tx.clone());
+        std::thread::spawn(move || {
+            let pts = spiral(400);
+            let q = EuclideanQuery::new(vec![1.0, -2.0, 3.0]);
+            let corpus = ShardedCorpus::build(&pts, 4, ShardKind::Quantized).unwrap();
+            let deadline = deadline.map(|d| Instant::now() + d);
+            let report = executor.try_knn(&corpus, &q, 12, None, deadline).unwrap();
+            assert_eq!(report.neighbors, LinearScan::new(&pts).knn(&q, 12));
+            let _ = tx.send(report.shards_ok);
+        });
+    }
+
+    #[test]
+    fn a_fanout_without_deadline_completes_while_every_worker_is_blocked() {
+        let executor = Arc::new(pool(2));
+        let _release = block_workers(&executor);
+        let (tx, rx) = channel::unbounded();
+        spawn_fanout(&executor, None, &tx);
+        let shards_ok = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            shards_ok,
+            Ok(4),
+            "the caller runs the jobs when no worker can"
+        );
+    }
+
+    #[test]
+    fn a_fanout_with_a_deadline_leaves_its_jobs_to_the_workers() {
+        let executor = pool(2);
+        let _release = block_workers(&executor);
+        let corpus = ShardedCorpus::build(&spiral(400), 4, ShardKind::Quantized).unwrap();
+        let q = EuclideanQuery::new(vec![1.0, -2.0, 3.0]);
+        let deadline = Instant::now() + Duration::from_millis(100);
+        let err = executor.try_knn(&corpus, &q, 12, None, Some(deadline));
+        let late = Instant::now().duration_since(deadline);
+        let timed_out = matches!(err, Err(ServiceError::DeadlineExceeded { .. }));
+        assert!(timed_out, "the caller ran nothing: {err:?}");
+        assert!(late < Duration::from_secs(5), "{late:?} late");
+    }
+
+    #[test]
+    fn a_fanout_does_not_overtake_one_queued_on_the_pool() {
+        let executor = Arc::new(pool(2));
+        let release = block_workers(&executor);
+        let (tx, rx) = channel::unbounded();
+        spawn_fanout(&executor, Some(Duration::from_secs(30)), &tx);
+        while executor.pooled.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        spawn_fanout(&executor, None, &tx);
+        let early = rx.recv_timeout(Duration::from_millis(200));
+        assert!(early.is_err(), "a fan-out overtook one queued on the pool");
+        drop(release);
+        for _ in 0..2 {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(4));
         }
     }
 

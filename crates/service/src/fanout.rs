@@ -133,18 +133,20 @@ impl<T, F> Reply<T, F> {
 ///
 /// Targets whose breaker admits them are handed to `start(i, reply)`,
 /// which must not block on the leg (it queues it somewhere) and either
-/// returns `Ok(())` or an early failure. Replies are then collected
-/// until every started leg answered or `deadline` passed (`None` waits
-/// for all). The result has one slot per target, in target order: the
-/// reply, or the [`Miss`] that explains its absence. Failed, late and
-/// lost legs are charged to their breaker with `threshold` /
-/// `cooldown`; replies close it.
+/// returns `Ok(())` or an early failure. Once every leg is started the
+/// caller's own `work` runs (it may run queued legs itself, sending
+/// their replies). Replies are then collected until every started leg
+/// answered or `deadline` passed (`None` waits for all). The result has
+/// one slot per target, in target order: the reply, or the [`Miss`]
+/// that explains its absence. Failed, late and lost legs are charged to
+/// their breaker with `threshold` / `cooldown`; replies close it.
 pub fn gather<T, F, B: Deref<Target = Breaker>>(
     breakers: &[B],
     threshold: u32,
     cooldown: Duration,
     deadline: Option<Instant>,
     mut start: impl FnMut(usize, Reply<T, F>) -> Result<(), F>,
+    work: impl FnOnce(),
 ) -> Vec<Result<T, Miss<F>>> {
     let now = Instant::now();
     let (tx, rx) = channel::unbounded();
@@ -171,6 +173,7 @@ pub fn gather<T, F, B: Deref<Target = Breaker>>(
         });
     }
     drop(tx);
+    work();
 
     let mut lost = false;
     while pending > 0 {
@@ -219,8 +222,16 @@ mod tests {
         (0..n).map(|_| Breaker::default()).collect()
     }
 
-    fn refs(breakers: &[Breaker]) -> Vec<&Breaker> {
-        breakers.iter().collect()
+    /// [`gather`] with no work of the caller's own.
+    fn legs<T, F>(
+        b: &[Breaker],
+        threshold: u32,
+        cooldown: Duration,
+        deadline: Option<Instant>,
+        start: impl FnMut(usize, Reply<T, F>) -> Result<(), F>,
+    ) -> Vec<Result<T, Miss<F>>> {
+        let refs: Vec<&Breaker> = b.iter().collect();
+        gather(&refs, threshold, cooldown, deadline, start, || {})
     }
 
     #[test]
@@ -257,18 +268,31 @@ mod tests {
     #[test]
     fn all_replies_land_in_target_order() {
         let b = breakers(3);
-        let got = gather(
-            &refs(&b),
-            3,
-            COOLDOWN,
-            None,
-            |i, reply: Reply<usize, ()>| {
-                std::thread::spawn(move || reply.send(Ok(i * 10)));
-                Ok(())
-            },
-        );
+        let got = legs(&b, 3, COOLDOWN, None, |i, reply: Reply<usize, ()>| {
+            std::thread::spawn(move || reply.send(Ok(i * 10)));
+            Ok(())
+        });
         assert_eq!(got, vec![Ok(0), Ok(10), Ok(20)]);
         assert!(b.iter().all(|b| b.trips() == 0));
+    }
+
+    #[test]
+    fn the_callers_work_runs_after_every_start_and_its_replies_count() {
+        let b = [Breaker::default(), Breaker::default()];
+        let queued = std::cell::RefCell::new(Vec::new());
+        let start = |i, reply: Reply<usize, ()>| {
+            queued.borrow_mut().push((i, reply));
+            Ok(())
+        };
+        let work = || {
+            for (i, reply) in queued.take() {
+                reply.send(Ok(i + 1));
+            }
+        };
+        assert_eq!(
+            gather(&[&b[0], &b[1]], 1, COOLDOWN, None, start, work),
+            [Ok(1), Ok(2)]
+        );
     }
 
     #[test]
@@ -276,7 +300,7 @@ mod tests {
         let b = breakers(3);
         let mut held = None; // keeps leg 1's channel connected, never answers
         let deadline = Instant::now() + Duration::from_millis(20);
-        let got = gather(&refs(&b), 1, COOLDOWN, Some(deadline), |i, reply| {
+        let got = legs(&b, 1, COOLDOWN, Some(deadline), |i, reply| {
             if i == 1 {
                 held = Some(reply);
             } else {
@@ -292,7 +316,7 @@ mod tests {
     #[test]
     fn a_dropped_reply_handle_is_a_lost_leg() {
         let b = breakers(2);
-        let got = gather(&refs(&b), 1, COOLDOWN, None, |i, reply| {
+        let got = legs(&b, 1, COOLDOWN, None, |i, reply| {
             if i == 0 {
                 reply.send(Ok::<_, ()>("answered"));
             } // leg 1's handle is dropped unanswered
@@ -305,7 +329,7 @@ mod tests {
     #[test]
     fn a_refused_start_and_a_failing_leg_are_charged_failures() {
         let b = breakers(3);
-        let got = gather(&refs(&b), 1, COOLDOWN, None, |i, reply| match i {
+        let got = legs(&b, 1, COOLDOWN, None, |i, reply| match i {
             0 => Err("queue closed"),
             1 => {
                 reply.send(Err("leg failed"));
@@ -335,7 +359,7 @@ mod tests {
             breaker.record_failure(now, 1, Duration::from_secs(60));
         }
         let mut started = 0;
-        let got = gather(&refs(&b), 1, COOLDOWN, None, |_, _: Reply<(), ()>| {
+        let got = legs(&b, 1, COOLDOWN, None, |_, _: Reply<(), ()>| {
             started += 1;
             Ok(())
         });
@@ -348,13 +372,11 @@ mod tests {
         let b = breakers(1);
         b[0].record_failure(Instant::now(), 1, Duration::ZERO);
         // The probe is started and never answers: re-tripped, not stuck.
-        let got = gather(&refs(&b), 1, Duration::ZERO, None, |_, _: Reply<(), ()>| {
-            Ok(())
-        });
+        let got = legs(&b, 1, Duration::ZERO, None, |_, _: Reply<(), ()>| Ok(()));
         assert_eq!(got, vec![Err(Miss::Lost)]);
         assert_eq!(b[0].trips(), 2);
         // The next fan-out probes again, and a reply closes the breaker.
-        let got = gather(&refs(&b), 1, Duration::ZERO, None, |_, reply| {
+        let got = legs(&b, 1, Duration::ZERO, None, |_, reply| {
             reply.send(Ok::<_, ()>(()));
             Ok(())
         });

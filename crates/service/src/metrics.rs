@@ -289,7 +289,6 @@ pub struct ServiceMetrics {
     frames_in: AtomicU64,
     frames_out: AtomicU64,
     decode_errors: AtomicU64,
-    write_queue_sheds: AtomicU64,
     shutdown_drains: AtomicU64,
 }
 
@@ -427,12 +426,6 @@ impl ServiceMetrics {
         self.decode_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one request shed with a typed `Overloaded` reply because
-    /// its connection's writer queue was full.
-    pub fn record_write_queue_shed(&self) {
-        self.write_queue_sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts `n` in-flight requests that completed during a graceful
     /// shutdown's drain window.
     pub fn record_shutdown_drains(&self, n: u64) {
@@ -505,7 +498,7 @@ impl ServiceMetrics {
                 frames_in: self.frames_in.load(Ordering::Relaxed),
                 frames_out: self.frames_out.load(Ordering::Relaxed),
                 decode_errors: self.decode_errors.load(Ordering::Relaxed),
-                write_queue_sheds: self.write_queue_sheds.load(Ordering::Relaxed),
+                write_queue_sheds: 0,
                 shutdown_drains: self.shutdown_drains.load(Ordering::Relaxed),
             },
             cluster: ClusterGauges::default(),
@@ -715,7 +708,9 @@ pub struct TransportGauges {
     pub frames_out: u64,
     /// Frames that failed to decode (bad magic/CRC/version/payload).
     pub decode_errors: u64,
-    /// Requests shed with a typed `Overloaded` reply (writer queue full).
+    /// Always 0: the server answers each connection's requests in order
+    /// on the thread that read them and has no writer queue to shed
+    /// from. Kept so readers of the field keep compiling.
     pub write_queue_sheds: u64,
     /// In-flight requests drained to completion during graceful shutdown.
     pub shutdown_drains: u64,
@@ -1095,7 +1090,6 @@ mod tests {
         m.record_frame_in();
         m.record_frame_out();
         m.record_decode_error();
-        m.record_write_queue_shed();
         m.record_shutdown_drains(3);
         let s = m.snapshot(
             0,
@@ -1113,7 +1107,7 @@ mod tests {
                 frames_in: 2,
                 frames_out: 1,
                 decode_errors: 1,
-                write_queue_sheds: 1,
+                write_queue_sheds: 0,
                 shutdown_drains: 3,
             }
         );

@@ -319,7 +319,9 @@ fn overload_is_rejected_with_a_typed_error() {
 }
 
 /// Workers killed mid-flight are respawned by the self-healing pool on
-/// the next fan-out, and results stay exact throughout.
+/// the next fan-out, and results stay exact throughout. The first
+/// fan-out carries a deadline so its shard jobs run on the pool rather
+/// than on the caller.
 #[test]
 fn dead_workers_are_respawned_on_the_next_fanout() {
     let _serial = failpoint::test_lock();
@@ -344,7 +346,10 @@ fn dead_workers_are_respawned_on_the_next_fanout() {
         0,
         Some(2),
     );
-    let first = executor.try_knn(&sharded, &q, 10, None, None).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let first = executor
+        .try_knn(&sharded, &q, 10, None, Some(deadline))
+        .unwrap();
     failpoint::remove("executor.worker.exit");
     assert_eq!(first.shards_ok, 2, "jobs complete before the worker dies");
 

@@ -2,7 +2,8 @@
 //! `ServiceConfig::default()` against `Scan` and `Tree`, compared on ids
 //! and `distance.to_bits()`, over generated corpus sizes, dimensions
 //! and `k`, at 1, 2 and 4 workers (the default's shards share one
-//! phase-1 threshold) — under the diagonal scheme (the u8 fast path) and
+//! phase-1 threshold), with and without a deadline (the caller claims
+//! shard jobs, or the workers run them all) — under the diagonal scheme (the u8 fast path) and
 //! under the full-inverse scheme (every refined shard scan a plan miss).
 //!
 //! Every generated corpus has a length that is a multiple of neither 8
@@ -14,8 +15,12 @@ use proptest::prelude::*;
 use qcluster_core::{CovarianceScheme, QclusterConfig};
 use qcluster_service::{Service, ServiceConfig, ShardKind};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::time::Duration;
 
 const SHARDS: usize = 3;
+
+/// A deadline no round comes near, so the deadline path answers whole.
+const GENEROUS: Duration = Duration::from_secs(60);
 
 /// Two blobs, ids below `n / 2` around the origin and the rest around
 /// `(10, …, 10)`, with the point after the first shard boundary
@@ -102,12 +107,14 @@ proptest! {
             prop_assert_eq!(&rounds(&tree, example, &marked, k), &want, "Tree n={} dim={} k={}", n, dim, k);
 
             // One worker hands the shared threshold from shard job to
-            // shard job; more race for it.
-            for workers in [1, 2, 4] {
-                let config = ServiceConfig { num_workers: workers, ..base.clone() };
+            // shard job; more race for it. Without a deadline the caller
+            // claims shard jobs beside the free workers; with one, the
+            // workers run them all.
+            for (workers, deadline) in [1, 2, 4].into_iter().flat_map(|w| [(w, None), (w, Some(GENEROUS))]) {
+                let config = ServiceConfig { num_workers: workers, default_deadline: deadline, ..base.clone() };
                 let shipped = Service::new(&points, config).expect("spawn service");
                 let got = rounds(&shipped, example, &marked, k);
-                prop_assert_eq!(&got, &want, "workers={} n={} dim={} k={}", workers, n, dim, k);
+                prop_assert_eq!(&got, &want, "workers={} deadline={:?} n={} dim={} k={}", workers, deadline, n, dim, k);
 
                 let quant = shipped.stats().quant;
                 prop_assert!(quant.phase1_points > 0, "the default runs the u8 scan");

@@ -11,10 +11,11 @@
 //! run the initial example-image query, mark the best hits relevant,
 //! re-query with the refined disjunctive query, and close — all as
 //! length-prefixed CRC-checked frames on the wire, pipelined where the
-//! protocol allows. The service fans each k-NN out across its shards on
-//! a persistent worker pool, and the final stats show cache behaviour,
-//! end-to-end latency percentiles, and the transport's own counters
-//! (connections, frames, sheds).
+//! protocol allows. The service fans each k-NN out across its shards,
+//! run by the request's own thread and any free pool worker, and the
+//! final stats show cache behaviour, end-to-end latency percentiles,
+//! and the transport's own counters (connections, frames, decode
+//! errors).
 //!
 //! The service is **durable**: it opens a `qcluster-store` directory,
 //! each client live-ingests one extra image (`Request::Ingest` —
@@ -202,14 +203,13 @@ fn main() {
     );
     println!(
         "  transport: {} conns accepted ({} active, {} rejected), {} frames in / {} out, \
-         {} decode errors, {} sheds",
+         {} decode errors",
         stats.transport.connections_accepted,
         stats.transport.connections_active,
         stats.transport.connections_rejected,
         stats.transport.frames_in,
         stats.transport.frames_out,
-        stats.transport.decode_errors,
-        stats.transport.write_queue_sheds
+        stats.transport.decode_errors
     );
     println!(
         "  storage: {} ingests, {} WAL appends, {} fsyncs, {} WAL-only vectors",
