@@ -20,10 +20,11 @@
 //! enforce.
 
 use crate::error::CliError;
+use crate::rng::SeedRng;
 use crate::stats::PipelineStats;
+use crate::target::SoakBackend;
 use qcluster_core::{QclusterConfig, QclusterEngine};
 use qcluster_eval::{run_session, Dataset, InProcessTarget, IterationRow, ScoreTable, UserTarget};
-use qcluster_loadgen::{SeedRng, SoakBackend};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 

@@ -301,6 +301,26 @@ fn run_session(
     }
 }
 
+/// Calls `send` `per_sec` times a second until `stop` is set. Sends are
+/// due at `t0 + n·interval`, so the time a send takes is not added to
+/// the interval after it. A pacer more than one interval behind (a send
+/// stalled) re-anchors its schedule to now instead of bursting to catch
+/// up.
+fn pace(per_sec: u32, stop: &AtomicBool, mut send: impl FnMut()) {
+    let interval = Duration::from_nanos(1_000_000_000 / u64::from(per_sec));
+    let mut due = Instant::now();
+    while !stop.load(Ordering::Relaxed) {
+        send();
+        due += interval;
+        let now = Instant::now();
+        if due > now {
+            std::thread::sleep(due - now);
+        } else if now - due > interval {
+            due = now;
+        }
+    }
+}
+
 /// Runs one soak: starts the chaos scheduler and the background ingest
 /// pacer, drives every planned user on its own thread against
 /// `backend`, and folds the per-user results into one
@@ -331,16 +351,13 @@ pub fn run_soak(
             let stop = &stop_ingest;
             scope.spawn(move || {
                 let mut stream = IngestStream::new(config.seed, dataset);
-                let interval =
-                    Duration::from_nanos(1_000_000_000 / u64::from(config.ingest_per_sec));
                 let (mut ok, mut errors) = (0u64, 0u64);
-                while !stop.load(Ordering::Relaxed) {
+                pace(config.ingest_per_sec, stop, || {
                     match backend.ingest(stream.next_vector()) {
                         Ok(_) => ok += 1,
                         Err(_) => errors += 1,
                     }
-                    std::thread::sleep(interval);
-                }
+                });
                 (ok, errors)
             })
         });
@@ -497,6 +514,25 @@ mod tests {
             .iter()
             .flat_map(|u| &u.sessions)
             .all(|s| s.think_ns.iter().all(|&t| t == 0)));
+    }
+
+    #[test]
+    fn ingest_pacer_holds_its_rate_when_each_send_takes_time() {
+        // 50/s with a 10 ms send: sleeping a full interval after each
+        // send would make it 1 / 30 ms, about 33 in the second.
+        let stop = AtomicBool::new(false);
+        let mut sends = 0u32;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_secs(1));
+                stop.store(true, Ordering::Relaxed);
+            });
+            pace(50, &stop, || {
+                sends += 1;
+                std::thread::sleep(Duration::from_millis(10));
+            });
+        });
+        assert!((42..=51).contains(&sends), "{sends} sends in 1 s at 50/s");
     }
 
     #[test]

@@ -28,7 +28,8 @@ use qcluster_eval::{save_dataset, save_dataset_binary, Dataset};
 use qcluster_imaging::{raw_features, Corpus, FeatureKind, FeaturePipeline, ImageRgb};
 use qcluster_linalg::Matrix;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How the ingest pipeline obtains raw images.
@@ -188,9 +189,12 @@ pub fn ingest(
     stats.run_with_progress(Duration::from_secs(1), || {
         // Bounded hand-offs keep the resident set flat: at most
         // `2 * workers` decoded images exist at once regardless of
-        // corpus size.
-        let (scan_tx, scan_rx) = crossbeam::channel::bounded::<ScanItem>(workers * 4);
-        let (decode_tx, decode_rx) = crossbeam::channel::bounded::<DecodedItem>(workers * 2);
+        // corpus size. A stage's workers share its receiver; the last
+        // one to drop its handle disconnects the stage upstream.
+        let (scan_tx, scan_rx) = sync_channel::<ScanItem>(workers * 4);
+        let scan_rx = Arc::new(Mutex::new(scan_rx));
+        let (decode_tx, decode_rx) = sync_channel::<DecodedItem>(workers * 2);
+        let decode_rx = Arc::new(Mutex::new(decode_rx));
         std::thread::scope(|scope| {
             // scan: stream the work list.
             scope.spawn(|| {
@@ -206,13 +210,13 @@ pub fn ingest(
             });
             // decode ×W: read + parse (or render), skip-and-count bad files.
             for _ in 0..workers {
-                let rx = scan_rx.clone();
+                let rx = Arc::clone(&scan_rx);
                 let tx = decode_tx.clone();
                 let decode = decode.clone();
                 let corpus = corpus.as_ref();
                 let skipped = &skipped;
                 scope.spawn(move || {
-                    for item in rx.iter() {
+                    while let Some(item) = recv(&rx) {
                         decode.item_in();
                         match load_image(&item, corpus, &decode) {
                             Ok(img) => {
@@ -246,11 +250,11 @@ pub fn ingest(
             drop(decode_tx);
             // extract ×W: raw feature rows into the barrier buffer.
             for _ in 0..workers {
-                let rx = decode_rx.clone();
+                let rx = Arc::clone(&decode_rx);
                 let extract = extract.clone();
                 let rows = &rows;
                 scope.spawn(move || {
-                    for item in rx.iter() {
+                    while let Some(item) = recv(&rx) {
                         extract.item_in();
                         let raw = raw_features(kind, &item.img);
                         lock(rows).push(RawRow {
@@ -324,6 +328,11 @@ pub fn ingest(
         dim: dataset.dim(),
         retained_variance: pipeline.retained_variance(),
     })
+}
+
+/// The next item of a stage's shared receiver (`None` once senders are gone).
+fn recv<T>(rx: &Mutex<Receiver<T>>) -> Option<T> {
+    lock(rx).recv().ok()
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {

@@ -9,6 +9,7 @@
 //! qcluster convert <in> <out>                      re-encode a dataset by extension
 //! qcluster run     <recipe.toml> [flags]           the whole pipeline from one recipe
 //! qcluster repro   <experiment>... [flags]         the paper's tables and figures
+//! qcluster soak    [flags]                         closed-loop user-fleet soak
 //! ```
 //!
 //! All heavy lifting lives in the `qcluster_cli` library so the same
@@ -17,9 +18,8 @@
 use qcluster_cli::{
     build, compare_reports, convert, ingest, offline_eval, parse_feature_kind, run, serve,
     served_eval, synth_images, synth_segment, CliError, EvalOptions, IngestConfig, IngestSource,
-    PipelineStats, Recipe, ServeOptions, SynthImagesConfig,
+    PipelineStats, Recipe, ServeOptions, SynthImagesConfig, TcpBackend,
 };
-use qcluster_loadgen::{SoakBackend, TcpBackend};
 use qcluster_net::ClientConfig;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -27,8 +27,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 mod repro;
+mod soak;
 
-const USAGE: &str = "usage: qcluster <synth|ingest|build|serve|eval|convert|run|repro> ...\n\
+const USAGE: &str = "usage: qcluster <synth|ingest|build|serve|eval|convert|run|repro|soak> ...\n\
   synth   <out-dir> [--categories N] [--images-per-category N] [--image-size N]\n\
           [--categories-per-super N] [--seed N]\n\
   synth   <out.qseg> <n> <dim> [--centers G] [--seed S]\n\
@@ -41,7 +42,11 @@ const USAGE: &str = "usage: qcluster <synth|ingest|build|serve|eval|convert|run|
           [--seed N] [--epsilon F] [--json] [--progress]\n\
   convert <in> <out.json|.qseg|.qdsb>\n\
   run     <recipe.toml> [--workdir DIR] [--json] [--progress]\n\
-  repro   <fig5..fig19|table2|table3|headline|ablation|all>... [--paper-scale] [--csv DIR]";
+  repro   <fig5..fig19|table2|table3|headline|ablation|all>... [--paper-scale] [--csv DIR]\n\
+  soak    [--smoke] [--cluster] [--kill-leader-ms MS] [--users N] [--sessions N]\n\
+          [--iterations N] [--k N] [--think-ms MS] [--abandon-per-mille N]\n\
+          [--ingest-rate N] [--deadline-ms MS] [--chaos N] [--chaos-window-ms MS]\n\
+          [--seed N] [--out PATH] [--scrape HOST:PORT]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,6 +63,7 @@ fn main() -> ExitCode {
         "convert" => cmd_convert(&args[1..]),
         "run" => cmd_run(&args[1..]),
         "repro" => repro::cmd_repro(&args[1..]),
+        "soak" => soak::cmd_soak(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(())
@@ -90,12 +96,16 @@ impl Parsed {
     }
 
     fn parse_value<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
-        match self.value(name) {
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| CliError::Usage(format!("--{name} got an invalid value: {raw}"))),
-            None => Ok(default),
-        }
+        Ok(self.parse_opt(name)?.unwrap_or(default))
+    }
+
+    fn parse_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.value(name)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| CliError::Usage(format!("--{name} got an invalid value: {raw}")))
+            })
+            .transpose()
     }
 
     fn switch(&self, name: &str) -> bool {
@@ -321,15 +331,12 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
     let offline = offline_eval(&dataset, &opts, &stats)?;
     let served = match parsed.value("addr") {
         Some(addr) => {
-            let backend: Box<dyn SoakBackend> = Box::new(
-                TcpBackend::connect(
-                    addr.parse::<std::net::SocketAddr>()
-                        .map_err(|e| CliError::Usage(format!("--addr {addr}: {e}")))?,
-                    ClientConfig::default(),
-                )
-                .map_err(|e| CliError::stage("eval", e))?,
-            );
-            Some(served_eval(&dataset, backend.as_ref(), &opts, &stats)?)
+            let addr = addr
+                .parse()
+                .map_err(|e| CliError::Usage(format!("--addr {addr}: {e}")))?;
+            let backend = TcpBackend::connect(addr, ClientConfig::default())
+                .map_err(|e| CliError::stage("eval", e))?;
+            Some(served_eval(&dataset, &backend, &opts, &stats)?)
         }
         None => None,
     };
@@ -353,8 +360,7 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
         }
         print!("{}", stats.render_table());
     }
-    if let (Some(served), Some(_)) = (&served, parsed.value("epsilon")) {
-        let epsilon = parsed.parse_value("epsilon", 0.05)?;
+    if let (Some(served), Some(epsilon)) = (&served, parsed.parse_opt("epsilon")?) {
         compare_reports(served, &offline, epsilon)?;
         println!("quality gate passed: served within {epsilon} of offline at every iteration");
     }

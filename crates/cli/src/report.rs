@@ -1,6 +1,6 @@
 //! The SLO report: one JSON artifact per soak run.
 //!
-//! The artifact (`crates/loadgen/BENCH_soak.json` by default) follows
+//! The artifact (`crates/cli/BENCH_soak.json` by default) follows
 //! the workspace's bench-artifact convention — a `bench` tag and the
 //! host fingerprint up front — and embeds the server-side
 //! `MetricsSnapshot` under the *same schema* the wire `Stats` request

@@ -23,7 +23,7 @@ use crate::recipe::Recipe;
 use crate::serve::{serve, ServeOptions};
 use crate::stats::{PipelineStats, StageStats};
 use crate::synth::synth_images;
-use qcluster_loadgen::{RouterBackend, SoakBackend, TcpBackend};
+use crate::target::{RouterBackend, SoakBackend, TcpBackend};
 use qcluster_net::ClientConfig;
 use qcluster_router::{Router, RouterConfig, ShardMap};
 use std::path::Path;

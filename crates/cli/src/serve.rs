@@ -16,7 +16,7 @@
 //! With a scrape path set, a background thread periodically snapshots
 //! the primary node's [`MetricsSnapshot`](qcluster_service::MetricsSnapshot)
 //! into the standard bench
-//! metrics artifact (`qcluster_loadgen::write_metrics_artifact`), so a
+//! metrics artifact ([`write_metrics_artifact`](crate::report::write_metrics_artifact)), so a
 //! long-lived `serve` can be monitored by tailing one JSON file.
 
 use crate::error::CliError;
@@ -104,8 +104,7 @@ impl ServeHandle {
             let _ = t.join();
         }
         if let Some(path) = &self.scrape_json {
-            let _ =
-                qcluster_loadgen::write_metrics_artifact(path, "serve", &self.primary().stats());
+            let _ = crate::report::write_metrics_artifact(path, "serve", &self.primary().stats());
         }
         for server in self.servers.drain(..) {
             server.shutdown();
@@ -215,7 +214,7 @@ pub fn serve(
                     return;
                 }
                 if let Err(e) =
-                    qcluster_loadgen::write_metrics_artifact(&path, "serve", &service.stats())
+                    crate::report::write_metrics_artifact(&path, "serve", &service.stats())
                 {
                     eprintln!("  [serve] scrape failed: {e}");
                 }
@@ -270,16 +269,14 @@ mod tests {
         store
     }
 
+    /// One node serves the built store, and what it ingests over the
+    /// wire survives a wire `Flush` and a restart.
     #[test]
     fn single_node_serves_the_built_store() {
         let dir = tmp_dir("single");
         let store = built_store(&dir);
-        let handle = serve(
-            &store,
-            &ServeOptions::default(),
-            &PipelineStats::new("serve"),
-        )
-        .unwrap();
+        let boot = || serve(&store, &ServeOptions::default(), &PipelineStats::new("s")).unwrap();
+        let handle = boot();
         let addrs = handle.addrs();
         assert_eq!(addrs.len(), 1);
         let mut client = Client::connect(addrs[0].to_string(), ClientConfig::default()).unwrap();
@@ -287,6 +284,22 @@ mod tests {
             Response::Stats(snap) => assert_eq!(snap.storage.segment_vectors, 24),
             other => panic!("unexpected: {other:?}"),
         }
+        let dim = qcluster_eval::load_dataset_auto(&dir.join("features.qdsb"))
+            .unwrap()
+            .dim();
+        for c in 0..4 {
+            let vector = vec![c as f64; dim];
+            let reply = client.call(&Request::Ingest { vector }).unwrap();
+            assert!(matches!(reply, Response::Ingested { id, .. } if id == 24 + c));
+        }
+        match client.call(&Request::Flush).unwrap() {
+            Response::Flushed { folded_vectors, .. } => assert_eq!(folded_vectors, 4),
+            other => panic!("unexpected: {other:?}"),
+        }
+        drop(client);
+        handle.shutdown();
+        let handle = boot();
+        assert_eq!(handle.primary().total_vectors(), 28);
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

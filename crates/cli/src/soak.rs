@@ -1,133 +1,120 @@
-//! `soak` — run a closed-loop user-fleet soak against a live target.
+//! `qcluster soak` — run a closed-loop user-fleet soak against a live
+//! target.
 //!
 //! With no flags this boots a single in-process node over the quick
 //! semantic-gap corpus (7,500 points), serves it on a real TCP socket,
 //! and drives the full default soak (200 users × 3 feedback
 //! iterations, background ingest, two scheduled chaos events), writing
-//! the SLO artifact to `crates/loadgen/BENCH_soak.json`.
+//! the SLO artifact to `crates/cli/BENCH_soak.json`.
 //!
 //! Common invocations:
 //!
 //! ```text
-//! soak --smoke                 # ~60-second sanity soak (16 users)
-//! soak --cluster               # router cluster target (ingest
-//!                              # partition replicated 3× when durable)
-//! soak --cluster --kill-leader-ms 5000
-//!                              # kill the ingest leader 5s in and
-//!                              # assert zero acked-ingest loss + RYW
-//! soak --seed 7 --users 300    # reshape the fleet
-//! soak --scrape 127.0.0.1:4100 # one-shot Stats scrape of a live node
+//! qcluster soak --smoke                 # ~60-second sanity soak (16 users)
+//! qcluster soak --cluster               # router cluster target (ingest
+//!                                       # partition replicated 3× when durable)
+//! qcluster soak --cluster --kill-leader-ms 5000
+//!                                       # kill the ingest leader 5s in and
+//!                                       # assert zero acked-ingest loss + RYW
+//! qcluster soak --seed 7 --users 300    # reshape the fleet
+//! qcluster soak --scrape 127.0.0.1:4100 # one-shot Stats scrape of a live node
 //! ```
+//!
+//! The node boot is this command's own, not `serve`'s: in-memory or
+//! scratch-dir durable nodes, a 3× ingest partition, killable slots.
 
-use qcluster_eval::synthetic::SemanticGapConfig;
-use qcluster_loadgen::{
-    run_soak, seeded_timeline, LeaderKillReport, RouterBackend, SoakBackend, SoakConfig,
-    SoakReport, TcpBackend,
+use crate::{parse_args, Parsed};
+use qcluster_cli::{
+    run_soak, seeded_timeline, write_metrics_artifact, write_soak_artifact, CliError,
+    LeaderKillReport, RouterBackend, SoakBackend, SoakConfig, SoakReport, TcpBackend,
 };
+use qcluster_eval::synthetic::SemanticGapConfig;
 use qcluster_net::{Client, ClientConfig, Server, ServerConfig};
 use qcluster_router::{Partition, ReadPreference, Router, RouterConfig, ShardMap};
 use qcluster_service::{Request, Response, Service, ServiceConfig};
 use qcluster_store::StoreConfig;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-struct Args {
-    seed: Option<u64>,
-    users: Option<usize>,
-    sessions: Option<usize>,
-    iterations: Option<usize>,
-    k: Option<usize>,
-    think_ms: Option<u64>,
-    abandon_per_mille: Option<u32>,
-    ingest_rate: Option<u32>,
-    deadline_ms: Option<u64>,
-    chaos: Option<usize>,
-    chaos_window_ms: Option<u64>,
+/// A parsed `qcluster soak` command line, checked before anything binds.
+struct SoakArgs {
+    config: SoakConfig,
     out: PathBuf,
     cluster: bool,
     kill_leader_ms: Option<u64>,
-    smoke: bool,
     scrape: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        seed: None,
-        users: None,
-        sessions: None,
-        iterations: None,
-        k: None,
-        think_ms: None,
-        abandon_per_mille: None,
-        ingest_rate: None,
-        deadline_ms: None,
-        chaos: None,
-        chaos_window_ms: None,
-        out: PathBuf::from("crates/loadgen/BENCH_soak.json"),
-        cluster: false,
-        kill_leader_ms: None,
-        smoke: false,
-        scrape: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--seed" => args.seed = Some(parse(&value("--seed")?)?),
-            "--users" => args.users = Some(parse(&value("--users")?)?),
-            "--sessions" => args.sessions = Some(parse(&value("--sessions")?)?),
-            "--iterations" => args.iterations = Some(parse(&value("--iterations")?)?),
-            "--k" => args.k = Some(parse(&value("--k")?)?),
-            "--think-ms" => args.think_ms = Some(parse(&value("--think-ms")?)?),
-            "--abandon-per-mille" => {
-                args.abandon_per_mille = Some(parse(&value("--abandon-per-mille")?)?)
-            }
-            "--ingest-rate" => args.ingest_rate = Some(parse(&value("--ingest-rate")?)?),
-            "--deadline-ms" => args.deadline_ms = Some(parse(&value("--deadline-ms")?)?),
-            "--chaos" => args.chaos = Some(parse(&value("--chaos")?)?),
-            "--chaos-window-ms" => {
-                args.chaos_window_ms = Some(parse(&value("--chaos-window-ms")?)?)
-            }
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--cluster" => args.cluster = true,
-            "--kill-leader-ms" => args.kill_leader_ms = Some(parse(&value("--kill-leader-ms")?)?),
-            "--smoke" => args.smoke = true,
-            "--scrape" => args.scrape = Some(value("--scrape")?),
-            other => return Err(format!("unknown flag: {other}")),
-        }
+fn parse_soak(args: &[String]) -> Result<SoakArgs, CliError> {
+    let parsed = parse_args(
+        args,
+        &[
+            "seed",
+            "users",
+            "sessions",
+            "iterations",
+            "k",
+            "think-ms",
+            "abandon-per-mille",
+            "ingest-rate",
+            "deadline-ms",
+            "chaos",
+            "chaos-window-ms",
+            "out",
+            "kill-leader-ms",
+            "scrape",
+        ],
+        &["cluster", "smoke"],
+    )?;
+    if let Some(extra) = parsed.positionals.first() {
+        return Err(CliError::Usage(format!("unexpected argument: {extra}")));
     }
-    Ok(args)
+    let config = soak_config(&parsed)?;
+    let cluster = parsed.switch("cluster");
+    let kill_leader_ms = parsed.parse_opt("kill-leader-ms")?;
+    if kill_leader_ms.is_some() && !(cluster && config.ingest_per_sec > 0) {
+        return Err(CliError::Usage(
+            "--kill-leader-ms needs a replicated ingest partition: \
+             --cluster with --ingest-rate > 0"
+                .into(),
+        ));
+    }
+    Ok(SoakArgs {
+        config,
+        out: PathBuf::from(parsed.value("out").unwrap_or("crates/cli/BENCH_soak.json")),
+        cluster,
+        kill_leader_ms,
+        scrape: parsed.value("scrape").map(String::from),
+    })
 }
 
-fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse()
-        .map_err(|_| format!("could not parse value: {s:?}"))
-}
-
-fn soak_config(args: &Args) -> SoakConfig {
+fn soak_config(parsed: &Parsed) -> Result<SoakConfig, CliError> {
     // --smoke shrinks the fleet to 16 users and stretches pacing into a
     // ~60-second run; explicit flags override either profile.
-    let (d_users, d_sessions, d_think, d_ingest, d_chaos, d_window, d_abandon) = if args.smoke {
-        (16, 8, 2_000, 10, 2, 30_000, 0)
-    } else {
-        (200, 5, 500, 20, 2, 5_000, 50)
-    };
-    let seed = args.seed.unwrap_or(42);
-    let chaos_events = args.chaos.unwrap_or(d_chaos);
-    let window = args.chaos_window_ms.unwrap_or(d_window);
-    SoakConfig {
+    let (d_users, d_sessions, d_think, d_ingest, d_chaos, d_window, d_abandon) =
+        if parsed.switch("smoke") {
+            (16, 8, 2_000, 10, 2, 30_000, 0)
+        } else {
+            (200, 5, 500, 20, 2, 5_000, 50)
+        };
+    let seed = parsed.parse_value("seed", 42)?;
+    let chaos_events = parsed.parse_value("chaos", d_chaos)?;
+    let window = parsed.parse_value("chaos-window-ms", d_window)?;
+    let config = SoakConfig {
         seed,
-        users: args.users.unwrap_or(d_users),
-        sessions_per_user: args.sessions.unwrap_or(d_sessions),
-        iterations: args.iterations.unwrap_or(3),
-        k: args.k.unwrap_or(20),
-        think_ms: args.think_ms.unwrap_or(d_think),
-        abandon_per_mille: args.abandon_per_mille.unwrap_or(d_abandon),
-        ingest_per_sec: args.ingest_rate.unwrap_or(d_ingest),
-        deadline_ms: args.deadline_ms,
+        users: parsed.parse_value("users", d_users)?,
+        sessions_per_user: parsed.parse_value("sessions", d_sessions)?,
+        iterations: parsed.parse_value("iterations", 3)?,
+        k: parsed.parse_value("k", 20)?,
+        think_ms: parsed.parse_value("think-ms", d_think)?,
+        abandon_per_mille: parsed.parse_value("abandon-per-mille", d_abandon)?,
+        ingest_per_sec: parsed.parse_value("ingest-rate", d_ingest)?,
+        deadline_ms: parsed.parse_opt("deadline-ms")?,
         chaos: seeded_timeline(seed, chaos_events, window),
-    }
+    };
+    config.validate().map_err(CliError::Usage)?;
+    Ok(config)
 }
 
 /// Temp dirs backing durable nodes, removed on drop (best effort).
@@ -176,7 +163,7 @@ fn node_service(
     Ok(Arc::new(service))
 }
 
-fn scrape(addr: &str, out: &std::path::Path) -> Result<(), String> {
+fn scrape(addr: &str, out: &Path) -> Result<(), String> {
     let mut client =
         Client::connect(addr, ClientConfig::default()).map_err(|e| format!("connect: {e}"))?;
     match client
@@ -184,7 +171,7 @@ fn scrape(addr: &str, out: &std::path::Path) -> Result<(), String> {
         .map_err(|e| format!("stats: {e}"))?
     {
         Response::Stats(snapshot) => {
-            qcluster_loadgen::write_metrics_artifact(out, "stats", &snapshot)
+            write_metrics_artifact(out, "stats", &snapshot)
                 .map_err(|e| format!("write artifact: {e}"))?;
             println!("wrote stats scrape of {addr} to {}", out.display());
             Ok(())
@@ -197,29 +184,17 @@ fn scrape(addr: &str, out: &std::path::Path) -> Result<(), String> {
 /// runs after the soak drains.
 const RYW_PROBE_ROUNDS: u64 = 16;
 
-/// Settles the two leader-kill bars after the soak drained.
-///
-/// **Zero acked-ingest loss**: the ingest partition's final leader
-/// must hold at least as many committed records as the majority
-/// (median-replica) floor sampled right before the kill — promotion
-/// picks the best-total survivor, so a lower total means an acked
-/// write vanished.
-///
-/// **Read-your-writes**: each probe round ingests a unique marker
-/// vector through a session and immediately queries `k = 1` with the
-/// marker as the query; the session's own write (distance 0) must
-/// come back even though `StaleOk` lets lag-bounded followers serve
-/// reads — the session ingest mark has to keep replicas that missed
-/// the write out of the read path. Probe rounds also run the full
-/// fence-before-ship path, so a promotion that never converged shows
-/// up here as an error, not a hang.
+/// Settles the two leader-kill bars of [`LeaderKillReport`] after the
+/// soak drained, given what the kill thread saw (`kill`). The final
+/// leader's total is checked against the acked floor; then each probe
+/// round ingests a unique marker through a session and queries it back
+/// at `k = 1`, which under `StaleOk` only the session's ingest mark
+/// keeps lagging replicas from missing. A promotion that never
+/// converged fails a probe with an error here, not a hang.
 fn leader_kill_report(
     router: &Router,
     dataset: &qcluster_eval::Dataset,
-    at_ms: u64,
-    partition: usize,
-    killed_replica: usize,
-    acked_floor: u64,
+    (at_ms, partition, killed_replica, acked_floor): (u64, usize, usize, u64),
 ) -> Result<LeaderKillReport, String> {
     let session = router
         .create_session(None)
@@ -268,14 +243,20 @@ fn leader_kill_report(
     })
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    if let Some(addr) = &args.scrape {
-        return scrape(addr, &args.out);
+/// `qcluster soak [flags]`: a one-shot scrape with `--scrape`, else a
+/// whole soak. A leader kill that lost an acked ingest or broke
+/// read-your-writes is an error, so the process exits non-zero.
+pub fn cmd_soak(args: &[String]) -> Result<(), CliError> {
+    let args = parse_soak(args)?;
+    match &args.scrape {
+        Some(addr) => scrape(addr, &args.out),
+        None => run(&args),
     }
-    let config = soak_config(&args);
-    config.validate()?;
+    .map_err(|e| CliError::stage("soak", e))
+}
 
+fn run(args: &SoakArgs) -> Result<(), String> {
+    let config = &args.config;
     eprintln!("building quick-scale semantic-gap corpus…");
     let dataset = qcluster_eval::Dataset::semantic_gap(&SemanticGapConfig {
         categories: 150,
@@ -368,11 +349,6 @@ fn run() -> Result<(), String> {
     let servers = Arc::new(Mutex::new(servers));
     let kill_thread = match (args.kill_leader_ms, &cluster) {
         (Some(kill_ms), Some((router, ingest_servers))) => {
-            if ingest_servers.len() < 3 {
-                return Err("--kill-leader-ms needs a replicated ingest partition \
-                     (--cluster with --ingest-rate > 0)"
-                    .into());
-            }
             eprintln!("  leader kill armed: ingest-partition leader dies at +{kill_ms}ms");
             let router = Arc::clone(router);
             let ingest_servers = ingest_servers.clone();
@@ -399,32 +375,20 @@ fn run() -> Result<(), String> {
                 (kill_ms, p, victim, acked_floor)
             }))
         }
-        (Some(_), None) => {
-            return Err("--kill-leader-ms requires --cluster".into());
-        }
         _ => None,
     };
 
-    let outcome = run_soak(&dataset, backend.as_ref(), &config)?;
+    let outcome = run_soak(&dataset, backend.as_ref(), config)?;
     let metrics = backend.stats()?;
-    let mut report = SoakReport::new(&config, target, &outcome, metrics);
+    let mut report = SoakReport::new(config, target, &outcome, metrics);
 
     if let Some(handle) = kill_thread {
-        let (at_ms, partition, killed_replica, acked_floor) =
-            handle.join().map_err(|_| "leader-kill thread panicked")?;
+        let kill = handle.join().map_err(|_| "leader-kill thread panicked")?;
         let (router, _) = cluster.as_ref().expect("kill scenario implies cluster");
-        report.leader_kill = Some(leader_kill_report(
-            router,
-            &dataset,
-            at_ms,
-            partition,
-            killed_replica,
-            acked_floor,
-        )?);
+        report.leader_kill = Some(leader_kill_report(router, &dataset, kill)?);
     }
     drop(anti_entropy);
-    qcluster_loadgen::write_soak_artifact(&args.out, &report)
-        .map_err(|e| format!("write artifact: {e}"))?;
+    write_soak_artifact(&args.out, &report).map_err(|e| format!("write artifact: {e}"))?;
 
     println!(
         "soak done in {:.1}s: {:.1} q/s, p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms max {:.2}ms",
@@ -506,9 +470,55 @@ fn run() -> Result<(), String> {
     Ok(())
 }
 
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("soak: {e}");
-        std::process::exit(1);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<SoakArgs, CliError> {
+        parse_soak(
+            &args
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    fn usage_error(args: &str) -> String {
+        match parse(args) {
+            Err(CliError::Usage(msg)) => msg,
+            _ => panic!("`{args}` should be a usage error"),
+        }
+    }
+
+    #[test]
+    fn defaults_are_the_full_soak_and_smoke_shrinks_it() {
+        let args = parse("").unwrap();
+        let c = &args.config;
+        assert_eq!(
+            (c.users, c.sessions_per_user, c.think_ms, c.ingest_per_sec),
+            (200, 5, 500, 20)
+        );
+        assert_eq!(
+            (c.seed, c.iterations, c.k, c.abandon_per_mille),
+            (42, 3, 20, 50)
+        );
+        assert_eq!(args.out, PathBuf::from("crates/cli/BENCH_soak.json"));
+        let c = parse("--smoke --users 8 --deadline-ms 250").unwrap().config;
+        assert_eq!(
+            (c.users, c.sessions_per_user, c.think_ms, c.ingest_per_sec),
+            (8, 8, 2_000, 10)
+        );
+        assert_eq!((c.chaos.len(), c.deadline_ms), (2, Some(250)));
+    }
+
+    #[test]
+    fn flag_misuse_is_a_usage_error_before_anything_binds() {
+        assert!(usage_error("--smoke --kill-leader-ms 3000").contains("--cluster"));
+        let no_ingest = "--cluster --ingest-rate 0 --kill-leader-ms 3000";
+        assert!(usage_error(no_ingest).contains("--ingest-rate"));
+        assert!(usage_error("--smoke --userz 8").contains("--userz"));
+        assert!(usage_error("--smoke extra").contains("extra"));
+        let kill = parse("--cluster --ingest-rate 40 --kill-leader-ms 3000").unwrap();
+        assert_eq!(kill.kill_leader_ms, Some(3000));
     }
 }

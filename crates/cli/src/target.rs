@@ -59,8 +59,12 @@ fn net_err(e: NetError) -> String {
     format!("net: {e}")
 }
 
-fn unexpected(what: &str, response: &Response) -> String {
-    format!("unexpected response to {what}: {response:?}")
+/// A reply that does not answer `what`: a service error or a wrong variant.
+fn unexpected(what: &str, response: Response) -> String {
+    match response {
+        Response::Error(e) => format!("service: {e}"),
+        other => format!("unexpected response to {what}: {other:?}"),
+    }
 }
 
 /// The wire shape of a round's marks: the service resolves the vectors
@@ -81,8 +85,7 @@ fn reply_from_response(what: &str, response: Response) -> Result<QueryReply, Str
             stats: stats.into(),
             degraded,
         }),
-        Response::Error(e) => Err(format!("service: {e}")),
-        other => Err(unexpected(what, &other)),
+        other => Err(unexpected(what, other)),
     }
 }
 
@@ -137,8 +140,7 @@ impl UserTarget for TcpTarget {
             .map_err(net_err)?
         {
             Response::SessionCreated { session } => Ok(session),
-            Response::Error(e) => Err(format!("service: {e}")),
-            other => Err(unexpected("CreateSession", &other)),
+            other => Err(unexpected("CreateSession", other)),
         }
     }
 
@@ -173,8 +175,7 @@ impl UserTarget for TcpTarget {
             .map_err(net_err)?
         {
             Response::FeedAccepted { .. } => Ok(()),
-            Response::Error(e) => Err(format!("service: {e}")),
-            other => Err(unexpected("Feed", &other)),
+            other => Err(unexpected("Feed", other)),
         }
     }
 
@@ -185,8 +186,7 @@ impl UserTarget for TcpTarget {
             .map_err(net_err)?
         {
             Response::SessionClosed { .. } => Ok(()),
-            Response::Error(e) => Err(format!("service: {e}")),
-            other => Err(unexpected("CloseSession", &other)),
+            other => Err(unexpected("CloseSession", other)),
         }
     }
 }
@@ -200,16 +200,14 @@ impl SoakBackend for TcpBackend {
     fn ingest(&self, vector: Vec<f64>) -> Result<usize, String> {
         match self.control_call(&Request::Ingest { vector })? {
             Response::Ingested { id, .. } => Ok(id),
-            Response::Error(e) => Err(format!("service: {e}")),
-            other => Err(unexpected("Ingest", &other)),
+            other => Err(unexpected("Ingest", other)),
         }
     }
 
     fn stats(&self) -> Result<MetricsSnapshot, String> {
         match self.control_call(&Request::Stats)? {
             Response::Stats(snapshot) => Ok(*snapshot),
-            Response::Error(e) => Err(format!("service: {e}")),
-            other => Err(unexpected("Stats", &other)),
+            other => Err(unexpected("Stats", other)),
         }
     }
 
@@ -272,8 +270,7 @@ impl UserTarget for RouterTarget {
             .map_err(|e| format!("router: {e}"))?
         {
             Response::FeedAccepted { .. } => Ok(()),
-            Response::Error(e) => Err(format!("service: {e}")),
-            other => Err(unexpected("Feed", &other)),
+            other => Err(unexpected("Feed", other)),
         }
     }
 

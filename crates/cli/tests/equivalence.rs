@@ -9,9 +9,9 @@
 //! TCP hop, neither of which may change *what* is retrieved beyond
 //! equal-distance tie ordering.
 
+use qcluster_cli::{offline_baseline, run_soak, SoakBackend, SoakConfig, TcpBackend};
 use qcluster_core::{QclusterConfig, QclusterEngine};
 use qcluster_eval::{run_session, FeedbackSession};
-use qcluster_loadgen::{offline_baseline, run_soak, SoakBackend, SoakConfig, TcpBackend};
 use qcluster_net::{ClientConfig, Server, ServerConfig};
 use qcluster_service::{Service, ServiceConfig};
 use std::sync::Arc;

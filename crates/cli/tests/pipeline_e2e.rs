@@ -15,7 +15,7 @@ use qcluster_cli::{
     build, compare_reports, ingest, offline_eval, serve, served_eval, synth_images, EvalOptions,
     IngestConfig, IngestSource, PipelineStats, ServeOptions, SynthImagesConfig,
 };
-use qcluster_loadgen::{SoakBackend, TcpBackend};
+use qcluster_cli::{SoakBackend, TcpBackend};
 use qcluster_net::ClientConfig;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;

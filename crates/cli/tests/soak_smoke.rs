@@ -2,7 +2,7 @@
 //! scheduled fault, asserting completion, quality bounds, and a valid
 //! `BENCH_soak.json`-schema artifact.
 
-use qcluster_loadgen::{
+use qcluster_cli::{
     run_soak, soak_artifact_json, ChaosEvent, ChaosKind, SoakBackend, SoakConfig, SoakReport,
     TcpBackend,
 };

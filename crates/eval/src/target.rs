@@ -4,8 +4,8 @@
 //! The closed loop in [`crate::session`] only speaks [`UserTarget`]. The
 //! in-process door lives here ([`InProcessTarget`]: a
 //! [`RetrievalMethod`] over the dataset's hybrid tree); the doors that
-//! cross a socket (TCP client, router) live in `qcluster-loadgen`, so
-//! this crate carries no transport dependency.
+//! cross a socket (TCP client, router) live in `qcluster-cli`'s
+//! `target` module, so this crate carries no transport dependency.
 
 use qcluster_baselines::RetrievalMethod;
 use qcluster_core::{CoreError, FeedbackPoint};

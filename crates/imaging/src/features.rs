@@ -157,19 +157,18 @@ impl FeatureSet {
             rows.extend((0..n).map(extract));
         } else {
             let mut parts: Vec<Vec<Vec<f64>>> = Vec::with_capacity(threads);
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..n)
                     .step_by(chunk)
                     .map(|start| {
                         let end = (start + chunk).min(n);
-                        scope.spawn(move |_| (start..end).map(extract).collect::<Vec<_>>())
+                        scope.spawn(move || (start..end).map(extract).collect::<Vec<_>>())
                     })
                     .collect();
                 for h in handles {
                     parts.push(h.join().expect("extraction thread panicked"));
                 }
-            })
-            .expect("thread scope");
+            });
             rows.extend(parts.into_iter().flatten());
         }
 
