@@ -55,6 +55,29 @@ impl Default for EvalOptions {
     }
 }
 
+impl EvalOptions {
+    /// The one check of an eval's shape, for `qcluster eval`'s flags and
+    /// a recipe's `[eval]` alike: `k` and `queries` positive, and the
+    /// quality gate's `epsilon`, when there is one, in (0, 1]. `prefix`
+    /// spells the names the way the caller's user wrote them (`--`,
+    /// `eval.`).
+    ///
+    /// # Errors
+    ///
+    /// The first violation, as a message.
+    pub fn check(&self, epsilon: Option<f64>, prefix: &str) -> Result<(), String> {
+        if self.k == 0 || self.queries == 0 {
+            return Err(format!("{prefix}k and {prefix}queries must be positive"));
+        }
+        match epsilon {
+            Some(e) if !(e > 0.0 && e <= 1.0) => {
+                Err(format!("{prefix}epsilon must be in (0, 1], got {e}"))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// One eval run's full result table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvalReport {

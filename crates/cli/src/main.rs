@@ -22,6 +22,7 @@ use qcluster_cli::{
 };
 use qcluster_net::ClientConfig;
 use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -311,7 +312,17 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn cmd_eval(args: &[String]) -> Result<(), CliError> {
+/// `qcluster eval`'s command line, checked whole before the dataset
+/// loads or anything connects.
+struct EvalArgs {
+    parsed: Parsed,
+    features: PathBuf,
+    opts: EvalOptions,
+    addr: Option<SocketAddr>,
+    epsilon: Option<f64>,
+}
+
+fn parse_eval(args: &[String]) -> Result<EvalArgs, CliError> {
     let parsed = parse_args(
         args,
         &["addr", "k", "rounds", "queries", "seed", "epsilon"],
@@ -325,15 +336,38 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
         queries: parsed.parse_value("queries", defaults.queries)?,
         seed: parsed.parse_value("seed", defaults.seed)?,
     };
+    let epsilon = parsed.parse_opt("epsilon")?;
+    opts.check(epsilon, "--").map_err(CliError::Usage)?;
+    let addr = parsed
+        .value("addr")
+        .map(|addr| {
+            addr.parse()
+                .map_err(|e| CliError::Usage(format!("--addr {addr}: {e}")))
+        })
+        .transpose()?;
+    Ok(EvalArgs {
+        parsed,
+        features,
+        opts,
+        addr,
+        epsilon,
+    })
+}
+
+fn cmd_eval(args: &[String]) -> Result<(), CliError> {
+    let EvalArgs {
+        parsed,
+        features,
+        opts,
+        addr,
+        epsilon,
+    } = parse_eval(args)?;
     let dataset = qcluster_eval::load_dataset_auto(&features)
         .map_err(|e| CliError::stage("eval", format!("{}: {e}", features.display())))?;
     let stats = stats_for("eval", &parsed);
     let offline = offline_eval(&dataset, &opts, &stats)?;
-    let served = match parsed.value("addr") {
+    let served = match addr {
         Some(addr) => {
-            let addr = addr
-                .parse()
-                .map_err(|e| CliError::Usage(format!("--addr {addr}: {e}")))?;
             let backend = TcpBackend::connect(addr, ClientConfig::default())
                 .map_err(|e| CliError::stage("eval", e))?;
             Some(served_eval(&dataset, &backend, &opts, &stats)?)
@@ -360,7 +394,7 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
         }
         print!("{}", stats.render_table());
     }
-    if let (Some(served), Some(epsilon)) = (&served, parsed.parse_opt("epsilon")?) {
+    if let (Some(served), Some(epsilon)) = (&served, epsilon) {
         compare_reports(served, &offline, epsilon)?;
         println!("quality gate passed: served within {epsilon} of offline at every iteration");
     }
@@ -440,4 +474,32 @@ fn default_workdir(recipe_path: &Path) -> PathBuf {
         .and_then(|s| s.to_str())
         .unwrap_or("recipe");
     PathBuf::from("target").join("run").join(stem)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn usage_error(args: &str) -> String {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        match parse_eval(&args) {
+            Err(CliError::Usage(msg)) => msg,
+            _ => panic!("`{args:?}` should be a usage error"),
+        }
+    }
+
+    /// The features path does not exist: a usage error must come back
+    /// before anything tries to load it.
+    #[test]
+    fn eval_flag_misuse_is_a_usage_error_before_the_dataset_loads() {
+        assert!(usage_error("missing.qdsb --k 0").contains("--k"));
+        assert!(usage_error("missing.qdsb --queries 0").contains("--queries"));
+        for epsilon in ["nan", "-1", "0", "1.5", "inf"] {
+            let msg = usage_error(&format!("missing.qdsb --epsilon {epsilon}"));
+            assert!(msg.contains("--epsilon"), "{epsilon}: {msg}");
+        }
+        assert!(usage_error("missing.qdsb --addr nowhere").contains("--addr"));
+        let ok = parse_eval(&["missing.qdsb".into(), "--epsilon".into(), "1".into()]).unwrap();
+        assert_eq!((ok.opts, ok.epsilon), (EvalOptions::default(), Some(1.0)));
+    }
 }

@@ -283,15 +283,7 @@ impl Recipe {
         if self.corpus.image_size < 4 {
             return Err(bad("corpus.image_size must be at least 4".into()));
         }
-        if self.eval.k == 0 || self.eval.queries == 0 {
-            return Err(bad("eval.k and eval.queries must be positive".into()));
-        }
-        if !(self.epsilon > 0.0 && self.epsilon <= 1.0) {
-            return Err(bad(format!(
-                "eval.epsilon must be in (0, 1], got {}",
-                self.epsilon
-            )));
-        }
+        self.eval.check(Some(self.epsilon), "eval.").map_err(bad)?;
         let n = self.corpus.categories * self.corpus.images_per_category;
         if self.nodes > n {
             return Err(bad(format!(

@@ -3,8 +3,8 @@
 //! `BENCH_soak.json`-schema artifact.
 
 use qcluster_cli::{
-    run_soak, soak_artifact_json, ChaosEvent, ChaosKind, SoakBackend, SoakConfig, SoakReport,
-    TcpBackend,
+    offline_baseline, run_soak, soak_artifact_json, ChaosEvent, ChaosKind, SoakBackend, SoakConfig,
+    SoakReport, TcpBackend,
 };
 use qcluster_net::{ClientConfig, Server, ServerConfig};
 use qcluster_service::{Service, ServiceConfig};
@@ -17,7 +17,7 @@ fn dataset() -> qcluster_eval::Dataset {
     qcluster_eval::Dataset::small_default(qcluster_imaging::FeatureKind::ColorMoments, 9).unwrap()
 }
 
-fn serve_with(dataset: &qcluster_eval::Dataset, kind: qcluster_service::ShardKind) -> Server {
+fn serve(dataset: &qcluster_eval::Dataset) -> Server {
     let points: Vec<Vec<f64>> = (0..dataset.len())
         .map(|i| dataset.vector(i).to_vec())
         .collect();
@@ -26,16 +26,11 @@ fn serve_with(dataset: &qcluster_eval::Dataset, kind: qcluster_service::ShardKin
         ServiceConfig {
             num_shards: 2,
             num_workers: 2,
-            shard_kind: kind,
             ..ServiceConfig::default()
         },
     )
     .unwrap();
     Server::bind("127.0.0.1:0", Arc::new(service), ServerConfig::default()).unwrap()
-}
-
-fn serve(dataset: &qcluster_eval::Dataset) -> Server {
-    serve_with(dataset, qcluster_service::ShardKind::default())
 }
 
 #[test]
@@ -143,25 +138,22 @@ fn quantized_soak_matches_exact_service_trajectory() {
         ..SoakConfig::default()
     };
 
-    // Same seeded fleet against an exact-scan server and a quantized
-    // two-phase server. The workload is byte-identical per user, and the
-    // feedback loop is driven entirely by retrieved ids — so if the
-    // served two-phase scan is bit-for-bit exact, every session follows
-    // the identical trajectory and the precision curves match exactly.
-    let run = |kind| {
-        let server = serve_with(&dataset, kind);
-        let backend = TcpBackend::connect(server.local_addr(), ClientConfig::default()).unwrap();
-        let outcome = run_soak(&dataset, &backend, &config).unwrap();
-        let metrics = backend.stats().unwrap();
-        server.shutdown();
-        (outcome, metrics)
-    };
-    let (exact, _) = run(qcluster_service::ShardKind::Scan);
-    let (quant, metrics) = run(qcluster_service::ShardKind::Quantized);
+    // Same seeded fleet against the quantized two-phase server and the
+    // exact in-process replay. The workload is byte-identical per user,
+    // and the feedback loop is driven entirely by retrieved ids — so if
+    // the served two-phase scan is bit-for-bit exact, every session
+    // follows the identical trajectory and the precision curves match
+    // exactly.
+    let server = serve(&dataset);
+    let backend = TcpBackend::connect(server.local_addr(), ClientConfig::default()).unwrap();
+    let quant = run_soak(&dataset, &backend, &config).unwrap();
+    let metrics = backend.stats().unwrap();
+    server.shutdown();
+    let exact = offline_baseline(&dataset, &config).unwrap();
 
     assert_eq!(quant.counters.sessions_completed, 8);
     assert_eq!(quant.counters.query_errors, 0);
-    assert_eq!(exact.precision, quant.precision, "served path diverged");
+    assert_eq!(exact, quant.precision, "served path diverged");
 
     // The quantized path actually ran: phase 1 touched every point at
     // least once and phase 2 reranked a strict subset.

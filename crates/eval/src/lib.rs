@@ -27,7 +27,6 @@
 
 pub mod dataset;
 pub mod experiments;
-pub mod fusion;
 pub mod oracle;
 pub mod persist;
 pub mod pr;
@@ -37,7 +36,6 @@ pub mod target;
 pub mod user;
 
 pub use dataset::Dataset;
-pub use fusion::MultiFeatureDataset;
 pub use oracle::RelevanceOracle;
 pub use persist::{
     load_dataset, load_dataset_auto, load_dataset_binary, save_dataset, save_dataset_binary,

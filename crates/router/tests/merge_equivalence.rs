@@ -67,7 +67,7 @@ proptest! {
 mod end_to_end {
     use qcluster_net::{ClientConfig, Server, ServerConfig};
     use qcluster_router::{Partition, ReadPreference, Router, RouterConfig, RouterError, ShardMap};
-    use qcluster_service::{dispatch, Request, Response, Service, ServiceConfig, ShardKind};
+    use qcluster_service::{dispatch, Request, Response, Service, ServiceConfig};
     use std::net::SocketAddr;
     use std::sync::Arc;
     use std::time::Duration;
@@ -86,7 +86,6 @@ mod end_to_end {
                 points,
                 ServiceConfig {
                     num_shards: 2,
-                    shard_kind: ShardKind::Tree,
                     ..ServiceConfig::default()
                 },
             )

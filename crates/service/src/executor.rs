@@ -8,11 +8,11 @@
 //! deadline, or one arriving at a saturated node — queues its jobs on
 //! the pool, first come first served, and no caller overtakes it.
 //!
-//! Quantized shards answer one query as one [`CooperativeScan`]: each
-//! shard job runs phase 1 against the fan-out's shared threshold and
-//! replies with its candidates, and the caller reranks the merged
-//! candidates once after [`gather`]. Every other shard job — and a
-//! quantized one whose plan misses — replies with its own top-k.
+//! The shards answer one query as one [`CooperativeScan`]: each shard
+//! job runs phase 1 against the fan-out's shared threshold and replies
+//! with its candidates, and the caller reranks the merged candidates
+//! once after [`gather`]. A shard job whose query compiles no plan
+//! replies with its own exact top-k.
 //!
 //! Refined queries (e.g. [`DisjunctiveQuery`](qcluster_core::DisjunctiveQuery))
 //! carry interior scratch buffers, so they are `Send` but not `Sync`: the
@@ -38,8 +38,8 @@
 //! Chaos tests inject faults through `qcluster-failpoint`:
 //! `executor.shard` (any shard job) and `executor.shard.<i>` (one
 //! shard) support `panic:<msg>`, `error:<msg>`, and `sleep:<ms>`, and
-//! fire after the shard's work — a quantized shard has published its
-//! threshold by then — and before its reply;
+//! fire after the shard's work — the shard has published its threshold
+//! by then — and before its reply;
 //! `executor.worker.exit` makes a worker thread exit after completing
 //! its next job (exercising [`Executor::heal`]).
 
@@ -371,9 +371,7 @@ impl Executor {
     /// open circuit breaker or lost to panics/timeouts appear in
     /// [`FanoutReport::failures`].
     ///
-    /// `caches` optionally supplies one per-shard session cache; pass
-    /// the same slice across a session's queries to model the
-    /// multipoint approach's cross-iteration node buffer.
+    /// `caches` is only length-checked; it stays because `benchmark/` passes it (ROADMAP 1(b)).
     ///
     /// # Errors
     ///
@@ -445,7 +443,6 @@ impl Executor {
             |i, reply| {
                 let shard = Arc::clone(&corpus.shards()[i]);
                 let shard_query = query.clone_fanout();
-                let cache = caches.map(|c| Arc::clone(&c[i]));
                 let scan = Arc::clone(&scan);
                 // The job owns its reservation from here, also when the
                 // submit below fails and drops it unrun.
@@ -453,7 +450,7 @@ impl Executor {
                 let shard_latency = Arc::clone(&self.shard_latency);
                 let job: Job = Box::new(move || {
                     let job_start = Instant::now();
-                    let outcome = run_shard_job(i, &shard, &scan, &*shard_query, k, cache.as_ref());
+                    let outcome = run_shard_job(i, &shard, &scan, &*shard_query, k);
                     if outcome.is_ok() {
                         shard_latency.record(job_start.elapsed());
                     }
@@ -547,14 +544,10 @@ fn run_shard_job(
     scan: &CooperativeScan,
     query: &dyn FanoutQuery,
     k: usize,
-    cache: Option<&Arc<Mutex<NodeCache>>>,
 ) -> Result<(ShardPart, SearchStats), ShardFailureKind> {
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<(ShardPart, SearchStats), ShardFailureKind> {
-            let done = {
-                let mut cache = cache.map(|c| c.lock().unwrap_or_else(|e| e.into_inner()));
-                shard.fanout_part(scan, query, k, cache.as_deref_mut())
-            };
+            let done = shard.fanout_part(scan, query, k);
             // Failpoints: the shard-specific name wins over the generic
             // one; formatting only happens while any failpoint is armed.
             if failpoint::active() {
@@ -611,7 +604,6 @@ impl Drop for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardKind;
     use qcluster_index::{EuclideanQuery, LinearScan};
 
     fn pool(num_workers: usize) -> Executor {
@@ -636,50 +628,19 @@ mod tests {
         let pts = spiral(500);
         let expect = LinearScan::new(&pts).knn(&EuclideanQuery::new(vec![1.0, -2.0, 3.0]), 25);
         let executor = pool(3);
-        for kind in [ShardKind::Scan, ShardKind::Tree, ShardKind::Quantized] {
-            for shards in [1, 2, 4, 7] {
-                let corpus = ShardedCorpus::build(&pts, shards, kind).unwrap();
-                let q = EuclideanQuery::new(vec![1.0, -2.0, 3.0]);
-                let report = executor.try_knn(&corpus, &q, 25, None, None).unwrap();
-                let (got, stats) = (report.neighbors, report.stats);
-                assert_eq!(got.len(), 25, "{kind:?}/{shards}");
-                for (a, b) in got.iter().zip(expect.iter()) {
-                    assert_eq!(a.id, b.id, "{kind:?}/{shards}");
-                    assert!((a.distance - b.distance).abs() < 1e-12);
-                }
-                assert!(stats.nodes_accessed >= corpus.num_shards() as u64);
-            }
+        for shards in [1, 2, 4, 7] {
+            let corpus = ShardedCorpus::build(&pts, shards).unwrap();
+            let q = EuclideanQuery::new(vec![1.0, -2.0, 3.0]);
+            let report = executor.try_knn(&corpus, &q, 25, None, None).unwrap();
+            assert_eq!(report.neighbors, expect, "{shards} shards");
+            assert_eq!(report.stats.quant_phase1_points, pts.len() as u64);
         }
-    }
-
-    #[test]
-    fn session_caches_accumulate_hits_across_queries() {
-        let pts = spiral(400);
-        let corpus = ShardedCorpus::build(&pts, 4, ShardKind::Tree).unwrap();
-        let executor = pool(2);
-        let caches: Vec<Arc<Mutex<NodeCache>>> = corpus
-            .shards()
-            .iter()
-            .map(|s| Arc::new(Mutex::new(NodeCache::new(s.num_nodes()))))
-            .collect();
-        let q = EuclideanQuery::new(vec![0.0, 0.0, 2.0]);
-        let knn = |q| {
-            executor
-                .try_knn(&corpus, q, 10, Some(&caches), None)
-                .unwrap()
-        };
-        let first = knn(&q).stats;
-        assert_eq!(first.cache_hits, 0);
-        let q2 = EuclideanQuery::new(vec![0.1, -0.1, 2.0]);
-        let second = knn(&q2).stats;
-        assert!(second.cache_hits > 0, "refined query must reuse nodes");
-        assert!(second.disk_reads < first.disk_reads);
     }
 
     #[test]
     fn executor_outlives_many_rounds_and_drops_cleanly() {
         let pts = spiral(120);
-        let corpus = ShardedCorpus::build(&pts, 3, ShardKind::Scan).unwrap();
+        let corpus = ShardedCorpus::build(&pts, 3).unwrap();
         let executor = pool(4);
         assert_eq!(executor.num_workers(), 4);
         for round in 0..50 {
@@ -693,7 +654,7 @@ mod tests {
     #[test]
     fn try_knn_reports_full_coverage_on_healthy_pool() {
         let pts = spiral(200);
-        let corpus = ShardedCorpus::build(&pts, 4, ShardKind::Scan).unwrap();
+        let corpus = ShardedCorpus::build(&pts, 4).unwrap();
         let executor = pool(2);
         let q = EuclideanQuery::new(vec![0.5, 0.5, 1.0]);
         let report = executor.try_knn(&corpus, &q, 10, None, None).unwrap();
@@ -707,7 +668,7 @@ mod tests {
 
     #[test]
     fn try_knn_rejects_invalid_requests_with_typed_errors() {
-        let corpus = ShardedCorpus::build(&spiral(20), 2, ShardKind::Scan).unwrap();
+        let corpus = ShardedCorpus::build(&spiral(20), 2).unwrap();
         let executor = pool(1);
         let q = EuclideanQuery::new(vec![0.0, 0.0, 0.0]);
         assert!(matches!(
@@ -732,7 +693,7 @@ mod tests {
     #[test]
     fn generous_deadline_changes_nothing() {
         let pts = spiral(300);
-        let corpus = ShardedCorpus::build(&pts, 3, ShardKind::Tree).unwrap();
+        let corpus = ShardedCorpus::build(&pts, 3).unwrap();
         let executor = pool(2);
         let q = EuclideanQuery::new(vec![1.0, 0.0, 2.0]);
         let plain = executor
@@ -774,7 +735,7 @@ mod tests {
         std::thread::spawn(move || {
             let pts = spiral(400);
             let q = EuclideanQuery::new(vec![1.0, -2.0, 3.0]);
-            let corpus = ShardedCorpus::build(&pts, 4, ShardKind::Quantized).unwrap();
+            let corpus = ShardedCorpus::build(&pts, 4).unwrap();
             let deadline = deadline.map(|d| Instant::now() + d);
             let report = executor.try_knn(&corpus, &q, 12, None, deadline).unwrap();
             assert_eq!(report.neighbors, LinearScan::new(&pts).knn(&q, 12));
@@ -800,7 +761,7 @@ mod tests {
     fn a_fanout_with_a_deadline_leaves_its_jobs_to_the_workers() {
         let executor = pool(2);
         let _release = block_workers(&executor);
-        let corpus = ShardedCorpus::build(&spiral(400), 4, ShardKind::Quantized).unwrap();
+        let corpus = ShardedCorpus::build(&spiral(400), 4).unwrap();
         let q = EuclideanQuery::new(vec![1.0, -2.0, 3.0]);
         let deadline = Instant::now() + Duration::from_millis(100);
         let err = executor.try_knn(&corpus, &q, 12, None, Some(deadline));
@@ -832,7 +793,7 @@ mod tests {
     /// half-open probe: the shard is probed by the next fan-out.
     #[test]
     fn overloaded_fanout_does_not_leak_the_half_open_probe() {
-        let corpus = ShardedCorpus::build(&spiral(60), 2, ShardKind::Scan).unwrap();
+        let corpus = ShardedCorpus::build(&spiral(60), 2).unwrap();
         let executor = Executor::with_config(ExecutorConfig {
             num_workers: 2,
             max_queued_jobs: 8,

@@ -7,10 +7,8 @@
 //!
 //! Subsystems:
 //!
-//! - [`shard`] — the corpus split into contiguous partitions, each with
-//!   its own index (the two-phase quantized scan by default; exact
-//!   linear scan or hybrid tree on request — see [`ShardKind`]),
-//!   answering k-NN with global ids.
+//! - [`shard`] — the corpus split into contiguous partitions, each a
+//!   two-phase quantized scan, answering k-NN with global ids.
 //! - [`executor`] — a persistent worker pool fed through crossbeam
 //!   channels; one query fans out across all shards (each job gets its
 //!   own query clone, because refined queries are `Send` but not `Sync`)
@@ -18,8 +16,8 @@
 //! - [`fanout`] — the one fault-tolerant fan-out primitive (circuit
 //!   breaker, deadline-bounded collection, typed attribution of every
 //!   missing leg) under both the executor and the cluster router.
-//! - [`session`] — per-client state (engine + per-shard node caches)
-//!   behind a registry with idle-TTL expiry and a max-sessions cap with
+//! - [`session`] — per-client state (engine + compiled plan) behind a
+//!   registry with idle-TTL expiry and a max-sessions cap with
 //!   LRU eviction.
 //! - [`metrics`] — lock-free latency summaries and cache/eviction/session
 //!   counters, snapshotable at any time.

@@ -673,9 +673,8 @@ impl MetricsSnapshot {
     }
 }
 
-/// Two-phase quantized-scan counters, summed over every query served by
-/// [`crate::ShardKind::Quantized`] shards. All zero when no quantized
-/// shard exists. `phase1_points / reranked` is the pruning ratio; a
+/// Two-phase quantized-scan counters, summed over every query the
+/// shards served. `phase1_points / reranked` is the pruning ratio; a
 /// non-zero `fallback_rescans` means candidate sets failed
 /// certification and were rescanned exactly (results stay exact either
 /// way).
@@ -773,9 +772,10 @@ pub struct MetricsSnapshot {
     /// Per-shard k-NN execution latency quantiles, recorded at the
     /// worker job site (excludes queueing and merge time).
     pub shard_latency: HistogramSummary,
-    /// Node-cache hits across all sessions.
+    /// Node-cache hits across all sessions (always 0: the shards scan,
+    /// and a scan has no nodes to cache).
     pub cache_hits: u64,
-    /// Node-cache misses (simulated disk reads).
+    /// Node-cache misses, simulated disk reads (always 0, as above).
     pub cache_misses: u64,
     /// `hits / (hits + misses)`; 0 before any access.
     pub cache_hit_ratio: f64,
@@ -783,8 +783,7 @@ pub struct MetricsSnapshot {
     pub plan_cache_hits: u64,
     /// Queries that compiled (or recompiled) their plan.
     pub plan_cache_misses: u64,
-    /// Two-phase quantized-scan counters (all zero without quantized
-    /// shards).
+    /// Two-phase quantized-scan counters.
     pub quant: QuantGauges,
     /// Sessions evicted by TTL or LRU pressure.
     pub evictions: u64,

@@ -2,8 +2,8 @@
 //! metrics behind one concurrency-safe façade.
 //!
 //! Every public method takes `&self` — a single [`Service`] value wrapped
-//! in an [`Arc`] is the intended deployment shape, with any number of
-//! client threads calling into it concurrently.
+//! in an [`Arc`](std::sync::Arc) is the intended deployment shape, with
+//! any number of client threads calling into it concurrently.
 
 use crate::error::ServiceError;
 use crate::executor::{
@@ -15,14 +15,12 @@ use crate::shard::{ShardKind, ShardedCorpus};
 use crate::writer::Writer;
 use qcluster_baselines::{method_by_name, RetrievalMethod};
 use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine};
-use qcluster_index::{
-    merge_top_k, EuclideanQuery, FanoutQuery, LinearScan, Neighbor, NodeCache, SearchStats,
-};
+use qcluster_index::{merge_top_k, EuclideanQuery, FanoutQuery, LinearScan, Neighbor, SearchStats};
 use qcluster_store::{
     decode_record_frames, encode_record_frame, CompactionStats, StoreConfig, VectorStore, WalRecord,
 };
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 /// Everything tunable about a service instance.
@@ -32,9 +30,7 @@ pub struct ServiceConfig {
     pub num_shards: usize,
     /// Worker threads in the k-NN pool (default: one per core).
     pub num_workers: usize,
-    /// Index structure per shard. Every kind answers bit for bit the
-    /// same; the default is [`ShardKind::default`], the two-phase u8
-    /// scan.
+    /// Has one value; stays only because `benchmark/` sets it (ROADMAP 1(b)).
     pub shard_kind: ShardKind,
     /// Maximum live sessions.
     pub max_sessions: usize,
@@ -161,7 +157,7 @@ impl Service {
     ///
     /// Panics on zero shards or sessions.
     pub fn new(points: &[Vec<f64>], config: ServiceConfig) -> Result<Self, ServiceError> {
-        let corpus = ShardedCorpus::build(points, config.num_shards, config.shard_kind)?;
+        let corpus = ShardedCorpus::build(points, config.num_shards)?;
         Self::build(corpus, config, Writer::default())
     }
 
@@ -235,7 +231,7 @@ impl Service {
             // file; the shard build's error is the one reported.
             std::thread::scope(|scope| {
                 let seal = scope.spawn(|| store.bootstrap(seed));
-                let corpus = ShardedCorpus::build(seed, config.num_shards, config.shard_kind);
+                let corpus = ShardedCorpus::build(seed, config.num_shards);
                 let sealed = seal.join();
                 let corpus = corpus?;
                 match sealed {
@@ -247,7 +243,7 @@ impl Service {
                 }
             })?
         } else {
-            ShardedCorpus::build(&recovered.vectors, config.num_shards, config.shard_kind)?
+            ShardedCorpus::build(&recovered.vectors, config.num_shards)?
         };
         let service = Service::build(corpus, config, Writer::durable(store, recovered.term))?;
         for snap in &recovered.sessions {
@@ -255,11 +251,10 @@ impl Service {
             // default engine rather than failing the whole recovery.
             let engine = method_by_name(&snap.engine, service.config.engine)
                 .unwrap_or_else(|| Box::new(QclusterEngine::new(service.config.engine)));
-            let caches = service.fresh_caches();
             let feeds = snap.feeds;
-            service.registry.restore(snap.session, move |id| {
-                Session::restored(id, engine, caches, feeds)
-            });
+            service
+                .registry
+                .restore(snap.session, move |id| Session::restored(id, engine, feeds));
         }
         if had_prior {
             service.metrics.record_recovery();
@@ -320,14 +315,6 @@ impl Service {
         self.registry.len()
     }
 
-    fn fresh_caches(&self) -> Vec<Arc<Mutex<NodeCache>>> {
-        self.corpus
-            .shards()
-            .iter()
-            .map(|s| Arc::new(Mutex::new(NodeCache::new(s.num_nodes()))))
-            .collect()
-    }
-
     /// Opens a session hosting the default Qcluster engine.
     ///
     /// # Errors
@@ -363,10 +350,7 @@ impl Service {
         engine: Box<dyn RetrievalMethod>,
     ) -> Result<u64, ServiceError> {
         let engine_name = engine.name();
-        let caches = self.fresh_caches();
-        let (id, evicted) = self
-            .registry
-            .create(move |id| Session::new(id, engine, caches))?;
+        let (id, evicted) = self.registry.create(move |id| Session::new(id, engine))?;
         self.metrics.record_session_created();
         self.metrics.record_evictions(evicted);
         self.snapshot_session(id, engine_name, 0, true)?;
@@ -487,7 +471,7 @@ impl Service {
 
     /// Runs the session's refined query: compiles the engine's current
     /// query (e.g. the disjunctive multipoint query) and fans it out
-    /// across the shards through the session's node caches.
+    /// across the shards.
     ///
     /// The compiled plan is cached in the session: repeat queries
     /// between feedback rounds skip recompilation (covariance inversion
@@ -541,9 +525,7 @@ impl Service {
     }
 
     /// Runs an ad-hoc query from an explicit vector — the session's
-    /// initial example-image round, before any feedback exists. The
-    /// session's node caches still warm up, so the following refined
-    /// rounds get the multipoint approach's buffer reuse.
+    /// initial example-image round, before any feedback exists.
     ///
     /// # Errors
     ///
@@ -599,28 +581,27 @@ impl Service {
         if k == 0 {
             return Err(ServiceError::InvalidRequest("k must be positive".into()));
         }
-        let caches = session.caches_for_query().to_vec();
+        session.record_query();
         let fanout_start = Instant::now();
         // The deadline covers the whole request, so it anchors at
         // `start` (session lookup and plan compilation count against it).
         let fanout_deadline = deadline.map(|d| start + d);
-        let report =
-            match self
-                .executor
-                .try_knn(&self.corpus, query, k, Some(&caches), fanout_deadline)
-            {
-                Ok(report) => report,
-                Err(e) => {
-                    match &e {
-                        ServiceError::DeadlineExceeded { .. } => {
-                            self.metrics.record_deadline_exceeded()
-                        }
-                        ServiceError::Overloaded { .. } => self.metrics.record_overload_rejection(),
-                        _ => {}
+        let report = match self
+            .executor
+            .try_knn(&self.corpus, query, k, None, fanout_deadline)
+        {
+            Ok(report) => report,
+            Err(e) => {
+                match &e {
+                    ServiceError::DeadlineExceeded { .. } => {
+                        self.metrics.record_deadline_exceeded()
                     }
-                    return Err(e);
+                    ServiceError::Overloaded { .. } => self.metrics.record_overload_rejection(),
+                    _ => {}
                 }
-            };
+                return Err(e);
+            }
+        };
         self.metrics.shard_fanout.record(fanout_start.elapsed());
         for failure in &report.failures {
             match failure.kind {
@@ -934,21 +915,16 @@ mod tests {
             .collect()
     }
 
-    fn small_service_of(shard_kind: ShardKind) -> Service {
+    fn small_service() -> Service {
         Service::new(
             &two_blob_corpus(24),
             ServiceConfig {
                 num_shards: 3,
                 num_workers: 2,
-                shard_kind,
                 ..ServiceConfig::default()
             },
         )
         .unwrap()
-    }
-
-    fn small_service() -> Service {
-        small_service_of(ShardKind::default())
     }
 
     #[test]
@@ -959,8 +935,7 @@ mod tests {
 
     #[test]
     fn full_session_lifecycle_end_to_end() {
-        // Tree shards: the cache assertions below are about node reuse.
-        let svc = small_service_of(ShardKind::Tree);
+        let svc = small_service();
         let id = svc.create_session().unwrap();
 
         // Round 0: example-image query near blob A.
@@ -977,8 +952,7 @@ mod tests {
         let refined = svc.query(id, 8).unwrap();
         assert_eq!(refined.neighbors.len(), 8);
         assert!(refined.neighbors.iter().all(|n| n.id < 24));
-        // Refined rounds reuse the session's node buffer.
-        assert!(refined.stats.cache_hits > 0);
+        assert_eq!(refined.stats.quant_plan_misses, 0, "the u8 path served it");
 
         svc.close_session(id).unwrap();
         assert!(svc.query(id, 3).is_err());
@@ -989,46 +963,42 @@ mod tests {
         assert_eq!(stats.active_sessions, 0);
         assert_eq!(stats.query.count, 2);
         assert_eq!(stats.feed.count, 1);
-        assert!(stats.cache_hit_ratio > 0.0);
+        assert_eq!(stats.cache_hit_ratio, 0.0, "a scan buffers no nodes");
     }
 
     #[test]
     fn quantized_service_matches_exact_and_reports_gauges() {
         let points = two_blob_corpus(40);
-        let service_of = |shard_kind| {
-            let config = ServiceConfig {
-                num_shards: 3,
-                num_workers: 2,
-                shard_kind,
-                ..ServiceConfig::default()
-            };
-            Service::new(&points, config).unwrap()
+        let config = ServiceConfig {
+            num_shards: 3,
+            num_workers: 2,
+            ..ServiceConfig::default()
         };
-        let exact = service_of(ShardKind::Scan);
-        let quant = service_of(ShardKind::Quantized);
-
-        let e = exact.create_session().unwrap();
+        let quant = Service::new(&points, config.clone()).unwrap();
+        let exact = LinearScan::new(&points);
         let q = quant.create_session().unwrap();
 
         // Initial vector query and a refined disjunctive round must both be
-        // bit-for-bit identical to the exact service.
-        let ve = exact.query_vector(e, vec![0.4, 0.1], 9).unwrap();
-        let vq = quant.query_vector(q, vec![0.4, 0.1], 9).unwrap();
-        assert_eq!(ve.neighbors, vq.neighbors);
+        // bit-for-bit identical to an exact scan.
+        let example = EuclideanQuery::new(vec![0.4, 0.1]);
+        let vq = quant.query_vector(q, example.center().to_vec(), 9).unwrap();
+        assert_eq!(vq.neighbors, exact.knn(&example, 9));
 
-        let marked: Vec<usize> = ve.neighbors.iter().take(5).map(|n| n.id).collect();
-        exact.feed_ids(e, &marked, None).unwrap();
+        let marked: Vec<usize> = vq.neighbors.iter().take(5).map(|n| n.id).collect();
         quant.feed_ids(q, &marked, None).unwrap();
-        let re = exact.query(e, 9).unwrap();
+        let mut engine = QclusterEngine::new(config.engine);
+        let fed: Vec<FeedbackPoint> = marked
+            .iter()
+            .map(|&id| FeedbackPoint::new(id, points[id].clone(), config.default_score))
+            .collect();
+        engine.feed(&fed).unwrap();
         let rq = quant.query(q, 9).unwrap();
-        assert_eq!(re.neighbors, rq.neighbors);
+        assert_eq!(rq.neighbors, exact.knn(&engine.query().unwrap(), 9));
 
         let stats = quant.stats();
         assert!(stats.quant.phase1_points > 0, "phase 1 should have run");
         assert!(stats.quant.reranked > 0, "phase 2 should have reranked");
         assert_eq!(stats.quant.plan_misses, 0, "diagonal queries plan cleanly");
-        let exact_stats = exact.stats();
-        assert_eq!(exact_stats.quant.phase1_points, 0);
     }
 
     #[test]
@@ -1174,11 +1144,8 @@ mod tests {
         let base: Vec<Vec<f64>> = two_blob_corpus(11)[..21].to_vec();
         let ingested = vec![vec![0.1 + 0.2, -1.0 / 3.0], vec![10.25, 9.75]];
         let union: Vec<Vec<f64>> = base.iter().chain(&ingested).cloned().collect();
-        let config = ServiceConfig {
-            shard_kind: ShardKind::Quantized,
-            ..durable_config()
-        };
-        let svc = Service::open_durable(&dir, &base, config, StoreConfig::default()).unwrap();
+        let svc =
+            Service::open_durable(&dir, &base, durable_config(), StoreConfig::default()).unwrap();
         for v in &ingested {
             svc.ingest(v.clone()).unwrap();
         }
@@ -1248,29 +1215,24 @@ mod tests {
             (bits(&example), bits(&refined))
         };
 
-        for kind in [ShardKind::Scan, ShardKind::Tree, ShardKind::Quantized] {
-            let config = ServiceConfig {
-                shard_kind: kind,
-                ..durable_config()
-            };
-            let want = rounds(&Service::new(&union, config.clone()).unwrap());
-            assert_eq!(want.0[0].0, 3, "{kind:?}: the base id wins its tie");
-            assert_eq!(want.0[1].0, 40, "{kind:?}: its overlay copy is next");
+        let config = durable_config();
+        let want = rounds(&Service::new(&union, config.clone()).unwrap());
+        assert_eq!(want.0[0].0, 3, "the base id wins its tie");
+        assert_eq!(want.0[1].0, 40, "its overlay copy is next");
 
-            let dir = tmp_dir(&format!("differential_{kind:?}"));
-            let svc =
-                Service::open_durable(&dir, &base, config.clone(), StoreConfig::default()).unwrap();
-            for v in &ingested {
-                svc.ingest(v.clone()).unwrap();
-            }
-            assert_eq!(rounds(&svc), want, "{kind:?}: base + overlay");
-            drop(svc);
-
-            let svc = Service::open_durable(&dir, &[], config, StoreConfig::default()).unwrap();
-            assert_eq!(svc.total_vectors(), union.len());
-            assert_eq!(rounds(&svc), want, "{kind:?}: after reopen");
-            std::fs::remove_dir_all(&dir).ok();
+        let dir = tmp_dir("differential");
+        let svc =
+            Service::open_durable(&dir, &base, config.clone(), StoreConfig::default()).unwrap();
+        for v in &ingested {
+            svc.ingest(v.clone()).unwrap();
         }
+        assert_eq!(rounds(&svc), want, "base + overlay");
+        drop(svc);
+
+        let svc = Service::open_durable(&dir, &[], config, StoreConfig::default()).unwrap();
+        assert_eq!(svc.total_vectors(), union.len());
+        assert_eq!(rounds(&svc), want, "after reopen");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Session lifecycle: per-client engine + node-cache state, a registry
+//! Session lifecycle: per-client engine + plan state, a registry
 //! keyed by session id, idle-TTL expiry, and a max-sessions cap with
 //! optional least-recently-used eviction.
 //!
@@ -10,7 +10,7 @@
 
 use crate::error::ServiceError;
 use qcluster_baselines::RetrievalMethod;
-use qcluster_index::{FanoutQuery, NodeCache};
+use qcluster_index::FanoutQuery;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -20,8 +20,6 @@ use std::time::{Duration, Instant};
 pub struct Session {
     id: u64,
     engine: Box<dyn RetrievalMethod>,
-    /// One node cache per shard, shared with in-flight executor jobs.
-    caches: Vec<Arc<Mutex<NodeCache>>>,
     /// The engine's last compiled query, valid until the next
     /// [`Session::engine_mut_for_feed`].
     plan: Option<Box<dyn FanoutQuery>>,
@@ -30,16 +28,11 @@ pub struct Session {
 }
 
 impl Session {
-    /// Assembles a session around an engine and its per-shard caches.
-    pub fn new(
-        id: u64,
-        engine: Box<dyn RetrievalMethod>,
-        caches: Vec<Arc<Mutex<NodeCache>>>,
-    ) -> Self {
+    /// Assembles a session around an engine.
+    pub fn new(id: u64, engine: Box<dyn RetrievalMethod>) -> Self {
         Session {
             id,
             engine,
-            caches,
             plan: None,
             feeds: 0,
             queries: 0,
@@ -49,16 +42,10 @@ impl Session {
     /// Reassembles a recovered session: like [`Session::new`] but with
     /// the feed counter restored from a durable snapshot, so feed
     /// iteration numbers keep counting from where the crash left them.
-    pub fn restored(
-        id: u64,
-        engine: Box<dyn RetrievalMethod>,
-        caches: Vec<Arc<Mutex<NodeCache>>>,
-        feeds: u64,
-    ) -> Self {
+    pub fn restored(id: u64, engine: Box<dyn RetrievalMethod>, feeds: u64) -> Self {
         Session {
             id,
             engine,
-            caches,
             plan: None,
             feeds,
             queries: 0,
@@ -85,10 +72,9 @@ impl Session {
         &mut *self.engine
     }
 
-    /// The per-shard caches; bumps the query counter.
-    pub fn caches_for_query(&mut self) -> &[Arc<Mutex<NodeCache>>] {
+    /// Counts one served query.
+    pub fn record_query(&mut self) {
         self.queries += 1;
-        &self.caches
     }
 
     /// A clone of the cached plan, if the engine has not been handed
@@ -351,11 +337,7 @@ mod tests {
     use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine};
 
     fn mk_session(id: u64) -> Session {
-        Session::new(
-            id,
-            Box::new(QclusterEngine::new(QclusterConfig::default())),
-            vec![Arc::new(Mutex::new(NodeCache::new(4)))],
-        )
+        Session::new(id, Box::new(QclusterEngine::new(QclusterConfig::default())))
     }
 
     fn registry(max: usize, evict: bool) -> SessionRegistry {
@@ -462,7 +444,7 @@ mod tests {
 
     #[test]
     fn qpm_engine_is_hostable() {
-        let mut session = Session::new(1, Box::new(QueryPointMovement::new()), Vec::new());
+        let mut session = Session::new(1, Box::new(QueryPointMovement::new()));
         let engine = session.engine_mut_for_feed();
         assert_eq!(engine.name(), "qpm");
         assert!(engine.query().is_err(), "no feedback yet");

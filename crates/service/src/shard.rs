@@ -1,5 +1,5 @@
-//! Corpus sharding: contiguous partitions of the point set, each backed by
-//! its own index, answering k-NN with **global** point ids.
+//! Corpus sharding: contiguous partitions of the point set, each a
+//! two-phase quantized scan, answering k-NN with **global** point ids.
 //!
 //! Shard `i` holds the contiguous id range `[i·chunk, min((i+1)·chunk, n))`,
 //! so translating a shard-local hit back to the corpus id is a single
@@ -9,75 +9,36 @@
 
 use crate::error::ServiceError;
 use qcluster_index::{
-    CooperativeScan, HybridTree, LinearScan, Neighbor, NodeCache, Phase1, QuantScanStats,
-    QuantizedScan, QueryDistance, SearchStats,
+    CooperativeScan, Neighbor, NodeCache, Phase1, QuantScanStats, QuantizedScan, QueryDistance,
+    SearchStats,
 };
 use std::sync::Arc;
 
-/// Which index structure backs each shard.
+/// The index behind each shard: one kind, kept only because `benchmark/` links it (ROADMAP 1(b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardKind {
-    /// Brute-force scan with a bounded top-k heap (`O(n log k)` per
-    /// query). No interior nodes, so the node cache degenerates to one
-    /// sequential-read slot.
-    Scan,
-    /// Bulk-loaded hybrid tree: pruned best-first search plus real
-    /// node-granular cache accounting (the multipoint approach). Wins on
-    /// low-dimensional, well-separated corpora, where boxes do prune, and
-    /// under the full-inverse covariance scheme; degrades to a slow scan
-    /// where they do not.
-    Tree,
     /// Two-phase quantized scan: phase 1 bounds every point from its u8
     /// codes, phase 2 exactly reranks the surviving window — results
-    /// bit-for-bit equal to [`ShardKind::Scan`], at a fraction of the
-    /// memory bandwidth. Falls back to the exact scan whenever the
-    /// query cannot be soundly bounded. The default: its worst case is
-    /// linear in the corpus and nothing worse.
+    /// bit-for-bit equal to an exact scan, at a fraction of the memory
+    /// bandwidth. Falls back to the exact scan whenever the query
+    /// cannot be soundly bounded.
     #[default]
     Quantized,
 }
 
-#[derive(Debug)]
-enum ShardIndex {
-    Scan(LinearScan),
-    /// Bulk-loading permutes the tree's own buffer, so a tree shard also
-    /// keeps its points row-major in id order for [`Shard::point`]. The
-    /// scan kinds read their own column and hold each vector once.
-    Tree {
-        tree: HybridTree,
-        rows: Vec<f64>,
-    },
-    Quantized(QuantizedScan),
-}
-
-/// One corpus partition: an index over a contiguous slice of the points.
+/// One corpus partition: a two-phase quantized scan over a contiguous
+/// slice of the points.
 #[derive(Debug)]
 pub struct Shard {
-    index: ShardIndex,
+    scan: QuantizedScan,
     /// Global id of this shard's first point.
     base: usize,
 }
 
 impl Shard {
-    fn build(points: &[Vec<f64>], base: usize, kind: ShardKind) -> Self {
-        let index = match kind {
-            ShardKind::Scan => ShardIndex::Scan(LinearScan::new(points)),
-            ShardKind::Tree => ShardIndex::Tree {
-                tree: HybridTree::bulk_load(points),
-                rows: points.concat(),
-            },
-            ShardKind::Quantized => ShardIndex::Quantized(QuantizedScan::from_rows(points)),
-        };
-        Shard { index, base }
-    }
-
     /// Number of points in this shard.
     pub fn len(&self) -> usize {
-        match &self.index {
-            ShardIndex::Scan(s) => s.len(),
-            ShardIndex::Tree { tree, .. } => tree.len(),
-            ShardIndex::Quantized(q) => q.len(),
-        }
+        self.scan.len()
     }
 
     /// `true` when the shard holds no points (never, by construction).
@@ -90,17 +51,15 @@ impl Shard {
         self.base
     }
 
-    /// Node count for sizing a per-session [`NodeCache`]: the tree's node
-    /// count, or a single slot for a scan shard (one sequential read).
+    /// Always 1; stays only because `benchmark/` sizes a [`NodeCache`] with it (ROADMAP 1(b)).
     pub fn num_nodes(&self) -> usize {
-        match &self.index {
-            ShardIndex::Scan(_) | ShardIndex::Quantized(_) => 1,
-            ShardIndex::Tree { tree, .. } => tree.num_nodes(),
-        }
+        1
     }
 
-    /// Exact k-NN within this shard, returned with **global** ids, sorted
-    /// ascending by `(distance, id)`.
+    /// Exact k-NN within this shard by the two-phase scan, returned with
+    /// **global** ids, sorted ascending by `(distance, id)`.
+    ///
+    /// `_cache` is unused; it stays only because `benchmark/` passes it (ROADMAP 1(b)).
     ///
     /// # Panics
     ///
@@ -109,74 +68,48 @@ impl Shard {
         &self,
         query: &Q,
         k: usize,
-        cache: Option<&mut NodeCache>,
+        _cache: Option<&mut NodeCache>,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let (mut neighbors, stats) = match &self.index {
-            ShardIndex::Scan(s) => scan_top_k(s, query, k, cache),
-            ShardIndex::Tree { tree, .. } => tree.knn(&query, k, cache),
-            ShardIndex::Quantized(q) => quantized_top_k(q, query, k, cache),
-        };
+        let (mut neighbors, q) = self.scan.two_phase_knn(query, k, None);
         for n in &mut neighbors {
             n.id += self.base;
         }
-        (neighbors, stats)
+        (neighbors, quant_search_stats(&q, self.len()))
     }
 
-    /// This shard's job in a fan-out: phase 1 of `scan` when the shard
-    /// is quantized and the query compiles a plan against its params —
-    /// the caller finishes ([`ShardedCorpus::finish`]) — and
-    /// [`Self::knn`] otherwise.
+    /// This shard's job in a fan-out: phase 1 of `scan` when the query
+    /// compiles a plan against the shard's params — the caller finishes
+    /// ([`ShardedCorpus::finish`]) — and [`Self::knn`] otherwise.
     pub(crate) fn fanout_part<Q: QueryDistance + ?Sized>(
         &self,
         scan: &CooperativeScan,
         query: &Q,
         k: usize,
-        cache: Option<&mut NodeCache>,
     ) -> (ShardPart, SearchStats) {
-        if let ShardIndex::Quantized(q) = &self.index {
-            if let Some(part) = scan.phase1(q, self.base, query) {
-                return (ShardPart::Phase1(part), sequential_read(cache));
+        match scan.phase1(&self.scan, self.base, query) {
+            Some(part) => (ShardPart::Phase1(part), SearchStats::default()),
+            None => {
+                let (neighbors, stats) = self.knn(query, k, None);
+                (ShardPart::TopK(neighbors), stats)
             }
         }
-        let (neighbors, stats) = self.knn(query, k, cache);
-        (ShardPart::TopK(neighbors), stats)
     }
 
     /// The vector of the shard-local point `local`.
     fn point(&self, local: usize) -> Vec<f64> {
-        match &self.index {
-            ShardIndex::Scan(s) => s.point(local).to_vec(),
-            ShardIndex::Tree { tree, rows } => {
-                rows[local * tree.dim()..(local + 1) * tree.dim()].to_vec()
-            }
-            ShardIndex::Quantized(q) => {
-                let mut out = vec![0.0; q.corpus().dim()];
-                q.corpus().copy_point(local, &mut out);
-                out
-            }
-        }
+        let mut out = vec![0.0; self.scan.corpus().dim()];
+        self.scan.corpus().copy_point(local, &mut out);
+        out
     }
 }
 
 /// What one shard contributes to a fan-out.
 #[derive(Debug)]
 pub(crate) enum ShardPart {
-    /// The shard's own top-k, global ids.
+    /// The shard's own top-k, global ids: the query compiled no plan.
     TopK(Vec<Neighbor>),
-    /// A quantized shard's phase 1, for the caller's finish.
+    /// The shard's phase 1, for the caller's finish.
     Phase1(Phase1),
-}
-
-/// A scan shard's cache accounting: the whole scan is one "node", so a
-/// session's repeat scan is a buffer hit.
-fn sequential_read(cache: Option<&mut NodeCache>) -> SearchStats {
-    let hit = cache.is_some_and(|c| c.access(0));
-    SearchStats {
-        nodes_accessed: 1,
-        cache_hits: u64::from(hit),
-        disk_reads: u64::from(!hit),
-        ..SearchStats::default()
-    }
 }
 
 /// A two-phase scan's counters over `len` points as search stats. Exact
@@ -192,37 +125,6 @@ fn quant_search_stats(q: &QuantScanStats, len: usize) -> SearchStats {
         quant_plan_misses: q.plan_misses,
         ..SearchStats::default()
     }
-}
-
-/// Bounded-heap top-k over a linear scan, delegating to the blocked
-/// [`LinearScan::knn`]: corpus points stream through
-/// [`QueryDistance::distance_batch`] in cache-sized blocks into a bounded
-/// top-k heap — `O(n log k)` selection, one virtual dispatch per block.
-fn scan_top_k<Q: QueryDistance + ?Sized>(
-    scan: &LinearScan,
-    query: &Q,
-    k: usize,
-    cache: Option<&mut NodeCache>,
-) -> (Vec<Neighbor>, SearchStats) {
-    let mut stats = sequential_read(cache);
-    let neighbors = scan.knn(query, k);
-    stats.distance_evaluations = scan.len() as u64;
-    (neighbors, stats)
-}
-
-/// Two-phase top-k over a quantized shard. Cache accounting matches
-/// [`scan_top_k`] (one sequential "node"); the quantization counters
-/// record how much exact-distance work phase 1 saved.
-fn quantized_top_k<Q: QueryDistance + ?Sized>(
-    scan: &QuantizedScan,
-    query: &Q,
-    k: usize,
-    cache: Option<&mut NodeCache>,
-) -> (Vec<Neighbor>, SearchStats) {
-    let mut stats = sequential_read(cache);
-    let (neighbors, q) = scan.two_phase_knn(query, k, None);
-    stats.absorb(&quant_search_stats(&q, scan.len()));
-    (neighbors, stats)
 }
 
 /// The corpus split into contiguous shards behind [`Arc`]s, ready to be
@@ -248,19 +150,13 @@ impl ShardedCorpus {
     ///
     /// [`ServiceError::InvalidRequest`] for an empty corpus, ragged or
     /// zero dimensionalities, or a NaN or ±∞ component — so no k-NN
-    /// worker ever orders a NaN distance. The quantized kind's fit
-    /// already reads every value and records a non-finite one; the other
-    /// kinds pay a pass of their own, made first because a tree's median
-    /// split cannot order a NaN.
+    /// worker ever orders a NaN distance. The quantizer's fit already
+    /// reads every value and records a non-finite one.
     ///
     /// # Panics
     ///
     /// Panics when `num_shards == 0`.
-    pub fn build(
-        points: &[Vec<f64>],
-        num_shards: usize,
-        kind: ShardKind,
-    ) -> Result<Self, ServiceError> {
+    pub fn build(points: &[Vec<f64>], num_shards: usize) -> Result<Self, ServiceError> {
         assert!(num_shards > 0, "need at least one shard");
         let dim = points.first().map_or(0, Vec::len);
         if dim == 0 {
@@ -274,23 +170,21 @@ impl ShardedCorpus {
                 points[i].len()
             )));
         }
-        let non_finite =
-            || ServiceError::InvalidRequest("corpus vector components must be finite".into());
-        if kind != ShardKind::Quantized && !points.iter().flatten().all(|v| v.is_finite()) {
-            return Err(non_finite());
-        }
         let chunk = points.len().div_ceil(num_shards);
         let shards: Vec<Arc<Shard>> = points
             .chunks(chunk)
             .enumerate()
-            .map(|(i, slice)| Arc::new(Shard::build(slice, i * chunk, kind)))
+            .map(|(i, slice)| {
+                Arc::new(Shard {
+                    scan: QuantizedScan::from_rows(slice),
+                    base: i * chunk,
+                })
+            })
             .collect();
-        let finite = shards.iter().all(|s| match &s.index {
-            ShardIndex::Quantized(q) => q.params().is_finite(),
-            _ => true,
-        });
-        if !finite {
-            return Err(non_finite());
+        if !shards.iter().all(|s| s.scan.params().is_finite()) {
+            return Err(ServiceError::InvalidRequest(
+                "corpus vector components must be finite".into(),
+            ));
         }
         Ok(ShardedCorpus {
             shards,
@@ -345,16 +239,10 @@ impl ShardedCorpus {
         query: &Q,
         parts: Vec<(usize, Phase1)>,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let mut len = 0;
+        let len = parts.iter().map(|&(i, _)| self.shards[i].len()).sum();
         let parts = parts
             .into_iter()
-            .map(|(i, part)| match &self.shards[i].index {
-                ShardIndex::Quantized(q) => {
-                    len += q.len();
-                    (q, part)
-                }
-                _ => unreachable!("only a quantized shard runs phase 1"),
-            });
+            .map(|(i, part)| (&self.shards[i].scan, part));
         let (neighbors, q) = scan.finish(query, parts);
         (neighbors, quant_search_stats(&q, len))
     }
@@ -363,7 +251,7 @@ impl ShardedCorpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcluster_index::EuclideanQuery;
+    use qcluster_index::{EuclideanQuery, LinearScan};
 
     fn ring(n: usize) -> Vec<Vec<f64>> {
         (0..n)
@@ -379,37 +267,28 @@ mod tests {
         let pts = ring(97);
         let q = EuclideanQuery::new(vec![0.4, -0.3]);
         let expect = LinearScan::new(&pts).knn(&q, 12);
-        for kind in [ShardKind::Scan, ShardKind::Tree, ShardKind::Quantized] {
-            let corpus = ShardedCorpus::build(&pts, 5, kind).unwrap();
-            let per_shard: Vec<Vec<Neighbor>> = corpus
-                .shards()
-                .iter()
-                .map(|s| s.knn(&q, 12, None).0)
-                .collect();
-            let merged = qcluster_index::merge_top_k(per_shard, 12);
-            assert_eq!(merged.len(), expect.len());
-            for (a, b) in merged.iter().zip(expect.iter()) {
-                assert_eq!(a.id, b.id, "{kind:?}");
-                assert!((a.distance - b.distance).abs() < 1e-12);
-            }
-        }
+        let corpus = ShardedCorpus::build(&pts, 5).unwrap();
+        let per_shard: Vec<Vec<Neighbor>> = corpus
+            .shards()
+            .iter()
+            .map(|s| s.knn(&q, 12, None).0)
+            .collect();
+        assert_eq!(qcluster_index::merge_top_k(per_shard, 12), expect);
     }
 
     #[test]
     fn global_ids_and_point_lookup_round_trip() {
         // 23 points over 4 shards: 6 + 6 + 6 + 5, so the last shard is
-        // ragged and every quantized shard ends in a padded tile.
+        // ragged and every shard ends in a padded tile.
         let pts = ring(23);
-        for kind in [ShardKind::Scan, ShardKind::Tree, ShardKind::Quantized] {
-            let corpus = ShardedCorpus::build(&pts, 4, kind).unwrap();
-            assert_eq!(corpus.len(), 23);
-            assert_eq!(corpus.num_shards(), 4);
-            for (id, p) in pts.iter().enumerate() {
-                assert_eq!(&corpus.point(id), p, "{kind:?}: id {id}");
-            }
-            let lens: Vec<usize> = corpus.shards().iter().map(|s| s.len()).collect();
-            assert_eq!(lens, [6, 6, 6, 5], "{kind:?}");
+        let corpus = ShardedCorpus::build(&pts, 4).unwrap();
+        assert_eq!(corpus.len(), 23);
+        assert_eq!(corpus.num_shards(), 4);
+        for (id, p) in pts.iter().enumerate() {
+            assert_eq!(&corpus.point(id), p, "id {id}");
         }
+        let lens: Vec<usize> = corpus.shards().iter().map(|s| s.len()).collect();
+        assert_eq!(lens, [6, 6, 6, 5]);
     }
 
     /// Local id 5 of the ragged last shard is padding inside its last
@@ -417,40 +296,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "point id out of range")]
     fn point_lookup_past_the_end_panics() {
-        let _ = ShardedCorpus::build(&ring(23), 4, ShardKind::default())
-            .unwrap()
-            .point(23);
+        let _ = ShardedCorpus::build(&ring(23), 4).unwrap().point(23);
     }
 
     #[test]
     fn tiny_corpus_clamps_shard_count() {
-        let corpus = ShardedCorpus::build(&ring(3), 8, ShardKind::Scan).unwrap();
+        let corpus = ShardedCorpus::build(&ring(3), 8).unwrap();
         assert!(corpus.num_shards() <= 3);
         assert!(corpus.shards().iter().all(|s| !s.is_empty()));
-    }
-
-    #[test]
-    fn scan_shard_cache_models_sequential_reads() {
-        let pts = ring(10);
-        let corpus = ShardedCorpus::build(&pts, 1, ShardKind::Scan).unwrap();
-        let shard = &corpus.shards()[0];
-        let mut cache = NodeCache::new(shard.num_nodes());
-        let q = EuclideanQuery::new(vec![1.0, 0.0]);
-        let (_, s1) = shard.knn(&q, 3, Some(&mut cache));
-        assert_eq!(s1.disk_reads, 1);
-        let (_, s2) = shard.knn(&q, 3, Some(&mut cache));
-        assert_eq!(s2.cache_hits, 1);
-        assert_eq!(s2.disk_reads, 0);
     }
 
     #[test]
     fn quantized_shard_is_bit_for_bit_exact_and_counts_phases() {
         let pts = ring(200);
         let q = EuclideanQuery::new(vec![0.4, -0.3]);
-        let exact = ShardedCorpus::build(&pts, 1, ShardKind::Scan).unwrap();
-        let quant = ShardedCorpus::build(&pts, 1, ShardKind::Quantized).unwrap();
-        let (want, _) = exact.shards()[0].knn(&q, 9, None);
-        let (got, stats) = quant.shards()[0].knn(&q, 9, None);
+        let corpus = ShardedCorpus::build(&pts, 1).unwrap();
+        let want = LinearScan::new(&pts).knn(&q, 9);
+        let (got, stats) = corpus.shards()[0].knn(&q, 9, None);
         assert_eq!(got, want, "two-phase results must be bit-for-bit exact");
         assert_eq!(stats.quant_plan_misses, 0);
         assert_eq!(stats.quant_phase1_points, 200);
@@ -464,7 +326,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
-        let corpus = ShardedCorpus::build(&ring(5), 1, ShardKind::Scan).unwrap();
+        let corpus = ShardedCorpus::build(&ring(5), 1).unwrap();
         let q = EuclideanQuery::new(vec![0.0, 0.0]);
         let _ = corpus.shards()[0].knn(&q, 0, None);
     }

@@ -18,7 +18,7 @@ use qcluster_failpoint::{self as failpoint, Action};
 use qcluster_index::{EuclideanQuery, LinearScan};
 use qcluster_service::{
     dispatch, Executor, ExecutorConfig, Request, Response, Service, ServiceConfig, ServiceError,
-    ShardKind, ShardedCorpus, StoreConfig,
+    ShardedCorpus, StoreConfig,
 };
 use qcluster_store::{encode_record_frame, WalRecord};
 
@@ -144,7 +144,6 @@ fn a_shard_failing_after_it_published_its_threshold_costs_the_others_nothing() {
         ServiceConfig {
             num_shards: 4,
             num_workers: 1,
-            shard_kind: ShardKind::Quantized,
             breaker_threshold: 10,
             ..ServiceConfig::default()
         },
@@ -330,7 +329,7 @@ fn dead_workers_are_respawned_on_the_next_fanout() {
     let points = corpus();
     // Exactly one job per worker: each idle worker takes one shard job,
     // completes it, and dies — leaving no job stranded in the queue.
-    let sharded = ShardedCorpus::build(&points, 2, ShardKind::Scan).unwrap();
+    let sharded = ShardedCorpus::build(&points, 2).unwrap();
     let executor = Executor::with_config(ExecutorConfig {
         num_workers: 2,
         ..ExecutorConfig::default()
@@ -541,7 +540,7 @@ fn segments_in(dir: &std::path::Path) -> Vec<String> {
 }
 
 /// A seed with a NaN, an ∞ or a ragged vector is refused at boot by both
-/// constructors, for every shard kind, and a durable boot seals nothing —
+/// constructors, and a durable boot seals nothing —
 /// no k-NN worker ever sees such a value.
 #[test]
 fn a_bad_seed_is_a_typed_error_at_boot() {
@@ -559,17 +558,11 @@ fn a_bad_seed_is_a_typed_error_at_boot() {
     seeds.push(ragged);
 
     for seed in &seeds {
-        for kind in [ShardKind::Quantized, ShardKind::Scan, ShardKind::Tree] {
-            let config = ServiceConfig {
-                shard_kind: kind,
-                ..durable_config()
-            };
-            let refused = Service::new(seed, config);
-            assert!(
-                matches!(refused, Err(ServiceError::InvalidRequest(_))),
-                "{kind:?}: {refused:?}"
-            );
-        }
+        let refused = Service::new(seed, durable_config());
+        assert!(
+            matches!(refused, Err(ServiceError::InvalidRequest(_))),
+            "{refused:?}"
+        );
         let dir = fresh_dir("bad_seed");
         let refused = Service::open_durable(&dir, seed, durable_config(), StoreConfig::default());
         assert!(

@@ -84,7 +84,7 @@ fn lifecycle(service: &Service, seed: usize) -> u64 {
         panic!("refined query failed");
     };
     assert_eq!(neighbors.len(), K);
-    assert!(stats.nodes_accessed > 0);
+    assert!(stats.distance_evaluations > 0);
 
     session
 }
@@ -150,11 +150,8 @@ fn eight_threads_share_one_service_without_losing_sessions() {
     assert_eq!(stats.fanout.count, stats.query.count);
     assert!(stats.query.sum_ns >= stats.query.count * stats.query.min_ns);
     assert!(stats.query.max_ns >= stats.query.min_ns);
-    // Each session's refined query re-reads nodes its initial query
-    // already cached, so hits must have accumulated.
-    assert!(stats.cache_hits > 0);
-    assert!(stats.cache_misses > 0);
-    assert!(stats.cache_hit_ratio > 0.0 && stats.cache_hit_ratio < 1.0);
+    // The shards scan: there are no nodes to cache.
+    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
 }
 
 #[test]

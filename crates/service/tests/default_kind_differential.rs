@@ -1,10 +1,13 @@
-//! The shipped default answers exactly like the other shard kinds:
-//! `ServiceConfig::default()` against `Scan` and `Tree`, compared on ids
-//! and `distance.to_bits()`, over generated corpus sizes, dimensions
-//! and `k`, at 1, 2 and 4 workers (the default's shards share one
-//! phase-1 threshold), with and without a deadline (the caller claims
-//! shard jobs, or the workers run them all) — under the diagonal scheme (the u8 fast path) and
-//! under the full-inverse scheme (every refined shard scan a plan miss).
+//! The shipped service answers exactly like an offline oracle:
+//! `ServiceConfig::default()` against `LinearScan::knn` (the example
+//! round, an `EuclideanQuery`) and against `LinearScan::knn` over the
+//! query an offline `QclusterEngine` compiles from the same feedback
+//! points (the refined round), compared on ids and `distance.to_bits()`,
+//! over generated corpus sizes, dimensions and `k`, at 1, 2 and 4
+//! workers (the shards share one phase-1 threshold), with and without a
+//! deadline (the caller claims shard jobs, or the workers run them all)
+//! — under the diagonal scheme (the u8 fast path) and under the
+//! full-inverse scheme (every refined shard scan a plan miss).
 //!
 //! Every generated corpus has a length that is a multiple of neither 8
 //! (a padded last tile) nor the shard count (a ragged last shard), and a
@@ -12,8 +15,9 @@
 //! which the example query asks for: the tie must go to the lower id.
 
 use proptest::prelude::*;
-use qcluster_core::{CovarianceScheme, QclusterConfig};
-use qcluster_service::{Service, ServiceConfig, ShardKind};
+use qcluster_core::{CovarianceScheme, FeedbackPoint, QclusterConfig, QclusterEngine};
+use qcluster_index::{EuclideanQuery, LinearScan, Neighbor};
+use qcluster_service::{Service, ServiceConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Duration;
 
@@ -42,15 +46,38 @@ fn corpus(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
 
 type Bits = Vec<(usize, u64)>;
 
+fn bits(neighbors: &[Neighbor]) -> Bits {
+    neighbors
+        .iter()
+        .map(|n| (n.id, n.distance.to_bits()))
+        .collect()
+}
+
+/// What a session of [`rounds`] must return: an exact scan for the
+/// example, and for the refined round an exact scan over the query an
+/// offline engine compiles from the points the service feeds.
+fn oracle(
+    points: &[Vec<f64>],
+    config: &ServiceConfig,
+    example: &[f64],
+    marked: &[usize],
+    k: usize,
+) -> (Bits, Bits) {
+    let scan = LinearScan::new(points);
+    let first = scan.knn(&EuclideanQuery::new(example.to_vec()), k);
+    let mut engine = QclusterEngine::new(config.engine);
+    let fed: Vec<FeedbackPoint> = marked
+        .iter()
+        .map(|&id| FeedbackPoint::new(id, points[id].clone(), config.default_score))
+        .collect();
+    engine.feed(&fed).unwrap();
+    let refined = scan.knn(&engine.query().unwrap(), k);
+    (bits(&first), bits(&refined))
+}
+
 /// One session: the example query, a feed that leaves ≥ 2 clusters, the
 /// refined query.
 fn rounds(svc: &Service, example: &[f64], marked: &[usize], k: usize) -> (Bits, Bits) {
-    let bits = |neighbors: &[qcluster_index::Neighbor]| -> Bits {
-        neighbors
-            .iter()
-            .map(|n| (n.id, n.distance.to_bits()))
-            .collect()
-    };
     let session = svc.create_session().unwrap();
     let first = svc.query_vector(session, example.to_vec(), k).unwrap();
     let fed = svc.feed_ids(session, marked, None).unwrap();
@@ -61,7 +88,7 @@ fn rounds(svc: &Service, example: &[f64], marked: &[usize], k: usize) -> (Bits, 
 
 proptest! {
     #[test]
-    fn default_service_answers_like_scan_and_tree(
+    fn default_service_answers_like_the_offline_oracle(
         n in 9usize..160,
         dim in 1usize..20,
         k_permille in 0usize..1000,
@@ -93,19 +120,13 @@ proptest! {
             ..diagonal.clone()
         };
         for base in [&diagonal, &full] {
-            let scan = Service::new(&points, ServiceConfig { shard_kind: ShardKind::Scan, ..base.clone() })
-                .expect("spawn service");
-            let want = rounds(&scan, example, &marked, k);
+            let want = oracle(&points, base, example, &marked, k);
             prop_assert_eq!(want.0.len(), k.min(n));
             prop_assert_eq!(want.1.len(), k.min(n));
             prop_assert_eq!(want.0[0], (chunk - 1, 0), "the lower id wins the tie");
             if k > 1 {
                 prop_assert_eq!(want.0[1], (chunk, 0), "its copy across the boundary is next");
             }
-            let tree = Service::new(&points, ServiceConfig { shard_kind: ShardKind::Tree, ..base.clone() })
-                .expect("spawn service");
-            prop_assert_eq!(&rounds(&tree, example, &marked, k), &want, "Tree n={} dim={} k={}", n, dim, k);
-
             // One worker hands the shared threshold from shard job to
             // shard job; more race for it. Without a deadline the caller
             // claims shard jobs beside the free workers; with one, the
