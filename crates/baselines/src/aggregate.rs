@@ -132,6 +132,19 @@ impl MultiPointQuery {
         self.components.len()
     }
 
+    /// `(center, per-dim weights, mass)` per component, in order: what
+    /// [`MultiPointQuery::new`] takes to rebuild this query.
+    pub fn points(&self) -> impl Iterator<Item = (&[f64], &[f64], f64)> {
+        self.components
+            .iter()
+            .map(|c| (c.center.as_slice(), c.weights.as_slice(), c.mass))
+    }
+
+    /// The aggregate rule.
+    pub fn kind(&self) -> AggregateKind {
+        self.kind
+    }
+
     /// Combines per-component distances per the aggregate rule.
     fn combine(&self, dists: impl Iterator<Item = (f64, f64)>) -> f64 {
         match self.kind {

@@ -31,7 +31,7 @@ use qcluster_cli::{
 use qcluster_eval::synthetic::SemanticGapConfig;
 use qcluster_net::{Client, ClientConfig, Server, ServerConfig};
 use qcluster_router::{Partition, ReadPreference, Router, RouterConfig, ShardMap};
-use qcluster_service::{Request, Response, Service, ServiceConfig};
+use qcluster_service::{RegistryConfig, Request, Response, Service, ServiceConfig};
 use qcluster_store::StoreConfig;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -141,18 +141,18 @@ impl Drop for ScratchDirs {
     }
 }
 
+/// Every user holds one live session; the default 64-session LRU
+/// registry would evict concurrent sessions mid-feedback-loop.
+fn session_capacity(users: usize) -> usize {
+    users * 2 + 16
+}
+
 fn node_service(
     points: &[Vec<f64>],
     durable: bool,
-    users: usize,
+    config: ServiceConfig,
     scratch: &mut ScratchDirs,
 ) -> Result<Arc<Service>, String> {
-    // Every user holds one live session; the default 64-session LRU
-    // registry would evict concurrent sessions mid-feedback-loop.
-    let config = ServiceConfig {
-        max_sessions: users * 2 + 16,
-        ..ServiceConfig::default()
-    };
     let service = if durable {
         let dir = scratch.next()?;
         Service::open_durable(&dir, points, config, StoreConfig::default())
@@ -296,8 +296,13 @@ fn run(args: &SoakArgs) -> Result<(), String> {
             let copies = if ingest && durable { 3 } else { 1 };
             let mut replicas = Vec::new();
             for r in 0..copies {
-                let service =
-                    node_service(&points[id_base..end], durable, config.users, &mut scratch)?;
+                // The router hosts the sessions; nodes hold none.
+                let service = node_service(
+                    &points[id_base..end],
+                    durable,
+                    ServiceConfig::default(),
+                    &mut scratch,
+                )?;
                 let server = Server::bind("127.0.0.1:0", service, server_config.clone())
                     .map_err(|e| format!("bind node {i}/{r}: {e}"))?;
                 replicas.push(server.local_addr());
@@ -313,13 +318,21 @@ fn run(args: &SoakArgs) -> Result<(), String> {
             // Exercise replica reads under the RYW gate: followers
             // within 64 records of the leader may serve queries.
             read_preference: ReadPreference::StaleOk { max_lag: 64 },
+            sessions: RegistryConfig {
+                max_sessions: session_capacity(config.users),
+                ..RegistryConfig::default()
+            },
             ..RouterConfig::default()
         };
         let router = Arc::new(Router::new(map, router_config).map_err(|e| format!("router: {e}"))?);
         cluster = Some((Arc::clone(&router), ingest_servers));
         Box::new(RouterBackend::new(router))
     } else {
-        let service = node_service(&points, durable, config.users, &mut scratch)?;
+        let node_config = ServiceConfig {
+            max_sessions: session_capacity(config.users),
+            ..ServiceConfig::default()
+        };
+        let service = node_service(&points, durable, node_config, &mut scratch)?;
         let server = Server::bind("127.0.0.1:0", service, server_config.clone())
             .map_err(|e| format!("bind: {e}"))?;
         let addr = server.local_addr();

@@ -52,11 +52,42 @@ struct Representative {
     c0: f64,
 }
 
+/// The numbers one compiled representative evaluates with: its
+/// centroid, its `S⁻¹`, its mass and the box lower-bound scale
+/// `λ_min(S⁻¹)`. `parts` reads them out of a compiled query and
+/// `from_parts` rebuilds the same query from them without inverting
+/// anything: distances, tile kernels and quantized plans come out
+/// bit-identical.
+#[derive(Debug, Clone)]
+pub struct RepresentativeParts {
+    /// The cluster centroid.
+    pub mean: Vec<f64>,
+    /// The materialized inverse covariance.
+    pub inverse: InverseCovariance,
+    /// The cluster mass (its weight in the disjunctive aggregate).
+    pub mass: f64,
+    /// [`InverseCovariance::min_eigenvalue`] of `inverse`.
+    pub min_eigenvalue: f64,
+}
+
 impl Representative {
     fn compile(cluster: &Cluster, scheme: CovarianceScheme) -> Result<Self> {
-        let inv = cluster.inverse_covariance(scheme)?;
-        let min_eig = inv.min_eigenvalue();
-        let mean = cluster.mean().to_vec();
+        let inverse = cluster.inverse_covariance(scheme)?;
+        Ok(Self::assemble(RepresentativeParts {
+            min_eigenvalue: inverse.min_eigenvalue(),
+            mean: cluster.mean().to_vec(),
+            inverse,
+            mass: cluster.mass(),
+        }))
+    }
+
+    fn assemble(parts: RepresentativeParts) -> Self {
+        let RepresentativeParts {
+            mean,
+            inverse: inv,
+            mass,
+            min_eigenvalue: min_eig,
+        } = parts;
         let (wc, c0) = match inv.diagonal_weights() {
             Some(w) => {
                 let wc: Vec<f64> = w.iter().zip(&mean).map(|(&w, &c)| w * c).collect();
@@ -65,14 +96,23 @@ impl Representative {
             }
             None => (Vec::new(), 0.0),
         };
-        Ok(Representative {
+        Representative {
             mean,
             inv,
-            mass: cluster.mass(),
+            mass,
             min_eig,
             wc,
             c0,
-        })
+        }
+    }
+
+    fn parts(&self) -> RepresentativeParts {
+        RepresentativeParts {
+            mean: self.mean.clone(),
+            inverse: self.inv.clone(),
+            mass: self.mass,
+            min_eigenvalue: self.min_eig,
+        }
     }
 
     #[inline]
@@ -134,12 +174,27 @@ impl ClusterDistance {
     ///
     /// Propagates covariance inversion failures.
     pub fn new(cluster: &Cluster, scheme: CovarianceScheme) -> Result<Self> {
-        let rep = Representative::compile(cluster, scheme)?;
+        Ok(Self::with_representative(Representative::compile(
+            cluster, scheme,
+        )?))
+    }
+
+    /// Rebuilds the distance from [`ClusterDistance::parts`].
+    pub fn from_parts(parts: RepresentativeParts) -> Self {
+        Self::with_representative(Representative::assemble(parts))
+    }
+
+    fn with_representative(rep: Representative) -> Self {
         let dim = rep.mean.len();
-        Ok(ClusterDistance {
+        ClusterDistance {
             rep,
             scratch: RefCell::new(vec![0.0; dim]),
-        })
+        }
+    }
+
+    /// The numbers this distance evaluates with.
+    pub fn parts(&self) -> RepresentativeParts {
+        self.rep.parts()
     }
 
     /// The cluster centroid this query is centered on.
@@ -253,16 +308,43 @@ impl DisjunctiveQuery {
             .iter()
             .map(|c| Representative::compile(c, scheme))
             .collect::<Result<Vec<_>>>()?;
+        Ok(Self::with_representatives(reps))
+    }
+
+    /// Rebuilds the query from [`DisjunctiveQuery::parts`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty set, or when diagonal and dense inverses mix
+    /// (a compiled query has one scheme).
+    pub fn from_parts(parts: Vec<RepresentativeParts>) -> Self {
+        assert!(!parts.is_empty(), "need at least one representative");
+        let diagonal = parts[0].inverse.diagonal_weights().is_some();
+        assert!(
+            parts
+                .iter()
+                .all(|p| p.inverse.diagonal_weights().is_some() == diagonal),
+            "representatives must share one covariance scheme"
+        );
+        Self::with_representatives(parts.into_iter().map(Representative::assemble).collect())
+    }
+
+    fn with_representatives(reps: Vec<Representative>) -> Self {
         let total_mass = reps.iter().map(|r| r.mass).sum();
         let dim = reps[0].mean.len();
-        Ok(DisjunctiveQuery {
+        DisjunctiveQuery {
             reps,
             total_mass,
             scratch: RefCell::new(Scratch {
                 tile: Vec::new(),
                 diff: vec![0.0; dim],
             }),
-        })
+        }
+    }
+
+    /// The numbers each representative evaluates with, in order.
+    pub fn parts(&self) -> Vec<RepresentativeParts> {
+        self.reps.iter().map(Representative::parts).collect()
     }
 
     /// Number of cluster representatives (the paper's `g`).

@@ -70,11 +70,11 @@ pub mod types;
 
 pub use classify::{BayesianClassifier, Classification};
 pub use cluster::Cluster;
-pub use distance::{ClusterDistance, DisjunctiveQuery};
+pub use distance::{ClusterDistance, DisjunctiveQuery, RepresentativeParts};
 pub use engine::{QclusterConfig, QclusterEngine, ThresholdPolicy};
 pub use error::{CoreError, Result};
 pub use merge::{merge_clusters, MergeOutcome};
 pub use quality::leave_one_out_error_rate;
 pub use reduce::ReducedSpace;
-pub use scheme::CovarianceScheme;
+pub use scheme::{CovarianceScheme, InverseCovariance};
 pub use types::FeedbackPoint;

@@ -95,6 +95,13 @@ pub enum InverseCovariance {
 }
 
 impl InverseCovariance {
+    /// A dense inverse from its `dim × dim` row-major values, or `None`
+    /// when there are not exactly `dim²` of them.
+    pub fn from_dense(dim: usize, values: Vec<f64>) -> Option<Self> {
+        (values.len() == dim * dim)
+            .then(|| InverseCovariance::Full(Matrix::from_vec(dim, dim, values)))
+    }
+
     /// Evaluates `(x − c)ᵀ S⁻¹ (x − c)`.
     ///
     /// `scratch` must have length `x.len()` (only used by the dense path).

@@ -149,7 +149,11 @@ impl<T: QueryDistance + ?Sized> QueryDistance for Box<T> {
 /// every `Clone + Send` [`QueryDistance`], which covers all query types
 /// in this workspace (Euclidean, weighted Euclidean, cluster,
 /// disjunctive and multipoint queries).
-pub trait FanoutQuery: QueryDistance + Send {
+///
+/// `Any` is a supertrait so a type-erased query can be downcast to its
+/// concrete kind (the service's wire form of a compiled query reads the
+/// numbers out that way).
+pub trait FanoutQuery: QueryDistance + Send + std::any::Any {
     /// A boxed clone for one worker.
     fn clone_fanout(&self) -> Box<dyn FanoutQuery>;
 }

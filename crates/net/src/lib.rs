@@ -70,4 +70,4 @@ pub use frame::{
     HEADER_LEN, MAGIC, PROTOCOL_VERSION,
 };
 pub use repl::{ReplReply, ReplRequest};
-pub use server::{Server, ServerConfig, ShutdownReport};
+pub use server::{is_undecodable, Server, ServerConfig, ShutdownReport};

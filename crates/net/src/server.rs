@@ -418,7 +418,7 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
                 Ok(ReadFrame::Idle) => continue,
                 Ok(ReadFrame::Corrupt { request_id, error }) => {
                     shared.service.metrics().record_decode_error();
-                    let reply = invalid(format!("frame decode failed: {error}"));
+                    let reply = undecodable(format!("frame decode failed: {error}"));
                     (request_id, reply, error.is_fatal())
                 }
                 Ok(ReadFrame::Eof) | Err(_) => break,
@@ -479,21 +479,36 @@ fn answer<'a>(
                 }
                 Err(e) => {
                     shared.service.metrics().record_decode_error();
-                    invalid(format!("request payload did not parse: {e}"))
+                    undecodable(format!("request payload did not parse: {e}"))
                 }
             }
         }
         FrameKind::Response | FrameKind::ReplResponse => {
             shared.service.metrics().record_decode_error();
-            invalid("expected a request frame, got a response frame".into())
+            undecodable("expected a request frame, got a response frame".into())
         }
     }
 }
 
-/// A typed `InvalidRequest` reply, counted in flight by no one.
-fn invalid<'a>(msg: String) -> (FrameKind, Vec<u8>, Option<InflightGuard<'a>>) {
-    let response = Response::Error(ServiceError::InvalidRequest(msg));
+/// How every reply to a frame the server could not read as a request
+/// begins: a corrupted, truncated or misdirected frame.
+const UNDECODABLE: &str = "undecodable request";
+
+/// A typed `InvalidRequest` reply to a frame that did not decode,
+/// counted in flight by no one.
+fn undecodable<'a>(detail: String) -> (FrameKind, Vec<u8>, Option<InflightGuard<'a>>) {
+    let response = Response::Error(ServiceError::InvalidRequest(format!(
+        "{UNDECODABLE}: {detail}"
+    )));
     (FrameKind::Response, encode_response(&response), None)
+}
+
+/// Whether `error` is a server's reply to a frame it could not decode.
+/// The sender's bytes were at fault, not the request it meant to send:
+/// a sender that encodes only well-formed frames (a cluster router)
+/// treats it as a transport failure, not as a rejection of its request.
+pub fn is_undecodable(error: &ServiceError) -> bool {
+    matches!(error, ServiceError::InvalidRequest(msg) if msg.starts_with(UNDECODABLE))
 }
 
 /// A response's JSON payload; an unserializable response is reported

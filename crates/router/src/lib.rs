@@ -7,9 +7,10 @@
 //!
 //! - [`ShardMap`] — the topology: partitions (`id_base` + replica
 //!   addresses), global↔local id arithmetic, ingest ownership.
-//! - [`Router`] — scatter–gather queries with per-node deadlines,
-//!   circuit breakers, and typed failure attribution
-//!   ([`NodeFailureKind`]); session/feedback broadcast; majority-acked
+//! - [`Router`] — the sessions (method and compiled plan, hosted on
+//!   the router) and scatter–gather of their compiled queries with
+//!   per-node deadlines, circuit breakers, and typed failure
+//!   attribution ([`NodeFailureKind`]); majority-acked
 //!   ingest with WAL-shipping replication, follower catch-up, leader
 //!   promotion, and stale-bounded replica reads
 //!   ([`ReadPreference::StaleOk`]).

@@ -8,6 +8,17 @@
 //! tie-break the in-process executor uses — so a healthy cluster is
 //! bit-for-bit equal to a single node holding the whole corpus.
 //!
+//! ## Sessions
+//!
+//! A session lives on the router, in a [`SessionRegistry`] (method,
+//! compiled-plan cache, idle TTL, LRU eviction) sized by
+//! [`RouterConfig::sessions`]; nodes hold none. Creating and closing
+//! one sends no leg. A feed is one `FetchVectors` scatter to the
+//! partitions owning the marked ids, then the method's feed on the
+//! caller's thread. A query compiles the session's refined query (or
+//! takes the example vector) and scatters it as a stateless
+//! `QueryCompiled` carrying the query's numbers, never the fed points.
+//!
 //! ## Degradation
 //!
 //! Nodes degrade the way the executor degrades shards because both run
@@ -17,7 +28,13 @@
 //! until a cooldown elapses, then half-opens with a single probe.
 //! Every missing leg is attributed with a typed [`NodeFailureKind`],
 //! and responses carry `nodes_ok / nodes_total` cluster coverage next
-//! to the per-node `shards_ok / shards_total`.
+//! to the per-node `shards_ok / shards_total`. A node's typed rejection
+//! of the request itself (`ServiceError::is_caller_fault`: an invalid
+//! request, an id outside its corpus, a wrong dimensionality) is a
+//! delivered reply: the breaker records a success and the caller gets
+//! [`RouterError::InvalidRequest`] with the node's message. The node's
+//! answer to a frame it could not decode is the exception: the router
+//! sends only well-formed frames, so that leg failed in transport.
 //!
 //! ## Replication
 //!
@@ -49,11 +66,12 @@
 //! competing votes — an actively-shipping leader cannot be deposed,
 //! a dead one is deposable one lease window after its last renewal.
 //!
-//! Replica reads are **read-your-writes** per session: the router
-//! tracks each session's feed rounds and acked ingest totals, and a
-//! query leg only goes to a replica at-or-past the session's marks
-//! (falling back to the leader, counted in
-//! `ClusterGauges::ryw_leader_fallbacks`).
+//! Replica reads are **read-your-writes** per session for ingests: the
+//! router tracks the committed totals each session's acked ingests
+//! reached, and a query leg only goes to a replica at-or-past the
+//! session's marks (falling back to the leader, counted in
+//! `ClusterGauges::ryw_leader_fallbacks`). Feeds need no marks: the
+//! session's state never leaves the router.
 //!
 //! [`Router::start_anti_entropy`] spawns a background thread that
 //! renews leases and streams catch-up chunks to lagging or rejoining
@@ -76,9 +94,11 @@ mod routing;
 
 use crate::map::ShardMap;
 use crossbeam::channel::{self, Receiver, Sender};
-use qcluster_net::{Client, ClientConfig};
+use qcluster_net::{is_undecodable, Client, ClientConfig};
 use qcluster_service::fanout::{Breaker, Reply};
-use qcluster_service::{ClusterGauges, Request, Response};
+use qcluster_service::{
+    ClusterGauges, RegistryConfig, Request, Response, ServiceMetrics, SessionRegistry,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
@@ -140,6 +160,9 @@ pub struct RouterConfig {
     /// behind (e.g. rejoining after a kill) is left to the
     /// anti-entropy thread so it cannot stall every ingest.
     pub max_inline_lag: u64,
+    /// The session registry: capacity, idle TTL and LRU eviction. The
+    /// router hosts every session; nodes hold none.
+    pub sessions: RegistryConfig,
 }
 
 impl Default for RouterConfig {
@@ -156,6 +179,7 @@ impl Default for RouterConfig {
             election_backoff: Duration::from_millis(100),
             election_timeout: Duration::from_secs(4),
             max_inline_lag: 4_096,
+            sessions: RegistryConfig::default(),
         }
     }
 }
@@ -333,37 +357,9 @@ struct Counters {
     ryw_leader_fallbacks: AtomicU64,
 }
 
-/// Router-side state of one user session: the per-node session ids
-/// backing it plus its read-your-writes marks.
-#[derive(Debug, Clone, Default)]
-struct SessionState {
-    /// Per-node session ids, keyed by `(partition, replica)`.
-    bindings: HashMap<(usize, usize), u64>,
-    /// Feedback rounds accepted for this session so far.
-    feed_round: u64,
-    /// Latest feed round each replica acknowledged. A replica behind
-    /// the session's `feed_round` must not serve its queries — it
-    /// would answer from a pre-feed retrieval state.
-    feed_acked: HashMap<(usize, usize), u64>,
-    /// Per-partition committed totals this session observed through
-    /// acked ingests: its read floor for corpus visibility.
-    ingest_marks: HashMap<usize, u64>,
-}
-
-impl SessionState {
-    /// Whether `replica` of `partition` (whose router-observed
-    /// committed total is `known_total`) satisfies this session's
-    /// read-your-writes marks.
-    fn ryw_ok(&self, partition: usize, replica: usize, known_total: u64) -> bool {
-        let feed_ok = self.feed_round == 0
-            || self.feed_acked.get(&(partition, replica)) == Some(&self.feed_round);
-        let ingest_ok = self
-            .ingest_marks
-            .get(&partition)
-            .is_none_or(|&mark| known_total >= mark);
-        feed_ok && ingest_ok
-    }
-}
+/// Per-partition committed totals one session observed through acked
+/// ingests: its read floor for corpus visibility.
+type IngestMarks = HashMap<usize, u64>;
 
 /// Per-replica outcome of a [`Router::sync_partition`] pass: each
 /// follower's index paired with its post-sync committed total, or the
@@ -377,8 +373,13 @@ pub struct Router {
     map: ShardMap,
     config: RouterConfig,
     partitions: Vec<PartitionState>,
-    sessions: Mutex<HashMap<u64, SessionState>>,
-    next_session: AtomicU64,
+    /// Every session: its method and compiled-plan cache.
+    sessions: SessionRegistry,
+    /// The read-your-writes marks of sessions that ingested.
+    ingest_marks: Mutex<HashMap<u64, IngestMarks>>,
+    /// Session, plan-cache and feed counters, which [`Router::stats`]
+    /// reports in place of the nodes'.
+    metrics: ServiceMetrics,
     counters: Counters,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -409,7 +410,16 @@ fn node_worker(addr: SocketAddr, config: ClientConfig, rx: Receiver<NodeJob>) {
                     c.call(&request).map_err(|e| e.to_string())
                 });
                 reply.send(match result {
-                    Ok(Response::Error(e)) => Err(NodeFailureKind::Remote(e.to_string())),
+                    // The router sends only well-formed frames: one the
+                    // node could not decode was damaged on the way.
+                    Ok(Response::Error(e)) if is_undecodable(&e) => {
+                        Err(NodeFailureKind::Transport(e.to_string()))
+                    }
+                    // A rejection of the request itself is a delivered
+                    // reply: the node is healthy.
+                    Ok(Response::Error(e)) if !e.is_caller_fault() => {
+                        Err(NodeFailureKind::Remote(e.to_string()))
+                    }
                     Ok(response) => Ok(response),
                     Err(msg) => Err(NodeFailureKind::Transport(msg)),
                 });
@@ -453,6 +463,10 @@ impl Router {
     ///
     /// [`RouterError::InvalidRequest`] when the OS refuses a worker
     /// thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.sessions.max_sessions` is zero.
     pub fn new(map: ShardMap, config: RouterConfig) -> Result<Router, RouterError> {
         let mut partitions = Vec::with_capacity(map.num_partitions());
         let mut workers = Vec::with_capacity(map.num_nodes());
@@ -485,10 +499,11 @@ impl Router {
         }
         Ok(Router {
             map,
-            config,
             partitions,
-            sessions: Mutex::new(HashMap::new()),
-            next_session: AtomicU64::new(1),
+            sessions: SessionRegistry::new(config.sessions),
+            ingest_marks: Mutex::new(HashMap::new()),
+            metrics: ServiceMetrics::new(),
+            config,
             counters: Counters::default(),
             workers: Mutex::new(workers),
         })

@@ -54,7 +54,7 @@ impl Router {
         session: u64,
         vector: Vec<f64>,
     ) -> Result<(usize, usize), RouterError> {
-        self.session_state(session)?;
+        self.check_session(session)?;
         self.ingest_inner(Some(session), vector)
     }
 
@@ -105,6 +105,11 @@ impl Router {
                 })?
             }
         };
+        if let Response::Error(e) = &response {
+            // The node rejected the vector itself (its breaker took it
+            // as a delivered reply).
+            return Err(RouterError::InvalidRequest(e.to_string()));
+        }
         let Response::Ingested { id, total } = response else {
             return Err(RouterError::Protocol(
                 "ingest answered with something else".into(),
@@ -136,11 +141,7 @@ impl Router {
             });
         }
         if let Some(session) = session {
-            let mut sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(state) = sessions.get_mut(&session) {
-                let mark = state.ingest_marks.entry(p).or_insert(0);
-                *mark = (*mark).max(total as u64);
-            }
+            self.raise_ingest_mark(session, p, total as u64);
         }
         Ok((part.id_base + id, copies))
     }

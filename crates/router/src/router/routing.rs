@@ -1,16 +1,16 @@
 //! The request path: scatter legs over nodes through the shared
-//! fan-out primitive, replica selection, sessions, queries, feedback
-//! and cluster-wide stats.
+//! fan-out primitive, replica selection, the sessions the router hosts,
+//! queries, feedback and cluster-wide stats.
 
 use super::{
     NodeFailure, NodeFailureKind, NodeJob, ReadPreference, Router, RouterError, ScatterReport,
-    SessionState,
 };
 use qcluster_failpoint as failpoint;
 use qcluster_index::{merge_top_k, Neighbor, SearchStats};
 use qcluster_service::fanout::{gather, Breaker, Miss};
 use qcluster_service::{
-    FeedPointDto, MetricsSnapshot, NeighborDto, Request, Response, SearchStatsDto,
+    check_feed_point, method_by_name, FeedbackPoint, MetricsSnapshot, NeighborDto, QclusterConfig,
+    QuerySpec, Request, Response, SearchStatsDto, ServiceError, Session, SessionHandle,
 };
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -139,13 +139,15 @@ impl Router {
 
     /// Picks the replica serving a query leg for `partition` per the
     /// configured [`ReadPreference`], constrained by the session's
-    /// read-your-writes marks: a replica behind the session's latest
-    /// feed round or acked ingest total never serves its queries.
-    fn read_replica(&self, partition: usize, sess: &SessionState) -> usize {
+    /// read-your-writes `mark` there: a replica whose committed total
+    /// is behind an acked ingest of the session never serves its
+    /// queries.
+    fn read_replica(&self, partition: usize, mark: Option<u64>) -> usize {
         let part = &self.partitions[partition];
         let leader = part.leader.load(Ordering::Acquire);
         let now = Instant::now();
         let known = |r: usize| part.replicas[r].known_total.load(Ordering::Acquire);
+        let ryw_ok = |r: usize| mark.is_none_or(|mark| known(r) >= mark);
         if let ReadPreference::StaleOk { max_lag } = self.config.read_preference {
             if !part.replicas[leader].breaker.is_closed(now) {
                 let leader_total = known(leader);
@@ -157,7 +159,7 @@ impl Router {
                     if leader_total.saturating_sub(known(r)) > max_lag {
                         continue;
                     }
-                    if sess.ryw_ok(partition, r, known(r)) {
+                    if ryw_ok(r) {
                         self.counters.stale_reads.fetch_add(1, Ordering::Relaxed);
                         return r;
                     }
@@ -173,14 +175,14 @@ impl Router {
                 }
             }
         }
-        if sess.ryw_ok(partition, leader, known(leader)) {
+        if ryw_ok(leader) {
             return leader;
         }
-        // The leader itself is behind the session (it missed a feed
-        // broadcast another replica acked): any replica satisfying the
-        // marks serves, else degrade to the leader.
+        // The router has not yet seen the leader reach the session's
+        // mark: any replica known to satisfy it serves, else degrade to
+        // the leader.
         (0..part.replicas.len())
-            .find(|&r| r != leader && sess.ryw_ok(partition, r, known(r)))
+            .find(|&r| r != leader && ryw_ok(r))
             .unwrap_or(leader)
     }
 
@@ -188,99 +190,87 @@ impl Router {
     // Sessions
     // ------------------------------------------------------------------
 
-    /// Opens a session on every replica of every partition (followers
-    /// included, so failover and stale reads keep the session state)
-    /// and returns the router-level session id.
+    /// Opens a session hosting the method `engine` names in
+    /// `METHODS` (`None` is `"qcluster"`, under the default
+    /// configuration). Local: no leg is sent.
     ///
     /// # Errors
     ///
-    /// [`RouterError::Unavailable`] when any partition has *zero*
-    /// replicas with the session — such a cluster could never answer.
+    /// [`RouterError::InvalidRequest`] for an unknown name, or a full
+    /// registry whose [`RouterConfig::sessions`] forbids eviction.
+    ///
+    /// [`RouterConfig::sessions`]: super::RouterConfig::sessions
     pub fn create_session(&self, engine: Option<&str>) -> Result<u64, RouterError> {
-        let mut legs = Vec::new();
-        for (p, part) in self.partitions.iter().enumerate() {
-            for r in 0..part.replicas.len() {
-                let engine = engine.map(str::to_string);
-                legs.push((p, r, Request::CreateSession { engine }));
-            }
+        let name = engine.unwrap_or("qcluster");
+        let method = method_by_name(name, QclusterConfig::default())
+            .ok_or_else(|| RouterError::InvalidRequest(format!("unknown engine '{name}'")))?;
+        let (session, evicted) = self
+            .sessions
+            .create(|id| Session::new(id, method))
+            .map_err(session_error)?;
+        self.metrics.record_session_created();
+        self.metrics.record_evictions(evicted);
+        let mut marks = self.ingest_marks.lock().unwrap_or_else(|e| e.into_inner());
+        if !marks.is_empty() {
+            // Forget the marks of sessions the registry reaped.
+            marks.retain(|&id, _| self.sessions.contains(id));
         }
-        let mut sids: HashMap<(usize, usize), u64> = HashMap::new();
-        let mut failures = Vec::new();
-        for (p, r, outcome) in self.scatter(legs) {
-            match outcome {
-                Ok(Response::SessionCreated { session }) => {
-                    sids.insert((p, r), session);
-                }
-                Ok(other) => failures.push(self.unexpected(p, r, &other)),
-                Err(kind) => failures.push(self.failure(p, r, kind)),
-            }
-        }
-        for p in 0..self.partitions.len() {
-            if !sids.keys().any(|&(sp, _)| sp == p) {
-                return Err(RouterError::Unavailable(failures));
-            }
-        }
-        let session = self.next_session.fetch_add(1, Ordering::Relaxed);
-        self.sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(
-                session,
-                SessionState {
-                    bindings: sids,
-                    ..SessionState::default()
-                },
-            );
         Ok(session)
     }
 
-    /// Closes `session` on every replica that holds it.
+    /// Closes `session`. Local: no leg is sent.
     ///
     /// # Errors
     ///
-    /// [`RouterError::UnknownSession`] when the router never issued
-    /// `session` (node-side close failures are best-effort ignored —
-    /// node sessions also expire by idle TTL).
+    /// [`RouterError::UnknownSession`] when `session` is not live.
     pub fn close_session(&self, session: u64) -> Result<(), RouterError> {
-        let state = self
-            .sessions
+        self.sessions.close(session).map_err(session_error)?;
+        self.metrics.record_session_closed();
+        self.ingest_marks
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .remove(&session)
-            .ok_or(RouterError::UnknownSession(session))?;
-        let legs = state
-            .bindings
-            .iter()
-            .map(|(&(p, r), &sid)| (p, r, Request::CloseSession { session: sid }))
-            .collect();
-        self.scatter(legs);
+            .remove(&session);
         Ok(())
     }
 
-    pub(super) fn session_state(&self, session: u64) -> Result<SessionState, RouterError> {
-        self.sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&session)
-            .cloned()
-            .ok_or(RouterError::UnknownSession(session))
+    /// Fails with [`RouterError::UnknownSession`] unless `session` is
+    /// live (refreshing its recency).
+    pub(super) fn check_session(&self, session: u64) -> Result<SessionHandle, RouterError> {
+        self.sessions.get(session).map_err(session_error)
+    }
+
+    /// Raises `session`'s read-your-writes mark on `partition` to
+    /// `total`, if the session is still live.
+    pub(super) fn raise_ingest_mark(&self, session: u64, partition: usize, total: u64) {
+        let mut marks = self.ingest_marks.lock().unwrap_or_else(|e| e.into_inner());
+        if self.sessions.contains(session) {
+            let mark = marks
+                .entry(session)
+                .or_default()
+                .entry(partition)
+                .or_insert(0);
+            *mark = (*mark).max(total);
+        }
     }
 
     // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
 
-    /// Scatters one k-NN round to one replica per partition and merges
-    /// the partial top-k lists (ids remapped to the global space,
-    /// ties by `(distance, id)` — identical to the executor's shard
-    /// merge). Missing legs degrade the response instead of failing it;
-    /// `nodes_ok / nodes_total` on the returned [`Response::Neighbors`]
-    /// carry the coverage.
+    /// Compiles one k-NN round — the example `vector`, or the session's
+    /// refined query — and scatters it as a `QueryCompiled` to one
+    /// replica per partition, then merges the partial top-k lists (ids
+    /// remapped to the global space, ties by `(distance, id)` —
+    /// identical to the executor's shard merge). Missing legs degrade
+    /// the response instead of failing it; `nodes_ok / nodes_total` on
+    /// the returned [`Response::Neighbors`] carry the coverage.
     ///
     /// # Errors
     ///
-    /// - [`RouterError::UnknownSession`] for a session this router
-    ///   never issued.
+    /// - [`RouterError::UnknownSession`] for a session that is not live.
+    /// - [`RouterError::InvalidRequest`] when the session has no query
+    ///   yet (no feedback), the vector is not finite, or a node
+    ///   rejected the request (`k == 0`, a wrong dimensionality).
     /// - [`RouterError::Unavailable`] when *zero* partitions answered.
     pub fn query(
         &self,
@@ -289,32 +279,48 @@ impl Router {
         vector: Option<Vec<f64>>,
         deadline_ms: Option<u64>,
     ) -> Result<ScatterReport, RouterError> {
-        let sess = self.session_state(session)?;
+        let handle = self.check_session(session)?;
+        let spec = {
+            let mut guard = handle.lock();
+            let spec = match vector {
+                Some(center) => {
+                    let spec = QuerySpec::Euclidean { center };
+                    spec.check().map_err(session_error)?;
+                    spec
+                }
+                None => {
+                    let plan = guard.plan(&self.metrics).map_err(session_error)?;
+                    QuerySpec::of(&*plan).map_err(session_error)?
+                }
+            };
+            guard.record_query();
+            spec
+        };
+        let marks = self
+            .ingest_marks
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&session)
+            .cloned()
+            .unwrap_or_default();
         let nodes_total = self.partitions.len();
-        let mut failures: Vec<NodeFailure> = Vec::new();
-        let mut legs = Vec::new();
-        for p in 0..self.partitions.len() {
-            let r = self.read_replica(p, &sess);
-            let Some(&sid) = sess.bindings.get(&(p, r)) else {
-                failures.push(self.failure(
+        let legs = (0..nodes_total)
+            .map(|p| {
+                let r = self.read_replica(p, marks.get(&p).copied());
+                let query = spec.clone();
+                (
                     p,
                     r,
-                    NodeFailureKind::Remote("replica holds no session state".into()),
-                ));
-                continue;
-            };
-            legs.push((
-                p,
-                r,
-                Request::Query {
-                    session: sid,
-                    k,
-                    vector: vector.clone(),
-                    deadline_ms,
-                },
-            ));
-        }
-        let mut lists: Vec<Vec<Neighbor>> = Vec::with_capacity(legs.len());
+                    Request::QueryCompiled {
+                        query,
+                        k,
+                        deadline_ms,
+                    },
+                )
+            })
+            .collect();
+        let mut failures: Vec<NodeFailure> = Vec::new();
+        let mut lists: Vec<Vec<Neighbor>> = Vec::with_capacity(nodes_total);
         let mut stats = SearchStats::default();
         let (mut shards_ok, mut shards_total, mut nodes_ok) = (0usize, 0usize, 0usize);
         for (p, r, outcome) in self.scatter(legs) {
@@ -341,6 +347,7 @@ impl Router {
                     shards_total += leg_shards_total;
                     nodes_ok += 1;
                 }
+                Ok(Response::Error(e)) => return Err(RouterError::InvalidRequest(e.to_string())),
                 Ok(other) => failures.push(self.unexpected(p, r, &other)),
                 Err(kind) => failures.push(self.failure(p, r, kind)),
             }
@@ -379,18 +386,18 @@ impl Router {
     // ------------------------------------------------------------------
 
     /// Marks global corpus ids as relevant: resolves each id's vector
-    /// from its owning partition's leader, then broadcasts the explicit
-    /// `(id, vector, score)` triples to every replica holding the
-    /// session (so refined queries agree across replicas and survive
-    /// failover).
+    /// with one `FetchVectors` scatter to the owning partitions'
+    /// leaders, then feeds the session's method on the calling thread.
     ///
     /// # Errors
     ///
-    /// - [`RouterError::UnknownSession`] / [`RouterError::InvalidRequest`]
-    ///   for bad inputs.
+    /// - [`RouterError::UnknownSession`] for a session that is not live.
+    /// - [`RouterError::InvalidRequest`] for an empty feed, a
+    ///   score-count mismatch, a score that is not positive and finite,
+    ///   an id outside the corpus (its owner says so), or a feed the
+    ///   method rejects.
     /// - [`RouterError::Unavailable`] when a vector's owner partition
-    ///   could not resolve it, or when any partition ends up with zero
-    ///   replicas that accepted the feed.
+    ///   could not resolve it.
     pub fn feed(
         &self,
         session: u64,
@@ -409,7 +416,7 @@ impl Router {
                 )));
             }
         }
-        let sess = self.session_state(session)?;
+        let handle = self.check_session(session)?;
 
         // Resolve vectors with one scatter: a `FetchVectors` leg to
         // every owning partition's leader (local id = global -
@@ -418,7 +425,7 @@ impl Router {
         for (i, &id) in relevant_ids.iter().enumerate() {
             by_owner.entry(self.map.owner(id)).or_default().push(i);
         }
-        let mut points: Vec<Option<FeedPointDto>> = vec![None; relevant_ids.len()];
+        let mut points: Vec<Option<FeedbackPoint>> = vec![None; relevant_ids.len()];
         let mut owners: Vec<(usize, Vec<usize>)> = by_owner.into_iter().collect();
         owners.sort_by_key(|(p, _)| *p);
         let legs = owners
@@ -436,11 +443,12 @@ impl Router {
             match outcome {
                 Ok(Response::Vectors { vectors }) if vectors.len() == indices.len() => {
                     for (&i, vector) in indices.iter().zip(vectors) {
-                        points[i] = Some(FeedPointDto {
-                            id: relevant_ids[i],
-                            vector,
-                            score: scores.map_or(self.config.default_score, |s| s[i]),
-                        });
+                        let (id, score) = (
+                            relevant_ids[i],
+                            scores.map_or(self.config.default_score, |s| s[i]),
+                        );
+                        check_feed_point(id, &vector, score).map_err(session_error)?;
+                        points[i] = Some(FeedbackPoint::new(id, vector, score));
                     }
                 }
                 Ok(Response::Vectors { vectors }) => {
@@ -450,6 +458,7 @@ impl Router {
                         indices.len()
                     )));
                 }
+                Ok(Response::Error(e)) => return Err(RouterError::InvalidRequest(e.to_string())),
                 Ok(_) => {
                     return Err(RouterError::Protocol(format!(
                         "partition {p} answered FetchVectors with something else"
@@ -462,66 +471,23 @@ impl Router {
                 }
             }
         }
-        let points: Vec<FeedPointDto> = points
+        let points: Vec<FeedbackPoint> = points
             .into_iter()
             .map(|p| p.expect("every id resolved by its owner"))
             .collect();
 
-        // Broadcast to every replica holding the session.
-        let legs = sess
-            .bindings
-            .iter()
-            .map(|(&(p, r), &sid)| {
-                let points = points.clone();
-                (
-                    p,
-                    r,
-                    Request::FeedPoints {
-                        session: sid,
-                        points,
-                    },
-                )
-            })
-            .collect();
-        let mut accepted: Option<Response> = None;
-        let mut ok_partitions: Vec<bool> = vec![false; self.partitions.len()];
-        let mut acked_replicas: Vec<(usize, usize)> = Vec::new();
-        let mut failures = Vec::new();
-        for (p, r, outcome) in self.scatter(legs) {
-            match outcome {
-                Ok(Response::FeedAccepted {
-                    iteration,
-                    clusters,
-                    ..
-                }) => {
-                    ok_partitions[p] = true;
-                    acked_replicas.push((p, r));
-                    accepted.get_or_insert(Response::FeedAccepted {
-                        session,
-                        iteration,
-                        clusters,
-                    });
-                }
-                Ok(other) => failures.push(self.unexpected(p, r, &other)),
-                Err(kind) => failures.push(self.failure(p, r, kind)),
-            }
-        }
-        if !ok_partitions.iter().all(|&ok| ok) {
-            return Err(RouterError::Unavailable(failures));
-        }
-        // Advance the session's read-your-writes feed mark: from here
-        // on, only replicas that acked this round serve its queries.
-        {
-            let mut sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(state) = sessions.get_mut(&session) {
-                state.feed_round += 1;
-                let round = state.feed_round;
-                for &(p, r) in &acked_replicas {
-                    state.feed_acked.insert((p, r), round);
-                }
-            }
-        }
-        Ok(accepted.expect("all partitions accepted"))
+        let mut guard = handle.lock();
+        let start = Instant::now();
+        guard
+            .engine_mut_for_feed()
+            .feed(&points)
+            .map_err(|e| session_error(ServiceError::from_core(e)))?;
+        self.metrics.feed_latency.record(start.elapsed());
+        Ok(Response::FeedAccepted {
+            session,
+            iteration: guard.feeds(),
+            clusters: guard.engine().num_clusters(),
+        })
     }
 
     // ------------------------------------------------------------------
@@ -530,8 +496,9 @@ impl Router {
 
     /// Cluster-wide metrics: every reachable partition leader's
     /// snapshot absorbed into one (counters summed, quantiles bounded
-    /// by the per-node maxima), with [`MetricsSnapshot::cluster`]
-    /// replaced by this router's own counters.
+    /// by the per-node maxima). The session, plan-cache and feed
+    /// figures are this router's own, since it hosts the sessions, and
+    /// [`MetricsSnapshot::cluster`] holds its cluster counters.
     ///
     /// # Errors
     ///
@@ -556,7 +523,91 @@ impl Router {
             }
         }
         let mut snapshot = merged.ok_or(RouterError::Unavailable(failures))?;
+        let own = self.metrics.snapshot(
+            self.sessions.len() as u64,
+            Default::default(),
+            0,
+            0,
+            Default::default(),
+        );
+        snapshot.feed = own.feed;
+        snapshot.plan_cache_hits = own.plan_cache_hits;
+        snapshot.plan_cache_misses = own.plan_cache_misses;
+        snapshot.evictions = own.evictions;
+        snapshot.sessions_created = own.sessions_created;
+        snapshot.sessions_closed = own.sessions_closed;
+        snapshot.active_sessions = own.active_sessions;
         snapshot.cluster = self.cluster_gauges();
         Ok(snapshot)
+    }
+}
+
+/// A session or method error in the router's vocabulary.
+fn session_error(e: ServiceError) -> RouterError {
+    match e {
+        ServiceError::UnknownSession(id) => RouterError::UnknownSession(id),
+        other => RouterError::InvalidRequest(other.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{synthetic_slice, NodeFailureKind, Router, RouterConfig, ShardMap};
+    use qcluster_failpoint::{self as failpoint, Action};
+    use qcluster_net::{Server, ServerConfig};
+    use qcluster_service::{Response, Service, ServiceConfig};
+    use std::sync::Arc;
+
+    /// A request frame damaged on the way is a transport failure of its
+    /// leg, so the query degrades over the other nodes, although the
+    /// node answers the damaged frame with a typed `InvalidRequest`.
+    #[test]
+    fn a_corrupted_leg_degrades_the_query_instead_of_failing_it() {
+        let _serial = failpoint::test_lock();
+        failpoint::clear_all();
+        let (dim, per) = (4, 50);
+        let servers: Vec<Server> = (0..3)
+            .map(|i| {
+                let config = ServiceConfig {
+                    num_shards: 2,
+                    ..ServiceConfig::default()
+                };
+                let service = Service::new(&synthetic_slice(i * per, per, dim), config).unwrap();
+                Server::bind("127.0.0.1:0", Arc::new(service), ServerConfig::default()).unwrap()
+            })
+            .collect();
+        let addrs: Vec<_> = servers.iter().map(Server::local_addr).collect();
+        let map = ShardMap::even(&addrs, 3 * per).unwrap();
+        let router = Router::new(map, RouterConfig::default()).unwrap();
+        let session = router.create_session(None).unwrap();
+        // Fires once, on the next frame encoded in this process: one
+        // leg's request (creating a session sent none).
+        failpoint::configure_counted(
+            "net.frame.corrupt",
+            Action::Error("bitflip".into()),
+            0,
+            Some(1),
+        );
+        let report = router.query(session, 5, Some(vec![0.5; dim]), None);
+        failpoint::clear_all();
+        let report = report.unwrap();
+        let Response::Neighbors {
+            nodes_ok, degraded, ..
+        } = report.response
+        else {
+            panic!("expected neighbors, got {:?}", report.response)
+        };
+        assert_eq!(nodes_ok, 2);
+        assert!(degraded);
+        assert!(
+            matches!(&report.failures[..], [f] if matches!(&f.kind, NodeFailureKind::Transport(msg) if msg.contains("undecodable"))),
+            "{:?}",
+            report.failures
+        );
+        assert_eq!(router.cluster_gauges().node_failures, 1);
+        drop(router);
+        for server in servers {
+            server.shutdown();
+        }
     }
 }

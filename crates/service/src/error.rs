@@ -71,6 +71,19 @@ pub enum ServiceError {
 }
 
 impl ServiceError {
+    /// `true` when the request itself was at fault (malformed, wrong
+    /// dimensionality, an id outside the corpus): the node is healthy,
+    /// and a cluster router counts the reply as delivered rather than
+    /// as a failure against the node's circuit breaker.
+    pub fn is_caller_fault(&self) -> bool {
+        matches!(
+            self,
+            ServiceError::InvalidRequest(_)
+                | ServiceError::InvalidImageId { .. }
+                | ServiceError::DimensionMismatch { .. }
+        )
+    }
+
     /// Maps an engine error onto the service vocabulary, keeping the
     /// variants the protocol distinguishes structurally.
     pub fn from_core(e: CoreError) -> Self {

@@ -23,6 +23,8 @@
 //!   counters, snapshotable at any time.
 //! - [`protocol`] — serializable `Request`/`Response` enums plus the
 //!   [`dispatch`] function, so any byte transport can front the service.
+//! - [`spec`] — [`QuerySpec`], the wire form of a compiled query, which
+//!   a node answers without a session.
 //!
 //! A service can also be **durable**: [`Service::open_durable`] backs it
 //! with a `qcluster-store` segment + WAL directory, enabling live
@@ -60,6 +62,7 @@ pub mod protocol;
 pub mod service;
 pub mod session;
 pub mod shard;
+pub mod spec;
 mod writer;
 
 pub use error::ServiceError;
@@ -70,9 +73,14 @@ pub use metrics::{
     ClusterGauges, FaultGauges, HistogramSummary, LatencyHistogram, MetricsSnapshot, OpHistogram,
     OpSummary, QuantGauges, ServiceMetrics, StorageGauges, TransportGauges,
 };
-pub use protocol::{dispatch, FeedPointDto, NeighborDto, Request, Response, SearchStatsDto};
+pub use protocol::{
+    check_feed_point, dispatch, FeedPointDto, NeighborDto, Request, Response, SearchStatsDto,
+};
+pub use qcluster_baselines::{method_by_name, METHODS};
+pub use qcluster_core::{FeedbackPoint, QclusterConfig};
 pub use qcluster_index::FanoutQuery;
 pub use qcluster_store::{CompactionStats, StoreConfig};
 pub use service::{FeedOutcome, IngestOutcome, QueryOutcome, Service, ServiceConfig};
 pub use session::{RegistryConfig, Session, SessionHandle, SessionRegistry};
 pub use shard::{Shard, ShardKind, ShardedCorpus};
+pub use spec::{AggregateSpec, InverseSpec, PointSpec, QuerySpec, RepresentativeSpec};

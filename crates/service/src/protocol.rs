@@ -9,7 +9,8 @@
 
 use crate::error::ServiceError;
 use crate::metrics::MetricsSnapshot;
-use crate::service::Service;
+use crate::service::{QueryOutcome, Service};
+use crate::spec::QuerySpec;
 use qcluster_index::{Neighbor, SearchStats};
 use serde::{Deserialize, Serialize};
 
@@ -68,20 +69,32 @@ pub enum Request {
     Stats,
     /// Resolve corpus vectors by id (base corpus or live overlay). A
     /// cluster router uses this to materialize feedback vectors from
-    /// the partition that owns them before broadcasting the feed.
+    /// the partition that owns them before it feeds the session it
+    /// hosts.
     FetchVectors {
         /// Global corpus ids to resolve.
         ids: Vec<usize>,
     },
     /// Feed explicit `(id, vector, score)` triples into a session. The
-    /// ids need not exist in this node's corpus — a router feeds
-    /// vectors owned by *other* partitions under their global ids, and
-    /// the engine only cares about the vectors and scores.
+    /// ids need not exist in this node's corpus; the engine only cares
+    /// about the vectors and scores. No router sends it any more; it
+    /// stays only because `benchmark/` replays it (ROADMAP 1(b)).
     FeedPoints {
         /// Target session.
         session: u64,
         /// The marked points, vectors included.
         points: Vec<FeedPointDto>,
+    },
+    /// Run a k-NN round for a query compiled elsewhere, outside any
+    /// session: a cluster router hosts the session, compiles its query
+    /// and scatters it to the nodes with this request.
+    QueryCompiled {
+        /// The compiled query.
+        query: QuerySpec,
+        /// Result count.
+        k: usize,
+        /// Optional deadline in milliseconds, as for [`Request::Query`].
+        deadline_ms: Option<u64>,
     },
 }
 
@@ -164,7 +177,8 @@ pub enum Response {
     /// degraded response: the top-k is correct over the shards that
     /// responded, but silent misses from the failed shards are possible.
     Neighbors {
-        /// The session that ran the query.
+        /// The session that ran the query (0 for
+        /// [`Request::QueryCompiled`], which has none).
         session: u64,
         /// Global top-k, ascending by `(distance, id)`.
         neighbors: Vec<NeighborDto>,
@@ -243,12 +257,49 @@ fn check_finite(vector: &[f64]) -> Result<(), ServiceError> {
     }
 }
 
+/// The checks every fed point passes before an engine sees it, wherever
+/// the engine runs: a finite vector and a positive, finite score.
+///
+/// # Errors
+///
+/// [`ServiceError::InvalidRequest`] naming the offending component or
+/// score.
+pub fn check_feed_point(id: usize, vector: &[f64], score: f64) -> Result<(), ServiceError> {
+    check_finite(vector)?;
+    if score <= 0.0 || !score.is_finite() {
+        return Err(ServiceError::InvalidRequest(format!(
+            "score {score} for id {id} must be positive and finite"
+        )));
+    }
+    Ok(())
+}
+
+/// The wire answer of one query round.
+fn neighbors(session: u64, out: QueryOutcome) -> Response {
+    let degraded = out.degraded();
+    Response::Neighbors {
+        session,
+        neighbors: out.neighbors.into_iter().map(NeighborDto::from).collect(),
+        stats: SearchStatsDto::from(out.stats),
+        shards_ok: out.shards_ok,
+        shards_total: out.shards_total,
+        nodes_ok: 1,
+        nodes_total: 1,
+        degraded,
+    }
+}
+
 /// Maps one request onto the service. Infallible by construction: every
 /// service error becomes [`Response::Error`] — including structurally
 /// hostile field values (absurd `k`, non-finite vectors), which are
 /// rejected here before they reach allocation or kernel code.
 pub fn dispatch(service: &Service, request: Request) -> Response {
     match &request {
+        Request::QueryCompiled { k, .. } if *k > MAX_WIRE_K => {
+            return Response::Error(ServiceError::InvalidRequest(format!(
+                "k {k} exceeds the wire maximum {MAX_WIRE_K}"
+            )));
+        }
         Request::Query { k, vector, .. } => {
             if *k > MAX_WIRE_K {
                 return Response::Error(ServiceError::InvalidRequest(format!(
@@ -274,14 +325,8 @@ pub fn dispatch(service: &Service, request: Request) -> Response {
         }
         Request::FeedPoints { points, .. } => {
             for p in points {
-                if let Err(e) = check_finite(&p.vector) {
+                if let Err(e) = check_feed_point(p.id, &p.vector, p.score) {
                     return Response::Error(e);
-                }
-                if p.score <= 0.0 || !p.score.is_finite() {
-                    return Response::Error(ServiceError::InvalidRequest(format!(
-                        "score {} for id {} must be positive and finite",
-                        p.score, p.id
-                    )));
                 }
             }
         }
@@ -306,19 +351,20 @@ pub fn dispatch(service: &Service, request: Request) -> Response {
                 (None, Some(d)) => service.query_with_deadline(session, k, Some(d)),
                 (None, None) => service.query(session, k),
             }
-            .map(|out| {
-                let degraded = out.degraded();
-                Response::Neighbors {
-                    session,
-                    neighbors: out.neighbors.into_iter().map(NeighborDto::from).collect(),
-                    stats: SearchStatsDto::from(out.stats),
-                    shards_ok: out.shards_ok,
-                    shards_total: out.shards_total,
-                    nodes_ok: 1,
-                    nodes_total: 1,
-                    degraded,
-                }
-            })
+            .map(|out| neighbors(session, out))
+        }
+        Request::QueryCompiled {
+            query,
+            k,
+            deadline_ms,
+        } => {
+            let deadline = deadline_ms
+                .map(std::time::Duration::from_millis)
+                .or(service.config().default_deadline);
+            query
+                .compile()
+                .and_then(|query| service.query_compiled(&*query, k, deadline))
+                .map(|out| neighbors(0, out))
         }
         Request::Feed {
             session,

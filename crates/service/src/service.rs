@@ -10,6 +10,7 @@ use crate::executor::{
     default_num_workers, panic_message, Executor, ExecutorConfig, ShardFailureKind,
 };
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
+use crate::protocol::check_feed_point;
 use crate::session::{RegistryConfig, Session, SessionRegistry};
 use crate::shard::{ShardKind, ShardedCorpus};
 use crate::writer::Writer;
@@ -457,14 +458,10 @@ impl Service {
                 .map(|(i, &id)| {
                     let vector = self.vector_of(&overlay, id)?;
                     let score = scores.map_or(self.config.default_score, |s| s[i]);
-                    if score <= 0.0 || !score.is_finite() {
-                        return Err(ServiceError::InvalidRequest(format!(
-                            "score {score} for id {id} must be positive and finite"
-                        )));
-                    }
+                    check_feed_point(id, &vector, score)?;
                     Ok(FeedbackPoint::new(id, vector, score))
                 })
-                .collect::<Result<Vec<_>, _>>()?
+                .collect::<Result<Vec<_>, ServiceError>>()?
         };
         self.feed(session, &points)
     }
@@ -509,19 +506,8 @@ impl Service {
         let handle = self.registry.get(session)?;
         let start = Instant::now();
         let mut guard = handle.lock();
-        let query = match guard.cached_plan() {
-            Some(cached) => {
-                self.metrics.record_plan_cache_hit();
-                cached
-            }
-            None => {
-                let compiled = guard.engine().query().map_err(ServiceError::from_core)?;
-                self.metrics.record_plan_cache_miss();
-                guard.store_plan(compiled.clone_fanout());
-                compiled
-            }
-        };
-        self.run_query(&mut guard, &*query, k, start, deadline)
+        let query = guard.plan(&self.metrics)?;
+        self.run_query(Some(&mut guard), &*query, k, start, deadline)
     }
 
     /// Runs an ad-hoc query from an explicit vector — the session's
@@ -567,12 +553,38 @@ impl Service {
         let start = Instant::now();
         let mut guard = handle.lock();
         let query = EuclideanQuery::new(vector);
-        self.run_query(&mut guard, &query, k, start, deadline)
+        self.run_query(Some(&mut guard), &query, k, start, deadline)
+    }
+
+    /// Runs a query compiled elsewhere, outside any session: what a
+    /// cluster router scatters ([`crate::Request::QueryCompiled`]) —
+    /// the router hosts the session and compiles, the node only scans.
+    /// `deadline` as in [`Service::query_with_deadline`].
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::DimensionMismatch`],
+    /// [`ServiceError::InvalidRequest`] for `k == 0`,
+    /// [`ServiceError::DeadlineExceeded`] and
+    /// [`ServiceError::Overloaded`].
+    pub fn query_compiled(
+        &self,
+        query: &dyn FanoutQuery,
+        k: usize,
+        deadline: Option<Duration>,
+    ) -> Result<QueryOutcome, ServiceError> {
+        if query.dim() != self.corpus.dim() {
+            return Err(ServiceError::DimensionMismatch {
+                expected: self.corpus.dim(),
+                found: query.dim(),
+            });
+        }
+        self.run_query(None, query, k, Instant::now(), deadline)
     }
 
     fn run_query(
         &self,
-        session: &mut Session,
+        session: Option<&mut Session>,
         query: &dyn FanoutQuery,
         k: usize,
         start: Instant,
@@ -581,7 +593,9 @@ impl Service {
         if k == 0 {
             return Err(ServiceError::InvalidRequest("k must be positive".into()));
         }
-        session.record_query();
+        if let Some(session) = session {
+            session.record_query();
+        }
         let fanout_start = Instant::now();
         // The deadline covers the whole request, so it anchors at
         // `start` (session lookup and plan compilation count against it).

@@ -9,6 +9,7 @@
 //! registry-level atomic so eviction decisions need no session locks.
 
 use crate::error::ServiceError;
+use crate::metrics::ServiceMetrics;
 use qcluster_baselines::RetrievalMethod;
 use qcluster_index::FanoutQuery;
 use std::collections::HashMap;
@@ -79,13 +80,32 @@ impl Session {
 
     /// A clone of the cached plan, if the engine has not been handed
     /// out mutably since it was stored.
-    pub fn cached_plan(&self) -> Option<Box<dyn FanoutQuery>> {
+    fn cached_plan(&self) -> Option<Box<dyn FanoutQuery>> {
         self.plan.as_ref().map(|p| p.clone_fanout())
     }
 
     /// Retains `query` as the engine's current compiled plan.
-    pub fn store_plan(&mut self, query: Box<dyn FanoutQuery>) {
+    fn store_plan(&mut self, query: Box<dyn FanoutQuery>) {
         self.plan = Some(query);
+    }
+
+    /// The engine's compiled query: the cached plan (a hit), or a fresh
+    /// compile kept until the next [`Session::engine_mut_for_feed`] (a
+    /// miss), each counted in `metrics`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Engine`] (or another mapped engine error) when
+    /// the engine cannot compile, e.g. before any feedback.
+    pub fn plan(&mut self, metrics: &ServiceMetrics) -> Result<Box<dyn FanoutQuery>, ServiceError> {
+        if let Some(cached) = self.cached_plan() {
+            metrics.record_plan_cache_hit();
+            return Ok(cached);
+        }
+        let compiled = self.engine.query().map_err(ServiceError::from_core)?;
+        metrics.record_plan_cache_miss();
+        self.store_plan(compiled.clone_fanout());
+        Ok(compiled)
     }
 
     /// Feed rounds so far.

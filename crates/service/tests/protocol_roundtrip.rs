@@ -3,8 +3,8 @@
 //! transport fronting the service depends on it.
 
 use qcluster_service::{
-    MetricsSnapshot, NeighborDto, Request, Response, SearchStatsDto, Service, ServiceConfig,
-    ServiceError,
+    AggregateSpec, MetricsSnapshot, NeighborDto, PointSpec, QuerySpec, Request, Response,
+    SearchStatsDto, Service, ServiceConfig, ServiceError,
 };
 
 fn roundtrip_request(req: &Request) {
@@ -50,6 +50,18 @@ fn every_request_variant_roundtrips() {
         },
         Request::CloseSession { session: 3 },
         Request::Stats,
+        Request::QueryCompiled {
+            query: QuerySpec::MultiPoint {
+                points: vec![PointSpec {
+                    center: vec![0.1, -2.5],
+                    weights: vec![1.0, 0.3],
+                    mass: 2.0,
+                }],
+                aggregate: AggregateSpec::FuzzyOr { alpha: -5.0 },
+            },
+            k: 10,
+            deadline_ms: Some(150),
+        },
     ] {
         roundtrip_request(&req);
     }
