@@ -31,7 +31,7 @@ use qcluster_cli::{
 use qcluster_eval::synthetic::SemanticGapConfig;
 use qcluster_net::{Client, ClientConfig, Server, ServerConfig};
 use qcluster_router::{Partition, ReadPreference, Router, RouterConfig, ShardMap};
-use qcluster_service::{RegistryConfig, Request, Response, Service, ServiceConfig};
+use qcluster_service::{Request, Response, Service, ServiceConfig};
 use qcluster_store::StoreConfig;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -318,10 +318,7 @@ fn run(args: &SoakArgs) -> Result<(), String> {
             // Exercise replica reads under the RYW gate: followers
             // within 64 records of the leader may serve queries.
             read_preference: ReadPreference::StaleOk { max_lag: 64 },
-            sessions: RegistryConfig {
-                max_sessions: session_capacity(config.users),
-                ..RegistryConfig::default()
-            },
+            max_sessions: session_capacity(config.users),
             ..RouterConfig::default()
         };
         let router = Arc::new(Router::new(map, router_config).map_err(|e| format!("router: {e}"))?);

@@ -28,7 +28,7 @@
 //! - zero-range dimensions (constant columns quantize with `delta = 0`,
 //!   exercising the inflation floor of the error bound).
 //!
-//! CI runs these with `PROPTEST_CASES=256` in the `quantize-equivalence`
+//! CI runs these with `PROPTEST_CASES=256` in the `kernel-equivalence`
 //! job; the default is lighter for local `cargo test`.
 //!
 //! Every shape is also cut into a `CooperativeScan` of 1–5 participants

@@ -19,7 +19,7 @@
 //! screen has to switch itself off rather than drop a lane whose
 //! computed bound is `0`.
 //!
-//! CI runs this with `PROPTEST_CASES=256` in the `quantize-equivalence`
+//! CI runs this with `PROPTEST_CASES=256` in the `kernel-equivalence`
 //! job.
 
 use proptest::prelude::*;

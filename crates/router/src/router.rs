@@ -10,12 +10,12 @@
 //!
 //! ## Sessions
 //!
-//! A session lives on the router, in a [`SessionRegistry`] (method,
-//! compiled-plan cache, idle TTL, LRU eviction) sized by
-//! [`RouterConfig::sessions`]; nodes hold none. Creating and closing
-//! one sends no leg. A feed is one `FetchVectors` scatter to the
-//! partitions owning the marked ids, then the method's feed on the
-//! caller's thread. A query compiles the session's refined query (or
+//! A session lives on the router, in the same [`SessionRegistry`] a
+//! node hosts its own in (method, compiled-plan cache, LRU eviction),
+//! sized by [`RouterConfig::max_sessions`]; nodes hold none. Creating
+//! and closing one sends no leg. A feed is one `FetchVectors` scatter
+//! to the partitions owning the marked ids, then the method's feed on
+//! the caller's thread. A query compiles the session's refined query (or
 //! takes the example vector) and scatters it as a stateless
 //! `QueryCompiled` carrying the query's numbers, never the fed points.
 //!
@@ -97,7 +97,7 @@ use crossbeam::channel::{self, Receiver, Sender};
 use qcluster_net::{is_undecodable, Client, ClientConfig};
 use qcluster_service::fanout::{Breaker, Reply};
 use qcluster_service::{
-    ClusterGauges, RegistryConfig, Request, Response, ServiceMetrics, SessionRegistry,
+    ClusterGauges, Request, Response, ServiceError, ServiceMetrics, SessionRegistry,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -139,9 +139,6 @@ pub struct RouterConfig {
     pub replication_batch: u32,
     /// Replica selection for query legs.
     pub read_preference: ReadPreference,
-    /// Relevance score assigned when a feed omits explicit scores
-    /// (matches the single-node service default).
-    pub default_score: f64,
     /// How long a follower honors a leader lease (and a vote lease)
     /// after granting it. An actively-shipping leader renews within
     /// this window; failover after a leader death waits at most one
@@ -160,9 +157,9 @@ pub struct RouterConfig {
     /// behind (e.g. rejoining after a kill) is left to the
     /// anti-entropy thread so it cannot stall every ingest.
     pub max_inline_lag: u64,
-    /// The session registry: capacity, idle TTL and LRU eviction. The
-    /// router hosts every session; nodes hold none.
-    pub sessions: RegistryConfig,
+    /// Maximum live sessions; creating one more evicts the least
+    /// recently used. The router hosts every session; nodes hold none.
+    pub max_sessions: usize,
 }
 
 impl Default for RouterConfig {
@@ -174,12 +171,11 @@ impl Default for RouterConfig {
             client: ClientConfig::default(),
             replication_batch: 256,
             read_preference: ReadPreference::LeaderOnly,
-            default_score: 3.0,
             lease_duration: Duration::from_millis(1_500),
             election_backoff: Duration::from_millis(100),
             election_timeout: Duration::from_secs(4),
             max_inline_lag: 4_096,
-            sessions: RegistryConfig::default(),
+            max_sessions: 64,
         }
     }
 }
@@ -292,6 +288,16 @@ impl fmt::Display for RouterError {
 }
 
 impl std::error::Error for RouterError {}
+
+/// A session or method error in the router's vocabulary.
+impl From<ServiceError> for RouterError {
+    fn from(e: ServiceError) -> Self {
+        match e {
+            ServiceError::UnknownSession(id) => RouterError::UnknownSession(id),
+            other => RouterError::InvalidRequest(other.to_string()),
+        }
+    }
+}
 
 /// The outcome of one scattered query.
 #[derive(Debug, Clone)]
@@ -466,7 +472,7 @@ impl Router {
     ///
     /// # Panics
     ///
-    /// Panics when `config.sessions.max_sessions` is zero.
+    /// Panics when `config.max_sessions` is zero.
     pub fn new(map: ShardMap, config: RouterConfig) -> Result<Router, RouterError> {
         let mut partitions = Vec::with_capacity(map.num_partitions());
         let mut workers = Vec::with_capacity(map.num_nodes());
@@ -500,7 +506,7 @@ impl Router {
         Ok(Router {
             map,
             partitions,
-            sessions: SessionRegistry::new(config.sessions),
+            sessions: SessionRegistry::new(config.max_sessions),
             ingest_marks: Mutex::new(HashMap::new()),
             metrics: ServiceMetrics::new(),
             config,

@@ -9,8 +9,7 @@ use qcluster_failpoint as failpoint;
 use qcluster_index::{merge_top_k, Neighbor, SearchStats};
 use qcluster_service::fanout::{gather, Breaker, Miss};
 use qcluster_service::{
-    check_feed_point, method_by_name, FeedbackPoint, MetricsSnapshot, NeighborDto, QclusterConfig,
-    QuerySpec, Request, Response, SearchStatsDto, ServiceError, Session, SessionHandle,
+    feedback_points, MetricsSnapshot, NeighborDto, QuerySpec, Request, Response, SearchStatsDto,
 };
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -191,29 +190,22 @@ impl Router {
     // ------------------------------------------------------------------
 
     /// Opens a session hosting the method `engine` names in
-    /// `METHODS` (`None` is `"qcluster"`, under the default
-    /// configuration). Local: no leg is sent.
+    /// `METHODS` (`None` is `"qcluster"`). At capacity the least
+    /// recently used session is evicted, and its ingest marks with it.
+    /// Local: no leg is sent.
     ///
     /// # Errors
     ///
-    /// [`RouterError::InvalidRequest`] for an unknown name, or a full
-    /// registry whose [`RouterConfig::sessions`] forbids eviction.
-    ///
-    /// [`RouterConfig::sessions`]: super::RouterConfig::sessions
+    /// [`RouterError::InvalidRequest`] for an unknown name.
     pub fn create_session(&self, engine: Option<&str>) -> Result<u64, RouterError> {
-        let name = engine.unwrap_or("qcluster");
-        let method = method_by_name(name, QclusterConfig::default())
-            .ok_or_else(|| RouterError::InvalidRequest(format!("unknown engine '{name}'")))?;
         let (session, evicted) = self
             .sessions
-            .create(|id| Session::new(id, method))
-            .map_err(session_error)?;
-        self.metrics.record_session_created();
-        self.metrics.record_evictions(evicted);
-        let mut marks = self.ingest_marks.lock().unwrap_or_else(|e| e.into_inner());
-        if !marks.is_empty() {
-            // Forget the marks of sessions the registry reaped.
-            marks.retain(|&id, _| self.sessions.contains(id));
+            .create(engine.unwrap_or("qcluster"), &self.metrics)?;
+        if !evicted.is_empty() {
+            let mut marks = self.ingest_marks.lock().unwrap_or_else(|e| e.into_inner());
+            for id in evicted {
+                marks.remove(&id);
+            }
         }
         Ok(session)
     }
@@ -224,8 +216,7 @@ impl Router {
     ///
     /// [`RouterError::UnknownSession`] when `session` is not live.
     pub fn close_session(&self, session: u64) -> Result<(), RouterError> {
-        self.sessions.close(session).map_err(session_error)?;
-        self.metrics.record_session_closed();
+        self.sessions.close(session, &self.metrics)?;
         self.ingest_marks
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -235,8 +226,8 @@ impl Router {
 
     /// Fails with [`RouterError::UnknownSession`] unless `session` is
     /// live (refreshing its recency).
-    pub(super) fn check_session(&self, session: u64) -> Result<SessionHandle, RouterError> {
-        self.sessions.get(session).map_err(session_error)
+    pub(super) fn check_session(&self, session: u64) -> Result<(), RouterError> {
+        Ok(self.sessions.touch(session)?)
     }
 
     /// Raises `session`'s read-your-writes mark on `partition` to
@@ -269,7 +260,7 @@ impl Router {
     ///
     /// - [`RouterError::UnknownSession`] for a session that is not live.
     /// - [`RouterError::InvalidRequest`] when the session has no query
-    ///   yet (no feedback), the vector is not finite, or a node
+    ///   yet (no feedback), the query is not finite, or a node
     ///   rejected the request (`k == 0`, a wrong dimensionality).
     /// - [`RouterError::Unavailable`] when *zero* partitions answered.
     pub fn query(
@@ -279,23 +270,9 @@ impl Router {
         vector: Option<Vec<f64>>,
         deadline_ms: Option<u64>,
     ) -> Result<ScatterReport, RouterError> {
-        let handle = self.check_session(session)?;
-        let spec = {
-            let mut guard = handle.lock();
-            let spec = match vector {
-                Some(center) => {
-                    let spec = QuerySpec::Euclidean { center };
-                    spec.check().map_err(session_error)?;
-                    spec
-                }
-                None => {
-                    let plan = guard.plan(&self.metrics).map_err(session_error)?;
-                    QuerySpec::of(&*plan).map_err(session_error)?
-                }
-            };
-            guard.record_query();
-            spec
-        };
+        let query = self.sessions.query(session, vector, &self.metrics)?;
+        let spec = QuerySpec::of(&*query)?;
+        spec.check()?;
         let marks = self
             .ingest_marks
             .lock()
@@ -385,7 +362,8 @@ impl Router {
     // Feedback
     // ------------------------------------------------------------------
 
-    /// Marks global corpus ids as relevant: resolves each id's vector
+    /// Marks global corpus ids as relevant: checks them with
+    /// [`feedback_points`] as a node does, resolves each id's vector
     /// with one `FetchVectors` scatter to the owning partitions'
     /// leaders, then feeds the session's method on the calling thread.
     ///
@@ -404,28 +382,27 @@ impl Router {
         relevant_ids: &[usize],
         scores: Option<&[f64]>,
     ) -> Result<Response, RouterError> {
-        if relevant_ids.is_empty() {
-            return Err(RouterError::InvalidRequest("empty feedback".into()));
-        }
-        if let Some(scores) = scores {
-            if scores.len() != relevant_ids.len() {
-                return Err(RouterError::InvalidRequest(format!(
-                    "{} ids but {} scores",
-                    relevant_ids.len(),
-                    scores.len()
-                )));
-            }
-        }
-        let handle = self.check_session(session)?;
+        let points = feedback_points(relevant_ids, scores, || {
+            self.check_session(session)?;
+            self.fetch_vectors(relevant_ids)
+        })?;
+        let (fed, _) = self.sessions.feed(session, &points, &self.metrics)?;
+        Ok(Response::FeedAccepted {
+            session,
+            iteration: fed.iteration,
+            clusters: fed.clusters,
+        })
+    }
 
-        // Resolve vectors with one scatter: a `FetchVectors` leg to
-        // every owning partition's leader (local id = global -
-        // id_base), preserving the caller's input order in `points`.
+    /// The vectors of global ids, in order, from one scatter: a
+    /// `FetchVectors` leg to every owning partition's leader (local id =
+    /// global - id_base). Every leg is collected; the lowest failing
+    /// partition names the error.
+    fn fetch_vectors(&self, ids: &[usize]) -> Result<Vec<Vec<f64>>, RouterError> {
         let mut by_owner: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, &id) in relevant_ids.iter().enumerate() {
+        for (i, &id) in ids.iter().enumerate() {
             by_owner.entry(self.map.owner(id)).or_default().push(i);
         }
-        let mut points: Vec<Option<FeedbackPoint>> = vec![None; relevant_ids.len()];
         let mut owners: Vec<(usize, Vec<usize>)> = by_owner.into_iter().collect();
         owners.sort_by_key(|(p, _)| *p);
         let legs = owners
@@ -433,28 +410,22 @@ impl Router {
             .map(|(p, indices)| {
                 let id_base = self.partitions[*p].id_base;
                 let leader = self.partitions[*p].leader.load(Ordering::Acquire);
-                let ids = indices.iter().map(|&i| relevant_ids[i] - id_base).collect();
-                (*p, leader, Request::FetchVectors { ids })
+                let local = indices.iter().map(|&i| ids[i] - id_base).collect();
+                (*p, leader, Request::FetchVectors { ids: local })
             })
             .collect();
-        // Every leg is collected; the lowest failing partition names
-        // the error.
+        let mut vectors = vec![Vec::new(); ids.len()];
         for ((p, leader, outcome), (_, indices)) in self.scatter(legs).into_iter().zip(&owners) {
             match outcome {
-                Ok(Response::Vectors { vectors }) if vectors.len() == indices.len() => {
-                    for (&i, vector) in indices.iter().zip(vectors) {
-                        let (id, score) = (
-                            relevant_ids[i],
-                            scores.map_or(self.config.default_score, |s| s[i]),
-                        );
-                        check_feed_point(id, &vector, score).map_err(session_error)?;
-                        points[i] = Some(FeedbackPoint::new(id, vector, score));
+                Ok(Response::Vectors { vectors: got }) if got.len() == indices.len() => {
+                    for (&i, vector) in indices.iter().zip(got) {
+                        vectors[i] = vector;
                     }
                 }
-                Ok(Response::Vectors { vectors }) => {
+                Ok(Response::Vectors { vectors: got }) => {
                     return Err(RouterError::Protocol(format!(
                         "partition {p} resolved {} of {} vectors",
-                        vectors.len(),
+                        got.len(),
                         indices.len()
                     )));
                 }
@@ -471,23 +442,7 @@ impl Router {
                 }
             }
         }
-        let points: Vec<FeedbackPoint> = points
-            .into_iter()
-            .map(|p| p.expect("every id resolved by its owner"))
-            .collect();
-
-        let mut guard = handle.lock();
-        let start = Instant::now();
-        guard
-            .engine_mut_for_feed()
-            .feed(&points)
-            .map_err(|e| session_error(ServiceError::from_core(e)))?;
-        self.metrics.feed_latency.record(start.elapsed());
-        Ok(Response::FeedAccepted {
-            session,
-            iteration: guard.feeds(),
-            clusters: guard.engine().num_clusters(),
-        })
+        Ok(vectors)
     }
 
     // ------------------------------------------------------------------
@@ -539,14 +494,6 @@ impl Router {
         snapshot.active_sessions = own.active_sessions;
         snapshot.cluster = self.cluster_gauges();
         Ok(snapshot)
-    }
-}
-
-/// A session or method error in the router's vocabulary.
-fn session_error(e: ServiceError) -> RouterError {
-    match e {
-        ServiceError::UnknownSession(id) => RouterError::UnknownSession(id),
-        other => RouterError::InvalidRequest(other.to_string()),
     }
 }
 

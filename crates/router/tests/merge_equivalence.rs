@@ -73,8 +73,8 @@ mod end_to_end {
     use qcluster_net::{ClientConfig, Server, ServerConfig};
     use qcluster_router::{Partition, ReadPreference, Router, RouterConfig, RouterError, ShardMap};
     use qcluster_service::{
-        dispatch, method_by_name, FeedbackPoint, NeighborDto, QclusterConfig, RegistryConfig,
-        Request, Response, Service, ServiceConfig, METHODS,
+        dispatch, method_by_name, FeedbackPoint, NeighborDto, QclusterConfig, Request, Response,
+        Service, ServiceConfig, METHODS,
     };
     use std::net::SocketAddr;
     use std::sync::Arc;
@@ -236,10 +236,7 @@ mod end_to_end {
     fn sessions_live_on_the_router_and_nodes_hold_none() {
         let points = grid_corpus(240, 4);
         let config = RouterConfig {
-            sessions: RegistryConfig {
-                max_sessions: 2,
-                ..RegistryConfig::default()
-            },
+            max_sessions: 2,
             ..router_config()
         };
         let (servers, services, router) = boot_with(&points, [0, 100, 170], config);

@@ -19,11 +19,6 @@ pub enum ServiceError {
         /// Offending dimensionality.
         found: usize,
     },
-    /// The registry is full and LRU eviction is disabled.
-    CapacityExhausted {
-        /// The configured session cap.
-        max_sessions: usize,
-    },
     /// A feed carried no relevant points.
     EmptyFeedback,
     /// A feed referenced an image id outside the corpus.
@@ -103,9 +98,6 @@ impl fmt::Display for ServiceError {
             ServiceError::UnknownSession(id) => write!(f, "unknown session {id}"),
             ServiceError::DimensionMismatch { expected, found } => {
                 write!(f, "dimension mismatch: expected {expected}, found {found}")
-            }
-            ServiceError::CapacityExhausted { max_sessions } => {
-                write!(f, "session capacity exhausted ({max_sessions} max)")
             }
             ServiceError::EmptyFeedback => write!(f, "empty relevant set"),
             ServiceError::InvalidImageId { id, corpus_len } => {

@@ -16,11 +16,11 @@
 //! - [`fanout`] — the one fault-tolerant fan-out primitive (circuit
 //!   breaker, deadline-bounded collection, typed attribution of every
 //!   missing leg) under both the executor and the cluster router.
-//! - [`session`] — per-client state (engine + compiled plan) behind a
-//!   registry with idle-TTL expiry and a max-sessions cap with
-//!   LRU eviction.
-//! - [`metrics`] — lock-free latency summaries and cache/eviction/session
-//!   counters, snapshotable at any time.
+//! - [`session`] — the session lifecycle both a node and a cluster
+//!   router host: per-client method + compiled plan behind a registry
+//!   with a max-sessions cap and LRU eviction.
+//! - [`metrics`] — lock-free latency summaries and plan-cache, eviction
+//!   and session counters, snapshotable at any time.
 //! - [`protocol`] — serializable `Request`/`Response` enums plus the
 //!   [`dispatch`] function, so any byte transport can front the service.
 //! - [`spec`] — [`QuerySpec`], the wire form of a compiled query, which
@@ -74,13 +74,14 @@ pub use metrics::{
     OpSummary, QuantGauges, ServiceMetrics, StorageGauges, TransportGauges,
 };
 pub use protocol::{
-    check_feed_point, dispatch, FeedPointDto, NeighborDto, Request, Response, SearchStatsDto,
+    dispatch, feedback_points, FeedPointDto, NeighborDto, Request, Response, SearchStatsDto,
+    DEFAULT_SCORE,
 };
 pub use qcluster_baselines::{method_by_name, METHODS};
 pub use qcluster_core::{FeedbackPoint, QclusterConfig};
 pub use qcluster_index::FanoutQuery;
 pub use qcluster_store::{CompactionStats, StoreConfig};
-pub use service::{FeedOutcome, IngestOutcome, QueryOutcome, Service, ServiceConfig};
-pub use session::{RegistryConfig, Session, SessionHandle, SessionRegistry};
+pub use service::{IngestOutcome, QueryOutcome, Service, ServiceConfig};
+pub use session::{FeedOutcome, SessionRegistry};
 pub use shard::{Shard, ShardKind, ShardedCorpus};
 pub use spec::{AggregateSpec, InverseSpec, PointSpec, QuerySpec, RepresentativeSpec};

@@ -1,5 +1,5 @@
 //! Lock-free service metrics: per-operation latency summaries plus
-//! cache, eviction, and session gauges — all plain atomics so the hot
+//! plan-cache, eviction and session gauges — all plain atomics so the hot
 //! query path never takes a lock to record.
 
 use serde::{Deserialize, Serialize};
@@ -262,8 +262,6 @@ pub struct ServiceMetrics {
     /// End-to-end query latency quantiles (same samples as
     /// `query_latency`, but log-bucketed for p50/p95/p99).
     pub query_hist: LatencyHistogram,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
     quant_phase1_points: AtomicU64,
@@ -298,12 +296,6 @@ impl ServiceMetrics {
         ServiceMetrics::default()
     }
 
-    /// Folds one query's cache accounting into the totals.
-    pub fn record_cache(&self, hits: u64, misses: u64) {
-        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
     /// Counts one query served from a session's compiled-plan cache
     /// (engine version unchanged since the plan was compiled).
     pub fn record_plan_cache_hit(&self) {
@@ -326,7 +318,7 @@ impl ServiceMetrics {
         self.quant_plan_misses.fetch_add(misses, Ordering::Relaxed);
     }
 
-    /// Counts `n` evicted sessions (TTL or LRU).
+    /// Counts `n` sessions evicted at capacity (least recently used).
     pub fn record_evictions(&self, n: u64) {
         self.evictions.fetch_add(n, Ordering::Relaxed);
     }
@@ -448,22 +440,12 @@ impl ServiceMetrics {
         workers_respawned: u64,
         shard_latency: HistogramSummary,
     ) -> MetricsSnapshot {
-        let cache_hits = self.cache_hits.load(Ordering::Relaxed);
-        let cache_misses = self.cache_misses.load(Ordering::Relaxed);
-        let touched = cache_hits + cache_misses;
         MetricsSnapshot {
             query: self.query_latency.snapshot(),
             feed: self.feed_latency.snapshot(),
             fanout: self.shard_fanout.snapshot(),
             query_percentiles: self.query_hist.summary(),
             shard_latency,
-            cache_hits,
-            cache_misses,
-            cache_hit_ratio: if touched == 0 {
-                0.0
-            } else {
-                cache_hits as f64 / touched as f64
-            },
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
             quant: QuantGauges {
@@ -604,14 +586,6 @@ impl MetricsSnapshot {
         absorb_op(&mut self.fanout, &other.fanout);
         absorb_hist(&mut self.query_percentiles, &other.query_percentiles);
         absorb_hist(&mut self.shard_latency, &other.shard_latency);
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        let touched = self.cache_hits + self.cache_misses;
-        self.cache_hit_ratio = if touched == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / touched as f64
-        };
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_cache_misses += other.plan_cache_misses;
         self.quant.phase1_points += other.quant.phase1_points;
@@ -772,20 +746,13 @@ pub struct MetricsSnapshot {
     /// Per-shard k-NN execution latency quantiles, recorded at the
     /// worker job site (excludes queueing and merge time).
     pub shard_latency: HistogramSummary,
-    /// Node-cache hits across all sessions (always 0: the shards scan,
-    /// and a scan has no nodes to cache).
-    pub cache_hits: u64,
-    /// Node-cache misses, simulated disk reads (always 0, as above).
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)`; 0 before any access.
-    pub cache_hit_ratio: f64,
     /// Queries served from a session's compiled-plan cache.
     pub plan_cache_hits: u64,
     /// Queries that compiled (or recompiled) their plan.
     pub plan_cache_misses: u64,
     /// Two-phase quantized-scan counters.
     pub quant: QuantGauges,
-    /// Sessions evicted by TTL or LRU pressure.
+    /// Sessions evicted at capacity (least recently used).
     pub evictions: u64,
     /// Sessions ever created.
     pub sessions_created: u64,
@@ -840,14 +807,11 @@ mod tests {
         assert_eq!(s.query.count, 0);
         assert_eq!(s.query.min_ns, 0);
         assert_eq!(s.query.mean_ns, 0.0);
-        assert_eq!(s.cache_hit_ratio, 0.0);
     }
 
     #[test]
     fn cache_ratio_and_counters() {
         let m = ServiceMetrics::new();
-        m.record_cache(3, 1);
-        m.record_cache(0, 4);
         m.record_plan_cache_miss();
         m.record_plan_cache_hit();
         m.record_plan_cache_hit();
@@ -862,9 +826,6 @@ mod tests {
             0,
             HistogramSummary::default(),
         );
-        assert_eq!(s.cache_hits, 3);
-        assert_eq!(s.cache_misses, 5);
-        assert!((s.cache_hit_ratio - 0.375).abs() < 1e-12);
         assert_eq!(s.plan_cache_hits, 2);
         assert_eq!(s.plan_cache_misses, 1);
         assert_eq!(s.evictions, 2);
@@ -1117,12 +1078,12 @@ mod tests {
         let a_metrics = ServiceMetrics::new();
         a_metrics.query_latency.record(Duration::from_nanos(100));
         a_metrics.query_hist.record(Duration::from_nanos(100));
-        a_metrics.record_cache(3, 1);
+        a_metrics.record_plan_cache_hit();
         a_metrics.record_ingest();
         let b_metrics = ServiceMetrics::new();
         b_metrics.query_latency.record(Duration::from_nanos(300));
         b_metrics.query_hist.record(Duration::from_nanos(300));
-        b_metrics.record_cache(1, 3);
+        b_metrics.record_plan_cache_miss();
         b_metrics.record_shard_timeout();
         let mut a = a_metrics.snapshot(
             1,
@@ -1145,9 +1106,7 @@ mod tests {
         assert!((a.query.mean_ns - 200.0).abs() < 1e-9);
         assert_eq!(a.query_percentiles.count, 2);
         assert_eq!(a.query_percentiles.max_ns, 300);
-        assert_eq!(a.cache_hits, 4);
-        assert_eq!(a.cache_misses, 4);
-        assert!((a.cache_hit_ratio - 0.5).abs() < 1e-12);
+        assert_eq!((a.plan_cache_hits, a.plan_cache_misses), (1, 1));
         assert_eq!(a.active_sessions, 3);
         assert_eq!(a.ingests, 1);
         assert_eq!(a.faults.shard_timeouts, 1);
@@ -1173,7 +1132,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 1..=250u64 {
                         m.query_latency.record(Duration::from_nanos(i));
-                        m.record_cache(1, 1);
+                        m.record_plan_cache_hit();
                     }
                 });
             }
@@ -1186,8 +1145,7 @@ mod tests {
             HistogramSummary::default(),
         );
         assert_eq!(s.query.count, 1000);
-        assert_eq!(s.cache_hits, 1000);
-        assert_eq!(s.cache_misses, 1000);
+        assert_eq!(s.plan_cache_hits, 1000);
         assert_eq!(s.query.min_ns, 1);
         assert_eq!(s.query.max_ns, 250);
     }

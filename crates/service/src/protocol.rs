@@ -11,8 +11,10 @@ use crate::error::ServiceError;
 use crate::metrics::MetricsSnapshot;
 use crate::service::{QueryOutcome, Service};
 use crate::spec::QuerySpec;
+use qcluster_core::FeedbackPoint;
 use qcluster_index::{Neighbor, SearchStats};
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
 
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,10 +37,10 @@ pub enum Request {
         k: usize,
         /// Optional explicit query vector (initial round).
         vector: Option<Vec<f64>>,
-        /// Optional per-request deadline in milliseconds. `None` falls
-        /// back to the service's configured default deadline. On expiry
-        /// the response is degraded (partial coverage), not an error,
-        /// unless zero shards responded.
+        /// Optional per-request deadline in milliseconds (`None` waits
+        /// for every shard). On expiry the response is degraded
+        /// (partial coverage), not an error, unless zero shards
+        /// responded.
         deadline_ms: Option<u64>,
     },
     /// Mark corpus images as relevant, optionally graded.
@@ -47,7 +49,8 @@ pub enum Request {
         session: u64,
         /// Corpus ids of the marked images.
         relevant_ids: Vec<usize>,
-        /// Optional per-id relevance scores (defaults when omitted).
+        /// Optional per-id relevance scores ([`DEFAULT_SCORE`] each when
+        /// omitted).
         scores: Option<Vec<f64>>,
     },
     /// Close a session.
@@ -264,7 +267,7 @@ fn check_finite(vector: &[f64]) -> Result<(), ServiceError> {
 ///
 /// [`ServiceError::InvalidRequest`] naming the offending component or
 /// score.
-pub fn check_feed_point(id: usize, vector: &[f64], score: f64) -> Result<(), ServiceError> {
+fn check_feed_point(id: usize, vector: &[f64], score: f64) -> Result<(), ServiceError> {
     check_finite(vector)?;
     if score <= 0.0 || !score.is_finite() {
         return Err(ServiceError::InvalidRequest(format!(
@@ -272,6 +275,50 @@ pub fn check_feed_point(id: usize, vector: &[f64], score: f64) -> Result<(), Ser
         )));
     }
     Ok(())
+}
+
+/// The relevance score of a fed id that carries no score, on every
+/// door.
+pub const DEFAULT_SCORE: f64 = 3.0;
+
+/// The points of one feed marked by corpus id, checked the same way on
+/// every door: a non-empty feed, one score per id when scores are given
+/// ([`DEFAULT_SCORE`] each when they are not), a finite vector and a
+/// positive, finite score. `resolve` maps `ids` to their vectors, in
+/// order; it runs only once the ids and scores are known to pair up.
+///
+/// # Errors
+///
+/// [`ServiceError::EmptyFeedback`], [`ServiceError::InvalidRequest`]
+/// for a score-count mismatch or a bad point, and `resolve`'s error.
+pub fn feedback_points<E: From<ServiceError>>(
+    ids: &[usize],
+    scores: Option<&[f64]>,
+    resolve: impl FnOnce() -> Result<Vec<Vec<f64>>, E>,
+) -> Result<Vec<FeedbackPoint>, E> {
+    if ids.is_empty() {
+        return Err(ServiceError::EmptyFeedback.into());
+    }
+    if let Some(scores) = scores {
+        if scores.len() != ids.len() {
+            return Err(ServiceError::InvalidRequest(format!(
+                "{} ids but {} scores",
+                ids.len(),
+                scores.len()
+            ))
+            .into());
+        }
+    }
+    let vectors = resolve()?;
+    ids.iter()
+        .zip(vectors)
+        .enumerate()
+        .map(|(i, (&id, vector))| {
+            let score = scores.map_or(DEFAULT_SCORE, |s| s[i]);
+            check_feed_point(id, &vector, score)?;
+            Ok(FeedbackPoint::new(id, vector, score))
+        })
+        .collect()
 }
 
 /// The wire answer of one query round.
@@ -343,29 +390,19 @@ pub fn dispatch(service: &Service, request: Request) -> Response {
             k,
             vector,
             deadline_ms,
-        } => {
-            let explicit = deadline_ms.map(std::time::Duration::from_millis);
-            match (vector, explicit) {
-                (Some(v), Some(d)) => service.query_vector_with_deadline(session, v, k, Some(d)),
-                (Some(v), None) => service.query_vector(session, v, k),
-                (None, Some(d)) => service.query_with_deadline(session, k, Some(d)),
-                (None, None) => service.query(session, k),
-            }
-            .map(|out| neighbors(session, out))
-        }
+        } => service
+            .query_with_deadline(session, k, vector, deadline_ms.map(Duration::from_millis))
+            .map(|out| neighbors(session, out)),
         Request::QueryCompiled {
             query,
             k,
             deadline_ms,
-        } => {
-            let deadline = deadline_ms
-                .map(std::time::Duration::from_millis)
-                .or(service.config().default_deadline);
-            query
-                .compile()
-                .and_then(|query| service.query_compiled(&*query, k, deadline))
-                .map(|out| neighbors(0, out))
-        }
+        } => query
+            .compile()
+            .and_then(|query| {
+                service.query_compiled(&*query, k, deadline_ms.map(Duration::from_millis))
+            })
+            .map(|out| neighbors(0, out)),
         Request::Feed {
             session,
             relevant_ids,
@@ -394,9 +431,9 @@ pub fn dispatch(service: &Service, request: Request) -> Response {
             .vectors_by_id(&ids)
             .map(|vectors| Response::Vectors { vectors }),
         Request::FeedPoints { session, points } => {
-            let points: Vec<qcluster_core::FeedbackPoint> = points
+            let points: Vec<FeedbackPoint> = points
                 .into_iter()
-                .map(|p| qcluster_core::FeedbackPoint::new(p.id, p.vector, p.score))
+                .map(|p| FeedbackPoint::new(p.id, p.vector, p.score))
                 .collect();
             service
                 .feed(session, &points)
@@ -531,10 +568,10 @@ mod tests {
 
             // The same method, fed the same points outside the service,
             // over one flat exact scan.
-            let mut method = make(svc.config().engine);
+            let mut method = make(qcluster_core::QclusterConfig::default());
             let fed: Vec<FeedbackPoint> = marked
                 .iter()
-                .map(|&id| FeedbackPoint::new(id, points[id].clone(), svc.config().default_score))
+                .map(|&id| FeedbackPoint::new(id, points[id].clone(), DEFAULT_SCORE))
                 .collect();
             method.feed(&fed).unwrap();
             let expected = oracle.knn(&method.query().unwrap(), 10);

@@ -10,13 +10,12 @@ use crate::executor::{
     default_num_workers, panic_message, Executor, ExecutorConfig, ShardFailureKind,
 };
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::protocol::check_feed_point;
-use crate::session::{RegistryConfig, Session, SessionRegistry};
+use crate::protocol::{feedback_points, DEFAULT_SCORE};
+use crate::session::{FeedOutcome, SessionRegistry};
 use crate::shard::{ShardKind, ShardedCorpus};
 use crate::writer::Writer;
-use qcluster_baselines::{method_by_name, RetrievalMethod};
-use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine};
-use qcluster_index::{merge_top_k, EuclideanQuery, FanoutQuery, LinearScan, Neighbor, SearchStats};
+use qcluster_core::FeedbackPoint;
+use qcluster_index::{merge_top_k, FanoutQuery, LinearScan, Neighbor, SearchStats};
 use qcluster_store::{
     decode_record_frames, encode_record_frame, CompactionStats, StoreConfig, VectorStore, WalRecord,
 };
@@ -33,20 +32,12 @@ pub struct ServiceConfig {
     pub num_workers: usize,
     /// Has one value; stays only because `benchmark/` sets it (ROADMAP 1(b)).
     pub shard_kind: ShardKind,
-    /// Maximum live sessions.
+    /// Maximum live sessions; creating one more evicts the least
+    /// recently used.
     pub max_sessions: usize,
-    /// Idle TTL before a session may be reaped (`None` = never).
-    pub idle_ttl: Option<Duration>,
-    /// At capacity, evict the LRU session instead of failing creation.
-    pub evict_lru_at_capacity: bool,
-    /// Configuration for default (Qcluster) engines.
-    pub engine: QclusterConfig,
-    /// Relevance score assigned to id-only feedback.
+    /// Always [`DEFAULT_SCORE`], which is what a feed uses; stays only
+    /// because `benchmark/` reads it (ROADMAP 1(b)).
     pub default_score: f64,
-    /// Deadline applied to queries that do not carry their own
-    /// (`None` = wait for every shard). On expiry the query returns a
-    /// degraded partial result over the shards that responded.
-    pub default_deadline: Option<Duration>,
     /// Consecutive shard failures that trip its circuit breaker.
     pub breaker_threshold: u32,
     /// How long a tripped breaker skips its shard before half-opening.
@@ -63,25 +54,12 @@ impl Default for ServiceConfig {
             num_workers: default_num_workers(),
             shard_kind: ShardKind::default(),
             max_sessions: 64,
-            idle_ttl: None,
-            evict_lru_at_capacity: true,
-            engine: QclusterConfig::default(),
-            default_score: 3.0,
-            default_deadline: None,
+            default_score: DEFAULT_SCORE,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(1),
             max_queued_jobs: 4096,
         }
     }
-}
-
-/// Result of one feed round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeedOutcome {
-    /// Feed rounds this session has completed.
-    pub iteration: u64,
-    /// Cluster count, for engines that expose one.
-    pub clusters: Option<usize>,
 }
 
 /// Result of one query round.
@@ -173,11 +151,7 @@ impl Service {
             breaker_threshold: config.breaker_threshold,
             breaker_cooldown: config.breaker_cooldown,
         })?;
-        let registry = SessionRegistry::new(RegistryConfig {
-            max_sessions: config.max_sessions,
-            idle_ttl: config.idle_ttl,
-            evict_lru_at_capacity: config.evict_lru_at_capacity,
-        });
+        let registry = SessionRegistry::new(config.max_sessions);
         let overlay = RwLock::new(LinearScan::empty(corpus.dim()));
         Ok(Service {
             base_len: corpus.len(),
@@ -202,9 +176,9 @@ impl Service {
     /// directory with prior state the full durable corpus — sealed
     /// segments plus the WAL tail, torn final record discarded — is
     /// recovered as the base shards, live sessions are restored under
-    /// their original ids (engines come back *fresh*: feedback state is
-    /// not persisted, so clients re-feed after a crash), and `seed` is
-    /// ignored.
+    /// their original ids up to `max_sessions` (engines come back
+    /// *fresh*: feedback state is not persisted, so clients re-feed
+    /// after a crash), and `seed` is ignored.
     ///
     /// # Errors
     ///
@@ -248,14 +222,10 @@ impl Service {
         };
         let service = Service::build(corpus, config, Writer::durable(store, recovered.term))?;
         for snap in &recovered.sessions {
-            // An unknown name (from a newer writer's WAL) degrades to the
-            // default engine rather than failing the whole recovery.
-            let engine = method_by_name(&snap.engine, service.config.engine)
-                .unwrap_or_else(|| Box::new(QclusterEngine::new(service.config.engine)));
-            let feeds = snap.feeds;
-            service
+            let evicted = service
                 .registry
-                .restore(snap.session, move |id| Session::restored(id, engine, feeds));
+                .restore(snap.session, &snap.engine, snap.feeds);
+            service.close_evicted(evicted)?;
         }
         if had_prior {
             service.metrics.record_recovery();
@@ -320,42 +290,33 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::CapacityExhausted`] when full and LRU eviction is
-    /// disabled.
+    /// [`ServiceError::Storage`] when a durable snapshot fails.
     pub fn create_session(&self) -> Result<u64, ServiceError> {
-        self.create_session_with(Box::new(QclusterEngine::new(self.config.engine)))
+        self.create_session_named("qcluster")
     }
 
     /// Opens a session hosting the method `engine` names in
-    /// [`qcluster_baselines::METHODS`] (`"qcluster"` takes the
-    /// configured [`ServiceConfig::engine`]).
+    /// [`qcluster_baselines::METHODS`]. At capacity the least recently
+    /// used session is evicted, and a durable node records it closed.
     ///
     /// # Errors
     ///
     /// [`ServiceError::InvalidRequest`] for unknown names, plus the
-    /// capacity errors of [`Service::create_session`].
+    /// errors of [`Service::create_session`].
     pub fn create_session_named(&self, engine: &str) -> Result<u64, ServiceError> {
-        let method = method_by_name(engine, self.config.engine)
-            .ok_or_else(|| ServiceError::InvalidRequest(format!("unknown engine '{engine}'")))?;
-        self.create_session_with(method)
+        let (id, evicted) = self.registry.create(engine, &self.metrics)?;
+        self.close_evicted(evicted)?;
+        self.snapshot_session(id, engine, 0, true)?;
+        Ok(id)
     }
 
-    /// Opens a session hosting the given engine.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::CapacityExhausted`] when full and LRU eviction is
-    /// disabled.
-    pub fn create_session_with(
-        &self,
-        engine: Box<dyn RetrievalMethod>,
-    ) -> Result<u64, ServiceError> {
-        let engine_name = engine.name();
-        let (id, evicted) = self.registry.create(move |id| Session::new(id, engine))?;
-        self.metrics.record_session_created();
-        self.metrics.record_evictions(evicted);
-        self.snapshot_session(id, engine_name, 0, true)?;
-        Ok(id)
+    /// Records each evicted session closed, as [`Service::close_session`]
+    /// does, so a reopen does not bring it back.
+    fn close_evicted(&self, evicted: Vec<u64>) -> Result<(), ServiceError> {
+        for session in evicted {
+            self.snapshot_session(session, "", 0, false)?;
+        }
+        Ok(())
     }
 
     /// Durable session snapshot (no-op for a memory-only service).
@@ -377,10 +338,8 @@ impl Service {
     ///
     /// [`ServiceError::UnknownSession`] when the id is not live.
     pub fn close_session(&self, session: u64) -> Result<(), ServiceError> {
-        self.registry.close(session)?;
-        self.metrics.record_session_closed();
-        self.snapshot_session(session, "", 0, false)?;
-        Ok(())
+        self.registry.close(session, &self.metrics)?;
+        self.snapshot_session(session, "", 0, false)
     }
 
     /// Feeds one round of relevant points into a session's engine.
@@ -398,35 +357,16 @@ impl Service {
             return Err(ServiceError::EmptyFeedback);
         }
         for p in relevant {
-            if p.dim() != self.corpus.dim() {
-                return Err(ServiceError::DimensionMismatch {
-                    expected: self.corpus.dim(),
-                    found: p.dim(),
-                });
-            }
+            self.check_dim(p.dim())?;
         }
-        let handle = self.registry.get(session)?;
-        let start = Instant::now();
-        let (outcome, engine_name) = {
-            let mut guard = handle.lock();
-            let engine = guard.engine_mut_for_feed();
-            engine.feed(relevant).map_err(ServiceError::from_core)?;
-            (
-                FeedOutcome {
-                    iteration: guard.feeds(),
-                    clusters: guard.engine().num_clusters(),
-                },
-                guard.engine().name(),
-            )
-        };
-        self.metrics.feed_latency.record(start.elapsed());
-        self.snapshot_session(session, engine_name, outcome.iteration, true)?;
+        let (outcome, engine) = self.registry.feed(session, relevant, &self.metrics)?;
+        self.snapshot_session(session, engine, outcome.iteration, true)?;
         Ok(outcome)
     }
 
-    /// Feeds relevant points identified by corpus image id. `scores`
-    /// optionally grades each id; omitted scores default to the
-    /// configured `default_score`.
+    /// Feeds relevant points identified by corpus image id, checked by
+    /// [`feedback_points`]: `scores` optionally grades each id, and
+    /// omitted scores are [`DEFAULT_SCORE`].
     ///
     /// # Errors
     ///
@@ -439,30 +379,7 @@ impl Service {
         relevant_ids: &[usize],
         scores: Option<&[f64]>,
     ) -> Result<FeedOutcome, ServiceError> {
-        if let Some(scores) = scores {
-            if scores.len() != relevant_ids.len() {
-                return Err(ServiceError::InvalidRequest(format!(
-                    "{} ids but {} scores",
-                    relevant_ids.len(),
-                    scores.len()
-                )));
-            }
-        }
-        let points = {
-            // Scoped: the overlay lock is a leaf, released before `feed`
-            // takes the session lock.
-            let overlay = self.read_overlay();
-            relevant_ids
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| {
-                    let vector = self.vector_of(&overlay, id)?;
-                    let score = scores.map_or(self.config.default_score, |s| s[i]);
-                    check_feed_point(id, &vector, score)?;
-                    Ok(FeedbackPoint::new(id, vector, score))
-                })
-                .collect::<Result<Vec<_>, ServiceError>>()?
-        };
+        let points = feedback_points(relevant_ids, scores, || self.vectors_by_id(relevant_ids))?;
         self.feed(session, &points)
     }
 
@@ -472,42 +389,17 @@ impl Service {
     ///
     /// The compiled plan is cached in the session: repeat queries
     /// between feedback rounds skip recompilation (covariance inversion
-    /// and expanded-form precomputation) and only re-run the k-NN. The
-    /// session drops it whenever it hands the engine out mutably (feed,
-    /// reset), so the next query recompiles. Hits and misses show up in
-    /// the service metrics as `plan_cache_hits` / `plan_cache_misses`.
+    /// and expanded-form precomputation) and only re-run the k-NN. Every
+    /// feed drops it, so the next query recompiles. Hits and misses show
+    /// up in the service metrics as `plan_cache_hits` /
+    /// `plan_cache_misses`.
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownSession`], [`ServiceError::InvalidRequest`]
     /// for `k == 0`, or [`ServiceError::Engine`] before any feedback.
     pub fn query(&self, session: u64, k: usize) -> Result<QueryOutcome, ServiceError> {
-        self.query_with_deadline(session, k, self.config.default_deadline)
-    }
-
-    /// [`Service::query`] with an explicit per-request deadline
-    /// (`None` = wait for every shard, overriding any configured
-    /// default). On expiry, whatever shards responded are merged into a
-    /// degraded partial result — see [`QueryOutcome::degraded`]; only
-    /// when *zero* shards made the deadline does this return
-    /// [`ServiceError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Service::query`] returns, plus
-    /// [`ServiceError::DeadlineExceeded`] and
-    /// [`ServiceError::Overloaded`].
-    pub fn query_with_deadline(
-        &self,
-        session: u64,
-        k: usize,
-        deadline: Option<Duration>,
-    ) -> Result<QueryOutcome, ServiceError> {
-        let handle = self.registry.get(session)?;
-        let start = Instant::now();
-        let mut guard = handle.lock();
-        let query = guard.plan(&self.metrics)?;
-        self.run_query(Some(&mut guard), &*query, k, start, deadline)
+        self.query_with_deadline(session, k, None, None)
     }
 
     /// Runs an ad-hoc query from an explicit vector — the session's
@@ -524,36 +416,35 @@ impl Service {
         vector: Vec<f64>,
         k: usize,
     ) -> Result<QueryOutcome, ServiceError> {
-        self.query_vector_with_deadline(session, vector, k, self.config.default_deadline)
+        self.query_with_deadline(session, k, Some(vector), None)
     }
 
-    /// [`Service::query_vector`] with an explicit per-request deadline;
-    /// see [`Service::query_with_deadline`] for the degraded-result
-    /// semantics.
+    /// One query round of `session`: the example `vector`'s round as
+    /// [`Service::query_vector`], or with `None` the refined round as
+    /// [`Service::query`], under an optional `deadline` (`None` = wait
+    /// for every shard). On expiry, whatever shards responded are
+    /// merged into a degraded partial result — see
+    /// [`QueryOutcome::degraded`]; only when *zero* shards made the
+    /// deadline does this return [`ServiceError::DeadlineExceeded`].
     ///
     /// # Errors
     ///
-    /// Everything [`Service::query_vector`] returns, plus
-    /// [`ServiceError::DeadlineExceeded`] and
+    /// Everything [`Service::query`] and [`Service::query_vector`]
+    /// return, plus [`ServiceError::DeadlineExceeded`] and
     /// [`ServiceError::Overloaded`].
-    pub fn query_vector_with_deadline(
+    pub fn query_with_deadline(
         &self,
         session: u64,
-        vector: Vec<f64>,
         k: usize,
+        vector: Option<Vec<f64>>,
         deadline: Option<Duration>,
     ) -> Result<QueryOutcome, ServiceError> {
-        if vector.len() != self.corpus.dim() {
-            return Err(ServiceError::DimensionMismatch {
-                expected: self.corpus.dim(),
-                found: vector.len(),
-            });
+        if let Some(vector) = &vector {
+            self.check_dim(vector.len())?;
         }
-        let handle = self.registry.get(session)?;
         let start = Instant::now();
-        let mut guard = handle.lock();
-        let query = EuclideanQuery::new(vector);
-        self.run_query(Some(&mut guard), &query, k, start, deadline)
+        let query = self.registry.query(session, vector, &self.metrics)?;
+        self.run_query(&*query, k, start, deadline)
     }
 
     /// Runs a query compiled elsewhere, outside any session: what a
@@ -573,18 +464,20 @@ impl Service {
         k: usize,
         deadline: Option<Duration>,
     ) -> Result<QueryOutcome, ServiceError> {
-        if query.dim() != self.corpus.dim() {
-            return Err(ServiceError::DimensionMismatch {
-                expected: self.corpus.dim(),
-                found: query.dim(),
-            });
+        self.check_dim(query.dim())?;
+        self.run_query(query, k, Instant::now(), deadline)
+    }
+
+    fn check_dim(&self, found: usize) -> Result<(), ServiceError> {
+        let expected = self.corpus.dim();
+        if found != expected {
+            return Err(ServiceError::DimensionMismatch { expected, found });
         }
-        self.run_query(None, query, k, Instant::now(), deadline)
+        Ok(())
     }
 
     fn run_query(
         &self,
-        session: Option<&mut Session>,
         query: &dyn FanoutQuery,
         k: usize,
         start: Instant,
@@ -592,9 +485,6 @@ impl Service {
     ) -> Result<QueryOutcome, ServiceError> {
         if k == 0 {
             return Err(ServiceError::InvalidRequest("k must be positive".into()));
-        }
-        if let Some(session) = session {
-            session.record_query();
         }
         let fanout_start = Instant::now();
         // The deadline covers the whole request, so it anchors at
@@ -646,8 +536,6 @@ impl Service {
             }
             neighbors = merge_top_k(vec![neighbors, extra], k);
         }
-        self.metrics
-            .record_cache(stats.cache_hits, stats.disk_reads);
         self.metrics.record_quant(
             stats.quant_phase1_points,
             stats.quant_reranked,
@@ -682,12 +570,7 @@ impl Service {
     }
 
     fn check_ingestable(&self, vector: &[f64]) -> Result<(), ServiceError> {
-        if vector.len() != self.corpus.dim() {
-            return Err(ServiceError::DimensionMismatch {
-                expected: self.corpus.dim(),
-                found: vector.len(),
-            });
-        }
+        self.check_dim(vector.len())?;
         if vector.iter().any(|v| !v.is_finite()) {
             return Err(ServiceError::InvalidRequest(
                 "vector components must be finite".into(),
@@ -768,34 +651,30 @@ impl Service {
         Ok((total, frames))
     }
 
-    /// Applies a replication chunk shipped by a leader: the same
-    /// idempotent loop store recovery uses. Records with ids below the
-    /// local committed total are skipped (duplicate delivery is safe);
-    /// the record at exactly the total is ingested durably; a record
-    /// beyond it is a gap and fails the whole chunk without applying
-    /// anything past it. The whole chunk is one hold of the writer, so
-    /// two deliveries of the same record cannot both pass the check.
+    /// Applies a replication chunk shipped by a leader at `term`,
+    /// fenced first: a ship from a term below the node's is **stale**
+    /// and returns `Ok(Err(current_term))` with nothing applied. An
+    /// accepted ship adopts its term (durably, when advancing) and
+    /// refreshes the leader lease by `lease_ms`; empty `frames` is a
+    /// pure fence probe / lease renewal. The frames then go through the
+    /// idempotent loop store recovery uses: records with ids below the
+    /// local committed total are skipped (duplicate delivery is safe),
+    /// the record at exactly the total is ingested durably, and a
+    /// record beyond it is a gap that fails the chunk without applying
+    /// anything past it. Fence and chunk are one hold of the writer, so
+    /// no vote is granted between them and two deliveries of the same
+    /// record cannot both pass the check.
     ///
-    /// Returns `(committed_total_after, newly_applied)`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Storage`] for torn/corrupt chunks or WAL-append
-    /// failures, [`ServiceError::InvalidRequest`] for gaps or
-    /// non-ingest records.
-    pub fn apply_replication(&self, frames: &[u8]) -> Result<(u64, u64), ServiceError> {
-        self.apply_frames(&mut self.lock_writer(), frames)
-    }
-
-    /// [`Service::fence_apply`] and [`Service::apply_replication`] in
-    /// one hold of the writer, so no vote can be granted between a
-    /// ship's fence and its append. `Ok(Err(current_term))` is the stale
-    /// verdict (nothing applied); empty `frames` is a pure fence probe /
-    /// lease renewal.
+    /// Returns `Ok((committed_total_after, newly_applied))` when
+    /// accepted. Failpoint `repl.apply.stale_term` (any armed action)
+    /// forces the stale verdict, for fencing-path tests.
     ///
     /// # Errors
     ///
-    /// Everything the two halves return.
+    /// [`ServiceError::InvalidRequest`] for `term == 0` (a shipper wins
+    /// a term before its first ship; nothing is changed), for gaps or
+    /// non-ingest records; [`ServiceError::Storage`] for torn or corrupt
+    /// chunks, WAL-append failures, or a failed term write.
     pub fn apply_fenced(
         &self,
         term: u64,
@@ -808,10 +687,6 @@ impl Service {
         if let Some(current) = writer.fence(term, lease_ms)? {
             return Ok(Err(current));
         }
-        self.apply_frames(&mut writer, frames).map(Ok)
-    }
-
-    fn apply_frames(&self, writer: &mut Writer, frames: &[u8]) -> Result<(u64, u64), ServiceError> {
         let mut applied = 0u64;
         for record in decode_record_frames(frames)? {
             let WalRecord::Ingest { id, vector } = record else {
@@ -830,10 +705,10 @@ impl Service {
                 )));
             }
             self.check_ingestable(&vector)?;
-            self.append(writer, vector)?;
+            self.append(&mut writer, vector)?;
             applied += 1;
         }
-        Ok((self.total_vectors() as u64, applied))
+        Ok(Ok((self.total_vectors() as u64, applied)))
     }
 
     /// This node's replication position: `(committed_total, durable)`.
@@ -877,25 +752,6 @@ impl Service {
         self.lock_writer().vote(term, lease_ms)
     }
 
-    /// Fences one replication `Apply` at the shipper's `term`. Returns
-    /// `Some(current_term)` when the ship is **stale** (the shipper
-    /// lost leadership — it must stop and re-discover) and `None` when
-    /// the ship may be applied. A ship at or above this node's term
-    /// adopts the term (durably, when advancing) and refreshes the
-    /// leader lease by `lease_ms`.
-    ///
-    /// Failpoint `repl.apply.stale_term` (any armed action) forces the
-    /// stale verdict, for fencing-path tests.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::InvalidRequest`] for `term == 0` (a shipper wins
-    /// a term before its first ship; nothing is changed), and
-    /// [`ServiceError::Storage`] when persisting an advanced term fails.
-    pub fn fence_apply(&self, term: u64, lease_ms: u64) -> Result<Option<u64>, ServiceError> {
-        self.lock_writer().fence(term, lease_ms)
-    }
-
     /// A point-in-time snapshot of every service metric, with storage
     /// gauges sampled live.
     pub fn stats(&self) -> MetricsSnapshot {
@@ -914,6 +770,8 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcluster_core::{QclusterConfig, QclusterEngine};
+    use qcluster_index::EuclideanQuery;
 
     fn two_blob_corpus(n_per: usize) -> Vec<Vec<f64>> {
         // Two well-separated blobs; ids < n_per are blob A.
@@ -977,7 +835,6 @@ mod tests {
         assert_eq!(stats.active_sessions, 0);
         assert_eq!(stats.query.count, 2);
         assert_eq!(stats.feed.count, 1);
-        assert_eq!(stats.cache_hit_ratio, 0.0, "a scan buffers no nodes");
     }
 
     #[test]
@@ -1000,10 +857,10 @@ mod tests {
 
         let marked: Vec<usize> = vq.neighbors.iter().take(5).map(|n| n.id).collect();
         quant.feed_ids(q, &marked, None).unwrap();
-        let mut engine = QclusterEngine::new(config.engine);
+        let mut engine = QclusterEngine::new(QclusterConfig::default());
         let fed: Vec<FeedbackPoint> = marked
             .iter()
-            .map(|&id| FeedbackPoint::new(id, points[id].clone(), config.default_score))
+            .map(|&id| FeedbackPoint::new(id, points[id].clone(), DEFAULT_SCORE))
             .collect();
         engine.feed(&fed).unwrap();
         let rq = quant.query(q, 9).unwrap();
@@ -1178,7 +1035,7 @@ mod tests {
         let by_vector = svc.create_session().unwrap();
         let points: Vec<FeedbackPoint> = marked
             .iter()
-            .map(|&id| FeedbackPoint::new(id, union[id].clone(), svc.config().default_score))
+            .map(|&id| FeedbackPoint::new(id, union[id].clone(), DEFAULT_SCORE))
             .collect();
         svc.feed(by_vector, &points).unwrap();
         let a = svc.query(by_id, 8).unwrap().neighbors;
@@ -1292,6 +1149,39 @@ mod tests {
         };
         assert_eq!(handle_feeds, 2);
         assert_eq!(svc.stats().recoveries, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An LRU-evicted session is recorded closed, so a reopen neither
+    /// brings it back nor holds more than `max_sessions`.
+    #[test]
+    fn an_evicted_session_stays_evicted_after_a_restart() {
+        let dir = tmp_dir("evicted_restart");
+        let config = ServiceConfig {
+            max_sessions: 2,
+            ..durable_config()
+        };
+        let open = |seed: &[Vec<f64>]| {
+            Service::open_durable(&dir, seed, config.clone(), StoreConfig::default()).unwrap()
+        };
+        let unknown = |svc: &Service, id: u64| {
+            matches!(
+                svc.query_vector(id, vec![0.0, 0.0], 1),
+                Err(ServiceError::UnknownSession(got)) if got == id
+            )
+        };
+        let ids = {
+            let svc = open(&two_blob_corpus(8));
+            let ids: Vec<u64> = (0..3).map(|_| svc.create_session().unwrap()).collect();
+            assert!(unknown(&svc, ids[0]), "evicted at the cap");
+            ids
+        };
+        let svc = open(&[]);
+        assert!(unknown(&svc, ids[0]), "still evicted after the reopen");
+        assert_eq!(svc.active_sessions(), 2);
+        for &id in &ids[1..] {
+            assert!(svc.query_vector(id, vec![0.0, 0.0], 1).is_ok());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

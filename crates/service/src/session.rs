@@ -1,218 +1,79 @@
-//! Session lifecycle: per-client engine + plan state, a registry
-//! keyed by session id, idle-TTL expiry, and a max-sessions cap with
-//! optional least-recently-used eviction.
+//! Session lifecycle, hosted one way for both doors: a node's
+//! [`Service`](crate::Service) and a cluster router each keep one
+//! [`SessionRegistry`] and drive every session through its `create`,
+//! `close`, `feed` and `query`. A session is one user's feedback loop
+//! (the paper's Algorithm 1): a method of
+//! [`METHODS`](qcluster_baselines::METHODS), its compiled-plan cache and
+//! its feed count. At most `max_sessions` live at once; creating one
+//! more evicts the least recently used.
 //!
-//! Locking protocol: the registry's map lock is only ever held to look up
-//! or remove entries — never across an engine operation. Each session's
-//! own mutex serializes its feed/query stream, so two clients hammering
-//! different sessions never contend, and recency is tracked in a
-//! registry-level atomic so eviction decisions need no session locks.
+//! Locking protocol: the registry's map lock is only ever held to look
+//! up, insert or remove entries — never across an engine operation.
+//! Each session's own mutex serializes its feeds and compiles, so two
+//! clients hammering different sessions never contend, and recency is
+//! an atomic tick per entry, so eviction takes no session lock.
 
 use crate::error::ServiceError;
 use crate::metrics::ServiceMetrics;
-use qcluster_baselines::RetrievalMethod;
-use qcluster_index::FanoutQuery;
+use qcluster_baselines::{method_by_name, RetrievalMethod};
+use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine};
+use qcluster_index::{EuclideanQuery, FanoutQuery};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// Result of one feed round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FeedOutcome {
+    /// Feed rounds this session has completed.
+    pub iteration: u64,
+    /// Cluster count, for engines that expose one.
+    pub clusters: Option<usize>,
+}
 
 /// One client's retrieval state.
-pub struct Session {
-    id: u64,
-    engine: Box<dyn RetrievalMethod>,
-    /// The engine's last compiled query, valid until the next
-    /// [`Session::engine_mut_for_feed`].
+struct Session {
+    method: Box<dyn RetrievalMethod>,
+    /// The method's last compiled query; every feed drops it.
     plan: Option<Box<dyn FanoutQuery>>,
     feeds: u64,
-    queries: u64,
-}
-
-impl Session {
-    /// Assembles a session around an engine.
-    pub fn new(id: u64, engine: Box<dyn RetrievalMethod>) -> Self {
-        Session {
-            id,
-            engine,
-            plan: None,
-            feeds: 0,
-            queries: 0,
-        }
-    }
-
-    /// Reassembles a recovered session: like [`Session::new`] but with
-    /// the feed counter restored from a durable snapshot, so feed
-    /// iteration numbers keep counting from where the crash left them.
-    pub fn restored(id: u64, engine: Box<dyn RetrievalMethod>, feeds: u64) -> Self {
-        Session {
-            id,
-            engine,
-            plan: None,
-            feeds,
-            queries: 0,
-        }
-    }
-
-    /// The session id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The hosted engine.
-    pub fn engine(&self) -> &dyn RetrievalMethod {
-        &*self.engine
-    }
-
-    /// Mutable access for feeds; bumps the feed counter. This is the
-    /// only `&mut` route to the engine, so whatever the caller does with
-    /// it (feed, reset) may change what [`RetrievalMethod::query`]
-    /// compiles: the cached plan is dropped here.
-    pub fn engine_mut_for_feed(&mut self) -> &mut dyn RetrievalMethod {
-        self.feeds += 1;
-        self.plan = None;
-        &mut *self.engine
-    }
-
-    /// Counts one served query.
-    pub fn record_query(&mut self) {
-        self.queries += 1;
-    }
-
-    /// A clone of the cached plan, if the engine has not been handed
-    /// out mutably since it was stored.
-    fn cached_plan(&self) -> Option<Box<dyn FanoutQuery>> {
-        self.plan.as_ref().map(|p| p.clone_fanout())
-    }
-
-    /// Retains `query` as the engine's current compiled plan.
-    fn store_plan(&mut self, query: Box<dyn FanoutQuery>) {
-        self.plan = Some(query);
-    }
-
-    /// The engine's compiled query: the cached plan (a hit), or a fresh
-    /// compile kept until the next [`Session::engine_mut_for_feed`] (a
-    /// miss), each counted in `metrics`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Engine`] (or another mapped engine error) when
-    /// the engine cannot compile, e.g. before any feedback.
-    pub fn plan(&mut self, metrics: &ServiceMetrics) -> Result<Box<dyn FanoutQuery>, ServiceError> {
-        if let Some(cached) = self.cached_plan() {
-            metrics.record_plan_cache_hit();
-            return Ok(cached);
-        }
-        let compiled = self.engine.query().map_err(ServiceError::from_core)?;
-        metrics.record_plan_cache_miss();
-        self.store_plan(compiled.clone_fanout());
-        Ok(compiled)
-    }
-
-    /// Feed rounds so far.
-    pub fn feeds(&self) -> u64 {
-        self.feeds
-    }
-
-    /// Queries served so far.
-    pub fn queries(&self) -> u64 {
-        self.queries
-    }
-}
-
-impl std::fmt::Debug for Session {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Session")
-            .field("id", &self.id)
-            .field("engine", &self.engine.name())
-            .field("feeds", &self.feeds)
-            .field("queries", &self.queries)
-            .finish()
-    }
-}
-
-/// Registry eviction policy knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct RegistryConfig {
-    /// Maximum live sessions.
-    pub max_sessions: usize,
-    /// Idle time after which a session may be reaped (`None` = never).
-    pub idle_ttl: Option<Duration>,
-    /// At capacity: evict the least-recently-used session (`true`) or
-    /// refuse creation with `CapacityExhausted` (`false`).
-    pub evict_lru_at_capacity: bool,
-}
-
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        RegistryConfig {
-            max_sessions: 64,
-            idle_ttl: None,
-            evict_lru_at_capacity: true,
-        }
-    }
 }
 
 struct Entry {
     session: Mutex<Session>,
-    /// Milliseconds since registry start at last touch (atomic so the
-    /// eviction scan needs no session locks). Drives the TTL sweep.
-    last_touched_ms: AtomicU64,
-    /// Strictly increasing logical touch tick; wall-clock milliseconds
-    /// tie when touches land in the same millisecond, so the LRU scan
-    /// orders by this instead.
-    touch_seq: AtomicU64,
+    /// Logical tick of the last touch: the LRU victim has the smallest.
+    touched: AtomicU64,
 }
 
-/// Concurrent session table with TTL and LRU eviction.
+impl Entry {
+    fn lock(&self) -> MutexGuard<'_, Session> {
+        self.session.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Concurrent session table with least-recently-used eviction.
 pub struct SessionRegistry {
     entries: Mutex<HashMap<u64, Arc<Entry>>>,
     next_id: AtomicU64,
-    touch_clock: AtomicU64,
-    epoch: Instant,
-    config: RegistryConfig,
-}
-
-/// A checked-out session: keeps the entry alive even if it is evicted
-/// from the registry mid-operation.
-pub struct SessionHandle {
-    entry: Arc<Entry>,
-}
-
-impl SessionHandle {
-    /// Locks the session for one operation.
-    pub fn lock(&self) -> MutexGuard<'_, Session> {
-        self.entry.session.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    clock: AtomicU64,
+    max_sessions: usize,
 }
 
 impl SessionRegistry {
-    /// An empty registry.
+    /// An empty registry holding at most `max_sessions` sessions.
     ///
     /// # Panics
     ///
-    /// Panics when `config.max_sessions` is zero.
-    pub fn new(config: RegistryConfig) -> Self {
-        assert!(config.max_sessions > 0, "max_sessions must be positive");
+    /// Panics when `max_sessions` is zero.
+    pub fn new(max_sessions: usize) -> Self {
+        assert!(max_sessions > 0, "max_sessions must be positive");
         SessionRegistry {
             entries: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            touch_clock: AtomicU64::new(0),
-            epoch: Instant::now(),
-            config,
+            clock: AtomicU64::new(0),
+            max_sessions,
         }
-    }
-
-    /// The registry's configuration.
-    pub fn config(&self) -> &RegistryConfig {
-        &self.config
-    }
-
-    fn now_ms(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.touch_clock.fetch_add(1, Ordering::Relaxed)
     }
 
     fn lock_entries(&self) -> MutexGuard<'_, HashMap<u64, Arc<Entry>>> {
@@ -229,115 +90,166 @@ impl SessionRegistry {
         self.len() == 0
     }
 
-    /// `true` when `id` is currently live. Does **not** refresh the
-    /// session's recency, so eviction tests and monitoring probes can
-    /// observe liveness without perturbing the LRU order.
+    /// `true` when `id` is live. Does **not** refresh its recency.
     pub fn contains(&self, id: u64) -> bool {
         self.lock_entries().contains_key(&id)
     }
 
-    /// Removes every session idle longer than the TTL; returns how many
-    /// were reaped.
-    pub fn sweep_expired(&self) -> u64 {
-        let Some(ttl) = self.config.idle_ttl else {
-            return 0;
-        };
-        let cutoff = self
-            .now_ms()
-            .saturating_sub(u64::try_from(ttl.as_millis()).unwrap_or(u64::MAX));
-        let mut entries = self.lock_entries();
-        let before = entries.len();
-        entries.retain(|_, e| e.last_touched_ms.load(Ordering::Relaxed) >= cutoff);
-        (before - entries.len()) as u64
-    }
-
-    /// Creates a session via `make` (which receives the fresh id).
+    /// Opens a session hosting the method `engine` names in `METHODS`,
+    /// under the default configuration. At capacity the least recently
+    /// used sessions go first. Counts the creation and the evictions.
     ///
-    /// Expired sessions are reaped first; at capacity the LRU session is
-    /// evicted when the policy allows. Returns the new id and the number
-    /// of sessions evicted to make room.
+    /// Returns the new id and the ids evicted to make room.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::CapacityExhausted`] at capacity with LRU eviction
-    /// disabled.
-    pub fn create(&self, make: impl FnOnce(u64) -> Session) -> Result<(u64, u64), ServiceError> {
-        let mut evicted = self.sweep_expired();
+    /// [`ServiceError::InvalidRequest`] for an unknown name.
+    pub fn create(
+        &self,
+        engine: &str,
+        metrics: &ServiceMetrics,
+    ) -> Result<(u64, Vec<u64>), ServiceError> {
+        let method = method_by_name(engine, QclusterConfig::default())
+            .ok_or_else(|| ServiceError::InvalidRequest(format!("unknown engine '{engine}'")))?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let now = self.now_ms();
-        let mut entries = self.lock_entries();
-        if entries.len() >= self.config.max_sessions {
-            if !self.config.evict_lru_at_capacity {
-                return Err(ServiceError::CapacityExhausted {
-                    max_sessions: self.config.max_sessions,
-                });
-            }
-            // Evict the stalest entries until one slot is free.
-            while entries.len() >= self.config.max_sessions {
-                let victim = entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.touch_seq.load(Ordering::Relaxed))
-                    .map(|(&id, _)| id)
-                    .expect("non-empty map at capacity");
-                entries.remove(&victim);
-                evicted += 1;
-            }
-        }
-        entries.insert(
-            id,
-            Arc::new(Entry {
-                session: Mutex::new(make(id)),
-                last_touched_ms: AtomicU64::new(now),
-                touch_seq: AtomicU64::new(self.next_tick()),
-            }),
-        );
+        let evicted = self.insert(id, method, 0);
+        metrics.record_session_created();
+        metrics.record_evictions(evicted.len() as u64);
         Ok((id, evicted))
     }
 
-    /// Re-inserts a session under a **specific** id — the recovery path,
-    /// where ids must survive a restart because clients still hold them.
-    /// Advances the id allocator past `id` so future creations never
-    /// collide. Replaces any live session with the same id.
-    pub fn restore(&self, id: u64, make: impl FnOnce(u64) -> Session) {
+    /// Re-inserts a recovered session under its own id (clients still
+    /// hold it) with a fresh method and its feed count, and moves the
+    /// id allocator past it. A name this build does not know (from a
+    /// newer writer) degrades to the default method. The capacity holds
+    /// as in [`SessionRegistry::create`]: returns the evicted ids.
+    pub fn restore(&self, id: u64, engine: &str, feeds: u64) -> Vec<u64> {
         self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-        let now = self.now_ms();
-        let entry = Arc::new(Entry {
-            session: Mutex::new(make(id)),
-            last_touched_ms: AtomicU64::new(now),
-            touch_seq: AtomicU64::new(self.next_tick()),
-        });
-        self.lock_entries().insert(id, entry);
+        let config = QclusterConfig::default();
+        let method =
+            method_by_name(engine, config).unwrap_or_else(|| Box::new(QclusterEngine::new(config)));
+        self.insert(id, method, feeds)
     }
 
-    /// Checks out a session, refreshing its recency.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] when the id is not live (expired
-    /// ids are reaped on the way in).
-    pub fn get(&self, id: u64) -> Result<SessionHandle, ServiceError> {
-        self.sweep_expired();
+    fn insert(&self, id: u64, method: Box<dyn RetrievalMethod>, feeds: u64) -> Vec<u64> {
+        let entry = Arc::new(Entry {
+            session: Mutex::new(Session {
+                method,
+                plan: None,
+                feeds,
+            }),
+            touched: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
+        });
+        let mut entries = self.lock_entries();
+        let mut evicted = Vec::new();
+        while entries.len() >= self.max_sessions {
+            let victim = entries
+                .iter()
+                .min_by_key(|(_, e)| e.touched.load(Ordering::Relaxed))
+                .map(|(&id, _)| id)
+                .expect("non-empty map at capacity");
+            entries.remove(&victim);
+            evicted.push(victim);
+        }
+        entries.insert(id, entry);
+        evicted
+    }
+
+    /// Checks out a live session, refreshing its recency. The entry
+    /// outlives an eviction that races the caller's operation.
+    fn get(&self, id: u64) -> Result<Arc<Entry>, ServiceError> {
         let entries = self.lock_entries();
         let entry = entries.get(&id).ok_or(ServiceError::UnknownSession(id))?;
-        entry
-            .last_touched_ms
-            .store(self.now_ms(), Ordering::Relaxed);
-        entry.touch_seq.store(self.next_tick(), Ordering::Relaxed);
-        Ok(SessionHandle {
-            entry: Arc::clone(entry),
-        })
+        entry.touched.store(
+            self.clock.fetch_add(1, Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
+        Ok(Arc::clone(entry))
     }
 
-    /// Removes a session.
+    /// Refreshes `id`'s recency.
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownSession`] when the id is not live.
-    pub fn close(&self, id: u64) -> Result<(), ServiceError> {
+    pub fn touch(&self, id: u64) -> Result<(), ServiceError> {
+        self.get(id).map(drop)
+    }
+
+    /// Closes a session and counts it.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownSession`] when the id is not live.
+    pub fn close(&self, id: u64, metrics: &ServiceMetrics) -> Result<(), ServiceError> {
         self.lock_entries()
             .remove(&id)
-            .map(|_| ())
-            .ok_or(ServiceError::UnknownSession(id))
+            .ok_or(ServiceError::UnknownSession(id))?;
+        metrics.record_session_closed();
+        Ok(())
+    }
+
+    /// Feeds one round of relevant points into the session's method,
+    /// timed into `metrics.feed_latency`. The round drops the cached
+    /// plan, so the next refined query recompiles.
+    ///
+    /// Returns the outcome and the method's name.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownSession`] or the method's rejection.
+    pub fn feed(
+        &self,
+        id: u64,
+        points: &[FeedbackPoint],
+        metrics: &ServiceMetrics,
+    ) -> Result<(FeedOutcome, &'static str), ServiceError> {
+        let entry = self.get(id)?;
+        let mut session = entry.lock();
+        let start = Instant::now();
+        session.feeds += 1;
+        session.plan = None;
+        session
+            .method
+            .feed(points)
+            .map_err(ServiceError::from_core)?;
+        metrics.feed_latency.record(start.elapsed());
+        let outcome = FeedOutcome {
+            iteration: session.feeds,
+            clusters: session.method.num_clusters(),
+        };
+        Ok((outcome, session.method.name()))
+    }
+
+    /// The query of one round: the `example` vector's Euclidean query
+    /// (the example-image round), or else the session's refined query —
+    /// the cached plan (a hit) or a fresh compile kept until the next
+    /// feed (a miss), each counted in `metrics`. No lock is held once
+    /// it returns.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownSession`], or the method's error when it
+    /// cannot compile (before any feedback).
+    pub fn query(
+        &self,
+        id: u64,
+        example: Option<Vec<f64>>,
+        metrics: &ServiceMetrics,
+    ) -> Result<Box<dyn FanoutQuery>, ServiceError> {
+        let entry = self.get(id)?;
+        if let Some(center) = example {
+            return Ok(Box::new(EuclideanQuery::new(center)));
+        }
+        let mut session = entry.lock();
+        if let Some(plan) = &session.plan {
+            metrics.record_plan_cache_hit();
+            return Ok(plan.clone_fanout());
+        }
+        let compiled = session.method.query().map_err(ServiceError::from_core)?;
+        metrics.record_plan_cache_miss();
+        session.plan = Some(compiled.clone_fanout());
+        Ok(compiled)
     }
 }
 
@@ -345,7 +257,7 @@ impl std::fmt::Debug for SessionRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionRegistry")
             .field("live", &self.len())
-            .field("config", &self.config)
+            .field("max_sessions", &self.max_sessions)
             .finish()
     }
 }
@@ -353,128 +265,103 @@ impl std::fmt::Debug for SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcluster_baselines::QueryPointMovement;
-    use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine};
 
-    fn mk_session(id: u64) -> Session {
-        Session::new(id, Box::new(QclusterEngine::new(QclusterConfig::default())))
-    }
-
-    fn registry(max: usize, evict: bool) -> SessionRegistry {
-        SessionRegistry::new(RegistryConfig {
-            max_sessions: max,
-            idle_ttl: None,
-            evict_lru_at_capacity: evict,
-        })
+    fn points() -> Vec<FeedbackPoint> {
+        vec![
+            FeedbackPoint::new(0, vec![1.0, 0.0], 2.0),
+            FeedbackPoint::new(1, vec![0.0, 1.0], 2.0),
+        ]
     }
 
     #[test]
     fn create_get_close_lifecycle() {
-        let r = registry(4, true);
-        let (id, evicted) = r.create(mk_session).unwrap();
-        assert_eq!(evicted, 0);
+        let (r, m) = (SessionRegistry::new(4), ServiceMetrics::new());
+        let (id, evicted) = r.create("qcluster", &m).unwrap();
+        assert!(evicted.is_empty());
         assert_eq!(r.len(), 1);
-        let handle = r.get(id).unwrap();
-        assert_eq!(handle.lock().id(), id);
-        assert_eq!(handle.lock().engine().name(), "qcluster");
-        r.close(id).unwrap();
+        let (fed, engine) = r.feed(id, &points(), &m).unwrap();
+        assert_eq!((fed.iteration, engine), (1, "qcluster"));
+        assert_eq!(r.query(id, None, &m).unwrap().dim(), 2);
+        r.close(id, &m).unwrap();
         assert!(matches!(
-            r.get(id),
+            r.touch(id),
             Err(ServiceError::UnknownSession(got)) if got == id
         ));
-        assert!(r.close(id).is_err());
+        assert!(r.close(id, &m).is_err());
+        assert!(r.create("falcon9", &m).is_err(), "unknown name");
+        let s = m.snapshot(r.len() as u64, Default::default(), 0, 0, Default::default());
+        assert_eq!((s.sessions_created, s.sessions_closed), (1, 1));
+        assert_eq!((s.feed.count, s.active_sessions), (1, 0));
     }
 
     #[test]
     fn ids_are_unique_and_monotone() {
-        let r = registry(16, true);
-        let (a, _) = r.create(mk_session).unwrap();
-        let (b, _) = r.create(mk_session).unwrap();
-        let (c, _) = r.create(mk_session).unwrap();
+        let (r, m) = (SessionRegistry::new(16), ServiceMetrics::new());
+        let (a, _) = r.create("qcluster", &m).unwrap();
+        let (b, _) = r.create("qpm", &m).unwrap();
+        let (c, _) = r.create("qcluster", &m).unwrap();
         assert!(a < b && b < c);
     }
 
     #[test]
     fn capacity_with_lru_evicts_stalest() {
-        let r = registry(2, true);
-        let (a, _) = r.create(mk_session).unwrap();
-        let (b, _) = r.create(mk_session).unwrap();
+        let (r, m) = (SessionRegistry::new(2), ServiceMetrics::new());
+        let (a, _) = r.create("qcluster", &m).unwrap();
+        let (b, _) = r.create("qcluster", &m).unwrap();
         // Touch `a` so `b` is now the LRU.
-        let _ = r.get(a).unwrap();
-        let (c, evicted) = r.create(mk_session).unwrap();
-        assert_eq!(evicted, 1);
+        r.touch(a).unwrap();
+        let (c, evicted) = r.create("qcluster", &m).unwrap();
+        assert_eq!(evicted, vec![b]);
         assert_eq!(r.len(), 2);
-        assert!(r.get(a).is_ok(), "recently touched survives");
-        assert!(r.get(b).is_err(), "LRU evicted");
-        assert!(r.get(c).is_ok());
-    }
-
-    #[test]
-    fn capacity_without_lru_errors() {
-        let r = registry(1, false);
-        let _ = r.create(mk_session).unwrap();
-        assert!(matches!(
-            r.create(mk_session),
-            Err(ServiceError::CapacityExhausted { max_sessions: 1 })
-        ));
-    }
-
-    #[test]
-    fn ttl_reaps_idle_sessions() {
-        let r = SessionRegistry::new(RegistryConfig {
-            max_sessions: 8,
-            idle_ttl: Some(Duration::from_millis(30)),
-            evict_lru_at_capacity: true,
-        });
-        let (a, _) = r.create(mk_session).unwrap();
-        std::thread::sleep(Duration::from_millis(60));
-        let (b, _) = r.create(mk_session).unwrap();
-        // `a` idled past the TTL and was reaped during the create sweep;
-        // `b` is fresh.
-        assert!(r.get(a).is_err());
-        assert!(r.get(b).is_ok());
-        assert_eq!(r.len(), 1);
+        assert!(r.touch(a).is_ok(), "recently touched survives");
+        assert!(r.touch(b).is_err(), "LRU evicted");
+        assert!(r.touch(c).is_ok());
+        let s = m.snapshot(2, Default::default(), 0, 0, Default::default());
+        assert_eq!((s.evictions, s.sessions_created), (1, 3));
     }
 
     #[test]
     fn restore_preserves_ids_and_advances_allocator() {
-        let r = registry(8, true);
-        r.restore(41, mk_session);
-        assert_eq!(r.get(41).unwrap().lock().id(), 41);
-        let (next, _) = r.create(mk_session).unwrap();
-        assert!(next > 41, "allocator must clear restored ids");
+        let (r, m) = (SessionRegistry::new(2), ServiceMetrics::new());
+        assert!(r.restore(41, "qpm", 3).is_empty());
+        let (fed, engine) = r.feed(41, &points(), &m).unwrap();
+        assert_eq!((fed.iteration, engine), (4, "qpm"), "feeds keep counting");
+        assert!(r.restore(43, "from-a-newer-writer", 0).is_empty());
+        assert_eq!(r.feed(43, &points(), &m).unwrap().1, "qcluster");
+        // The cap holds on the way back in, too.
+        assert_eq!(r.restore(44, "qcluster", 0), vec![41]);
+        let (next, evicted) = r.create("qcluster", &m).unwrap();
+        assert!(next > 44, "allocator must clear restored ids");
+        assert_eq!(evicted, vec![43]);
     }
 
     #[test]
     fn cached_plan_lives_until_the_engine_is_handed_out_mutably() {
-        let mut session = mk_session(1);
-        let pts = [FeedbackPoint::new(0, vec![1.0, 0.0], 2.0)];
-        session.engine_mut_for_feed().feed(&pts).unwrap();
-        assert!(session.cached_plan().is_none());
-        let plan = session.engine().query().unwrap();
-        session.store_plan(plan);
-        assert!(session.cached_plan().is_some(), "hit between feeds");
-        session.engine_mut_for_feed().feed(&pts).unwrap();
-        assert!(session.cached_plan().is_none(), "miss after feed");
-        let plan = session.engine().query().unwrap();
-        session.store_plan(plan);
-        session.engine_mut_for_feed().reset();
-        assert!(session.cached_plan().is_none(), "miss after reset");
+        let (r, m) = (SessionRegistry::new(4), ServiceMetrics::new());
+        let (id, _) = r.create("qcluster", &m).unwrap();
+        let plan_counts = || {
+            let s = m.snapshot(1, Default::default(), 0, 0, Default::default());
+            (s.plan_cache_hits, s.plan_cache_misses)
+        };
+        r.feed(id, &points(), &m).unwrap();
+        r.query(id, None, &m).unwrap();
+        assert_eq!(plan_counts(), (0, 1), "the first query compiles");
+        r.query(id, None, &m).unwrap();
+        assert_eq!(plan_counts(), (1, 1), "hit between feeds");
+        r.query(id, Some(vec![0.0, 0.0]), &m).unwrap();
+        assert_eq!(plan_counts(), (1, 1), "an example query compiles nothing");
+        r.feed(id, &points(), &m).unwrap();
+        r.query(id, None, &m).unwrap();
+        assert_eq!(plan_counts(), (1, 2), "miss after feed");
     }
 
     #[test]
     fn qpm_engine_is_hostable() {
-        let mut session = Session::new(1, Box::new(QueryPointMovement::new()));
-        let engine = session.engine_mut_for_feed();
-        assert_eq!(engine.name(), "qpm");
-        assert!(engine.query().is_err(), "no feedback yet");
-        let pts = vec![
-            FeedbackPoint::new(0, vec![1.0, 0.0], 2.0),
-            FeedbackPoint::new(1, vec![0.0, 1.0], 2.0),
-        ];
-        engine.feed(&pts).unwrap();
-        let q = engine.query().unwrap();
-        assert_eq!(q.dim(), 2);
-        assert_eq!(engine.num_clusters(), None);
+        let (r, m) = (SessionRegistry::new(1), ServiceMetrics::new());
+        let (id, _) = r.create("qpm", &m).unwrap();
+        assert!(r.query(id, None, &m).is_err(), "no feedback yet");
+        let (fed, engine) = r.feed(id, &points(), &m).unwrap();
+        assert_eq!((engine, fed.clusters), ("qpm", None));
+        assert_eq!(r.query(id, None, &m).unwrap().dim(), 2);
     }
 }

@@ -112,7 +112,7 @@ impl Writer {
         Ok((true, term))
     }
 
-    /// See [`Service::fence_apply`](crate::Service::fence_apply).
+    /// The fence of [`Service::apply_fenced`](crate::Service::apply_fenced).
     pub(crate) fn fence(&mut self, term: u64, lease_ms: u64) -> Result<Option<u64>, ServiceError> {
         positive_term(term)?;
         if qcluster_failpoint::active()

@@ -65,7 +65,7 @@ fn degraded_query_meets_deadline_with_partial_coverage() {
     let deadline = Duration::from_millis(150);
     let started = Instant::now();
     let out = svc
-        .query_vector_with_deadline(session, query.clone(), 10, Some(deadline))
+        .query_with_deadline(session, 10, Some(query.clone()), Some(deadline))
         .expect("two live shards must still answer");
     let elapsed = started.elapsed();
     failpoint::clear_all();
@@ -106,7 +106,12 @@ fn degraded_query_meets_deadline_with_partial_coverage() {
     // Failpoints disarmed: the same request under the same deadline is
     // whole again, and bit-for-bit equal to an undeadlined run.
     let healthy = svc
-        .query_vector_with_deadline(session, query.clone(), 10, Some(Duration::from_secs(30)))
+        .query_with_deadline(
+            session,
+            10,
+            Some(query.clone()),
+            Some(Duration::from_secs(30)),
+        )
         .unwrap();
     assert!(!healthy.degraded());
     assert_eq!(healthy.shards_ok, 4);
@@ -230,7 +235,12 @@ fn all_shards_late_is_a_typed_deadline_error() {
     let _slow = failpoint::scoped("executor.shard", Action::Sleep(600));
     let started = Instant::now();
     let err = svc
-        .query_vector_with_deadline(session, vec![0.5, 0.5], 5, Some(Duration::from_millis(100)))
+        .query_with_deadline(
+            session,
+            5,
+            Some(vec![0.5, 0.5]),
+            Some(Duration::from_millis(100)),
+        )
         .unwrap_err();
     assert!(started.elapsed() < Duration::from_millis(450));
     assert!(
@@ -349,17 +359,19 @@ fn dead_workers_are_respawned_on_the_next_fanout() {
     let first = executor
         .try_knn(&sharded, &q, 10, None, Some(deadline))
         .unwrap();
-    failpoint::remove("executor.worker.exit");
     assert_eq!(first.shards_ok, 2, "jobs complete before the worker dies");
 
     // Wait for both dying workers to be replaced (worker exit is
-    // asynchronous; `heal` only swaps threads that have finished).
+    // asynchronous; `heal` only swaps threads that have finished). A
+    // worker evaluates the failpoint after its reply is sent, so it
+    // stays armed (for its two counted fires) until both have exited.
     let patience = Instant::now() + Duration::from_secs(10);
     let mut respawned = 0;
     while respawned < 2 && Instant::now() < patience {
         respawned += executor.heal().unwrap();
         thread::sleep(Duration::from_millis(5));
     }
+    failpoint::remove("executor.worker.exit");
     assert_eq!(respawned, 2, "both dead workers respawned");
 
     let healed = executor.try_knn(&sharded, &q, 10, None, None).unwrap();
@@ -510,7 +522,8 @@ fn racing_deliveries_of_one_record_apply_it_once() {
             let (svc, start, frames) = (Arc::clone(&svc), Arc::clone(&start), frames.clone());
             thread::spawn(move || {
                 start.wait();
-                svc.apply_replication(&frames)
+                svc.apply_fenced(1, 0, &frames)
+                    .map(|verdict| verdict.expect("term 1 is current"))
             })
         })
         .collect();

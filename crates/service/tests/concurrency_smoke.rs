@@ -150,8 +150,6 @@ fn eight_threads_share_one_service_without_losing_sessions() {
     assert_eq!(stats.fanout.count, stats.query.count);
     assert!(stats.query.sum_ns >= stats.query.count * stats.query.min_ns);
     assert!(stats.query.max_ns >= stats.query.min_ns);
-    // The shards scan: there are no nodes to cache.
-    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Stale-term fencing properties: the service's consensus surface
-//! (`handle_vote` / `fence_apply` / `consensus_status`) is checked
+//! (`handle_vote` / `apply_fenced` / `consensus_status`) is checked
 //! against an explicit reference model over arbitrary operation
 //! sequences, plus deterministic pins of the individual rules.
 //!
@@ -8,7 +8,7 @@
 //! wall-clock expiry.
 
 use proptest::prelude::*;
-use qcluster_service::{Service, ServiceConfig};
+use qcluster_service::{Service, ServiceConfig, ServiceError};
 
 /// A lease long enough to be "unexpired" for the whole test run.
 const LONG_LEASE_MS: u64 = 600_000;
@@ -26,12 +26,19 @@ fn make_service() -> Service {
     .expect("spawn service")
 }
 
+/// An empty fenced ship: `Some(current_term)` when it is stale.
+fn fence(service: &Service, term: u64, lease_ms: u64) -> Result<Option<u64>, ServiceError> {
+    service
+        .apply_fenced(term, lease_ms, &[])
+        .map(|verdict| verdict.err())
+}
+
 /// One step a contending router might take against the node.
 #[derive(Debug, Clone)]
 enum Op {
     /// `handle_vote(term, lease)`.
     Vote { term: u64, lease: bool },
-    /// `fence_apply(term, lease)` (an empty fenced ship).
+    /// `apply_fenced(term, lease, &[])` (an empty fenced ship).
     Apply { term: u64, lease: bool },
 }
 
@@ -112,10 +119,10 @@ proptest! {
                     let lease_ms = if lease { LONG_LEASE_MS } else { 0 };
                     if term == 0 {
                         // So is shipping at 0: rejected, nothing changes.
-                        prop_assert!(service.fence_apply(0, lease_ms).is_err());
+                        prop_assert!(fence(&service, 0, lease_ms).is_err());
                     } else {
                         let expected = model.apply(term, lease);
-                        let verdict = service.fence_apply(term, lease_ms).unwrap();
+                        let verdict = fence(&service, term, lease_ms).unwrap();
                         prop_assert_eq!(verdict, expected, "apply {} on {:?}", term, model);
                     }
                 }
@@ -148,15 +155,15 @@ fn active_leader_lease_blocks_deposition_but_newer_ship_supersedes() {
     let service = make_service();
     assert!(service.handle_vote(3, 0).unwrap().0);
     // Leader at term 3 renews its lease via an empty fenced ship.
-    assert_eq!(service.fence_apply(3, LONG_LEASE_MS).unwrap(), None);
+    assert_eq!(fence(&service, 3, LONG_LEASE_MS).unwrap(), None);
     // A contender cannot collect this node while the leader lease holds.
     assert!(!service.handle_vote(4, 0).unwrap().0);
     // But a ship from an already-elected term-5 leader (it won its
     // majority elsewhere) is adopted — ships never need votes.
-    assert_eq!(service.fence_apply(5, 0).unwrap(), None);
+    assert_eq!(fence(&service, 5, 0).unwrap(), None);
     assert_eq!(service.consensus_status().0, 5);
     // The deposed term-3 leader is now fenced.
-    assert_eq!(service.fence_apply(3, 0).unwrap(), Some(5));
+    assert_eq!(fence(&service, 3, 0).unwrap(), Some(5));
 }
 
 #[test]
@@ -170,8 +177,8 @@ fn stale_term_failpoint_forces_the_fenced_verdict() {
     );
     let service = make_service();
     // Disarmed state would accept this (node at term 0, ship term 1).
-    assert_eq!(service.fence_apply(1, 0).unwrap(), Some(0));
+    assert_eq!(fence(&service, 1, 0).unwrap(), Some(0));
     assert_eq!(qcluster_failpoint::hits("repl.apply.stale_term"), 1);
     // The failpoint is spent: the same ship is accepted again.
-    assert_eq!(service.fence_apply(1, 0).unwrap(), None);
+    assert_eq!(fence(&service, 1, 0).unwrap(), None);
 }

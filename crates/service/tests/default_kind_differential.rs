@@ -5,9 +5,10 @@
 //! points (the refined round), compared on ids and `distance.to_bits()`,
 //! over generated corpus sizes, dimensions and `k`, at 1, 2 and 4
 //! workers (the shards share one phase-1 threshold), with and without a
-//! deadline (the caller claims shard jobs, or the workers run them all)
-//! — under the diagonal scheme (the u8 fast path) and under the
-//! full-inverse scheme (every refined shard scan a plan miss).
+//! deadline (the caller claims shard jobs, or the workers run them all).
+//! A session hosts the default (diagonal) scheme, the u8 fast path; the
+//! full-inverse scheme's refined query, compiled offline, goes through
+//! `Service::query_compiled`, every refined shard scan a plan miss.
 //!
 //! Every generated corpus has a length that is a multiple of neither 8
 //! (a padded last tile) nor the shard count (a ragged last shard), and a
@@ -15,9 +16,11 @@
 //! which the example query asks for: the tie must go to the lower id.
 
 use proptest::prelude::*;
-use qcluster_core::{CovarianceScheme, FeedbackPoint, QclusterConfig, QclusterEngine};
+use qcluster_core::{
+    CovarianceScheme, DisjunctiveQuery, FeedbackPoint, QclusterConfig, QclusterEngine,
+};
 use qcluster_index::{EuclideanQuery, LinearScan, Neighbor};
-use qcluster_service::{Service, ServiceConfig};
+use qcluster_service::{Service, ServiceConfig, DEFAULT_SCORE};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Duration;
 
@@ -53,36 +56,37 @@ fn bits(neighbors: &[Neighbor]) -> Bits {
         .collect()
 }
 
-/// What a session of [`rounds`] must return: an exact scan for the
-/// example, and for the refined round an exact scan over the query an
-/// offline engine compiles from the points the service feeds.
-fn oracle(
-    points: &[Vec<f64>],
-    config: &ServiceConfig,
-    example: &[f64],
-    marked: &[usize],
-    k: usize,
-) -> (Bits, Bits) {
-    let scan = LinearScan::new(points);
-    let first = scan.knn(&EuclideanQuery::new(example.to_vec()), k);
-    let mut engine = QclusterEngine::new(config.engine);
+/// The refined query an offline engine under `scheme` compiles from the
+/// points the service feeds for `marked`.
+fn refined(points: &[Vec<f64>], scheme: CovarianceScheme, marked: &[usize]) -> DisjunctiveQuery {
+    let mut engine = QclusterEngine::new(QclusterConfig {
+        scheme,
+        ..QclusterConfig::default()
+    });
     let fed: Vec<FeedbackPoint> = marked
         .iter()
-        .map(|&id| FeedbackPoint::new(id, points[id].clone(), config.default_score))
+        .map(|&id| FeedbackPoint::new(id, points[id].clone(), DEFAULT_SCORE))
         .collect();
     engine.feed(&fed).unwrap();
-    let refined = scan.knn(&engine.query().unwrap(), k);
-    (bits(&first), bits(&refined))
+    engine.query().unwrap()
 }
 
 /// One session: the example query, a feed that leaves ≥ 2 clusters, the
-/// refined query.
-fn rounds(svc: &Service, example: &[f64], marked: &[usize], k: usize) -> (Bits, Bits) {
+/// refined query, each under `deadline`.
+fn rounds(
+    svc: &Service,
+    example: &[f64],
+    marked: &[usize],
+    k: usize,
+    deadline: Option<Duration>,
+) -> (Bits, Bits) {
     let session = svc.create_session().unwrap();
-    let first = svc.query_vector(session, example.to_vec(), k).unwrap();
+    let first = svc
+        .query_with_deadline(session, k, Some(example.to_vec()), deadline)
+        .unwrap();
     let fed = svc.feed_ids(session, marked, None).unwrap();
     assert!(fed.clusters.unwrap() >= 2, "a disjunctive query");
-    let refined = svc.query(session, k).unwrap();
+    let refined = svc.query_with_deadline(session, k, None, deadline).unwrap();
     (bits(&first.neighbors), bits(&refined.neighbors))
 }
 
@@ -107,45 +111,41 @@ proptest! {
         // Four ids from each blob.
         let marked = [0, 1, 2, 3, n - 4, n - 3, n - 2, n - 1];
 
-        let diagonal = ServiceConfig {
-            num_shards: SHARDS,
-            num_workers: 2,
-            ..ServiceConfig::default()
-        };
-        let full = ServiceConfig {
-            engine: QclusterConfig {
-                scheme: CovarianceScheme::default_full(),
-                ..QclusterConfig::default()
-            },
-            ..diagonal.clone()
-        };
-        for base in [&diagonal, &full] {
-            let want = oracle(&points, base, example, &marked, k);
-            prop_assert_eq!(want.0.len(), k.min(n));
-            prop_assert_eq!(want.1.len(), k.min(n));
-            prop_assert_eq!(want.0[0], (chunk - 1, 0), "the lower id wins the tie");
-            if k > 1 {
-                prop_assert_eq!(want.0[1], (chunk, 0), "its copy across the boundary is next");
-            }
-            // One worker hands the shared threshold from shard job to
-            // shard job; more race for it. Without a deadline the caller
-            // claims shard jobs beside the free workers; with one, the
-            // workers run them all.
-            for (workers, deadline) in [1, 2, 4].into_iter().flat_map(|w| [(w, None), (w, Some(GENEROUS))]) {
-                let config = ServiceConfig { num_workers: workers, default_deadline: deadline, ..base.clone() };
-                let shipped = Service::new(&points, config).expect("spawn service");
-                let got = rounds(&shipped, example, &marked, k);
-                prop_assert_eq!(&got, &want, "workers={} deadline={:?} n={} dim={} k={}", workers, deadline, n, dim, k);
+        let scan = LinearScan::new(&points);
+        let diagonal = refined(&points, QclusterConfig::default().scheme, &marked);
+        let full = refined(&points, CovarianceScheme::default_full(), &marked);
+        let want = (
+            bits(&scan.knn(&EuclideanQuery::new(example.to_vec()), k)),
+            bits(&scan.knn(&diagonal, k)),
+        );
+        let want_full = bits(&scan.knn(&full, k));
+        prop_assert_eq!(want.0.len(), k.min(n));
+        prop_assert_eq!(want.1.len(), k.min(n));
+        prop_assert_eq!(want_full.len(), k.min(n));
+        prop_assert_eq!(want.0[0], (chunk - 1, 0), "the lower id wins the tie");
+        if k > 1 {
+            prop_assert_eq!(want.0[1], (chunk, 0), "its copy across the boundary is next");
+        }
+        // One worker hands the shared threshold from shard job to shard
+        // job; more race for it. Without a deadline the caller claims
+        // shard jobs beside the free workers; with one, the workers run
+        // them all.
+        for (workers, deadline) in [1, 2, 4].into_iter().flat_map(|w| [(w, None), (w, Some(GENEROUS))]) {
+            let config = ServiceConfig { num_shards: SHARDS, num_workers: workers, ..ServiceConfig::default() };
+            let shipped = Service::new(&points, config).expect("spawn service");
+            let got = rounds(&shipped, example, &marked, k, deadline);
+            prop_assert_eq!(&got, &want, "workers={} deadline={:?} n={} dim={} k={}", workers, deadline, n, dim, k);
+            let quant = shipped.stats().quant;
+            prop_assert!(quant.phase1_points > 0, "the default runs the u8 scan");
+            prop_assert_eq!(quant.plan_misses, 0, "diagonal queries plan cleanly");
 
-                let quant = shipped.stats().quant;
-                prop_assert!(quant.phase1_points > 0, "the default runs the u8 scan");
-                prop_assert_eq!(quant.fallback_rescans, 0);
-                if base.engine.scheme == CovarianceScheme::default_full() {
-                    // No diagonal weights, no plan: each refined shard scan
-                    // is served exactly and counted.
-                    prop_assert!(quant.plan_misses > 0);
-                }
-            }
+            // No diagonal weights, no plan: each full-inverse shard scan
+            // is served exactly and counted.
+            let got_full = shipped.query_compiled(&full, k, deadline).unwrap();
+            prop_assert_eq!(bits(&got_full.neighbors), want_full.clone(), "full-inverse, workers={} deadline={:?}", workers, deadline);
+            let quant = shipped.stats().quant;
+            prop_assert_eq!(quant.fallback_rescans, 0);
+            prop_assert!(quant.plan_misses > 0);
         }
     }
 }

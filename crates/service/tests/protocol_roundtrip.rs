@@ -120,7 +120,6 @@ fn every_error_variant_roundtrips() {
             expected: 3,
             found: 2,
         },
-        ServiceError::CapacityExhausted { max_sessions: 64 },
         ServiceError::EmptyFeedback,
         ServiceError::InvalidImageId {
             id: 1000,
@@ -164,7 +163,7 @@ fn live_stats_snapshot_roundtrips() {
     assert_eq!(back.feed.count, 1);
     assert_eq!(back.active_sessions, 1);
     assert_eq!(back.query.mean_ns, snapshot.query.mean_ns);
-    assert_eq!(back.cache_hit_ratio, snapshot.cache_hit_ratio);
+    assert_eq!(back.plan_cache_misses, snapshot.plan_cache_misses);
 
     roundtrip_response(&Response::Stats(Box::new(snapshot)));
 }

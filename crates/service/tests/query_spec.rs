@@ -7,13 +7,15 @@
 
 use proptest::prelude::*;
 use qcluster_baselines::{AggregateKind, MultiPointQuery};
-use qcluster_core::{Cluster, ClusterDistance, CovarianceScheme, DisjunctiveQuery, FeedbackPoint};
+use qcluster_core::{
+    Cluster, ClusterDistance, CovarianceScheme, DisjunctiveQuery, FeedbackPoint, QclusterConfig,
+};
 use qcluster_index::{
     EuclideanQuery, FanoutQuery, QuantParams, TileCorpus, WeightedEuclideanQuery,
 };
 use qcluster_service::{
     dispatch, spec::MAX_SPEC_MAGNITUDE, AggregateSpec, InverseSpec, PointSpec, QuerySpec,
-    RepresentativeSpec, Request, Response, Service, ServiceConfig, ServiceError,
+    RepresentativeSpec, Request, Response, Service, ServiceConfig, ServiceError, DEFAULT_SCORE,
 };
 
 fn cluster(points: &[Vec<f64>], first_id: usize) -> Cluster {
@@ -250,12 +252,12 @@ fn a_spec_answers_like_the_session_it_was_compiled_from() {
     let service = two_d_service();
     let session = service.create_session().unwrap();
     service.feed_ids(session, &[3, 4, 30, 31], None).unwrap();
-    let mut engine = qcluster_core::QclusterEngine::new(service.config().engine);
+    let mut engine = qcluster_core::QclusterEngine::new(QclusterConfig::default());
     let fed: Vec<FeedbackPoint> = [3usize, 4, 30, 31]
         .iter()
         .map(|&id| {
             let v = vec![(id % 7) as f64, (id / 7) as f64];
-            FeedbackPoint::new(id, v, service.config().default_score)
+            FeedbackPoint::new(id, v, DEFAULT_SCORE)
         })
         .collect();
     engine.feed(&fed).unwrap();
