@@ -386,7 +386,7 @@ impl Router {
             self.check_session(session)?;
             self.fetch_vectors(relevant_ids)
         })?;
-        let (fed, _) = self.sessions.feed(session, &points, &self.metrics)?;
+        let fed = self.sessions.feed(session, &points, &self.metrics)?;
         Ok(Response::FeedAccepted {
             session,
             iteration: fed.iteration,

@@ -177,8 +177,8 @@ impl Service {
     /// segments plus the WAL tail, torn final record discarded — is
     /// recovered as the base shards, live sessions are restored under
     /// their original ids up to `max_sessions` (engines come back
-    /// *fresh*: feedback state is not persisted, so clients re-feed
-    /// after a crash), and `seed` is ignored.
+    /// *fresh* at iteration 0: feedback state is not persisted, so
+    /// clients re-feed after a crash), and `seed` is ignored.
     ///
     /// # Errors
     ///
@@ -222,9 +222,7 @@ impl Service {
         };
         let service = Service::build(corpus, config, Writer::durable(store, recovered.term))?;
         for snap in &recovered.sessions {
-            let evicted = service
-                .registry
-                .restore(snap.session, &snap.engine, snap.feeds);
+            let evicted = service.registry.restore(snap.session, &snap.engine);
             service.close_evicted(evicted)?;
         }
         if had_prior {
@@ -298,6 +296,7 @@ impl Service {
     /// Opens a session hosting the method `engine` names in
     /// [`qcluster_baselines::METHODS`]. At capacity the least recently
     /// used session is evicted, and a durable node records it closed.
+    /// A create that fails leaves no session behind.
     ///
     /// # Errors
     ///
@@ -305,31 +304,29 @@ impl Service {
     /// errors of [`Service::create_session`].
     pub fn create_session_named(&self, engine: &str) -> Result<u64, ServiceError> {
         let (id, evicted) = self.registry.create(engine, &self.metrics)?;
-        self.close_evicted(evicted)?;
-        self.snapshot_session(id, engine, 0, true)?;
-        Ok(id)
+        let recorded = self
+            .close_evicted(evicted)
+            .and_then(|()| self.snapshot_session(id, engine, true));
+        if recorded.is_err() {
+            self.registry.discard(id);
+        }
+        recorded.map(|()| id)
     }
 
     /// Records each evicted session closed, as [`Service::close_session`]
     /// does, so a reopen does not bring it back.
     fn close_evicted(&self, evicted: Vec<u64>) -> Result<(), ServiceError> {
         for session in evicted {
-            self.snapshot_session(session, "", 0, false)?;
+            self.snapshot_session(session, "", false)?;
         }
         Ok(())
     }
 
-    /// Durable session snapshot (no-op for a memory-only service).
-    /// Takes the writer, so callers must hold no session guard.
-    fn snapshot_session(
-        &self,
-        session: u64,
-        engine: &str,
-        feeds: u64,
-        live: bool,
-    ) -> Result<(), ServiceError> {
-        self.lock_writer()
-            .record_session(session, engine, feeds, live)
+    /// Durable record of a session's create (`live`) or close (no-op
+    /// for a memory-only service). Takes the writer, so callers must
+    /// hold no session guard.
+    fn snapshot_session(&self, session: u64, engine: &str, live: bool) -> Result<(), ServiceError> {
+        self.lock_writer().record_session(session, engine, live)
     }
 
     /// Closes a session explicitly.
@@ -339,10 +336,12 @@ impl Service {
     /// [`ServiceError::UnknownSession`] when the id is not live.
     pub fn close_session(&self, session: u64) -> Result<(), ServiceError> {
         self.registry.close(session, &self.metrics)?;
-        self.snapshot_session(session, "", 0, false)
+        self.snapshot_session(session, "", false)
     }
 
-    /// Feeds one round of relevant points into a session's engine.
+    /// Feeds one round of relevant points into a session's engine. It
+    /// takes no writer lock and writes nothing: feedback state is not
+    /// durable, so a restored session restarts at iteration 0.
     ///
     /// # Errors
     ///
@@ -359,9 +358,7 @@ impl Service {
         for p in relevant {
             self.check_dim(p.dim())?;
         }
-        let (outcome, engine) = self.registry.feed(session, relevant, &self.metrics)?;
-        self.snapshot_session(session, engine, outcome.iteration, true)?;
-        Ok(outcome)
+        self.registry.feed(session, relevant, &self.metrics)
     }
 
     /// Feeds relevant points identified by corpus image id, checked by
@@ -1144,10 +1141,10 @@ mod tests {
                 assert_eq!(a.id, b.id, "recovered top-k must match pre-crash");
                 assert!((a.distance - b.distance).abs() < 1e-12);
             }
-            // Feed numbering continues from the recovered snapshot.
+            // The restored engine is fresh, and so is its feed count.
             svc.feed_ids(session_id, &[24, 25], None).unwrap().iteration
         };
-        assert_eq!(handle_feeds, 2);
+        assert_eq!(handle_feeds, 1);
         assert_eq!(svc.stats().recoveries, 1);
         std::fs::remove_dir_all(&dir).ok();
     }

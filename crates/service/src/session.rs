@@ -112,31 +112,31 @@ impl SessionRegistry {
         let method = method_by_name(engine, QclusterConfig::default())
             .ok_or_else(|| ServiceError::InvalidRequest(format!("unknown engine '{engine}'")))?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let evicted = self.insert(id, method, 0);
+        let evicted = self.insert(id, method);
         metrics.record_session_created();
         metrics.record_evictions(evicted.len() as u64);
         Ok((id, evicted))
     }
 
     /// Re-inserts a recovered session under its own id (clients still
-    /// hold it) with a fresh method and its feed count, and moves the
-    /// id allocator past it. A name this build does not know (from a
-    /// newer writer) degrades to the default method. The capacity holds
-    /// as in [`SessionRegistry::create`]: returns the evicted ids.
-    pub fn restore(&self, id: u64, engine: &str, feeds: u64) -> Vec<u64> {
+    /// hold it) with a fresh method at iteration 0, and moves the id
+    /// allocator past it. A name this build does not know (from a newer
+    /// writer) degrades to the default method. The capacity holds as in
+    /// [`SessionRegistry::create`]: returns the evicted ids.
+    pub fn restore(&self, id: u64, engine: &str) -> Vec<u64> {
         self.next_id.fetch_max(id + 1, Ordering::Relaxed);
         let config = QclusterConfig::default();
         let method =
             method_by_name(engine, config).unwrap_or_else(|| Box::new(QclusterEngine::new(config)));
-        self.insert(id, method, feeds)
+        self.insert(id, method)
     }
 
-    fn insert(&self, id: u64, method: Box<dyn RetrievalMethod>, feeds: u64) -> Vec<u64> {
+    fn insert(&self, id: u64, method: Box<dyn RetrievalMethod>) -> Vec<u64> {
         let entry = Arc::new(Entry {
             session: Mutex::new(Session {
                 method,
                 plan: None,
-                feeds,
+                feeds: 0,
             }),
             touched: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
         });
@@ -189,11 +189,16 @@ impl SessionRegistry {
         Ok(())
     }
 
+    /// Drops a session whose creation failed after
+    /// [`SessionRegistry::create`] returned, counting no close: its id
+    /// never reached a client.
+    pub fn discard(&self, id: u64) {
+        self.lock_entries().remove(&id);
+    }
+
     /// Feeds one round of relevant points into the session's method,
     /// timed into `metrics.feed_latency`. The round drops the cached
     /// plan, so the next refined query recompiles.
-    ///
-    /// Returns the outcome and the method's name.
     ///
     /// # Errors
     ///
@@ -203,7 +208,7 @@ impl SessionRegistry {
         id: u64,
         points: &[FeedbackPoint],
         metrics: &ServiceMetrics,
-    ) -> Result<(FeedOutcome, &'static str), ServiceError> {
+    ) -> Result<FeedOutcome, ServiceError> {
         let entry = self.get(id)?;
         let mut session = entry.lock();
         let start = Instant::now();
@@ -214,11 +219,10 @@ impl SessionRegistry {
             .feed(points)
             .map_err(ServiceError::from_core)?;
         metrics.feed_latency.record(start.elapsed());
-        let outcome = FeedOutcome {
+        Ok(FeedOutcome {
             iteration: session.feeds,
             clusters: session.method.num_clusters(),
-        };
-        Ok((outcome, session.method.name()))
+        })
     }
 
     /// The query of one round: the `example` vector's Euclidean query
@@ -279,8 +283,7 @@ mod tests {
         let (id, evicted) = r.create("qcluster", &m).unwrap();
         assert!(evicted.is_empty());
         assert_eq!(r.len(), 1);
-        let (fed, engine) = r.feed(id, &points(), &m).unwrap();
-        assert_eq!((fed.iteration, engine), (1, "qcluster"));
+        assert_eq!(r.feed(id, &points(), &m).unwrap().iteration, 1);
         assert_eq!(r.query(id, None, &m).unwrap().dim(), 2);
         r.close(id, &m).unwrap();
         assert!(matches!(
@@ -323,13 +326,14 @@ mod tests {
     #[test]
     fn restore_preserves_ids_and_advances_allocator() {
         let (r, m) = (SessionRegistry::new(2), ServiceMetrics::new());
-        assert!(r.restore(41, "qpm", 3).is_empty());
-        let (fed, engine) = r.feed(41, &points(), &m).unwrap();
-        assert_eq!((fed.iteration, engine), (4, "qpm"), "feeds keep counting");
-        assert!(r.restore(43, "from-a-newer-writer", 0).is_empty());
-        assert_eq!(r.feed(43, &points(), &m).unwrap().1, "qcluster");
+        assert!(r.restore(41, "qpm").is_empty());
+        let fed = r.feed(41, &points(), &m).unwrap();
+        assert_eq!((fed.iteration, fed.clusters), (1, None), "a fresh qpm");
+        assert!(r.restore(43, "from-a-newer-writer").is_empty());
+        let fed = r.feed(43, &points(), &m).unwrap();
+        assert!(fed.clusters.is_some(), "the default, qcluster");
         // The cap holds on the way back in, too.
-        assert_eq!(r.restore(44, "qcluster", 0), vec![41]);
+        assert_eq!(r.restore(44, "qcluster"), vec![41]);
         let (next, evicted) = r.create("qcluster", &m).unwrap();
         assert!(next > 44, "allocator must clear restored ids");
         assert_eq!(evicted, vec![43]);
@@ -360,8 +364,7 @@ mod tests {
         let (r, m) = (SessionRegistry::new(1), ServiceMetrics::new());
         let (id, _) = r.create("qpm", &m).unwrap();
         assert!(r.query(id, None, &m).is_err(), "no feedback yet");
-        let (fed, engine) = r.feed(id, &points(), &m).unwrap();
-        assert_eq!((engine, fed.clusters), ("qpm", None));
+        assert_eq!(r.feed(id, &points(), &m).unwrap().clusters, None);
         assert_eq!(r.query(id, None, &m).unwrap().dim(), 2);
     }
 }

@@ -72,11 +72,10 @@ impl Writer {
         &mut self,
         session: u64,
         engine: &str,
-        feeds: u64,
         live: bool,
     ) -> Result<(), ServiceError> {
         if let Some(store) = self.store.as_mut() {
-            store.record_session(session, engine, feeds, live)?;
+            store.record_session(session, engine, live)?;
         }
         Ok(())
     }

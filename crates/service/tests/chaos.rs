@@ -1,8 +1,9 @@
 //! Fault-injection suite for the query path: panicking shards, slow
 //! shards racing deadlines, circuit breakers, admission control, worker
-//! death, and session eviction racing in-flight queries; then the
-//! durable boot's seal failing, panicking or stalling beside the shard
-//! build, and seeds no shard may hold.
+//! death, and session eviction racing in-flight queries; then queries,
+//! feeds and creates beside a stalled or failing WAL, the durable
+//! boot's seal failing, panicking or stalling beside the shard build,
+//! and seeds no shard may hold.
 //!
 //! Failpoints are process-global, so every test serializes through
 //! `failpoint::test_lock()` and clears the registry on entry; the whole
@@ -17,8 +18,8 @@ use std::time::{Duration, Instant};
 use qcluster_failpoint::{self as failpoint, Action};
 use qcluster_index::{EuclideanQuery, LinearScan};
 use qcluster_service::{
-    dispatch, Executor, ExecutorConfig, Request, Response, Service, ServiceConfig, ServiceError,
-    ShardedCorpus, StoreConfig,
+    dispatch, Executor, ExecutorConfig, IngestOutcome, Request, Response, Service, ServiceConfig,
+    ServiceError, ShardedCorpus, StoreConfig,
 };
 use qcluster_store::{encode_record_frame, WalRecord};
 
@@ -453,6 +454,28 @@ fn durable_service(tag: &str) -> (Service, std::path::PathBuf) {
     (svc, dir)
 }
 
+/// Starts an ingest of `vector` on its own thread and returns once it
+/// is asleep inside a 600 ms WAL fsync, holding the writer.
+fn stall_an_ingest(
+    svc: &Arc<Service>,
+    vector: Vec<f64>,
+) -> (
+    failpoint::Guard,
+    thread::JoinHandle<Result<IngestOutcome, ServiceError>>,
+) {
+    let stall = failpoint::scoped("wal.fsync", Action::Sleep(600));
+    let ingest = {
+        let svc = Arc::clone(svc);
+        thread::spawn(move || svc.ingest(vector))
+    };
+    let patience = Instant::now() + Duration::from_secs(10);
+    while stall.hits() == 0 && Instant::now() < patience {
+        thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(stall.hits(), 1, "the ingest reached its fsync");
+    (stall, ingest)
+}
+
 /// Writes leave the read path: while an ingest sits in a stalled WAL
 /// fsync — holding the writer — a query over a non-empty overlay
 /// answers at once, from everything acked so far and nothing else.
@@ -466,19 +489,7 @@ fn query_does_not_wait_behind_a_stalled_wal_fsync() {
     assert_eq!(svc.ingest(vec![100.0, 100.0]).unwrap().id, 256);
     let session = svc.create_session().unwrap();
 
-    let stall = failpoint::scoped("wal.fsync", Action::Sleep(600));
-    let ingest = {
-        let svc = Arc::clone(&svc);
-        thread::spawn(move || svc.ingest(vec![100.5, 100.5]))
-    };
-    // Once the failpoint has fired, the ingest thread is asleep inside
-    // its fsync, holding the writer for the next 600 ms.
-    let patience = Instant::now() + Duration::from_secs(10);
-    while stall.hits() == 0 && Instant::now() < patience {
-        thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(stall.hits(), 1, "the ingest reached its fsync");
-
+    let (stall, ingest) = stall_an_ingest(&svc, vec![100.5, 100.5]);
     let started = Instant::now();
     let out = svc.query_vector(session, vec![100.4, 100.4], 2).unwrap();
     let waited = started.elapsed();
@@ -497,6 +508,58 @@ fn query_does_not_wait_behind_a_stalled_wal_fsync() {
     assert_eq!((acked.id, acked.total), (257, 258));
     let out = svc.query_vector(session, vec![100.4, 100.4], 2).unwrap();
     assert_eq!(out.neighbors[0].id, 257, "queryable once acked");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A feed writes nothing, so it does not wait behind an ingest asleep
+/// in its WAL fsync either.
+#[test]
+fn feed_does_not_wait_behind_a_stalled_wal_fsync() {
+    let _serial = failpoint::test_lock();
+    failpoint::clear_all();
+
+    let (svc, dir) = durable_service("feed_fsync_stall");
+    let svc = Arc::new(svc);
+    let session = svc.create_session().unwrap();
+
+    let (stall, ingest) = stall_an_ingest(&svc, vec![100.5, 100.5]);
+    let started = Instant::now();
+    let fed = svc.feed_ids(session, &[0, 1, 2], None).unwrap();
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_millis(250),
+        "feed waited {waited:?} behind a 600 ms fsync stall"
+    );
+    assert_eq!(fed.iteration, 1);
+    ingest.join().unwrap().expect("stalled ingest completes");
+    drop(stall);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// While every WAL append fails, a create fails and leaves no session
+/// behind, and a feed still succeeds and counts: it appends no frame
+/// and fsyncs nothing, failing disk or not.
+#[test]
+fn a_failing_wal_append_fails_a_create_but_no_feed() {
+    let _serial = failpoint::test_lock();
+    failpoint::clear_all();
+
+    let (svc, dir) = durable_service("append_fails");
+    let session = svc.create_session().unwrap();
+    let broken = failpoint::scoped("wal.append", Action::Error("disk gone".into()));
+    assert!(matches!(
+        svc.create_session(),
+        Err(ServiceError::Storage(_))
+    ));
+    assert_eq!(svc.active_sessions(), 1, "the failed create left nothing");
+    let storage = svc.stats().storage;
+    assert_eq!(svc.feed_ids(session, &[0, 1], None).unwrap().iteration, 1);
+    assert_eq!(broken.hits(), 1, "only the create tried to append");
+    drop(broken);
+    assert_eq!(svc.feed_ids(session, &[2], None).unwrap().iteration, 2);
+    assert_eq!(svc.stats().storage, storage, "no WAL append, no fsync");
+    assert!(svc.create_session().is_ok());
+    assert_eq!(svc.active_sessions(), 2);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -52,8 +52,6 @@ pub struct SessionState {
     pub session: u64,
     /// Hosted engine name.
     pub engine: String,
-    /// Feed rounds completed at the last snapshot.
-    pub feeds: u64,
 }
 
 /// Everything recovery reconstructs from `segments + WAL`.
@@ -247,20 +245,9 @@ impl VectorStore {
                 WalRecord::SessionSnapshot {
                     session,
                     engine,
-                    feeds,
                     live,
                 } => {
-                    sessions.insert(
-                        session,
-                        (
-                            SessionState {
-                                session,
-                                engine,
-                                feeds,
-                            },
-                            live,
-                        ),
-                    );
+                    sessions.insert(session, (SessionState { session, engine }, live));
                 }
                 WalRecord::Checkpoint { durable_vectors } => {
                     if durable_vectors > segment_vectors {
@@ -416,30 +403,15 @@ impl VectorStore {
     /// # Errors
     ///
     /// I/O failures.
-    pub fn record_session(
-        &mut self,
-        session: u64,
-        engine: &str,
-        feeds: u64,
-        live: bool,
-    ) -> Result<()> {
+    pub fn record_session(&mut self, session: u64, engine: &str, live: bool) -> Result<()> {
+        let engine = engine.to_string();
         self.wal.append(&WalRecord::SessionSnapshot {
             session,
-            engine: engine.to_string(),
-            feeds,
+            engine: engine.clone(),
             live,
         })?;
-        self.sessions.insert(
-            session,
-            (
-                SessionState {
-                    session,
-                    engine: engine.to_string(),
-                    feeds,
-                },
-                live,
-            ),
-        );
+        self.sessions
+            .insert(session, (SessionState { session, engine }, live));
         Ok(())
     }
 
@@ -477,7 +449,6 @@ impl VectorStore {
             .map(|(s, _)| WalRecord::SessionSnapshot {
                 session: s.session,
                 engine: s.engine.clone(),
-                feeds: s.feeds,
                 live: true,
             })
             .collect();
@@ -560,7 +531,7 @@ mod tests {
             for (i, v) in vecs(5, 3, 100.0).into_iter().enumerate() {
                 assert_eq!(store.ingest(v).unwrap(), 20 + i as u64);
             }
-            store.record_session(1, "qcluster", 2, true).unwrap();
+            store.record_session(1, "qcluster", true).unwrap();
             assert_eq!(store.total_vectors(), 25);
         }
         let (store, recovered) = VectorStore::open(&dir, StoreConfig::default()).unwrap();
@@ -584,8 +555,8 @@ mod tests {
             for v in vecs(7, 2, 50.0) {
                 store.ingest(v).unwrap();
             }
-            store.record_session(3, "qpm", 1, true).unwrap();
-            store.record_session(4, "qcluster", 9, false).unwrap(); // closed
+            store.record_session(3, "qpm", true).unwrap();
+            store.record_session(4, "qcluster", false).unwrap(); // closed
             let stats = store.compact().unwrap();
             assert_eq!(stats.folded_vectors, 7);
             assert_eq!(stats.segments, 2);

@@ -89,8 +89,6 @@ pub enum WalRecord {
         /// `"qpm"`, `"mindreader"`, `"qex"` or `"falcon"`. Recovery
         /// restores a name it does not know as the default engine.
         engine: String,
-        /// Feed rounds the session had completed at snapshot time.
-        feeds: u64,
         /// `false` once the session was closed.
         live: bool,
     },
@@ -117,12 +115,11 @@ impl WalRecord {
             WalRecord::SessionSnapshot {
                 session,
                 engine,
-                feeds,
                 live,
             } => {
                 buf.push(TAG_SESSION);
                 put_u64(&mut buf, *session);
-                put_u64(&mut buf, *feeds);
+                put_u64(&mut buf, 0); // unused: older builds wrote a feed count here
                 buf.push(u8::from(*live));
                 put_u32(
                     &mut buf,
@@ -153,14 +150,13 @@ impl WalRecord {
             }
             TAG_SESSION => {
                 let session = r.u64()?;
-                let feeds = r.u64()?;
+                r.u64()?; // the unused slot
                 let live = r.bytes(1)?[0] != 0;
                 let name_len = r.u32()? as usize;
                 let engine = String::from_utf8(r.bytes(name_len)?.to_vec()).ok()?;
                 WalRecord::SessionSnapshot {
                     session,
                     engine,
-                    feeds,
                     live,
                 }
             }
@@ -607,14 +603,12 @@ mod tests {
             WalRecord::SessionSnapshot {
                 session: 7,
                 engine: "qcluster".into(),
-                feeds: 3,
                 live: true,
             },
             WalRecord::Checkpoint { durable_vectors: 1 },
             WalRecord::SessionSnapshot {
                 session: 7,
                 engine: "qcluster".into(),
-                feeds: 4,
                 live: false,
             },
             WalRecord::Ingest {
@@ -818,5 +812,21 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// Builds before the feed path stopped writing kept a feed count in
+    /// a session record's second slot. Such a record still decodes, and
+    /// the count is dropped.
+    #[test]
+    fn an_old_session_record_with_a_feed_count_decodes() {
+        let record = WalRecord::SessionSnapshot {
+            session: 7,
+            engine: "qpm".into(),
+            live: true,
+        };
+        let mut old = record.encode();
+        assert_eq!(old[9..17], [0; 8], "the slot is written as 0");
+        old[9..17].copy_from_slice(&7u64.to_le_bytes());
+        assert_eq!(WalRecord::decode(&old), Some(record));
     }
 }

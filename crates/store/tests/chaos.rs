@@ -169,7 +169,7 @@ fn compaction_crash_window_replays_idempotently() {
         for v in vecs(4, 2, 30.0) {
             store.ingest(v).unwrap();
         }
-        store.record_session(9, "qcluster", 5, true).unwrap();
+        store.record_session(9, "qcluster", true).unwrap();
 
         // Crash between the atomic segment seal and the WAL rewrite.
         let fp = failpoint::scoped(
