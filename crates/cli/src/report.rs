@@ -53,7 +53,6 @@ pub struct SoakReport {
     pub metrics: MetricsSnapshot,
     /// Outcome of the `--kill-leader-ms` leader-kill chaos scenario
     /// (`None` when no kill was scheduled).
-    #[serde(default)]
     pub leader_kill: Option<LeaderKillReport>,
 }
 
@@ -61,8 +60,8 @@ pub struct SoakReport {
 /// --kill-leader-ms N`) observed: the ingest partition's leader is
 /// shut down mid-soak, the router promotes a follower under load, and
 /// the run asserts two bars — no majority-acked ingest is lost across
-/// the promotion, and a read-your-writes probe after the kill never
-/// observes a corpus missing its own write.
+/// the promotion, and a read-after-ack probe after the kill finds each
+/// freshly acked ingest in the very next query.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LeaderKillReport {
     /// Soak offset at which the leader was killed, milliseconds.
@@ -86,11 +85,11 @@ pub struct LeaderKillReport {
     /// `final_leader_total >= acked_floor_at_kill`: no acked ingest
     /// was lost across the promotion.
     pub acked_ingest_survived: bool,
-    /// Read-your-writes probe rounds run after the soak (each ingests
-    /// a marker through a session and immediately queries it back).
+    /// Read-after-ack probe rounds run after the soak (each ingests a
+    /// marker and immediately queries it back through a session).
     pub ryw_probe_rounds: u64,
-    /// Probe rounds whose refined query did NOT return the session's
-    /// own freshly ingested marker — the RYW bar requires zero.
+    /// Probe rounds whose query did NOT return the freshly acked
+    /// marker — the bar requires zero.
     pub ryw_violations: u64,
 }
 

@@ -15,7 +15,8 @@
 //!                                       # partition replicated 3× when durable)
 //! qcluster soak --cluster --kill-leader-ms 5000
 //!                                       # kill the ingest leader 5s in and
-//!                                       # assert zero acked-ingest loss + RYW
+//!                                       # assert zero acked-ingest loss and
+//!                                       # read-after-ack through the new leader
 //! qcluster soak --seed 7 --users 300    # reshape the fleet
 //! qcluster soak --scrape 127.0.0.1:4100 # one-shot Stats scrape of a live node
 //! ```
@@ -30,7 +31,7 @@ use qcluster_cli::{
 };
 use qcluster_eval::synthetic::SemanticGapConfig;
 use qcluster_net::{Client, ClientConfig, Server, ServerConfig};
-use qcluster_router::{Partition, ReadPreference, Router, RouterConfig, ShardMap};
+use qcluster_router::{Partition, Router, RouterConfig, ShardMap};
 use qcluster_service::{Request, Response, Service, ServiceConfig};
 use qcluster_store::StoreConfig;
 use std::path::{Path, PathBuf};
@@ -180,16 +181,16 @@ fn scrape(addr: &str, out: &Path) -> Result<(), String> {
     }
 }
 
-/// How many read-your-writes probe rounds the leader-kill scenario
-/// runs after the soak drains.
-const RYW_PROBE_ROUNDS: u64 = 16;
+/// How many read-after-ack probe rounds the leader-kill scenario runs
+/// after the soak drains.
+const PROBE_ROUNDS: u64 = 16;
 
 /// Settles the two leader-kill bars of [`LeaderKillReport`] after the
 /// soak drained, given what the kill thread saw (`kill`). The final
 /// leader's total is checked against the acked floor; then each probe
-/// round ingests a unique marker through a session and queries it back
-/// at `k = 1`, which under `StaleOk` only the session's ingest mark
-/// keeps lagging replicas from missing. A promotion that never
+/// round ingests a unique marker and queries it back at `k = 1`
+/// through a session: an acked ingest must be visible to the next
+/// query, which the promoted leader answers. A promotion that never
 /// converged fails a probe with an error here, not a hang.
 fn leader_kill_report(
     router: &Router,
@@ -198,9 +199,9 @@ fn leader_kill_report(
 ) -> Result<LeaderKillReport, String> {
     let session = router
         .create_session(None)
-        .map_err(|e| format!("ryw probe session: {e}"))?;
-    let mut ryw_violations = 0u64;
-    for round in 0..RYW_PROBE_ROUNDS {
+        .map_err(|e| format!("probe session: {e}"))?;
+    let mut misses = 0u64;
+    for round in 0..PROBE_ROUNDS {
         // A unique marker: a corpus vector nudged off-lattice so the
         // probe's nearest neighbor at distance 0 can only be itself.
         let mut marker = dataset.vector(round as usize % dataset.len()).to_vec();
@@ -208,17 +209,17 @@ fn leader_kill_report(
             *x += 1e-4 * (round + 1) as f64 * (j % 7 + 1) as f64;
         }
         let (id, _) = router
-            .ingest_for_session(session, marker.clone())
-            .map_err(|e| format!("ryw probe ingest (round {round}): {e}"))?;
+            .ingest(marker.clone())
+            .map_err(|e| format!("probe ingest (round {round}): {e}"))?;
         let reply = router
             .query(session, 1, Some(marker), None)
-            .map_err(|e| format!("ryw probe query (round {round}): {e}"))?;
+            .map_err(|e| format!("probe query (round {round}): {e}"))?;
         let hit = match &reply.response {
             Response::Neighbors { neighbors, .. } => neighbors.first().map(|n| n.id) == Some(id),
             _ => false,
         };
         if !hit {
-            ryw_violations += 1;
+            misses += 1;
         }
     }
     let _ = router.close_session(session);
@@ -238,14 +239,14 @@ fn leader_kill_report(
         acked_floor_at_kill: acked_floor,
         final_leader_total,
         acked_ingest_survived: final_leader_total >= acked_floor,
-        ryw_probe_rounds: RYW_PROBE_ROUNDS,
-        ryw_violations,
+        ryw_probe_rounds: PROBE_ROUNDS,
+        ryw_violations: misses,
     })
 }
 
 /// `qcluster soak [flags]`: a one-shot scrape with `--scrape`, else a
-/// whole soak. A leader kill that lost an acked ingest or broke
-/// read-your-writes is an error, so the process exits non-zero.
+/// whole soak. A leader kill that lost an acked ingest or hid one from
+/// the next query is an error, so the process exits non-zero.
 pub fn cmd_soak(args: &[String]) -> Result<(), CliError> {
     let args = parse_soak(args)?;
     match &args.scrape {
@@ -279,7 +280,7 @@ fn run(args: &SoakArgs) -> Result<(), String> {
     // mid-soak (`Server::shutdown` consumes the server).
     let mut servers: Vec<Option<Server>> = Vec::new();
     // Router + which server slot backs each ingest-partition replica,
-    // kept for leader-kill orchestration and the post-soak RYW probe.
+    // kept for leader-kill orchestration and the post-soak probe.
     let mut cluster: Option<(Arc<Router>, Vec<usize>)> = None;
     let backend: Box<dyn SoakBackend> = if args.cluster {
         let third = points.len() / 3;
@@ -315,9 +316,6 @@ fn run(args: &SoakArgs) -> Result<(), String> {
         }
         let map = ShardMap::new(partitions).map_err(|e| format!("shard map: {e}"))?;
         let router_config = RouterConfig {
-            // Exercise replica reads under the RYW gate: followers
-            // within 64 records of the leader may serve queries.
-            read_preference: ReadPreference::StaleOk { max_lag: 64 },
             max_sessions: session_capacity(config.users),
             ..RouterConfig::default()
         };
@@ -436,7 +434,7 @@ fn run(args: &SoakArgs) -> Result<(), String> {
         println!(
             "  leader kill at +{}ms: partition {} replica {} died, leader now {} | \
              promotions {} elections won {} | acked floor {} -> final total {} ({}) | \
-             ryw probe {}/{} clean",
+             read-after-ack probe {}/{} clean",
             kill.at_ms,
             kill.partition,
             kill.killed_replica,
@@ -472,7 +470,8 @@ fn run(args: &SoakArgs) -> Result<(), String> {
         }
         if kill.ryw_violations > 0 {
             return Err(format!(
-                "read-your-writes violated {} of {} probe rounds after the leader kill",
+                "an acked ingest was missing from the next query in {} of {} probe rounds \
+                 after the leader kill",
                 kill.ryw_violations, kill.ryw_probe_rounds
             ));
         }

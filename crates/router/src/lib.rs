@@ -11,9 +11,9 @@
 //!   the router) and scatter–gather of their compiled queries with
 //!   per-node deadlines, circuit breakers, and typed failure
 //!   attribution ([`NodeFailureKind`]); majority-acked
-//!   ingest with WAL-shipping replication, follower catch-up, leader
-//!   promotion, and stale-bounded replica reads
-//!   ([`ReadPreference::StaleOk`]).
+//!   ingest with WAL-shipping replication, follower catch-up and leader
+//!   promotion. Every query leg goes to its partition's leader;
+//!   followers are for failover.
 //!
 //! The router degrades per-node exactly the way the in-process
 //! executor degrades per-shard: a healthy cluster answers bit-for-bit
@@ -30,6 +30,6 @@ pub mod router;
 pub use corpus::{synthetic_point, synthetic_slice};
 pub use map::{MapError, Partition, ShardMap};
 pub use router::{
-    AntiEntropyHandle, NodeFailure, NodeFailureKind, ReadPreference, Router, RouterConfig,
-    RouterError, ScatterReport, SyncOutcome,
+    AntiEntropyHandle, NodeFailure, NodeFailureKind, Router, RouterConfig, RouterError,
+    ScatterReport, SyncOutcome,
 };

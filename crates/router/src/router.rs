@@ -1,7 +1,7 @@
 //! The scatter–gather router: one process fronting N `qcluster-net`
 //! node processes.
 //!
-//! Every query fans out to one replica per partition over framed TCP,
+//! Every query fans out to each partition's leader over framed TCP,
 //! the partial top-k lists come back with node-local ids, and the
 //! router remaps them onto the global id space (`global = id_base +
 //! local`) before k-way-merging with the same `(distance, id)`
@@ -45,9 +45,9 @@
 //! acked ingest is one that reached a **majority** of the partition's
 //! replicas, so killing the leader loses nothing: promotion probes the
 //! surviving replicas' replication status and elects the one with the
-//! highest committed total. [`ReadPreference::StaleOk`] additionally
-//! lets queries fall back to a follower whose known replication lag is
-//! within a bound when the leader's breaker is open.
+//! highest committed total. Followers serve no queries: they are there
+//! for failover, so while a leader's breaker is open its partition's
+//! leg degrades as [`NodeFailureKind::BreakerOpen`].
 //!
 //! ## Consensus: terms, leases, fencing
 //!
@@ -65,13 +65,6 @@
 //! leader lease, and while any lease is unexpired the follower refuses
 //! competing votes — an actively-shipping leader cannot be deposed,
 //! a dead one is deposable one lease window after its last renewal.
-//!
-//! Replica reads are **read-your-writes** per session for ingests: the
-//! router tracks the committed totals each session's acked ingests
-//! reached, and a query leg only goes to a replica at-or-past the
-//! session's marks (falling back to the leader, counted in
-//! `ClusterGauges::ryw_leader_fallbacks`). Feeds need no marks: the
-//! session's state never leaves the router.
 //!
 //! [`Router::start_anti_entropy`] spawns a background thread that
 //! renews leases and streams catch-up chunks to lagging or rejoining
@@ -99,29 +92,12 @@ use qcluster_service::fanout::{Breaker, Reply};
 use qcluster_service::{
     ClusterGauges, Request, Response, ServiceError, ServiceMetrics, SessionRegistry,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Which replica of a partition serves queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadPreference {
-    /// Always the current leader (linearizable with respect to acked
-    /// ingests). A leg whose leader breaker is open fails as
-    /// [`NodeFailureKind::BreakerOpen`].
-    LeaderOnly,
-    /// Leader normally, but when the leader's breaker is open, fall
-    /// back to a follower whose router-observed replication lag (in
-    /// committed records) is at most `max_lag`.
-    StaleOk {
-        /// Largest acceptable records-behind-leader for a fallback read.
-        max_lag: u64,
-    },
-}
 
 /// Tunables for [`Router`].
 #[derive(Debug, Clone)]
@@ -137,8 +113,6 @@ pub struct RouterConfig {
     pub client: ClientConfig,
     /// Records per replication `Fetch` round.
     pub replication_batch: u32,
-    /// Replica selection for query legs.
-    pub read_preference: ReadPreference,
     /// How long a follower honors a leader lease (and a vote lease)
     /// after granting it. An actively-shipping leader renews within
     /// this window; failover after a leader death waits at most one
@@ -170,7 +144,6 @@ impl Default for RouterConfig {
             breaker_cooldown: Duration::from_secs(1),
             client: ClientConfig::default(),
             replication_batch: 256,
-            read_preference: ReadPreference::LeaderOnly,
             lease_duration: Duration::from_millis(1_500),
             election_backoff: Duration::from_millis(100),
             election_timeout: Duration::from_secs(4),
@@ -321,15 +294,11 @@ enum NodeJob {
     },
 }
 
-/// One replica's connection worker plus router-side health state.
+/// One replica's connection worker plus its circuit breaker.
 struct NodeHandle {
     addr: SocketAddr,
     tx: Sender<NodeJob>,
     breaker: Breaker,
-    /// Committed record count the router last observed on this node
-    /// (via ingest acks, replication replies, and status probes) —
-    /// the basis for stale-bounded replica selection.
-    known_total: AtomicU64,
 }
 
 struct PartitionState {
@@ -355,17 +324,11 @@ struct Counters {
     promotions: AtomicU64,
     replication_records_shipped: AtomicU64,
     replication_records_applied: AtomicU64,
-    stale_reads: AtomicU64,
     elections_won: AtomicU64,
     elections_lost: AtomicU64,
     fenced_stale_ships: AtomicU64,
     anti_entropy_chunks_shipped: AtomicU64,
-    ryw_leader_fallbacks: AtomicU64,
 }
-
-/// Per-partition committed totals one session observed through acked
-/// ingests: its read floor for corpus visibility.
-type IngestMarks = HashMap<usize, u64>;
 
 /// Per-replica outcome of a [`Router::sync_partition`] pass: each
 /// follower's index paired with its post-sync committed total, or the
@@ -381,8 +344,6 @@ pub struct Router {
     partitions: Vec<PartitionState>,
     /// Every session: its method and compiled-plan cache.
     sessions: SessionRegistry,
-    /// The read-your-writes marks of sessions that ingested.
-    ingest_marks: Mutex<HashMap<u64, IngestMarks>>,
     /// Session, plan-cache and feed counters, which [`Router::stats`]
     /// reports in place of the nodes'.
     metrics: ServiceMetrics,
@@ -492,7 +453,6 @@ impl Router {
                     addr,
                     tx,
                     breaker: Breaker::default(),
-                    known_total: AtomicU64::new(0),
                 });
             }
             partitions.push(PartitionState {
@@ -507,7 +467,6 @@ impl Router {
             map,
             partitions,
             sessions: SessionRegistry::new(config.max_sessions),
-            ingest_marks: Mutex::new(HashMap::new()),
             metrics: ServiceMetrics::new(),
             config,
             counters: Counters::default(),
@@ -555,7 +514,6 @@ impl Router {
                 .counters
                 .replication_records_applied
                 .load(Ordering::Relaxed),
-            stale_reads: self.counters.stale_reads.load(Ordering::Relaxed),
             terms: self
                 .partitions
                 .iter()
@@ -568,7 +526,6 @@ impl Router {
                 .counters
                 .anti_entropy_chunks_shipped
                 .load(Ordering::Relaxed),
-            ryw_leader_fallbacks: self.counters.ryw_leader_fallbacks.load(Ordering::Relaxed),
         }
     }
 }

@@ -38,31 +38,6 @@ impl Router {
     ///   reach a majority (the record may survive; the caller must not
     ///   treat it as acked).
     pub fn ingest(&self, vector: Vec<f64>) -> Result<(usize, usize), RouterError> {
-        self.ingest_inner(None, vector)
-    }
-
-    /// [`Router::ingest`] attributed to a session: on ack, the
-    /// session's per-partition ingest mark advances to the new
-    /// committed total, so its subsequent queries are only served by
-    /// replicas that already hold the write (read-your-writes).
-    ///
-    /// # Errors
-    ///
-    /// As [`Router::ingest`], plus [`RouterError::UnknownSession`].
-    pub fn ingest_for_session(
-        &self,
-        session: u64,
-        vector: Vec<f64>,
-    ) -> Result<(usize, usize), RouterError> {
-        self.check_session(session)?;
-        self.ingest_inner(Some(session), vector)
-    }
-
-    fn ingest_inner(
-        &self,
-        session: Option<u64>,
-        vector: Vec<f64>,
-    ) -> Result<(usize, usize), RouterError> {
         let p = self.map.ingest_partition();
         let part = &self.partitions[p];
         self.ensure_term(p)?;
@@ -115,9 +90,6 @@ impl Router {
                 "ingest answered with something else".into(),
             ));
         };
-        part.replicas[leader]
-            .known_total
-            .store(total as u64, Ordering::Release);
 
         let mut copies = 1usize;
         for r in 0..part.replicas.len() {
@@ -140,9 +112,6 @@ impl Router {
                 replicas: part.replicas.len(),
             });
         }
-        if let Some(session) = session {
-            self.raise_ingest_mark(session, p, total as u64);
-        }
         Ok((part.id_base + id, copies))
     }
 
@@ -163,12 +132,7 @@ impl Router {
             frames,
         };
         match self.repl_exchange(partition, replica, &request)? {
-            ReplReply::Applied { total, applied } => {
-                self.partitions[partition].replicas[replica]
-                    .known_total
-                    .store(total, Ordering::Release);
-                Ok((total, applied))
-            }
+            ReplReply::Applied { total, applied } => Ok((total, applied)),
             ReplReply::StaleTerm { current } => {
                 self.counters
                     .fenced_stale_ships
@@ -230,8 +194,7 @@ impl Router {
     }
 
     /// One `Status` probe: the replica's replication and consensus
-    /// position, its committed total noted as the router's latest
-    /// observation of that node.
+    /// position.
     pub(super) fn status(
         &self,
         partition: usize,
@@ -243,17 +206,12 @@ impl Router {
                 durable,
                 term,
                 leased,
-            } => {
-                self.partitions[partition].replicas[replica]
-                    .known_total
-                    .store(total, Ordering::Release);
-                Ok(ReplicaStatus {
-                    total,
-                    durable,
-                    term,
-                    leased,
-                })
-            }
+            } => Ok(ReplicaStatus {
+                total,
+                durable,
+                term,
+                leased,
+            }),
             _ => Err(NodeFailureKind::Remote(
                 "status probe answered with something else".into(),
             )),

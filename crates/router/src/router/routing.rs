@@ -1,10 +1,8 @@
 //! The request path: scatter legs over nodes through the shared
-//! fan-out primitive, replica selection, the sessions the router hosts,
-//! queries, feedback and cluster-wide stats.
+//! fan-out primitive, the sessions the router hosts, queries, feedback
+//! and cluster-wide stats.
 
-use super::{
-    NodeFailure, NodeFailureKind, NodeJob, ReadPreference, Router, RouterError, ScatterReport,
-};
+use super::{NodeFailure, NodeFailureKind, NodeJob, Router, RouterError, ScatterReport};
 use qcluster_failpoint as failpoint;
 use qcluster_index::{merge_top_k, Neighbor, SearchStats};
 use qcluster_service::fanout::{gather, Breaker, Miss};
@@ -136,77 +134,21 @@ impl Router {
         )
     }
 
-    /// Picks the replica serving a query leg for `partition` per the
-    /// configured [`ReadPreference`], constrained by the session's
-    /// read-your-writes `mark` there: a replica whose committed total
-    /// is behind an acked ingest of the session never serves its
-    /// queries.
-    fn read_replica(&self, partition: usize, mark: Option<u64>) -> usize {
-        let part = &self.partitions[partition];
-        let leader = part.leader.load(Ordering::Acquire);
-        let now = Instant::now();
-        let known = |r: usize| part.replicas[r].known_total.load(Ordering::Acquire);
-        let ryw_ok = |r: usize| mark.is_none_or(|mark| known(r) >= mark);
-        if let ReadPreference::StaleOk { max_lag } = self.config.read_preference {
-            if !part.replicas[leader].breaker.is_closed(now) {
-                let leader_total = known(leader);
-                let mut ryw_blocked = false;
-                for (r, node) in part.replicas.iter().enumerate() {
-                    if r == leader || !node.breaker.is_closed(now) {
-                        continue;
-                    }
-                    if leader_total.saturating_sub(known(r)) > max_lag {
-                        continue;
-                    }
-                    if ryw_ok(r) {
-                        self.counters.stale_reads.fetch_add(1, Ordering::Relaxed);
-                        return r;
-                    }
-                    ryw_blocked = true;
-                }
-                if ryw_blocked {
-                    // A lag-bounded follower existed but sat behind
-                    // this session's marks: read-your-writes wins over
-                    // the stale-read preference.
-                    self.counters
-                        .ryw_leader_fallbacks
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        if ryw_ok(leader) {
-            return leader;
-        }
-        // The router has not yet seen the leader reach the session's
-        // mark: any replica known to satisfy it serves, else degrade to
-        // the leader.
-        (0..part.replicas.len())
-            .find(|&r| r != leader && ryw_ok(r))
-            .unwrap_or(leader)
-    }
-
     // ------------------------------------------------------------------
     // Sessions
     // ------------------------------------------------------------------
 
     /// Opens a session hosting the method `engine` names in
     /// `METHODS` (`None` is `"qcluster"`). At capacity the least
-    /// recently used session is evicted, and its ingest marks with it.
-    /// Local: no leg is sent.
+    /// recently used session is evicted. Local: no leg is sent.
     ///
     /// # Errors
     ///
     /// [`RouterError::InvalidRequest`] for an unknown name.
     pub fn create_session(&self, engine: Option<&str>) -> Result<u64, RouterError> {
-        let (session, evicted) = self
+        let (session, _) = self
             .sessions
             .create(engine.unwrap_or("qcluster"), &self.metrics)?;
-        if !evicted.is_empty() {
-            let mut marks = self.ingest_marks.lock().unwrap_or_else(|e| e.into_inner());
-            for id in evicted {
-                marks.remove(&id);
-            }
-        }
         Ok(session)
     }
 
@@ -216,32 +158,7 @@ impl Router {
     ///
     /// [`RouterError::UnknownSession`] when `session` is not live.
     pub fn close_session(&self, session: u64) -> Result<(), RouterError> {
-        self.sessions.close(session, &self.metrics)?;
-        self.ingest_marks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&session);
-        Ok(())
-    }
-
-    /// Fails with [`RouterError::UnknownSession`] unless `session` is
-    /// live (refreshing its recency).
-    pub(super) fn check_session(&self, session: u64) -> Result<(), RouterError> {
-        Ok(self.sessions.touch(session)?)
-    }
-
-    /// Raises `session`'s read-your-writes mark on `partition` to
-    /// `total`, if the session is still live.
-    pub(super) fn raise_ingest_mark(&self, session: u64, partition: usize, total: u64) {
-        let mut marks = self.ingest_marks.lock().unwrap_or_else(|e| e.into_inner());
-        if self.sessions.contains(session) {
-            let mark = marks
-                .entry(session)
-                .or_default()
-                .entry(partition)
-                .or_insert(0);
-            *mark = (*mark).max(total);
-        }
+        Ok(self.sessions.close(session, &self.metrics)?)
     }
 
     // ------------------------------------------------------------------
@@ -249,8 +166,8 @@ impl Router {
     // ------------------------------------------------------------------
 
     /// Compiles one k-NN round — the example `vector`, or the session's
-    /// refined query — and scatters it as a `QueryCompiled` to one
-    /// replica per partition, then merges the partial top-k lists (ids
+    /// refined query — and scatters it as a `QueryCompiled` to every
+    /// partition's leader, then merges the partial top-k lists (ids
     /// remapped to the global space, ties by `(distance, id)` —
     /// identical to the executor's shard merge). Missing legs degrade
     /// the response instead of failing it; `nodes_ok / nodes_total` on
@@ -273,27 +190,18 @@ impl Router {
         let query = self.sessions.query(session, vector, &self.metrics)?;
         let spec = QuerySpec::of(&*query)?;
         spec.check()?;
-        let marks = self
-            .ingest_marks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&session)
-            .cloned()
-            .unwrap_or_default();
         let nodes_total = self.partitions.len();
-        let legs = (0..nodes_total)
-            .map(|p| {
-                let r = self.read_replica(p, marks.get(&p).copied());
-                let query = spec.clone();
-                (
-                    p,
-                    r,
-                    Request::QueryCompiled {
-                        query,
-                        k,
-                        deadline_ms,
-                    },
-                )
+        let legs = self
+            .partitions
+            .iter()
+            .enumerate()
+            .map(|(p, part)| {
+                let request = Request::QueryCompiled {
+                    query: spec.clone(),
+                    k,
+                    deadline_ms,
+                };
+                (p, part.leader.load(Ordering::Acquire), request)
             })
             .collect();
         let mut failures: Vec<NodeFailure> = Vec::new();
@@ -383,7 +291,7 @@ impl Router {
         scores: Option<&[f64]>,
     ) -> Result<Response, RouterError> {
         let points = feedback_points(relevant_ids, scores, || {
-            self.check_session(session)?;
+            self.sessions.touch(session)?;
             self.fetch_vectors(relevant_ids)
         })?;
         let fed = self.sessions.feed(session, &points, &self.metrics)?;

@@ -7,7 +7,8 @@
 //! - `leader_kill_loses_no_acked_ingest`: 1 partition × 3 durable
 //!   replicas; an ingest storm is majority-acked via WAL shipping; the
 //!   leader is SIGKILLed; the router promotes the most caught-up
-//!   follower and every acked ingest is still readable.
+//!   follower, every acked ingest is still readable, and a router
+//!   query finds the last one.
 
 use qcluster_index::{merge_top_k, EuclideanQuery, LinearScan, Neighbor};
 use qcluster_net::{Client, ClientConfig};
@@ -309,6 +310,25 @@ fn leader_kill_loses_no_acked_ingest() {
     for ((id, want), got) in acked.iter().zip(&vectors) {
         assert_eq!(got, want, "acked ingest {id} must survive the leader kill");
     }
+
+    // Read-after-ack through the router: the next query, answered by
+    // the promoted leader, finds the last acked ingest at distance 0.
+    let (last_id, last) = acked.last().unwrap().clone();
+    let session = router.create_session(None).unwrap();
+    let report = router.query(session, 1, Some(last), None).unwrap();
+    let Response::Neighbors {
+        neighbors,
+        nodes_ok,
+        nodes_total,
+        ..
+    } = report.response
+    else {
+        panic!("expected neighbors, got {:?}", report.response)
+    };
+    assert_eq!(nodes_ok, nodes_total, "{:?}", report.failures);
+    assert_eq!(neighbors.len(), 1);
+    assert_eq!(neighbors[0].id, last_id);
+    assert_eq!(neighbors[0].distance, 0.0);
 
     // Replication bookkeeping: records were shipped and applied.
     let gauges = router.cluster_gauges();

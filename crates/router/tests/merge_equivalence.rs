@@ -71,7 +71,7 @@ proptest! {
 mod end_to_end {
     use qcluster_index::{LinearScan, Neighbor};
     use qcluster_net::{ClientConfig, Server, ServerConfig};
-    use qcluster_router::{Partition, ReadPreference, Router, RouterConfig, RouterError, ShardMap};
+    use qcluster_router::{Partition, Router, RouterConfig, RouterError, ShardMap};
     use qcluster_service::{
         dispatch, method_by_name, FeedbackPoint, NeighborDto, QclusterConfig, Request, Response,
         Service, ServiceConfig, METHODS,
@@ -108,7 +108,6 @@ mod end_to_end {
                 read_timeout: Duration::from_secs(30),
                 ..ClientConfig::default()
             },
-            read_preference: ReadPreference::LeaderOnly,
             ..RouterConfig::default()
         }
     }

@@ -62,8 +62,9 @@ impl Breaker {
     }
 
     /// Whether the breaker is currently closed (read-only: does not
-    /// consume the half-open probe). Used by replica selection.
-    pub fn is_closed(&self, now: Instant) -> bool {
+    /// consume the half-open probe).
+    #[cfg(test)]
+    fn is_closed(&self, now: Instant) -> bool {
         let s = self.lock();
         match s.open_until {
             None => true,

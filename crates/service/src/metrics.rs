@@ -511,32 +511,21 @@ pub struct ClusterGauges {
     pub replication_records_shipped: u64,
     /// WAL records applied from a leader.
     pub replication_records_applied: u64,
-    /// Queries served from a replica under a stale-bounded read.
-    pub stale_reads: u64,
     /// Current replication term per partition, as this router last won
     /// or observed it (gauge; empty single-node, 0 = none won yet).
-    #[serde(default)]
     pub terms: Vec<u64>,
     /// Leader elections this router won (term/vote handshakes that
     /// reached a majority).
-    #[serde(default)]
     pub elections_won: u64,
     /// Leader elections this router lost (vote refused by a majority,
     /// typically because another router holds the term or a lease).
-    #[serde(default)]
     pub elections_lost: u64,
     /// Replication ships (or fence probes) rejected by a follower with
     /// `StaleTerm` — each one is a fenced zombie-leader write.
-    #[serde(default)]
     pub fenced_stale_ships: u64,
     /// Catch-up chunks shipped by the background anti-entropy thread
     /// (off the ingest path).
-    #[serde(default)]
     pub anti_entropy_chunks_shipped: u64,
-    /// Query legs re-routed to the partition leader because no replica
-    /// satisfied the session's read-your-writes mark.
-    #[serde(default)]
-    pub ryw_leader_fallbacks: u64,
 }
 
 fn absorb_op(a: &mut OpSummary, b: &OpSummary) {
@@ -630,7 +619,6 @@ impl MetricsSnapshot {
         self.cluster.promotions += other.cluster.promotions;
         self.cluster.replication_records_shipped += other.cluster.replication_records_shipped;
         self.cluster.replication_records_applied += other.cluster.replication_records_applied;
-        self.cluster.stale_reads += other.cluster.stale_reads;
         // Terms merge element-wise by maximum: absorbing two views of
         // the same partition keeps the highest term either side saw.
         if self.cluster.terms.len() < other.cluster.terms.len() {
@@ -643,7 +631,6 @@ impl MetricsSnapshot {
         self.cluster.elections_lost += other.cluster.elections_lost;
         self.cluster.fenced_stale_ships += other.cluster.fenced_stale_ships;
         self.cluster.anti_entropy_chunks_shipped += other.cluster.anti_entropy_chunks_shipped;
-        self.cluster.ryw_leader_fallbacks += other.cluster.ryw_leader_fallbacks;
     }
 }
 

@@ -90,11 +90,6 @@ impl SessionRegistry {
         self.len() == 0
     }
 
-    /// `true` when `id` is live. Does **not** refresh its recency.
-    pub fn contains(&self, id: u64) -> bool {
-        self.lock_entries().contains_key(&id)
-    }
-
     /// Opens a session hosting the method `engine` names in `METHODS`,
     /// under the default configuration. At capacity the least recently
     /// used sessions go first. Counts the creation and the evictions.
