@@ -36,7 +36,7 @@ use qcluster_service::{Request, Response, Service, ServiceConfig};
 use qcluster_store::StoreConfig;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A parsed `qcluster soak` command line, checked before anything binds.
 struct SoakArgs {
@@ -245,8 +245,9 @@ fn leader_kill_report(
 }
 
 /// `qcluster soak [flags]`: a one-shot scrape with `--scrape`, else a
-/// whole soak. A leader kill that lost an acked ingest or hid one from
-/// the next query is an error, so the process exits non-zero.
+/// whole soak. A leader kill that lost an acked ingest, hid one from
+/// the next query, or fired after the fleet finished is an error, so
+/// the process exits non-zero.
 pub fn cmd_soak(args: &[String]) -> Result<(), CliError> {
     let args = parse_soak(args)?;
     match &args.scrape {
@@ -380,18 +381,23 @@ fn run(args: &SoakArgs) -> Result<(), String> {
                 if let Ok(Some(server)) = taken {
                     server.shutdown();
                 }
-                (kill_ms, p, victim, acked_floor)
+                (Instant::now(), (kill_ms, p, victim, acked_floor))
             }))
         }
         _ => None,
     };
 
     let outcome = run_soak(&dataset, backend.as_ref(), config)?;
+    let fleet_done = Instant::now();
     let metrics = backend.stats()?;
     let mut report = SoakReport::new(config, target, &outcome, metrics);
 
+    // `true` when the kill landed after the fleet drained, so only the
+    // post-soak probe met the promoted leader.
+    let mut kill_after_fleet = false;
     if let Some(handle) = kill_thread {
-        let kill = handle.join().map_err(|_| "leader-kill thread panicked")?;
+        let (killed_at, kill) = handle.join().map_err(|_| "leader-kill thread panicked")?;
+        kill_after_fleet = killed_at > fleet_done;
         let (router, _) = cluster.as_ref().expect("kill scenario implies cluster");
         report.leader_kill = Some(leader_kill_report(router, &dataset, kill)?);
     }
@@ -473,6 +479,13 @@ fn run(args: &SoakArgs) -> Result<(), String> {
                 "an acked ingest was missing from the next query in {} of {} probe rounds \
                  after the leader kill",
                 kill.ryw_violations, kill.ryw_probe_rounds
+            ));
+        }
+        if kill_after_fleet {
+            return Err(format!(
+                "the leader kill at +{}ms fired after the fleet finished ({:.1}s): \
+                 only the post-soak probe met the promoted leader; kill earlier",
+                kill.at_ms, report.wall_secs
             ));
         }
     }

@@ -127,6 +127,13 @@ impl Router {
     /// racing a promotion over the same nodes cannot both succeed —
     /// the loser's subsequent ships are fenced with `StaleTerm`.
     ///
+    /// This and a failed leader leg inside [`Router::ingest`] are the
+    /// only promotions: no query, breaker trip or anti-entropy round
+    /// runs one. So a partition that takes only queries (every one but
+    /// `map.ingest_partition()`, or all of them when nothing ingests)
+    /// degrades its dead leader's leg — `Transport`, then
+    /// `BreakerOpen` — until a caller promotes it here.
+    ///
     /// # Errors
     ///
     /// - [`RouterError::ElectionLost`] when another router holds the

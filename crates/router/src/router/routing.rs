@@ -146,10 +146,9 @@ impl Router {
     ///
     /// [`RouterError::InvalidRequest`] for an unknown name.
     pub fn create_session(&self, engine: Option<&str>) -> Result<u64, RouterError> {
-        let (session, _) = self
+        Ok(self
             .sessions
-            .create(engine.unwrap_or("qcluster"), &self.metrics)?;
-        Ok(session)
+            .create(engine.unwrap_or("qcluster"), &self.metrics)?)
     }
 
     /// Closes `session`. Local: no leg is sent.
@@ -412,6 +411,25 @@ mod tests {
     use qcluster_net::{Server, ServerConfig};
     use qcluster_service::{Response, Service, ServiceConfig};
     use std::sync::Arc;
+
+    /// A router built later over the same map, as after a restart,
+    /// reissues no id: its first is above every id the first router
+    /// issued. Creating a session sends no leg, so no node runs.
+    #[test]
+    fn a_restarted_router_reissues_no_session_id() {
+        let addrs: Vec<_> = (0..3)
+            .map(|i| format!("127.0.0.1:{}", 7801 + i).parse().unwrap())
+            .collect();
+        let map = ShardMap::even(&addrs, 300).unwrap();
+        let first = Router::new(map.clone(), RouterConfig::default()).unwrap();
+        let issued: Vec<u64> = (0..100)
+            .map(|_| first.create_session(None).unwrap())
+            .collect();
+        drop(first);
+        let second = Router::new(map, RouterConfig::default()).unwrap();
+        let next = second.create_session(None).unwrap();
+        assert!(issued.iter().all(|&id| id < next), "{issued:?} vs {next}");
+    }
 
     /// A request frame damaged on the way is a transport failure of its
     /// leg, so the query degrades over the other nodes, although the

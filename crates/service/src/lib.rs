@@ -30,7 +30,8 @@
 //! with a `qcluster-store` segment + WAL directory, enabling live
 //! `Request::Ingest` (WAL-append + in-memory flat overlay, ids stable
 //! across restarts), `Request::Flush` (WAL → segment compaction), and
-//! crash recovery that restores the corpus and the session registry.
+//! crash recovery that restores the corpus. Sessions are process state
+//! on every host: a restart forgets them and never reissues their ids.
 //!
 //! ```
 //! use qcluster_service::{dispatch, Request, Response, Service, ServiceConfig};

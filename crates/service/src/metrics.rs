@@ -324,12 +324,12 @@ impl ServiceMetrics {
     }
 
     /// Counts one created session.
-    pub fn record_session_created(&self) {
+    pub fn record_create_session(&self) {
         self.sessions_created.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one explicitly closed session.
-    pub fn record_session_closed(&self) {
+    pub fn record_close_session(&self) {
         self.sessions_closed.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -803,9 +803,9 @@ mod tests {
         m.record_plan_cache_hit();
         m.record_plan_cache_hit();
         m.record_evictions(2);
-        m.record_session_created();
-        m.record_session_created();
-        m.record_session_closed();
+        m.record_create_session();
+        m.record_create_session();
+        m.record_close_session();
         let s = m.snapshot(
             1,
             StorageGauges::default(),

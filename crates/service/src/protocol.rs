@@ -228,8 +228,6 @@ pub enum Response {
         folded_vectors: u64,
         /// Sealed segments after the fold.
         segments: u64,
-        /// Records remaining in the rewritten WAL.
-        wal_records: u64,
     },
     /// The metrics snapshot (boxed: much larger than every other variant).
     Stats(Box<MetricsSnapshot>),
@@ -424,7 +422,6 @@ pub fn dispatch(service: &Service, request: Request) -> Response {
         Request::Flush => service.flush().map(|stats| Response::Flushed {
             folded_vectors: stats.folded_vectors,
             segments: stats.segments,
-            wal_records: stats.wal_records,
         }),
         Request::Stats => Ok(Response::Stats(Box::new(service.stats()))),
         Request::FetchVectors { ids } => service

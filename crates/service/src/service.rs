@@ -175,10 +175,10 @@ impl Service {
     /// fsynced and renamed into place before the service exists. On a
     /// directory with prior state the full durable corpus — sealed
     /// segments plus the WAL tail, torn final record discarded — is
-    /// recovered as the base shards, live sessions are restored under
-    /// their original ids up to `max_sessions` (engines come back
-    /// *fresh* at iteration 0: feedback state is not persisted, so
-    /// clients re-feed after a crash), and `seed` is ignored.
+    /// recovered as the base shards, and `seed` is ignored. Sessions are
+    /// not persisted: the registry starts empty, an id issued before the
+    /// restart is unknown, and no new id repeats one (see
+    /// [`SessionRegistry::new`]), so clients re-create after a crash.
     ///
     /// # Errors
     ///
@@ -193,8 +193,8 @@ impl Service {
         store_config: StoreConfig,
     ) -> Result<Self, ServiceError> {
         let (mut store, recovered) = VectorStore::open(dir, store_config)?;
-        let had_prior = !recovered.vectors.is_empty() || !recovered.sessions.is_empty();
-        let corpus = if recovered.vectors.is_empty() {
+        let had_prior = !recovered.vectors.is_empty();
+        let corpus = if !had_prior {
             if seed.is_empty() {
                 return Err(ServiceError::InvalidRequest(
                     "durable open needs prior state or a non-empty seed".into(),
@@ -221,10 +221,6 @@ impl Service {
             ShardedCorpus::build(&recovered.vectors, config.num_shards)?
         };
         let service = Service::build(corpus, config, Writer::durable(store, recovered.term))?;
-        for snap in &recovered.sessions {
-            let evicted = service.registry.restore(snap.session, &snap.engine);
-            service.close_evicted(evicted)?;
-        }
         if had_prior {
             service.metrics.record_recovery();
         }
@@ -284,49 +280,26 @@ impl Service {
         self.registry.len()
     }
 
-    /// Opens a session hosting the default Qcluster engine.
+    /// Opens a session hosting the default Qcluster engine. Like every
+    /// session operation it takes no writer lock and writes nothing.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Storage`] when a durable snapshot fails.
+    /// None: the default name always resolves. The `Result` matches
+    /// [`Service::create_session_named`].
     pub fn create_session(&self) -> Result<u64, ServiceError> {
         self.create_session_named("qcluster")
     }
 
     /// Opens a session hosting the method `engine` names in
     /// [`qcluster_baselines::METHODS`]. At capacity the least recently
-    /// used session is evicted, and a durable node records it closed.
-    /// A create that fails leaves no session behind.
+    /// used session is evicted.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::InvalidRequest`] for unknown names, plus the
-    /// errors of [`Service::create_session`].
+    /// [`ServiceError::InvalidRequest`] for unknown names.
     pub fn create_session_named(&self, engine: &str) -> Result<u64, ServiceError> {
-        let (id, evicted) = self.registry.create(engine, &self.metrics)?;
-        let recorded = self
-            .close_evicted(evicted)
-            .and_then(|()| self.snapshot_session(id, engine, true));
-        if recorded.is_err() {
-            self.registry.discard(id);
-        }
-        recorded.map(|()| id)
-    }
-
-    /// Records each evicted session closed, as [`Service::close_session`]
-    /// does, so a reopen does not bring it back.
-    fn close_evicted(&self, evicted: Vec<u64>) -> Result<(), ServiceError> {
-        for session in evicted {
-            self.snapshot_session(session, "", false)?;
-        }
-        Ok(())
-    }
-
-    /// Durable record of a session's create (`live`) or close (no-op
-    /// for a memory-only service). Takes the writer, so callers must
-    /// hold no session guard.
-    fn snapshot_session(&self, session: u64, engine: &str, live: bool) -> Result<(), ServiceError> {
-        self.lock_writer().record_session(session, engine, live)
+        self.registry.create(engine, &self.metrics)
     }
 
     /// Closes a session explicitly.
@@ -335,13 +308,12 @@ impl Service {
     ///
     /// [`ServiceError::UnknownSession`] when the id is not live.
     pub fn close_session(&self, session: u64) -> Result<(), ServiceError> {
-        self.registry.close(session, &self.metrics)?;
-        self.snapshot_session(session, "", false)
+        self.registry.close(session, &self.metrics)
     }
 
     /// Feeds one round of relevant points into a session's engine. It
-    /// takes no writer lock and writes nothing: feedback state is not
-    /// durable, so a restored session restarts at iteration 0.
+    /// takes no writer lock and writes nothing: sessions are not
+    /// durable.
     ///
     /// # Errors
     ///
@@ -1103,57 +1075,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A restart brings back the corpus and no session: every id issued
+    /// before it — live, closed or LRU-evicted — is unknown, and the
+    /// first new id is larger than all of them.
     #[test]
-    fn restart_recovers_identical_topk_and_sessions() {
+    fn restart_recovers_identical_topk_and_issues_no_old_id() {
         let dir = tmp_dir("restart");
-        let seed = two_blob_corpus(12);
-        let probe = vec![-5.0, -5.0];
-        let (pre_crash, session_id) = {
-            let svc = Service::open_durable(&dir, &seed, durable_config(), StoreConfig::default())
-                .unwrap();
-            for i in 0..9 {
-                let a = i as f64 * 1.1;
-                svc.ingest(vec![-5.0 + a.cos(), -5.0 + a.sin()]).unwrap();
-            }
-            svc.flush().unwrap(); // seal some, then ingest more into the WAL
-            for i in 0..5 {
-                let a = i as f64 * 0.6;
-                svc.ingest(vec![-5.0 + a.sin() * 2.0, -5.0 + a.cos() * 2.0])
-                    .unwrap();
-            }
-            let session = svc.create_session().unwrap();
-            svc.feed_ids(session, &[24, 25, 26], None).unwrap();
-            let s = svc.create_session_named("qpm").unwrap();
-            svc.close_session(s).unwrap();
-            let out = svc.query_vector(session, probe.clone(), 10).unwrap();
-            (out.neighbors, session)
-            // Drop = crash: nothing beyond the WAL survives the process.
-        };
-
-        let svc =
-            Service::open_durable(&dir, &[], durable_config(), StoreConfig::default()).unwrap();
-        assert_eq!(svc.total_vectors(), 38);
-        assert_eq!(svc.active_sessions(), 1, "closed session stays closed");
-        let handle_feeds = {
-            let out = svc.query_vector(session_id, probe.clone(), 10).unwrap();
-            assert_eq!(out.neighbors.len(), pre_crash.len());
-            for (a, b) in out.neighbors.iter().zip(pre_crash.iter()) {
-                assert_eq!(a.id, b.id, "recovered top-k must match pre-crash");
-                assert!((a.distance - b.distance).abs() < 1e-12);
-            }
-            // The restored engine is fresh, and so is its feed count.
-            svc.feed_ids(session_id, &[24, 25], None).unwrap().iteration
-        };
-        assert_eq!(handle_feeds, 1);
-        assert_eq!(svc.stats().recoveries, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// An LRU-evicted session is recorded closed, so a reopen neither
-    /// brings it back nor holds more than `max_sessions`.
-    #[test]
-    fn an_evicted_session_stays_evicted_after_a_restart() {
-        let dir = tmp_dir("evicted_restart");
         let config = ServiceConfig {
             max_sessions: 2,
             ..durable_config()
@@ -1167,18 +1094,48 @@ mod tests {
                 Err(ServiceError::UnknownSession(got)) if got == id
             )
         };
-        let ids = {
-            let svc = open(&two_blob_corpus(8));
-            let ids: Vec<u64> = (0..3).map(|_| svc.create_session().unwrap()).collect();
-            assert!(unknown(&svc, ids[0]), "evicted at the cap");
-            ids
+        let probe = vec![-5.0, -5.0];
+        let (pre_crash, issued) = {
+            let svc = open(&two_blob_corpus(12));
+            for i in 0..9 {
+                let a = i as f64 * 1.1;
+                svc.ingest(vec![-5.0 + a.cos(), -5.0 + a.sin()]).unwrap();
+            }
+            svc.flush().unwrap(); // seal some, then ingest more into the WAL
+            for i in 0..5 {
+                let a = i as f64 * 0.6;
+                svc.ingest(vec![-5.0 + a.sin() * 2.0, -5.0 + a.cos() * 2.0])
+                    .unwrap();
+            }
+            let evicted = svc.create_session().unwrap();
+            let live = svc.create_session().unwrap();
+            svc.feed_ids(live, &[24, 25, 26], None).unwrap();
+            let closed = svc.create_session_named("qpm").unwrap();
+            assert!(unknown(&svc, evicted), "evicted at the cap");
+            svc.close_session(closed).unwrap();
+            let out = svc.query_vector(live, probe.clone(), 10).unwrap();
+            (out.neighbors, [evicted, live, closed])
+            // Drop = crash: nothing beyond the WAL survives the process.
         };
+
         let svc = open(&[]);
-        assert!(unknown(&svc, ids[0]), "still evicted after the reopen");
-        assert_eq!(svc.active_sessions(), 2);
-        for &id in &ids[1..] {
-            assert!(svc.query_vector(id, vec![0.0, 0.0], 1).is_ok());
+        assert_eq!(svc.total_vectors(), 38);
+        assert_eq!(svc.active_sessions(), 0, "no session comes back");
+        for id in issued {
+            assert!(unknown(&svc, id), "{id} was issued before the restart");
         }
+        let session = svc.create_session().unwrap();
+        assert!(
+            issued.iter().all(|&id| id < session),
+            "{issued:?} vs {session}"
+        );
+        let out = svc.query_vector(session, probe, 10).unwrap();
+        assert_eq!(out.neighbors.len(), pre_crash.len());
+        for (a, b) in out.neighbors.iter().zip(pre_crash.iter()) {
+            assert_eq!(a.id, b.id, "recovered top-k must match pre-crash");
+            assert!((a.distance - b.distance).abs() < 1e-12);
+        }
+        assert_eq!(svc.stats().recoveries, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

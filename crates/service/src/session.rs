@@ -7,6 +7,13 @@
 //! its feed count. At most `max_sessions` live at once; creating one
 //! more evicts the least recently used.
 //!
+//! A session is process state: no host persists it, so after a restart
+//! every earlier id is unknown. Ids are never reissued: each registry's
+//! allocator starts at the wall clock in nanoseconds since the Unix
+//! epoch, and a create takes far longer than a nanosecond, so a later
+//! process starts above every id an earlier one issued — unless the
+//! clock steps back.
+//!
 //! Locking protocol: the registry's map lock is only ever held to look
 //! up, insert or remove entries — never across an engine operation.
 //! Each session's own mutex serializes its feeds and compiles, so two
@@ -16,12 +23,12 @@
 use crate::error::ServiceError;
 use crate::metrics::ServiceMetrics;
 use qcluster_baselines::{method_by_name, RetrievalMethod};
-use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine};
+use qcluster_core::{FeedbackPoint, QclusterConfig};
 use qcluster_index::{EuclideanQuery, FanoutQuery};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Instant, SystemTime};
 
 /// Result of one feed round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +68,8 @@ pub struct SessionRegistry {
 }
 
 impl SessionRegistry {
-    /// An empty registry holding at most `max_sessions` sessions.
+    /// An empty registry holding at most `max_sessions` sessions, whose
+    /// first id is the wall clock in nanoseconds (see the module docs).
     ///
     /// # Panics
     ///
@@ -70,7 +78,7 @@ impl SessionRegistry {
         assert!(max_sessions > 0, "max_sessions must be positive");
         SessionRegistry {
             entries: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
+            next_id: AtomicU64::new(unix_nanos().max(1)),
             clock: AtomicU64::new(0),
             max_sessions,
         }
@@ -94,39 +102,13 @@ impl SessionRegistry {
     /// under the default configuration. At capacity the least recently
     /// used sessions go first. Counts the creation and the evictions.
     ///
-    /// Returns the new id and the ids evicted to make room.
-    ///
     /// # Errors
     ///
     /// [`ServiceError::InvalidRequest`] for an unknown name.
-    pub fn create(
-        &self,
-        engine: &str,
-        metrics: &ServiceMetrics,
-    ) -> Result<(u64, Vec<u64>), ServiceError> {
+    pub fn create(&self, engine: &str, metrics: &ServiceMetrics) -> Result<u64, ServiceError> {
         let method = method_by_name(engine, QclusterConfig::default())
             .ok_or_else(|| ServiceError::InvalidRequest(format!("unknown engine '{engine}'")))?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let evicted = self.insert(id, method);
-        metrics.record_session_created();
-        metrics.record_evictions(evicted.len() as u64);
-        Ok((id, evicted))
-    }
-
-    /// Re-inserts a recovered session under its own id (clients still
-    /// hold it) with a fresh method at iteration 0, and moves the id
-    /// allocator past it. A name this build does not know (from a newer
-    /// writer) degrades to the default method. The capacity holds as in
-    /// [`SessionRegistry::create`]: returns the evicted ids.
-    pub fn restore(&self, id: u64, engine: &str) -> Vec<u64> {
-        self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-        let config = QclusterConfig::default();
-        let method =
-            method_by_name(engine, config).unwrap_or_else(|| Box::new(QclusterEngine::new(config)));
-        self.insert(id, method)
-    }
-
-    fn insert(&self, id: u64, method: Box<dyn RetrievalMethod>) -> Vec<u64> {
         let entry = Arc::new(Entry {
             session: Mutex::new(Session {
                 method,
@@ -136,7 +118,6 @@ impl SessionRegistry {
             touched: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
         });
         let mut entries = self.lock_entries();
-        let mut evicted = Vec::new();
         while entries.len() >= self.max_sessions {
             let victim = entries
                 .iter()
@@ -144,10 +125,11 @@ impl SessionRegistry {
                 .map(|(&id, _)| id)
                 .expect("non-empty map at capacity");
             entries.remove(&victim);
-            evicted.push(victim);
+            metrics.record_evictions(1);
         }
         entries.insert(id, entry);
-        evicted
+        metrics.record_create_session();
+        Ok(id)
     }
 
     /// Checks out a live session, refreshing its recency. The entry
@@ -180,15 +162,8 @@ impl SessionRegistry {
         self.lock_entries()
             .remove(&id)
             .ok_or(ServiceError::UnknownSession(id))?;
-        metrics.record_session_closed();
+        metrics.record_close_session();
         Ok(())
-    }
-
-    /// Drops a session whose creation failed after
-    /// [`SessionRegistry::create`] returned, counting no close: its id
-    /// never reached a client.
-    pub fn discard(&self, id: u64) {
-        self.lock_entries().remove(&id);
     }
 
     /// Feeds one round of relevant points into the session's method,
@@ -252,6 +227,13 @@ impl SessionRegistry {
     }
 }
 
+/// Nanoseconds since the Unix epoch (0 for a clock set before it).
+fn unix_nanos() -> u64 {
+    SystemTime::now()
+        .duration_since(SystemTime::UNIX_EPOCH)
+        .map_or(0, |since| since.as_nanos() as u64)
+}
+
 impl std::fmt::Debug for SessionRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionRegistry")
@@ -275,8 +257,7 @@ mod tests {
     #[test]
     fn create_get_close_lifecycle() {
         let (r, m) = (SessionRegistry::new(4), ServiceMetrics::new());
-        let (id, evicted) = r.create("qcluster", &m).unwrap();
-        assert!(evicted.is_empty());
+        let id = r.create("qcluster", &m).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.feed(id, &points(), &m).unwrap().iteration, 1);
         assert_eq!(r.query(id, None, &m).unwrap().dim(), 2);
@@ -295,21 +276,34 @@ mod tests {
     #[test]
     fn ids_are_unique_and_monotone() {
         let (r, m) = (SessionRegistry::new(16), ServiceMetrics::new());
-        let (a, _) = r.create("qcluster", &m).unwrap();
-        let (b, _) = r.create("qpm", &m).unwrap();
-        let (c, _) = r.create("qcluster", &m).unwrap();
+        let a = r.create("qcluster", &m).unwrap();
+        let b = r.create("qpm", &m).unwrap();
+        let c = r.create("qcluster", &m).unwrap();
         assert!(a < b && b < c);
+    }
+
+    /// A registry built later, as after a restart, starts above every
+    /// id an earlier one issued.
+    #[test]
+    fn a_later_registry_issues_no_earlier_id() {
+        let m = ServiceMetrics::new();
+        let before = SessionRegistry::new(4);
+        let issued: Vec<u64> = (0..100)
+            .map(|_| before.create("qcluster", &m).unwrap())
+            .collect();
+        let after = SessionRegistry::new(4);
+        let first = after.create("qcluster", &m).unwrap();
+        assert!(issued.iter().all(|&id| id < first), "{issued:?} vs {first}");
     }
 
     #[test]
     fn capacity_with_lru_evicts_stalest() {
         let (r, m) = (SessionRegistry::new(2), ServiceMetrics::new());
-        let (a, _) = r.create("qcluster", &m).unwrap();
-        let (b, _) = r.create("qcluster", &m).unwrap();
+        let a = r.create("qcluster", &m).unwrap();
+        let b = r.create("qcluster", &m).unwrap();
         // Touch `a` so `b` is now the LRU.
         r.touch(a).unwrap();
-        let (c, evicted) = r.create("qcluster", &m).unwrap();
-        assert_eq!(evicted, vec![b]);
+        let c = r.create("qcluster", &m).unwrap();
         assert_eq!(r.len(), 2);
         assert!(r.touch(a).is_ok(), "recently touched survives");
         assert!(r.touch(b).is_err(), "LRU evicted");
@@ -319,25 +313,9 @@ mod tests {
     }
 
     #[test]
-    fn restore_preserves_ids_and_advances_allocator() {
-        let (r, m) = (SessionRegistry::new(2), ServiceMetrics::new());
-        assert!(r.restore(41, "qpm").is_empty());
-        let fed = r.feed(41, &points(), &m).unwrap();
-        assert_eq!((fed.iteration, fed.clusters), (1, None), "a fresh qpm");
-        assert!(r.restore(43, "from-a-newer-writer").is_empty());
-        let fed = r.feed(43, &points(), &m).unwrap();
-        assert!(fed.clusters.is_some(), "the default, qcluster");
-        // The cap holds on the way back in, too.
-        assert_eq!(r.restore(44, "qcluster"), vec![41]);
-        let (next, evicted) = r.create("qcluster", &m).unwrap();
-        assert!(next > 44, "allocator must clear restored ids");
-        assert_eq!(evicted, vec![43]);
-    }
-
-    #[test]
     fn cached_plan_lives_until_the_engine_is_handed_out_mutably() {
         let (r, m) = (SessionRegistry::new(4), ServiceMetrics::new());
-        let (id, _) = r.create("qcluster", &m).unwrap();
+        let id = r.create("qcluster", &m).unwrap();
         let plan_counts = || {
             let s = m.snapshot(1, Default::default(), 0, 0, Default::default());
             (s.plan_cache_hits, s.plan_cache_misses)
@@ -357,7 +335,7 @@ mod tests {
     #[test]
     fn qpm_engine_is_hostable() {
         let (r, m) = (SessionRegistry::new(1), ServiceMetrics::new());
-        let (id, _) = r.create("qpm", &m).unwrap();
+        let id = r.create("qpm", &m).unwrap();
         assert!(r.query(id, None, &m).is_err(), "no feedback yet");
         assert_eq!(r.feed(id, &points(), &m).unwrap().clusters, None);
         assert_eq!(r.query(id, None, &m).unwrap().dim(), 2);

@@ -3,7 +3,7 @@
 //! whose contract is **"may block on disk"**.
 //!
 //! Every operation that can fsync or move the term — ingest append,
-//! session snapshot, compaction, vote, fence — is a method here, so a
+//! compaction, vote, fence — is a method here, so a
 //! caller holding the guard can compose several of them (fence, check
 //! the committed total, append) into one atomic step. Nothing on the
 //! query path takes this mutex: reads go to the sharded base corpus and
@@ -65,19 +65,6 @@ impl Writer {
     /// and returns its corpus id.
     pub(crate) fn append(&mut self, vector: Vec<f64>) -> Result<u64, ServiceError> {
         Ok(self.store_for("ingest")?.ingest(vector)?)
-    }
-
-    /// Durable session snapshot (no-op for a memory-only service).
-    pub(crate) fn record_session(
-        &mut self,
-        session: u64,
-        engine: &str,
-        live: bool,
-    ) -> Result<(), ServiceError> {
-        if let Some(store) = self.store.as_mut() {
-            store.record_session(session, engine, live)?;
-        }
-        Ok(())
     }
 
     /// Folds the WAL into a sealed segment.

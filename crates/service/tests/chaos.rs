@@ -536,30 +536,37 @@ fn feed_does_not_wait_behind_a_stalled_wal_fsync() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// While every WAL append fails, a create fails and leaves no session
-/// behind, and a feed still succeeds and counts: it appends no frame
-/// and fsyncs nothing, failing disk or not.
+/// Sessions are process state: while every WAL append fails, a
+/// create, an LRU eviction, a close and a feed all succeed, and none of
+/// them appends a frame or fsyncs.
 #[test]
-fn a_failing_wal_append_fails_a_create_but_no_feed() {
+fn a_failing_wal_append_fails_neither_a_create_nor_a_feed() {
     let _serial = failpoint::test_lock();
     failpoint::clear_all();
 
-    let (svc, dir) = durable_service("append_fails");
-    let session = svc.create_session().unwrap();
-    let broken = failpoint::scoped("wal.append", Action::Error("disk gone".into()));
-    assert!(matches!(
-        svc.create_session(),
-        Err(ServiceError::Storage(_))
-    ));
-    assert_eq!(svc.active_sessions(), 1, "the failed create left nothing");
+    let dir = fresh_dir("append_fails");
+    let config = ServiceConfig {
+        max_sessions: 2,
+        ..durable_config()
+    };
+    let svc = Service::open_durable(&dir, &corpus(), config, StoreConfig::default()).unwrap();
     let storage = svc.stats().storage;
-    assert_eq!(svc.feed_ids(session, &[0, 1], None).unwrap().iteration, 1);
-    assert_eq!(broken.hits(), 1, "only the create tried to append");
+    let broken = failpoint::scoped("wal.append", Action::Error("disk gone".into()));
+    let evicted = svc.create_session().unwrap();
+    let closed = svc.create_session().unwrap();
+    let fed = svc.create_session().unwrap();
+    assert!(matches!(
+        svc.feed_ids(evicted, &[0], None),
+        Err(ServiceError::UnknownSession(id)) if id == evicted
+    ));
+    svc.close_session(closed).unwrap();
+    assert_eq!(svc.feed_ids(fed, &[0, 1], None).unwrap().iteration, 1);
+    assert_eq!(broken.hits(), 0, "nothing tried to append");
     drop(broken);
-    assert_eq!(svc.feed_ids(session, &[2], None).unwrap().iteration, 2);
-    assert_eq!(svc.stats().storage, storage, "no WAL append, no fsync");
-    assert!(svc.create_session().is_ok());
-    assert_eq!(svc.active_sessions(), 2);
+    let stats = svc.stats();
+    assert_eq!(stats.storage, storage, "no WAL append, no fsync");
+    assert_eq!((stats.evictions, stats.sessions_closed), (1, 1));
+    assert_eq!(svc.active_sessions(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -107,6 +107,15 @@ fn every_response_variant_roundtrips() {
             clusters: None,
         },
         Response::SessionClosed { session: 11 },
+        // Ids start at the wall clock in nanoseconds: past 2^53, where
+        // a float would round them.
+        Response::SessionClosed {
+            session: 1_760_000_000_123_456_789,
+        },
+        Response::Flushed {
+            folded_vectors: 7,
+            segments: 2,
+        },
     ] {
         roundtrip_response(&resp);
     }

@@ -2,8 +2,8 @@
 //!
 //! Durable storage for the Qcluster stack: the paper's corpus is static
 //! and in-memory, but a production retrieval service must survive
-//! restarts with every ingested image and session intact. This crate
-//! provides the robustness foundation:
+//! restarts with every ingested image intact. This crate provides the
+//! robustness foundation:
 //!
 //! - [`segment`] — the append-only binary segment format (v2):
 //!   tile-native columnar `f64` values plus a u8 scalar-quantized
@@ -12,13 +12,11 @@
 //!   rename and read through a paged, validate-on-open
 //!   [`SegmentReader`].
 //! - [`wal`] — the write-ahead log: length-prefixed CRC-framed
-//!   mutation records ([`WalRecord::Ingest`],
-//!   [`WalRecord::SessionSnapshot`], [`WalRecord::Checkpoint`]) with
-//!   fsync-on-commit and replay that tolerates a torn tail.
+//!   mutation records ([`WalRecord::Ingest`], [`WalRecord::Checkpoint`])
+//!   with fsync-on-commit and replay that tolerates a torn tail.
 //! - [`store`] — [`VectorStore`]: open a directory, recover
-//!   `segments + WAL` into an id-ordered corpus plus the live session
-//!   set, ingest durably, and compact the WAL into freshly sealed
-//!   segments.
+//!   `segments + WAL` into an id-ordered corpus, ingest durably, and
+//!   compact the WAL into freshly sealed segments.
 //!
 //! ```
 //! use qcluster_store::{StoreConfig, VectorStore};
@@ -50,9 +48,7 @@ pub mod wal;
 pub use codec::Crc32;
 pub use error::{Result, StoreError};
 pub use segment::{write_segment, SegmentReader, SegmentWriter, VERSION_V2};
-pub use store::{
-    CompactionStats, RecoveredState, SessionState, StoreConfig, StoreStats, VectorStore,
-};
+pub use store::{CompactionStats, RecoveredState, StoreConfig, StoreStats, VectorStore};
 pub use wal::{
     decode_record_frames, encode_record_frame, replay, WalCursor, WalRecord, WalReplay, WalWriter,
 };

@@ -11,21 +11,18 @@
 //!
 //! **Recovery** reads every segment in order (ids are positional), then
 //! replays the WAL's committed prefix: `Ingest` records extend the
-//! corpus, `SessionSnapshot` records rebuild the session registry
-//! (latest per id wins; tombstones drop), and a torn WAL tail is
-//! truncated. `Ingest` records carry their assigned global id, so a
+//! corpus and a torn WAL tail is truncated. `Ingest` records carry
+//! their assigned global id, so a
 //! compaction that crashed after sealing a segment but before folding
 //! the WAL replays idempotently — ids already covered by segments are
 //! skipped.
 //!
 //! **Compaction** folds the WAL tail into a freshly sealed segment
-//! (staged + atomic rename), then rewrites the WAL to hold only what
-//! must outlive the fold: live session snapshots and a checkpoint.
+//! (staged + atomic rename), then rewrites the WAL to one checkpoint.
 
 use crate::error::{Result, StoreError};
 use crate::segment::{write_segment, SegmentReader};
 use crate::wal::{replay, WalRecord, WalWriter};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Tunables for one store instance.
@@ -45,15 +42,6 @@ impl Default for StoreConfig {
     }
 }
 
-/// A session restored from WAL snapshots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionState {
-    /// Session id.
-    pub session: u64,
-    /// Hosted engine name.
-    pub engine: String,
-}
-
 /// Everything recovery reconstructs from `segments + WAL`.
 #[derive(Debug)]
 pub struct RecoveredState {
@@ -62,8 +50,6 @@ pub struct RecoveredState {
     /// How many of [`Self::vectors`] came from sealed segments (the
     /// rest were replayed from the WAL).
     pub segment_vectors: usize,
-    /// Live sessions, ascending by id.
-    pub sessions: Vec<SessionState>,
     /// `true` when a torn WAL tail was discarded during replay.
     pub wal_truncated: bool,
     /// The replication term this node last acknowledged (0 when the
@@ -94,8 +80,6 @@ pub struct CompactionStats {
     pub folded_vectors: u64,
     /// Sealed segments after the fold.
     pub segments: u64,
-    /// Records in the rewritten WAL (session snapshots + checkpoint).
-    pub wal_records: u64,
 }
 
 /// The durable segment + WAL vector store.
@@ -111,8 +95,6 @@ pub struct VectorStore {
     /// Vectors living only in the WAL (id order), kept resident so
     /// compaction can seal them without re-reading the log.
     wal_tail: Vec<Vec<f64>>,
-    /// Latest snapshot per session (including tombstones).
-    sessions: BTreeMap<u64, (SessionState, bool)>,
     wal: WalWriter,
     /// Counter bases carried across WAL rewrites.
     appends_base: u64,
@@ -216,7 +198,6 @@ impl VectorStore {
         let wal_path = dir.join("wal.log");
         let replayed = replay(&wal_path)?;
         let mut wal_tail: Vec<Vec<f64>> = Vec::new();
-        let mut sessions: BTreeMap<u64, (SessionState, bool)> = BTreeMap::new();
         for record in replayed.records {
             match record {
                 WalRecord::Ingest { id, vector } => {
@@ -242,13 +223,6 @@ impl VectorStore {
                     }
                     wal_tail.push(vector);
                 }
-                WalRecord::SessionSnapshot {
-                    session,
-                    engine,
-                    live,
-                } => {
-                    sessions.insert(session, (SessionState { session, engine }, live));
-                }
                 WalRecord::Checkpoint { durable_vectors } => {
                     if durable_vectors > segment_vectors {
                         return Err(StoreError::corrupt(
@@ -266,11 +240,6 @@ impl VectorStore {
 
         let term = read_term_file(dir)?;
         let wal = WalWriter::open(&wal_path, replayed.valid_len, config.fsync_on_commit)?;
-        let live_sessions = sessions
-            .values()
-            .filter(|(_, live)| *live)
-            .map(|(s, _)| s.clone())
-            .collect();
         let store = VectorStore {
             dir: dir.to_path_buf(),
             config,
@@ -278,7 +247,6 @@ impl VectorStore {
             segments,
             segment_vectors,
             wal_tail,
-            sessions,
             wal,
             appends_base: 0,
             fsyncs_base: 0,
@@ -287,7 +255,6 @@ impl VectorStore {
         let recovered = RecoveredState {
             vectors,
             segment_vectors: segment_vectors as usize,
-            sessions: live_sessions,
             wal_truncated: replayed.truncated,
             term,
         };
@@ -397,25 +364,8 @@ impl VectorStore {
         Ok(id)
     }
 
-    /// Durably records the latest view of a session (`live = false`
-    /// tombstones it for recovery).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn record_session(&mut self, session: u64, engine: &str, live: bool) -> Result<()> {
-        let engine = engine.to_string();
-        self.wal.append(&WalRecord::SessionSnapshot {
-            session,
-            engine: engine.clone(),
-            live,
-        })?;
-        self.sessions
-            .insert(session, (SessionState { session, engine }, live));
-        Ok(())
-    }
-
-    /// Folds the WAL into a freshly sealed segment and resets the log.
+    /// Folds the WAL into a freshly sealed segment and rewrites the log
+    /// to one [`WalRecord::Checkpoint`].
     ///
     /// # Errors
     ///
@@ -441,34 +391,19 @@ impl VectorStore {
             return Err(crate::wal::injected_io("store.compact.crash", action).into());
         }
 
-        // The rewritten WAL keeps only live-session snapshots + checkpoint.
-        let mut keep: Vec<WalRecord> = self
-            .sessions
-            .values()
-            .filter(|(_, live)| *live)
-            .map(|(s, _)| WalRecord::SessionSnapshot {
-                session: s.session,
-                engine: s.engine.clone(),
-                live: true,
-            })
-            .collect();
-        keep.push(WalRecord::Checkpoint {
-            durable_vectors: self.segment_vectors,
-        });
-        self.sessions.retain(|_, (_, live)| *live);
-
         self.appends_base += self.wal.appends();
         self.fsyncs_base += self.wal.fsyncs();
         self.wal = WalWriter::rewrite(
             &self.dir.join("wal.log"),
-            &keep,
+            &[WalRecord::Checkpoint {
+                durable_vectors: self.segment_vectors,
+            }],
             self.config.fsync_on_commit,
         )?;
 
         Ok(CompactionStats {
             folded_vectors: folded,
             segments: self.segments.len() as u64,
-            wal_records: keep.len() as u64,
         })
     }
 
@@ -531,7 +466,6 @@ mod tests {
             for (i, v) in vecs(5, 3, 100.0).into_iter().enumerate() {
                 assert_eq!(store.ingest(v).unwrap(), 20 + i as u64);
             }
-            store.record_session(1, "qcluster", true).unwrap();
             assert_eq!(store.total_vectors(), 25);
         }
         let (store, recovered) = VectorStore::open(&dir, StoreConfig::default()).unwrap();
@@ -539,8 +473,6 @@ mod tests {
         assert_eq!(recovered.segment_vectors, 20);
         assert_eq!(recovered.vectors[..20].to_vec(), base);
         assert_eq!(recovered.vectors[20], vec![100.0, 101.0, 102.0]);
-        assert_eq!(recovered.sessions.len(), 1);
-        assert_eq!(recovered.sessions[0].engine, "qcluster");
         assert!(!recovered.wal_truncated);
         assert_eq!(store.dim(), Some(3));
         std::fs::remove_dir_all(&dir).ok();
@@ -555,20 +487,95 @@ mod tests {
             for v in vecs(7, 2, 50.0) {
                 store.ingest(v).unwrap();
             }
-            store.record_session(3, "qpm", true).unwrap();
-            store.record_session(4, "qcluster", false).unwrap(); // closed
             let stats = store.compact().unwrap();
             assert_eq!(stats.folded_vectors, 7);
             assert_eq!(stats.segments, 2);
-            assert_eq!(stats.wal_records, 2); // live session + checkpoint
+            assert_eq!(
+                replay(&dir.join("wal.log")).unwrap().records,
+                [WalRecord::Checkpoint {
+                    durable_vectors: 17
+                }]
+            );
             assert_eq!(store.stats().wal_vectors, 0);
             assert_eq!(store.stats().segment_vectors, 17);
         }
         let (_, recovered) = VectorStore::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(recovered.vectors.len(), 17);
         assert_eq!(recovered.segment_vectors, 17);
-        assert_eq!(recovered.sessions.len(), 1, "tombstoned session stays dead");
-        assert_eq!(recovered.sessions[0].session, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A payload of the retired session tag, as builds that persisted
+    /// sessions wrote it: id, feed-count slot, live flag, name.
+    fn retired_session_payload(session: u64, feeds: u64, live: bool, engine: &str) -> Vec<u8> {
+        let mut payload = vec![2];
+        payload.extend_from_slice(&session.to_le_bytes());
+        payload.extend_from_slice(&feeds.to_le_bytes());
+        payload.push(u8::from(live));
+        payload.extend_from_slice(&(engine.len() as u32).to_le_bytes());
+        payload.extend_from_slice(engine.as_bytes());
+        payload
+    }
+
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crate::codec::Crc32::checksum(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// A WAL from a build that persisted sessions opens with its
+    /// vectors bit-equal, and its first compaction leaves one
+    /// checkpoint. A CRC-valid session frame that does not parse is
+    /// still corruption.
+    #[test]
+    fn an_old_wal_with_session_frames_opens_and_compacts_to_one_checkpoint() {
+        let dir = tmp_store("old_wal");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ingested = vec![
+            vec![0.1 + 0.2, -0.0],
+            vec![f64::MIN_POSITIVE, 1e300],
+            vec![-1.0 / 3.0, 7.0],
+        ];
+        let ingest = |id: usize| {
+            crate::wal::encode_record_frame(&WalRecord::Ingest {
+                id: id as u64,
+                vector: ingested[id].clone(),
+            })
+        };
+        let mut wal = ingest(0);
+        wal.extend(frame(&retired_session_payload(7, 0, true, "qpm")));
+        wal.extend(ingest(1));
+        wal.extend(frame(&retired_session_payload(8, 0, false, "")));
+        wal.extend(frame(&retired_session_payload(9, 5, true, "qcluster")));
+        wal.extend(ingest(2));
+        std::fs::write(dir.join("wal.log"), &wal).unwrap();
+
+        let bits = |vs: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            vs.iter()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        {
+            let (mut store, recovered) = VectorStore::open(&dir, StoreConfig::default()).unwrap();
+            assert!(!recovered.wal_truncated);
+            assert_eq!(bits(&recovered.vectors), bits(&ingested));
+            store.compact().unwrap();
+        }
+        assert_eq!(
+            replay(&dir.join("wal.log")).unwrap().records,
+            [WalRecord::Checkpoint { durable_vectors: 3 }]
+        );
+        let (_, recovered) = VectorStore::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(bits(&recovered.vectors), bits(&ingested));
+
+        let mut malformed = retired_session_payload(7, 0, true, "qpm");
+        malformed.push(0);
+        std::fs::write(dir.join("wal.log"), frame(&malformed)).unwrap();
+        assert!(matches!(
+            VectorStore::open(&dir, StoreConfig::default()),
+            Err(StoreError::Corrupt { .. })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

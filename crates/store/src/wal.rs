@@ -16,6 +16,10 @@
 //! before the tear — the *committed prefix* — is recovered exactly;
 //! nothing after a damaged frame is trusted.
 //!
+//! Tag 2 is retired: builds that persisted sessions wrote a session
+//! snapshot under it. Nothing writes it now; a frame that parses in its
+//! layout is read and skipped, so such a WAL still opens.
+//!
 //! ## Append self-healing
 //!
 //! [`WalWriter`] tracks the byte length of its committed prefix. When
@@ -65,7 +69,8 @@ pub(crate) fn injected_io(site: &str, action: failpoint::Action) -> std::io::Err
 const MAX_PAYLOAD: u32 = 1 << 28;
 
 const TAG_INGEST: u8 = 1;
-const TAG_SESSION: u8 = 2;
+/// Retired: a session snapshot (see the module docs).
+const TAG_RETIRED_SESSION: u8 = 2;
 const TAG_CHECKPOINT: u8 = 3;
 
 /// One durable mutation.
@@ -79,18 +84,6 @@ pub enum WalRecord {
         id: u64,
         /// The ingested feature vector.
         vector: Vec<f64>,
-    },
-    /// The latest durable view of one client session. Replay keeps the
-    /// last snapshot per session id; `live == false` is a tombstone.
-    SessionSnapshot {
-        /// Session id.
-        session: u64,
-        /// Hosted method's `RetrievalMethod::name()`: `"qcluster"`,
-        /// `"qpm"`, `"mindreader"`, `"qex"` or `"falcon"`. Recovery
-        /// restores a name it does not know as the default engine.
-        engine: String,
-        /// `false` once the session was closed.
-        live: bool,
     },
     /// Compaction marker: every vector with id below `durable_vectors`
     /// is sealed in segments.
@@ -111,21 +104,6 @@ impl WalRecord {
                 for &v in vector {
                     put_f64(&mut buf, v);
                 }
-            }
-            WalRecord::SessionSnapshot {
-                session,
-                engine,
-                live,
-            } => {
-                buf.push(TAG_SESSION);
-                put_u64(&mut buf, *session);
-                put_u64(&mut buf, 0); // unused: older builds wrote a feed count here
-                buf.push(u8::from(*live));
-                put_u32(
-                    &mut buf,
-                    u32::try_from(engine.len()).expect("name fits u32"),
-                );
-                buf.extend_from_slice(engine.as_bytes());
             }
             WalRecord::Checkpoint { durable_vectors } => {
                 buf.push(TAG_CHECKPOINT);
@@ -148,18 +126,6 @@ impl WalRecord {
                 }
                 WalRecord::Ingest { id, vector }
             }
-            TAG_SESSION => {
-                let session = r.u64()?;
-                r.u64()?; // the unused slot
-                let live = r.bytes(1)?[0] != 0;
-                let name_len = r.u32()? as usize;
-                let engine = String::from_utf8(r.bytes(name_len)?.to_vec()).ok()?;
-                WalRecord::SessionSnapshot {
-                    session,
-                    engine,
-                    live,
-                }
-            }
             TAG_CHECKPOINT => WalRecord::Checkpoint {
                 durable_vectors: r.u64()?,
             },
@@ -167,6 +133,21 @@ impl WalRecord {
         };
         (r.remaining() == 0).then_some(record)
     }
+}
+
+/// `true` for a payload in the retired session layout: tag, session
+/// id, feed-count slot, live flag, then a length-prefixed UTF-8 name.
+fn is_retired_session(payload: &[u8]) -> bool {
+    let mut r = ByteReader::new(payload);
+    let parsed = (|| {
+        (r.bytes(1)?[0] == TAG_RETIRED_SESSION).then_some(())?;
+        r.u64()?; // session id
+        r.u64()?; // feed count, 0 since feeds stopped writing
+        r.bytes(1)?; // live flag
+        let name_len = r.u32()? as usize;
+        std::str::from_utf8(r.bytes(name_len)?).ok()
+    })();
+    parsed.is_some() && r.remaining() == 0
 }
 
 /// The outcome of replaying one WAL file.
@@ -227,7 +208,8 @@ impl<R: std::io::Read> WalCursor<R> {
 
     /// The next committed record, or `None` at the end of the stream —
     /// check [`Self::torn`] to distinguish a clean frame-boundary end
-    /// from a discarded damaged tail.
+    /// from a discarded damaged tail. Frames of the retired session tag
+    /// are skipped.
     ///
     /// # Errors
     ///
@@ -235,6 +217,27 @@ impl<R: std::io::Read> WalCursor<R> {
     /// not decode (format-version skew — *not* a torn write, which CRC
     /// framing catches and tolerates).
     pub fn next_record(&mut self) -> Result<Option<WalRecord>> {
+        while let Some(payload) = self.next_payload()? {
+            let frame_len = 8 + payload.len() as u64;
+            match WalRecord::decode(&payload) {
+                Some(record) => {
+                    self.offset += frame_len;
+                    return Ok(Some(record));
+                }
+                None if is_retired_session(&payload) => self.offset += frame_len,
+                None => {
+                    return Err(StoreError::corrupt(
+                        "<wal-stream>",
+                        "CRC-valid frame failed to decode (version skew?)",
+                    ))
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// The next CRC-valid payload, or `None` at a clean end or a tear.
+    fn next_payload(&mut self) -> Result<Option<Vec<u8>>> {
         if self.done {
             return Ok(None);
         }
@@ -273,14 +276,7 @@ impl<R: std::io::Read> WalCursor<R> {
             self.done = true;
             return Ok(None);
         }
-        let record = WalRecord::decode(&payload).ok_or_else(|| {
-            StoreError::corrupt(
-                "<wal-stream>",
-                "CRC-valid frame failed to decode (version skew?)",
-            )
-        })?;
-        self.offset += 8 + u64::from(len);
-        Ok(Some(record))
+        Ok(Some(payload))
     }
 }
 
@@ -415,9 +411,8 @@ impl WalWriter {
 
     /// Rewrites the WAL from scratch with `records` (atomically, via a
     /// staged sibling + rename), then reopens it for appending. This is
-    /// the compaction path: the folded WAL restarts with only the
-    /// records that must outlive the fold (session snapshots and the
-    /// checkpoint).
+    /// the compaction path: the folded WAL restarts with only its
+    /// checkpoint.
     ///
     /// # Errors
     ///
@@ -429,7 +424,9 @@ impl WalWriter {
         let mut staged = BufWriter::new(File::create(&tmp)?);
         let mut len = 0u64;
         for record in records {
-            len += write_frame(&mut staged, record)?;
+            let frame = encode_frame(record);
+            staged.write_all(&frame)?;
+            len += frame.len() as u64;
         }
         staged.flush()?;
         staged.get_ref().sync_all()?;
@@ -575,15 +572,6 @@ fn encode_frame(record: &WalRecord) -> Vec<u8> {
     frame
 }
 
-fn write_frame<W: Write>(writer: &mut W, record: &WalRecord) -> Result<u64> {
-    let payload = record.encode();
-    let len = u32::try_from(payload.len()).expect("payload below MAX_PAYLOAD");
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(&Crc32::checksum(&payload).to_le_bytes())?;
-    writer.write_all(&payload)?;
-    Ok(8 + u64::from(len))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,19 +588,14 @@ mod tests {
                 id: 0,
                 vector: vec![1.5, -2.25, f64::MIN_POSITIVE],
             },
-            WalRecord::SessionSnapshot {
-                session: 7,
-                engine: "qcluster".into(),
-                live: true,
-            },
             WalRecord::Checkpoint { durable_vectors: 1 },
-            WalRecord::SessionSnapshot {
-                session: 7,
-                engine: "qcluster".into(),
-                live: false,
-            },
             WalRecord::Ingest {
                 id: 1,
+                vector: vec![f64::MAX],
+            },
+            WalRecord::Checkpoint { durable_vectors: 2 },
+            WalRecord::Ingest {
+                id: 2,
                 vector: vec![0.0, -0.0, 1e300],
             },
         ]
@@ -812,21 +795,5 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
-    }
-
-    /// Builds before the feed path stopped writing kept a feed count in
-    /// a session record's second slot. Such a record still decodes, and
-    /// the count is dropped.
-    #[test]
-    fn an_old_session_record_with_a_feed_count_decodes() {
-        let record = WalRecord::SessionSnapshot {
-            session: 7,
-            engine: "qpm".into(),
-            live: true,
-        };
-        let mut old = record.encode();
-        assert_eq!(old[9..17], [0; 8], "the slot is written as 0");
-        old[9..17].copy_from_slice(&7u64.to_le_bytes());
-        assert_eq!(WalRecord::decode(&old), Some(record));
     }
 }
