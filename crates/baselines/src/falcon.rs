@@ -41,13 +41,6 @@ impl Falcon {
         }
     }
 
-    /// Overrides the aggregate exponent (must be negative).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha < 0.0, "FALCON's exponent must be negative");
-        self.alpha = alpha;
-        self
-    }
-
     /// Number of accumulated "good" points.
     pub fn num_good_points(&self) -> usize {
         self.relevant.len()

@@ -79,13 +79,6 @@ impl QueryPointMovement {
         absorb(&mut self.negative, &mut self.dim, non_relevant)
     }
 
-    /// Overrides the variance ridge.
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        assert!(lambda > 0.0, "ridge must be positive");
-        self.lambda = lambda;
-        self
-    }
-
     /// The current moved query point: the score-weighted centroid of the
     /// relevant set, pushed away from the negative centroid by `gamma`
     /// (Rocchio's formula with α = 0, β = 1).

@@ -43,7 +43,8 @@ pub struct SoakReport {
     /// Requests shed (admission rejections, plus the transport's
     /// `write_queue_sheds`, which is 0) per attempted query.
     pub shed_rate: f64,
-    /// Circuit-breaker open transitions observed server-side.
+    /// Circuit-breaker open transitions observed server-side: the
+    /// nodes' shard breakers plus, under a router, its node breakers.
     pub breaker_trips: u64,
     /// Mean precision-at-k per feedback iteration.
     pub precision_at_k: Vec<IterationRow>,
@@ -123,7 +124,7 @@ impl SoakReport {
             degraded_rate: outcome.counters.degraded_responses as f64
                 / outcome.counters.queries_ok.max(1) as f64,
             shed_rate: sheds as f64 / attempts.max(1) as f64,
-            breaker_trips: metrics.faults.breaker_trips,
+            breaker_trips: metrics.faults.breaker_trips + metrics.cluster.node_breaker_trips,
             precision_at_k: outcome.precision.clone(),
             chaos: outcome.chaos.clone(),
             metrics,
@@ -320,6 +321,20 @@ mod tests {
         assert!((report.degraded_rate - 0.5).abs() < 1e-9);
         assert_eq!(report.client_latency.count, 2);
         assert!(report.client_latency.p50_ns > 0);
+    }
+
+    #[test]
+    fn breaker_trips_count_the_routers_node_breakers() {
+        let mut snapshot = metrics();
+        snapshot.cluster.node_breaker_trips = 8;
+        assert_eq!(snapshot.faults.breaker_trips, 0);
+        let report = SoakReport::new(
+            &SoakConfig::default(),
+            "router://t".into(),
+            &outcome(),
+            snapshot,
+        );
+        assert_eq!(report.breaker_trips, 8);
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! ```text
 //! QCLUSTER_BLESS=1 cargo test -p qcluster-cli --test repro_golden
 //! ```
+//!
+//! The paper-scale record, `repro_paper_scale.txt` at the repository
+//! root, is pinned the same way by an ignored test, run in release:
+//!
+//! ```text
+//! cargo test --release -p qcluster-cli --test repro_golden -- --ignored
+//! ```
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -18,10 +25,9 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/repro")
 }
 
-/// `stdout` with the output directory written as `<dir>` and each row
-/// of Figure 6's table reduced to its iteration number.
-fn masked(stdout: &str, dir: &Path) -> String {
-    let stdout = stdout.replace(&dir.display().to_string(), "<dir>");
+/// `stdout` with each of the `fig6_rows` rows of Figure 6's table
+/// reduced to its iteration number.
+fn masked(stdout: &str, fig6_rows: usize) -> String {
     let mut out = String::with_capacity(stdout.len());
     let (mut in_fig6, mut cpu_rows) = (false, None::<usize>);
     for line in stdout.lines() {
@@ -36,7 +42,7 @@ fn masked(stdout: &str, dir: &Path) -> String {
                 continue;
             }
             Some(rows) => {
-                assert_eq!(*rows, 4, "Figure 6 prints four iterations");
+                assert_eq!(*rows, fig6_rows, "Figure 6's iteration count");
                 cpu_rows = None;
             }
             None if in_fig6 && line.starts_with("iteration") => cpu_rows = Some(0),
@@ -58,7 +64,8 @@ fn quick_scale_repro_matches_the_golden_files() {
         .output()
         .expect("run qcluster repro");
     assert!(output.status.success(), "{output:?}");
-    let stdout = masked(&String::from_utf8(output.stdout).unwrap(), &dir);
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let stdout = masked(&stdout.replace(&dir.display().to_string(), "<dir>"), 4);
     let mut csvs: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -93,4 +100,21 @@ fn quick_scale_repro_matches_the_golden_files() {
     }
     assert_eq!(stdout.lines().count(), expected.lines().count());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+#[ignore = "paper scale: run in release, as CI's served-loop job does"]
+fn paper_scale_repro_matches_the_committed_record() {
+    let output = Command::new(env!("CARGO_BIN_EXE_qcluster"))
+        .args(["repro", "all", "--paper-scale"])
+        .output()
+        .expect("run qcluster repro");
+    assert!(output.status.success(), "{output:?}");
+    let stdout = masked(&String::from_utf8(output.stdout).unwrap(), 6);
+    let record = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../repro_paper_scale.txt");
+    let expected = masked(&std::fs::read_to_string(record).unwrap(), 6);
+    for (i, (got, want)) in stdout.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(got, want, "stdout line {}", i + 1);
+    }
+    assert_eq!(stdout.lines().count(), expected.lines().count());
 }

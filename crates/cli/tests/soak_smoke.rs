@@ -106,7 +106,7 @@ fn smoke_soak_over_tcp_with_scheduled_chaos() {
     // round-trips, with the embedded metrics decoding under the wire
     // schema.
     let metrics = backend.stats().unwrap();
-    assert!(metrics.query.count >= 16 * 4);
+    assert!(metrics.query_percentiles.count >= 16 * 4);
     assert!(metrics.transport.frames_in > 0, "soak must cross real TCP");
     let report = SoakReport::new(&config, backend.label(), &outcome, metrics);
     let json = soak_artifact_json(&report).unwrap();

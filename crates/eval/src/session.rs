@@ -49,11 +49,6 @@ impl SessionOutcome {
     pub fn total_disk_reads(&self) -> u64 {
         self.iterations.iter().map(|r| r.stats.disk_reads).sum()
     }
-
-    /// Total wall-clock time across the session.
-    pub fn total_elapsed(&self) -> Duration {
-        self.iterations.iter().map(|r| r.elapsed).sum()
-    }
 }
 
 /// One call's outcome and how long the target took over it.

@@ -360,11 +360,6 @@ impl Matrix {
         }
     }
 
-    /// The Frobenius norm `sqrt(sum a_ij^2)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute element.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))

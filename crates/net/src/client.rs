@@ -1,16 +1,10 @@
 //! A blocking client for the framed protocol, with automatic reconnect
-//! (capped exponential backoff plus full jitter) and pipelined batch
-//! queries.
+//! (capped exponential backoff plus full jitter).
 //!
-//! A [`Client`] is single-threaded by design: one stream, request ids
-//! issued monotonically, responses checked against them in order. Pipelining comes
-//! from [`Client::pipeline`] keeping a window of requests in flight on
-//! the one connection. The server answers them one at a time, in
-//! arrival order, so pipelining saves round trips, not execution time;
-//! concurrent execution takes concurrent connections. Beyond its first
-//! request a window leaves at most 32 KiB of requests unanswered, so a
-//! write never waits on a server that is itself waiting for the client
-//! to read its responses.
+//! A [`Client`] is single-threaded by design: one stream, one request
+//! in flight, request ids issued monotonically and each response
+//! checked against its request's id. Concurrent requests take
+//! concurrent connections.
 //!
 //! On any transport failure the client drops its connection and the
 //! *next* call redials (with backoff). Failed calls are **not**
@@ -22,11 +16,6 @@ use crate::frame::{self, FrameKind, ReadFrame, DEFAULT_MAX_PAYLOAD};
 use qcluster_service::{Request, Response};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, SystemTime};
-
-/// Request bytes a pipelined window may leave unanswered beyond its
-/// first request: well inside the sockets' default buffers, so every
-/// such write lands in the kernel without the server reading.
-const PIPELINE_BYTES: usize = 32 * 1024;
 
 /// Tunables for [`Client`].
 #[derive(Debug, Clone)]
@@ -105,121 +94,58 @@ impl Client {
 
     /// Sends one request and waits for its response.
     pub fn call(&mut self, request: &Request) -> Result<Response, NetError> {
-        let mut responses = self.pipeline(std::slice::from_ref(request), 1)?;
-        Ok(responses.remove(0))
-    }
-
-    /// Maximum pipelining: [`Client::pipeline`] with the window the
-    /// size of the batch.
-    pub fn query_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, NetError> {
-        self.pipeline(requests, requests.len())
-    }
-
-    /// Runs `requests` keeping up to `window` in flight (and, beyond
-    /// the first, at most 32 KiB of them), returning responses in
-    /// request order — the order the server answers in; a response
-    /// with any other id is a protocol error.
-    pub fn pipeline(
-        &mut self,
-        requests: &[Request],
-        window: usize,
-    ) -> Result<Vec<Response>, NetError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let window = window.max(1);
+        let payload = serde_json::to_string(request)
+            .map_err(|e| NetError::Protocol(format!("request failed to serialize: {e}")))?;
         self.ensure_connected()?;
-        let payloads: Vec<String> = requests
-            .iter()
-            .map(|r| {
-                serde_json::to_string(r)
-                    .map_err(|e| NetError::Protocol(format!("request failed to serialize: {e}")))
-            })
-            .collect::<Result<_, _>>()?;
-        let first_id = self.next_id;
-        self.next_id += requests.len() as u64;
-        let result = self.pipeline_inner(&payloads, first_id, window);
+        let id = self.next_id;
+        self.next_id += 1;
+        let result = self.call_inner(payload.as_bytes(), id);
         if result.is_err() {
             self.disconnect();
         }
         result
     }
 
-    fn pipeline_inner(
-        &mut self,
-        payloads: &[String],
-        first_id: u64,
-        window: usize,
-    ) -> Result<Vec<Response>, NetError> {
+    fn call_inner(&mut self, payload: &[u8], id: u64) -> Result<Response, NetError> {
         let stream = self.stream.as_mut().expect("connected");
-        let n = payloads.len();
-        let mut responses = Vec::with_capacity(n);
-        let mut sent = 0usize;
-        let mut unanswered_bytes = 0usize;
-        while responses.len() < n {
-            while sent < n
-                && sent - responses.len() < window
-                && (sent == responses.len()
-                    || unanswered_bytes + payloads[sent].len() <= PIPELINE_BYTES)
-            {
-                let id = first_id + sent as u64;
-                frame::write_frame(stream, FrameKind::Request, id, payloads[sent].as_bytes())?;
-                unanswered_bytes += payloads[sent].len();
-                sent += 1;
-            }
-            match frame::read_frame(stream, self.config.max_frame_len)? {
-                ReadFrame::Frame(f) => {
-                    if f.kind != FrameKind::Response {
-                        return Err(NetError::Protocol("server sent a request frame".into()));
-                    }
-                    let response: Response = std::str::from_utf8(&f.payload)
-                        .map_err(|e| NetError::Frame(frame::FrameError::Payload(e.to_string())))
-                        .and_then(|s| {
-                            serde_json::from_str(s).map_err(|e| {
-                                NetError::Frame(frame::FrameError::Payload(e.to_string()))
-                            })
-                        })?;
-                    if f.request_id == 0 {
-                        // Connection-level message the server originated
-                        // (e.g. a capacity reject before reading anything).
-                        let why = match response {
-                            Response::Error(e) => e.to_string(),
-                            other => format!("unexpected connection-level frame: {other:?}"),
-                        };
-                        return Err(NetError::Rejected(why));
-                    }
-                    let expected = first_id + responses.len() as u64;
-                    if f.request_id != expected {
-                        return Err(NetError::Protocol(format!(
-                            "response for request id {}, expected {expected}",
-                            f.request_id
-                        )));
-                    }
-                    unanswered_bytes -= payloads[responses.len()].len();
-                    responses.push(response);
+        frame::write_frame(stream, FrameKind::Request, id, payload)?;
+        match frame::read_frame(stream, self.config.max_frame_len)? {
+            ReadFrame::Frame(f) => {
+                if f.kind != FrameKind::Response {
+                    return Err(NetError::Protocol("server sent a request frame".into()));
                 }
-                ReadFrame::Idle => {
-                    // The socket read timeout IS the response deadline
-                    // for a client (unlike the server, where idle is
-                    // benign).
-                    return Err(NetError::Timeout(format!(
-                        "no response within {:?} ({} of {} received)",
-                        self.config.read_timeout,
-                        responses.len(),
-                        n
+                let response: Response = std::str::from_utf8(&f.payload)
+                    .map_err(|e| NetError::Frame(frame::FrameError::Payload(e.to_string())))
+                    .and_then(|s| {
+                        serde_json::from_str(s)
+                            .map_err(|e| NetError::Frame(frame::FrameError::Payload(e.to_string())))
+                    })?;
+                if f.request_id == 0 {
+                    // Connection-level message the server originated
+                    // (e.g. a capacity reject before reading anything).
+                    let why = match response {
+                        Response::Error(e) => e.to_string(),
+                        other => format!("unexpected connection-level frame: {other:?}"),
+                    };
+                    return Err(NetError::Rejected(why));
+                }
+                if f.request_id != id {
+                    return Err(NetError::Protocol(format!(
+                        "response for request id {}, expected {id}",
+                        f.request_id
                     )));
                 }
-                ReadFrame::Eof => {
-                    return Err(NetError::Closed(format!(
-                        "server closed with {} of {} responses outstanding",
-                        n - responses.len(),
-                        n
-                    )));
-                }
-                ReadFrame::Corrupt { error, .. } => return Err(NetError::Frame(error)),
+                Ok(response)
             }
+            // The socket read timeout IS the response deadline for a
+            // client (unlike the server, where idle is benign).
+            ReadFrame::Idle => Err(NetError::Timeout(format!(
+                "no response within {:?}",
+                self.config.read_timeout
+            ))),
+            ReadFrame::Eof => Err(NetError::Closed("server closed before the response".into())),
+            ReadFrame::Corrupt { error, .. } => Err(NetError::Frame(error)),
         }
-        Ok(responses)
     }
 
     /// Sends one replication request ([`crate::repl::ReplRequest`]

@@ -16,9 +16,9 @@
 //!   reading the next (in-order answers, no hand-off); typed
 //!   `Overloaded` rejects past `max_connections`, slowloris read
 //!   deadlines, and graceful drain-then-close shutdown.
-//! - [`client`] — a blocking client with connect/read/write timeouts,
-//!   automatic reconnect (capped exponential backoff, full jitter), and
-//!   pipelined batch queries.
+//! - [`client`] — a blocking client, one request in flight, with
+//!   connect/read/write timeouts and automatic reconnect (capped
+//!   exponential backoff, full jitter).
 //!
 //! Transport activity (connections, frames, decode errors, shutdown
 //! drains) is recorded into the fronted service's

@@ -92,7 +92,10 @@ fn eight_concurrent_clients_match_in_process_dispatch() {
                 .iter()
                 .map(|&(x, y)| query(wire_session, x, y))
                 .collect();
-            let wire_responses = client.query_many(&wire_requests).unwrap();
+            let wire_responses: Vec<Response> = wire_requests
+                .iter()
+                .map(|r| client.call(r).unwrap())
+                .collect();
             for (&(x, y), wire) in queries.iter().zip(&wire_responses) {
                 let local = dispatch(&local_service, query(local_session, x, y));
                 let (
@@ -355,14 +358,12 @@ fn connection_over_capacity_is_rejected_with_typed_frame() {
     server.shutdown();
 }
 
-/// `query_many` returns responses in request order, also when they
-/// are far larger than the sockets' default buffers: 64 of the 128
-/// pipelined answers carry all 4,096 points (≈ 10 MB of JSON). Then 64
-/// `FetchVectors` of every id (≈ 20 KB a request, ≈ 2 MB in all) come
-/// back whole too: the client must read while it still has requests
-/// to send, or both sides block writing.
+/// Responses far larger than the sockets' default buffers arrive whole,
+/// each matched to its own request: 64 of the 128 queries answer with
+/// all 4,096 points (≈ 10 MB of JSON in all). Then 64 `FetchVectors`
+/// of every id (≈ 20 KB a request, ≈ 2 MB in all) come back whole too.
 #[test]
-fn pipelined_batch_returns_in_request_order() {
+fn large_responses_arrive_whole_on_sequential_calls() {
     let points: Vec<Vec<f64>> = (0..4096)
         .map(|i| vec![(i % 64) as f64, (i / 64) as f64])
         .collect();
@@ -384,21 +385,21 @@ fn pipelined_batch_returns_in_request_order() {
             deadline_ms: None,
         })
         .collect();
-    let responses = client.query_many(&requests).unwrap();
-    assert_eq!(responses.len(), 128);
-    for (i, r) in responses.iter().enumerate() {
+    for (i, request) in requests.iter().enumerate() {
+        let r = client.call(request).unwrap();
         let Response::Neighbors { neighbors, .. } = r else {
             panic!("expected Neighbors at slot {i}, got {r:?}")
         };
         assert_eq!(neighbors.len(), k(i), "slot {i} k mismatch");
     }
     let ids: Vec<usize> = (0..points.len()).collect();
-    let fetches = vec![Request::FetchVectors { ids }; 64];
-    for (i, r) in client.query_many(&fetches).unwrap().iter().enumerate() {
+    let fetch = Request::FetchVectors { ids };
+    for i in 0..64 {
+        let r = client.call(&fetch).unwrap();
         let Response::Vectors { vectors } = r else {
             panic!("expected Vectors at slot {i}, got {r:?}")
         };
-        assert_eq!(vectors, &points, "slot {i}");
+        assert_eq!(vectors, points, "slot {i}");
     }
     assert!(server.shutdown().clean());
 }

@@ -389,7 +389,6 @@ impl Router {
             self.sessions.len() as u64,
             Default::default(),
             0,
-            0,
             Default::default(),
         );
         snapshot.feed = own.feed;

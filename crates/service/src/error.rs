@@ -55,8 +55,6 @@ pub enum ServiceError {
     DeadlineExceeded {
         /// Milliseconds waited before giving up.
         waited_ms: u64,
-        /// Shards that responded in time (always 0 for this error).
-        shards_ok: usize,
         /// Shards the query fanned out to.
         shards_total: usize,
     },
@@ -112,11 +110,10 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::DeadlineExceeded {
                 waited_ms,
-                shards_ok,
                 shards_total,
             } => write!(
                 f,
-                "deadline exceeded after {waited_ms}ms with {shards_ok}/{shards_total} shards"
+                "deadline exceeded after {waited_ms}ms: none of {shards_total} shards answered"
             ),
             ServiceError::Internal(msg) => write!(f, "internal error: {msg}"),
         }

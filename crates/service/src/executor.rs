@@ -29,9 +29,7 @@
 //! merged into a *degraded* result annotated with `shards_ok /
 //! shards_total` coverage ([`FanoutReport`]). Admission control bounds
 //! the total jobs in flight, rejecting new fan-outs with
-//! [`ServiceError::Overloaded`] instead of queueing without bound. Dead
-//! workers are respawned transparently on the next fan-out
-//! ([`Executor::heal`]).
+//! [`ServiceError::Overloaded`] instead of queueing without bound.
 //!
 //! ## Failpoints
 //!
@@ -39,9 +37,7 @@
 //! `executor.shard` (any shard job) and `executor.shard.<i>` (one
 //! shard) support `panic:<msg>`, `error:<msg>`, and `sleep:<ms>`, and
 //! fire after the shard's work — the shard has published its threshold
-//! by then — and before its reply;
-//! `executor.worker.exit` makes a worker thread exit after completing
-//! its next job (exercising [`Executor::heal`]).
+//! by then — and before its reply.
 
 use crate::error::ServiceError;
 use crate::fanout::{gather, Breaker, Miss};
@@ -51,7 +47,7 @@ use crossbeam::channel::{self, Receiver, Sender};
 use qcluster_failpoint as failpoint;
 use qcluster_index::{merge_top_k, CooperativeScan, FanoutQuery, Neighbor, NodeCache, SearchStats};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -105,9 +101,6 @@ pub enum ShardFailureKind {
     Timeout,
     /// The shard's circuit breaker was open; the job was never run.
     BreakerOpen,
-    /// The job was lost before producing a result (worker died with the
-    /// job in hand).
-    Lost,
 }
 
 /// One shard's failure in a fan-out.
@@ -144,15 +137,6 @@ impl FanoutReport {
     }
 }
 
-/// Executor-level fault counters, sampled into metrics snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecutorFaults {
-    /// Circuit-breaker trips (closed/half-open → open transitions).
-    pub breaker_trips: u64,
-    /// Dead worker threads respawned by [`Executor::heal`].
-    pub workers_respawned: u64,
-}
-
 /// One unit of a shared count (a queued job, a claiming caller, a
 /// pooled fan-out), given back on drop — on the success path, the
 /// failure path, and the unwind path alike.
@@ -174,24 +158,19 @@ impl Drop for Held {
 
 /// A persistent pool of worker threads consuming shard jobs from a
 /// shared channel, with panic isolation, per-shard circuit breakers,
-/// bounded admission, and deadline-aware collection. Dropping the
-/// executor closes the channel; workers drain outstanding jobs and
-/// exit.
+/// bounded admission, and deadline-aware collection. A worker never
+/// dies with a job in hand: each shard job runs under `catch_unwind`.
+/// Dropping the executor closes the channel; workers drain outstanding
+/// jobs and exit.
 #[derive(Debug)]
 pub struct Executor {
     tx: Option<Sender<Job>>,
-    /// Kept so submissions cannot race worker deaths: as long as this
-    /// receiver lives, `send` succeeds and [`Executor::heal`] can hand
-    /// the queue to fresh workers.
-    rx: Receiver<Job>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    workers: Vec<JoinHandle<()>>,
     config: ExecutorConfig,
     /// Shard jobs queued or running (admission control).
     queued: Arc<AtomicUsize>,
     /// Per-shard breakers, grown on demand to the corpus size.
     breakers: Mutex<Vec<Arc<Breaker>>>,
-    respawned: AtomicU64,
-    next_worker_id: AtomicUsize,
     /// Callers running their own fan-out's shard jobs right now; each
     /// holds a core.
     callers: Arc<AtomicUsize>,
@@ -208,11 +187,6 @@ fn spawn_worker(id: usize, rx: Receiver<Job>) -> Result<JoinHandle<()>, ServiceE
         .spawn(move || {
             while let Ok(job) = rx.recv() {
                 job();
-                // Failpoint `executor.worker.exit`: the worker dies
-                // after completing a job; `heal` must respawn it.
-                if failpoint::evaluate("executor.worker.exit").is_some() {
-                    return;
-                }
             }
         })
         .map_err(|e| ServiceError::Spawn(format!("k-NN worker {id}: {e}")))
@@ -244,15 +218,12 @@ impl Executor {
         }
         Ok(Executor {
             tx: Some(tx),
-            rx,
-            workers: Mutex::new(workers),
-            next_worker_id: AtomicUsize::new(num_workers),
+            workers,
             callers: Arc::default(),
             pooled: Arc::default(),
             config,
             queued: Arc::new(AtomicUsize::new(0)),
             breakers: Mutex::new(Vec::new()),
-            respawned: AtomicU64::new(0),
             shard_latency: Arc::new(LatencyHistogram::new()),
         })
     }
@@ -265,50 +236,18 @@ impl Executor {
 
     /// Number of worker threads.
     pub fn num_workers(&self) -> usize {
-        self.workers.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.workers.len()
     }
 
-    /// Executor-level fault counters (breaker trips across all shards,
-    /// workers respawned).
-    pub fn fault_stats(&self) -> ExecutorFaults {
-        let trips = self
-            .breakers
+    /// Circuit-breaker trips (closed/half-open → open transitions)
+    /// across all shards, sampled into metrics snapshots.
+    pub fn breaker_trips(&self) -> u64 {
+        self.breakers
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .iter()
             .map(|b| b.trips())
-            .sum();
-        ExecutorFaults {
-            breaker_trips: trips,
-            workers_respawned: self.respawned.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Respawns any worker thread that has died, returning how many
-    /// were replaced. Called automatically at the start of every
-    /// fan-out, so the pool self-heals without operator action.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Spawn`] when a replacement thread cannot be
-    /// created (the dead slot is left for the next attempt).
-    pub fn heal(&self) -> Result<usize, ServiceError> {
-        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-        let mut respawned = 0usize;
-        for slot in workers.iter_mut() {
-            if slot.is_finished() {
-                let id = self.next_worker_id.fetch_add(1, Ordering::Relaxed);
-                let fresh = spawn_worker(id, self.rx.clone())?;
-                let dead = std::mem::replace(slot, fresh);
-                let _ = dead.join();
-                respawned += 1;
-            }
-        }
-        if respawned > 0 {
-            self.respawned
-                .fetch_add(respawned as u64, Ordering::Relaxed);
-        }
-        Ok(respawned)
+            .sum()
     }
 
     fn submit(&self, job: Job) -> Result<(), ServiceError> {
@@ -411,7 +350,6 @@ impl Executor {
                 )));
             }
         }
-        self.heal()?;
 
         let num_shards = corpus.num_shards();
         let breakers = self.breakers_for(num_shards);
@@ -491,7 +429,9 @@ impl Executor {
                 }
                 Err(Miss::Failed(kind)) => kind,
                 Err(Miss::Timeout) => ShardFailureKind::Timeout,
-                Err(Miss::Lost) => ShardFailureKind::Lost,
+                // A job replies also when its shard panics, so no reply
+                // is lost; were one lost, the shard failed.
+                Err(Miss::Lost) => ShardFailureKind::Failed("reply lost".into()),
             };
             failures.push(ShardFailure { shard, kind });
         }
@@ -502,7 +442,6 @@ impl Executor {
             return if deadline.is_some_and(|d| Instant::now() >= d) {
                 Err(ServiceError::DeadlineExceeded {
                     waited_ms,
-                    shards_ok: 0,
                     shards_total: num_shards,
                 })
             } else {
@@ -594,8 +533,7 @@ impl Drop for Executor {
     fn drop(&mut self) {
         // Close the job channel so workers exit, then join them.
         self.tx = None;
-        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-        for handle in workers.drain(..) {
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -663,7 +601,7 @@ mod tests {
         assert!(!report.degraded());
         assert!(report.failures.is_empty());
         assert_eq!(report.neighbors.len(), 10);
-        assert_eq!(executor.fault_stats(), ExecutorFaults::default());
+        assert_eq!(executor.breaker_trips(), 0);
     }
 
     #[test]
@@ -806,7 +744,7 @@ mod tests {
         // Shard 0 tripped, its (zero) cooldown already over: the next
         // admission is the half-open probe.
         executor.breakers_for(2)[0].record_failure(Instant::now(), 1, Duration::ZERO);
-        assert_eq!(executor.fault_stats().breaker_trips, 1);
+        assert_eq!(executor.breaker_trips(), 1);
 
         // One fan-out arrives while the queue is full.
         executor.queued.fetch_add(8, Ordering::AcqRel);
@@ -819,7 +757,7 @@ mod tests {
         // The next one probes shard 0 and closes its breaker.
         let report = executor.try_knn(&corpus, &q, 5, None, None).unwrap();
         assert_eq!(report.shards_ok, 2, "{:?}", report.failures);
-        assert_eq!(executor.fault_stats().breaker_trips, 1);
+        assert_eq!(executor.breaker_trips(), 1);
         assert_eq!(executor.queued.load(Ordering::Acquire), 0);
     }
 }

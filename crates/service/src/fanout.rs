@@ -110,7 +110,7 @@ pub enum Miss<F> {
     /// The leg had not replied when the deadline passed.
     Timeout,
     /// Every reply handle was dropped with this leg still outstanding
-    /// (the worker holding it died).
+    /// (whoever held it ended without replying).
     Lost,
 }
 

@@ -67,12 +67,10 @@ pub mod spec;
 mod writer;
 
 pub use error::ServiceError;
-pub use executor::{
-    Executor, ExecutorConfig, ExecutorFaults, FanoutReport, ShardFailure, ShardFailureKind,
-};
+pub use executor::{Executor, ExecutorConfig, FanoutReport, ShardFailure, ShardFailureKind};
 pub use metrics::{
-    ClusterGauges, FaultGauges, HistogramSummary, LatencyHistogram, MetricsSnapshot, OpHistogram,
-    OpSummary, QuantGauges, ServiceMetrics, StorageGauges, TransportGauges,
+    ClusterGauges, FaultGauges, HistogramSummary, LatencyHistogram, MetricsSnapshot, QuantGauges,
+    ServiceMetrics, StorageGauges, TransportGauges,
 };
 pub use protocol::{
     dispatch, feedback_points, FeedPointDto, NeighborDto, Request, Response, SearchStatsDto,

@@ -1,80 +1,10 @@
-//! Lock-free service metrics: per-operation latency summaries plus
+//! Lock-free service metrics: per-operation latency histograms plus
 //! plan-cache, eviction and session gauges — all plain atomics so the hot
 //! query path never takes a lock to record.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// A histogram-lite over one operation: count, sum, min, max (ns).
-///
-/// Min/max use `fetch_min`/`fetch_max`, so concurrent recorders never
-/// lose an extremum; `sum`/`count` are independently atomic, which makes
-/// the mean a *snapshot* mean (exact once recording quiesces).
-#[derive(Debug)]
-pub struct OpHistogram {
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    /// Seeded to `u64::MAX` so the first `fetch_min` always wins.
-    min_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl Default for OpHistogram {
-    fn default() -> Self {
-        OpHistogram {
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-impl OpHistogram {
-    /// Records one operation's duration.
-    pub fn record(&self, elapsed: Duration) {
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough point-in-time summary.
-    pub fn snapshot(&self) -> OpSummary {
-        let count = self.count.load(Ordering::Relaxed);
-        let sum_ns = self.sum_ns.load(Ordering::Relaxed);
-        let min_ns = self.min_ns.load(Ordering::Relaxed);
-        let max_ns = self.max_ns.load(Ordering::Relaxed);
-        OpSummary {
-            count,
-            sum_ns,
-            min_ns: if count == 0 { 0 } else { min_ns },
-            max_ns,
-            mean_ns: if count == 0 {
-                0.0
-            } else {
-                sum_ns as f64 / count as f64
-            },
-        }
-    }
-}
-
-/// Serializable summary of one [`OpHistogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OpSummary {
-    /// Operations recorded.
-    pub count: u64,
-    /// Total time across all operations, nanoseconds.
-    pub sum_ns: u64,
-    /// Fastest operation, nanoseconds (0 when `count == 0`).
-    pub min_ns: u64,
-    /// Slowest operation, nanoseconds (0 when `count == 0`).
-    pub max_ns: u64,
-    /// Mean latency, nanoseconds.
-    pub mean_ns: f64,
-}
 
 /// Exact sub-8ns buckets before the logarithmic region starts.
 const LINEAR_BUCKETS: usize = 8;
@@ -254,14 +184,11 @@ pub struct HistogramSummary {
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
     /// End-to-end `query` latency (engine compile + fan-out + merge).
-    pub query_latency: OpHistogram,
-    /// End-to-end `feed` latency (clustering + merging).
-    pub feed_latency: OpHistogram,
-    /// Shard fan-out time alone (submit → all shard results merged).
-    pub shard_fanout: OpHistogram,
-    /// End-to-end query latency quantiles (same samples as
-    /// `query_latency`, but log-bucketed for p50/p95/p99).
     pub query_hist: LatencyHistogram,
+    /// End-to-end `feed` latency (clustering + merging).
+    pub feed_latency: LatencyHistogram,
+    /// Shard fan-out time alone (submit → all shard results merged).
+    pub shard_fanout: LatencyHistogram,
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
     quant_phase1_points: AtomicU64,
@@ -354,7 +281,7 @@ impl ServiceMetrics {
     }
 
     /// Counts one shard job that failed without unwinding (injected
-    /// fault, or lost with a dying worker).
+    /// fault).
     pub fn record_shard_failure(&self) {
         self.shard_failures.fetch_add(1, Ordering::Relaxed);
     }
@@ -428,22 +355,19 @@ impl ServiceMetrics {
     /// session registry (the metrics object does not track liveness
     /// itself, so the gauge can never drift from the registry's truth),
     /// and `storage` by the durable store for the same reason (all zero
-    /// for a memory-only service). `breaker_trips`
-    /// and `workers_respawned` are sampled from the executor, which owns
-    /// those counters, and `shard_latency` likewise (the executor's
-    /// workers record per-shard execution time at the job site).
+    /// for a memory-only service). `breaker_trips` is sampled from the
+    /// executor, which owns that counter, and `shard_latency` likewise
+    /// (the executor records per-shard execution time at the job site).
     pub fn snapshot(
         &self,
         active_sessions: u64,
         storage: StorageGauges,
         breaker_trips: u64,
-        workers_respawned: u64,
         shard_latency: HistogramSummary,
     ) -> MetricsSnapshot {
         MetricsSnapshot {
-            query: self.query_latency.snapshot(),
-            feed: self.feed_latency.snapshot(),
-            fanout: self.shard_fanout.snapshot(),
+            feed: self.feed_latency.summary(),
+            fanout: self.shard_fanout.summary(),
             query_percentiles: self.query_hist.summary(),
             shard_latency,
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
@@ -471,7 +395,6 @@ impl ServiceMetrics {
                 degraded_responses: self.degraded_responses.load(Ordering::Relaxed),
                 deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
                 overload_rejections: self.overload_rejections.load(Ordering::Relaxed),
-                workers_respawned,
             },
             transport: TransportGauges {
                 connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
@@ -528,21 +451,6 @@ pub struct ClusterGauges {
     pub anti_entropy_chunks_shipped: u64,
 }
 
-fn absorb_op(a: &mut OpSummary, b: &OpSummary) {
-    if b.count == 0 {
-        return;
-    }
-    if a.count == 0 {
-        *a = *b;
-        return;
-    }
-    a.count += b.count;
-    a.sum_ns += b.sum_ns;
-    a.min_ns = a.min_ns.min(b.min_ns);
-    a.max_ns = a.max_ns.max(b.max_ns);
-    a.mean_ns = a.sum_ns as f64 / a.count as f64;
-}
-
 fn absorb_hist(a: &mut HistogramSummary, b: &HistogramSummary) {
     if b.count == 0 {
         return;
@@ -570,9 +478,8 @@ impl MetricsSnapshot {
     /// router uses this to aggregate its nodes' snapshots into one
     /// fleet-wide `Stats` answer.
     pub fn absorb(&mut self, other: &MetricsSnapshot) {
-        absorb_op(&mut self.query, &other.query);
-        absorb_op(&mut self.feed, &other.feed);
-        absorb_op(&mut self.fanout, &other.fanout);
+        absorb_hist(&mut self.feed, &other.feed);
+        absorb_hist(&mut self.fanout, &other.fanout);
         absorb_hist(&mut self.query_percentiles, &other.query_percentiles);
         absorb_hist(&mut self.shard_latency, &other.shard_latency);
         self.plan_cache_hits += other.plan_cache_hits;
@@ -601,7 +508,6 @@ impl MetricsSnapshot {
         self.faults.degraded_responses += other.faults.degraded_responses;
         self.faults.deadline_exceeded += other.faults.deadline_exceeded;
         self.faults.overload_rejections += other.faults.overload_rejections;
-        self.faults.workers_respawned += other.faults.workers_respawned;
         self.transport.connections_accepted += other.transport.connections_accepted;
         self.transport.connections_active += other.transport.connections_active;
         self.transport.connections_rejected += other.transport.connections_rejected;
@@ -677,14 +583,13 @@ pub struct TransportGauges {
 }
 
 /// Fault-path counters sampled at snapshot time. Shard-level counters
-/// come from the service's own recorders; `breaker_trips` and
-/// `workers_respawned` are owned by the executor and sampled from it.
+/// come from the service's own recorders; `breaker_trips` is owned by
+/// the executor and sampled from it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultGauges {
     /// Shard jobs that panicked and were isolated (query kept running).
     pub shard_panics: u64,
-    /// Shard jobs that failed without unwinding, or were lost with a
-    /// dying worker.
+    /// Shard jobs that failed without unwinding (injected fault).
     pub shard_failures: u64,
     /// Shards that missed a query's deadline.
     pub shard_timeouts: u64,
@@ -698,8 +603,6 @@ pub struct FaultGauges {
     pub deadline_exceeded: u64,
     /// Queries rejected by admission control.
     pub overload_rejections: u64,
-    /// Dead executor workers replaced by the self-healing pool.
-    pub workers_respawned: u64,
 }
 
 /// Storage gauges sampled at snapshot time (the durable subsystem owns
@@ -722,12 +625,10 @@ pub struct StorageGauges {
 /// `Stats` request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Query latency summary.
-    pub query: OpSummary,
-    /// Feed latency summary.
-    pub feed: OpSummary,
-    /// Shard fan-out time summary.
-    pub fanout: OpSummary,
+    /// Feed latency quantiles.
+    pub feed: HistogramSummary,
+    /// Shard fan-out time quantiles.
+    pub fanout: HistogramSummary,
     /// End-to-end query latency quantiles (p50/p95/p99/max).
     pub query_percentiles: HistogramSummary,
     /// Per-shard k-NN execution latency quantiles, recorded at the
@@ -768,32 +669,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_tracks_extrema_and_mean() {
-        let h = OpHistogram::default();
-        h.record(Duration::from_nanos(100));
-        h.record(Duration::from_nanos(300));
-        h.record(Duration::from_nanos(200));
-        let s = h.snapshot();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.sum_ns, 600);
-        assert_eq!(s.min_ns, 100);
-        assert_eq!(s.max_ns, 300);
-        assert!((s.mean_ns - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_histogram_snapshot_is_zero() {
         let m = ServiceMetrics::new();
-        let s = m.snapshot(
-            0,
-            StorageGauges::default(),
-            0,
-            0,
-            HistogramSummary::default(),
-        );
-        assert_eq!(s.query.count, 0);
-        assert_eq!(s.query.min_ns, 0);
-        assert_eq!(s.query.mean_ns, 0.0);
+        let s = m.snapshot(0, StorageGauges::default(), 0, HistogramSummary::default());
+        assert_eq!(s.query_percentiles, HistogramSummary::default());
+        assert_eq!(s.feed, HistogramSummary::default());
+        assert_eq!(s.fanout, HistogramSummary::default());
     }
 
     #[test]
@@ -806,13 +687,7 @@ mod tests {
         m.record_create_session();
         m.record_create_session();
         m.record_close_session();
-        let s = m.snapshot(
-            1,
-            StorageGauges::default(),
-            0,
-            0,
-            HistogramSummary::default(),
-        );
+        let s = m.snapshot(1, StorageGauges::default(), 0, HistogramSummary::default());
         assert_eq!(s.plan_cache_hits, 2);
         assert_eq!(s.plan_cache_misses, 1);
         assert_eq!(s.evictions, 2);
@@ -832,13 +707,7 @@ mod tests {
         m.record_degraded_response();
         m.record_deadline_exceeded();
         m.record_overload_rejection();
-        let s = m.snapshot(
-            0,
-            StorageGauges::default(),
-            5,
-            2,
-            HistogramSummary::default(),
-        );
+        let s = m.snapshot(0, StorageGauges::default(), 5, HistogramSummary::default());
         assert_eq!(
             s.faults,
             FaultGauges {
@@ -850,7 +719,6 @@ mod tests {
                 degraded_responses: 1,
                 deadline_exceeded: 1,
                 overload_rejections: 1,
-                workers_respawned: 2,
             }
         );
     }
@@ -1038,13 +906,7 @@ mod tests {
         m.record_frame_out();
         m.record_decode_error();
         m.record_shutdown_drains(3);
-        let s = m.snapshot(
-            0,
-            StorageGauges::default(),
-            0,
-            0,
-            HistogramSummary::default(),
-        );
+        let s = m.snapshot(0, StorageGauges::default(), 0, HistogramSummary::default());
         assert_eq!(
             s.transport,
             TransportGauges {
@@ -1063,36 +925,19 @@ mod tests {
     #[test]
     fn absorb_sums_counters_and_bounds_quantiles() {
         let a_metrics = ServiceMetrics::new();
-        a_metrics.query_latency.record(Duration::from_nanos(100));
         a_metrics.query_hist.record(Duration::from_nanos(100));
         a_metrics.record_plan_cache_hit();
         a_metrics.record_ingest();
         let b_metrics = ServiceMetrics::new();
-        b_metrics.query_latency.record(Duration::from_nanos(300));
         b_metrics.query_hist.record(Duration::from_nanos(300));
         b_metrics.record_plan_cache_miss();
         b_metrics.record_shard_timeout();
-        let mut a = a_metrics.snapshot(
-            1,
-            StorageGauges::default(),
-            0,
-            0,
-            HistogramSummary::default(),
-        );
-        let b = b_metrics.snapshot(
-            2,
-            StorageGauges::default(),
-            1,
-            0,
-            HistogramSummary::default(),
-        );
+        let mut a = a_metrics.snapshot(1, StorageGauges::default(), 0, HistogramSummary::default());
+        let b = b_metrics.snapshot(2, StorageGauges::default(), 1, HistogramSummary::default());
         a.absorb(&b);
-        assert_eq!(a.query.count, 2);
-        assert_eq!(a.query.min_ns, 100);
-        assert_eq!(a.query.max_ns, 300);
-        assert!((a.query.mean_ns - 200.0).abs() < 1e-9);
         assert_eq!(a.query_percentiles.count, 2);
         assert_eq!(a.query_percentiles.max_ns, 300);
+        assert!((a.query_percentiles.mean_ns - 200.0).abs() < 1e-9);
         assert_eq!((a.plan_cache_hits, a.plan_cache_misses), (1, 1));
         assert_eq!(a.active_sessions, 3);
         assert_eq!(a.ingests, 1);
@@ -1103,7 +948,6 @@ mod tests {
         a.absorb(&ServiceMetrics::new().snapshot(
             0,
             StorageGauges::default(),
-            0,
             0,
             HistogramSummary::default(),
         ));
@@ -1118,22 +962,15 @@ mod tests {
                 let m = std::sync::Arc::clone(&m);
                 scope.spawn(move || {
                     for i in 1..=250u64 {
-                        m.query_latency.record(Duration::from_nanos(i));
+                        m.query_hist.record(Duration::from_nanos(i));
                         m.record_plan_cache_hit();
                     }
                 });
             }
         });
-        let s = m.snapshot(
-            0,
-            StorageGauges::default(),
-            0,
-            0,
-            HistogramSummary::default(),
-        );
-        assert_eq!(s.query.count, 1000);
+        let s = m.snapshot(0, StorageGauges::default(), 0, HistogramSummary::default());
+        assert_eq!(s.query_percentiles.count, 1000);
         assert_eq!(s.plan_cache_hits, 1000);
-        assert_eq!(s.query.min_ns, 1);
-        assert_eq!(s.query.max_ns, 250);
+        assert_eq!(s.query_percentiles.max_ns, 250);
     }
 }

@@ -534,7 +534,7 @@ mod tests {
         let Response::Stats(snapshot) = dispatch(&svc, Request::Stats) else {
             panic!("expected Stats");
         };
-        assert_eq!(snapshot.query.count, 2);
+        assert_eq!(snapshot.query_percentiles.count, 2);
         assert_eq!(snapshot.active_sessions, 1);
 
         assert_eq!(

@@ -479,9 +479,7 @@ impl Service {
         for failure in &report.failures {
             match failure.kind {
                 ShardFailureKind::Panic(_) => self.metrics.record_shard_panic(),
-                ShardFailureKind::Failed(_) | ShardFailureKind::Lost => {
-                    self.metrics.record_shard_failure()
-                }
+                ShardFailureKind::Failed(_) => self.metrics.record_shard_failure(),
                 ShardFailureKind::Timeout => self.metrics.record_shard_timeout(),
                 ShardFailureKind::BreakerOpen => self.metrics.record_breaker_skip(),
             }
@@ -511,9 +509,7 @@ impl Service {
             stats.quant_fallbacks,
             stats.quant_plan_misses,
         );
-        let elapsed = start.elapsed();
-        self.metrics.query_latency.record(elapsed);
-        self.metrics.query_hist.record(elapsed);
+        self.metrics.query_hist.record(start.elapsed());
         Ok(QueryOutcome {
             neighbors,
             stats,
@@ -522,11 +518,11 @@ impl Service {
         })
     }
 
-    /// Durably ingests one vector into the live corpus: WAL-append (fsync
-    /// per [`StoreConfig::fsync_on_commit`]), then publish to the
-    /// in-memory overlay. The returned id is immediately queryable and
-    /// feedable, and survives restarts — recovery folds overlay vectors
-    /// into the base shards under the same ids.
+    /// Durably ingests one vector into the live corpus: WAL-append and
+    /// fsync, then publish to the in-memory overlay. The returned id is
+    /// immediately queryable and feedable, and survives restarts —
+    /// recovery folds overlay vectors into the base shards under the
+    /// same ids.
     ///
     /// # Errors
     ///
@@ -725,12 +721,10 @@ impl Service {
     /// gauges sampled live.
     pub fn stats(&self) -> MetricsSnapshot {
         let storage = self.lock_writer().storage_gauges();
-        let faults = self.executor.fault_stats();
         self.metrics.snapshot(
             self.registry.len() as u64,
             storage,
-            faults.breaker_trips,
-            faults.workers_respawned,
+            self.executor.breaker_trips(),
             self.executor.shard_latency(),
         )
     }
@@ -802,7 +796,7 @@ mod tests {
         assert_eq!(stats.sessions_created, 1);
         assert_eq!(stats.sessions_closed, 1);
         assert_eq!(stats.active_sessions, 0);
-        assert_eq!(stats.query.count, 2);
+        assert_eq!(stats.query_percentiles.count, 2);
         assert_eq!(stats.feed.count, 1);
     }
 

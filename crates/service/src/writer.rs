@@ -61,8 +61,7 @@ impl Writer {
         })
     }
 
-    /// WAL-appends one vector (fsync per `StoreConfig::fsync_on_commit`)
-    /// and returns its corpus id.
+    /// WAL-appends and fsyncs one vector and returns its corpus id.
     pub(crate) fn append(&mut self, vector: Vec<f64>) -> Result<u64, ServiceError> {
         Ok(self.store_for("ingest")?.ingest(vector)?)
     }

@@ -1,6 +1,6 @@
 //! Fault-injection suite for the query path: panicking shards, slow
-//! shards racing deadlines, circuit breakers, admission control, worker
-//! death, and session eviction racing in-flight queries; then queries,
+//! shards racing deadlines, circuit breakers, admission control, and
+//! session eviction racing in-flight queries; then queries,
 //! feeds and creates beside a stalled or failing WAL, the durable
 //! boot's seal failing, panicking or stalling beside the shard build,
 //! and seeds no shard may hold.
@@ -18,8 +18,7 @@ use std::time::{Duration, Instant};
 use qcluster_failpoint::{self as failpoint, Action};
 use qcluster_index::{EuclideanQuery, LinearScan};
 use qcluster_service::{
-    dispatch, Executor, ExecutorConfig, IngestOutcome, Request, Response, Service, ServiceConfig,
-    ServiceError, ShardedCorpus, StoreConfig,
+    dispatch, IngestOutcome, Request, Response, Service, ServiceConfig, ServiceError, StoreConfig,
 };
 use qcluster_store::{encode_record_frame, WalRecord};
 
@@ -248,7 +247,6 @@ fn all_shards_late_is_a_typed_deadline_error() {
         matches!(
             err,
             ServiceError::DeadlineExceeded {
-                shards_ok: 0,
                 shards_total: 2,
                 ..
             }
@@ -325,63 +323,11 @@ fn overload_is_rejected_with_a_typed_error() {
         "got {err:?}"
     );
     assert_eq!(svc.stats().faults.overload_rejections, 1);
-    assert_eq!(svc.stats().query.count, 0, "rejected before execution");
-}
-
-/// Workers killed mid-flight are respawned by the self-healing pool on
-/// the next fan-out, and results stay exact throughout. The first
-/// fan-out carries a deadline so its shard jobs run on the pool rather
-/// than on the caller.
-#[test]
-fn dead_workers_are_respawned_on_the_next_fanout() {
-    let _serial = failpoint::test_lock();
-    failpoint::clear_all();
-
-    let points = corpus();
-    // Exactly one job per worker: each idle worker takes one shard job,
-    // completes it, and dies — leaving no job stranded in the queue.
-    let sharded = ShardedCorpus::build(&points, 2).unwrap();
-    let executor = Executor::with_config(ExecutorConfig {
-        num_workers: 2,
-        ..ExecutorConfig::default()
-    })
-    .unwrap();
-    let q = EuclideanQuery::new(vec![25.0, 0.5]);
-    let expect = LinearScan::new(&points).knn(&q, 10);
-
-    // Both workers exit right after their next completed job.
-    failpoint::configure_counted(
-        "executor.worker.exit",
-        Action::Error("die".into()),
+    assert_eq!(
+        svc.stats().query_percentiles.count,
         0,
-        Some(2),
+        "rejected before execution"
     );
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let first = executor
-        .try_knn(&sharded, &q, 10, None, Some(deadline))
-        .unwrap();
-    assert_eq!(first.shards_ok, 2, "jobs complete before the worker dies");
-
-    // Wait for both dying workers to be replaced (worker exit is
-    // asynchronous; `heal` only swaps threads that have finished). A
-    // worker evaluates the failpoint after its reply is sent, so it
-    // stays armed (for its two counted fires) until both have exited.
-    let patience = Instant::now() + Duration::from_secs(10);
-    let mut respawned = 0;
-    while respawned < 2 && Instant::now() < patience {
-        respawned += executor.heal().unwrap();
-        thread::sleep(Duration::from_millis(5));
-    }
-    failpoint::remove("executor.worker.exit");
-    assert_eq!(respawned, 2, "both dead workers respawned");
-
-    let healed = executor.try_knn(&sharded, &q, 10, None, None).unwrap();
-    assert_eq!(healed.shards_ok, 2);
-    assert!(executor.fault_stats().workers_respawned >= 2);
-    for (got, want) in healed.neighbors.iter().zip(expect.iter()) {
-        assert_eq!(got.id, want.id);
-        assert!((got.distance - want.distance).abs() < 1e-12);
-    }
 }
 
 /// LRU eviction racing an in-flight query: the query holds its session

@@ -143,7 +143,6 @@ fn every_error_variant_roundtrips() {
         },
         ServiceError::DeadlineExceeded {
             waited_ms: 150,
-            shards_ok: 0,
             shards_total: 4,
         },
         ServiceError::Internal("channel disconnected".into()),
@@ -168,10 +167,13 @@ fn live_stats_snapshot_roundtrips() {
     let snapshot = service.stats();
     let json = serde_json::to_string(&snapshot).expect("serialize snapshot");
     let back: MetricsSnapshot = serde_json::from_str(&json).expect("deserialize snapshot");
-    assert_eq!(back.query.count, 2);
+    assert_eq!(back.query_percentiles.count, 2);
     assert_eq!(back.feed.count, 1);
     assert_eq!(back.active_sessions, 1);
-    assert_eq!(back.query.mean_ns, snapshot.query.mean_ns);
+    assert_eq!(
+        back.query_percentiles.mean_ns,
+        snapshot.query_percentiles.mean_ns
+    );
     assert_eq!(back.plan_cache_misses, snapshot.plan_cache_misses);
 
     roundtrip_response(&Response::Stats(Box::new(snapshot)));

@@ -120,19 +120,11 @@ impl MultivariateNormal {
 /// squared independent `N(0,1)` variates.
 ///
 /// The paper's Eq. 20 omits the dof normalization in its display; we follow
-/// the standard F definition (which is what an F quantile compares against),
-/// and expose the unnormalized ratio through
-/// [`random_chi2_ratio`] for completeness.
+/// the standard F definition (which is what an F quantile compares against).
 pub fn random_f<R: Rng + ?Sized>(rng: &mut R, d1: usize, d2: usize) -> f64 {
     let num = random_chi_squared(rng, d1) / d1 as f64;
     let den = random_chi_squared(rng, d2) / d2 as f64;
     num / den
-}
-
-/// The unnormalized ratio `χ²_{d1} / χ²_{d2}` exactly as printed in the
-/// paper's Eq. 20.
-pub fn random_chi2_ratio<R: Rng + ?Sized>(rng: &mut R, d1: usize, d2: usize) -> f64 {
-    random_chi_squared(rng, d1) / random_chi_squared(rng, d2)
 }
 
 /// One χ²_k realization: the sum of `k` squared standard normals.

@@ -13,7 +13,7 @@
 //!   [`SegmentReader`].
 //! - [`wal`] — the write-ahead log: length-prefixed CRC-framed
 //!   mutation records ([`WalRecord::Ingest`], [`WalRecord::Checkpoint`])
-//!   with fsync-on-commit and replay that tolerates a torn tail.
+//!   each fsynced on commit, and replay that tolerates a torn tail.
 //! - [`store`] — [`VectorStore`]: open a directory, recover
 //!   `segments + WAL` into an id-ordered corpus, ingest durably, and
 //!   compact the WAL into freshly sealed segments.

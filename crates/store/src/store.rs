@@ -25,22 +25,12 @@ use crate::segment::{write_segment, SegmentReader};
 use crate::wal::{replay, WalRecord, WalWriter};
 use std::path::{Path, PathBuf};
 
-/// Tunables for one store instance.
-#[derive(Debug, Clone)]
-pub struct StoreConfig {
-    /// Fsync the WAL on every committed mutation (`true` = a returned
-    /// ingest survives power loss; `false` trades durability for
-    /// throughput and syncs only on compaction and shutdown).
-    pub fsync_on_commit: bool,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            fsync_on_commit: true,
-        }
-    }
-}
+/// Tunables for one store instance. It has none: every committed WAL
+/// append is fsynced, so a returned ingest survives power loss. The
+/// type stays because `benchmark/` passes `StoreConfig::default()`
+/// (ROADMAP 1(b)).
+#[derive(Debug, Clone, Default)]
+pub struct StoreConfig {}
 
 /// Everything recovery reconstructs from `segments + WAL`.
 #[derive(Debug)]
@@ -86,7 +76,6 @@ pub struct CompactionStats {
 #[derive(Debug)]
 pub struct VectorStore {
     dir: PathBuf,
-    config: StoreConfig,
     dim: Option<usize>,
     /// Sealed segment paths in id order.
     segments: Vec<PathBuf>,
@@ -160,7 +149,7 @@ impl VectorStore {
     /// I/O failures, or `Corrupt` for damaged segments / an undecodable
     /// WAL frame. A torn WAL *tail* is not an error — it is truncated
     /// and reported via [`RecoveredState::wal_truncated`].
-    pub fn open(dir: &Path, config: StoreConfig) -> Result<(Self, RecoveredState)> {
+    pub fn open(dir: &Path, _config: StoreConfig) -> Result<(Self, RecoveredState)> {
         std::fs::create_dir_all(dir)?;
 
         // Collect sealed segments; sweep stale staging files.
@@ -239,10 +228,9 @@ impl VectorStore {
         vectors.extend(wal_tail.iter().cloned());
 
         let term = read_term_file(dir)?;
-        let wal = WalWriter::open(&wal_path, replayed.valid_len, config.fsync_on_commit)?;
+        let wal = WalWriter::open(&wal_path, replayed.valid_len)?;
         let store = VectorStore {
             dir: dir.to_path_buf(),
-            config,
             dim,
             segments,
             segment_vectors,
@@ -398,23 +386,12 @@ impl VectorStore {
             &[WalRecord::Checkpoint {
                 durable_vectors: self.segment_vectors,
             }],
-            self.config.fsync_on_commit,
         )?;
 
         Ok(CompactionStats {
             folded_vectors: folded,
             segments: self.segments.len() as u64,
         })
-    }
-
-    /// Forces buffered WAL bytes to stable storage (a no-op under
-    /// fsync-on-commit, where every append already synced).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn sync(&mut self) -> Result<()> {
-        self.wal.sync()
     }
 
     /// Current counters and gauges.

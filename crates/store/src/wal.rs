@@ -1,5 +1,5 @@
-//! The write-ahead log: length-prefixed, CRC-framed mutation records
-//! with fsync-on-commit and truncated-tail-tolerant replay.
+//! The write-ahead log: length-prefixed, CRC-framed mutation records,
+//! each fsynced on commit, with truncated-tail-tolerant replay.
 //!
 //! Every mutation becomes one frame:
 //!
@@ -366,9 +366,8 @@ pub fn decode_record_frames(bytes: &[u8]) -> Result<Vec<WalRecord>> {
 pub struct WalWriter {
     file: File,
     path: PathBuf,
-    fsync_on_commit: bool,
     /// Byte length of the committed prefix: every frame up to here was
-    /// fully appended (and synced, under fsync-on-commit).
+    /// fully appended and synced.
     committed_len: u64,
     /// `Some(reason)` once a rollback failed; all further appends are
     /// refused with [`StoreError::Wedged`].
@@ -385,7 +384,7 @@ impl WalWriter {
     /// # Errors
     ///
     /// I/O failures.
-    pub fn open(path: &Path, valid_len: u64, fsync_on_commit: bool) -> Result<Self> {
+    pub fn open(path: &Path, valid_len: u64) -> Result<Self> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -401,7 +400,6 @@ impl WalWriter {
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
-            fsync_on_commit,
             committed_len: valid_len,
             wedged: None,
             appends: 0,
@@ -417,7 +415,7 @@ impl WalWriter {
     /// # Errors
     ///
     /// I/O failures.
-    pub fn rewrite(path: &Path, records: &[WalRecord], fsync_on_commit: bool) -> Result<Self> {
+    pub fn rewrite(path: &Path, records: &[WalRecord]) -> Result<Self> {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
@@ -432,7 +430,7 @@ impl WalWriter {
         staged.get_ref().sync_all()?;
         std::fs::rename(&tmp, path)?;
         crate::segment::sync_parent_dir(path);
-        WalWriter::open(path, len, fsync_on_commit)
+        WalWriter::open(path, len)
     }
 
     /// The WAL file path.
@@ -471,8 +469,8 @@ impl WalWriter {
         }
     }
 
-    /// Appends one record; with fsync-on-commit the record is durable
-    /// when this returns. On failure the file is rolled back to the
+    /// Appends and fsyncs one record: the record is durable when this
+    /// returns. On failure the file is rolled back to the
     /// committed prefix, so the failed frame leaves no torn bytes and
     /// the writer stays usable — unless the rollback itself fails, in
     /// which case the writer wedges.
@@ -497,8 +495,8 @@ impl WalWriter {
         }
     }
 
-    /// Writes (and, under fsync-on-commit, syncs) one encoded frame
-    /// without advancing the committed prefix.
+    /// Writes and syncs one encoded frame without advancing the
+    /// committed prefix.
     fn try_append(&mut self, frame: &[u8]) -> Result<()> {
         if let Some(action) = failpoint::evaluate_sleepy("wal.append") {
             if let failpoint::Action::Partial(n) = action {
@@ -510,10 +508,7 @@ impl WalWriter {
             return Err(injected_io("wal.append", action).into());
         }
         self.file.write_all(frame)?;
-        if self.fsync_on_commit {
-            self.sync_counted()?;
-        }
-        Ok(())
+        self.sync_counted()
     }
 
     /// Truncates the file back to the committed prefix after a failed
@@ -536,20 +531,6 @@ impl WalWriter {
             return Err(StoreError::Wedged { detail });
         }
         Ok(())
-    }
-
-    /// Forces everything appended so far to stable storage.
-    ///
-    /// A failed standalone sync does not un-commit frames: they are
-    /// well-formed on disk and replay accepts them; only their
-    /// durability is pending a later successful sync.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, or `Wedged`.
-    pub fn sync(&mut self) -> Result<()> {
-        self.check_wedged()?;
-        self.sync_counted()
     }
 
     fn sync_counted(&mut self) -> Result<()> {
@@ -605,7 +586,7 @@ mod tests {
     fn append_replay_round_trips() {
         let path = tmp_wal("roundtrip");
         let records = sample_records();
-        let mut w = WalWriter::open(&path, 0, true).unwrap();
+        let mut w = WalWriter::open(&path, 0).unwrap();
         for r in &records {
             w.append(r).unwrap();
         }
@@ -622,11 +603,10 @@ mod tests {
     fn torn_tail_recovers_committed_prefix() {
         let path = tmp_wal("torn");
         let records = sample_records();
-        let mut w = WalWriter::open(&path, 0, false).unwrap();
+        let mut w = WalWriter::open(&path, 0).unwrap();
         for r in &records {
             w.append(r).unwrap();
         }
-        w.sync().unwrap();
         drop(w);
         let full = std::fs::read(&path).unwrap();
         // Cut mid-way through the final frame.
@@ -635,9 +615,8 @@ mod tests {
         assert!(replayed.truncated);
         assert_eq!(replayed.records, records[..4].to_vec());
         // Reopening at the valid prefix truncates the tear and appends cleanly.
-        let mut w = WalWriter::open(&path, replayed.valid_len, false).unwrap();
+        let mut w = WalWriter::open(&path, replayed.valid_len).unwrap();
         w.append(&records[4]).unwrap();
-        w.sync().unwrap();
         drop(w);
         let again = replay(&path).unwrap();
         assert!(!again.truncated);
@@ -648,12 +627,11 @@ mod tests {
     #[test]
     fn corrupt_byte_in_tail_frame_is_discarded() {
         let path = tmp_wal("flip");
-        let mut w = WalWriter::open(&path, 0, false).unwrap();
+        let mut w = WalWriter::open(&path, 0).unwrap();
         let records = sample_records();
         for r in &records {
             w.append(r).unwrap();
         }
-        w.sync().unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
@@ -677,20 +655,18 @@ mod tests {
     #[test]
     fn rewrite_folds_to_exactly_the_given_records() {
         let path = tmp_wal("rewrite");
-        let mut w = WalWriter::open(&path, 0, false).unwrap();
+        let mut w = WalWriter::open(&path, 0).unwrap();
         for r in &sample_records() {
             w.append(r).unwrap();
         }
-        w.sync().unwrap();
         drop(w);
         let keep = vec![WalRecord::Checkpoint { durable_vectors: 2 }];
-        let mut w = WalWriter::rewrite(&path, &keep, false).unwrap();
+        let mut w = WalWriter::rewrite(&path, &keep).unwrap();
         w.append(&WalRecord::Ingest {
             id: 2,
             vector: vec![9.0],
         })
         .unwrap();
-        w.sync().unwrap();
         drop(w);
         let replayed = replay(&path).unwrap();
         assert_eq!(replayed.records.len(), 2);
@@ -734,11 +710,10 @@ mod tests {
     fn record_frames_round_trip_and_match_writer_bytes() {
         let path = tmp_wal("frames");
         let records = sample_records();
-        let mut w = WalWriter::open(&path, 0, false).unwrap();
+        let mut w = WalWriter::open(&path, 0).unwrap();
         for r in &records {
             w.append(r).unwrap();
         }
-        w.sync().unwrap();
         drop(w);
         // Standalone frame encoding is byte-identical to the on-disk
         // WAL — the property WAL-shipping replication relies on.
@@ -779,13 +754,12 @@ mod tests {
     fn ingested_vectors_replay_bit_exactly() {
         let path = tmp_wal("bits");
         let vector = vec![0.1 + 0.2, -0.0, f64::MAX, 1.0 / 3.0];
-        let mut w = WalWriter::open(&path, 0, false).unwrap();
+        let mut w = WalWriter::open(&path, 0).unwrap();
         w.append(&WalRecord::Ingest {
             id: 0,
             vector: vector.clone(),
         })
         .unwrap();
-        w.sync().unwrap();
         drop(w);
         let replayed = replay(&path).unwrap();
         let WalRecord::Ingest { vector: back, .. } = &replayed.records[0] else {

@@ -81,14 +81,8 @@ fn fsync_failure_fails_the_ingest_without_committing_it() {
     let dir = scratch("fsync_err");
     std::fs::remove_dir_all(&dir).ok();
 
-    // fsync-on-commit: the injected fsync failure must fail the append.
-    let (mut store, _) = VectorStore::open(
-        &dir,
-        StoreConfig {
-            fsync_on_commit: true,
-        },
-    )
-    .unwrap();
+    // Every append fsyncs: the injected fsync failure must fail it.
+    let (mut store, _) = VectorStore::open(&dir, StoreConfig::default()).unwrap();
     store.ingest(vec![1.0]).unwrap();
 
     let fp = failpoint::scoped_counted(
@@ -142,8 +136,6 @@ fn failed_rollback_wedges_the_writer_and_reopen_heals() {
     // Still wedged even though both failpoints are exhausted: the
     // damage is state, not injection.
     let err = store.ingest(vec![8.0]).unwrap_err();
-    assert!(matches!(err, StoreError::Wedged { .. }), "got: {err}");
-    let err = store.sync().unwrap_err();
     assert!(matches!(err, StoreError::Wedged { .. }), "got: {err}");
     drop(store);
 
@@ -290,7 +282,7 @@ proptest! {
                 "wal.rollback",
                 failpoint::Action::Error("crash".into()),
             );
-            let mut wal = WalWriter::open(&path, 0, false).unwrap();
+            let mut wal = WalWriter::open(&path, 0).unwrap();
             let mut committed = 0u64;
             for (i, v) in vectors.iter().enumerate() {
                 let record = WalRecord::Ingest { id: i as u64, vector: v.clone() };
@@ -326,11 +318,10 @@ proptest! {
         // record and the rest append cleanly (failpoints now disarmed).
         failpoint::clear_all();
         {
-            let mut wal = WalWriter::open(&path, replayed.valid_len, false).unwrap();
+            let mut wal = WalWriter::open(&path, replayed.valid_len).unwrap();
             for (i, v) in vectors.iter().enumerate().skip(tear_at as usize) {
                 wal.append(&WalRecord::Ingest { id: i as u64, vector: v.clone() }).unwrap();
             }
-            wal.sync().unwrap();
         }
         let again = replay(&path).unwrap();
         prop_assert!(!again.truncated);
@@ -338,7 +329,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Injected fsync errors under fsync-on-commit: each failed append
+    /// Injected fsync errors: each failed append
     /// commits nothing (rolled back), each successful append is
     /// replayable, and the final log holds exactly the successes.
     #[test]
@@ -355,7 +346,7 @@ proptest! {
 
         let mut expected: Vec<u64> = Vec::new();
         {
-            let mut wal = WalWriter::open(&path, 0, true).unwrap();
+            let mut wal = WalWriter::open(&path, 0).unwrap();
             for (i, v) in vectors.iter().enumerate() {
                 // Deterministically fail every `fail_every`-th fsync.
                 let fail_this = (i as u64) % fail_every == fail_every - 1;

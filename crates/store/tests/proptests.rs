@@ -81,11 +81,10 @@ proptest! {
         let path = scratch("wal_trunc");
         std::fs::remove_file(&path).ok();
         {
-            let mut wal = WalWriter::open(&path, 0, false).unwrap();
+            let mut wal = WalWriter::open(&path, 0).unwrap();
             for (i, v) in vectors.iter().enumerate() {
                 wal.append(&WalRecord::Ingest { id: i as u64, vector: v.clone() }).unwrap();
             }
-            wal.sync().unwrap();
         }
 
         let bytes = std::fs::read(&path).unwrap();
@@ -119,9 +118,8 @@ proptest! {
 
         // The healed log accepts new appends and replays them.
         {
-            let mut wal = WalWriter::open(&path, replayed.valid_len, false).unwrap();
+            let mut wal = WalWriter::open(&path, replayed.valid_len).unwrap();
             wal.append(&WalRecord::Checkpoint { durable_vectors: 7 }).unwrap();
-            wal.sync().unwrap();
         }
         let again = replay(&path).unwrap();
         prop_assert_eq!(again.records.len(), expected_records + 1);
@@ -174,7 +172,6 @@ proptest! {
             for v in &tail {
                 store.ingest(v.clone()).unwrap();
             }
-            store.sync().unwrap();
         }
         let seg_version = SegmentReader::open(&dir.join("seg-000000.qseg"))
             .unwrap()
