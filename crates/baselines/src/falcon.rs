@@ -22,7 +22,6 @@ pub const FALCON_DEFAULT_ALPHA: f64 = -5.0;
 pub struct Falcon {
     relevant: Vec<FeedbackPoint>,
     dim: Option<usize>,
-    alpha: f64,
 }
 
 impl Default for Falcon {
@@ -37,7 +36,6 @@ impl Falcon {
         Falcon {
             relevant: Vec::new(),
             dim: None,
-            alpha: FALCON_DEFAULT_ALPHA,
         }
     }
 
@@ -63,7 +61,9 @@ impl RetrievalMethod for Falcon {
         let centers = self.relevant.iter().map(|p| p.vector.clone()).collect();
         Ok(Box::new(MultiPointQuery::uniform(
             centers,
-            AggregateKind::FuzzyOr { alpha: self.alpha },
+            AggregateKind::FuzzyOr {
+                alpha: FALCON_DEFAULT_ALPHA,
+            },
         )))
     }
 

@@ -12,6 +12,9 @@ use crate::method::{absorb, RetrievalMethod};
 use qcluster_core::{CoreError, FeedbackPoint, Result};
 use qcluster_index::{FanoutQuery, WeightedEuclideanQuery};
 
+/// Ridge `λ` added to each per-dimension variance before inversion.
+const VARIANCE_RIDGE: f64 = 1e-3;
+
 /// The MARS-style query-point-movement method.
 ///
 /// Supports the full Rocchio formula: the paper describes MARS as trying
@@ -19,27 +22,30 @@ use qcluster_index::{FanoutQuery, WeightedEuclideanQuery};
 /// from 'bad' result points". Negative examples are optional
 /// ([`QueryPointMovement::feed_negative`]) and repel the query point with
 /// weight `gamma` relative to the positives' pull.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct QueryPointMovement {
     /// All relevant points accumulated over the session.
     relevant: Vec<FeedbackPoint>,
     /// Non-relevant points accumulated over the session.
     negative: Vec<FeedbackPoint>,
     dim: Option<usize>,
-    /// Ridge added to per-dimension variances before inversion.
-    lambda: f64,
     /// Rocchio repulsion weight for negative examples.
     gamma: f64,
 }
 
+impl Default for QueryPointMovement {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl QueryPointMovement {
-    /// Creates the method with the default variance ridge (1e-3).
+    /// Creates the method; its variance ridge is `VARIANCE_RIDGE` (1e-3).
     pub fn new() -> Self {
         QueryPointMovement {
             relevant: Vec::new(),
             negative: Vec::new(),
             dim: None,
-            lambda: 1e-3,
             gamma: 0.25,
         }
     }
@@ -127,7 +133,7 @@ impl QueryPointMovement {
         }
         Some(
             var.into_iter()
-                .map(|v| 1.0 / (v / mass + self.lambda))
+                .map(|v| 1.0 / (v / mass + VARIANCE_RIDGE))
                 .collect(),
         )
     }

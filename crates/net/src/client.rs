@@ -11,6 +11,7 @@
 //! silently retried: the server may or may not have executed the
 //! request, and only the caller knows whether its request is idempotent.
 
+use crate::codec::{decode_response, encode_request};
 use crate::error::NetError;
 use crate::frame::{self, FrameKind, ReadFrame, DEFAULT_MAX_PAYLOAD};
 use qcluster_service::{Request, Response};
@@ -94,12 +95,11 @@ impl Client {
 
     /// Sends one request and waits for its response.
     pub fn call(&mut self, request: &Request) -> Result<Response, NetError> {
-        let payload = serde_json::to_string(request)
-            .map_err(|e| NetError::Protocol(format!("request failed to serialize: {e}")))?;
+        let payload = encode_request(request);
         self.ensure_connected()?;
         let id = self.next_id;
         self.next_id += 1;
-        let result = self.call_inner(payload.as_bytes(), id);
+        let result = self.call_inner(&payload, id);
         if result.is_err() {
             self.disconnect();
         }
@@ -114,12 +114,7 @@ impl Client {
                 if f.kind != FrameKind::Response {
                     return Err(NetError::Protocol("server sent a request frame".into()));
                 }
-                let response: Response = std::str::from_utf8(&f.payload)
-                    .map_err(|e| NetError::Frame(frame::FrameError::Payload(e.to_string())))
-                    .and_then(|s| {
-                        serde_json::from_str(s)
-                            .map_err(|e| NetError::Frame(frame::FrameError::Payload(e.to_string())))
-                    })?;
+                let response = decode_response(&f.payload).map_err(NetError::Frame)?;
                 if f.request_id == 0 {
                     // Connection-level message the server originated
                     // (e.g. a capacity reject before reading anything).

@@ -7,16 +7,16 @@
 //!  offset  size  field
 //!  ------  ----  -----------------------------------------------
 //!       0     4  magic  "QNET"
-//!       4     1  protocol version (currently 1)
+//!       4     1  protocol version (currently 2)
 //!       5     1  kind   (1 = request, 2 = response,
 //!                        3 = replication request, 4 = replication response)
 //!       6     2  reserved (must be 0 on send, ignored on receive)
 //!       8     8  request id, u64 little-endian
 //!      16     4  payload length, u32 little-endian
 //!      20     4  CRC-32 (ISO-HDLC) over the payload bytes
-//!      24     n  payload: one JSON-encoded `Request` or `Response`
-//!                (kinds 1/2), or a binary replication message
-//!                (kinds 3/4, see the `repl` module)
+//!      24     n  payload: one binary `Request` or `Response`
+//!                (kinds 1/2, see the `codec` module), or a binary
+//!                replication message (kinds 3/4, see the `repl` module)
 //! ```
 //!
 //! The request id is chosen by the client and echoed by the server, so
@@ -39,15 +39,15 @@ use std::io::{ErrorKind, Read, Write};
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"QNET";
 /// The protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 24;
 /// Default cap on payload size (16 MiB): a Stats snapshot is ~2 KiB and
-/// even a 1k-dimensional ingest vector is ~20 KiB, so this is generous.
+/// even a 1k-dimensional ingest vector is ~8 KiB, so this is generous.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
 /// Whether a frame carries a request, a response, or a replication
-/// message (binary payload instead of JSON; see the `repl` module).
+/// message (see the `codec` and `repl` modules for their payloads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// Client → server.
@@ -89,7 +89,7 @@ pub struct Frame {
     pub kind: FrameKind,
     /// Client-chosen correlation id (0 = connection-level).
     pub request_id: u64,
-    /// The JSON payload bytes (CRC already verified).
+    /// The payload bytes (CRC already verified).
     pub payload: Vec<u8>,
 }
 
@@ -124,7 +124,7 @@ pub enum FrameError {
         /// Bytes actually present.
         have: usize,
     },
-    /// The payload failed to parse as the expected JSON type.
+    /// The payload failed to decode as the expected message.
     Payload(String),
 }
 

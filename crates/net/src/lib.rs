@@ -9,8 +9,10 @@
 //! Subsystems:
 //!
 //! - [`frame`] — the wire format: a 24-byte header (`"QNET"` magic,
-//!   version, kind, request id, payload length, CRC-32) plus a JSON
+//!   version, kind, request id, payload length, CRC-32) plus a binary
 //!   payload, with a recoverable/fatal split on decode errors.
+//! - [`codec`] — the binary encoding of a `Request` or `Response` in
+//!   that payload: tagged variants, little-endian fields, bulk `f64`s.
 //! - [`server`] — an acceptor thread and one thread per connection
 //!   that reads a request, runs it, and writes its response before
 //!   reading the next (in-order answers, no hand-off); typed
@@ -58,12 +60,14 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod codec;
 pub mod error;
 pub mod frame;
 pub mod repl;
 pub mod server;
 
 pub use client::{Client, ClientConfig};
+pub use codec::{decode_request, decode_response, encode_request, encode_response};
 pub use error::NetError;
 pub use frame::{
     decode_frame, encode_frame, Frame, FrameError, FrameHeader, FrameKind, DEFAULT_MAX_PAYLOAD,

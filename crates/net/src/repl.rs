@@ -5,10 +5,10 @@
 //!
 //! Replication ships the store's CRC-framed WAL records
 //! (`qcluster_store::encode_record_frame` byte format) from a leader to
-//! followers. The payload here is deliberately *not* JSON: WAL frames
-//! are opaque binary and the follower applies them through the same
-//! strict decoder it uses at recovery, so the codec is a thin tagged
-//! envelope around them.
+//! followers. WAL frames are opaque binary and the follower applies
+//! them through the same strict decoder it uses at recovery, so the
+//! envelope is a thin tagged one around them, written with the reader
+//! and writer of the request/response codec ([`crate::codec`]).
 //!
 //! | tag | request                         | reply                               |
 //! |-----|---------------------------------|-------------------------------------|
@@ -25,12 +25,8 @@
 //! [`FrameError::Payload`] so the server's existing recoverable-error
 //! reply path covers them.
 
+use crate::codec::{self, wire_enum, Reader, Wire};
 use crate::frame::FrameError;
-
-/// Cap on a variable-length field inside a replication payload, so a
-/// corrupt length prefix cannot drive a huge allocation. Matches the
-/// frame-level default payload cap.
-const MAX_FIELD: u32 = crate::frame::DEFAULT_MAX_PAYLOAD;
 
 /// A replication request, leader/follower → peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,228 +130,45 @@ pub enum ReplReply {
     },
 }
 
-fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    buf.extend_from_slice(bytes);
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], FrameError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| FrameError::Payload(format!("repl payload: {what} length overflows")))?;
-        if end > self.bytes.len() {
-            return Err(FrameError::Payload(format!(
-                "repl payload truncated reading {what}: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            )));
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, FrameError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn bytes_field(&mut self, what: &str) -> Result<&'a [u8], FrameError> {
-        let len = self.u32(what)?;
-        if len > MAX_FIELD {
-            return Err(FrameError::Payload(format!(
-                "repl payload: {what} declares {len} bytes (cap {MAX_FIELD})"
-            )));
-        }
-        self.take(len as usize, what)
-    }
-
-    fn finish(&self, what: &str) -> Result<(), FrameError> {
-        if self.pos != self.bytes.len() {
-            return Err(FrameError::Payload(format!(
-                "repl payload: {} trailing bytes after {what}",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
 impl ReplRequest {
     /// Serializes into the tagged binary envelope.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        match self {
-            ReplRequest::Fetch { from, max } => {
-                buf.push(1);
-                buf.extend_from_slice(&from.to_le_bytes());
-                buf.extend_from_slice(&max.to_le_bytes());
-            }
-            ReplRequest::Apply {
-                term,
-                lease_ms,
-                frames,
-            } => {
-                buf.push(2);
-                buf.extend_from_slice(&term.to_le_bytes());
-                buf.extend_from_slice(&lease_ms.to_le_bytes());
-                put_bytes(&mut buf, frames);
-            }
-            ReplRequest::Status => buf.push(3),
-            ReplRequest::Vote { term, lease_ms } => {
-                buf.push(4);
-                buf.extend_from_slice(&term.to_le_bytes());
-                buf.extend_from_slice(&lease_ms.to_le_bytes());
-            }
-        }
-        buf
+        codec::encode(self)
     }
 
     /// Parses the tagged binary envelope, rejecting trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, FrameError> {
-        let mut r = Reader::new(bytes);
-        let out = match r.u8("request tag")? {
-            1 => ReplRequest::Fetch {
-                from: r.u64("fetch.from")?,
-                max: r.u32("fetch.max")?,
-            },
-            2 => ReplRequest::Apply {
-                term: r.u64("apply.term")?,
-                lease_ms: r.u64("apply.lease_ms")?,
-                frames: r.bytes_field("apply.frames")?.to_vec(),
-            },
-            3 => ReplRequest::Status,
-            4 => ReplRequest::Vote {
-                term: r.u64("vote.term")?,
-                lease_ms: r.u64("vote.lease_ms")?,
-            },
-            tag => {
-                return Err(FrameError::Payload(format!(
-                    "repl payload: unknown request tag {tag}"
-                )))
-            }
-        };
-        r.finish("request")?;
-        Ok(out)
+        codec::decode(bytes)
     }
 }
+
+wire_enum!(ReplRequest {
+    1 => Fetch { from, max },
+    2 => Apply { term, lease_ms, frames },
+    3 => Status,
+    4 => Vote { term, lease_ms },
+});
 
 impl ReplReply {
     /// Serializes into the tagged binary envelope.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        match self {
-            ReplReply::Chunk { total, frames } => {
-                buf.push(1);
-                buf.extend_from_slice(&total.to_le_bytes());
-                put_bytes(&mut buf, frames);
-            }
-            ReplReply::Applied { total, applied } => {
-                buf.push(2);
-                buf.extend_from_slice(&total.to_le_bytes());
-                buf.extend_from_slice(&applied.to_le_bytes());
-            }
-            ReplReply::Status {
-                total,
-                durable,
-                term,
-                leased,
-            } => {
-                buf.push(3);
-                buf.extend_from_slice(&total.to_le_bytes());
-                buf.extend_from_slice(&durable.to_le_bytes());
-                buf.extend_from_slice(&term.to_le_bytes());
-                buf.push(u8::from(*leased));
-            }
-            ReplReply::Err { msg } => {
-                buf.push(4);
-                put_bytes(&mut buf, msg.as_bytes());
-            }
-            ReplReply::StaleTerm { current } => {
-                buf.push(5);
-                buf.extend_from_slice(&current.to_le_bytes());
-            }
-            ReplReply::Vote { granted, term } => {
-                buf.push(6);
-                buf.push(u8::from(*granted));
-                buf.extend_from_slice(&term.to_le_bytes());
-            }
-        }
-        buf
+        codec::encode(self)
     }
 
     /// Parses the tagged binary envelope, rejecting trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, FrameError> {
-        let mut r = Reader::new(bytes);
-        let out = match r.u8("reply tag")? {
-            1 => ReplReply::Chunk {
-                total: r.u64("chunk.total")?,
-                frames: r.bytes_field("chunk.frames")?.to_vec(),
-            },
-            2 => ReplReply::Applied {
-                total: r.u64("applied.total")?,
-                applied: r.u64("applied.applied")?,
-            },
-            3 => ReplReply::Status {
-                total: r.u64("status.total")?,
-                durable: r.u64("status.durable")?,
-                term: r.u64("status.term")?,
-                leased: match r.u8("status.leased")? {
-                    0 => false,
-                    1 => true,
-                    v => {
-                        return Err(FrameError::Payload(format!(
-                            "repl payload: status.leased byte {v} is not a bool"
-                        )))
-                    }
-                },
-            },
-            4 => ReplReply::Err {
-                msg: String::from_utf8_lossy(r.bytes_field("err.msg")?).into_owned(),
-            },
-            5 => ReplReply::StaleTerm {
-                current: r.u64("stale_term.current")?,
-            },
-            6 => ReplReply::Vote {
-                granted: match r.u8("vote.granted")? {
-                    0 => false,
-                    1 => true,
-                    v => {
-                        return Err(FrameError::Payload(format!(
-                            "repl payload: vote.granted byte {v} is not a bool"
-                        )))
-                    }
-                },
-                term: r.u64("vote.term")?,
-            },
-            tag => {
-                return Err(FrameError::Payload(format!(
-                    "repl payload: unknown reply tag {tag}"
-                )))
-            }
-        };
-        r.finish("reply")?;
-        Ok(out)
+        codec::decode(bytes)
     }
 }
+
+wire_enum!(ReplReply {
+    1 => Chunk { total, frames },
+    2 => Applied { total, applied },
+    3 => Status { total, durable, term, leased },
+    4 => Err { msg },
+    5 => StaleTerm { current },
+    6 => Vote { granted, term },
+});
 
 #[cfg(test)]
 mod tests {

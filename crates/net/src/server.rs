@@ -38,10 +38,11 @@
 //! detach stragglers). The returned [`ShutdownReport`] says how clean
 //! it was.
 
+use crate::codec::{decode_request, encode_response};
 use crate::error::NetError;
 use crate::frame::{self, FrameKind, ReadFrame, DEFAULT_MAX_PAYLOAD};
 use crate::repl::{ReplReply, ReplRequest};
-use qcluster_service::{dispatch, Request, Response, Service, ServiceError};
+use qcluster_service::{dispatch, Response, Service, ServiceError};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -460,29 +461,24 @@ fn answer<'a>(
             };
             (FrameKind::ReplResponse, reply.encode(), None)
         }
-        FrameKind::Request => {
-            let parsed = std::str::from_utf8(payload)
-                .map_err(|e| format!("payload is not utf-8: {e}"))
-                .and_then(|s| serde_json::from_str::<Request>(s).map_err(|e| format!("{e}")));
-            match parsed {
-                Ok(request) => {
-                    shared.inflight.fetch_add(1, Ordering::SeqCst);
-                    let guard = InflightGuard(&shared.inflight);
-                    let response =
-                        catch_unwind(AssertUnwindSafe(|| dispatch(&shared.service, request)))
-                            .unwrap_or_else(|_| {
-                                Response::Error(ServiceError::Internal(
-                                    "request handler panicked; request failed cleanly".into(),
-                                ))
-                            });
-                    (FrameKind::Response, encode_response(&response), Some(guard))
-                }
-                Err(e) => {
-                    shared.service.metrics().record_decode_error();
-                    undecodable(format!("request payload did not parse: {e}"))
-                }
+        FrameKind::Request => match decode_request(payload) {
+            Ok(request) => {
+                shared.inflight.fetch_add(1, Ordering::SeqCst);
+                let guard = InflightGuard(&shared.inflight);
+                let response =
+                    catch_unwind(AssertUnwindSafe(|| dispatch(&shared.service, request)))
+                        .unwrap_or_else(|_| {
+                            Response::Error(ServiceError::Internal(
+                                "request handler panicked; request failed cleanly".into(),
+                            ))
+                        });
+                (FrameKind::Response, encode_response(&response), Some(guard))
             }
-        }
+            Err(e) => {
+                shared.service.metrics().record_decode_error();
+                undecodable(format!("request payload did not parse: {e}"))
+            }
+        },
         FrameKind::Response | FrameKind::ReplResponse => {
             shared.service.metrics().record_decode_error();
             undecodable("expected a request frame, got a response frame".into())
@@ -509,19 +505,6 @@ fn undecodable<'a>(detail: String) -> (FrameKind, Vec<u8>, Option<InflightGuard<
 /// treats it as a transport failure, not as a rejection of its request.
 pub fn is_undecodable(error: &ServiceError) -> bool {
     matches!(error, ServiceError::InvalidRequest(msg) if msg.starts_with(UNDECODABLE))
-}
-
-/// A response's JSON payload; an unserializable response is reported
-/// rather than silently dropped.
-fn encode_response(response: &Response) -> Vec<u8> {
-    serde_json::to_string(response)
-        .unwrap_or_else(|_| {
-            serde_json::to_string(&Response::Error(ServiceError::Internal(
-                "response failed to serialize".into(),
-            )))
-            .unwrap_or_else(|_| String::from("{}"))
-        })
-        .into_bytes()
 }
 
 /// Writes one reply frame; `false` means the connection is done.

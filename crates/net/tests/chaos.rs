@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use qcluster_failpoint::{self as failpoint, Action};
 use qcluster_net::frame::{read_frame, ReadFrame};
 use qcluster_net::{
-    encode_frame, Client, ClientConfig, FrameKind, NetError, Server, ServerConfig,
-    DEFAULT_MAX_PAYLOAD,
+    decode_response, encode_frame, encode_request, Client, ClientConfig, FrameKind, NetError,
+    Server, ServerConfig, DEFAULT_MAX_PAYLOAD,
 };
 use qcluster_service::{dispatch, Request, Response, Service, ServiceConfig, ServiceError};
 
@@ -268,8 +268,8 @@ fn pipelined_queries_are_answered_in_order_without_shedding() {
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let ids: Vec<u64> = (1..=8).collect();
     for &id in &ids {
-        let payload = serde_json::to_string(&query(session, id as f64, 0.0)).unwrap();
-        raw.write_all(&encode_frame(FrameKind::Request, id, payload.as_bytes()))
+        let payload = encode_request(&query(session, id as f64, 0.0));
+        raw.write_all(&encode_frame(FrameKind::Request, id, &payload))
             .unwrap();
     }
     let mut answered = Vec::new();
@@ -277,8 +277,7 @@ fn pipelined_queries_are_answered_in_order_without_shedding() {
         let ReadFrame::Frame(f) = read_frame(&mut raw, DEFAULT_MAX_PAYLOAD).unwrap() else {
             panic!("expected a response frame")
         };
-        let response: Response =
-            serde_json::from_str(std::str::from_utf8(&f.payload).unwrap()).unwrap();
+        let response = decode_response(&f.payload).unwrap();
         assert!(
             matches!(response, Response::Neighbors { .. }),
             "request {} got {response:?}",

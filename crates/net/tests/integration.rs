@@ -10,8 +10,8 @@ use std::thread;
 use std::time::Duration;
 
 use qcluster_net::{
-    encode_frame, Client, ClientConfig, FrameKind, NetError, ReplReply, ReplRequest, Server,
-    ServerConfig, HEADER_LEN,
+    decode_response, encode_frame, encode_request, Client, ClientConfig, FrameKind, NetError,
+    ReplReply, ReplRequest, Server, ServerConfig, HEADER_LEN,
 };
 use qcluster_service::{dispatch, Request, Response, Service, ServiceConfig};
 
@@ -195,15 +195,15 @@ fn corrupt_frame_gets_typed_reply_and_connection_survives() {
         .unwrap();
 
     // Hand-corrupt a valid frame's payload (CRC now wrong).
-    let payload = serde_json::to_string(&Request::Stats).unwrap();
-    let mut bytes = encode_frame(FrameKind::Request, 77, payload.as_bytes());
+    let payload = encode_request(&Request::Stats);
+    let mut bytes = encode_frame(FrameKind::Request, 77, &payload);
     let last = bytes.len() - 1;
     bytes[last] ^= 0xFF;
     stream.write_all(&bytes).unwrap();
 
     let reply = read_one_frame(&mut stream);
     assert_eq!(reply.0, 77, "typed reply must echo the salvaged request id");
-    let response: Response = serde_json::from_str(std::str::from_utf8(&reply.1).unwrap()).unwrap();
+    let response = decode_response(&reply.1).unwrap();
     match response {
         Response::Error(e) => assert!(
             e.to_string().contains("crc"),
@@ -213,11 +213,11 @@ fn corrupt_frame_gets_typed_reply_and_connection_survives() {
     }
 
     // Same connection, valid frame: must work.
-    let bytes = encode_frame(FrameKind::Request, 78, payload.as_bytes());
+    let bytes = encode_frame(FrameKind::Request, 78, &payload);
     stream.write_all(&bytes).unwrap();
     let reply = read_one_frame(&mut stream);
     assert_eq!(reply.0, 78);
-    let response: Response = serde_json::from_str(std::str::from_utf8(&reply.1).unwrap()).unwrap();
+    let response = decode_response(&reply.1).unwrap();
     assert!(
         matches!(response, Response::Stats(_)),
         "expected Stats after recovery"
@@ -244,13 +244,13 @@ fn unknown_version_and_oversize_reply_then_close() {
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    let payload = serde_json::to_string(&Request::Stats).unwrap();
-    let mut bytes = encode_frame(FrameKind::Request, 5, payload.as_bytes());
+    let payload = encode_request(&Request::Stats);
+    let mut bytes = encode_frame(FrameKind::Request, 5, &payload);
     bytes[4] = 9; // future version
     stream.write_all(&bytes).unwrap();
     let (id, body) = read_one_frame(&mut stream);
     assert_eq!(id, 5, "version errors salvage the request id");
-    let response: Response = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+    let response = decode_response(&body).unwrap();
     match response {
         Response::Error(e) => {
             assert!(e.to_string().contains("version"), "got: {e}")
@@ -264,12 +264,12 @@ fn unknown_version_and_oversize_reply_then_close() {
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    let mut bytes = encode_frame(FrameKind::Request, 6, payload.as_bytes());
+    let mut bytes = encode_frame(FrameKind::Request, 6, &payload);
     bytes[16..20].copy_from_slice(&(1u32 << 20).to_le_bytes());
     stream.write_all(&bytes).unwrap();
     let (id, body) = read_one_frame(&mut stream);
     assert_eq!(id, 6);
-    let response: Response = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+    let response = decode_response(&body).unwrap();
     match response {
         Response::Error(e) => assert!(e.to_string().contains("exceeds"), "got: {e}"),
         other => panic!("expected typed Error, got {other:?}"),
@@ -299,7 +299,7 @@ fn garbage_bytes_get_typed_reply_with_id_zero() {
         id, 0,
         "unsalvageable frames reply on the connection-level id"
     );
-    let response: Response = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+    let response = decode_response(&body).unwrap();
     assert!(matches!(response, Response::Error(_)));
     expect_close(&mut stream);
     server.shutdown();
@@ -330,7 +330,7 @@ fn connection_over_capacity_is_rejected_with_typed_frame() {
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let (id, body) = read_one_frame(&mut raw);
     assert_eq!(id, 0, "rejects use the connection-level request id");
-    let response: Response = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+    let response = decode_response(&body).unwrap();
     match response {
         Response::Error(e) => assert!(e.to_string().contains("capacity"), "got: {e}"),
         other => panic!("expected typed Overloaded, got {other:?}"),

@@ -272,7 +272,8 @@ impl Router {
     /// Marks global corpus ids as relevant: checks them with
     /// [`feedback_points`] as a node does, resolves each id's vector
     /// with one `FetchVectors` scatter to the owning partitions'
-    /// leaders, then feeds the session's method on the calling thread.
+    /// leaders (a follower answers for a leader that cannot), then
+    /// feeds the session's method on the calling thread.
     ///
     /// # Errors
     ///
@@ -281,8 +282,8 @@ impl Router {
     ///   score-count mismatch, a score that is not positive and finite,
     ///   an id outside the corpus (its owner says so), or a feed the
     ///   method rejects.
-    /// - [`RouterError::Unavailable`] when a vector's owner partition
-    ///   could not resolve it.
+    /// - [`RouterError::Unavailable`] when neither the leader nor any
+    ///   follower of a vector's partition resolved it.
     pub fn feed(
         &self,
         session: u64,
@@ -303,7 +304,11 @@ impl Router {
 
     /// The vectors of global ids, in order, from one scatter: a
     /// `FetchVectors` leg to every owning partition's leader (local id =
-    /// global - id_base). Every leg is collected; the lowest failing
+    /// global - id_base). A leg that fails in transport, times out or
+    /// meets an open breaker is retried on the partition's followers in
+    /// order, and the first complete answer is taken: an id's vector
+    /// never changes, so a follower that answers returns the leader's
+    /// exact vector. Every leg is collected; the lowest failing
     /// partition names the error.
     fn fetch_vectors(&self, ids: &[usize]) -> Result<Vec<Vec<f64>>, RouterError> {
         let mut by_owner: HashMap<usize, Vec<usize>> = HashMap::new();
@@ -312,23 +317,22 @@ impl Router {
         }
         let mut owners: Vec<(usize, Vec<usize>)> = by_owner.into_iter().collect();
         owners.sort_by_key(|(p, _)| *p);
+        let request = |p: usize, indices: &[usize]| {
+            let id_base = self.partitions[p].id_base;
+            let ids = indices.iter().map(|&i| ids[i] - id_base).collect();
+            Request::FetchVectors { ids }
+        };
         let legs = owners
             .iter()
             .map(|(p, indices)| {
-                let id_base = self.partitions[*p].id_base;
                 let leader = self.partitions[*p].leader.load(Ordering::Acquire);
-                let local = indices.iter().map(|&i| ids[i] - id_base).collect();
-                (*p, leader, Request::FetchVectors { ids: local })
+                (*p, leader, request(*p, indices))
             })
             .collect();
         let mut vectors = vec![Vec::new(); ids.len()];
         for ((p, leader, outcome), (_, indices)) in self.scatter(legs).into_iter().zip(&owners) {
-            match outcome {
-                Ok(Response::Vectors { vectors: got }) if got.len() == indices.len() => {
-                    for (&i, vector) in indices.iter().zip(got) {
-                        vectors[i] = vector;
-                    }
-                }
+            let got = match outcome {
+                Ok(Response::Vectors { vectors: got }) if got.len() == indices.len() => got,
                 Ok(Response::Vectors { vectors: got }) => {
                     return Err(RouterError::Protocol(format!(
                         "partition {p} resolved {} of {} vectors",
@@ -342,11 +346,36 @@ impl Router {
                         "partition {p} answered FetchVectors with something else"
                     )));
                 }
+                Err(
+                    kind @ (NodeFailureKind::Transport(_)
+                    | NodeFailureKind::Timeout
+                    | NodeFailureKind::BreakerOpen),
+                ) => {
+                    let mut failures = vec![self.failure(p, leader, kind)];
+                    let followers = (0..self.partitions[p].replicas.len()).filter(|&r| r != leader);
+                    let mut found = None;
+                    for r in followers {
+                        match self.call_replica(p, r, request(p, indices)) {
+                            Ok(Response::Vectors { vectors: got })
+                                if got.len() == indices.len() =>
+                            {
+                                found = Some(got);
+                                break;
+                            }
+                            Ok(other) => failures.push(self.unexpected(p, r, &other)),
+                            Err(kind) => failures.push(self.failure(p, r, kind)),
+                        }
+                    }
+                    found.ok_or(RouterError::Unavailable(failures))?
+                }
                 Err(kind) => {
                     return Err(RouterError::Unavailable(
                         vec![self.failure(p, leader, kind)],
                     ));
                 }
+            };
+            for (&i, vector) in indices.iter().zip(got) {
+                vectors[i] = vector;
             }
         }
         Ok(vectors)

@@ -2,9 +2,13 @@
 //! first ship. (A node's side of it — `Apply{term: 0}` is a typed error —
 //! is pinned in `crates/net/tests/integration.rs`.)
 
+use qcluster_index::LinearScan;
 use qcluster_net::{Server, ServerConfig};
 use qcluster_router::{synthetic_point, Partition, Router, RouterConfig, ShardMap};
-use qcluster_service::{Service, ServiceConfig, StoreConfig};
+use qcluster_service::{
+    method_by_name, FeedbackPoint, QclusterConfig, Response, Service, ServiceConfig, StoreConfig,
+    DEFAULT_SCORE,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -143,4 +147,52 @@ fn promotion_is_not_starved_by_the_routers_own_lease_renewals() {
     assert_ne!(router.leader_of(0), 0);
     let gauges = router.cluster_gauges();
     assert_eq!((gauges.promotions, gauges.elections_won), (1, 2));
+}
+
+/// Between a leader's death and any promotion, a feed that marks ids of
+/// its partition is served by a follower, with the ingested vectors bit
+/// for bit.
+#[test]
+fn a_feed_is_served_by_a_follower_while_the_leader_is_down() {
+    let mut cluster = Cluster::boot("feed-failover");
+    let router = cluster.router_with(RouterConfig {
+        lease_duration: Duration::from_millis(300),
+        ..RouterConfig::default()
+    });
+    let ingested: Vec<Vec<f64>> = (0..3).map(|i| synthetic_point(900 + i, DIM)).collect();
+    for vector in &ingested {
+        assert_eq!(router.ingest(vector.clone()).unwrap().1, 3);
+    }
+    cluster.servers.remove(0).shutdown();
+
+    let marked = [SEED_LEN, SEED_LEN + 1, SEED_LEN + 2, 2];
+    let session = router.create_session(None).unwrap();
+    router
+        .feed(session, &marked, None)
+        .expect("a follower resolves the marked ids");
+    assert_eq!(router.leader_of(0), 0, "nothing was promoted");
+    assert_eq!(router.cluster_gauges().promotions, 0);
+
+    // Once a follower leads, the refined query equals the method fed
+    // the ingested vectors offline: ids and distance bits.
+    router.promote(0).unwrap();
+    let mut corpus: Vec<Vec<f64>> = (0..SEED_LEN).map(|i| synthetic_point(i, DIM)).collect();
+    corpus.extend(ingested);
+    let mut offline = method_by_name("qcluster", QclusterConfig::default()).unwrap();
+    let fed: Vec<FeedbackPoint> = marked
+        .iter()
+        .map(|&id| FeedbackPoint::new(id, corpus[id].clone(), DEFAULT_SCORE))
+        .collect();
+    offline.feed(&fed).unwrap();
+    let want = LinearScan::new(&corpus).knn(&offline.query().unwrap(), 5);
+    let Response::Neighbors { neighbors, .. } =
+        router.query(session, 5, None, None).unwrap().response
+    else {
+        panic!("expected Neighbors")
+    };
+    assert_eq!(neighbors.len(), want.len());
+    for (got, want) in neighbors.iter().zip(&want) {
+        assert_eq!(got.id, want.id);
+        assert_eq!(got.distance.to_bits(), want.distance.to_bits());
+    }
 }

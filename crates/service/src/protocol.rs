@@ -1,8 +1,8 @@
 //! The wire protocol: serializable request/response enums and the
 //! dispatcher that maps them onto [`Service`] calls.
 //!
-//! The protocol is transport-agnostic — any byte channel that can carry
-//! JSON (or any other serde format) can front the service. Errors never
+//! The protocol is transport-agnostic: `qcluster-net` carries it in a
+//! binary codec, and the serde derives serve any other format. Errors never
 //! escape as `Err`: [`dispatch`] always returns a [`Response`], with
 //! failures folded into [`Response::Error`] so a wire client sees every
 //! outcome uniformly.

@@ -6,7 +6,7 @@
 //! inverse covariances, masses — and never the fed points, so a node
 //! rebuilds the query without inverting anything, and its `distance`,
 //! `distance_tiles` and `quantized_plan` are bit-identical to the
-//! router's (the JSON codec round-trips every finite `f64` exactly).
+//! router's (the wire codec carries every `f64` as its 8 bytes).
 
 use crate::error::ServiceError;
 use qcluster_baselines::{AggregateKind, MultiPointQuery};
@@ -226,7 +226,7 @@ impl QuerySpec {
     ///
     /// [`ServiceError::InvalidRequest`] for a kind with no wire form,
     /// or a query carrying a number outside [`MAX_SPEC_MAGNITUDE`]
-    /// (NaN and ±∞ included, which JSON cannot carry).
+    /// (NaN and ±∞ included).
     pub fn of(query: &dyn FanoutQuery) -> Result<QuerySpec, ServiceError> {
         let any: &dyn Any = query;
         let spec = if let Some(q) = any.downcast_ref::<EuclideanQuery>() {
