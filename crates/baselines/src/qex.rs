@@ -15,17 +15,20 @@ use qcluster_core::{hierarchical::hierarchical_clustering, Cluster};
 use qcluster_core::{CoreError, FeedbackPoint, Result};
 use qcluster_index::FanoutQuery;
 
+/// Representatives kept after clustering.
+const MAX_REPRESENTATIVES: usize = 3;
+
+/// Threshold policy of the internal hierarchical pass.
+const THRESHOLD: ThresholdPolicy = ThresholdPolicy::Auto { multiplier: 2.0 };
+
+/// Ridge `λ` added to each per-dimension variance before inversion.
+const VARIANCE_RIDGE: f64 = 1e-3;
+
 /// The MARS query-expansion method.
 #[derive(Debug, Clone)]
 pub struct QueryExpansion {
     relevant: Vec<FeedbackPoint>,
     dim: Option<usize>,
-    /// Maximum number of representatives kept after clustering.
-    max_representatives: usize,
-    /// Threshold policy of the internal hierarchical pass.
-    threshold: ThresholdPolicy,
-    /// Per-dimension variance ridge.
-    lambda: f64,
 }
 
 impl Default for QueryExpansion {
@@ -40,17 +43,7 @@ impl QueryExpansion {
         QueryExpansion {
             relevant: Vec::new(),
             dim: None,
-            max_representatives: 3,
-            threshold: ThresholdPolicy::Auto { multiplier: 2.0 },
-            lambda: 1e-3,
         }
-    }
-
-    /// Overrides the representative budget.
-    pub fn with_representatives(mut self, n: usize) -> Self {
-        assert!(n > 0, "need at least one representative");
-        self.max_representatives = n;
-        self
     }
 
     /// The current clusters over all relevant points.
@@ -65,8 +58,8 @@ impl QueryExpansion {
         }
         hierarchical_clustering(
             self.relevant.clone(),
-            self.max_representatives,
-            self.threshold.resolve(&self.relevant),
+            MAX_REPRESENTATIVES,
+            THRESHOLD.resolve(&self.relevant),
         )
     }
 }
@@ -90,7 +83,7 @@ impl RetrievalMethod for QueryExpansion {
         // (parallel-axis theorem), i.e. be indistinguishable from QPM.
         Ok(Box::new(MultiPointQuery::from_clusters(
             &clusters,
-            self.lambda,
+            VARIANCE_RIDGE,
             AggregateKind::MultiFocal,
         )))
     }
@@ -144,9 +137,14 @@ mod tests {
 
     #[test]
     fn representative_budget_is_respected() {
-        let mut m = QueryExpansion::new().with_representatives(1);
-        two_group_feedback(&mut m);
-        assert_eq!(m.clusters().unwrap().len(), 1);
+        // Five well-separated groups: the budget binds, and clustering
+        // merges down to it, not below.
+        let mut m = QueryExpansion::new();
+        let groups: Vec<_> = (0..15)
+            .map(|i| pt(i, &[(i / 3) as f64 * 100.0, (i % 3) as f64 * 0.1]))
+            .collect();
+        m.feed(&groups).unwrap();
+        assert_eq!(m.clusters().unwrap().len(), MAX_REPRESENTATIVES);
     }
 
     #[test]

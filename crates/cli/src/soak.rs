@@ -269,9 +269,9 @@ fn run(args: &SoakArgs) -> Result<(), String> {
         .collect();
     let durable = config.ingest_per_sec > 0;
     let mut scratch = ScratchDirs(Vec::new());
-    // Admit the whole fleet: every user holds one connection (the
-    // router multiplexes, but a single node faces all of them), plus
-    // the control channel and reconnect churn.
+    // Admit the whole fleet: every user's thread holds one connection
+    // to each node (its own, or from the router's pool), plus the
+    // control channel and reconnect churn.
     let server_config = ServerConfig {
         max_connections: config.users + 16,
         ..ServerConfig::default()

@@ -15,7 +15,7 @@ use crate::codec::{decode_response, encode_request};
 use crate::error::NetError;
 use crate::frame::{self, FrameKind, ReadFrame, DEFAULT_MAX_PAYLOAD};
 use qcluster_service::{Request, Response};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, SystemTime};
 
 /// Tunables for [`Client`].
@@ -56,6 +56,8 @@ pub struct Client {
     addr: SocketAddr,
     config: ClientConfig,
     stream: Option<TcpStream>,
+    /// The read timeout set on `stream`.
+    timeout: Duration,
     next_id: u64,
     /// xorshift64* state for backoff jitter (no external RNG crate on
     /// this path; statistical quality is irrelevant for jitter).
@@ -78,6 +80,7 @@ impl Client {
             | 1;
         let mut client = Client {
             addr,
+            timeout: config.read_timeout,
             config,
             stream: None,
             next_id: 1,
@@ -95,108 +98,95 @@ impl Client {
 
     /// Sends one request and waits for its response.
     pub fn call(&mut self, request: &Request) -> Result<Response, NetError> {
-        let payload = encode_request(request);
-        self.ensure_connected()?;
-        let id = self.next_id;
-        self.next_id += 1;
-        let result = self.call_inner(&payload, id);
-        if result.is_err() {
-            self.disconnect();
-        }
-        result
+        let id = self.send(request)?;
+        self.receive(id, self.config.read_timeout)
     }
 
-    fn call_inner(&mut self, payload: &[u8], id: u64) -> Result<Response, NetError> {
-        let stream = self.stream.as_mut().expect("connected");
-        frame::write_frame(stream, FrameKind::Request, id, payload)?;
-        match frame::read_frame(stream, self.config.max_frame_len)? {
-            ReadFrame::Frame(f) => {
-                if f.kind != FrameKind::Response {
-                    return Err(NetError::Protocol("server sent a request frame".into()));
-                }
-                let response = decode_response(&f.payload).map_err(NetError::Frame)?;
-                if f.request_id == 0 {
-                    // Connection-level message the server originated
-                    // (e.g. a capacity reject before reading anything).
-                    let why = match response {
-                        Response::Error(e) => e.to_string(),
-                        other => format!("unexpected connection-level frame: {other:?}"),
-                    };
-                    return Err(NetError::Rejected(why));
-                }
-                if f.request_id != id {
-                    return Err(NetError::Protocol(format!(
-                        "response for request id {}, expected {id}",
-                        f.request_id
-                    )));
-                }
-                Ok(response)
-            }
-            // The socket read timeout IS the response deadline for a
-            // client (unlike the server, where idle is benign).
-            ReadFrame::Idle => Err(NetError::Timeout(format!(
-                "no response within {:?}",
-                self.config.read_timeout
-            ))),
-            ReadFrame::Eof => Err(NetError::Closed("server closed before the response".into())),
-            ReadFrame::Corrupt { error, .. } => Err(NetError::Frame(error)),
-        }
+    /// Writes one request frame and returns its id for [`Client::receive`];
+    /// one request is in flight per connection.
+    pub fn send(&mut self, request: &Request) -> Result<u64, NetError> {
+        self.write(FrameKind::Request, &encode_request(request))
+    }
+
+    /// Reads the response to request `id`, waiting at most `timeout`.
+    pub fn receive(&mut self, id: u64, timeout: Duration) -> Result<Response, NetError> {
+        let response = self.read(id, FrameKind::Response, timeout);
+        let response = response.and_then(|payload| Ok(decode_response(&payload)?));
+        self.settle(response)
     }
 
     /// Sends one replication request ([`crate::repl::ReplRequest`]
-    /// bytes) and waits for the peer's [`crate::repl::ReplReply`]
-    /// bytes. Replication frames interleave freely with protocol
-    /// frames on the same connection; the response is matched by id.
+    /// bytes) and waits at most `timeout` for the peer's
+    /// [`crate::repl::ReplReply`] bytes. Replication frames interleave
+    /// freely with protocol frames on the same connection; the response
+    /// is matched by id.
     ///
     /// Like [`Client::call`], a transport failure drops the connection
     /// without retry — WAL apply is idempotent on the receiver, so the
     /// caller can simply re-drive the catch-up loop.
-    pub fn repl_call(&mut self, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        self.ensure_connected()?;
-        let id = self.next_id;
-        self.next_id += 1;
-        let result = self.repl_call_inner(payload, id);
+    pub fn repl_call(&mut self, payload: &[u8], timeout: Duration) -> Result<Vec<u8>, NetError> {
+        let id = self.write(FrameKind::ReplRequest, payload)?;
+        let reply = self.read(id, FrameKind::ReplResponse, timeout);
+        self.settle(reply)
+    }
+
+    /// Any error drops (closes) the connection: the next call redials.
+    fn settle<T>(&mut self, result: Result<T, NetError>) -> Result<T, NetError> {
         if result.is_err() {
-            self.disconnect();
+            self.stream = None;
         }
         result
     }
 
-    fn repl_call_inner(&mut self, payload: &[u8], id: u64) -> Result<Vec<u8>, NetError> {
+    /// Writes one `kind` frame under a fresh id, dialing if needed.
+    fn write(&mut self, kind: FrameKind, payload: &[u8]) -> Result<u64, NetError> {
+        self.ensure_connected()?;
+        let id = self.next_id;
+        self.next_id += 1;
         let stream = self.stream.as_mut().expect("connected");
-        frame::write_frame(stream, FrameKind::ReplRequest, id, payload)?;
-        match frame::read_frame(stream, self.config.max_frame_len)? {
-            ReadFrame::Frame(f) => {
-                if f.kind != FrameKind::ReplResponse {
-                    return Err(NetError::Protocol(format!(
-                        "expected a replication response, got {:?}",
-                        f.kind
-                    )));
-                }
-                if f.request_id != id {
-                    return Err(NetError::Protocol(format!(
-                        "replication response for unknown request id {}",
-                        f.request_id
-                    )));
-                }
-                Ok(f.payload)
-            }
-            ReadFrame::Idle => Err(NetError::Timeout(format!(
-                "no replication response within {:?}",
-                self.config.read_timeout
-            ))),
-            ReadFrame::Eof => Err(NetError::Closed(
-                "server closed before the replication response".into(),
-            )),
-            ReadFrame::Corrupt { error, .. } => Err(NetError::Frame(error)),
-        }
+        let written = frame::write_frame(stream, kind, id, payload);
+        self.settle(written.map(|()| id).map_err(NetError::from))
     }
 
-    /// Drops the current connection; the next call redials.
-    pub fn disconnect(&mut self) {
-        if let Some(stream) = self.stream.take() {
-            let _ = stream.shutdown(Shutdown::Both);
+    /// The payload of the `kind` frame answering request `id`, read
+    /// within `timeout`; the caller settles the result.
+    fn read(&mut self, id: u64, kind: FrameKind, timeout: Duration) -> Result<Vec<u8>, NetError> {
+        let Some(stream) = self.stream.as_mut() else {
+            return Err(NetError::Closed("no connection".into()));
+        };
+        // A zero socket timeout would block forever.
+        let timeout = timeout.max(Duration::from_micros(1));
+        if timeout != self.timeout {
+            stream.set_read_timeout(Some(timeout))?;
+            self.timeout = timeout;
         }
+        let f = match frame::read_frame(stream, self.config.max_frame_len)? {
+            ReadFrame::Frame(f) => f,
+            // The socket read timeout IS the response deadline for a
+            // client (unlike the server, where idle is benign).
+            ReadFrame::Idle => {
+                return Err(NetError::Timeout(format!("no response within {timeout:?}")))
+            }
+            ReadFrame::Eof => {
+                return Err(NetError::Closed("server closed before the response".into()))
+            }
+            ReadFrame::Corrupt { error, .. } => return Err(NetError::Frame(error)),
+        };
+        if f.request_id == 0 && f.kind == FrameKind::Response {
+            // Connection-level message the server originated (e.g. a
+            // capacity reject before reading anything).
+            return Err(NetError::Rejected(match decode_response(&f.payload)? {
+                Response::Error(e) => e.to_string(),
+                other => format!("unexpected connection-level frame: {other:?}"),
+            }));
+        }
+        if f.kind != kind || f.request_id != id {
+            return Err(NetError::Protocol(format!(
+                "expected a {kind:?} frame for request id {id}, got a {:?} frame for {}",
+                f.kind, f.request_id
+            )));
+        }
+        Ok(f.payload)
     }
 
     fn ensure_connected(&mut self) -> Result<(), NetError> {
@@ -215,6 +205,7 @@ impl Client {
                     stream.set_read_timeout(Some(self.config.read_timeout))?;
                     stream.set_write_timeout(Some(self.config.write_timeout))?;
                     self.stream = Some(stream);
+                    self.timeout = self.config.read_timeout;
                     return Ok(());
                 }
                 Err(e) => last_err = Some(e),
@@ -244,11 +235,5 @@ impl Client {
         x ^= x >> 27;
         self.rng = x;
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-impl Drop for Client {
-    fn drop(&mut self) {
-        self.disconnect();
     }
 }

@@ -453,7 +453,8 @@ fn apply_at_term_zero_is_a_typed_error_and_changes_nothing() {
     let server = Server::bind("127.0.0.1:0", Arc::clone(&node), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr(), fast_client_config()).unwrap();
     let mut exchange = |request: ReplRequest| {
-        ReplReply::decode(&client.repl_call(&request.encode()).unwrap()).unwrap()
+        let reply = client.repl_call(&request.encode(), Duration::from_secs(10));
+        ReplReply::decode(&reply.unwrap()).unwrap()
     };
     let apply_zero = || ReplRequest::Apply {
         term: 0,

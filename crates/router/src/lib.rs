@@ -8,9 +8,9 @@
 //! - [`ShardMap`] — the topology: partitions (`id_base` + replica
 //!   addresses), global↔local id arithmetic, ingest ownership.
 //! - [`Router`] — the sessions (method and compiled plan, hosted on
-//!   the router) and scatter–gather of their compiled queries with
-//!   per-node deadlines, circuit breakers, and typed failure
-//!   attribution ([`NodeFailureKind`]); majority-acked
+//!   the router) and scatter–gather of their compiled queries on the
+//!   caller's thread, with one deadline per leg, circuit breakers, and
+//!   typed failure attribution ([`NodeFailureKind`]); majority-acked
 //!   ingest with WAL-shipping replication, follower catch-up and leader
 //!   promotion. Every query leg goes to its partition's leader;
 //!   followers are for failover.

@@ -21,11 +21,14 @@
 //!
 //! ## Degradation
 //!
-//! Nodes degrade the way the executor degrades shards because both run
-//! on the same primitive, `qcluster_service::fanout::gather`: a
-//! per-node deadline bounds each leg, a per-node circuit breaker trips
-//! after consecutive failures and skips the node (degraded coverage)
-//! until a cooldown elapses, then half-opens with a single probe.
+//! A leg runs on the caller's thread over a pooled connection, and nodes
+//! degrade the way the executor degrades shards because both run on the
+//! same primitive, `qcluster_service::fanout::gather`: one deadline
+//! bounds each leg from its start, its dial included (a late reply is
+//! dropped with its connection), a
+//! per-node circuit breaker trips after consecutive failures and skips
+//! the node (degraded coverage) until a cooldown elapses, then
+//! half-opens with a single probe.
 //! Every missing leg is attributed with a typed [`NodeFailureKind`],
 //! and responses carry `nodes_ok / nodes_total` cluster coverage next
 //! to the per-node `shards_ok / shards_total`. A node's typed rejection
@@ -86,30 +89,28 @@ mod replication;
 mod routing;
 
 use crate::map::ShardMap;
-use crossbeam::channel::{self, Receiver, Sender};
-use qcluster_net::{is_undecodable, Client, ClientConfig};
-use qcluster_service::fanout::{Breaker, Reply};
-use qcluster_service::{
-    ClusterGauges, Request, Response, ServiceError, ServiceMetrics, SessionRegistry,
-};
+use qcluster_net::{Client, ClientConfig, NetError};
+use qcluster_service::fanout::Breaker;
+use qcluster_service::{ClusterGauges, Response, ServiceError, ServiceMetrics, SessionRegistry};
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tunables for [`Router`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Per-leg reply deadline: how long one node may take to answer
-    /// before the leg is attributed [`NodeFailureKind::Timeout`].
-    pub node_deadline: Duration,
     /// Consecutive leg failures that trip one node's circuit breaker.
     pub breaker_threshold: u32,
     /// How long a tripped breaker stays open before half-opening.
     pub breaker_cooldown: Duration,
-    /// Transport tunables for the per-node connections.
+    /// Transport tunables for the pooled per-node connections. Its
+    /// `read_timeout` is each leg's one deadline, from the leg's start
+    /// (a dial included): a node that has not answered by then is a
+    /// [`NodeFailureKind::Timeout`]. An empty pool dials once, within
+    /// that deadline, without `max_connect_attempts`'s retries.
     pub client: ClientConfig,
     /// Records per replication `Fetch` round.
     pub replication_batch: u32,
@@ -139,10 +140,12 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            node_deadline: Duration::from_secs(5),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(1),
-            client: ClientConfig::default(),
+            client: ClientConfig {
+                read_timeout: Duration::from_secs(5),
+                ..ClientConfig::default()
+            },
             replication_batch: 256,
             lease_duration: Duration::from_millis(1_500),
             election_backoff: Duration::from_millis(100),
@@ -160,7 +163,7 @@ pub enum NodeFailureKind {
     Transport(String),
     /// The node answered with an error (or an injected fault fired).
     Remote(String),
-    /// The node had not answered when the per-node deadline elapsed.
+    /// The node had not answered when the leg's deadline elapsed.
     Timeout,
     /// The node's circuit breaker was open; the leg was never sent.
     BreakerOpen,
@@ -282,23 +285,66 @@ pub struct ScatterReport {
     pub failures: Vec<NodeFailure>,
 }
 
-/// Work for one node's connection-owning worker thread.
-enum NodeJob {
-    Call {
-        request: Request,
-        reply: Reply<Response, NodeFailureKind>,
-    },
-    Repl {
-        payload: Vec<u8>,
-        reply: Sender<Result<Vec<u8>, String>>,
-    },
-}
-
-/// One replica's connection worker plus its circuit breaker.
+/// One replica: its idle connections and its circuit breaker.
 struct NodeHandle {
     addr: SocketAddr,
-    tx: Sender<NodeJob>,
+    /// Connections whose last exchange completed.
+    idle: Mutex<Vec<Client>>,
     breaker: Breaker,
+}
+
+impl NodeHandle {
+    fn idle(&self) -> MutexGuard<'_, Vec<Client>> {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// An idle connection to this replica, or one dialed once within
+    /// what is left of the exchange's `deadline` (a dial failure is
+    /// [`NodeFailureKind::Transport`]).
+    fn checkout(
+        &self,
+        config: &ClientConfig,
+        deadline: Instant,
+    ) -> Result<Client, NodeFailureKind> {
+        if let Some(client) = self.idle().pop() {
+            return Ok(client);
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(NodeFailureKind::Timeout);
+        }
+        let config = ClientConfig {
+            connect_timeout: config.connect_timeout.min(left),
+            max_connect_attempts: 1,
+            ..config.clone()
+        };
+        Client::connect(self.addr, config)
+            .map_err(|e| NodeFailureKind::Transport(format!("connect {}: {e}", self.addr)))
+    }
+
+    /// Settles an exchange on `client` that ended in `error`, if any: a
+    /// completed one pools the client again. A transport failure (the
+    /// connection closed, broke, or carried a damaged frame) also drops
+    /// every idle sibling, since a node that died or restarted closed
+    /// them all; any other error drops only `client`.
+    fn checkin(&self, client: Client, error: Option<&NetError>) {
+        match error {
+            None if client.is_connected() => self.idle().push(client),
+            Some(NetError::Closed(_) | NetError::Io(_) | NetError::Frame(_)) => self.idle().clear(),
+            _ => {}
+        }
+    }
+}
+
+/// A leg's transport failure: a read that ran out of time is a
+/// [`NodeFailureKind::Timeout`].
+impl From<NetError> for NodeFailureKind {
+    fn from(e: NetError) -> Self {
+        match e {
+            NetError::Timeout(_) => NodeFailureKind::Timeout,
+            other => NodeFailureKind::Transport(other.to_string()),
+        }
+    }
 }
 
 struct PartitionState {
@@ -348,7 +394,6 @@ pub struct Router {
     /// reports in place of the nodes'.
     metrics: ServiceMetrics,
     counters: Counters,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// Stops and joins the [`Router::start_anti_entropy`] thread on drop.
@@ -366,103 +411,39 @@ impl Drop for AntiEntropyHandle {
     }
 }
 
-/// The body of one node worker: owns the (lazily dialed) client for a
-/// single node and serializes all router traffic to it.
-fn node_worker(addr: SocketAddr, config: ClientConfig, rx: Receiver<NodeJob>) {
-    let mut client: Option<Client> = None;
-    while let Ok(job) = rx.recv() {
-        match job {
-            NodeJob::Call { request, reply } => {
-                let result = with_client(&mut client, addr, &config, |c| {
-                    c.call(&request).map_err(|e| e.to_string())
-                });
-                reply.send(match result {
-                    // The router sends only well-formed frames: one the
-                    // node could not decode was damaged on the way.
-                    Ok(Response::Error(e)) if is_undecodable(&e) => {
-                        Err(NodeFailureKind::Transport(e.to_string()))
-                    }
-                    // A rejection of the request itself is a delivered
-                    // reply: the node is healthy.
-                    Ok(Response::Error(e)) if !e.is_caller_fault() => {
-                        Err(NodeFailureKind::Remote(e.to_string()))
-                    }
-                    Ok(response) => Ok(response),
-                    Err(msg) => Err(NodeFailureKind::Transport(msg)),
-                });
-            }
-            NodeJob::Repl { payload, reply } => {
-                let result = with_client(&mut client, addr, &config, |c| {
-                    c.repl_call(&payload).map_err(|e| e.to_string())
-                });
-                let _ = reply.send(result);
-            }
-        }
-    }
-}
-
-fn with_client<T>(
-    slot: &mut Option<Client>,
-    addr: SocketAddr,
-    config: &ClientConfig,
-    op: impl FnOnce(&mut Client) -> Result<T, String>,
-) -> Result<T, String> {
-    if slot.is_none() {
-        match Client::connect(addr, config.clone()) {
-            Ok(c) => *slot = Some(c),
-            Err(e) => return Err(format!("connect {addr}: {e}")),
-        }
-    }
-    let result = op(slot.as_mut().expect("just connected"));
-    if result.is_err() {
-        // Drop the connection: the next job redials with backoff.
-        *slot = None;
-    }
-    result
-}
-
 impl Router {
-    /// Builds a router over `map`, spawning one connection worker per
-    /// replica (connections are dialed lazily on first use, so nodes
-    /// may come up after the router).
+    /// Builds a router over `map`. It spawns no thread and dials no
+    /// node, so nodes may come up after the router.
     ///
     /// # Errors
     ///
-    /// [`RouterError::InvalidRequest`] when the OS refuses a worker
-    /// thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config.max_sessions` is zero.
+    /// [`RouterError::InvalidRequest`] when `config.max_sessions` is
+    /// zero.
     pub fn new(map: ShardMap, config: RouterConfig) -> Result<Router, RouterError> {
-        let mut partitions = Vec::with_capacity(map.num_partitions());
-        let mut workers = Vec::with_capacity(map.num_nodes());
-        for (p, partition) in map.partitions().iter().enumerate() {
-            let mut replicas = Vec::with_capacity(partition.replicas.len());
-            for (r, &addr) in partition.replicas.iter().enumerate() {
-                let (tx, rx) = channel::unbounded::<NodeJob>();
-                let client = config.client.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("qrouter-node-{p}-{r}"))
-                    .spawn(move || node_worker(addr, client, rx))
-                    .map_err(|e| {
-                        RouterError::InvalidRequest(format!("node worker {p}.{r}: {e}"))
-                    })?;
-                workers.push(handle);
-                replicas.push(NodeHandle {
-                    addr,
-                    tx,
-                    breaker: Breaker::default(),
-                });
-            }
-            partitions.push(PartitionState {
+        if config.max_sessions == 0 {
+            return Err(RouterError::InvalidRequest(
+                "max_sessions must be positive".into(),
+            ));
+        }
+        let partitions = map
+            .partitions()
+            .iter()
+            .map(|partition| PartitionState {
                 id_base: partition.id_base,
-                replicas,
+                replicas: partition
+                    .replicas
+                    .iter()
+                    .map(|&addr| NodeHandle {
+                        addr,
+                        idle: Mutex::new(Vec::new()),
+                        breaker: Breaker::default(),
+                    })
+                    .collect(),
                 leader: AtomicUsize::new(0),
                 term: AtomicU64::new(0),
                 election: Mutex::new(()),
-            });
-        }
+            })
+            .collect();
         Ok(Router {
             map,
             partitions,
@@ -470,7 +451,6 @@ impl Router {
             metrics: ServiceMetrics::new(),
             config,
             counters: Counters::default(),
-            workers: Mutex::new(workers),
         })
     }
 
@@ -526,19 +506,6 @@ impl Router {
                 .counters
                 .anti_entropy_chunks_shipped
                 .load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        // Dropping the partitions drops every job sender; workers see
-        // the closed channel and exit (bounded by the client timeouts
-        // if one is mid-call).
-        self.partitions.clear();
-        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-        for handle in workers.drain(..) {
-            let _ = handle.join();
         }
     }
 }

@@ -1,14 +1,13 @@
 //! Ingest and replication: fenced majority-acked writes, WAL shipping
 //! to followers, background anti-entropy, and the replica status probe.
 
-use super::{AntiEntropyHandle, NodeFailureKind, NodeJob, Router, RouterError, SyncOutcome};
-use crossbeam::channel::{self, RecvTimeoutError};
+use super::{AntiEntropyHandle, NodeFailureKind, Router, RouterError, SyncOutcome};
 use qcluster_failpoint as failpoint;
 use qcluster_net::{ReplReply, ReplRequest};
 use qcluster_service::{Request, Response};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, TryLockError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One replica's answer to a `Status` probe.
 pub(super) struct ReplicaStatus {
@@ -156,8 +155,9 @@ impl Router {
         self.ship(partition, replica, Vec::new()).map(|_| ())
     }
 
-    /// One replication exchange with a specific replica. Replication
-    /// traffic bypasses the circuit breakers on purpose: status probes
+    /// One replication exchange with a specific replica, within one
+    /// deadline, `client.read_timeout` from its start (a dial included).
+    /// Replication traffic bypasses the circuit breakers on purpose: status probes
     /// must work while a node's query breaker is open, or promotion
     /// could never examine a recovering follower.
     pub(super) fn repl_exchange(
@@ -166,30 +166,18 @@ impl Router {
         replica: usize,
         request: &ReplRequest,
     ) -> Result<ReplReply, NodeFailureKind> {
+        let deadline = Instant::now() + self.config.client.read_timeout;
         let node = &self.partitions[partition].replicas[replica];
-        let (reply_tx, reply_rx) = channel::unbounded();
-        if node
-            .tx
-            .send(NodeJob::Repl {
-                payload: request.encode(),
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            return Err(NodeFailureKind::Transport("node worker exited".into()));
-        }
-        match reply_rx.recv_timeout(self.config.node_deadline) {
-            Ok(Ok(bytes)) => match ReplReply::decode(&bytes) {
-                Ok(ReplReply::Err { msg }) => Err(NodeFailureKind::Remote(msg)),
-                Ok(reply) => Ok(reply),
-                Err(e) => Err(NodeFailureKind::Transport(format!(
-                    "replication reply did not parse: {e}"
-                ))),
-            },
-            Ok(Err(msg)) => Err(NodeFailureKind::Transport(msg)),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                Err(NodeFailureKind::Timeout)
-            }
+        let mut client = node.checkout(&self.config.client, deadline)?;
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        let result = client.repl_call(&request.encode(), timeout);
+        node.checkin(client, result.as_ref().err());
+        match ReplReply::decode(&result?) {
+            Ok(ReplReply::Err { msg }) => Err(NodeFailureKind::Remote(msg)),
+            Ok(reply) => Ok(reply),
+            Err(e) => Err(NodeFailureKind::Transport(format!(
+                "replication reply did not parse: {e}"
+            ))),
         }
     }
 

@@ -2,13 +2,15 @@
 //! fan-out primitive, the sessions the router hosts, queries, feedback
 //! and cluster-wide stats.
 
-use super::{NodeFailure, NodeFailureKind, NodeJob, Router, RouterError, ScatterReport};
+use super::{NodeFailure, NodeFailureKind, Router, RouterError, ScatterReport};
 use qcluster_failpoint as failpoint;
 use qcluster_index::{merge_top_k, Neighbor, SearchStats};
+use qcluster_net::is_undecodable;
 use qcluster_service::fanout::{gather, Breaker, Miss};
 use qcluster_service::{
     feedback_points, MetricsSnapshot, NeighborDto, QuerySpec, Request, Response, SearchStatsDto,
 };
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -30,35 +32,39 @@ impl Router {
                 &self.counters.node_breaker_skips,
                 NodeFailureKind::BreakerOpen,
             ),
-            Miss::Timeout | Miss::Lost => (&self.counters.node_timeouts, NodeFailureKind::Timeout),
+            Miss::Timeout | Miss::Lost | Miss::Failed(NodeFailureKind::Timeout) => {
+                (&self.counters.node_timeouts, NodeFailureKind::Timeout)
+            }
             Miss::Failed(kind) => (&self.counters.node_failures, kind),
         };
         counter.fetch_add(1, Ordering::Relaxed);
         kind
     }
 
-    /// Sends every leg to its node's worker and collects the replies
-    /// under one fresh per-node deadline: breaker admission, deadline,
-    /// and attribution are `gather`'s; what is the router's own is the
-    /// failpoint in front of each leg and the hand-off to the worker.
-    /// Never blocks on the network while dispatching.
+    /// Runs every leg on the calling thread: breaker admission and
+    /// attribution are `gather`'s; the router's own part is the
+    /// failpoint in front of each leg, writing every admitted leg's
+    /// request on a pooled connection, then reading each reply. A leg
+    /// has one deadline, `client.read_timeout` from when it starts: its
+    /// failpoint, dial, write and read all count against it, and no leg
+    /// waits on another's. A late reply is dropped with its connection.
     pub(super) fn scatter(&self, legs: Vec<Leg>) -> Vec<LegOutcome> {
-        let deadline = Instant::now() + self.config.node_deadline;
         let breakers: Vec<&Breaker> = legs
             .iter()
             .map(|&(p, r, _)| &self.partitions[p].replicas[r].breaker)
             .collect();
-        let targets: Vec<(usize, usize)> = legs.iter().map(|&(p, r, _)| (p, r)).collect();
-        let mut requests: Vec<Option<Request>> = legs.into_iter().map(|l| Some(l.2)).collect();
         // Injected `partial:<n>` caps on a leg's neighbor list.
-        let mut partial: Vec<Option<usize>> = vec![None; targets.len()];
+        let mut partial: Vec<Option<usize>> = vec![None; legs.len()];
+        // Legs whose request is written, awaiting their reply.
+        let written = RefCell::new(Vec::with_capacity(legs.len()));
         let outcomes = gather(
             &breakers,
             self.config.breaker_threshold,
             self.config.breaker_cooldown,
-            Some(deadline),
+            None,
             |i, reply| {
-                let (p, r) = targets[i];
+                let deadline = Instant::now() + self.config.client.read_timeout;
+                let (p, r, ref request) = legs[i];
                 // Failpoints: the partition-specific name wins over the
                 // generic one; formatting only happens while any
                 // failpoint is armed.
@@ -76,19 +82,47 @@ impl Router {
                         Some(failpoint::Action::Sleep(_)) | None => {}
                     }
                 }
-                let request = requests[i].take().expect("each leg starts once");
-                self.partitions[p].replicas[r]
-                    .tx
-                    .send(NodeJob::Call { request, reply })
-                    .map_err(|_| NodeFailureKind::Transport("node worker exited".into()))
+                let node = &self.partitions[p].replicas[r];
+                let mut client = node.checkout(&self.config.client, deadline)?;
+                let id = match client.send(request) {
+                    Ok(id) => id,
+                    Err(e) => {
+                        node.checkin(client, Some(&e));
+                        return Err(e.into());
+                    }
+                };
+                written
+                    .borrow_mut()
+                    .push((node, client, id, deadline, reply));
+                Ok(())
             },
-            || {},
+            || {
+                for (node, mut client, id, deadline, reply) in written.take() {
+                    let timeout = deadline.saturating_duration_since(Instant::now());
+                    let result = client.receive(id, timeout);
+                    node.checkin(client, result.as_ref().err());
+                    reply.send(match result {
+                        // The router sends only well-formed frames: one
+                        // the node could not decode was damaged on the way.
+                        Ok(Response::Error(e)) if is_undecodable(&e) => {
+                            Err(NodeFailureKind::Transport(e.to_string()))
+                        }
+                        // A rejection of the request itself is a
+                        // delivered reply: the node is healthy.
+                        Ok(Response::Error(e)) if !e.is_caller_fault() => {
+                            Err(NodeFailureKind::Remote(e.to_string()))
+                        }
+                        Ok(response) => Ok(response),
+                        Err(e) => Err(e.into()),
+                    });
+                }
+            },
         );
         outcomes
             .into_iter()
-            .zip(targets)
+            .zip(&legs)
             .zip(partial)
-            .map(|((outcome, (p, r)), cap)| {
+            .map(|((outcome, &(p, r, _)), cap)| {
                 let mut outcome = outcome.map_err(|miss| self.note_miss(miss));
                 if let (Some(cap), Ok(Response::Neighbors { neighbors, .. })) = (cap, &mut outcome)
                 {
@@ -434,11 +468,60 @@ impl Router {
 
 #[cfg(test)]
 mod tests {
-    use crate::{synthetic_slice, NodeFailureKind, Router, RouterConfig, ShardMap};
+    use crate::{
+        synthetic_slice, NodeFailureKind, Router, RouterConfig, RouterError, ScatterReport,
+        ShardMap,
+    };
     use qcluster_failpoint::{self as failpoint, Action};
-    use qcluster_net::{Server, ServerConfig};
+    use qcluster_net::{ClientConfig, Server, ServerConfig};
     use qcluster_service::{Response, Service, ServiceConfig};
+    use std::net::{TcpListener, TcpStream};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    const DIM: usize = 4;
+
+    /// Three in-process nodes of 50 points, each over `num_shards`
+    /// shards, behind one router under `config`.
+    fn cluster(num_shards: usize, config: RouterConfig) -> (Vec<Server>, Router) {
+        let servers: Vec<Server> = (0..3).map(|i| node(i, num_shards, "127.0.0.1:0")).collect();
+        let addrs: Vec<_> = servers.iter().map(Server::local_addr).collect();
+        let router = Router::new(ShardMap::even(&addrs, 150).unwrap(), config).unwrap();
+        (servers, router)
+    }
+
+    /// Node `i` of [`cluster`], serving on `addr`.
+    fn node(i: usize, num_shards: usize, addr: &str) -> Server {
+        let config = ServiceConfig {
+            num_shards,
+            ..ServiceConfig::default()
+        };
+        let service = Service::new(&synthetic_slice(i * 50, 50, DIM), config).unwrap();
+        Server::bind(addr, Arc::new(service), ServerConfig::default()).unwrap()
+    }
+
+    /// One example query: its report and how many nodes answered.
+    fn query(router: &Router, session: u64) -> (ScatterReport, usize) {
+        let report = router
+            .query(session, 5, Some(vec![0.5; DIM]), None)
+            .unwrap();
+        match report.response {
+            Response::Neighbors { nodes_ok, .. } => (report, nodes_ok),
+            ref other => panic!("expected neighbors, got {other:?}"),
+        }
+    }
+
+    /// A session cap of zero is a typed error, not a panic.
+    #[test]
+    fn a_zero_session_cap_is_an_invalid_request() {
+        let map = ShardMap::even(&["127.0.0.1:7801".parse().unwrap()], 10).unwrap();
+        let config = RouterConfig {
+            max_sessions: 0,
+            ..RouterConfig::default()
+        };
+        let refused = Router::new(map, config);
+        assert!(matches!(refused, Err(RouterError::InvalidRequest(_))));
+    }
 
     /// A router built later over the same map, as after a restart,
     /// reissues no id: its first is above every id the first router
@@ -466,20 +549,7 @@ mod tests {
     fn a_corrupted_leg_degrades_the_query_instead_of_failing_it() {
         let _serial = failpoint::test_lock();
         failpoint::clear_all();
-        let (dim, per) = (4, 50);
-        let servers: Vec<Server> = (0..3)
-            .map(|i| {
-                let config = ServiceConfig {
-                    num_shards: 2,
-                    ..ServiceConfig::default()
-                };
-                let service = Service::new(&synthetic_slice(i * per, per, dim), config).unwrap();
-                Server::bind("127.0.0.1:0", Arc::new(service), ServerConfig::default()).unwrap()
-            })
-            .collect();
-        let addrs: Vec<_> = servers.iter().map(Server::local_addr).collect();
-        let map = ShardMap::even(&addrs, 3 * per).unwrap();
-        let router = Router::new(map, RouterConfig::default()).unwrap();
+        let (servers, router) = cluster(2, RouterConfig::default());
         let session = router.create_session(None).unwrap();
         // Fires once, on the next frame encoded in this process: one
         // leg's request (creating a session sent none).
@@ -489,17 +559,13 @@ mod tests {
             0,
             Some(1),
         );
-        let report = router.query(session, 5, Some(vec![0.5; dim]), None);
+        let (report, nodes_ok) = query(&router, session);
         failpoint::clear_all();
-        let report = report.unwrap();
-        let Response::Neighbors {
-            nodes_ok, degraded, ..
-        } = report.response
-        else {
-            panic!("expected neighbors, got {:?}", report.response)
-        };
         assert_eq!(nodes_ok, 2);
-        assert!(degraded);
+        assert!(matches!(
+            report.response,
+            Response::Neighbors { degraded: true, .. }
+        ));
         assert!(
             matches!(&report.failures[..], [f] if matches!(&f.kind, NodeFailureKind::Transport(msg) if msg.contains("undecodable"))),
             "{:?}",
@@ -510,5 +576,104 @@ mod tests {
         for server in servers {
             server.shutdown();
         }
+    }
+
+    /// A leg that misses its deadline costs only its own query: its
+    /// late reply dies with its dropped connection, so the next leg to
+    /// the same node is answered in time.
+    #[test]
+    fn a_late_leg_does_not_delay_the_next_leg_to_its_node() {
+        let _serial = failpoint::test_lock();
+        failpoint::clear_all();
+        let config = RouterConfig {
+            client: ClientConfig {
+                read_timeout: Duration::from_millis(300),
+                ..ClientConfig::default()
+            },
+            ..RouterConfig::default()
+        };
+        let (_servers, router) = cluster(1, config);
+        let session = router.create_session(None).unwrap();
+        assert_eq!(query(&router, session).1, 3);
+        // One node's only shard job stalls well past the deadline.
+        failpoint::configure_counted("executor.shard", Action::Sleep(1500), 0, Some(1));
+        let (late, late_ok) = query(&router, session);
+        let (next, next_ok) = query(&router, session);
+        failpoint::clear_all();
+        assert_eq!(late_ok, 2);
+        assert!(
+            matches!(&late.failures[..], [f] if f.kind == NodeFailureKind::Timeout),
+            "{:?}",
+            late.failures
+        );
+        assert_eq!(next_ok, 3, "{:?}", next.failures);
+        assert_eq!(router.cluster_gauges().node_timeouts, 1);
+    }
+
+    /// A dial to a node that neither accepts nor refuses (a powered-off
+    /// host, a network partition) costs only its own leg, within the
+    /// leg's deadline: the other legs still answer in time.
+    #[test]
+    fn a_node_that_never_accepts_costs_only_its_own_leg() {
+        let _serial = failpoint::test_lock();
+        failpoint::clear_all();
+        let (servers, _) = cluster(1, RouterConfig::default());
+        // A listener nobody accepts on, its backlog filled: a further
+        // dial to it hangs until it times out.
+        let blackhole = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut addrs: Vec<_> = servers.iter().map(Server::local_addr).collect();
+        addrs[0] = blackhole.local_addr().unwrap();
+        let mut queued = Vec::new();
+        while let Ok(stream) = TcpStream::connect_timeout(&addrs[0], Duration::from_millis(100)) {
+            queued.push(stream);
+            assert!(queued.len() < 4096, "the backlog never filled");
+        }
+        let config = RouterConfig {
+            client: ClientConfig {
+                read_timeout: Duration::from_millis(300),
+                ..ClientConfig::default()
+            },
+            ..RouterConfig::default()
+        };
+        let router = Router::new(ShardMap::even(&addrs, 150).unwrap(), config).unwrap();
+        let started = Instant::now();
+        let (report, nodes_ok) = query(&router, router.create_session(None).unwrap());
+        // One 300 ms dial, not `connect_timeout` (2 s) per attempt.
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert_eq!(nodes_ok, 2);
+        assert!(
+            matches!(&report.failures[..], [f] if f.partition == 0 && matches!(f.kind, NodeFailureKind::Transport(_)))
+        );
+    }
+
+    /// A node that restarts at the same address closed every pooled
+    /// connection to it: the first leg that meets a dead one drops them
+    /// all, so the next leg dials fresh instead of failing on a sibling.
+    #[test]
+    fn a_restarted_node_leaves_no_stale_connection_in_the_pool() {
+        let _serial = failpoint::test_lock();
+        failpoint::clear_all();
+        let (mut servers, router) = cluster(1, RouterConfig::default());
+        // Several connections idle in node 0's pool, as concurrent
+        // callers leave them.
+        let pool = &router.partitions[0].replicas[0];
+        let far = Instant::now() + Duration::from_secs(5);
+        let clients: Vec<_> = (0..4)
+            .map(|_| pool.checkout(&router.config.client, far))
+            .collect();
+        clients
+            .into_iter()
+            .for_each(|client| pool.checkin(client.unwrap(), None));
+        let addr = servers[0].local_addr().to_string();
+        servers.remove(0).shutdown();
+        servers.push(node(0, 1, &addr));
+        let session = router.create_session(None).unwrap();
+        let (stale, stale_ok) = query(&router, session);
+        assert_eq!(stale_ok, 2);
+        assert!(
+            matches!(&stale.failures[..], [f] if f.partition == 0 && matches!(f.kind, NodeFailureKind::Transport(_)))
+        );
+        assert_eq!(pool.idle().len(), 0);
+        assert_eq!(query(&router, session).1, 3);
     }
 }

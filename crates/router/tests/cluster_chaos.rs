@@ -98,7 +98,6 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// a SIGKILLed peer resets the connection.
 fn chaos_router_config() -> RouterConfig {
     RouterConfig {
-        node_deadline: Duration::from_secs(30),
         breaker_threshold: 3,
         breaker_cooldown: Duration::from_millis(200),
         client: ClientConfig {

@@ -111,7 +111,6 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// transport deadlines so a 1-core CI box never times a live node out.
 fn consensus_config(backoff: Duration, timeout: Duration) -> RouterConfig {
     RouterConfig {
-        node_deadline: Duration::from_secs(30),
         breaker_threshold: 3,
         breaker_cooldown: Duration::from_millis(200),
         client: ClientConfig {

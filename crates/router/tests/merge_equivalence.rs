@@ -103,7 +103,6 @@ mod end_to_end {
 
     fn router_config() -> RouterConfig {
         RouterConfig {
-            node_deadline: Duration::from_secs(30),
             client: ClientConfig {
                 read_timeout: Duration::from_secs(30),
                 ..ClientConfig::default()
@@ -222,6 +221,8 @@ mod end_to_end {
             }
             router.close_session(session).unwrap();
         }
+        // Every leg from this one thread reused its node's first connection.
+        assert_eq!(router.stats().unwrap().transport.connections_accepted, 3);
         drop(router);
         for server in servers {
             server.shutdown();
