@@ -30,6 +30,10 @@
 //! A corpus split into several scans answers one query as one
 //! [`CooperativeScan`]: every part runs phase 1 against a threshold the
 //! parts share, and one finish reranks the merged candidates once.
+//! The shared threshold always has either `m` bounds (a full heap's)
+//! or `k` exact distances (a seed's, [`CooperativeScan::seed`]) at or
+//! under it, so a point it screens away has `m` better bounds or `k`
+//! nearer neighbours.
 //! [`QuantizedScan::two_phase_knn`] is the same algorithm with one part.
 //!
 //! # The bound
@@ -1356,7 +1360,9 @@ impl QuantizedScan {
 
 /// The phase-1 threshold the participants of one [`CooperativeScan`]
 /// share: the bits of a non-negative `f32`, whose integer order is the
-/// float order, so `fetch_min` keeps the least bound published.
+/// float order, so `fetch_min` keeps the least bound published. Either
+/// `m` bounds (a full heap's) or `k` exact distances (a seed's) lie at
+/// or under it.
 /// `Relaxed` suffices: the value publishes no other data, and which
 /// value a participant reads never decides an answer, only how much it
 /// screens (each participant records the threshold it used, `T`).
@@ -1388,11 +1394,13 @@ impl SharedThreshold {
 /// concurrently or not) streams and screens its own code column into
 /// its own heap of the `m` best `(bound, id)` pairs, screening each
 /// block against `min(own heap's worst, shared)`. `shared` is the least
-/// worst bound any participant's full heap has published — `m` points
-/// lie at or under it — so a participant that starts late drops from
-/// its first block the tiles the others already ruled out instead of
-/// re-learning its threshold from `+∞`. Phase 1 returns the
-/// candidates and `T`, the participant's final effective threshold:
+/// worst bound any participant's full heap has published — `m` bounds
+/// lie at or under it — or, when [`Self::seed`] set it lower, the
+/// first `f32` above `k` exact distances. A participant that starts
+/// late drops from its first block the tiles the others already ruled
+/// out instead of re-learning its threshold from `+∞`; in a seeded
+/// scan the first one does too. Phase 1 returns the candidates and
+/// `T`, the participant's final effective threshold:
 /// thresholds only fall, so every point it excluded — screened,
 /// filtered or evicted — has `LB ≥ T`.
 ///
@@ -1456,6 +1464,27 @@ impl CooperativeScan {
                 .max(kk)
                 .min(n),
             shared: SharedThreshold(AtomicU32::new(f32::INFINITY.to_bits())),
+        }
+    }
+
+    /// Starts the shared threshold at the first `f32` strictly above
+    /// `kth_exact`, the `k`-th smallest exact distance of any `k`
+    /// distinct points of the participants (the previous answer of a
+    /// refined round, say): those points bound the answer's `d_k` by
+    /// it, so the true top-k's bounds lie under the threshold and no
+    /// participant screens them away, and a first round that reranks
+    /// them certifies as before. Call it before any phase 1; a
+    /// non-finite or non-positive `kth_exact` is a no-op.
+    ///
+    /// The distances must come from the query's own
+    /// [`QueryDistance::distance_batch`], the kernel the finish reranks
+    /// with. When a participant that holds some of the `k` points is
+    /// left out of the finish, the others may bring too few candidates
+    /// to certify: the answer stays exact over them, through the
+    /// second round or an exact scan.
+    pub fn seed(&self, kth_exact: f64) {
+        if kth_exact.is_finite() && kth_exact > 0.0 {
+            self.shared.lower(f32_above(kth_exact));
         }
     }
 
@@ -1573,12 +1602,7 @@ impl CooperativeScan {
             // the set, already in id order. A tile the screen proves
             // `LB ≥ above > τ` on holds no member of it.
             stats.second_rounds = 1;
-            let nearest = tau as f32;
-            let above = if f64::from(nearest) > tau {
-                nearest
-            } else {
-                nearest.next_up()
-            };
+            let above = f32_above(tau);
             let mut cands: Vec<(usize, f64)> = Vec::new();
             for (scan, part) in &parts {
                 stats.tail_tiles += scan.stream_bounds(&part.plan, above, None, |base_id, lb| {
@@ -1601,6 +1625,18 @@ impl CooperativeScan {
         // dropped. Serve the query exactly anyway.
         stats.fallback_rescans = 1;
         (owners.knn(query, self.k), stats)
+    }
+}
+
+/// The least `f32` strictly above `x` (`+∞` past `f32::MAX`): a
+/// threshold a screen may drop `LB ≥` at without losing a point whose
+/// `f64` bound is `≤ x`.
+fn f32_above(x: f64) -> f32 {
+    let nearest = x as f32;
+    if f64::from(nearest) > x {
+        nearest
+    } else {
+        nearest.next_up()
     }
 }
 

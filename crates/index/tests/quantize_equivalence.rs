@@ -38,6 +38,13 @@
 //! It must answer like the exact scan too — and with a *ghost*, a
 //! participant that publishes its threshold and is then left out of the
 //! finish, like the exact scan over the others.
+//!
+//! The same cooperative scans run again *seeded* (`CooperativeScan::seed`)
+//! with the `k`-th smallest exact distance of `k` distinct ids: a random
+//! subset, the cold answer itself, or a set that ends in ids tying the
+//! cold answer's `k`-th distance. Seeded answers must equal the exact
+//! scan's bit for bit, ghost included, and a seed from the cold answer
+//! must not cost a second round the cold scan did not take.
 
 use proptest::prelude::*;
 use qcluster_index::{
@@ -92,7 +99,7 @@ fn assert_equivalent<Q: QueryDistance + Sync>(
             prop_assert_eq!(stats.plan_misses, 0);
 
             let ctx = format!("{ctx} parts={:?} order={:?}", split.bases(), split.order);
-            let (got, stats) = split.run(query, k, window, false);
+            let (got, stats) = split.run(query, k, window, false, None);
             assert_same(&got, &want, &ctx)?;
             prop_assert_eq!(stats.fallback_rescans, 0, "{}", ctx);
             prop_assert_eq!(stats.plan_misses, 0, "{}", ctx);
@@ -110,12 +117,76 @@ fn assert_equivalent<Q: QueryDistance + Sync>(
             );
 
             if let Some(ghost) = split.ghost {
-                let (got, _) = split.run(query, k, window, true);
+                let (got, _) = split.run(query, k, window, true, None);
+                assert_same(&got, &want_survivors, &format!("{ctx} ghost={ghost}"))?;
+            }
+
+            if k > points.len() {
+                continue;
+            }
+            let source = splitmix(&mut split.rng) % 3;
+            let ids = match source {
+                0 => random_ids(points.len(), k, &mut split.rng),
+                1 => want.iter().map(|n| n.id).collect(),
+                _ => tying_ids(points, query, &want),
+            };
+            let tau = kth_distance(points, query, &ids, k);
+            let ctx = format!("{ctx} seed={tau} source={source}");
+            let cold_second_rounds = stats.second_rounds;
+            let (got, stats) = split.run(query, k, window, false, Some(tau));
+            assert_same(&got, &want, &ctx)?;
+            prop_assert_eq!(stats.fallback_rescans, 0, "{}", ctx);
+            if source == 1 {
+                prop_assert!(stats.second_rounds <= cold_second_rounds, "{}", ctx);
+            }
+            if let Some(ghost) = split.ghost {
+                let (got, _) = split.run(query, k, window, true, Some(tau));
                 assert_same(&got, &want_survivors, &format!("{ctx} ghost={ghost}"))?;
             }
         }
     }
     Ok(())
+}
+
+/// `k` distinct ids of `0..n`, drawn from `rng`.
+fn random_ids(n: usize, k: usize, rng: &mut u64) -> Vec<usize> {
+    let mut ids: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        ids.swap(i, i + splitmix(rng) as usize % (n - i));
+    }
+    ids.truncate(k);
+    ids
+}
+
+/// The cold answer `want` with its tail swapped for the points outside
+/// it that tie its `k`-th distance — the ids the `(distance, id)`
+/// tie-break ruled out — so the seed is that distance, reached through
+/// other points.
+fn tying_ids<Q: QueryDistance>(points: &[Vec<f64>], query: &Q, want: &[Neighbor]) -> Vec<usize> {
+    let d_k = want[want.len() - 1].distance;
+    let mut ids: Vec<usize> = want.iter().map(|n| n.id).collect();
+    let ties: Vec<usize> = (0..points.len())
+        .rev()
+        .filter(|id| !ids.contains(id) && query.distance(&points[*id]) == d_k)
+        .take(ids.len())
+        .collect();
+    ids.truncate(ids.len() - ties.len());
+    ids.extend(ties);
+    ids
+}
+
+/// The `k`-th smallest exact distance over `ids`, by the query's batch
+/// kernel — the one the finish reranks with.
+fn kth_distance<Q: QueryDistance>(points: &[Vec<f64>], query: &Q, ids: &[usize], k: usize) -> f64 {
+    let dim = query.dim();
+    let rows: Vec<f64> = ids
+        .iter()
+        .flat_map(|&id| points[id].iter().copied())
+        .collect();
+    let mut dist = vec![0.0; ids.len()];
+    query.distance_batch(&rows, dim, &mut dist);
+    dist.select_nth_unstable_by(k - 1, f64::total_cmp);
+    dist[k - 1]
 }
 
 /// A corpus cut into cooperative participants, and how to run them —
@@ -189,20 +260,24 @@ impl Split {
         want
     }
 
-    /// One cooperative scan: phase 1 of every participant in `order` —
-    /// each on its own thread, or one after the other, by a coin flip —
-    /// then the finish. With `ghosted` the ghost runs its phase 1 first,
-    /// alone, and is left out of the finish.
+    /// One cooperative scan, `seed`ed when given: phase 1 of every
+    /// participant in `order` — each on its own thread, or one after the
+    /// other, by a coin flip — then the finish. With `ghosted` the ghost
+    /// runs its phase 1 first, alone, and is left out of the finish.
     fn run<Q: QueryDistance + Sync>(
         &mut self,
         query: &Q,
         k: usize,
         window: Option<usize>,
         ghosted: bool,
+        seed: Option<f64>,
     ) -> (Vec<Neighbor>, QuantScanStats) {
         let serial = splitmix(&mut self.rng) & 1 == 1;
         let n = self.parts.iter().map(|(_, scan)| scan.len()).sum();
         let scan = CooperativeScan::new(k, window, n);
+        if let Some(seed) = seed {
+            scan.seed(seed);
+        }
         let ghost = self.ghost.filter(|_| ghosted);
         let parts = &self.parts;
         let phase1 = |i: usize| -> (usize, Phase1) {
@@ -533,7 +608,7 @@ fn cooperative_scan_matches_exact_on_ragged_corpora() {
                             split.bases(),
                             split.order
                         );
-                        let (got, stats) = split.run(&query, k, window, false);
+                        let (got, stats) = split.run(&query, k, window, false, None);
                         assert_eq!(bits(&got), want, "{ctx}");
                         assert_eq!(stats.fallback_rescans, 0, "{ctx}");
                         assert_eq!(stats.phase1_points, n as u64, "{ctx}");
@@ -541,7 +616,7 @@ fn cooperative_scan_matches_exact_on_ragged_corpora() {
                             assert_eq!(stats.second_rounds, 1, "{ctx}");
                         }
                         if let Some(ghost) = split.ghost {
-                            let (got, _) = split.run(&query, k, window, true);
+                            let (got, _) = split.run(&query, k, window, true, None);
                             assert_eq!(bits(&got), want_survivors, "{ctx} ghost={ghost}");
                         }
                     }
@@ -574,5 +649,33 @@ fn padding_lanes_never_enter_the_candidate_set() {
             );
             assert_eq!(stats.fallback_rescans, 0);
         }
+    }
+}
+
+/// A seed from the cold answer spares phase 1 the threshold fill-up:
+/// the screen drops tiles from the first block, so fewer tiles run the
+/// tail, and the answer and its rerank set stay the cold scan's.
+#[test]
+fn a_seed_from_the_cold_answer_cuts_the_tail_tiles() {
+    let points = seeded_corpus(1499, 4, 0x2003_0609);
+    let exact = LinearScan::new(&points);
+    let mut split = Split::new(&points, 7);
+    for probe in [0, 700, 1498] {
+        let query = EuclideanQuery::new(points[probe].iter().map(|v| v + 0.01).collect());
+        let k = 10;
+        let want = exact.knn(&query, k);
+        let (cold_answer, cold) = split.run(&query, k, None, false, None);
+        let tau = want[k - 1].distance;
+        let (seeded_answer, seeded) = split.run(&query, k, None, false, Some(tau));
+        let ctx = format!("probe={probe} parts={:?}", split.bases());
+        assert_eq!(bits(&cold_answer), bits(&want), "{ctx}");
+        assert_eq!(bits(&seeded_answer), bits(&want), "{ctx}");
+        assert_eq!((cold.second_rounds, seeded.second_rounds), (0, 0), "{ctx}");
+        assert!(
+            seeded.tail_tiles < cold.tail_tiles,
+            "{ctx}: {} seeded vs {} cold",
+            seeded.tail_tiles,
+            cold.tail_tiles
+        );
     }
 }

@@ -220,7 +220,7 @@ impl Router {
         vector: Option<Vec<f64>>,
         deadline_ms: Option<u64>,
     ) -> Result<ScatterReport, RouterError> {
-        let query = self.sessions.query(session, vector, &self.metrics)?;
+        let (query, _) = self.sessions.query(session, vector, &self.metrics)?;
         let spec = QuerySpec::of(&*query)?;
         spec.check()?;
         let nodes_total = self.partitions.len();

@@ -103,9 +103,6 @@ fn chaos_router_config() -> RouterConfig {
         client: ClientConfig {
             connect_timeout: Duration::from_secs(1),
             read_timeout: Duration::from_secs(30),
-            max_connect_attempts: 2,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(100),
             ..ClientConfig::default()
         },
         replication_batch: 16,

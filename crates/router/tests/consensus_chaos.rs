@@ -116,9 +116,6 @@ fn consensus_config(backoff: Duration, timeout: Duration) -> RouterConfig {
         client: ClientConfig {
             connect_timeout: Duration::from_secs(1),
             read_timeout: Duration::from_secs(30),
-            max_connect_attempts: 2,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(100),
             ..ClientConfig::default()
         },
         replication_batch: 4,

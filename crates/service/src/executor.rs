@@ -12,7 +12,9 @@
 //! job runs phase 1 against the fan-out's shared threshold and replies
 //! with its candidates, and the caller reranks the merged candidates
 //! once after [`gather`]. A shard job whose query compiles no plan
-//! replies with its own exact top-k.
+//! replies with its own exact top-k. A session's refined round seeds
+//! the threshold with its previous answer's `k`-th distance
+//! ([`CooperativeScan::seed`]); [`Executor::try_knn`] never does.
 //!
 //! Refined queries (e.g. [`DisjunctiveQuery`](qcluster_core::DisjunctiveQuery))
 //! carry interior scratch buffers, so they are `Send` but not `Sync`: the
@@ -332,15 +334,6 @@ impl Executor {
         caches: Option<&[Arc<Mutex<NodeCache>>]>,
         deadline: Option<Instant>,
     ) -> Result<FanoutReport, ServiceError> {
-        if k == 0 {
-            return Err(ServiceError::InvalidRequest("k must be positive".into()));
-        }
-        if query.dim() != corpus.dim() {
-            return Err(ServiceError::DimensionMismatch {
-                expected: corpus.dim(),
-                found: query.dim(),
-            });
-        }
         if let Some(caches) = caches {
             if caches.len() != corpus.num_shards() {
                 return Err(ServiceError::InvalidRequest(format!(
@@ -350,11 +343,37 @@ impl Executor {
                 )));
             }
         }
+        self.fanout(corpus, query, k, deadline, None)
+    }
 
+    /// The fan-out body of [`Self::try_knn`], whose scan starts at
+    /// `seed` when given ([`CooperativeScan::seed`]: the `k`-th exact
+    /// distance of `k` points of `corpus`) instead of `+∞`.
+    pub(crate) fn fanout(
+        &self,
+        corpus: &ShardedCorpus,
+        query: &dyn FanoutQuery,
+        k: usize,
+        deadline: Option<Instant>,
+        seed: Option<f64>,
+    ) -> Result<FanoutReport, ServiceError> {
+        if k == 0 {
+            return Err(ServiceError::InvalidRequest("k must be positive".into()));
+        }
+        if query.dim() != corpus.dim() {
+            return Err(ServiceError::DimensionMismatch {
+                expected: corpus.dim(),
+                found: query.dim(),
+            });
+        }
         let num_shards = corpus.num_shards();
         let breakers = self.breakers_for(num_shards);
         let started = Instant::now();
-        let scan = Arc::new(CooperativeScan::new(k, None, corpus.len()));
+        let scan = CooperativeScan::new(k, None, corpus.len());
+        if let Some(seed) = seed {
+            scan.seed(seed);
+        }
+        let scan = Arc::new(scan);
 
         // Admission control: reserve a queue slot for every shard or
         // reject the fan-out outright, before any breaker hands out a

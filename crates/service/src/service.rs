@@ -412,8 +412,10 @@ impl Service {
             self.check_dim(vector.len())?;
         }
         let start = Instant::now();
-        let query = self.registry.query(session, vector, &self.metrics)?;
-        self.run_query(&*query, k, start, deadline)
+        let (query, previous) = self.registry.query(session, vector, &self.metrics)?;
+        let outcome = self.run_query(&*query, k, start, deadline, &previous)?;
+        self.registry.remember(session, &outcome.neighbors);
+        Ok(outcome)
     }
 
     /// Runs a query compiled elsewhere, outside any session: what a
@@ -434,7 +436,7 @@ impl Service {
         deadline: Option<Duration>,
     ) -> Result<QueryOutcome, ServiceError> {
         self.check_dim(query.dim())?;
-        self.run_query(query, k, Instant::now(), deadline)
+        self.run_query(query, k, Instant::now(), deadline, &[])
     }
 
     fn check_dim(&self, found: usize) -> Result<(), ServiceError> {
@@ -445,12 +447,20 @@ impl Service {
         Ok(())
     }
 
+    /// One fan-out of `query` plus the overlay scan. `previous` is the
+    /// session's last answer: when `k` of its ids are base points, their
+    /// `k`-th exact distance under `query` bounds this answer's, and a
+    /// fan-out that waits for every shard starts its scan there. One
+    /// under a deadline does not: it may lose the shards that hold those
+    /// points, and then the others may bring too few candidates and pay
+    /// an exact scan.
     fn run_query(
         &self,
         query: &dyn FanoutQuery,
         k: usize,
         start: Instant,
         deadline: Option<Duration>,
+        previous: &[usize],
     ) -> Result<QueryOutcome, ServiceError> {
         if k == 0 {
             return Err(ServiceError::InvalidRequest("k must be positive".into()));
@@ -459,9 +469,13 @@ impl Service {
         // The deadline covers the whole request, so it anchors at
         // `start` (session lookup and plan compilation count against it).
         let fanout_deadline = deadline.map(|d| start + d);
+        let seed = deadline
+            .is_none()
+            .then(|| self.corpus.kth_distance(query, previous, k))
+            .flatten();
         let report = match self
             .executor
-            .try_knn(&self.corpus, query, k, None, fanout_deadline)
+            .fanout(&self.corpus, query, k, fanout_deadline, seed)
         {
             Ok(report) => report,
             Err(e) => {

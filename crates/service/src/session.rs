@@ -3,8 +3,11 @@
 //! [`SessionRegistry`] and drive every session through its `create`,
 //! `close`, `feed` and `query`. A session is one user's feedback loop
 //! (the paper's Algorithm 1): a method of
-//! [`METHODS`](qcluster_baselines::METHODS), its compiled-plan cache and
-//! its feed count. At most `max_sessions` live at once; creating one
+//! [`METHODS`](qcluster_baselines::METHODS), its compiled-plan cache,
+//! its feed count and the ids of the last answer its host recorded.
+//! A node records every answer, so each refined round can seed its scan
+//! from the previous one's neighbours; a router records none (DESIGN.md
+//! §9). At most `max_sessions` live at once; creating one
 //! more evicts the least recently used.
 //!
 //! A session is process state: no host persists it, so after a restart
@@ -24,7 +27,7 @@ use crate::error::ServiceError;
 use crate::metrics::ServiceMetrics;
 use qcluster_baselines::{method_by_name, RetrievalMethod};
 use qcluster_core::{FeedbackPoint, QclusterConfig};
-use qcluster_index::{EuclideanQuery, FanoutQuery};
+use qcluster_index::{EuclideanQuery, FanoutQuery, Neighbor};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -45,6 +48,8 @@ struct Session {
     /// The method's last compiled query; every feed drops it.
     plan: Option<Box<dyn FanoutQuery>>,
     feeds: u64,
+    /// The ids of the last answer recorded by [`SessionRegistry::remember`].
+    answer: Vec<usize>,
 }
 
 struct Entry {
@@ -114,6 +119,7 @@ impl SessionRegistry {
                 method,
                 plan: None,
                 feeds: 0,
+                answer: Vec::new(),
             }),
             touched: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
         });
@@ -198,8 +204,9 @@ impl SessionRegistry {
     /// The query of one round: the `example` vector's Euclidean query
     /// (the example-image round), or else the session's refined query —
     /// the cached plan (a hit) or a fresh compile kept until the next
-    /// feed (a miss), each counted in `metrics`. No lock is held once
-    /// it returns.
+    /// feed (a miss), each counted in `metrics` — with the ids of the
+    /// last recorded answer (none for an example round). No lock is
+    /// held once it returns.
     ///
     /// # Errors
     ///
@@ -210,20 +217,31 @@ impl SessionRegistry {
         id: u64,
         example: Option<Vec<f64>>,
         metrics: &ServiceMetrics,
-    ) -> Result<Box<dyn FanoutQuery>, ServiceError> {
+    ) -> Result<(Box<dyn FanoutQuery>, Vec<usize>), ServiceError> {
         let entry = self.get(id)?;
         if let Some(center) = example {
-            return Ok(Box::new(EuclideanQuery::new(center)));
+            return Ok((Box::new(EuclideanQuery::new(center)), Vec::new()));
         }
         let mut session = entry.lock();
+        let answer = session.answer.clone();
         if let Some(plan) = &session.plan {
             metrics.record_plan_cache_hit();
-            return Ok(plan.clone_fanout());
+            return Ok((plan.clone_fanout(), answer));
         }
         let compiled = session.method.query().map_err(ServiceError::from_core)?;
         metrics.record_plan_cache_miss();
         session.plan = Some(compiled.clone_fanout());
-        Ok(compiled)
+        Ok((compiled, answer))
+    }
+
+    /// Records `answer` as the session's last, whose ids the next
+    /// refined [`Self::query`] returns. A session closed or evicted
+    /// meanwhile is left alone, and recency is not refreshed.
+    pub fn remember(&self, id: u64, answer: &[Neighbor]) {
+        let entry = self.lock_entries().get(&id).map(Arc::clone);
+        if let Some(entry) = entry {
+            entry.lock().answer = answer.iter().map(|n| n.id).collect();
+        }
     }
 }
 
@@ -260,7 +278,7 @@ mod tests {
         let id = r.create("qcluster", &m).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.feed(id, &points(), &m).unwrap().iteration, 1);
-        assert_eq!(r.query(id, None, &m).unwrap().dim(), 2);
+        assert_eq!(r.query(id, None, &m).unwrap().0.dim(), 2);
         r.close(id, &m).unwrap();
         assert!(matches!(
             r.touch(id),
@@ -333,11 +351,39 @@ mod tests {
     }
 
     #[test]
+    fn a_refined_round_returns_the_last_remembered_answer() {
+        let (r, m) = (SessionRegistry::new(4), ServiceMetrics::new());
+        let id = r.create("qcluster", &m).unwrap();
+        let answer = |ids: &[usize]| -> Vec<Neighbor> {
+            ids.iter()
+                .map(|&id| Neighbor { id, distance: 0.0 })
+                .collect()
+        };
+        r.remember(id, &answer(&[4, 1]));
+        assert!(r.query(id, Some(vec![0.0, 0.0]), &m).unwrap().1.is_empty());
+        r.feed(id, &points(), &m).unwrap();
+        assert_eq!(
+            r.query(id, None, &m).unwrap().1,
+            [4, 1],
+            "kept across a feed"
+        );
+        r.remember(id, &answer(&[7]));
+        assert_eq!(
+            r.query(id, None, &m).unwrap().1,
+            [7],
+            "the last answer wins"
+        );
+        r.close(id, &m).unwrap();
+        r.remember(id, &answer(&[9]));
+        assert!(r.is_empty(), "a closed session is not revived");
+    }
+
+    #[test]
     fn qpm_engine_is_hostable() {
         let (r, m) = (SessionRegistry::new(1), ServiceMetrics::new());
         let id = r.create("qpm", &m).unwrap();
         assert!(r.query(id, None, &m).is_err(), "no feedback yet");
         assert_eq!(r.feed(id, &points(), &m).unwrap().clusters, None);
-        assert_eq!(r.query(id, None, &m).unwrap().dim(), 2);
+        assert_eq!(r.query(id, None, &m).unwrap().0.dim(), 2);
     }
 }

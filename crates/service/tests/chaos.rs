@@ -15,10 +15,12 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use qcluster_core::{FeedbackPoint, QclusterConfig, QclusterEngine};
 use qcluster_failpoint::{self as failpoint, Action};
 use qcluster_index::{EuclideanQuery, LinearScan};
 use qcluster_service::{
     dispatch, IngestOutcome, Request, Response, Service, ServiceConfig, ServiceError, StoreConfig,
+    DEFAULT_SCORE,
 };
 use qcluster_store::{encode_record_frame, WalRecord};
 
@@ -170,6 +172,72 @@ fn a_shard_failing_after_it_published_its_threshold_costs_the_others_nothing() {
     };
     assert_eq!(bits(&out.neighbors), bits(&want));
     assert_eq!(svc.stats().faults.shard_panics, 1);
+}
+
+/// A refined round seeds its scan with the previous answer's `k`-th
+/// distance. Here every point of that answer lies on shard 0, which
+/// panics: shards 1–3 hold nothing under the seed, screen every tile
+/// away and bring no candidate, so the finish scans them exactly — the
+/// answer is the exact top-k over the shards that replied. Disarmed,
+/// the next round answers over all four shards with no rescan.
+#[test]
+fn a_seeded_query_that_loses_a_shard_answers_exactly_over_the_others() {
+    let _serial = failpoint::test_lock();
+    failpoint::clear_all();
+
+    let points: Vec<Vec<f64>> = (0..2000)
+        .map(|i| {
+            let x = i as f64 * 0.01;
+            vec![x, (x * 7.0).sin() * 0.05]
+        })
+        .collect();
+    let svc = Service::new(
+        &points,
+        ServiceConfig {
+            num_shards: 4,
+            num_workers: 1,
+            breaker_threshold: 10,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("spawn service");
+    let session = svc.create_session().unwrap();
+    let example = svc.query_vector(session, vec![2.5, 0.0], 10).unwrap();
+    assert!(example.neighbors.iter().all(|n| n.id < 500));
+    let marked = [248, 249, 250, 251, 252];
+    svc.feed_ids(session, &marked, None).unwrap();
+    let mut engine = QclusterEngine::new(QclusterConfig::default());
+    let fed: Vec<FeedbackPoint> = marked
+        .iter()
+        .map(|&id| FeedbackPoint::new(id, points[id].clone(), DEFAULT_SCORE))
+        .collect();
+    engine.feed(&fed).unwrap();
+    let refined = engine.query().unwrap();
+    let bits = |list: &[qcluster_index::Neighbor]| -> Vec<(usize, u64)> {
+        list.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+    };
+
+    let panic = failpoint::scoped("executor.shard.0", Action::Panic("seeded".into()));
+    let out = svc.query(session, 10).unwrap();
+    drop(panic);
+    assert_eq!((out.shards_ok, out.shards_total), (3, 4));
+    let mut want = LinearScan::new(&points[500..]).knn(&refined, 10);
+    for n in &mut want {
+        n.id += 500;
+    }
+    assert_eq!(bits(&out.neighbors), bits(&want));
+    assert_eq!(
+        out.stats.quant_fallbacks, 1,
+        "the survivors were scanned exactly"
+    );
+
+    // The next round seeds from the degraded answer: points far from
+    // the query, a loose bound but a sound one.
+    let whole = svc.query(session, 10).unwrap();
+    assert_eq!((whole.shards_ok, whole.shards_total), (4, 4));
+    let want = LinearScan::new(&points).knn(&refined, 10);
+    assert_eq!(bits(&whole.neighbors), bits(&want));
+    assert_eq!(whole.stats.quant_fallbacks, 0);
 }
 
 /// Same scenario through the wire protocol: the response carries the
