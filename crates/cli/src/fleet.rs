@@ -301,15 +301,16 @@ fn run_session(
     }
 }
 
-/// Calls `send` `per_sec` times a second until `stop` is set. Sends are
-/// due at `t0 + n·interval`, so the time a send takes is not added to
-/// the interval after it. A pacer more than one interval behind (a send
-/// stalled) re-anchors its schedule to now instead of bursting to catch
-/// up.
+/// Calls `send` `per_sec` times a second until `stop` is set, and at
+/// least once: a stop set before the pacer first runs still lets one
+/// send through. Sends are due at `t0 + n·interval`, so the time a send
+/// takes is not added to the interval after it. A pacer more than one
+/// interval behind (a send stalled) re-anchors its schedule to now
+/// instead of bursting to catch up.
 fn pace(per_sec: u32, stop: &AtomicBool, mut send: impl FnMut()) {
     let interval = Duration::from_nanos(1_000_000_000 / u64::from(per_sec));
     let mut due = Instant::now();
-    while !stop.load(Ordering::Relaxed) {
+    loop {
         send();
         due += interval;
         let now = Instant::now();
@@ -317,6 +318,9 @@ fn pace(per_sec: u32, stop: &AtomicBool, mut send: impl FnMut()) {
             std::thread::sleep(due - now);
         } else if now - due > interval {
             due = now;
+        }
+        if stop.load(Ordering::Relaxed) {
+            return;
         }
     }
 }
@@ -533,6 +537,14 @@ mod tests {
             });
         });
         assert!((42..=51).contains(&sends), "{sends} sends in 1 s at 50/s");
+    }
+
+    #[test]
+    fn a_pacer_stopped_before_it_starts_still_sends_once() {
+        let stop = AtomicBool::new(true);
+        let mut sends = 0u32;
+        pace(50, &stop, || sends += 1);
+        assert_eq!(sends, 1);
     }
 
     #[test]

@@ -15,14 +15,14 @@
 //!   promotion. Every query leg goes to its partition's leader;
 //!   followers are for failover.
 //!
-//! The router degrades per-node exactly the way the in-process
-//! executor degrades per-shard: a healthy cluster answers bit-for-bit
-//! identically to a single node holding the whole corpus, and a
-//! partial cluster answers exactly over the surviving partitions with
-//! `nodes_ok / nodes_total` coverage on the wire.
+//! A healthy cluster answers bit-for-bit identically to a single node
+//! holding the whole corpus, and a partial cluster answers exactly over
+//! the surviving partitions with `nodes_ok / nodes_total` coverage on
+//! the wire, as a node answers over its surviving shards.
 
 #![warn(missing_docs)]
 
+mod breaker;
 pub mod corpus;
 pub mod map;
 pub mod router;

@@ -21,15 +21,15 @@
 //!
 //! ## Degradation
 //!
-//! A leg runs on the caller's thread over a pooled connection, and nodes
-//! degrade the way the executor degrades shards because both run on the
-//! same primitive, `qcluster_service::fanout::gather`: one deadline
-//! bounds each leg from its start, its dial included (a late reply is
-//! dropped with its connection), a
-//! per-node circuit breaker trips after consecutive failures and skips
-//! the node (degraded coverage) until a cooldown elapses, then
-//! half-opens with a single probe.
-//! Every missing leg is attributed with a typed [`NodeFailureKind`],
+//! A leg runs on the caller's thread over a pooled connection. One
+//! deadline bounds each leg from its start, its dial included (a late
+//! reply is dropped with its connection). A per-node circuit breaker
+//! trips after consecutive failures and skips the node (degraded
+//! coverage) until a cooldown elapses, then half-opens with a single
+//! probe; every leg it admits is charged to it exactly once, so a probe
+//! always resolves. A node is a remote target that can stay down, so
+//! it has a breaker; a shard inside a node is in-process work and has
+//! none. Every missing leg is attributed with a typed [`NodeFailureKind`],
 //! and responses carry `nodes_ok / nodes_total` cluster coverage next
 //! to the per-node `shards_ok / shards_total`. A node's typed rejection
 //! of the request itself (`ServiceError::is_caller_fault`: an invalid
@@ -88,9 +88,9 @@ mod election;
 mod replication;
 mod routing;
 
+use crate::breaker::Breaker;
 use crate::map::ShardMap;
 use qcluster_net::{Client, ClientConfig, NetError};
-use qcluster_service::fanout::Breaker;
 use qcluster_service::{ClusterGauges, Response, ServiceError, ServiceMetrics, SessionRegistry};
 use std::fmt;
 use std::net::SocketAddr;

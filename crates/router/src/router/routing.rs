@@ -1,16 +1,14 @@
-//! The request path: scatter legs over nodes through the shared
-//! fan-out primitive, the sessions the router hosts, queries, feedback
-//! and cluster-wide stats.
+//! The request path: scatter legs over nodes behind their circuit
+//! breakers, the sessions the router hosts, queries, feedback and
+//! cluster-wide stats.
 
-use super::{NodeFailure, NodeFailureKind, Router, RouterError, ScatterReport};
+use super::{NodeFailure, NodeFailureKind, NodeHandle, Router, RouterError, ScatterReport};
 use qcluster_failpoint as failpoint;
 use qcluster_index::{merge_top_k, Neighbor, SearchStats};
-use qcluster_net::is_undecodable;
-use qcluster_service::fanout::{gather, Breaker, Miss};
+use qcluster_net::{is_undecodable, Client};
 use qcluster_service::{
     feedback_points, MetricsSnapshot, NeighborDto, QuerySpec, Request, Response, SearchStatsDto,
 };
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -22,113 +20,135 @@ type Leg = (usize, usize, Request);
 /// response or the typed reason it is missing.
 type LegOutcome = (usize, usize, Result<Response, NodeFailureKind>);
 
-impl Router {
-    /// Counts one missing leg and names it in the router's failure
-    /// vocabulary. (Breaker bookkeeping already happened in `gather`.)
-    fn note_miss(&self, miss: Miss<NodeFailureKind>) -> NodeFailureKind {
-        let (counter, kind) = match miss {
-            // Skipping is not a health observation.
-            Miss::BreakerOpen => (
-                &self.counters.node_breaker_skips,
-                NodeFailureKind::BreakerOpen,
-            ),
-            Miss::Timeout | Miss::Lost | Miss::Failed(NodeFailureKind::Timeout) => {
-                (&self.counters.node_timeouts, NodeFailureKind::Timeout)
+/// A leg whose request is written: its connection, the request's id,
+/// the leg's deadline, and an injected `partial:<n>` cap on its
+/// neighbor list.
+type Written = (Client, u64, Instant, Option<usize>);
+
+/// Reads a written leg's reply within what is left of its deadline,
+/// then settles the connection with its node.
+fn read_leg(
+    node: &NodeHandle,
+    (mut client, id, deadline, cap): Written,
+) -> Result<Response, NodeFailureKind> {
+    let result = client.receive(id, deadline.saturating_duration_since(Instant::now()));
+    node.checkin(client, result.as_ref().err());
+    match result {
+        // The router sends only well-formed frames: one the node could
+        // not decode was damaged on the way.
+        Ok(Response::Error(e)) if is_undecodable(&e) => {
+            Err(NodeFailureKind::Transport(e.to_string()))
+        }
+        // A rejection of the request itself is a delivered reply: the
+        // node is healthy.
+        Ok(Response::Error(e)) if !e.is_caller_fault() => {
+            Err(NodeFailureKind::Remote(e.to_string()))
+        }
+        Ok(mut response) => {
+            if let (Some(cap), Response::Neighbors { neighbors, .. }) = (cap, &mut response) {
+                neighbors.truncate(cap);
             }
-            Miss::Failed(kind) => (&self.counters.node_failures, kind),
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        kind
+            Ok(response)
+        }
+        Err(e) => Err(e.into()),
+    }
+}
+
+impl Router {
+    /// Starts one admitted leg to partition `p`'s replica `node`: the
+    /// failpoint in front of it, then its request written on a pooled
+    /// (or freshly dialed) connection.
+    fn write_leg(
+        &self,
+        p: usize,
+        node: &NodeHandle,
+        request: &Request,
+    ) -> Result<Written, NodeFailureKind> {
+        let deadline = Instant::now() + self.config.client.read_timeout;
+        let mut cap = None;
+        // Failpoints: the partition-specific name wins over the generic
+        // one; formatting only happens while any failpoint is armed.
+        if failpoint::active() {
+            let action = failpoint::evaluate_sleepy(&format!("router.node.{p}"))
+                .or_else(|| failpoint::evaluate_sleepy("router.node"));
+            match action {
+                Some(failpoint::Action::Error(msg)) | Some(failpoint::Action::Panic(msg)) => {
+                    return Err(NodeFailureKind::Remote(format!(
+                        "injected failure on partition {p}: {msg}"
+                    )));
+                }
+                Some(failpoint::Action::Partial(n)) => cap = Some(n),
+                Some(failpoint::Action::Sleep(_)) | None => {}
+            }
+        }
+        let mut client = node.checkout(&self.config.client, deadline)?;
+        match client.send(request) {
+            Ok(id) => Ok((client, id, deadline, cap)),
+            Err(e) => {
+                node.checkin(client, Some(&e));
+                Err(e.into())
+            }
+        }
     }
 
-    /// Runs every leg on the calling thread: breaker admission and
-    /// attribution are `gather`'s; the router's own part is the
-    /// failpoint in front of each leg, writing every admitted leg's
-    /// request on a pooled connection, then reading each reply. A leg
-    /// has one deadline, `client.read_timeout` from when it starts: its
-    /// failpoint, dial, write and read all count against it, and no leg
-    /// waits on another's. A late reply is dropped with its connection.
-    pub(super) fn scatter(&self, legs: Vec<Leg>) -> Vec<LegOutcome> {
-        let breakers: Vec<&Breaker> = legs
-            .iter()
-            .map(|&(p, r, _)| &self.partitions[p].replicas[r].breaker)
-            .collect();
-        // Injected `partial:<n>` caps on a leg's neighbor list.
-        let mut partial: Vec<Option<usize>> = vec![None; legs.len()];
-        // Legs whose request is written, awaiting their reply.
-        let written = RefCell::new(Vec::with_capacity(legs.len()));
-        let outcomes = gather(
-            &breakers,
-            self.config.breaker_threshold,
-            self.config.breaker_cooldown,
-            None,
-            |i, reply| {
-                let deadline = Instant::now() + self.config.client.read_timeout;
-                let (p, r, ref request) = legs[i];
-                // Failpoints: the partition-specific name wins over the
-                // generic one; formatting only happens while any
-                // failpoint is armed.
-                if failpoint::active() {
-                    let action = failpoint::evaluate_sleepy(&format!("router.node.{p}"))
-                        .or_else(|| failpoint::evaluate_sleepy("router.node"));
-                    match action {
-                        Some(failpoint::Action::Error(msg))
-                        | Some(failpoint::Action::Panic(msg)) => {
-                            return Err(NodeFailureKind::Remote(format!(
-                                "injected failure on partition {p}: {msg}"
-                            )));
-                        }
-                        Some(failpoint::Action::Partial(n)) => partial[i] = Some(n),
-                        Some(failpoint::Action::Sleep(_)) | None => {}
-                    }
-                }
-                let node = &self.partitions[p].replicas[r];
-                let mut client = node.checkout(&self.config.client, deadline)?;
-                let id = match client.send(request) {
-                    Ok(id) => id,
-                    Err(e) => {
-                        node.checkin(client, Some(&e));
-                        return Err(e.into());
-                    }
+    /// Charges one leg to its node's breaker and counts it: a reply
+    /// closes the breaker, a failure counts against it. `None` is a leg
+    /// the open breaker skipped, which is not a health observation.
+    fn settle(
+        &self,
+        node: &NodeHandle,
+        outcome: Option<Result<Response, NodeFailureKind>>,
+    ) -> Result<Response, NodeFailureKind> {
+        let Some(outcome) = outcome else {
+            self.counters
+                .node_breaker_skips
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(NodeFailureKind::BreakerOpen);
+        };
+        match &outcome {
+            Ok(_) => node.breaker.record_success(),
+            Err(kind) => {
+                let (threshold, cooldown) =
+                    (self.config.breaker_threshold, self.config.breaker_cooldown);
+                node.breaker
+                    .record_failure(Instant::now(), threshold, cooldown);
+                let counter = match kind {
+                    NodeFailureKind::Timeout => &self.counters.node_timeouts,
+                    _ => &self.counters.node_failures,
                 };
-                written
-                    .borrow_mut()
-                    .push((node, client, id, deadline, reply));
-                Ok(())
-            },
-            || {
-                for (node, mut client, id, deadline, reply) in written.take() {
-                    let timeout = deadline.saturating_duration_since(Instant::now());
-                    let result = client.receive(id, timeout);
-                    node.checkin(client, result.as_ref().err());
-                    reply.send(match result {
-                        // The router sends only well-formed frames: one
-                        // the node could not decode was damaged on the way.
-                        Ok(Response::Error(e)) if is_undecodable(&e) => {
-                            Err(NodeFailureKind::Transport(e.to_string()))
-                        }
-                        // A rejection of the request itself is a
-                        // delivered reply: the node is healthy.
-                        Ok(Response::Error(e)) if !e.is_caller_fault() => {
-                            Err(NodeFailureKind::Remote(e.to_string()))
-                        }
-                        Ok(response) => Ok(response),
-                        Err(e) => Err(e.into()),
-                    });
-                }
-            },
-        );
-        outcomes
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        outcome
+    }
+
+    /// Runs every leg on the calling thread. Each leg's node breaker is
+    /// asked for admission, and every admitted leg's request is written
+    /// before any reply is read. A leg has one deadline,
+    /// `client.read_timeout` from when it starts: its failpoint, dial,
+    /// write and read all count against it, and no leg waits on
+    /// another's. A late reply is dropped with its connection. Every
+    /// admitted leg is charged to its breaker exactly once, so a
+    /// half-open probe always resolves.
+    pub(super) fn scatter(&self, legs: Vec<Leg>) -> Vec<LegOutcome> {
+        let now = Instant::now();
+        // `None` for a leg its breaker skipped.
+        let written: Vec<Option<Result<Written, NodeFailureKind>>> = legs
+            .iter()
+            .map(|&(p, r, ref request)| {
+                let node = &self.partitions[p].replicas[r];
+                node.breaker
+                    .admit(now)
+                    .then(|| self.write_leg(p, node, request))
+            })
+            .collect();
+        written
             .into_iter()
-            .zip(&legs)
-            .zip(partial)
-            .map(|((outcome, &(p, r, _)), cap)| {
-                let mut outcome = outcome.map_err(|miss| self.note_miss(miss));
-                if let (Some(cap), Ok(Response::Neighbors { neighbors, .. })) = (cap, &mut outcome)
-                {
-                    neighbors.truncate(cap);
-                }
-                (p, r, outcome)
+            .zip(legs)
+            .map(|(leg, (p, r, _))| {
+                let node = &self.partitions[p].replicas[r];
+                let read = leg.map(|leg| leg.and_then(|leg| read_leg(node, leg)));
+                (p, r, self.settle(node, read))
             })
             .collect()
     }
@@ -451,7 +471,6 @@ impl Router {
         let own = self.metrics.snapshot(
             self.sessions.len() as u64,
             Default::default(),
-            0,
             Default::default(),
         );
         snapshot.feed = own.feed;
@@ -475,7 +494,7 @@ mod tests {
     use qcluster_failpoint::{self as failpoint, Action};
     use qcluster_net::{ClientConfig, Server, ServerConfig};
     use qcluster_service::{Response, Service, ServiceConfig};
-    use std::net::{TcpListener, TcpStream};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -675,5 +694,128 @@ mod tests {
         );
         assert_eq!(pool.idle().len(), 0);
         assert_eq!(query(&router, session).1, 3);
+    }
+
+    /// An address nothing listens on: a dial to it is refused at once.
+    fn dead_addr() -> SocketAddr {
+        TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+    }
+
+    /// A half-open probe always resolves: a probe leg that fails is
+    /// charged and re-opens its breaker for a fresh (here zero)
+    /// cooldown, so the next scatter probes again, and once the node is
+    /// back its reply closes the breaker.
+    #[test]
+    fn a_half_open_probe_always_resolves() {
+        let _serial = failpoint::test_lock();
+        failpoint::clear_all();
+        let dead = dead_addr();
+        let servers: Vec<Server> = (1..3).map(|i| node(i, 1, "127.0.0.1:0")).collect();
+        let mut addrs = vec![dead];
+        addrs.extend(servers.iter().map(Server::local_addr));
+        let config = RouterConfig {
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::ZERO,
+            ..RouterConfig::default()
+        };
+        let router = Router::new(ShardMap::even(&addrs, 150).unwrap(), config).unwrap();
+        let session = router.create_session(None).unwrap();
+        let breaker = &router.partitions[0].replicas[0].breaker;
+        // The first failure trips the breaker; the second query's leg is
+        // the half-open probe, and its failure trips it again.
+        for trips in 1..=2 {
+            let (report, nodes_ok) = query(&router, session);
+            assert_eq!(nodes_ok, 2);
+            assert!(
+                matches!(&report.failures[..], [f] if matches!(f.kind, NodeFailureKind::Transport(_))),
+                "{:?}",
+                report.failures
+            );
+            assert_eq!(breaker.trips(), trips);
+        }
+        let _revived = node(0, 1, &dead.to_string());
+        assert_eq!(query(&router, session).1, 3);
+        assert!(breaker.is_closed(Instant::now()));
+        assert_eq!(breaker.trips(), 2);
+        assert_eq!(router.cluster_gauges().node_breaker_skips, 0);
+    }
+
+    /// A leg that fails before its request is written (its dial is
+    /// refused) and a leg its node answers with a failure (`Overloaded`)
+    /// are both charged to their node's breaker; a reply is not.
+    #[test]
+    fn a_refused_start_and_a_failing_leg_are_charged_failures() {
+        let _serial = failpoint::test_lock();
+        failpoint::clear_all();
+        let overloaded = ServiceConfig {
+            num_shards: 1,
+            max_queued_jobs: 0,
+            ..ServiceConfig::default()
+        };
+        let overloaded = Service::new(&synthetic_slice(50, 50, DIM), overloaded).unwrap();
+        let overloaded =
+            Server::bind("127.0.0.1:0", Arc::new(overloaded), ServerConfig::default()).unwrap();
+        let healthy = node(2, 1, "127.0.0.1:0");
+        let addrs = [dead_addr(), overloaded.local_addr(), healthy.local_addr()];
+        let config = RouterConfig {
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::from_secs(60),
+            ..RouterConfig::default()
+        };
+        let router = Router::new(ShardMap::even(&addrs, 150).unwrap(), config).unwrap();
+        let (report, nodes_ok) = query(&router, router.create_session(None).unwrap());
+        assert_eq!(nodes_ok, 1);
+        assert!(
+            matches!(&report.failures[..], [refused, failed]
+                if matches!(refused.kind, NodeFailureKind::Transport(_))
+                && matches!(&failed.kind, NodeFailureKind::Remote(msg) if msg.contains("overloaded"))),
+            "{:?}",
+            report.failures
+        );
+        let trips: Vec<u64> = (0..3)
+            .map(|p| router.partitions[p].replicas[0].breaker.trips())
+            .collect();
+        assert_eq!(trips, [1, 1, 0]);
+        assert_eq!(router.cluster_gauges().node_failures, 2);
+    }
+
+    /// Legs whose breakers are all open are never started: the scatter
+    /// dials and counts nothing but the skips, and answers at once.
+    #[test]
+    fn nothing_admitted_means_nothing_started_and_no_wait() {
+        let _serial = failpoint::test_lock();
+        failpoint::clear_all();
+        let (_servers, router) = cluster(1, RouterConfig::default());
+        let session = router.create_session(None).unwrap();
+        for part in &router.partitions {
+            let breaker = &part.replicas[0].breaker;
+            breaker.record_failure(Instant::now(), 1, Duration::from_secs(60));
+        }
+        let started = Instant::now();
+        let refused = router.query(session, 5, Some(vec![0.5; DIM]), None);
+        assert!(started.elapsed() < Duration::from_secs(1));
+        let Err(RouterError::Unavailable(failures)) = refused else {
+            panic!("expected Unavailable, got {refused:?}");
+        };
+        assert_eq!(failures.len(), 3);
+        assert!(failures
+            .iter()
+            .all(|f| f.kind == NodeFailureKind::BreakerOpen));
+        let gauges = router.cluster_gauges();
+        assert_eq!(
+            (
+                gauges.node_breaker_skips,
+                gauges.node_failures,
+                gauges.node_timeouts
+            ),
+            (3, 0, 0)
+        );
+        assert!(router
+            .partitions
+            .iter()
+            .all(|p| p.replicas[0].idle().is_empty()));
     }
 }

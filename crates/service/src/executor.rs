@@ -11,7 +11,7 @@
 //! The shards answer one query as one [`CooperativeScan`]: each shard
 //! job runs phase 1 against the fan-out's shared threshold and replies
 //! with its candidates, and the caller reranks the merged candidates
-//! once after [`gather`]. A shard job whose query compiles no plan
+//! once they are collected. A shard job whose query compiles no plan
 //! replies with its own exact top-k. A session's refined round seeds
 //! the threshold with its previous answer's `k`-th distance
 //! ([`CooperativeScan::seed`]); [`Executor::try_knn`] never does.
@@ -25,13 +25,15 @@
 //!
 //! [`Executor::try_knn`] is the fault-tolerant fan-out. Each shard job
 //! runs under `catch_unwind`, so a panicking shard becomes a per-shard
-//! failure instead of a poisoned pool. Deadline-bounded collection,
-//! per-shard circuit breakers and the attribution of every missing
-//! shard are [`crate::fanout::gather`]'s; whatever arrived in time is
+//! failure instead of a poisoned pool. Every shard of every fan-out is
+//! run: a shard is in-process work, not a remote target, so no shard is
+//! skipped for having failed before. Replies are collected until every
+//! shard answered or the deadline passed; whatever arrived in time is
 //! merged into a *degraded* result annotated with `shards_ok /
-//! shards_total` coverage ([`FanoutReport`]). Admission control bounds
-//! the total jobs in flight, rejecting new fan-outs with
-//! [`ServiceError::Overloaded`] instead of queueing without bound.
+//! shards_total` coverage, each missing shard attributed
+//! ([`FanoutReport`]). Admission control bounds the total jobs in
+//! flight, rejecting new fan-outs with [`ServiceError::Overloaded`]
+//! instead of queueing without bound.
 //!
 //! ## Failpoints
 //!
@@ -42,13 +44,11 @@
 //! by then — and before its reply.
 
 use crate::error::ServiceError;
-use crate::fanout::{gather, Breaker, Miss};
 use crate::metrics::{HistogramSummary, LatencyHistogram};
 use crate::shard::{Shard, ShardPart, ShardedCorpus};
 use crossbeam::channel::{self, Receiver, Sender};
 use qcluster_failpoint as failpoint;
 use qcluster_index::{merge_top_k, CooperativeScan, FanoutQuery, Neighbor, NodeCache, SearchStats};
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -66,11 +66,11 @@ pub struct ExecutorConfig {
     /// that would exceed it is rejected with
     /// [`ServiceError::Overloaded`] before submitting anything.
     pub max_queued_jobs: usize,
-    /// Consecutive failures (panics, injected errors, timeouts) that
-    /// trip one shard's circuit breaker.
+    /// Read by nothing; stays only because `benchmark/` names it
+    /// (ROADMAP 1(b)).
     pub breaker_threshold: u32,
-    /// How long a tripped breaker stays open before half-opening to
-    /// probe the shard with a single job.
+    /// Read by nothing; stays only because `benchmark/` names it
+    /// (ROADMAP 1(b)).
     pub breaker_cooldown: Duration,
 }
 
@@ -101,8 +101,6 @@ pub enum ShardFailureKind {
     Failed(String),
     /// The shard had not responded when the deadline elapsed.
     Timeout,
-    /// The shard's circuit breaker was open; the job was never run.
-    BreakerOpen,
 }
 
 /// One shard's failure in a fan-out.
@@ -159,11 +157,10 @@ impl Drop for Held {
 }
 
 /// A persistent pool of worker threads consuming shard jobs from a
-/// shared channel, with panic isolation, per-shard circuit breakers,
-/// bounded admission, and deadline-aware collection. A worker never
-/// dies with a job in hand: each shard job runs under `catch_unwind`.
-/// Dropping the executor closes the channel; workers drain outstanding
-/// jobs and exit.
+/// shared channel, with panic isolation, bounded admission, and
+/// deadline-aware collection. A worker never dies with a job in hand:
+/// each shard job runs under `catch_unwind`. Dropping the executor
+/// closes the channel; workers drain outstanding jobs and exit.
 #[derive(Debug)]
 pub struct Executor {
     tx: Option<Sender<Job>>,
@@ -171,8 +168,6 @@ pub struct Executor {
     config: ExecutorConfig,
     /// Shard jobs queued or running (admission control).
     queued: Arc<AtomicUsize>,
-    /// Per-shard breakers, grown on demand to the corpus size.
-    breakers: Mutex<Vec<Arc<Breaker>>>,
     /// Callers running their own fan-out's shard jobs right now; each
     /// holds a core.
     callers: Arc<AtomicUsize>,
@@ -225,7 +220,6 @@ impl Executor {
             pooled: Arc::default(),
             config,
             queued: Arc::new(AtomicUsize::new(0)),
-            breakers: Mutex::new(Vec::new()),
             shard_latency: Arc::new(LatencyHistogram::new()),
         })
     }
@@ -239,17 +233,6 @@ impl Executor {
     /// Number of worker threads.
     pub fn num_workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Circuit-breaker trips (closed/half-open → open transitions)
-    /// across all shards, sampled into metrics snapshots.
-    pub fn breaker_trips(&self) -> u64 {
-        self.breakers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|b| b.trips())
-            .sum()
     }
 
     fn submit(&self, job: Job) -> Result<(), ServiceError> {
@@ -292,15 +275,6 @@ impl Executor {
         drain(&jobs);
     }
 
-    /// One breaker per shard index, growing the table on demand.
-    fn breakers_for(&self, num_shards: usize) -> Vec<Arc<Breaker>> {
-        let mut breakers = self.breakers.lock().unwrap_or_else(|e| e.into_inner());
-        while breakers.len() < num_shards {
-            breakers.push(Arc::new(Breaker::default()));
-        }
-        breakers[..num_shards].to_vec()
-    }
-
     /// The fault-tolerant fan-out: runs `query` against every shard of
     /// `corpus` (on this thread and free workers when `deadline` is
     /// `None` and the node has a core to spare, on the pool otherwise),
@@ -308,9 +282,8 @@ impl Executor {
     /// `None`), and merges whatever arrived — the quantized shards'
     /// phase-1 candidates through one finish of their shared
     /// [`CooperativeScan`], exact over exactly those that replied. See
-    /// [`FanoutReport`] for coverage semantics; shards skipped by an
-    /// open circuit breaker or lost to panics/timeouts appear in
-    /// [`FanoutReport::failures`].
+    /// [`FanoutReport`] for coverage semantics; shards lost to panics,
+    /// failures or the deadline appear in [`FanoutReport::failures`].
     ///
     /// `caches` is only length-checked; it stays because `benchmark/` passes it (ROADMAP 1(b)).
     ///
@@ -367,7 +340,6 @@ impl Executor {
             });
         }
         let num_shards = corpus.num_shards();
-        let breakers = self.breakers_for(num_shards);
         let started = Instant::now();
         let scan = CooperativeScan::new(k, None, corpus.len());
         if let Some(seed) = seed {
@@ -376,8 +348,7 @@ impl Executor {
         let scan = Arc::new(scan);
 
         // Admission control: reserve a queue slot for every shard or
-        // reject the fan-out outright, before any breaker hands out a
-        // half-open probe.
+        // reject the fan-out outright.
         let prev = self.queued.fetch_add(num_shards, Ordering::AcqRel);
         if prev + num_shards > self.config.max_queued_jobs {
             self.queued.fetch_sub(num_shards, Ordering::AcqRel);
@@ -391,49 +362,60 @@ impl Executor {
         // `pooled` until collected.
         let claimer = deadline.is_none().then(|| self.claim()).flatten();
         let pooled = claimer.is_none().then(|| Held::enter(&self.pooled).0);
-        let claimable = RefCell::new(Vec::new());
-        let outcomes = gather(
-            &breakers,
-            self.config.breaker_threshold,
-            self.config.breaker_cooldown,
-            deadline,
-            |i, reply| {
-                let shard = Arc::clone(&corpus.shards()[i]);
-                let shard_query = query.clone_fanout();
-                let scan = Arc::clone(&scan);
-                // The job owns its reservation from here, also when the
-                // submit below fails and drops it unrun.
-                let slot = Held(Arc::clone(&self.queued));
-                let shard_latency = Arc::clone(&self.shard_latency);
-                let job: Job = Box::new(move || {
-                    let job_start = Instant::now();
-                    let outcome = run_shard_job(i, &shard, &scan, &*shard_query, k);
-                    if outcome.is_ok() {
-                        shard_latency.record(job_start.elapsed());
-                    }
-                    // Released before the reply: a fan-out that returned
-                    // holds no slot.
-                    drop(slot);
-                    reply.send(outcome);
-                });
-                if claimer.is_some() {
-                    claimable.borrow_mut().push(job);
-                    return Ok(());
+        // One slot per shard: its reply, or why it has none.
+        let mut slots: Vec<Option<ShardOutcome>> = (0..num_shards).map(|_| None).collect();
+        let (tx, rx) = channel::unbounded::<(usize, ShardOutcome)>();
+        let mut claimed = Vec::new();
+        for (i, shard) in corpus.shards().iter().enumerate() {
+            let shard = Arc::clone(shard);
+            let shard_query = query.clone_fanout();
+            let scan = Arc::clone(&scan);
+            // The job owns its reservation from here, also when the
+            // submit below fails and drops it unrun.
+            let slot = Held(Arc::clone(&self.queued));
+            let shard_latency = Arc::clone(&self.shard_latency);
+            let tx = tx.clone();
+            let job: Job = Box::new(move || {
+                let job_start = Instant::now();
+                let outcome = run_shard_job(i, &shard, &scan, &*shard_query, k);
+                if outcome.is_ok() {
+                    shard_latency.record(job_start.elapsed());
                 }
-                self.submit(job)
-                    .map_err(|e| ShardFailureKind::Failed(e.to_string()))
-            },
-            || self.run_claimed(claimable.take()),
-        );
+                // Released before the reply: a fan-out that returned
+                // holds no slot.
+                drop(slot);
+                // A collector past its deadline is gone; the reply is dropped.
+                let _ = tx.send((i, outcome));
+            });
+            if claimer.is_some() {
+                claimed.push(job);
+            } else if let Err(e) = self.submit(job) {
+                slots[i] = Some(Err(ShardFailureKind::Failed(e.to_string())));
+            }
+        }
+        drop(tx);
+        self.run_claimed(claimed);
+        // A job holds its sender until it has replied, so the channel
+        // disconnects once every job replied.
+        let next = || match deadline {
+            None => rx.recv().ok(),
+            Some(d) => rx
+                .recv_timeout(d.saturating_duration_since(Instant::now()))
+                .ok(),
+        };
+        while let Some((i, outcome)) = next() {
+            slots[i] = Some(outcome);
+        }
         drop((claimer, pooled));
+        let timed_out = deadline.is_some_and(|d| Instant::now() >= d);
 
         let mut lists: Vec<Vec<Neighbor>> = Vec::with_capacity(num_shards);
         let mut parts = Vec::new();
         let mut stats = SearchStats::default();
         let mut failures: Vec<ShardFailure> = Vec::new();
-        for (shard, outcome) in outcomes.into_iter().enumerate() {
-            let kind = match outcome {
-                Ok((part, shard_stats)) => {
+        for (shard, slot) in slots.into_iter().enumerate() {
+            let kind = match slot {
+                Some(Ok((part, shard_stats))) => {
                     stats.absorb(&shard_stats);
                     match part {
                         ShardPart::TopK(neighbors) => lists.push(neighbors),
@@ -441,16 +423,11 @@ impl Executor {
                     }
                     continue;
                 }
-                Err(Miss::BreakerOpen) => {
-                    // A skipped shard never took its reserved slot.
-                    self.queued.fetch_sub(1, Ordering::AcqRel);
-                    ShardFailureKind::BreakerOpen
-                }
-                Err(Miss::Failed(kind)) => kind,
-                Err(Miss::Timeout) => ShardFailureKind::Timeout,
+                Some(Err(kind)) => kind,
+                None if timed_out => ShardFailureKind::Timeout,
                 // A job replies also when its shard panics, so no reply
                 // is lost; were one lost, the shard failed.
-                Err(Miss::Lost) => ShardFailureKind::Failed("reply lost".into()),
+                None => ShardFailureKind::Failed("reply lost".into()),
             };
             failures.push(ShardFailure { shard, kind });
         }
@@ -458,7 +435,7 @@ impl Executor {
 
         if shards_ok == 0 {
             let waited_ms = started.elapsed().as_millis() as u64;
-            return if deadline.is_some_and(|d| Instant::now() >= d) {
+            return if timed_out {
                 Err(ServiceError::DeadlineExceeded {
                     waited_ms,
                     shards_total: num_shards,
@@ -485,6 +462,9 @@ impl Executor {
     }
 }
 
+/// What one shard job replies: its part of the fan-out, or why it has none.
+type ShardOutcome = Result<(ShardPart, SearchStats), ShardFailureKind>;
+
 /// Runs a fan-out's jobs, one claim at a time, until none is left.
 fn drain(jobs: &Mutex<std::vec::IntoIter<Job>>) {
     let next = || jobs.lock().unwrap_or_else(|e| e.into_inner()).next();
@@ -502,35 +482,33 @@ fn run_shard_job(
     scan: &CooperativeScan,
     query: &dyn FanoutQuery,
     k: usize,
-) -> Result<(ShardPart, SearchStats), ShardFailureKind> {
-    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<(ShardPart, SearchStats), ShardFailureKind> {
-            let done = shard.fanout_part(scan, query, k);
-            // Failpoints: the shard-specific name wins over the generic
-            // one; formatting only happens while any failpoint is armed.
-            if failpoint::active() {
-                let action = failpoint::evaluate_sleepy(&format!("executor.shard.{shard_index}"))
-                    .or_else(|| failpoint::evaluate_sleepy("executor.shard"));
-                match action {
-                    Some(failpoint::Action::Panic(msg)) => {
-                        panic!("injected panic in shard {shard_index}: {msg}")
-                    }
-                    Some(failpoint::Action::Error(msg)) => {
-                        return Err(ShardFailureKind::Failed(format!(
-                            "injected failure in shard {shard_index}: {msg}"
-                        )))
-                    }
-                    Some(failpoint::Action::Partial(n)) => {
-                        return Err(ShardFailureKind::Failed(format!(
-                            "injected partial({n}) in shard {shard_index}"
-                        )))
-                    }
-                    Some(failpoint::Action::Sleep(_)) | None => {}
+) -> ShardOutcome {
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> ShardOutcome {
+        let done = shard.fanout_part(scan, query, k);
+        // Failpoints: the shard-specific name wins over the generic
+        // one; formatting only happens while any failpoint is armed.
+        if failpoint::active() {
+            let action = failpoint::evaluate_sleepy(&format!("executor.shard.{shard_index}"))
+                .or_else(|| failpoint::evaluate_sleepy("executor.shard"));
+            match action {
+                Some(failpoint::Action::Panic(msg)) => {
+                    panic!("injected panic in shard {shard_index}: {msg}")
                 }
+                Some(failpoint::Action::Error(msg)) => {
+                    return Err(ShardFailureKind::Failed(format!(
+                        "injected failure in shard {shard_index}: {msg}"
+                    )))
+                }
+                Some(failpoint::Action::Partial(n)) => {
+                    return Err(ShardFailureKind::Failed(format!(
+                        "injected partial({n}) in shard {shard_index}"
+                    )))
+                }
+                Some(failpoint::Action::Sleep(_)) | None => {}
             }
-            Ok(done)
-        },
-    ));
+        }
+        Ok(done)
+    }));
     match unwound {
         Ok(result) => result,
         Err(payload) => Err(ShardFailureKind::Panic(panic_message(payload.as_ref()))),
@@ -620,7 +598,6 @@ mod tests {
         assert!(!report.degraded());
         assert!(report.failures.is_empty());
         assert_eq!(report.neighbors.len(), 10);
-        assert_eq!(executor.breaker_trips(), 0);
     }
 
     #[test]
@@ -746,24 +723,18 @@ mod tests {
         }
     }
 
-    /// A fan-out that admission control rejects must not strand a
-    /// half-open probe: the shard is probed by the next fan-out.
+    /// A fan-out that admission control rejects is refused whole, as
+    /// `Overloaded`, and gives back every slot it reserved.
     #[test]
-    fn overloaded_fanout_does_not_leak_the_half_open_probe() {
+    fn an_overloaded_fanout_is_refused_whole_and_gives_back_its_slots() {
         let corpus = ShardedCorpus::build(&spiral(60), 2).unwrap();
         let executor = Executor::with_config(ExecutorConfig {
             num_workers: 2,
             max_queued_jobs: 8,
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::ZERO,
+            ..ExecutorConfig::default()
         })
         .unwrap();
         let q = EuclideanQuery::new(vec![0.5, 0.5, 1.0]);
-
-        // Shard 0 tripped, its (zero) cooldown already over: the next
-        // admission is the half-open probe.
-        executor.breakers_for(2)[0].record_failure(Instant::now(), 1, Duration::ZERO);
-        assert_eq!(executor.breaker_trips(), 1);
 
         // One fan-out arrives while the queue is full.
         executor.queued.fetch_add(8, Ordering::AcqRel);
@@ -771,12 +742,11 @@ mod tests {
             executor.try_knn(&corpus, &q, 5, None, None),
             Err(ServiceError::Overloaded { .. })
         ));
+        assert_eq!(executor.queued.load(Ordering::Acquire), 8);
         executor.queued.fetch_sub(8, Ordering::AcqRel);
 
-        // The next one probes shard 0 and closes its breaker.
         let report = executor.try_knn(&corpus, &q, 5, None, None).unwrap();
         assert_eq!(report.shards_ok, 2, "{:?}", report.failures);
-        assert_eq!(executor.breaker_trips(), 1);
         assert_eq!(executor.queued.load(Ordering::Acquire), 0);
     }
 }

@@ -13,9 +13,6 @@
 //!   channels; one query fans out across all shards (each job gets its
 //!   own query clone, because refined queries are `Send` but not `Sync`)
 //!   and the per-shard top-k lists merge into the global top-k.
-//! - [`fanout`] — the one fault-tolerant fan-out primitive (circuit
-//!   breaker, deadline-bounded collection, typed attribution of every
-//!   missing leg) under both the executor and the cluster router.
 //! - [`session`] — the session lifecycle both a node and a cluster
 //!   router host: per-client method + compiled plan behind a registry
 //!   with a max-sessions cap and LRU eviction.
@@ -57,7 +54,6 @@
 
 pub mod error;
 pub mod executor;
-pub mod fanout;
 pub mod metrics;
 pub mod protocol;
 pub mod service;

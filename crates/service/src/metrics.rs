@@ -164,6 +164,11 @@ impl LatencyHistogram {
 }
 
 /// Serializable quantile summary of one [`LatencyHistogram`].
+///
+/// Each quantile is the upper edge of the bucket it falls in (clamped
+/// to the exact `max_ns`), and the buckets are 4 per octave: a quantile
+/// moves only in steps of ≈ 19 % (`2^(1/4)`), so a change smaller than
+/// one step may not show in it, or may show as a whole step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSummary {
     /// Samples recorded.
@@ -204,7 +209,6 @@ pub struct ServiceMetrics {
     shard_panics: AtomicU64,
     shard_failures: AtomicU64,
     shard_timeouts: AtomicU64,
-    breaker_skips: AtomicU64,
     degraded_responses: AtomicU64,
     deadline_exceeded: AtomicU64,
     overload_rejections: AtomicU64,
@@ -291,11 +295,6 @@ impl ServiceMetrics {
         self.shard_timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one shard skipped because its circuit breaker was open.
-    pub fn record_breaker_skip(&self) {
-        self.breaker_skips.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts one query answered with partial shard coverage.
     pub fn record_degraded_response(&self) {
         self.degraded_responses.fetch_add(1, Ordering::Relaxed);
@@ -355,14 +354,12 @@ impl ServiceMetrics {
     /// session registry (the metrics object does not track liveness
     /// itself, so the gauge can never drift from the registry's truth),
     /// and `storage` by the durable store for the same reason (all zero
-    /// for a memory-only service). `breaker_trips` is sampled from the
-    /// executor, which owns that counter, and `shard_latency` likewise
-    /// (the executor records per-shard execution time at the job site).
+    /// for a memory-only service). `shard_latency` is sampled from the
+    /// executor, which records per-shard execution time at the job site.
     pub fn snapshot(
         &self,
         active_sessions: u64,
         storage: StorageGauges,
-        breaker_trips: u64,
         shard_latency: HistogramSummary,
     ) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -390,8 +387,7 @@ impl ServiceMetrics {
                 shard_panics: self.shard_panics.load(Ordering::Relaxed),
                 shard_failures: self.shard_failures.load(Ordering::Relaxed),
                 shard_timeouts: self.shard_timeouts.load(Ordering::Relaxed),
-                breaker_skips: self.breaker_skips.load(Ordering::Relaxed),
-                breaker_trips,
+                breaker_trips: 0,
                 degraded_responses: self.degraded_responses.load(Ordering::Relaxed),
                 deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
                 overload_rejections: self.overload_rejections.load(Ordering::Relaxed),
@@ -503,8 +499,6 @@ impl MetricsSnapshot {
         self.faults.shard_panics += other.faults.shard_panics;
         self.faults.shard_failures += other.faults.shard_failures;
         self.faults.shard_timeouts += other.faults.shard_timeouts;
-        self.faults.breaker_skips += other.faults.breaker_skips;
-        self.faults.breaker_trips += other.faults.breaker_trips;
         self.faults.degraded_responses += other.faults.degraded_responses;
         self.faults.deadline_exceeded += other.faults.deadline_exceeded;
         self.faults.overload_rejections += other.faults.overload_rejections;
@@ -582,9 +576,8 @@ pub struct TransportGauges {
     pub shutdown_drains: u64,
 }
 
-/// Fault-path counters sampled at snapshot time. Shard-level counters
-/// come from the service's own recorders; `breaker_trips` is owned by
-/// the executor and sampled from it.
+/// Fault-path counters sampled at snapshot time, from the service's
+/// own recorders.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultGauges {
     /// Shard jobs that panicked and were isolated (query kept running).
@@ -593,9 +586,8 @@ pub struct FaultGauges {
     pub shard_failures: u64,
     /// Shards that missed a query's deadline.
     pub shard_timeouts: u64,
-    /// Shards skipped because their circuit breaker was open.
-    pub breaker_skips: u64,
-    /// Circuit-breaker open transitions (closed/half-open → open).
+    /// Always 0: a shard has no circuit breaker. Read by nothing; stays
+    /// only because `benchmark/` names it (ROADMAP 1(b)).
     pub breaker_trips: u64,
     /// Queries answered with partial shard coverage.
     pub degraded_responses: u64,
@@ -656,7 +648,7 @@ pub struct MetricsSnapshot {
     pub recoveries: u64,
     /// Storage gauges (all zero for a memory-only service).
     pub storage: StorageGauges,
-    /// Fault-path counters (panics, timeouts, breaker activity, …).
+    /// Fault-path counters (panics, timeouts, degraded answers, …).
     pub faults: FaultGauges,
     /// TCP transport counters (all zero without a network front-end).
     pub transport: TransportGauges,
@@ -671,7 +663,7 @@ mod tests {
     #[test]
     fn empty_histogram_snapshot_is_zero() {
         let m = ServiceMetrics::new();
-        let s = m.snapshot(0, StorageGauges::default(), 0, HistogramSummary::default());
+        let s = m.snapshot(0, StorageGauges::default(), HistogramSummary::default());
         assert_eq!(s.query_percentiles, HistogramSummary::default());
         assert_eq!(s.feed, HistogramSummary::default());
         assert_eq!(s.fanout, HistogramSummary::default());
@@ -687,7 +679,7 @@ mod tests {
         m.record_create_session();
         m.record_create_session();
         m.record_close_session();
-        let s = m.snapshot(1, StorageGauges::default(), 0, HistogramSummary::default());
+        let s = m.snapshot(1, StorageGauges::default(), HistogramSummary::default());
         assert_eq!(s.plan_cache_hits, 2);
         assert_eq!(s.plan_cache_misses, 1);
         assert_eq!(s.evictions, 2);
@@ -703,19 +695,17 @@ mod tests {
         m.record_shard_failure();
         m.record_shard_failure();
         m.record_shard_timeout();
-        m.record_breaker_skip();
         m.record_degraded_response();
         m.record_deadline_exceeded();
         m.record_overload_rejection();
-        let s = m.snapshot(0, StorageGauges::default(), 5, HistogramSummary::default());
+        let s = m.snapshot(0, StorageGauges::default(), HistogramSummary::default());
         assert_eq!(
             s.faults,
             FaultGauges {
                 shard_panics: 1,
                 shard_failures: 2,
                 shard_timeouts: 1,
-                breaker_skips: 1,
-                breaker_trips: 5,
+                breaker_trips: 0,
                 degraded_responses: 1,
                 deadline_exceeded: 1,
                 overload_rejections: 1,
@@ -906,7 +896,7 @@ mod tests {
         m.record_frame_out();
         m.record_decode_error();
         m.record_shutdown_drains(3);
-        let s = m.snapshot(0, StorageGauges::default(), 0, HistogramSummary::default());
+        let s = m.snapshot(0, StorageGauges::default(), HistogramSummary::default());
         assert_eq!(
             s.transport,
             TransportGauges {
@@ -932,8 +922,8 @@ mod tests {
         b_metrics.query_hist.record(Duration::from_nanos(300));
         b_metrics.record_plan_cache_miss();
         b_metrics.record_shard_timeout();
-        let mut a = a_metrics.snapshot(1, StorageGauges::default(), 0, HistogramSummary::default());
-        let b = b_metrics.snapshot(2, StorageGauges::default(), 1, HistogramSummary::default());
+        let mut a = a_metrics.snapshot(1, StorageGauges::default(), HistogramSummary::default());
+        let b = b_metrics.snapshot(2, StorageGauges::default(), HistogramSummary::default());
         a.absorb(&b);
         assert_eq!(a.query_percentiles.count, 2);
         assert_eq!(a.query_percentiles.max_ns, 300);
@@ -942,13 +932,11 @@ mod tests {
         assert_eq!(a.active_sessions, 3);
         assert_eq!(a.ingests, 1);
         assert_eq!(a.faults.shard_timeouts, 1);
-        assert_eq!(a.faults.breaker_trips, 1);
         // Absorbing an all-zero snapshot changes nothing.
         let before = a.clone();
         a.absorb(&ServiceMetrics::new().snapshot(
             0,
             StorageGauges::default(),
-            0,
             HistogramSummary::default(),
         ));
         assert_eq!(a, before);
@@ -968,7 +956,7 @@ mod tests {
                 });
             }
         });
-        let s = m.snapshot(0, StorageGauges::default(), 0, HistogramSummary::default());
+        let s = m.snapshot(0, StorageGauges::default(), HistogramSummary::default());
         assert_eq!(s.query_percentiles.count, 1000);
         assert_eq!(s.plan_cache_hits, 1000);
         assert_eq!(s.query_percentiles.max_ns, 250);

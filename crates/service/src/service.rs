@@ -38,9 +38,11 @@ pub struct ServiceConfig {
     /// Always [`DEFAULT_SCORE`], which is what a feed uses; stays only
     /// because `benchmark/` reads it (ROADMAP 1(b)).
     pub default_score: f64,
-    /// Consecutive shard failures that trip its circuit breaker.
+    /// Read by nothing; stays only because `benchmark/` names it
+    /// (ROADMAP 1(b)).
     pub breaker_threshold: u32,
-    /// How long a tripped breaker skips its shard before half-opening.
+    /// Read by nothing; stays only because `benchmark/` names it
+    /// (ROADMAP 1(b)).
     pub breaker_cooldown: Duration,
     /// Admission cap on shard jobs queued or running at once; fan-outs
     /// beyond it are rejected with [`ServiceError::Overloaded`].
@@ -76,7 +78,7 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// `true` when shard timeouts, panics, or open breakers kept some
+    /// `true` when shard timeouts, panics or failures kept some
     /// shards out of the merge — the ranking covers only
     /// `shards_ok / shards_total` of the corpus.
     pub fn degraded(&self) -> bool {
@@ -148,8 +150,7 @@ impl Service {
         let executor = Executor::with_config(ExecutorConfig {
             num_workers: config.num_workers,
             max_queued_jobs: config.max_queued_jobs,
-            breaker_threshold: config.breaker_threshold,
-            breaker_cooldown: config.breaker_cooldown,
+            ..ExecutorConfig::default()
         })?;
         let registry = SessionRegistry::new(config.max_sessions);
         let overlay = RwLock::new(LinearScan::empty(corpus.dim()));
@@ -495,7 +496,6 @@ impl Service {
                 ShardFailureKind::Panic(_) => self.metrics.record_shard_panic(),
                 ShardFailureKind::Failed(_) => self.metrics.record_shard_failure(),
                 ShardFailureKind::Timeout => self.metrics.record_shard_timeout(),
-                ShardFailureKind::BreakerOpen => self.metrics.record_breaker_skip(),
             }
         }
         if report.degraded() {
@@ -738,7 +738,6 @@ impl Service {
         self.metrics.snapshot(
             self.registry.len() as u64,
             storage,
-            self.executor.breaker_trips(),
             self.executor.shard_latency(),
         )
     }

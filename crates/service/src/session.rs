@@ -286,7 +286,7 @@ mod tests {
         ));
         assert!(r.close(id, &m).is_err());
         assert!(r.create("falcon9", &m).is_err(), "unknown name");
-        let s = m.snapshot(r.len() as u64, Default::default(), 0, Default::default());
+        let s = m.snapshot(r.len() as u64, Default::default(), Default::default());
         assert_eq!((s.sessions_created, s.sessions_closed), (1, 1));
         assert_eq!((s.feed.count, s.active_sessions), (1, 0));
     }
@@ -326,7 +326,7 @@ mod tests {
         assert!(r.touch(a).is_ok(), "recently touched survives");
         assert!(r.touch(b).is_err(), "LRU evicted");
         assert!(r.touch(c).is_ok());
-        let s = m.snapshot(2, Default::default(), 0, Default::default());
+        let s = m.snapshot(2, Default::default(), Default::default());
         assert_eq!((s.evictions, s.sessions_created), (1, 3));
     }
 
@@ -335,7 +335,7 @@ mod tests {
         let (r, m) = (SessionRegistry::new(4), ServiceMetrics::new());
         let id = r.create("qcluster", &m).unwrap();
         let plan_counts = || {
-            let s = m.snapshot(1, Default::default(), 0, Default::default());
+            let s = m.snapshot(1, Default::default(), Default::default());
             (s.plan_cache_hits, s.plan_cache_misses)
         };
         r.feed(id, &points(), &m).unwrap();

@@ -1,9 +1,9 @@
 //! Fault-injection suite for the query path: panicking shards, slow
-//! shards racing deadlines, circuit breakers, admission control, and
-//! session eviction racing in-flight queries; then queries,
-//! feeds and creates beside a stalled or failing WAL, the durable
-//! boot's seal failing, panicking or stalling beside the shard build,
-//! and seeds no shard may hold.
+//! shards racing deadlines (a missed deadline costs no later query),
+//! admission control, and session eviction racing in-flight queries;
+//! then queries, feeds and creates beside a stalled or failing WAL, the
+//! durable boot's seal failing, panicking or stalling beside the shard
+//! build, and seeds no shard may hold.
 //!
 //! Failpoints are process-global, so every test serializes through
 //! `failpoint::test_lock()` and clears the registry on entry; the whole
@@ -54,8 +54,6 @@ fn degraded_query_meets_deadline_with_partial_coverage() {
     let svc = service(ServiceConfig {
         num_shards: 4,
         num_workers: 4,
-        // One panic and one timeout must not trip breakers here.
-        breaker_threshold: 10,
         ..ServiceConfig::default()
     });
     let session = svc.create_session().unwrap();
@@ -102,8 +100,6 @@ fn degraded_query_meets_deadline_with_partial_coverage() {
     assert_eq!(stats.faults.shard_failures, 0);
     assert_eq!(stats.faults.degraded_responses, 1);
     assert_eq!(stats.faults.deadline_exceeded, 0);
-    assert_eq!(stats.faults.breaker_skips, 0);
-    assert_eq!(stats.faults.breaker_trips, 0);
 
     // Failpoints disarmed: the same request under the same deadline is
     // whole again, and bit-for-bit equal to an undeadlined run.
@@ -151,7 +147,6 @@ fn a_shard_failing_after_it_published_its_threshold_costs_the_others_nothing() {
         ServiceConfig {
             num_shards: 4,
             num_workers: 1,
-            breaker_threshold: 10,
             ..ServiceConfig::default()
         },
     )
@@ -196,7 +191,6 @@ fn a_seeded_query_that_loses_a_shard_answers_exactly_over_the_others() {
         ServiceConfig {
             num_shards: 4,
             num_workers: 1,
-            breaker_threshold: 10,
             ..ServiceConfig::default()
         },
     )
@@ -250,7 +244,6 @@ fn dispatch_surfaces_degraded_coverage_on_the_wire() {
     let svc = service(ServiceConfig {
         num_shards: 4,
         num_workers: 4,
-        breaker_threshold: 10,
         ..ServiceConfig::default()
     });
     let Response::SessionCreated { session } =
@@ -295,7 +288,6 @@ fn all_shards_late_is_a_typed_deadline_error() {
     let svc = service(ServiceConfig {
         num_shards: 2,
         num_workers: 2,
-        breaker_threshold: 10,
         ..ServiceConfig::default()
     });
     let session = svc.create_session().unwrap();
@@ -325,49 +317,44 @@ fn all_shards_late_is_a_typed_deadline_error() {
     assert_eq!(svc.stats().faults.degraded_responses, 0);
 }
 
-/// A persistently failing shard trips its breaker after `threshold`
-/// consecutive failures; tripped, the shard is skipped (cheap degraded
-/// responses, no job submitted) until the cooldown elapses, after which
-/// a half-open probe restores full coverage once the fault is gone.
+/// A shard that misses deadlines costs only the queries that set them:
+/// a shard is not skipped for having failed before. Three deadline
+/// queries time shard 3 out; the next query, with no deadline, still
+/// answers over all four shards, bit for bit `LinearScan`.
 #[test]
-fn breaker_trips_on_repeated_failure_and_recovers_after_cooldown() {
+fn deadline_timeouts_do_not_cost_a_later_query_its_shard() {
     let _serial = failpoint::test_lock();
     failpoint::clear_all();
 
     let svc = service(ServiceConfig {
-        num_shards: 2,
+        num_shards: 4,
         num_workers: 2,
-        breaker_threshold: 2,
-        breaker_cooldown: Duration::from_millis(100),
         ..ServiceConfig::default()
     });
     let session = svc.create_session().unwrap();
-    let query = vec![0.5, 0.5];
+    let query = vec![30.0, 0.5]; // nearest mass lives in shard 3
 
-    failpoint::configure("executor.shard.0", Action::Error("shard down".into()));
-    for round in 1..=2u64 {
-        let out = svc.query_vector(session, query.clone(), 5).unwrap();
-        assert_eq!(out.shards_ok, 1, "round {round}");
-        assert_eq!(svc.stats().faults.shard_failures, round);
+    let slow = failpoint::scoped("executor.shard.3", Action::Sleep(120));
+    for _ in 0..3 {
+        let deadline = Some(Duration::from_millis(40));
+        match svc.query_with_deadline(session, 5, Some(query.clone()), deadline) {
+            Ok(out) => assert!(out.degraded()),
+            Err(e) => assert!(matches!(e, ServiceError::DeadlineExceeded { .. }), "{e:?}"),
+        }
+        // Let the sleeping job finish, so the next query finds the
+        // pool idle.
+        thread::sleep(Duration::from_millis(150));
     }
-    // Threshold reached: the breaker is open, so the failing shard is
-    // skipped without running its (still armed) failpoint.
-    let before = failpoint::hits("executor.shard.0");
-    let out = svc.query_vector(session, query.clone(), 5).unwrap();
-    assert!(out.degraded());
-    assert_eq!(failpoint::hits("executor.shard.0"), before, "job never ran");
-    let stats = svc.stats();
-    assert_eq!(stats.faults.breaker_trips, 1);
-    assert!(stats.faults.breaker_skips >= 1);
+    drop(slow);
+    assert_eq!(svc.stats().faults.shard_timeouts, 3);
 
-    // Fault repaired + cooldown elapsed: the half-open probe succeeds
-    // and the shard rejoins the fan-out.
-    failpoint::clear_all();
-    thread::sleep(Duration::from_millis(120));
-    let healed = svc.query_vector(session, query, 5).unwrap();
-    assert!(!healed.degraded());
-    assert_eq!(healed.shards_ok, 2);
-    assert_eq!(svc.stats().faults.breaker_trips, 1, "no re-trip");
+    let out = svc.query_vector(session, query.clone(), 5).unwrap();
+    assert_eq!((out.shards_ok, out.shards_total), (4, 4));
+    let want = LinearScan::new(&corpus()).knn(&EuclideanQuery::new(query), 5);
+    let bits = |list: &[qcluster_index::Neighbor]| -> Vec<(usize, u64)> {
+        list.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+    };
+    assert_eq!(bits(&out.neighbors), bits(&want));
 }
 
 /// Admission control: a fan-out that cannot reserve queue slots for all
