@@ -40,8 +40,7 @@ pub struct SoakReport {
     pub client_latency: HistogramSummary,
     /// Degraded answers per answered query.
     pub degraded_rate: f64,
-    /// Requests shed (admission rejections, plus the transport's
-    /// `write_queue_sheds`, which is 0) per attempted query.
+    /// Requests shed by admission control per attempted query.
     pub shed_rate: f64,
     /// Circuit-breaker open transitions of the router's node breakers
     /// (0 against a single node, which has no breaker).
@@ -105,7 +104,6 @@ impl SoakReport {
     ) -> SoakReport {
         let wall_secs = outcome.wall.as_secs_f64();
         let attempts = outcome.counters.queries_ok + outcome.counters.query_errors;
-        let sheds = metrics.transport.write_queue_sheds + metrics.faults.overload_rejections;
         SoakReport {
             seed: config.seed,
             target,
@@ -123,7 +121,7 @@ impl SoakReport {
             client_latency: outcome.latency.summary(),
             degraded_rate: outcome.counters.degraded_responses as f64
                 / outcome.counters.queries_ok.max(1) as f64,
-            shed_rate: sheds as f64 / attempts.max(1) as f64,
+            shed_rate: metrics.faults.overload_rejections as f64 / attempts.max(1) as f64,
             breaker_trips: metrics.cluster.node_breaker_trips,
             precision_at_k: outcome.precision.clone(),
             chaos: outcome.chaos.clone(),

@@ -105,29 +105,14 @@ impl Client {
     /// Writes one request frame and returns its id for [`Client::receive`];
     /// one request is in flight per connection.
     pub fn send(&mut self, request: &Request) -> Result<u64, NetError> {
-        self.write(FrameKind::Request, &encode_request(request))
+        self.write(&encode_request(request))
     }
 
     /// Reads the response to request `id`, waiting at most `timeout`.
     pub fn receive(&mut self, id: u64, timeout: Duration) -> Result<Response, NetError> {
-        let response = self.read(id, FrameKind::Response, timeout);
+        let response = self.read(id, timeout);
         let response = response.and_then(|payload| Ok(decode_response(&payload)?));
         self.settle(response)
-    }
-
-    /// Sends one replication request ([`crate::repl::ReplRequest`]
-    /// bytes) and waits at most `timeout` for the peer's
-    /// [`crate::repl::ReplReply`] bytes. Replication frames interleave
-    /// freely with protocol frames on the same connection; the response
-    /// is matched by id.
-    ///
-    /// Like [`Client::call`], a transport failure drops the connection
-    /// without retry — WAL apply is idempotent on the receiver, so the
-    /// caller can simply re-drive the catch-up loop.
-    pub fn repl_call(&mut self, payload: &[u8], timeout: Duration) -> Result<Vec<u8>, NetError> {
-        let id = self.write(FrameKind::ReplRequest, payload)?;
-        let reply = self.read(id, FrameKind::ReplResponse, timeout);
-        self.settle(reply)
     }
 
     /// Any error drops (closes) the connection: the next call redials.
@@ -138,19 +123,19 @@ impl Client {
         result
     }
 
-    /// Writes one `kind` frame under a fresh id, dialing if needed.
-    fn write(&mut self, kind: FrameKind, payload: &[u8]) -> Result<u64, NetError> {
+    /// Writes one request frame under a fresh id, dialing if needed.
+    fn write(&mut self, payload: &[u8]) -> Result<u64, NetError> {
         self.ensure_connected()?;
         let id = self.next_id;
         self.next_id += 1;
         let stream = self.stream.as_mut().expect("connected");
-        let written = frame::write_frame(stream, kind, id, payload);
+        let written = frame::write_frame(stream, FrameKind::Request, id, payload);
         self.settle(written.map(|()| id).map_err(NetError::from))
     }
 
-    /// The payload of the `kind` frame answering request `id`, read
+    /// The payload of the response frame answering request `id`, read
     /// within `timeout`; the caller settles the result.
-    fn read(&mut self, id: u64, kind: FrameKind, timeout: Duration) -> Result<Vec<u8>, NetError> {
+    fn read(&mut self, id: u64, timeout: Duration) -> Result<Vec<u8>, NetError> {
         let Some(stream) = self.stream.as_mut() else {
             return Err(NetError::Closed("no connection".into()));
         };
@@ -180,9 +165,9 @@ impl Client {
                 other => format!("unexpected connection-level frame: {other:?}"),
             }));
         }
-        if f.kind != kind || f.request_id != id {
+        if f.kind != FrameKind::Response || f.request_id != id {
             return Err(NetError::Protocol(format!(
-                "expected a {kind:?} frame for request id {id}, got a {:?} frame for {}",
+                "expected a Response frame for request id {id}, got a {:?} frame for {}",
                 f.kind, f.request_id
             )));
         }

@@ -1,8 +1,7 @@
 //! The binary payload of [`FrameKind::Request`](crate::frame::FrameKind::Request)
 //! and [`FrameKind::Response`](crate::frame::FrameKind::Response) frames:
 //! [`encode_request`] / [`decode_request`] and [`encode_response`] /
-//! [`decode_response`]. The replication envelope (`repl`) is written
-//! with the same `Wire` trait and `Reader`.
+//! [`decode_response`].
 //!
 //! - one tag byte per enum variant, numbered from 1 in declaration order;
 //! - every integer fixed-width little-endian, `usize` as `u64`;
@@ -33,12 +32,12 @@ fn malformed(msg: String) -> FrameError {
     FrameError::Payload(format!("binary payload: {msg}"))
 }
 
-pub(crate) fn unknown_tag(what: &str, tag: u8) -> FrameError {
+fn unknown_tag(what: &str, tag: u8) -> FrameError {
     malformed(format!("unknown {what} tag {tag}"))
 }
 
 /// Reads a payload front to back, every read bounds-checked.
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -85,13 +84,13 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.take(n)?).map_err(|e| malformed(format!("string: {e}")))
     }
 
-    pub(crate) fn get<T: Wire>(&mut self) -> Result<T, FrameError> {
+    fn get<T: Wire>(&mut self) -> Result<T, FrameError> {
         T::get(self)
     }
 }
 
 /// A value with a binary wire form.
-pub(crate) trait Wire: Sized {
+trait Wire: Sized {
     /// The fewest bytes one encoded value takes.
     const MIN: usize;
 
@@ -143,14 +142,12 @@ macro_rules! wire_enum {
                     $($tag => $ty::$var
                         $({ $($f: r.get()?),* })?
                         $(( $({ let $t = r.get()?; $t }),* ))?,)*
-                    tag => return Err($crate::codec::unknown_tag(stringify!($ty), tag)),
+                    tag => return Err(unknown_tag(stringify!($ty), tag)),
                 })
             }
         }
     };
 }
-
-pub(crate) use wire_enum;
 
 /// `Wire` for a struct: its fields in order, each read as the type
 /// named here (which must be the field's), bound without `..`.
@@ -172,14 +169,14 @@ macro_rules! wire_struct {
 }
 
 /// Encodes one value.
-pub(crate) fn encode<T: Wire>(value: &T) -> Vec<u8> {
+fn encode<T: Wire>(value: &T) -> Vec<u8> {
     let mut w = Vec::new();
     value.put(&mut w);
     w
 }
 
 /// Decodes exactly one value: a trailing byte is an error.
-pub(crate) fn decode<T: Wire>(bytes: &[u8]) -> Result<T, FrameError> {
+fn decode<T: Wire>(bytes: &[u8]) -> Result<T, FrameError> {
     let mut r = Reader { bytes, pos: 0 };
     let value = r.get()?;
     match r.remaining() {
@@ -370,6 +367,10 @@ wire_enum!(Request {
     8 => FetchVectors { ids },
     9 => FeedPoints { session, points },
     10 => QueryCompiled { query, k, deadline_ms },
+    11 => ReplFetch { from, max },
+    12 => ReplApply { term, lease_ms, frames },
+    13 => ReplStatus,
+    14 => Vote { term, lease_ms },
 });
 
 wire_struct!(FeedPointDto {
@@ -434,6 +435,7 @@ wire_enum!(ServiceError {
     9 => Overloaded { queued, capacity },
     10 => DeadlineExceeded { waited_ms, shards_total },
     11 => Internal(msg),
+    12 => StaleTerm { current },
 });
 
 /// By hand, for its one exception: `Stats` carries the snapshot's JSON,
@@ -512,6 +514,33 @@ impl Wire for Response {
                 w.push(9);
                 error.put(w);
             }
+            Response::Chunk { total, frames } => {
+                w.push(10);
+                total.put(w);
+                frames.put(w);
+            }
+            Response::Applied { total, applied } => {
+                w.push(11);
+                total.put(w);
+                applied.put(w);
+            }
+            Response::ReplStatus {
+                total,
+                durable,
+                term,
+                leased,
+            } => {
+                w.push(12);
+                for v in [total, durable, term] {
+                    v.put(w);
+                }
+                leased.put(w);
+            }
+            Response::Voted { granted, term } => {
+                w.push(13);
+                granted.put(w);
+                term.put(w);
+            }
         }
     }
 
@@ -549,6 +578,24 @@ impl Wire for Response {
             }
             8 => Response::Vectors { vectors: r.get()? },
             9 => Response::Error(r.get()?),
+            10 => Response::Chunk {
+                total: r.get()?,
+                frames: r.get()?,
+            },
+            11 => Response::Applied {
+                total: r.get()?,
+                applied: r.get()?,
+            },
+            12 => Response::ReplStatus {
+                total: r.get()?,
+                durable: r.get()?,
+                term: r.get()?,
+                leased: r.get()?,
+            },
+            13 => Response::Voted {
+                granted: r.get()?,
+                term: r.get()?,
+            },
             tag => return Err(unknown_tag("response", tag)),
         })
     }

@@ -7,16 +7,14 @@
 //!  offset  size  field
 //!  ------  ----  -----------------------------------------------
 //!       0     4  magic  "QNET"
-//!       4     1  protocol version (currently 2)
-//!       5     1  kind   (1 = request, 2 = response,
-//!                        3 = replication request, 4 = replication response)
+//!       4     1  protocol version (currently 3)
+//!       5     1  kind   (1 = request, 2 = response)
 //!       6     2  reserved (must be 0 on send, ignored on receive)
 //!       8     8  request id, u64 little-endian
 //!      16     4  payload length, u32 little-endian
 //!      20     4  CRC-32 (ISO-HDLC) over the payload bytes
 //!      24     n  payload: one binary `Request` or `Response`
-//!                (kinds 1/2, see the `codec` module), or a binary
-//!                replication message (kinds 3/4, see the `repl` module)
+//!                (see the `codec` module)
 //! ```
 //!
 //! The request id is chosen by the client and echoed by the server, so
@@ -39,26 +37,21 @@ use std::io::{ErrorKind, Read, Write};
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"QNET";
 /// The protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 24;
 /// Default cap on payload size (16 MiB): a Stats snapshot is ~2 KiB and
 /// even a 1k-dimensional ingest vector is ~8 KiB, so this is generous.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
-/// Whether a frame carries a request, a response, or a replication
-/// message (see the `codec` and `repl` modules for their payloads).
+/// Whether a frame carries a request or a response (see the `codec`
+/// module for their payloads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// Client → server.
     Request,
     /// Server → client.
     Response,
-    /// Replication peer → node: a fetch/apply/status message carrying a
-    /// binary payload of CRC-framed WAL records or control fields.
-    ReplRequest,
-    /// Node → replication peer: the reply to a [`FrameKind::ReplRequest`].
-    ReplResponse,
 }
 
 impl FrameKind {
@@ -66,8 +59,6 @@ impl FrameKind {
         match self {
             FrameKind::Request => 1,
             FrameKind::Response => 2,
-            FrameKind::ReplRequest => 3,
-            FrameKind::ReplResponse => 4,
         }
     }
 
@@ -75,8 +66,6 @@ impl FrameKind {
         match b {
             1 => Some(FrameKind::Request),
             2 => Some(FrameKind::Response),
-            3 => Some(FrameKind::ReplRequest),
-            4 => Some(FrameKind::ReplResponse),
             _ => None,
         }
     }
@@ -138,7 +127,7 @@ impl fmt::Display for FrameError {
                     "unsupported protocol version {v} (this build speaks {PROTOCOL_VERSION})"
                 )
             }
-            FrameError::BadKind(k) => write!(f, "bad frame kind {k} (expected 1..=4)"),
+            FrameError::BadKind(k) => write!(f, "bad frame kind {k} (expected 1 or 2)"),
             FrameError::Oversize { len, max } => {
                 write!(
                     f,
@@ -200,8 +189,6 @@ pub fn decode_header(
     if bytes[4] != PROTOCOL_VERSION {
         return Err(FrameError::UnsupportedVersion(bytes[4]));
     }
-    let kind = FrameKind::from_byte(bytes[5]).ok_or(FrameError::BadKind(bytes[5]))?;
-    let request_id = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
     let payload_len = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
     if payload_len > max_payload {
         return Err(FrameError::Oversize {
@@ -209,6 +196,10 @@ pub fn decode_header(
             max: max_payload,
         });
     }
+    // After the length check: a bad kind is recoverable only because
+    // its (capped) payload can be skipped.
+    let kind = FrameKind::from_byte(bytes[5]).ok_or(FrameError::BadKind(bytes[5]))?;
+    let request_id = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
     let payload_crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
     Ok(FrameHeader {
         kind,
@@ -389,10 +380,15 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: u32) -> std::io::Result<ReadF
     let parsed = match decode_header(&header, max_payload) {
         Ok(h) => h,
         Err(error) => {
+            if let FrameError::BadKind(_) = error {
+                // Skip the payload so the next frame is read in step.
+                let len = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
+                std::io::copy(&mut r.take(u64::from(len)), &mut std::io::sink())?;
+            }
             return Ok(ReadFrame::Corrupt {
                 request_id: salvage_request_id(&header),
                 error,
-            })
+            });
         }
     };
     let mut payload = vec![0u8; parsed.payload_len as usize];
@@ -477,22 +473,14 @@ mod tests {
             Err(FrameError::UnsupportedVersion(99))
         ));
 
-        let mut bad = good.clone();
-        bad[5] = 7;
-        assert!(matches!(
-            decode_frame(&bad, DEFAULT_MAX_PAYLOAD),
-            Err(FrameError::BadKind(7))
-        ));
-
-        // The replication kinds are valid wire bytes, not BadKind.
-        for (kind, byte) in [
-            (FrameKind::ReplRequest, 3u8),
-            (FrameKind::ReplResponse, 4u8),
-        ] {
-            let buf = encode_frame(kind, 5, b"repl");
-            assert_eq!(buf[5], byte);
-            let (frame, _) = decode_frame(&buf, DEFAULT_MAX_PAYLOAD).unwrap();
-            assert_eq!(frame.kind, kind);
+        // 3 and 4 were the replication kinds of protocol version 2.
+        for kind in [3u8, 4, 7] {
+            let mut bad = good.clone();
+            bad[5] = kind;
+            assert_eq!(
+                decode_frame(&bad, DEFAULT_MAX_PAYLOAD),
+                Err(FrameError::BadKind(kind))
+            );
         }
 
         // A tiny cap turns the 1-byte payload into an oversize claim.

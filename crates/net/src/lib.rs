@@ -3,8 +3,10 @@
 //! A std-only TCP transport for the qcluster retrieval service: the
 //! [`Request`](qcluster_service::Request) /
 //! [`Response`](qcluster_service::Response) protocol from
-//! `qcluster-service`, carried over length-prefixed frames with magic
-//! bytes, a protocol version, per-frame request ids, and a payload CRC.
+//! `qcluster-service` (sessions, queries and feeds, and the replication
+//! a router runs between a partition's replicas), carried over
+//! length-prefixed frames with magic bytes, a protocol version,
+//! per-frame request ids, and a payload CRC.
 //!
 //! Subsystems:
 //!
@@ -63,7 +65,6 @@ pub mod client;
 pub mod codec;
 pub mod error;
 pub mod frame;
-pub mod repl;
 pub mod server;
 
 pub use client::{Client, ClientConfig};
@@ -73,5 +74,4 @@ pub use frame::{
     decode_frame, encode_frame, Frame, FrameError, FrameHeader, FrameKind, DEFAULT_MAX_PAYLOAD,
     HEADER_LEN, MAGIC, PROTOCOL_VERSION,
 };
-pub use repl::{ReplReply, ReplRequest};
 pub use server::{is_undecodable, Server, ServerConfig, ShutdownReport};

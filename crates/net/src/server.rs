@@ -1,6 +1,7 @@
 //! The TCP server: an acceptor thread and one thread per connection,
 //! which reads a request, runs [`dispatch`], writes the response and
-//! reads the next.
+//! reads the next. A replication exchange (fetch, fenced apply, status
+//! probe, vote) is a request like any other.
 //!
 //! ## Threading model
 //!
@@ -33,7 +34,8 @@
 //! accepting** (shutdown flag, one loopback connect wakes the blocked
 //! acceptor, which exits), **drain** (half-close every connection's
 //! read side so no new requests arrive, wait up to `drain_deadline` for
-//! in-flight requests to finish and their responses to be written),
+//! in-flight requests, replication included, to finish and their
+//! responses to be written),
 //! **close** (force-close sockets, join threads up to a grace period,
 //! detach stragglers). The returned [`ShutdownReport`] says how clean
 //! it was.
@@ -41,7 +43,6 @@
 use crate::codec::{decode_request, encode_response};
 use crate::error::NetError;
 use crate::frame::{self, FrameKind, ReadFrame, DEFAULT_MAX_PAYLOAD};
-use crate::repl::{ReplReply, ReplRequest};
 use qcluster_service::{dispatch, Response, Service, ServiceError};
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -402,29 +403,28 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
     // Buffered reads: a small frame costs one `read` instead of three.
     let mut reader = BufReader::new(stream);
     while !shared.shutdown.load(Ordering::SeqCst) {
-        let (request_id, (kind, body, guard), fatal) =
-            match frame::read_frame(&mut reader, max_payload) {
-                Ok(ReadFrame::Frame(f)) => {
-                    // Failpoint `net.read`: sever the connection exactly
-                    // on the next received frame (a deterministic
-                    // mid-exchange connection loss — it is never answered).
-                    if qcluster_failpoint::active()
-                        && qcluster_failpoint::evaluate_sleepy("net.read").is_some()
-                    {
-                        break;
-                    }
-                    shared.service.metrics().record_frame_in();
-                    (f.request_id, answer(shared, f.kind, &f.payload), false)
+        let (request_id, (body, guard), fatal) = match frame::read_frame(&mut reader, max_payload) {
+            Ok(ReadFrame::Frame(f)) => {
+                // Failpoint `net.read`: sever the connection exactly
+                // on the next received frame (a deterministic
+                // mid-exchange connection loss — it is never answered).
+                if qcluster_failpoint::active()
+                    && qcluster_failpoint::evaluate_sleepy("net.read").is_some()
+                {
+                    break;
                 }
-                Ok(ReadFrame::Idle) => continue,
-                Ok(ReadFrame::Corrupt { request_id, error }) => {
-                    shared.service.metrics().record_decode_error();
-                    let reply = undecodable(format!("frame decode failed: {error}"));
-                    (request_id, reply, error.is_fatal())
-                }
-                Ok(ReadFrame::Eof) | Err(_) => break,
-            };
-        if !write_reply(shared, reader.get_mut(), kind, request_id, &body) || fatal {
+                shared.service.metrics().record_frame_in();
+                (f.request_id, answer(shared, f.kind, &f.payload), false)
+            }
+            Ok(ReadFrame::Idle) => continue,
+            Ok(ReadFrame::Corrupt { request_id, error }) => {
+                shared.service.metrics().record_decode_error();
+                let reply = undecodable(format!("frame decode failed: {error}"));
+                (request_id, reply, error.is_fatal())
+            }
+            Ok(ReadFrame::Eof) | Err(_) => break,
+        };
+        if !write_reply(shared, reader.get_mut(), request_id, &body) || fatal {
             break;
         }
         if guard.is_some() && shared.shutdown.load(Ordering::SeqCst) {
@@ -434,54 +434,33 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
     }
 }
 
-/// Runs one received frame to its reply: a protocol request through
+/// Runs one received frame to its reply: a request through
 /// [`dispatch`] (panic-isolated, counted in flight by the returned
-/// guard until its reply is written), a replication request through
-/// [`handle_repl`], anything else to a typed error.
+/// guard until its reply is written), anything else to a typed error.
 fn answer<'a>(
     shared: &'a Shared,
     kind: FrameKind,
     payload: &[u8],
-) -> (FrameKind, Vec<u8>, Option<InflightGuard<'a>>) {
-    match kind {
-        FrameKind::ReplRequest => {
-            // Replication answers in arrival order on this thread like
-            // everything else: the follower's Apply stream must.
-            let reply = match ReplRequest::decode(payload) {
-                Ok(req) => catch_unwind(AssertUnwindSafe(|| handle_repl(&shared.service, req)))
-                    .unwrap_or_else(|_| ReplReply::Err {
-                        msg: "replication handler panicked".into(),
-                    }),
-                Err(e) => {
-                    shared.service.metrics().record_decode_error();
-                    ReplReply::Err {
-                        msg: format!("replication payload did not parse: {e}"),
-                    }
-                }
-            };
-            (FrameKind::ReplResponse, reply.encode(), None)
+) -> (Vec<u8>, Option<InflightGuard<'a>>) {
+    if kind != FrameKind::Request {
+        shared.service.metrics().record_decode_error();
+        return undecodable("expected a request frame, got a response frame".into());
+    }
+    match decode_request(payload) {
+        Ok(request) => {
+            shared.inflight.fetch_add(1, Ordering::SeqCst);
+            let guard = InflightGuard(&shared.inflight);
+            let response = catch_unwind(AssertUnwindSafe(|| dispatch(&shared.service, request)))
+                .unwrap_or_else(|_| {
+                    Response::Error(ServiceError::Internal(
+                        "request handler panicked; request failed cleanly".into(),
+                    ))
+                });
+            (encode_response(&response), Some(guard))
         }
-        FrameKind::Request => match decode_request(payload) {
-            Ok(request) => {
-                shared.inflight.fetch_add(1, Ordering::SeqCst);
-                let guard = InflightGuard(&shared.inflight);
-                let response =
-                    catch_unwind(AssertUnwindSafe(|| dispatch(&shared.service, request)))
-                        .unwrap_or_else(|_| {
-                            Response::Error(ServiceError::Internal(
-                                "request handler panicked; request failed cleanly".into(),
-                            ))
-                        });
-                (FrameKind::Response, encode_response(&response), Some(guard))
-            }
-            Err(e) => {
-                shared.service.metrics().record_decode_error();
-                undecodable(format!("request payload did not parse: {e}"))
-            }
-        },
-        FrameKind::Response | FrameKind::ReplResponse => {
+        Err(e) => {
             shared.service.metrics().record_decode_error();
-            undecodable("expected a request frame, got a response frame".into())
+            undecodable(format!("request payload did not parse: {e}"))
         }
     }
 }
@@ -492,11 +471,11 @@ const UNDECODABLE: &str = "undecodable request";
 
 /// A typed `InvalidRequest` reply to a frame that did not decode,
 /// counted in flight by no one.
-fn undecodable<'a>(detail: String) -> (FrameKind, Vec<u8>, Option<InflightGuard<'a>>) {
+fn undecodable<'a>(detail: String) -> (Vec<u8>, Option<InflightGuard<'a>>) {
     let response = Response::Error(ServiceError::InvalidRequest(format!(
         "{UNDECODABLE}: {detail}"
     )));
-    (FrameKind::Response, encode_response(&response), None)
+    (encode_response(&response), None)
 }
 
 /// Whether `error` is a server's reply to a frame it could not decode.
@@ -507,56 +486,16 @@ pub fn is_undecodable(error: &ServiceError) -> bool {
     matches!(error, ServiceError::InvalidRequest(msg) if msg.starts_with(UNDECODABLE))
 }
 
-/// Writes one reply frame; `false` means the connection is done.
-fn write_reply(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    kind: FrameKind,
-    request_id: u64,
-    payload: &[u8],
-) -> bool {
+/// Writes one response frame; `false` means the connection is done.
+fn write_reply(shared: &Shared, stream: &mut TcpStream, request_id: u64, payload: &[u8]) -> bool {
     // Failpoint `net.write`: the connection is torn down exactly as on
     // a real socket error.
     if qcluster_failpoint::active() && qcluster_failpoint::evaluate_sleepy("net.write").is_some() {
         return false;
     }
-    let written = frame::write_frame(stream, kind, request_id, payload).is_ok();
+    let written = frame::write_frame(stream, FrameKind::Response, request_id, payload).is_ok();
     if written {
         shared.service.metrics().record_frame_out();
     }
     written
-}
-
-/// Serves one replication request against the fronted service. Every
-/// failure becomes a typed [`ReplReply::Err`]; the connection stays up.
-fn handle_repl(service: &Service, req: ReplRequest) -> ReplReply {
-    match req {
-        ReplRequest::Fetch { from, max } => match service.replication_chunk(from, max) {
-            Ok((total, frames)) => ReplReply::Chunk { total, frames },
-            Err(e) => ReplReply::Err { msg: e.to_string() },
-        },
-        ReplRequest::Apply {
-            term,
-            lease_ms,
-            frames,
-        } => match service.apply_fenced(term, lease_ms, &frames) {
-            Ok(Ok((total, applied))) => ReplReply::Applied { total, applied },
-            Ok(Err(current)) => ReplReply::StaleTerm { current },
-            Err(e) => ReplReply::Err { msg: e.to_string() },
-        },
-        ReplRequest::Status => {
-            let (total, durable) = service.replication_status();
-            let (term, leased) = service.consensus_status();
-            ReplReply::Status {
-                total,
-                durable,
-                term,
-                leased,
-            }
-        }
-        ReplRequest::Vote { term, lease_ms } => match service.handle_vote(term, lease_ms) {
-            Ok((granted, term)) => ReplReply::Vote { granted, term },
-            Err(e) => ReplReply::Err { msg: e.to_string() },
-        },
-    }
 }

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use qcluster_net::{decode_request, decode_response, encode_request, encode_response, FrameError};
-use qcluster_service::{Response, Service, ServiceConfig};
+use qcluster_service::{Request, Response, Service, ServiceConfig};
 
 mod samples;
 
@@ -159,7 +159,7 @@ fn a_truncated_or_extended_encoding_is_a_payload_error() {
 fn a_count_past_the_payload_fails_before_any_allocation() {
     const HUGE: [u8; 4] = u32::MAX.to_le_bytes();
     let session = 3u64.to_le_bytes();
-    let request_heads: [&[&[u8]]; 8] = [
+    let request_heads: [&[&[u8]]; 9] = [
         &[&[1, 1], &HUGE],                       // CreateSession engine
         &[&[2], &session, &[0; 8], &[1], &HUGE], // Query vector
         &[&[3], &session, &HUGE],                // Feed ids
@@ -168,12 +168,14 @@ fn a_count_past_the_payload_fails_before_any_allocation() {
         &[&[9], &session, &HUGE],                // FeedPoints points
         &[&[10, 4], &HUGE],                      // Disjunctive representatives
         &[&[10, 5], &HUGE],                      // MultiPoint points
+        &[&[12], &[0; 16], &HUGE],               // ReplApply frames
     ];
-    let response_heads: [&[&[u8]]; 4] = [
-        &[&[2], &session, &HUGE], // Neighbors
-        &[&[7], &HUGE],           // Stats snapshot
-        &[&[8], &HUGE],           // Vectors
-        &[&[9, 5], &HUGE],        // InvalidRequest message
+    let response_heads: [&[&[u8]]; 5] = [
+        &[&[2], &session, &HUGE],  // Neighbors
+        &[&[7], &HUGE],            // Stats snapshot
+        &[&[8], &HUGE],            // Vectors
+        &[&[9, 5], &HUGE],         // InvalidRequest message
+        &[&[10], &session, &HUGE], // Chunk frames
     ];
     for (heads, decode) in [
         (
@@ -195,6 +197,49 @@ fn a_count_past_the_payload_fails_before_any_allocation() {
     }
 }
 
+/// Hand-made damage to the replication variants: an unknown tag, a
+/// truncated fetch or vote, a frames length past the payload, a
+/// trailing byte, a bool byte of 7, a truncated stale-term error. Each
+/// is a recoverable payload error.
+#[test]
+fn malformed_payloads_are_recoverable_payload_errors() {
+    let mut apply_overrun = vec![12u8];
+    apply_overrun.extend_from_slice(&[0; 16]); // term + lease_ms
+    apply_overrun.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF]); // frames len
+    let mut status_trailing = encode_request(&Request::ReplStatus);
+    status_trailing.push(0);
+    let mut bad_leased = encode_response(&Response::ReplStatus {
+        total: 1,
+        durable: 1,
+        term: 1,
+        leased: false,
+    });
+    *bad_leased.last_mut().unwrap() = 7;
+    let requests: [&[u8]; 6] = [
+        &[],
+        &[99],       // unknown tag
+        &[11, 0, 0], // fetch truncated
+        &apply_overrun,
+        &[14, 1, 0], // vote truncated
+        &status_trailing,
+    ];
+    let responses: [&[u8]; 4] = [
+        &[99],
+        &bad_leased,
+        &[13, 2],       // voted: bool byte 2
+        &[9, 12, 0, 0], // stale term truncated
+    ];
+    let results = requests
+        .iter()
+        .map(|b| (*b, decode_request(b).map(drop)))
+        .chain(responses.iter().map(|b| (*b, decode_response(b).map(drop))));
+    for (bytes, result) in results {
+        let err = result.unwrap_err();
+        assert!(matches!(err, FrameError::Payload(_)), "{bytes:?} -> {err}");
+        assert!(!err.is_fatal(), "{bytes:?} -> {err}");
+    }
+}
+
 proptest! {
     /// Arbitrary bytes: a value or a typed payload error, and no
     /// allocation beyond a small multiple of the input.
@@ -208,7 +253,7 @@ proptest! {
     /// first byte into each variant's fields.
     #[test]
     fn random_fields_behind_every_tag_never_panic(
-        tags in prop_vec(1u8..12, 1..4),
+        tags in prop_vec(1u8..15, 1..4),
         tail in prop_vec(any::<u8>(), 0..256),
     ) {
         let bytes: Vec<u8> = tags.into_iter().chain(tail).collect();

@@ -11,9 +11,9 @@ use std::time::Duration;
 
 use qcluster_net::{
     decode_response, encode_frame, encode_request, Client, ClientConfig, FrameKind, NetError,
-    ReplReply, ReplRequest, Server, ServerConfig, HEADER_LEN,
+    Server, ServerConfig, HEADER_LEN,
 };
-use qcluster_service::{dispatch, Request, Response, Service, ServiceConfig};
+use qcluster_service::{dispatch, Request, Response, Service, ServiceConfig, ServiceError};
 
 /// Four well-spread blobs, 64 points each.
 fn corpus() -> Vec<Vec<f64>> {
@@ -194,37 +194,39 @@ fn corrupt_frame_gets_typed_reply_and_connection_survives() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
 
-    // Hand-corrupt a valid frame's payload (CRC now wrong).
+    // Hand-corrupt a valid frame's payload (CRC now wrong), and another
+    // one's kind byte: 3 was a replication request before protocol 3.
     let payload = encode_request(&Request::Stats);
-    let mut bytes = encode_frame(FrameKind::Request, 77, &payload);
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF;
-    stream.write_all(&bytes).unwrap();
+    let mut bad_crc = encode_frame(FrameKind::Request, 77, &payload);
+    *bad_crc.last_mut().unwrap() ^= 0xFF;
+    let mut bad_kind = encode_frame(FrameKind::Request, 79, &payload);
+    bad_kind[5] = 3;
+    for (bytes, id, expected) in [(bad_crc, 77, "crc"), (bad_kind, 79, "bad frame kind 3")] {
+        stream.write_all(&bytes).unwrap();
+        let reply = read_one_frame(&mut stream);
+        assert_eq!(reply.0, id, "typed reply must echo the salvaged request id");
+        match decode_response(&reply.1).unwrap() {
+            Response::Error(e) => assert!(
+                e.to_string().contains(expected),
+                "expected a {expected:?} decode error, got: {e}"
+            ),
+            other => panic!("expected typed Error, got {other:?}"),
+        }
 
-    let reply = read_one_frame(&mut stream);
-    assert_eq!(reply.0, 77, "typed reply must echo the salvaged request id");
-    let response = decode_response(&reply.1).unwrap();
-    match response {
-        Response::Error(e) => assert!(
-            e.to_string().contains("crc"),
-            "expected a CRC decode error, got: {e}"
-        ),
-        other => panic!("expected typed Error, got {other:?}"),
+        // Same connection, valid frame: must work.
+        let bytes = encode_frame(FrameKind::Request, id + 1, &payload);
+        stream.write_all(&bytes).unwrap();
+        let reply = read_one_frame(&mut stream);
+        assert_eq!(reply.0, id + 1);
+        let response = decode_response(&reply.1).unwrap();
+        assert!(
+            matches!(response, Response::Stats(_)),
+            "expected Stats after recovery"
+        );
     }
 
-    // Same connection, valid frame: must work.
-    let bytes = encode_frame(FrameKind::Request, 78, &payload);
-    stream.write_all(&bytes).unwrap();
-    let reply = read_one_frame(&mut stream);
-    assert_eq!(reply.0, 78);
-    let response = decode_response(&reply.1).unwrap();
-    assert!(
-        matches!(response, Response::Stats(_)),
-        "expected Stats after recovery"
-    );
-
     let snapshot = svc.stats();
-    assert_eq!(snapshot.transport.decode_errors, 1);
+    assert_eq!(snapshot.transport.decode_errors, 2);
     server.shutdown();
 }
 
@@ -444,7 +446,7 @@ fn expect_close(stream: &mut TcpStream) {
     }
 }
 
-/// Terms start at 1: a node answers `Apply{term: 0}` with a typed error
+/// Terms start at 1: a node answers `ReplApply{term: 0}` with a typed error
 /// and changes neither its term nor its lease — before any leader won
 /// it, and after.
 #[test]
@@ -452,34 +454,33 @@ fn apply_at_term_zero_is_a_typed_error_and_changes_nothing() {
     let node = service();
     let server = Server::bind("127.0.0.1:0", Arc::clone(&node), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr(), fast_client_config()).unwrap();
-    let mut exchange = |request: ReplRequest| {
-        let reply = client.repl_call(&request.encode(), Duration::from_secs(10));
-        ReplReply::decode(&reply.unwrap()).unwrap()
-    };
-    let apply_zero = || ReplRequest::Apply {
+    let mut exchange = |request: Request| client.call(&request).unwrap();
+    let apply_zero = || Request::ReplApply {
         term: 0,
         lease_ms: 60_000,
         frames: Vec::new(),
     };
 
     match exchange(apply_zero()) {
-        ReplReply::Err { msg } => assert!(msg.contains("term must be positive"), "{msg}"),
-        other => panic!("Apply{{term: 0}} must be refused, got {other:?}"),
+        Response::Error(ServiceError::InvalidRequest(msg)) => {
+            assert!(msg.contains("term must be positive"), "{msg}")
+        }
+        other => panic!("ReplApply{{term: 0}} must be refused, got {other:?}"),
     }
     assert_eq!(node.consensus_status(), (0, false));
 
-    let vote = ReplRequest::Vote {
+    let vote = Request::Vote {
         term: 2,
         lease_ms: 0,
     };
     assert!(matches!(
         exchange(vote),
-        ReplReply::Vote {
+        Response::Voted {
             granted: true,
             term: 2
         }
     ));
-    assert!(matches!(exchange(apply_zero()), ReplReply::Err { .. }));
+    assert!(matches!(exchange(apply_zero()), Response::Error(_)));
     assert_eq!(node.consensus_status(), (2, false));
     server.shutdown();
 }

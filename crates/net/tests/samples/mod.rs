@@ -162,6 +162,26 @@ pub fn requests() -> Vec<Request> {
             k: 10,
             deadline_ms: None,
         },
+        Request::ReplFetch { from: 0, max: 128 },
+        Request::ReplFetch {
+            from: u64::MAX,
+            max: u32::MAX,
+        },
+        Request::ReplApply {
+            term: 0,
+            lease_ms: 0,
+            frames: vec![],
+        },
+        Request::ReplApply {
+            term: 7,
+            lease_ms: 1_500,
+            frames: vec![1, 2, 3, 0xFF],
+        },
+        Request::ReplStatus,
+        Request::Vote {
+            term: u64::MAX,
+            lease_ms: 2_000,
+        },
     ]
 }
 
@@ -235,6 +255,38 @@ pub fn responses() -> Vec<Response> {
             vectors: vec![EDGE.to_vec(), vec![], vec![1.0]],
         },
         Response::Vectors { vectors: vec![] },
+        Response::Chunk {
+            total: 7,
+            frames: vec![9, 9, 9],
+        },
+        Response::Chunk {
+            total: 0,
+            frames: vec![],
+        },
+        Response::Applied {
+            total: 12,
+            applied: 5,
+        },
+        Response::ReplStatus {
+            total: 3,
+            durable: 3,
+            term: 9,
+            leased: true,
+        },
+        Response::ReplStatus {
+            total: 0,
+            durable: 0,
+            term: 0,
+            leased: false,
+        },
+        Response::Voted {
+            granted: true,
+            term: 4,
+        },
+        Response::Voted {
+            granted: false,
+            term: u64::MAX,
+        },
     ]
 }
 
@@ -265,5 +317,6 @@ pub fn errors() -> Vec<ServiceError> {
             shards_total: 4,
         },
         ServiceError::Internal("channel disconnected".into()),
+        ServiceError::StaleTerm { current: 11 },
     ]
 }

@@ -42,9 +42,10 @@
 //! ## Replication
 //!
 //! Partitions may be replicated. The router ships the leader's WAL to
-//! followers over the replication frame kind (`Fetch` from the
-//! follower's committed record offset on the leader, `Apply` on the
-//! follower — idempotent, so a torn exchange is simply re-driven). An
+//! followers with the replication requests of the one protocol
+//! (`ReplFetch` from the follower's committed record offset on the
+//! leader, `ReplApply` on the follower — idempotent, so a torn exchange
+//! is simply re-driven). An
 //! acked ingest is one that reached a **majority** of the partition's
 //! replicas, so killing the leader loses nothing: promotion probes the
 //! surviving replicas' replication status and elects the one with the
@@ -63,7 +64,9 @@
 //! mode); every replication ship (and the empty fence probe preceding
 //! each ingest) carries `(term, lease_ms)`, and a follower that has
 //! acknowledged a higher term rejects the ship with a typed
-//! `StaleTerm`, fencing zombie leaders. Leadership is
+//! `StaleTerm`, fencing zombie leaders. A refused vote round is retried
+//! after a randomized pause, so contending routers fall out of step.
+//! Leadership is
 //! **lease-based**: each accepted fenced ship renews the follower's
 //! leader lease, and while any lease is unexpired the follower refuses
 //! competing votes — an actively-shipping leader cannot be deposed,
@@ -92,6 +95,7 @@ use crate::breaker::Breaker;
 use crate::map::ShardMap;
 use qcluster_net::{Client, ClientConfig, NetError};
 use qcluster_service::{ClusterGauges, Response, ServiceError, ServiceMetrics, SessionRegistry};
+use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -119,8 +123,11 @@ pub struct RouterConfig {
     /// this window; failover after a leader death waits at most one
     /// window.
     pub lease_duration: Duration,
-    /// Pause between retried vote rounds while an election is refused
-    /// (typically because a prior leader's lease has not lapsed yet).
+    /// Shortest pause between retried vote rounds while an election is
+    /// refused (typically because a prior leader's lease has not lapsed
+    /// yet). Each pause is drawn from `[election_backoff,
+    /// 2·election_backoff)`, so two routers contending for one
+    /// partition stop retrying in lockstep.
     pub election_backoff: Duration,
     /// Total time one [`Router::promote`] may spend retrying vote
     /// rounds before reporting [`RouterError::ElectionLost`]. Must
@@ -394,6 +401,11 @@ pub struct Router {
     /// reports in place of the nodes'.
     metrics: ServiceMetrics,
     counters: Counters,
+    /// Keys the election-retry jitter: each router draws its own
+    /// stream, the hash of a counter under this key.
+    jitter: RandomState,
+    /// Draws taken from `jitter`.
+    jitter_draws: AtomicU64,
 }
 
 /// Stops and joins the [`Router::start_anti_entropy`] thread on drop.
@@ -451,6 +463,8 @@ impl Router {
             metrics: ServiceMetrics::new(),
             config,
             counters: Counters::default(),
+            jitter: RandomState::new(),
+            jitter_draws: AtomicU64::new(0),
         })
     }
 

@@ -2,10 +2,11 @@
 //! the most caught-up follower.
 
 use super::{Router, RouterError};
-use qcluster_net::{ReplReply, ReplRequest};
+use qcluster_service::{Request, Response};
+use std::hash::BuildHasher;
 use std::sync::atomic::Ordering;
 use std::sync::MutexGuard;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 impl Router {
     /// One election at a time per partition for this router: two of its
@@ -38,10 +39,10 @@ impl Router {
     /// Runs one term/vote election for `partition`: probes every
     /// replica's acknowledged term, bids `max + 1`, and wins only when
     /// a **majority** of the partition's replicas grant the vote. Vote
-    /// rounds are retried (with [`RouterConfig::election_backoff`]
-    /// pauses) until [`RouterConfig::election_timeout`] elapses, so a
-    /// dead leader's lease can be outwaited. Returns the won term. The
-    /// caller holds the partition's election lock.
+    /// rounds are retried (after [`Router::election_pause`]) until
+    /// [`RouterConfig::election_timeout`] elapses, so a dead leader's
+    /// lease can be outwaited. Returns the won term. The caller holds
+    /// the partition's election lock.
     ///
     /// # Errors
     ///
@@ -67,13 +68,13 @@ impl Router {
                 match self.repl_exchange(
                     partition,
                     r,
-                    &ReplRequest::Vote {
+                    &Request::Vote {
                         term: candidate,
                         lease_ms,
                     },
                 ) {
-                    Ok(ReplReply::Vote { granted: true, .. }) => grants += 1,
-                    Ok(ReplReply::Vote {
+                    Ok(Response::Voted { granted: true, .. }) => grants += 1,
+                    Ok(Response::Voted {
                         granted: false,
                         term,
                     }) => {
@@ -95,8 +96,20 @@ impl Router {
                     term: observed,
                 });
             }
-            std::thread::sleep(self.config.election_backoff);
+            std::thread::sleep(self.election_pause());
         }
+    }
+
+    /// The pause before a retried vote round: a draw from
+    /// `[election_backoff, 2·election_backoff)` off this router's own
+    /// stream (Raft §5.2's randomized timeout). Two routers that split
+    /// a partition's votes retry at different times, so one of them
+    /// soon collects a majority.
+    fn election_pause(&self) -> Duration {
+        let base = self.config.election_backoff;
+        let span = u64::try_from(base.as_nanos()).unwrap_or(u64::MAX).max(1);
+        let draw = self.jitter_draws.fetch_add(1, Ordering::Relaxed);
+        base + Duration::from_nanos(self.jitter.hash_one(draw) % span)
     }
 
     /// Explicitly assumes leadership of `partition` without moving its
@@ -182,5 +195,38 @@ impl Router {
         part.replicas[winner].breaker.record_success();
         self.counters.promotions.fetch_add(1, Ordering::Relaxed);
         Ok(winner)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Router, RouterConfig, ShardMap};
+    use std::net::SocketAddr;
+    use std::time::Duration;
+
+    fn router(backoff: Duration) -> Router {
+        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let config = RouterConfig {
+            election_backoff: backoff,
+            ..RouterConfig::default()
+        };
+        Router::new(ShardMap::even(&[addr], 10).unwrap(), config).unwrap()
+    }
+
+    #[test]
+    fn election_pauses_are_jittered_in_range_and_differ_per_router() {
+        let backoff = Duration::from_millis(100);
+        let a = router(backoff);
+        for _ in 0..1_000 {
+            let pause = a.election_pause();
+            assert!(
+                backoff <= pause && pause < 2 * backoff,
+                "{pause:?} outside [{backoff:?}, {:?})",
+                2 * backoff
+            );
+        }
+        let (a, b) = (router(backoff), router(backoff));
+        let draws = |r: &Router| (0..16).map(|_| r.election_pause()).collect::<Vec<_>>();
+        assert_ne!(draws(&a), draws(&b));
     }
 }

@@ -3,8 +3,7 @@
 
 use super::{AntiEntropyHandle, NodeFailureKind, Router, RouterError, SyncOutcome};
 use qcluster_failpoint as failpoint;
-use qcluster_net::{ReplReply, ReplRequest};
-use qcluster_service::{Request, Response};
+use qcluster_service::{Request, Response, ServiceError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, TryLockError};
 use std::time::{Duration, Instant};
@@ -125,19 +124,13 @@ impl Router {
         replica: usize,
         frames: Vec<u8>,
     ) -> Result<(u64, u64), NodeFailureKind> {
-        let request = ReplRequest::Apply {
+        let request = Request::ReplApply {
             term: self.partitions[partition].term.load(Ordering::Acquire),
             lease_ms: self.config.lease_duration.as_millis() as u64,
             frames,
         };
         match self.repl_exchange(partition, replica, &request)? {
-            ReplReply::Applied { total, applied } => Ok((total, applied)),
-            ReplReply::StaleTerm { current } => {
-                self.counters
-                    .fenced_stale_ships
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(NodeFailureKind::StaleTerm(current))
-            }
+            Response::Applied { total, applied } => Ok((total, applied)),
             _ => Err(NodeFailureKind::Remote(
                 "apply answered with something else".into(),
             )),
@@ -157,27 +150,35 @@ impl Router {
 
     /// One replication exchange with a specific replica, within one
     /// deadline, `client.read_timeout` from its start (a dial included).
-    /// Replication traffic bypasses the circuit breakers on purpose: status probes
-    /// must work while a node's query breaker is open, or promotion
-    /// could never examine a recovering follower.
+    /// Replication traffic bypasses the circuit breakers and the
+    /// `router.node` failpoints on purpose: status probes must work
+    /// while a node's query breaker is open, or promotion could never
+    /// examine a recovering follower. A node's error reply is
+    /// [`NodeFailureKind::StaleTerm`] when it fenced a ship out (counted
+    /// in `fenced_stale_ships`), [`NodeFailureKind::Remote`] otherwise.
     pub(super) fn repl_exchange(
         &self,
         partition: usize,
         replica: usize,
-        request: &ReplRequest,
-    ) -> Result<ReplReply, NodeFailureKind> {
+        request: &Request,
+    ) -> Result<Response, NodeFailureKind> {
         let deadline = Instant::now() + self.config.client.read_timeout;
         let node = &self.partitions[partition].replicas[replica];
         let mut client = node.checkout(&self.config.client, deadline)?;
         let timeout = deadline.saturating_duration_since(Instant::now());
-        let result = client.repl_call(&request.encode(), timeout);
+        let result = client
+            .send(request)
+            .and_then(|id| client.receive(id, timeout));
         node.checkin(client, result.as_ref().err());
-        match ReplReply::decode(&result?) {
-            Ok(ReplReply::Err { msg }) => Err(NodeFailureKind::Remote(msg)),
-            Ok(reply) => Ok(reply),
-            Err(e) => Err(NodeFailureKind::Transport(format!(
-                "replication reply did not parse: {e}"
-            ))),
+        match result? {
+            Response::Error(ServiceError::StaleTerm { current }) => {
+                self.counters
+                    .fenced_stale_ships
+                    .fetch_add(1, Ordering::Relaxed);
+                Err(NodeFailureKind::StaleTerm(current))
+            }
+            Response::Error(e) => Err(NodeFailureKind::Remote(e.to_string())),
+            response => Ok(response),
         }
     }
 
@@ -188,8 +189,8 @@ impl Router {
         partition: usize,
         replica: usize,
     ) -> Result<ReplicaStatus, NodeFailureKind> {
-        match self.repl_exchange(partition, replica, &ReplRequest::Status)? {
-            ReplReply::Status {
+        match self.repl_exchange(partition, replica, &Request::ReplStatus)? {
+            Response::ReplStatus {
                 total,
                 durable,
                 term,
@@ -234,13 +235,13 @@ impl Router {
         }
         while follower_total < target {
             let batch = self.config.replication_batch.max(1);
-            let ReplReply::Chunk {
+            let Response::Chunk {
                 total: leader_total,
                 frames,
             } = self.repl_exchange(
                 partition,
                 leader,
-                &ReplRequest::Fetch {
+                &Request::ReplFetch {
                     from: follower_total,
                     max: batch,
                 },

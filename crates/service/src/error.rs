@@ -61,6 +61,13 @@ pub enum ServiceError {
     /// An internal invariant broke (disconnected channel, poisoned
     /// state). The request failed cleanly; the service keeps running.
     Internal(String),
+    /// A fenced replication ship was rejected: the shipper's term is
+    /// stale. The zombie leader (or losing router) must stop shipping
+    /// and re-discover the cluster's real leadership.
+    StaleTerm {
+        /// The term the rejecting node has acknowledged.
+        current: u64,
+    },
 }
 
 impl ServiceError {
@@ -116,6 +123,9 @@ impl fmt::Display for ServiceError {
                 "deadline exceeded after {waited_ms}ms: none of {shards_total} shards answered"
             ),
             ServiceError::Internal(msg) => write!(f, "internal error: {msg}"),
+            ServiceError::StaleTerm { current } => {
+                write!(f, "stale term: this node is at term {current}")
+            }
         }
     }
 }

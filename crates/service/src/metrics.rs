@@ -508,7 +508,6 @@ impl MetricsSnapshot {
         self.transport.frames_in += other.transport.frames_in;
         self.transport.frames_out += other.transport.frames_out;
         self.transport.decode_errors += other.transport.decode_errors;
-        self.transport.write_queue_sheds += other.transport.write_queue_sheds;
         self.transport.shutdown_drains += other.transport.shutdown_drains;
         self.cluster.nodes_total += other.cluster.nodes_total;
         self.cluster.node_failures += other.cluster.node_failures;
@@ -568,9 +567,8 @@ pub struct TransportGauges {
     pub frames_out: u64,
     /// Frames that failed to decode (bad magic/CRC/version/payload).
     pub decode_errors: u64,
-    /// Always 0: the server answers each connection's requests in order
-    /// on the thread that read them and has no writer queue to shed
-    /// from. Kept so readers of the field keep compiling.
+    /// Always 0: the server has no writer queue to shed from. Read by
+    /// nothing; stays only because `benchmark/` names it (ROADMAP 1(b)).
     pub write_queue_sheds: u64,
     /// In-flight requests drained to completion during graceful shutdown.
     pub shutdown_drains: u64,

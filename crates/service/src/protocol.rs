@@ -1,5 +1,9 @@
 //! The wire protocol: serializable request/response enums and the
-//! dispatcher that maps them onto [`Service`] calls.
+//! dispatcher that maps them onto [`Service`] calls. It carries the
+//! paper's rounds (sessions, queries, feeds) and, for a router keeping
+//! a partition's replicas in step, replication: WAL chunks fetched from
+//! a leader and applied, fenced by term, on a follower, status probes
+//! and votes.
 //!
 //! The protocol is transport-agnostic: `qcluster-net` carries it in a
 //! binary codec, and the serde derives serve any other format. Errors never
@@ -98,6 +102,50 @@ pub enum Request {
         k: usize,
         /// Optional deadline in milliseconds, as for [`Request::Query`].
         deadline_ms: Option<u64>,
+    },
+    /// Ask the peer (a leader) for ingest records starting at global
+    /// vector id `from`, at most `max` records. Answered with
+    /// [`Response::Chunk`].
+    ReplFetch {
+        /// First global vector id wanted (the follower's current
+        /// committed total).
+        from: u64,
+        /// Maximum number of records to return in one chunk.
+        max: u32,
+    },
+    /// Ship WAL frames for the peer (a follower) to apply. `frames` is
+    /// a concatenation of store WAL frames
+    /// (`[len u32][crc u32][payload]` each), byte-identical to what a
+    /// local `WalWriter` would have produced. The ship is **fenced**:
+    /// it carries the leader's term and lease duration, and a follower
+    /// whose current term is higher rejects it with
+    /// [`ServiceError::StaleTerm`] instead of applying. An empty
+    /// `frames` is a pure fence probe / lease renewal. Terms start at 1:
+    /// `term == 0` is an `InvalidRequest`. Answered with
+    /// [`Response::Applied`].
+    ReplApply {
+        /// The shipper's leadership term (positive).
+        term: u64,
+        /// Lease duration granted from the follower's receipt time, in
+        /// milliseconds (0 = no lease refresh).
+        lease_ms: u64,
+        /// Concatenated WAL frame bytes.
+        frames: Vec<u8>,
+    },
+    /// Ask the peer for its replication position. Answered with
+    /// [`Response::ReplStatus`].
+    ReplStatus,
+    /// Ask the peer to vote for a candidate leader at `term`. Granted
+    /// iff `term` is higher than every term the peer has acknowledged
+    /// AND the peer holds no unexpired vote-lease for another term —
+    /// the lease is what stops two contending routers from both
+    /// winning the same nodes. Answered with [`Response::Voted`].
+    Vote {
+        /// The candidate's proposed term.
+        term: u64,
+        /// Vote-lease duration in milliseconds: how long the peer
+        /// refuses competing candidates after granting.
+        lease_ms: u64,
     },
 }
 
@@ -238,6 +286,46 @@ pub enum Response {
     },
     /// The request failed.
     Error(ServiceError),
+    /// Records from [`Request::ReplFetch`]. `total` is the leader's
+    /// committed vector count; an empty `frames` with `from == total`
+    /// means caught up.
+    Chunk {
+        /// Leader's committed total (vectors durably ingested).
+        total: u64,
+        /// Concatenated WAL frame bytes, in id order starting at the
+        /// requested `from`.
+        frames: Vec<u8>,
+    },
+    /// Outcome of [`Request::ReplApply`]. `applied` counts records
+    /// actually ingested (duplicates below `total` are skipped
+    /// idempotently and not counted).
+    Applied {
+        /// Follower's committed total after the apply.
+        total: u64,
+        /// Records newly applied by this request.
+        applied: u64,
+    },
+    /// Replication position from [`Request::ReplStatus`].
+    ReplStatus {
+        /// Committed vector count.
+        total: u64,
+        /// Vectors durable on disk (equals `total` when the node runs
+        /// a store; 0 when memory-only).
+        durable: u64,
+        /// Highest term this node has acknowledged (0 = none yet).
+        term: u64,
+        /// Whether the node currently holds an unexpired leader lease.
+        leased: bool,
+    },
+    /// Outcome of a [`Request::Vote`].
+    Voted {
+        /// Whether the vote was granted.
+        granted: bool,
+        /// The peer's current term after considering the request (the
+        /// candidate's term when granted; the higher conflicting term
+        /// when refused).
+        term: u64,
+    },
 }
 
 /// Upper bound on `k` accepted over the wire. Requests past it are
@@ -440,6 +528,29 @@ pub fn dispatch(service: &Service, request: Request) -> Response {
                     clusters: out.clusters,
                 })
         }
+        Request::ReplFetch { from, max } => service
+            .replication_chunk(from, max)
+            .map(|(total, frames)| Response::Chunk { total, frames }),
+        Request::ReplApply {
+            term,
+            lease_ms,
+            frames,
+        } => service
+            .apply_fenced(term, lease_ms, &frames)
+            .map(|(total, applied)| Response::Applied { total, applied }),
+        Request::ReplStatus => {
+            let (total, durable) = service.replication_status();
+            let (term, leased) = service.consensus_status();
+            Ok(Response::ReplStatus {
+                total,
+                durable,
+                term,
+                leased,
+            })
+        }
+        Request::Vote { term, lease_ms } => service
+            .handle_vote(term, lease_ms)
+            .map(|(granted, term)| Response::Voted { granted, term }),
     };
     result.unwrap_or_else(Response::Error)
 }

@@ -632,7 +632,7 @@ impl Service {
 
     /// Applies a replication chunk shipped by a leader at `term`,
     /// fenced first: a ship from a term below the node's is **stale**
-    /// and returns `Ok(Err(current_term))` with nothing applied. An
+    /// and fails with [`ServiceError::StaleTerm`], nothing applied. An
     /// accepted ship adopts its term (durably, when advancing) and
     /// refreshes the leader lease by `lease_ms`; empty `frames` is a
     /// pure fence probe / lease renewal. The frames then go through the
@@ -644,12 +644,13 @@ impl Service {
     /// no vote is granted between them and two deliveries of the same
     /// record cannot both pass the check.
     ///
-    /// Returns `Ok((committed_total_after, newly_applied))` when
-    /// accepted. Failpoint `repl.apply.stale_term` (any armed action)
-    /// forces the stale verdict, for fencing-path tests.
+    /// Returns `(committed_total_after, newly_applied)` when accepted.
+    /// Failpoint `repl.apply.stale_term` (any armed action) forces the
+    /// stale verdict, for fencing-path tests.
     ///
     /// # Errors
     ///
+    /// [`ServiceError::StaleTerm`] for a ship below the node's term;
     /// [`ServiceError::InvalidRequest`] for `term == 0` (a shipper wins
     /// a term before its first ship; nothing is changed), for gaps or
     /// non-ingest records; [`ServiceError::Storage`] for torn or corrupt
@@ -659,13 +660,11 @@ impl Service {
         term: u64,
         lease_ms: u64,
         frames: &[u8],
-    ) -> Result<Result<(u64, u64), u64>, ServiceError> {
+    ) -> Result<(u64, u64), ServiceError> {
         let mut writer = self.lock_writer();
         // Fence before touching the WAL: a ship from a deposed leader
         // must not append a single record.
-        if let Some(current) = writer.fence(term, lease_ms)? {
-            return Ok(Err(current));
-        }
+        writer.fence(term, lease_ms)?;
         let mut applied = 0u64;
         for record in decode_record_frames(frames)? {
             let WalRecord::Ingest { id, vector } = record else {
@@ -687,7 +686,7 @@ impl Service {
             self.append(&mut writer, vector)?;
             applied += 1;
         }
-        Ok(Ok((self.total_vectors() as u64, applied)))
+        Ok((self.total_vectors() as u64, applied))
     }
 
     /// This node's replication position: `(committed_total, durable)`.

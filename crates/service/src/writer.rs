@@ -98,15 +98,18 @@ impl Writer {
     }
 
     /// The fence of [`Service::apply_fenced`](crate::Service::apply_fenced).
-    pub(crate) fn fence(&mut self, term: u64, lease_ms: u64) -> Result<Option<u64>, ServiceError> {
+    pub(crate) fn fence(&mut self, term: u64, lease_ms: u64) -> Result<(), ServiceError> {
         positive_term(term)?;
+        let stale = ServiceError::StaleTerm {
+            current: self.consensus.term,
+        };
         if qcluster_failpoint::active()
             && qcluster_failpoint::evaluate_sleepy("repl.apply.stale_term").is_some()
         {
-            return Ok(Some(self.consensus.term));
+            return Err(stale);
         }
         if term < self.consensus.term {
-            return Ok(Some(self.consensus.term));
+            return Err(stale);
         }
         if term > self.consensus.term {
             if let Some(store) = self.store.as_mut() {
@@ -119,7 +122,7 @@ impl Writer {
         if lease_ms > 0 {
             self.consensus.lease_until = Some(Instant::now() + Duration::from_millis(lease_ms));
         }
-        Ok(None)
+        Ok(())
     }
 
     /// Store gauges sampled live (all zero for a memory-only service).

@@ -28,9 +28,11 @@ fn make_service() -> Service {
 
 /// An empty fenced ship: `Some(current_term)` when it is stale.
 fn fence(service: &Service, term: u64, lease_ms: u64) -> Result<Option<u64>, ServiceError> {
-    service
-        .apply_fenced(term, lease_ms, &[])
-        .map(|verdict| verdict.err())
+    match service.apply_fenced(term, lease_ms, &[]) {
+        Ok(_) => Ok(None),
+        Err(ServiceError::StaleTerm { current }) => Ok(Some(current)),
+        Err(e) => Err(e),
+    }
 }
 
 /// One step a contending router might take against the node.
