@@ -47,7 +47,7 @@ pub fn build(features: &Path, dir: &Path, stats: &PipelineStats) -> Result<Build
 
     load.item_in();
     load.add_bytes(std::fs::metadata(features).map(|m| m.len()).unwrap_or(0));
-    let dataset = qcluster_eval::load_dataset_auto(features)
+    let dataset = qcluster_eval::load_dataset(features)
         .map_err(|e| CliError::stage("load", format!("{}: {e}", features.display())))?;
     load.item_out();
     load.finish();
@@ -166,7 +166,7 @@ mod tests {
         // The sealed store recovers byte-identical vectors.
         let (_s, recovered) = VectorStore::open(&store_dir, StoreConfig::default()).unwrap();
         assert_eq!(recovered.vectors.len(), 24);
-        let ds = qcluster_eval::load_dataset_auto(&features).unwrap();
+        let ds = qcluster_eval::load_dataset(&features).unwrap();
         assert_eq!(recovered.vectors[7], ds.vector(7));
         let _ = std::fs::remove_dir_all(&dir);
     }

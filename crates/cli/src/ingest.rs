@@ -15,8 +15,7 @@
 //! GLCM texture, …). `reduce` is the pipeline's one barrier: the
 //! paper's PCA is fitted on the whole corpus, so every raw row must
 //! exist before projection. `write` persists the reduced vectors plus
-//! ground truth as a `qcluster-eval` dataset (binary or JSON by
-//! extension).
+//! ground truth as a `qcluster-eval` QDSB dataset.
 //!
 //! Every stage accounts items in/out/skipped, bytes, and wall time
 //! through the shared [`PipelineStats`] reporter.
@@ -24,7 +23,7 @@
 use crate::error::{CliError, SkipReason, SkippedFile};
 use crate::stats::{PipelineStats, StageHandle};
 use crate::synth::{read_manifest, SynthImagesConfig};
-use qcluster_eval::{save_dataset, save_dataset_binary, Dataset};
+use qcluster_eval::{save_dataset, Dataset};
 use qcluster_imaging::{raw_features, Corpus, FeatureKind, FeaturePipeline, ImageRgb};
 use qcluster_linalg::Matrix;
 use std::path::{Path, PathBuf};
@@ -120,7 +119,7 @@ fn load_image(
 }
 
 /// Runs the staged ingest pipeline, writing the reduced dataset to
-/// `out` (`.json` → JSON, anything else → the binary `QDSB` format).
+/// `out` in the `QDSB` dataset format.
 ///
 /// # Errors
 ///
@@ -310,13 +309,7 @@ pub fn ingest(
         rows.iter().map(|r| r.super_category).collect(),
         images_per_category,
     );
-    let json = out.extension().and_then(|e| e.to_str()) == Some("json");
-    let result = if json {
-        save_dataset(&dataset, out)
-    } else {
-        save_dataset_binary(&dataset, out)
-    };
-    result.map_err(|e| CliError::stage("write", e))?;
+    save_dataset(&dataset, out).map_err(|e| CliError::stage("write", e))?;
     write.items_out(dataset.len() as u64);
     write.add_bytes(std::fs::metadata(out).map(|m| m.len()).unwrap_or(0));
     write.finish();
@@ -395,7 +388,7 @@ mod tests {
         assert_eq!(report.images, 24);
         assert!(report.skipped.is_empty());
         assert_eq!(report.dim, 3);
-        let ds = qcluster_eval::load_dataset_auto(&out).unwrap();
+        let ds = qcluster_eval::load_dataset(&out).unwrap();
         assert_eq!(ds.len(), 24);
         assert_eq!(ds.category(23), 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -419,7 +412,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.images, 24);
-        let from_files = qcluster_eval::load_dataset_auto(&out).unwrap();
+        let from_files = qcluster_eval::load_dataset(&out).unwrap();
         let direct = Dataset::from_corpus(&cfg.corpus(), FeatureKind::ColorMoments).unwrap();
         assert_eq!(from_files.len(), direct.len());
         for i in 0..direct.len() {

@@ -4,13 +4,12 @@
 //! binary: render a synthetic corpus (`synth`), stream raw images into
 //! a reduced feature dataset (`ingest`), seal it into a durable store
 //! (`build`), bind the TCP retrieval stack on it (`serve`), grade
-//! relevance-feedback quality over the wire (`eval`), re-encode
-//! datasets (`convert`), chain all of it from one TOML recipe
-//! (`run`), regenerate the paper's tables and figures (`repro`), and
-//! drive a closed-loop user fleet against a served stack (`soak`). Each
-//! pipeline stage reports per-stage throughput through a shared
-//! [`stats::PipelineStats`] reporter and verifies the conservation
-//! invariant `items_in == items_out + skipped`.
+//! relevance-feedback quality over the wire (`eval`), chain all of it
+//! from one TOML recipe (`run`), regenerate the paper's tables and
+//! figures (`repro`), and drive a closed-loop user fleet against a
+//! served stack (`soak`). Each pipeline stage reports per-stage
+//! throughput through a shared [`stats::PipelineStats`] reporter and
+//! verifies the conservation invariant `items_in == items_out + skipped`.
 //!
 //! The library half exists so the whole pipeline is testable
 //! in-process (see `tests/pipeline_e2e.rs`); `main.rs` is a thin
@@ -24,7 +23,6 @@
 pub mod build;
 pub mod chaos;
 pub mod config;
-pub mod convert;
 pub mod error;
 pub mod eval;
 pub mod fleet;
@@ -41,7 +39,6 @@ pub mod target;
 pub use build::{build, BuildReport};
 pub use chaos::{seeded_timeline, ChaosEvent, ChaosKind};
 pub use config::SoakConfig;
-pub use convert::{convert, ConvertReport, ConvertedKind};
 pub use error::{CliError, SkipReason, SkippedFile};
 pub use eval::{
     compare_reports, offline_eval, sample_queries, served_eval, EvalOptions, EvalReport,

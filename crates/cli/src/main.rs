@@ -2,11 +2,10 @@
 //!
 //! ```text
 //! qcluster synth   <out-dir|out.qseg> [flags]      render a corpus (or a raw segment)
-//! qcluster ingest  <images-dir> <out> [flags]      files -> reduced feature dataset
+//! qcluster ingest  <images-dir> <out.qdsb> [flags] files -> reduced feature dataset
 //! qcluster build   <features> <store-dir>          seal features into a durable store
 //! qcluster serve   <store-dir> [flags]             bind the TCP retrieval stack
 //! qcluster eval    <features> [flags]              grade feedback quality (wire/offline)
-//! qcluster convert <in> <out>                      re-encode a dataset by extension
 //! qcluster run     <recipe.toml> [flags]           the whole pipeline from one recipe
 //! qcluster repro   <experiment>... [flags]         the paper's tables and figures
 //! qcluster soak    [flags]                         closed-loop user-fleet soak
@@ -16,9 +15,9 @@
 //! paths are covered in-process by `tests/pipeline_e2e.rs`.
 
 use qcluster_cli::{
-    build, compare_reports, convert, ingest, offline_eval, parse_feature_kind, run, serve,
-    served_eval, synth_images, synth_segment, CliError, EvalOptions, IngestConfig, IngestSource,
-    PipelineStats, Recipe, ServeOptions, SynthImagesConfig, TcpBackend,
+    build, compare_reports, ingest, offline_eval, parse_feature_kind, run, serve, served_eval,
+    synth_images, synth_segment, CliError, EvalOptions, IngestConfig, IngestSource, PipelineStats,
+    Recipe, ServeOptions, SynthImagesConfig, TcpBackend,
 };
 use qcluster_net::ClientConfig;
 use std::collections::BTreeMap;
@@ -30,18 +29,17 @@ use std::time::Duration;
 mod repro;
 mod soak;
 
-const USAGE: &str = "usage: qcluster <synth|ingest|build|serve|eval|convert|run|repro|soak> ...\n\
+const USAGE: &str = "usage: qcluster <synth|ingest|build|serve|eval|run|repro|soak> ...\n\
   synth   <out-dir> [--categories N] [--images-per-category N] [--image-size N]\n\
           [--categories-per-super N] [--seed N]\n\
   synth   <out.qseg> <n> <dim> [--centers G] [--seed S]\n\
-  ingest  <images-dir> <out.qdsb|.json> [--features color|texture|histogram|layout]\n\
+  ingest  <images-dir> <out.qdsb> [--features color|texture|histogram|layout]\n\
           [--workers N] [--progress]\n\
   build   <features> <store-dir> [--progress]\n\
   serve   <store-dir> [--nodes N] [--max-connections N] [--max-sessions N]\n\
           [--scrape-json PATH] [--scrape-interval-secs S]\n\
   eval    <features> [--addr HOST:PORT] [--k N] [--rounds N] [--queries N]\n\
           [--seed N] [--epsilon F] [--json] [--progress]\n\
-  convert <in> <out.json|.qseg|.qdsb>\n\
   run     <recipe.toml> [--workdir DIR] [--json] [--progress]\n\
   repro   <fig5..fig19|table2|table3|headline|ablation|all>... [--paper-scale] [--csv DIR]\n\
   soak    [--smoke] [--cluster] [--kill-leader-ms MS] [--users N] [--sessions N]\n\
@@ -61,7 +59,6 @@ fn main() -> ExitCode {
         "build" => cmd_build(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "eval" => cmd_eval(&args[1..]),
-        "convert" => cmd_convert(&args[1..]),
         "run" => cmd_run(&args[1..]),
         "repro" => repro::cmd_repro(&args[1..]),
         "soak" => soak::cmd_soak(&args[1..]),
@@ -362,7 +359,7 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
         addr,
         epsilon,
     } = parse_eval(args)?;
-    let dataset = qcluster_eval::load_dataset_auto(&features)
+    let dataset = qcluster_eval::load_dataset(&features)
         .map_err(|e| CliError::stage("eval", format!("{}: {e}", features.display())))?;
     let stats = stats_for("eval", &parsed);
     let offline = offline_eval(&dataset, &opts, &stats)?;
@@ -398,23 +395,6 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
         compare_reports(served, &offline, epsilon)?;
         println!("quality gate passed: served within {epsilon} of offline at every iteration");
     }
-    Ok(())
-}
-
-fn cmd_convert(args: &[String]) -> Result<(), CliError> {
-    let parsed = parse_args(args, &[], &["progress"])?;
-    let input = PathBuf::from(parsed.positional(0, "input path")?);
-    let output = PathBuf::from(parsed.positional(1, "output path")?);
-    let stats = stats_for("convert", &parsed);
-    let report = convert(&input, &output, &stats)?;
-    println!(
-        "converted {} vectors x {} dims: {} -> {} ({})",
-        report.vectors,
-        report.dim,
-        input.display(),
-        output.display(),
-        report.kind.describe()
-    );
     Ok(())
 }
 

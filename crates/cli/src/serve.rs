@@ -284,7 +284,7 @@ mod tests {
             Response::Stats(snap) => assert_eq!(snap.storage.segment_vectors, 24),
             other => panic!("unexpected: {other:?}"),
         }
-        let dim = qcluster_eval::load_dataset_auto(&dir.join("features.qdsb"))
+        let dim = qcluster_eval::load_dataset(&dir.join("features.qdsb"))
             .unwrap()
             .dim();
         for c in 0..4 {

@@ -117,7 +117,7 @@ fn pipeline_end_to_end_matches_offline_baseline() {
         queries: 12,
         seed: 17,
     };
-    let dataset = qcluster_eval::load_dataset_auto(&features).unwrap();
+    let dataset = qcluster_eval::load_dataset(&features).unwrap();
     let eval_stats = PipelineStats::new("eval");
     let backend: Box<dyn SoakBackend> =
         Box::new(TcpBackend::connect(handle.addrs()[0], ClientConfig::default()).unwrap());

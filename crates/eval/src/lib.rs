@@ -37,10 +37,7 @@ pub mod user;
 
 pub use dataset::Dataset;
 pub use oracle::RelevanceOracle;
-pub use persist::{
-    load_dataset, load_dataset_auto, load_dataset_binary, save_dataset, save_dataset_binary,
-    PersistError,
-};
+pub use persist::{load_dataset, save_dataset, PersistError};
 pub use pr::{average_pr_curve, pr_at, precision_at_k, IterationRow, PrCurve, PrPoint, ScoreTable};
 pub use session::{
     run_session, ClosedLoop, FeedbackSession, IterationRecord, SessionOutcome, Step, Timed,

@@ -1,6 +1,6 @@
 //! Integration tests for the production-oriented capabilities that extend
-//! the paper's scope: dataset persistence and every feature kind —
-//! exercised together, across crates.
+//! the paper's scope: dataset persistence (the QDSB file format) and every
+//! feature kind — exercised together, across crates.
 
 use qcluster::core::{QclusterConfig, QclusterEngine};
 use qcluster::eval::{persist, Dataset, FeedbackSession};
@@ -10,9 +10,10 @@ use qcluster::index::EuclideanQuery;
 #[test]
 fn persisted_dataset_reproduces_feedback_sessions() {
     let original = Dataset::small_default(FeatureKind::ColorMoments, 55).unwrap();
-    let mut buf = Vec::new();
-    persist::write_dataset(&original, &mut buf).unwrap();
-    let restored = persist::read_dataset(buf.as_slice()).unwrap();
+    let path = std::env::temp_dir().join(format!("qcluster_features_{}.qdsb", std::process::id()));
+    persist::save_dataset(&original, &path).unwrap();
+    let restored = persist::load_dataset(&path).unwrap();
+    std::fs::remove_file(&path).ok();
 
     // An identical feedback session over original and restored datasets
     // must retrieve identical results at every iteration.
