@@ -47,8 +47,7 @@ pub fn build(features: &Path, dir: &Path, stats: &PipelineStats) -> Result<Build
 
     load.item_in();
     load.add_bytes(std::fs::metadata(features).map(|m| m.len()).unwrap_or(0));
-    let dataset = qcluster_eval::load_dataset(features)
-        .map_err(|e| CliError::stage("load", format!("{}: {e}", features.display())))?;
+    let dataset = qcluster_eval::load_dataset(features).map_err(|e| CliError::stage("load", e))?;
     load.item_out();
     load.finish();
 
@@ -179,6 +178,23 @@ mod tests {
         build(&features, &store_dir, &PipelineStats::new("build")).unwrap();
         let err = build(&features, &store_dir, &PipelineStats::new("build")).unwrap_err();
         assert!(err.to_string().contains("already holds"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A features file that is missing, or is not a dataset (JSON, say),
+    /// is a load error naming its path exactly once.
+    #[test]
+    fn an_unloadable_features_file_is_named_once() {
+        let dir = tmp_dir("unloadable");
+        let json = dir.join("f.json");
+        std::fs::write(&json, "{\"vectors\": []}").unwrap();
+        for features in [dir.join("missing.qdsb"), json] {
+            let err = build(&features, &dir.join("store"), &PipelineStats::new("build"))
+                .unwrap_err()
+                .to_string();
+            let name = features.display().to_string();
+            assert_eq!(err.matches(&name).count(), 1, "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

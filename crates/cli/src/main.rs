@@ -359,8 +359,7 @@ fn cmd_eval(args: &[String]) -> Result<(), CliError> {
         addr,
         epsilon,
     } = parse_eval(args)?;
-    let dataset = qcluster_eval::load_dataset(&features)
-        .map_err(|e| CliError::stage("eval", format!("{}: {e}", features.display())))?;
+    let dataset = qcluster_eval::load_dataset(&features).map_err(|e| CliError::stage("eval", e))?;
     let stats = stats_for("eval", &parsed);
     let offline = offline_eval(&dataset, &opts, &stats)?;
     let served = match addr {

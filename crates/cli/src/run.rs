@@ -124,8 +124,8 @@ pub fn run(recipe: &Recipe, workdir: &Path, progress: bool) -> Result<RunReport,
 
     // 5. eval: wire path vs offline baseline, same sampled queries.
     let eval_result = (|| {
-        let dataset = qcluster_eval::load_dataset(&features)
-            .map_err(|e| CliError::stage("eval", format!("{}: {e}", features.display())))?;
+        let dataset =
+            qcluster_eval::load_dataset(&features).map_err(|e| CliError::stage("eval", e))?;
         let backend: Box<dyn SoakBackend> = if recipe.nodes > 1 {
             let map = ShardMap::new(handle.partitions().to_vec())
                 .map_err(|e| CliError::stage("eval", format!("shard map: {e}")))?;

@@ -24,7 +24,12 @@ const VERSION: u32 = 1;
 #[derive(Debug)]
 pub enum PersistError {
     /// Filesystem failure.
-    Io(std::io::Error),
+    Io {
+        /// The file read or written.
+        path: PathBuf,
+        /// What the filesystem said.
+        source: std::io::Error,
+    },
     /// Malformed or incompatible file contents.
     Format {
         /// The offending file.
@@ -37,7 +42,9 @@ pub enum PersistError {
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::Io(e) => write!(f, "I/O failure: {e}"),
+            PersistError::Io { path, source } => {
+                write!(f, "I/O failure on {}: {source}", path.display())
+            }
             PersistError::Format { path, detail } => {
                 write!(f, "format error in {}: {detail}", path.display())
             }
@@ -48,15 +55,18 @@ impl std::fmt::Display for PersistError {
 impl std::error::Error for PersistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            PersistError::Io(e) => Some(e),
+            PersistError::Io { source, .. } => Some(source),
             PersistError::Format { .. } => None,
         }
     }
 }
 
-impl From<std::io::Error> for PersistError {
-    fn from(e: std::io::Error) -> Self {
-        PersistError::Io(e)
+impl PersistError {
+    fn io(path: &Path) -> impl FnOnce(std::io::Error) -> PersistError + '_ {
+        move |source| PersistError::Io {
+            path: path.to_path_buf(),
+            source,
+        }
     }
 }
 
@@ -66,7 +76,7 @@ impl From<std::io::Error> for PersistError {
 ///
 /// # Errors
 ///
-/// I/O failures.
+/// I/O failures, naming `path`.
 pub fn save_dataset(dataset: &Dataset, path: &Path) -> Result<(), PersistError> {
     let mut body = Vec::with_capacity(16 + dataset.len() * (dataset.dim() * 8 + 16));
     put_u32(&mut body, VERSION);
@@ -87,16 +97,16 @@ pub fn save_dataset(dataset: &Dataset, path: &Path) -> Result<(), PersistError> 
     for i in 0..dataset.len() {
         put_u64(&mut body, dataset.super_category(i) as u64);
     }
-    let crc = Crc32::checksum(&body);
-    let file = std::fs::File::create(path)?;
-    let mut writer = std::io::BufWriter::new(file);
-    writer.write_all(&MAGIC)?;
-    writer.write_all(&body)?;
     let mut tail = Vec::with_capacity(4);
-    put_u32(&mut tail, crc);
-    writer.write_all(&tail)?;
-    writer.flush()?;
-    Ok(())
+    put_u32(&mut tail, Crc32::checksum(&body));
+    let write = || {
+        let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
+        writer.write_all(&MAGIC)?;
+        writer.write_all(&body)?;
+        writer.write_all(&tail)?;
+        writer.flush()
+    };
+    write().map_err(PersistError::io(path))
 }
 
 /// Loads a dataset, validating the magic, version, CRC, length
@@ -105,9 +115,9 @@ pub fn save_dataset(dataset: &Dataset, path: &Path) -> Result<(), PersistError> 
 ///
 /// # Errors
 ///
-/// I/O failures, or `Format` naming `path` for any corruption.
+/// `Io` or, for any corruption, `Format`, each naming `path`.
 pub fn load_dataset(path: &Path) -> Result<Dataset, PersistError> {
-    let bytes = std::fs::read(path)?;
+    let bytes = std::fs::read(path).map_err(PersistError::io(path))?;
     parse(&bytes).map_err(|detail| PersistError::Format {
         path: path.to_path_buf(),
         detail,

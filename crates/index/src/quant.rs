@@ -31,9 +31,11 @@
 //! [`CooperativeScan`]: every part runs phase 1 against a threshold the
 //! parts share, and one finish reranks the merged candidates once.
 //! The shared threshold always has either `m` bounds (a full heap's)
-//! or `k` exact distances (a seed's, [`CooperativeScan::seed`]) at or
+//! or `k` exact distances (a bound's, [`CooperativeScan::bound`]) at or
 //! under it, so a point it screens away has `m` better bounds or `k`
-//! nearer neighbours.
+//! nearer neighbours. A bounded scan over a partition of a larger
+//! corpus answers that partition's share of the corpus's top-k: its
+//! points under the bound.
 //! [`QuantizedScan::two_phase_knn`] is the same algorithm with one part.
 //!
 //! # The bound
@@ -1361,8 +1363,8 @@ impl QuantizedScan {
 /// The phase-1 threshold the participants of one [`CooperativeScan`]
 /// share: the bits of a non-negative `f32`, whose integer order is the
 /// float order, so `fetch_min` keeps the least bound published. Either
-/// `m` bounds (a full heap's) or `k` exact distances (a seed's) lie at
-/// or under it.
+/// `m` bounds (a full heap's) lie at or under it, or it is the first
+/// `f32` above the scan's bound τ₀.
 /// `Relaxed` suffices: the value publishes no other data, and which
 /// value a participant reads never decides an answer, only how much it
 /// screens (each participant records the threshold it used, `T`).
@@ -1395,11 +1397,11 @@ impl SharedThreshold {
 /// its own heap of the `m` best `(bound, id)` pairs, screening each
 /// block against `min(own heap's worst, shared)`. `shared` is the least
 /// worst bound any participant's full heap has published — `m` bounds
-/// lie at or under it — or, when [`Self::seed`] set it lower, the
-/// first `f32` above `k` exact distances. A participant that starts
-/// late drops from its first block the tiles the others already ruled
-/// out instead of re-learning its threshold from `+∞`; in a seeded
-/// scan the first one does too. Phase 1 returns the candidates and
+/// lie at or under it — or, when [`Self::bound`] set it lower, the
+/// first `f32` above the bound τ₀. A participant that starts late drops
+/// from its first block the tiles the others already ruled out instead
+/// of re-learning its threshold from `+∞`; in a bounded scan the first
+/// one does too. Phase 1 returns the candidates and
 /// `T`, the participant's final effective threshold:
 /// thresholds only fall, so every point it excluded — screened,
 /// filtered or evicted — has `LB ≥ T`.
@@ -1412,8 +1414,15 @@ impl SharedThreshold {
 /// at `d_k` cannot be lost). `H` holds each *finishing* participant's
 /// own `T`: the answer is exact over the participants handed to the
 /// finish even when the threshold they screened against came from one
-/// that was not (a shard that published and then failed). Otherwise
-/// the finish runs the bound-driven second round of
+/// that was not (a shard that published and then failed).
+///
+/// A bounded scan whose participants all reach the finish answers "the
+/// top-k under τ₀", ties at τ₀ included, which may be fewer than `k`:
+/// when `d_k < H` fails but `τ₀ < H`, the reranked points with
+/// `d ≤ τ₀` are the answer with no second round, as every point left
+/// out has `d ≥ LB ≥ H > τ₀`.
+///
+/// Otherwise the finish runs the bound-driven second round of
 /// [`QuantizedScan::two_phase_knn`] over every participant; if fewer
 /// than `k` candidates arrived while `H` is finite — possible only when
 /// a participant's candidates were dropped — it scans them exactly.
@@ -1428,6 +1437,10 @@ pub struct CooperativeScan {
     k: usize,
     /// `m`, every participant's heap size.
     window: usize,
+    /// Points over all participants: a finish over fewer lost one.
+    n: usize,
+    /// τ₀ (`+∞` when unbounded).
+    bound: f64,
     shared: SharedThreshold,
 }
 
@@ -1463,28 +1476,27 @@ impl CooperativeScan {
                 .unwrap_or_else(|| default_rerank_window(kk))
                 .max(kk)
                 .min(n),
+            n,
+            bound: f64::INFINITY,
             shared: SharedThreshold(AtomicU32::new(f32::INFINITY.to_bits())),
         }
     }
 
-    /// Starts the shared threshold at the first `f32` strictly above
-    /// `kth_exact`, the `k`-th smallest exact distance of any `k`
-    /// distinct points of the participants (the previous answer of a
-    /// refined round, say): those points bound the answer's `d_k` by
-    /// it, so the true top-k's bounds lie under the threshold and no
-    /// participant screens them away, and a first round that reranks
-    /// them certifies as before. Call it before any phase 1; a
-    /// non-finite or non-positive `kth_exact` is a no-op.
-    ///
-    /// The distances must come from the query's own
+    /// Bounds the scan by τ₀ = `tau0`, the `k`-th smallest exact
+    /// distance of any `k` distinct points — of the participants or of
+    /// a larger corpus they are a partition of (the previous answer of
+    /// a refined round, say) — by the query's own
     /// [`QueryDistance::distance_batch`], the kernel the finish reranks
-    /// with. When a participant that holds some of the `k` points is
-    /// left out of the finish, the others may bring too few candidates
-    /// to certify: the answer stays exact over them, through the
-    /// second round or an exact scan.
-    pub fn seed(&self, kth_exact: f64) {
-        if kth_exact.is_finite() && kth_exact > 0.0 {
-            self.shared.lower(f32_above(kth_exact));
+    /// with. The shared threshold starts at the first `f32` above τ₀,
+    /// where no point of the true top-k lies, and the finish answers the
+    /// top-k under τ₀ (see the type's docs) — unless a participant is
+    /// left out of it, when the bound only seeds the threshold. Call it
+    /// before any phase 1; a non-finite or non-positive `tau0` is a
+    /// no-op.
+    pub fn bound(&mut self, tau0: f64) {
+        if tau0.is_finite() && tau0 > 0.0 {
+            self.bound = tau0;
+            self.shared.lower(f32_above(tau0));
         }
     }
 
@@ -1514,7 +1526,18 @@ impl CooperativeScan {
         let mut heap = TopK::new(self.window);
         let tail_tiles =
             scan.stream_bounds(&plan, f32::INFINITY, Some(&self.shared), |base_id, lb| {
-                heap.offer_block(lb, |p| base_id + p);
+                let shared = self.shared.get();
+                if heap.threshold().is_none() && shared < f32::INFINITY {
+                    // An underfull heap keeps whatever it is offered, so
+                    // drop the lanes the screen would have dropped.
+                    for (p, &b) in lb.iter().enumerate() {
+                        if b < shared {
+                            heap.offer(base_id + p, f64::from(b));
+                        }
+                    }
+                } else {
+                    heap.offer_block(lb, |p| base_id + p);
+                }
                 heap.threshold().map_or(f32::INFINITY, |worst| {
                     self.shared.lower(worst as f32);
                     worst as f32
@@ -1574,6 +1597,14 @@ impl CooperativeScan {
         if n == 0 {
             return (Vec::new(), stats);
         }
+        // A finish that lost a participant answers the exact top-k over
+        // the others; one over all of them, the top-k under τ₀.
+        let under_bound = |mut answer: Vec<Neighbor>| {
+            if n == self.n {
+                answer.truncate(answer.partition_point(|nb| nb.distance <= self.bound));
+            }
+            answer
+        };
         let kk = self.k.min(n);
         let m = self.window;
         if cands.len() > m {
@@ -1588,7 +1619,13 @@ impl CooperativeScan {
         stats.reranked = cands.len() as u64;
         let d_k = result.threshold();
         if !unsound && (ceiling == f64::INFINITY || d_k.is_some_and(|d| d < ceiling)) {
-            return (result.into_sorted(), stats);
+            return (under_bound(result.into_sorted()), stats);
+        }
+        if !unsound && self.bound < ceiling && n == self.n {
+            // Fewer than `kk` reranked points lie within τ₀ (else
+            // `d_k ≤ τ₀ < H` certified above), so the heap holds them
+            // all; every point left out has `d ≥ LB ≥ H > τ₀`.
+            return (under_bound(result.into_sorted()), stats);
         }
 
         if let (false, Some(tau)) = (unsound, d_k) {
@@ -1616,7 +1653,7 @@ impl CooperativeScan {
             let (result, unsound) = owners.rerank(query, kk, &cands);
             stats.reranked += cands.len() as u64;
             if !unsound {
-                return (result.into_sorted(), stats);
+                return (under_bound(result.into_sorted()), stats);
             }
         }
 
@@ -1624,7 +1661,7 @@ impl CooperativeScan {
         // or memory corruption); too few candidates, that some were
         // dropped. Serve the query exactly anyway.
         stats.fallback_rescans = 1;
-        (owners.knn(query, self.k), stats)
+        (under_bound(owners.knn(query, self.k)), stats)
     }
 }
 

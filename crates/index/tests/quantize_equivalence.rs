@@ -39,12 +39,19 @@
 //! participant that publishes its threshold and is then left out of the
 //! finish, like the exact scan over the others.
 //!
-//! The same cooperative scans run again *seeded* (`CooperativeScan::seed`)
-//! with the `k`-th smallest exact distance of `k` distinct ids: a random
-//! subset, the cold answer itself, or a set that ends in ids tying the
-//! cold answer's `k`-th distance. Seeded answers must equal the exact
-//! scan's bit for bit, ghost included, and a seed from the cold answer
-//! must not cost a second round the cold scan did not take.
+//! The same cooperative scans run again *bounded* (`CooperativeScan::bound`)
+//! by τ₀, the `k`-th smallest exact distance of `k` distinct ids: a
+//! random subset, the cold answer itself, or a set that ends in ids
+//! tying the cold answer's `k`-th distance. Bounded answers must equal
+//! the exact scan's bit for bit, ghost included, and a bound from the
+//! cold answer must not cost a second round the cold scan did not take.
+//!
+//! A bounded scan over a *partition* — a random contiguous range cut
+//! into 1–5 participants — with τ₀ from `k` random ids of the whole
+//! corpus must answer the partition's exact top-k restricted to
+//! `d ≤ τ₀`, ties at τ₀ included, possibly fewer than `k`: never an
+//! exact rescan, and no second round the partition's cold scan did not
+//! take. With a ghost it answers the exact top-k over the others.
 
 use proptest::prelude::*;
 use qcluster_index::{
@@ -80,6 +87,12 @@ fn assert_equivalent<Q: QueryDistance + Sync>(
     let exact = LinearScan::new(points);
     let quant = QuantizedScan::from_rows(points);
     let mut split = Split::new(points, split);
+    let n = points.len();
+    let lo = splitmix(&mut split.rng) as usize % n;
+    let hi = lo + 1 + splitmix(&mut split.rng) as usize % (n - lo);
+    let partition = &points[lo..hi];
+    let mut within = Split::new(partition, split.rng);
+    let exact_within = LinearScan::new(partition);
     for &k in ks {
         let want = exact.knn(query, k);
         let want_survivors = split.survivors_knn(points, query, k);
@@ -130,8 +143,8 @@ fn assert_equivalent<Q: QueryDistance + Sync>(
                 1 => want.iter().map(|n| n.id).collect(),
                 _ => tying_ids(points, query, &want),
             };
-            let tau = kth_distance(points, query, &ids, k);
-            let ctx = format!("{ctx} seed={tau} source={source}");
+            let tau = tau0_over(points, query, &ids, k);
+            let ctx = format!("{ctx} bound={tau} source={source}");
             let cold_second_rounds = stats.second_rounds;
             let (got, stats) = split.run(query, k, window, false, Some(tau));
             assert_same(&got, &want, &ctx)?;
@@ -142,6 +155,25 @@ fn assert_equivalent<Q: QueryDistance + Sync>(
             if let Some(ghost) = split.ghost {
                 let (got, _) = split.run(query, k, window, true, Some(tau));
                 assert_same(&got, &want_survivors, &format!("{ctx} ghost={ghost}"))?;
+            }
+
+            let ids = random_ids(n, k, &mut split.rng);
+            let tau = tau0_over(points, query, &ids, k);
+            let ctx = format!(
+                "k={k} window={window:?} partition={lo}..{hi} parts={:?} bound={tau}",
+                within.bases()
+            );
+            let mut want = exact_within.knn(query, k);
+            want.retain(|nb| nb.distance <= tau);
+            let (_, cold) = within.run(query, k, window, false, None);
+            let (got, stats) = within.run(query, k, window, false, Some(tau));
+            assert_same(&got, &want, &ctx)?;
+            prop_assert_eq!(stats.fallback_rescans, 0, "{}", ctx);
+            prop_assert!(stats.second_rounds <= cold.second_rounds, "{}", ctx);
+            if let Some(ghost) = within.ghost {
+                let (got, _) = within.run(query, k, window, true, Some(tau));
+                let want = within.survivors_knn(partition, query, k);
+                assert_same(&got, &want, &format!("{ctx} ghost={ghost}"))?;
             }
         }
     }
@@ -177,7 +209,7 @@ fn tying_ids<Q: QueryDistance>(points: &[Vec<f64>], query: &Q, want: &[Neighbor]
 
 /// The `k`-th smallest exact distance over `ids`, by the query's batch
 /// kernel — the one the finish reranks with.
-fn kth_distance<Q: QueryDistance>(points: &[Vec<f64>], query: &Q, ids: &[usize], k: usize) -> f64 {
+fn tau0_over<Q: QueryDistance>(points: &[Vec<f64>], query: &Q, ids: &[usize], k: usize) -> f64 {
     let dim = query.dim();
     let rows: Vec<f64> = ids
         .iter()
@@ -260,7 +292,7 @@ impl Split {
         want
     }
 
-    /// One cooperative scan, `seed`ed when given: phase 1 of every
+    /// One cooperative scan, bounded when given: phase 1 of every
     /// participant in `order` — each on its own thread, or one after the
     /// other, by a coin flip — then the finish. With `ghosted` the ghost
     /// runs its phase 1 first, alone, and is left out of the finish.
@@ -270,13 +302,13 @@ impl Split {
         k: usize,
         window: Option<usize>,
         ghosted: bool,
-        seed: Option<f64>,
+        bound: Option<f64>,
     ) -> (Vec<Neighbor>, QuantScanStats) {
         let serial = splitmix(&mut self.rng) & 1 == 1;
         let n = self.parts.iter().map(|(_, scan)| scan.len()).sum();
-        let scan = CooperativeScan::new(k, window, n);
-        if let Some(seed) = seed {
-            scan.seed(seed);
+        let mut scan = CooperativeScan::new(k, window, n);
+        if let Some(tau0) = bound {
+            scan.bound(tau0);
         }
         let ghost = self.ghost.filter(|_| ghosted);
         let parts = &self.parts;
@@ -677,5 +709,35 @@ fn a_seed_from_the_cold_answer_cuts_the_tail_tiles() {
             seeded.tail_tiles,
             cold.tail_tiles
         );
+    }
+}
+
+/// A partition that holds none of the corpus's top-k answers nothing,
+/// with no second round and no rescan, where a threshold seeded at τ₀
+/// alone would leave it too few candidates to certify; the partition
+/// that holds them answers the whole top-k.
+#[test]
+fn a_partition_holding_none_of_the_answer_returns_nothing() {
+    let near = seeded_corpus(1499, 4, 0x0bad_5eed);
+    let far: Vec<Vec<f64>> = near
+        .iter()
+        .map(|p| p.iter().map(|v| v + 10.0).collect())
+        .collect();
+    let k = 10;
+    for (seed, probe) in [(1u64, 0usize), (2, 700), (3, 1498)] {
+        let query = EuclideanQuery::new(near[probe].iter().map(|v| v + 0.01).collect());
+        let want = LinearScan::new(&near).knn(&query, k);
+        let tau = want[k - 1].distance;
+        for (part, want) in [(&near, &want[..]), (&far, &[])] {
+            let mut split = Split::new(part, seed);
+            let (got, stats) = split.run(&query, k, None, false, Some(tau));
+            let ctx = format!("probe={probe} parts={:?}", split.bases());
+            assert_eq!(bits(&got), bits(want), "{ctx}");
+            assert_eq!(
+                (stats.second_rounds, stats.fallback_rescans),
+                (0, 0),
+                "{ctx}"
+            );
+        }
     }
 }

@@ -366,7 +366,7 @@ wire_enum!(Request {
     7 => Stats,
     8 => FetchVectors { ids },
     9 => FeedPoints { session, points },
-    10 => QueryCompiled { query, k, deadline_ms },
+    10 => QueryCompiled { query, k, deadline_ms, bound },
     11 => ReplFetch { from, max },
     12 => ReplApply { term, lease_ms, frames },
     13 => ReplStatus,
@@ -541,6 +541,20 @@ impl Wire for Response {
                 granted.put(w);
                 term.put(w);
             }
+            Response::Scanned {
+                neighbors,
+                vectors,
+                stats,
+                shards_ok,
+                shards_total,
+            } => {
+                w.push(14);
+                neighbors.put(w);
+                vectors.put(w);
+                stats.put(w);
+                shards_ok.put(w);
+                shards_total.put(w);
+            }
         }
     }
 
@@ -595,6 +609,13 @@ impl Wire for Response {
             13 => Response::Voted {
                 granted: r.get()?,
                 term: r.get()?,
+            },
+            14 => Response::Scanned {
+                neighbors: r.get()?,
+                vectors: r.get()?,
+                stats: r.get()?,
+                shards_ok: r.get()?,
+                shards_total: r.get()?,
             },
             tag => return Err(unknown_tag("response", tag)),
         })

@@ -37,7 +37,7 @@ use std::io::{ErrorKind, Read, Write};
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"QNET";
 /// The protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = 3;
+pub const PROTOCOL_VERSION: u8 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 24;
 /// Default cap on payload size (16 MiB): a Stats snapshot is ~2 KiB and

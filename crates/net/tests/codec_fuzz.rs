@@ -170,8 +170,10 @@ fn a_count_past_the_payload_fails_before_any_allocation() {
         &[&[10, 5], &HUGE],                      // MultiPoint points
         &[&[12], &[0; 16], &HUGE],               // ReplApply frames
     ];
-    let response_heads: [&[&[u8]]; 5] = [
+    let response_heads: [&[&[u8]]; 7] = [
         &[&[2], &session, &HUGE],  // Neighbors
+        &[&[14], &HUGE],           // Scanned neighbors
+        &[&[14], &[0; 4], &HUGE],  // Scanned vectors
         &[&[7], &HUGE],            // Stats snapshot
         &[&[8], &HUGE],            // Vectors
         &[&[9, 5], &HUGE],         // InvalidRequest message

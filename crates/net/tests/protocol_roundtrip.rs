@@ -183,8 +183,23 @@ fn non_finite_frames_are_refused_and_change_nothing() {
                 }),
                 k: 3,
                 deadline_ms: None,
+                bound: None,
             },
         );
+        // A finite query with a bound that is not a distance.
+        for bound in [bad, -bad.abs(), 0.0, -1.0] {
+            assert_refused(
+                &mut client,
+                Request::QueryCompiled {
+                    query: QuerySpec::Euclidean {
+                        center: vec![0.0, 0.0],
+                    },
+                    k: 3,
+                    deadline_ms: None,
+                    bound: Some(bound),
+                },
+            );
+        }
     }
 
     // Nothing moved: the session was never fed, so its first accepted

@@ -100,6 +100,7 @@ pub fn requests() -> Vec<Request> {
             },
             k: 5,
             deadline_ms: None,
+            bound: Some(0.25),
         },
         Request::QueryCompiled {
             query: QuerySpec::WeightedEuclidean {
@@ -108,11 +109,13 @@ pub fn requests() -> Vec<Request> {
             },
             k: 5,
             deadline_ms: Some(u64::MAX),
+            bound: Some(f64::MAX),
         },
         Request::QueryCompiled {
             query: QuerySpec::Cluster(full_representative()),
             k: 3,
             deadline_ms: None,
+            bound: None,
         },
         Request::QueryCompiled {
             query: QuerySpec::Disjunctive {
@@ -126,6 +129,7 @@ pub fn requests() -> Vec<Request> {
             },
             k: 3,
             deadline_ms: None,
+            bound: Some(5e-324),
         },
         Request::QueryCompiled {
             query: QuerySpec::Disjunctive {
@@ -133,6 +137,7 @@ pub fn requests() -> Vec<Request> {
             },
             k: 3,
             deadline_ms: None,
+            bound: None,
         },
         Request::QueryCompiled {
             query: QuerySpec::MultiPoint {
@@ -145,6 +150,7 @@ pub fn requests() -> Vec<Request> {
             },
             k: 10,
             deadline_ms: Some(150),
+            bound: Some(1.5),
         },
         Request::QueryCompiled {
             query: QuerySpec::MultiPoint {
@@ -153,6 +159,7 @@ pub fn requests() -> Vec<Request> {
             },
             k: 10,
             deadline_ms: None,
+            bound: None,
         },
         Request::QueryCompiled {
             query: QuerySpec::MultiPoint {
@@ -161,6 +168,7 @@ pub fn requests() -> Vec<Request> {
             },
             k: 10,
             deadline_ms: None,
+            bound: None,
         },
         Request::ReplFetch { from: 0, max: 128 },
         Request::ReplFetch {
@@ -219,6 +227,16 @@ pub fn responses() -> Vec<Response> {
             nodes_ok: 1,
             nodes_total: 1,
             degraded: true,
+        },
+        Response::Scanned {
+            neighbors: vec![NeighborDto {
+                id: usize::MAX,
+                distance: 5e-324,
+            }],
+            vectors: vec![EDGE.to_vec()],
+            stats: stats.clone(),
+            shards_ok: 3,
+            shards_total: 4,
         },
         Response::Neighbors {
             session: 0,

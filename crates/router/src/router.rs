@@ -13,11 +13,16 @@
 //! A session lives on the router, in the same [`SessionRegistry`] a
 //! node hosts its own in (method, compiled-plan cache, LRU eviction),
 //! sized by [`RouterConfig::max_sessions`]; nodes hold none. Creating
-//! and closing one sends no leg. A feed is one `FetchVectors` scatter
-//! to the partitions owning the marked ids, then the method's feed on
-//! the caller's thread. A query compiles the session's refined query (or
-//! takes the example vector) and scatters it as a stateless
-//! `QueryCompiled` carrying the query's numbers, never the fed points.
+//! and closing one sends no leg. A feed resolves the marked ids from
+//! the session's last answer and last feed, sends one `FetchVectors`
+//! scatter to the partitions owning any other id, then runs the
+//! method's feed on the caller's thread. A query compiles the session's
+//! refined query (or takes the example vector) and scatters it as a
+//! stateless `QueryCompiled` carrying the query's numbers, never the
+//! fed points. A refined round without a deadline also carries τ₀, the
+//! `k`-th distance of the last answer under that query: each node
+//! answers its points under τ₀ with their vectors, and the router
+//! remembers the merged answer's.
 //!
 //! ## Degradation
 //!

@@ -8,6 +8,7 @@ use qcluster_index::{merge_top_k, Neighbor, SearchStats};
 use qcluster_net::{is_undecodable, Client};
 use qcluster_service::{
     feedback_points, MetricsSnapshot, NeighborDto, QuerySpec, Request, Response, SearchStatsDto,
+    Seen,
 };
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -20,9 +21,23 @@ type Leg = (usize, usize, Request);
 /// response or the typed reason it is missing.
 type LegOutcome = (usize, usize, Result<Response, NodeFailureKind>);
 
+/// One query scatter, collected: neighbour lists in global ids, their
+/// vectors, summed work and coverage, and every missing leg.
+#[derive(Default)]
+struct Gathered {
+    lists: Vec<Vec<Neighbor>>,
+    vectors: HashMap<usize, Vec<f64>>,
+    stats: SearchStats,
+    shards_ok: usize,
+    shards_total: usize,
+    /// The partitions that answered, ascending.
+    answered: Vec<usize>,
+    failures: Vec<NodeFailure>,
+}
+
 /// A leg whose request is written: its connection, the request's id,
 /// the leg's deadline, and an injected `partial:<n>` cap on its
-/// neighbor list.
+/// neighbour list.
 type Written = (Client, u64, Instant, Option<usize>);
 
 /// Reads a written leg's reply within what is left of its deadline,
@@ -45,8 +60,15 @@ fn read_leg(
             Err(NodeFailureKind::Remote(e.to_string()))
         }
         Ok(mut response) => {
-            if let (Some(cap), Response::Neighbors { neighbors, .. }) = (cap, &mut response) {
+            if let (
+                Some(cap),
+                Response::Scanned {
+                    neighbors, vectors, ..
+                },
+            ) = (cap, &mut response)
+            {
                 neighbors.truncate(cap);
+                vectors.truncate(cap);
             }
             Ok(response)
         }
@@ -222,9 +244,16 @@ impl Router {
     /// refined query — and scatters it as a `QueryCompiled` to every
     /// partition's leader, then merges the partial top-k lists (ids
     /// remapped to the global space, ties by `(distance, id)` —
-    /// identical to the executor's shard merge). Missing legs degrade
-    /// the response instead of failing it; `nodes_ok / nodes_total` on
-    /// the returned [`Response::Neighbors`] carry the coverage.
+    /// identical to the executor's shard merge) and remembers the
+    /// merged answer's points. Missing legs degrade the response
+    /// instead of failing it; `nodes_ok / nodes_total` on the returned
+    /// [`Response::Neighbors`] carry the coverage.
+    ///
+    /// A refined round without a deadline is bounded: every leg carries
+    /// τ₀, the `k`-th distance of the last answer under the query the
+    /// legs carry, and each node answers its points under τ₀. A bounded
+    /// merge short of `k` lost a leg (or met another kernel), so it is
+    /// scattered once more, unbounded, to the partitions that answered.
     ///
     /// # Errors
     ///
@@ -240,77 +269,50 @@ impl Router {
         vector: Option<Vec<f64>>,
         deadline_ms: Option<u64>,
     ) -> Result<ScatterReport, RouterError> {
-        let (query, _) = self.sessions.query(session, vector, &self.metrics)?;
-        let spec = QuerySpec::of(&*query)?;
+        let refined = vector.is_none();
+        let (plan, previous) = self.sessions.query(session, vector, &self.metrics)?;
+        let spec = QuerySpec::of(&*plan)?;
         spec.check()?;
+        let bound = match deadline_ms {
+            None if refined => previous.bound(&*spec.clone().compile()?, k),
+            _ => None,
+        };
         let nodes_total = self.partitions.len();
-        let legs = self
-            .partitions
-            .iter()
-            .enumerate()
-            .map(|(p, part)| {
-                let request = Request::QueryCompiled {
-                    query: spec.clone(),
-                    k,
-                    deadline_ms,
-                };
-                (p, part.leader.load(Ordering::Acquire), request)
-            })
-            .collect();
-        let mut failures: Vec<NodeFailure> = Vec::new();
-        let mut lists: Vec<Vec<Neighbor>> = Vec::with_capacity(nodes_total);
-        let mut stats = SearchStats::default();
-        let (mut shards_ok, mut shards_total, mut nodes_ok) = (0usize, 0usize, 0usize);
-        for (p, r, outcome) in self.scatter(legs) {
-            match outcome {
-                Ok(Response::Neighbors {
-                    neighbors,
-                    stats: leg_stats,
-                    shards_ok: leg_shards_ok,
-                    shards_total: leg_shards_total,
-                    ..
-                }) => {
-                    let id_base = self.partitions[p].id_base;
-                    lists.push(
-                        neighbors
-                            .into_iter()
-                            .map(|n| Neighbor {
-                                id: id_base + n.id,
-                                distance: n.distance,
-                            })
-                            .collect(),
-                    );
-                    stats.absorb(&SearchStats::from(leg_stats));
-                    shards_ok += leg_shards_ok;
-                    shards_total += leg_shards_total;
-                    nodes_ok += 1;
-                }
-                Ok(Response::Error(e)) => return Err(RouterError::InvalidRequest(e.to_string())),
-                Ok(other) => failures.push(self.unexpected(p, r, &other)),
-                Err(kind) => failures.push(self.failure(p, r, kind)),
-            }
+        let mut round = self.gather(0..nodes_total, &spec, k, deadline_ms, bound)?;
+        let found: usize = round.lists.iter().map(Vec::len).sum();
+        if bound.is_some() && found < k && !round.answered.is_empty() {
+            let mut again = self.gather(round.answered.clone(), &spec, k, deadline_ms, None)?;
+            again.stats.absorb(&round.stats);
+            again.failures.append(&mut round.failures);
+            round = again;
         }
+        let nodes_ok = round.answered.len();
+        let mut failures = round.failures;
         if nodes_ok == 0 {
             return Err(RouterError::Unavailable(failures));
         }
-        let degraded = nodes_ok < nodes_total || shards_ok < shards_total;
+        let degraded = nodes_ok < nodes_total || round.shards_ok < round.shards_total;
         if degraded {
             self.counters
                 .degraded_responses
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let neighbors: Vec<NeighborDto> = merge_top_k(lists, k)
-            .into_iter()
-            .map(NeighborDto::from)
+        let merged = merge_top_k(round.lists, k);
+        let ids: Vec<usize> = merged.iter().map(|n| n.id).collect();
+        let rows: Vec<f64> = ids
+            .iter()
+            .flat_map(|id| &round.vectors[id])
+            .copied()
             .collect();
+        self.sessions.remember(session, Seen::new(ids, rows));
         failures.sort_by_key(|f| f.partition);
         Ok(ScatterReport {
             response: Response::Neighbors {
                 session,
-                neighbors,
-                stats: SearchStatsDto::from(stats),
-                shards_ok,
-                shards_total,
+                neighbors: merged.into_iter().map(NeighborDto::from).collect(),
+                stats: SearchStatsDto::from(round.stats),
+                shards_ok: round.shards_ok,
+                shards_total: round.shards_total,
                 nodes_ok,
                 nodes_total,
                 degraded,
@@ -319,15 +321,74 @@ impl Router {
         })
     }
 
+    /// One scatter of `spec` to the leaders of `partitions`, collected.
+    ///
+    /// # Errors
+    ///
+    /// [`RouterError::InvalidRequest`] when a node rejected the request.
+    fn gather(
+        &self,
+        partitions: impl IntoIterator<Item = usize>,
+        spec: &QuerySpec,
+        k: usize,
+        deadline_ms: Option<u64>,
+        bound: Option<f64>,
+    ) -> Result<Gathered, RouterError> {
+        let legs = partitions
+            .into_iter()
+            .map(|p| {
+                let request = Request::QueryCompiled {
+                    query: spec.clone(),
+                    k,
+                    deadline_ms,
+                    bound,
+                };
+                let leader = self.partitions[p].leader.load(Ordering::Acquire);
+                (p, leader, request)
+            })
+            .collect();
+        let mut round = Gathered::default();
+        for (p, r, outcome) in self.scatter(legs) {
+            match outcome {
+                Ok(Response::Scanned {
+                    neighbors,
+                    vectors,
+                    stats,
+                    shards_ok,
+                    shards_total,
+                }) if vectors.len() == neighbors.len() => {
+                    let id_base = self.partitions[p].id_base;
+                    let list = neighbors.iter().map(|n| Neighbor {
+                        id: id_base + n.id,
+                        distance: n.distance,
+                    });
+                    round.lists.push(list.collect());
+                    let ids = neighbors.iter().map(|n| id_base + n.id);
+                    round.vectors.extend(ids.zip(vectors));
+                    round.stats.absorb(&SearchStats::from(stats));
+                    round.shards_ok += shards_ok;
+                    round.shards_total += shards_total;
+                    round.answered.push(p);
+                }
+                Ok(Response::Error(e)) => return Err(RouterError::InvalidRequest(e.to_string())),
+                Ok(other) => round.failures.push(self.unexpected(p, r, &other)),
+                Err(kind) => round.failures.push(self.failure(p, r, kind)),
+            }
+        }
+        Ok(round)
+    }
+
     // ------------------------------------------------------------------
     // Feedback
     // ------------------------------------------------------------------
 
     /// Marks global corpus ids as relevant: checks them with
-    /// [`feedback_points`] as a node does, resolves each id's vector
-    /// with one `FetchVectors` scatter to the owning partitions'
-    /// leaders (a follower answers for a leader that cannot), then
-    /// feeds the session's method on the calling thread.
+    /// [`feedback_points`] as a node does, resolves each id's vector —
+    /// from the session's last answer and last feed, and only the ids
+    /// outside both with one `FetchVectors` scatter to the owning
+    /// partitions' leaders (a follower answers for a leader that
+    /// cannot) — then feeds the session's method on the calling thread
+    /// and remembers the fed points.
     ///
     /// # Errors
     ///
@@ -345,10 +406,20 @@ impl Router {
         scores: Option<&[f64]>,
     ) -> Result<Response, RouterError> {
         let points = feedback_points(relevant_ids, scores, || {
-            self.sessions.touch(session)?;
-            self.fetch_vectors(relevant_ids)
+            let mut vectors = self.sessions.recall(session, relevant_ids)?;
+            let unseen: Vec<usize> = (0..vectors.len())
+                .filter(|&i| vectors[i].is_none())
+                .collect();
+            if !unseen.is_empty() {
+                let ids: Vec<usize> = unseen.iter().map(|&i| relevant_ids[i]).collect();
+                for (i, vector) in unseen.into_iter().zip(self.fetch_vectors(&ids)?) {
+                    vectors[i] = Some(vector);
+                }
+            }
+            Ok::<_, RouterError>(vectors.into_iter().flatten().collect())
         })?;
         let fed = self.sessions.feed(session, &points, &self.metrics)?;
+        self.sessions.remember_feed(session, &points);
         Ok(Response::FeedAccepted {
             session,
             iteration: fed.iteration,
@@ -492,8 +563,12 @@ mod tests {
         ShardMap,
     };
     use qcluster_failpoint::{self as failpoint, Action};
+    use qcluster_index::LinearScan;
     use qcluster_net::{ClientConfig, Server, ServerConfig};
-    use qcluster_service::{Response, Service, ServiceConfig};
+    use qcluster_service::{
+        method_by_name, FeedbackPoint, QclusterConfig, Response, Service, ServiceConfig,
+        StoreConfig, DEFAULT_SCORE,
+    };
     use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -527,6 +602,108 @@ mod tests {
         match report.response {
             Response::Neighbors { nodes_ok, .. } => (report, nodes_ok),
             ref other => panic!("expected neighbors, got {other:?}"),
+        }
+    }
+
+    /// A bounded round whose leg to the partition holding the whole last
+    /// answer fails: the others hold nothing under τ₀ — the last one's
+    /// ingested points, farther than its base points, included — so the
+    /// round is scattered once more, unbounded, to them alone, and
+    /// answers `k` neighbours, exact over the survivors, degraded.
+    #[test]
+    fn a_bounded_round_that_loses_a_leg_answers_k_over_the_others() {
+        let _serial = failpoint::test_lock();
+        failpoint::clear_all();
+        // Partition p's points lie around 1000·p.
+        let slices: Vec<Vec<Vec<f64>>> = (0..3)
+            .map(|p| {
+                let far = |v: Vec<f64>| v.iter().map(|x| x + 1000.0 * p as f64).collect();
+                synthetic_slice(p * 50, 50, DIM)
+                    .into_iter()
+                    .map(far)
+                    .collect()
+            })
+            .collect();
+        let dir = |p: usize| {
+            let name = format!("qrouter-bounded-leg-{p}-{}", std::process::id());
+            std::env::temp_dir().join(name)
+        };
+        let (services, servers): (Vec<_>, Vec<_>) = slices
+            .iter()
+            .enumerate()
+            .map(|(p, slice)| {
+                std::fs::remove_dir_all(dir(p)).ok();
+                let (config, store) = (ServiceConfig::default(), StoreConfig::default());
+                let service = Service::open_durable(&dir(p), slice, config, store).unwrap();
+                let service = Arc::new(service);
+                let config = ServerConfig::default();
+                let server = Server::bind("127.0.0.1:0", Arc::clone(&service), config).unwrap();
+                (service, server)
+            })
+            .unzip();
+        let addrs: Vec<_> = servers.iter().map(Server::local_addr).collect();
+        let config = RouterConfig::default();
+        let router = Router::new(ShardMap::even(&addrs, 150).unwrap(), config).unwrap();
+        let session = router.create_session(None).unwrap();
+        let neighbors = |report: ScatterReport| match report.response {
+            Response::Neighbors { neighbors, .. } => neighbors,
+            other => panic!("expected neighbors, got {other:?}"),
+        };
+        let k = 8;
+        // Ingested points (global ids from 150) lie past partition 2's.
+        let ingested: Vec<Vec<f64>> = synthetic_slice(150, k, DIM)
+            .into_iter()
+            .map(|v| v.iter().map(|x| x + 2500.0).collect())
+            .collect();
+        for v in &ingested {
+            services[2].ingest(v.clone()).unwrap();
+        }
+        let first = neighbors(
+            router
+                .query(session, k, Some(slices[1][10].clone()), None)
+                .unwrap(),
+        );
+        let marked: Vec<usize> = first.iter().take(4).map(|n| n.id).collect();
+        assert!(marked.iter().all(|id| (50..100).contains(id)), "{marked:?}");
+        router.feed(session, &marked, None).unwrap();
+
+        let frames = || services.iter().map(|s| s.stats().transport.frames_in);
+        let before: Vec<u64> = frames().collect();
+        let down = failpoint::scoped("router.node.1", Action::Error("down".into()));
+        let report = router.query(session, k, None, None).unwrap();
+        drop(down);
+        let legs: Vec<u64> = frames().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(legs, [2, 0, 2], "a bounded leg, then an unbounded one");
+        assert!(matches!(&report.failures[..], [f] if f.partition == 1));
+        assert!(matches!(
+            report.response,
+            Response::Neighbors {
+                nodes_ok: 2,
+                degraded: true,
+                ..
+            }
+        ));
+        let mut offline = method_by_name("qcluster", QclusterConfig::default()).unwrap();
+        let fed: Vec<FeedbackPoint> = marked
+            .iter()
+            .map(|&id| FeedbackPoint::new(id, slices[1][id - 50].clone(), DEFAULT_SCORE))
+            .collect();
+        offline.feed(&fed).unwrap();
+        let survivors = [&slices[0][..], &slices[2], &ingested].concat();
+        let want = LinearScan::new(&survivors).knn(&offline.query().unwrap(), k);
+        let global = |id: usize| if id < 50 { id } else { id + 50 };
+        let want: Vec<_> = want.iter().map(|n| (global(n.id), n.distance)).collect();
+        let got: Vec<_> = neighbors(report)
+            .iter()
+            .map(|n| (n.id, n.distance))
+            .collect();
+        assert_eq!(got, want);
+        drop(router);
+        for server in servers {
+            server.shutdown();
+        }
+        for p in 0..3 {
+            std::fs::remove_dir_all(dir(p)).ok();
         }
     }
 

@@ -10,8 +10,10 @@
 //! servers behind a [`Router`] — for all five feedback methods, whose
 //! sessions live on the router and whose compiled queries the nodes
 //! answer — and pin what a router-hosted session costs the nodes:
-//! nothing to create or close, and no breaker trip for a caller's
-//! mistake.
+//! nothing to create or close, no breaker trip for a caller's mistake,
+//! one bounded leg per partition for a refined round, and no
+//! `FetchVectors` leg for an id the session saw in its last answer or
+//! its last feed.
 
 use proptest::prelude::*;
 use qcluster_index::{merge_top_k, EuclideanQuery, LinearScan, Neighbor};
@@ -73,8 +75,8 @@ mod end_to_end {
     use qcluster_net::{ClientConfig, Server, ServerConfig};
     use qcluster_router::{Partition, Router, RouterConfig, RouterError, ShardMap};
     use qcluster_service::{
-        dispatch, method_by_name, FeedbackPoint, NeighborDto, QclusterConfig, Request, Response,
-        Service, ServiceConfig, METHODS,
+        method_by_name, FeedbackPoint, NeighborDto, QclusterConfig, Response, Service,
+        ServiceConfig, METHODS,
     };
     use std::net::SocketAddr;
     use std::sync::Arc;
@@ -173,38 +175,68 @@ mod end_to_end {
     /// round and three feed rounds; every refined answer equals the same
     /// method fed the same points offline over one flat exact scan —
     /// ids and distance bits, ties included (the grid corpus is full of
-    /// them, across partition boundaries).
+    /// them, across partition boundaries) — and every answer, the
+    /// example's included, equals one node's over the whole corpus,
+    /// bounded as the router bounds it. A refined round is one bounded leg
+    /// per partition (no second scatter: the router's τ₀ and the nodes'
+    /// scans share one kernel), and a feed sends a `FetchVectors` leg
+    /// only to the owners of ids outside the last answer and last feed.
     #[test]
     fn every_method_through_the_router_equals_offline() {
         let points = grid_corpus(240, 4);
         let oracle = LinearScan::new(&points);
-        let (servers, _, router) = boot_with(&points, [0, 100, 170], router_config());
+        let (servers, services, router) = boot_with(&points, [0, 100, 170], router_config());
+        let reference = node_service(&points);
+        let frames = || -> u64 { services.iter().map(|s| s.stats().transport.frames_in).sum() };
         let k = 20;
-        for (name, _) in METHODS {
+        for (m, (name, _)) in METHODS.iter().enumerate() {
             let session = router.create_session(Some(name)).unwrap();
+            let one = reference.create_session_named(name).unwrap();
             let mut offline = method_by_name(name, QclusterConfig::default()).unwrap();
-            let example = vec![1.0, 2.0, 0.0, 3.0];
+            let example: Vec<f64> = [1.0, 2.0, 0.0, 3.0].map(|x| (x + m as f64) % 4.0).into();
+            let want = reference.query_vector(one, example.clone(), k).unwrap();
             let mut answer = neighbors_of(
                 router
                     .query(session, k, Some(example), None)
                     .unwrap()
                     .response,
             );
+            assert_same(&answer, &want.neighbors, &format!("{name}, example"));
+            let mut fed: Vec<usize> = Vec::new();
             for round in 0..3 {
-                // The top of the last answer plus two ids from the other
-                // end of the corpus, so the multipoint methods see more
-                // than one group.
+                // The top of the last answer, one id of the last feed,
+                // and from round 1 on two ids from the other end of the
+                // corpus, out of partition order, so the multipoint
+                // methods see more than one group and the fetched
+                // vectors must come back in the caller's order.
                 let mut marked: Vec<usize> = answer.iter().take(5).map(|n| n.id).collect();
-                marked.extend([(round * 37 + 11) % 240, 239 - round * 50]);
+                let refed = fed.iter().copied().find(|id| !marked.contains(id));
+                marked.extend(refed);
+                if round > 0 {
+                    marked.extend([239 - round * 50, (round * 37 + 11) % 240]);
+                }
+                let seen = |id: &&usize| answer.iter().any(|n| n.id == **id) || fed.contains(id);
+                // The partitions owning an unseen id: one leg each.
+                let owners: std::collections::BTreeSet<[bool; 2]> = marked
+                    .iter()
+                    .filter(|id| !seen(id))
+                    .map(|&id| [id >= 100, id >= 170])
+                    .collect();
                 let scores: Vec<f64> = (0..marked.len()).map(|i| 1.0 + (i % 3) as f64).collect();
-                let fed = router.feed(session, &marked, Some(&scores)).unwrap();
+                let before = frames();
+                let fed_round = router.feed(session, &marked, Some(&scores)).unwrap();
+                assert_eq!(
+                    frames() - before,
+                    owners.len() as u64,
+                    "{name}, round {round}"
+                );
                 let Response::FeedAccepted {
                     iteration,
                     clusters,
                     ..
-                } = fed
+                } = fed_round
                 else {
-                    panic!("{name}: expected FeedAccepted, got {fed:?}")
+                    panic!("{name}: expected FeedAccepted, got {fed_round:?}")
                 };
                 let batch: Vec<FeedbackPoint> = marked
                     .iter()
@@ -212,12 +244,22 @@ mod end_to_end {
                     .map(|(&id, &score)| FeedbackPoint::new(id, points[id].clone(), score))
                     .collect();
                 offline.feed(&batch).unwrap();
+                reference.feed_ids(one, &marked, Some(&scores)).unwrap();
                 assert_eq!(iteration, round as u64 + 1, "{name}");
                 assert_eq!(clusters, offline.num_clusters(), "{name}");
+                fed = marked;
 
+                let before = frames();
                 answer = neighbors_of(router.query(session, k, None, None).unwrap().response);
+                assert_eq!(frames() - before, 3, "{name}, round {round}: one leg each");
                 let want = oracle.knn(&offline.query().unwrap(), k);
                 assert_same(&answer, &want, &format!("{name}, round {round}"));
+                let one_node = reference.query(one, k).unwrap().neighbors;
+                assert_same(
+                    &answer,
+                    &one_node,
+                    &format!("{name}, round {round}, one node"),
+                );
             }
             router.close_session(session).unwrap();
         }
@@ -325,128 +367,6 @@ mod end_to_end {
         let report = router.query(session, 5, Some(example), None).unwrap();
         assert!(report.failures.is_empty());
         neighbors_of(report.response);
-        drop(router);
-        for server in servers {
-            server.shutdown();
-        }
-    }
-
-    #[test]
-    fn healthy_cluster_matches_single_node_bit_for_bit() {
-        let total = 240;
-        let dim = 4;
-        let points = grid_corpus(total, dim);
-        let (servers, router) = boot(&points, [0, 100, 170]);
-
-        // Single-node reference over the whole corpus.
-        let reference = node_service(&points);
-        let Response::SessionCreated {
-            session: ref_session,
-        } = dispatch(&reference, Request::CreateSession { engine: None })
-        else {
-            panic!("reference session")
-        };
-
-        let session = router.create_session(None).unwrap();
-        for (round, query) in [
-            vec![1.0, 2.0, 0.0, 3.0],
-            vec![0.0, 0.0, 0.0, 0.0],
-            vec![3.0, 3.0, 3.0, 3.0],
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let k = 20;
-            let report = router.query(session, k, Some(query.clone()), None).unwrap();
-            let Response::Neighbors {
-                neighbors: got,
-                nodes_ok,
-                nodes_total,
-                degraded,
-                ..
-            } = report.response
-            else {
-                panic!("round {round}: expected neighbors")
-            };
-            assert_eq!((nodes_ok, nodes_total), (3, 3), "round {round}");
-            assert!(!degraded, "round {round}");
-            assert!(report.failures.is_empty(), "round {round}");
-
-            let Response::Neighbors {
-                neighbors: want, ..
-            } = dispatch(
-                &reference,
-                Request::Query {
-                    session: ref_session,
-                    k,
-                    vector: Some(query),
-                    deadline_ms: None,
-                },
-            )
-            else {
-                panic!("round {round}: reference query")
-            };
-            assert_eq!(got.len(), want.len(), "round {round}");
-            for (a, b) in got.iter().zip(want.iter()) {
-                assert_eq!(a.id, b.id, "round {round}");
-                assert_eq!(
-                    a.distance.to_bits(),
-                    b.distance.to_bits(),
-                    "round {round}: id {}",
-                    a.id
-                );
-            }
-        }
-
-        // Feedback parity: mark the same global ids on both sides
-        // (every partition owns some, out of partition order, so the
-        // router's scatter has to put the resolved vectors back in the
-        // caller's order), then compare the refined round.
-        let marked = vec![200usize, 5, 120, 7, 171];
-        let scores = vec![3.0f64, 2.0, 4.0, 1.0, 2.5];
-        let fed = router.feed(session, &marked, Some(&scores)).unwrap();
-        assert!(matches!(fed, Response::FeedAccepted { .. }));
-        let Response::FeedAccepted { .. } = dispatch(
-            &reference,
-            Request::Feed {
-                session: ref_session,
-                relevant_ids: marked,
-                scores: Some(scores),
-            },
-        ) else {
-            panic!("reference feed")
-        };
-        let report = router.query(session, 15, None, None).unwrap();
-        let Response::Neighbors {
-            neighbors: got,
-            degraded,
-            ..
-        } = report.response
-        else {
-            panic!("refined round")
-        };
-        assert!(!degraded);
-        let Response::Neighbors {
-            neighbors: want, ..
-        } = dispatch(
-            &reference,
-            Request::Query {
-                session: ref_session,
-                k: 15,
-                vector: None,
-                deadline_ms: None,
-            },
-        )
-        else {
-            panic!("reference refined round")
-        };
-        assert_eq!(got.len(), want.len());
-        for (a, b) in got.iter().zip(want.iter()) {
-            assert_eq!(a.id, b.id, "refined round");
-            assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "refined round");
-        }
-
-        router.close_session(session).unwrap();
         drop(router);
         for server in servers {
             server.shutdown();

@@ -12,9 +12,11 @@
 //! job runs phase 1 against the fan-out's shared threshold and replies
 //! with its candidates, and the caller reranks the merged candidates
 //! once they are collected. A shard job whose query compiles no plan
-//! replies with its own exact top-k. A session's refined round seeds
-//! the threshold with its previous answer's `k`-th distance
-//! ([`CooperativeScan::seed`]); [`Executor::try_knn`] never does.
+//! replies with its own exact top-k. A refined round is bounded by τ₀,
+//! the `k`-th distance of the session's previous answer under the new
+//! query ([`CooperativeScan::bound`]): the shards start their threshold
+//! there, and a fan-out that every shard answered returns the top-k
+//! under τ₀. [`Executor::try_knn`] is never bounded.
 //!
 //! Refined queries (e.g. [`DisjunctiveQuery`](qcluster_core::DisjunctiveQuery))
 //! carry interior scratch buffers, so they are `Send` but not `Sync`: the
@@ -319,16 +321,19 @@ impl Executor {
         self.fanout(corpus, query, k, deadline, None)
     }
 
-    /// The fan-out body of [`Self::try_knn`], whose scan starts at
-    /// `seed` when given ([`CooperativeScan::seed`]: the `k`-th exact
-    /// distance of `k` points of `corpus`) instead of `+∞`.
+    /// The fan-out body of [`Self::try_knn`], bounded by τ₀ = `bound`
+    /// when given ([`CooperativeScan::bound`]: the `k`-th exact distance
+    /// of `k` points of `corpus`, or of a corpus it is a partition of).
+    /// Bounded, a fan-out that every shard answered returns the top-k
+    /// under τ₀, which may be fewer than `k`; one that lost a shard
+    /// returns the exact top-k over the others.
     pub(crate) fn fanout(
         &self,
         corpus: &ShardedCorpus,
         query: &dyn FanoutQuery,
         k: usize,
         deadline: Option<Instant>,
-        seed: Option<f64>,
+        bound: Option<f64>,
     ) -> Result<FanoutReport, ServiceError> {
         if k == 0 {
             return Err(ServiceError::InvalidRequest("k must be positive".into()));
@@ -341,9 +346,9 @@ impl Executor {
         }
         let num_shards = corpus.num_shards();
         let started = Instant::now();
-        let scan = CooperativeScan::new(k, None, corpus.len());
-        if let Some(seed) = seed {
-            scan.seed(seed);
+        let mut scan = CooperativeScan::new(k, None, corpus.len());
+        if let Some(tau0) = bound {
+            scan.bound(tau0);
         }
         let scan = Arc::new(scan);
 

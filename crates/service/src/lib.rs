@@ -77,6 +77,6 @@ pub use qcluster_core::{FeedbackPoint, QclusterConfig};
 pub use qcluster_index::FanoutQuery;
 pub use qcluster_store::{CompactionStats, StoreConfig};
 pub use service::{IngestOutcome, QueryOutcome, Service, ServiceConfig};
-pub use session::{FeedOutcome, SessionRegistry};
+pub use session::{FeedOutcome, Seen, SessionRegistry};
 pub use shard::{Shard, ShardKind, ShardedCorpus};
 pub use spec::{AggregateSpec, InverseSpec, PointSpec, QuerySpec, RepresentativeSpec};

@@ -13,7 +13,7 @@
 
 use crate::error::ServiceError;
 use crate::metrics::MetricsSnapshot;
-use crate::service::{QueryOutcome, Service};
+use crate::service::Service;
 use crate::spec::QuerySpec;
 use qcluster_core::FeedbackPoint;
 use qcluster_index::{Neighbor, SearchStats};
@@ -94,7 +94,8 @@ pub enum Request {
     },
     /// Run a k-NN round for a query compiled elsewhere, outside any
     /// session: a cluster router hosts the session, compiles its query
-    /// and scatters it to the nodes with this request.
+    /// and scatters it to the nodes with this request. Answered with
+    /// [`Response::Scanned`].
     QueryCompiled {
         /// The compiled query.
         query: QuerySpec,
@@ -102,6 +103,10 @@ pub enum Request {
         k: usize,
         /// Optional deadline in milliseconds, as for [`Request::Query`].
         deadline_ms: Option<u64>,
+        /// τ₀ (finite, positive), the `k`-th distance of `k` points of
+        /// the cluster's corpus under `query`: without a deadline the
+        /// node answers its exact top-k with `d ≤ τ₀`, maybe fewer.
+        bound: Option<f64>,
     },
     /// Ask the peer (a leader) for ingest records starting at global
     /// vector id `from`, at most `max` records. Answered with
@@ -228,8 +233,7 @@ pub enum Response {
     /// degraded response: the top-k is correct over the shards that
     /// responded, but silent misses from the failed shards are possible.
     Neighbors {
-        /// The session that ran the query (0 for
-        /// [`Request::QueryCompiled`], which has none).
+        /// The session that ran the query.
         session: u64,
         /// Global top-k, ascending by `(distance, id)`.
         neighbors: Vec<NeighborDto>,
@@ -283,6 +287,20 @@ pub enum Response {
     Vectors {
         /// One vector per requested id.
         vectors: Vec<Vec<f64>>,
+    },
+    /// A [`Request::QueryCompiled`]'s answer: the node's neighbours with
+    /// their vectors, which the router merging them remembers.
+    Scanned {
+        /// Top-k in node-local ids, ascending by `(distance, id)`.
+        neighbors: Vec<NeighborDto>,
+        /// One vector per neighbour, in the same order.
+        vectors: Vec<Vec<f64>>,
+        /// Search work, summed over the shards that responded.
+        stats: SearchStatsDto,
+        /// Shards whose results made it into the merge.
+        shards_ok: usize,
+        /// Shards the query fanned out to.
+        shards_total: usize,
     },
     /// The request failed.
     Error(ServiceError),
@@ -407,31 +425,23 @@ pub fn feedback_points<E: From<ServiceError>>(
         .collect()
 }
 
-/// The wire answer of one query round.
-fn neighbors(session: u64, out: QueryOutcome) -> Response {
-    let degraded = out.degraded();
-    Response::Neighbors {
-        session,
-        neighbors: out.neighbors.into_iter().map(NeighborDto::from).collect(),
-        stats: SearchStatsDto::from(out.stats),
-        shards_ok: out.shards_ok,
-        shards_total: out.shards_total,
-        nodes_ok: 1,
-        nodes_total: 1,
-        degraded,
-    }
-}
-
 /// Maps one request onto the service. Infallible by construction: every
 /// service error becomes [`Response::Error`] — including structurally
 /// hostile field values (absurd `k`, non-finite vectors), which are
 /// rejected here before they reach allocation or kernel code.
 pub fn dispatch(service: &Service, request: Request) -> Response {
     match &request {
-        Request::QueryCompiled { k, .. } if *k > MAX_WIRE_K => {
-            return Response::Error(ServiceError::InvalidRequest(format!(
-                "k {k} exceeds the wire maximum {MAX_WIRE_K}"
-            )));
+        Request::QueryCompiled { k, bound, .. } => {
+            if *k > MAX_WIRE_K {
+                return Response::Error(ServiceError::InvalidRequest(format!(
+                    "k {k} exceeds the wire maximum {MAX_WIRE_K}"
+                )));
+            }
+            if let Some(b) = bound.filter(|b| !(b.is_finite() && *b > 0.0)) {
+                return Response::Error(ServiceError::InvalidRequest(format!(
+                    "bound {b} must be positive and finite"
+                )));
+            }
         }
         Request::Query { k, vector, .. } => {
             if *k > MAX_WIRE_K {
@@ -478,17 +488,36 @@ pub fn dispatch(service: &Service, request: Request) -> Response {
             deadline_ms,
         } => service
             .query_with_deadline(session, k, vector, deadline_ms.map(Duration::from_millis))
-            .map(|out| neighbors(session, out)),
+            .map(|out| Response::Neighbors {
+                session,
+                degraded: out.degraded(),
+                neighbors: out.neighbors.into_iter().map(NeighborDto::from).collect(),
+                stats: SearchStatsDto::from(out.stats),
+                shards_ok: out.shards_ok,
+                shards_total: out.shards_total,
+                nodes_ok: 1,
+                nodes_total: 1,
+            }),
         Request::QueryCompiled {
             query,
             k,
             deadline_ms,
+            bound,
         } => query
             .compile()
             .and_then(|query| {
-                service.query_compiled(&*query, k, deadline_ms.map(Duration::from_millis))
+                service.query_compiled(&*query, k, deadline_ms.map(Duration::from_millis), bound)
             })
-            .map(|out| neighbors(0, out)),
+            .and_then(|out| {
+                let ids: Vec<usize> = out.neighbors.iter().map(|n| n.id).collect();
+                Ok(Response::Scanned {
+                    vectors: service.vectors_by_id(&ids)?,
+                    neighbors: out.neighbors.into_iter().map(NeighborDto::from).collect(),
+                    stats: SearchStatsDto::from(out.stats),
+                    shards_ok: out.shards_ok,
+                    shards_total: out.shards_total,
+                })
+            }),
         Request::Feed {
             session,
             relevant_ids,

@@ -11,7 +11,7 @@ use crate::executor::{
 };
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::protocol::{feedback_points, DEFAULT_SCORE};
-use crate::session::{FeedOutcome, SessionRegistry};
+use crate::session::{FeedOutcome, Seen, SessionRegistry};
 use crate::shard::{ShardKind, ShardedCorpus};
 use crate::writer::Writer;
 use qcluster_core::FeedbackPoint;
@@ -414,15 +414,21 @@ impl Service {
         }
         let start = Instant::now();
         let (query, previous) = self.registry.query(session, vector, &self.metrics)?;
-        let outcome = self.run_query(&*query, k, start, deadline, &previous)?;
-        self.registry.remember(session, &outcome.neighbors);
+        let bound = previous.bound(&*query, k);
+        let outcome = self.run_query(&*query, k, start, deadline, bound)?;
+        let ids: Vec<usize> = outcome.neighbors.iter().map(|n| n.id).collect();
+        let rows = self.vectors_by_id(&ids)?.concat();
+        self.registry.remember(session, Seen::new(ids, rows));
         Ok(outcome)
     }
 
     /// Runs a query compiled elsewhere, outside any session: what a
     /// cluster router scatters ([`crate::Request::QueryCompiled`]) —
     /// the router hosts the session and compiles, the node only scans.
-    /// `deadline` as in [`Service::query_with_deadline`].
+    /// `deadline` as in [`Service::query_with_deadline`]. With a
+    /// `bound` τ₀ (the `k`-th distance of `k` points of the cluster's
+    /// corpus) and no deadline, the answer is the exact top-k of this
+    /// node's points with `d ≤ τ₀`, which may be fewer than `k`.
     ///
     /// # Errors
     ///
@@ -435,9 +441,10 @@ impl Service {
         query: &dyn FanoutQuery,
         k: usize,
         deadline: Option<Duration>,
+        bound: Option<f64>,
     ) -> Result<QueryOutcome, ServiceError> {
         self.check_dim(query.dim())?;
-        self.run_query(query, k, Instant::now(), deadline, &[])
+        self.run_query(query, k, Instant::now(), deadline, bound)
     }
 
     fn check_dim(&self, found: usize) -> Result<(), ServiceError> {
@@ -448,20 +455,24 @@ impl Service {
         Ok(())
     }
 
-    /// One fan-out of `query` plus the overlay scan. `previous` is the
-    /// session's last answer: when `k` of its ids are base points, their
-    /// `k`-th exact distance under `query` bounds this answer's, and a
-    /// fan-out that waits for every shard starts its scan there. One
-    /// under a deadline does not: it may lose the shards that hold those
-    /// points, and then the others may bring too few candidates and pay
-    /// an exact scan.
+    /// One fan-out of `query` plus the overlay scan. `bound` is τ₀, the
+    /// `k`-th distance of `k` corpus points under `query` (a session's
+    /// last answer, base or overlay ids): a fan-out that waits for every
+    /// shard is bounded by it and brings the base points under τ₀, the
+    /// overlay scan its exact top-k, and the answer is the merge's
+    /// points under τ₀ — an overlay point past τ₀ would stand in for
+    /// the base points past τ₀ that the fan-out left out. One that lost
+    /// a shard is exact over the others and answers unfiltered. One
+    /// under a deadline runs unbounded: it may lose the shards that hold
+    /// those points, and then the others may bring too few candidates
+    /// and pay an exact scan.
     fn run_query(
         &self,
         query: &dyn FanoutQuery,
         k: usize,
         start: Instant,
         deadline: Option<Duration>,
-        previous: &[usize],
+        bound: Option<f64>,
     ) -> Result<QueryOutcome, ServiceError> {
         if k == 0 {
             return Err(ServiceError::InvalidRequest("k must be positive".into()));
@@ -470,13 +481,10 @@ impl Service {
         // The deadline covers the whole request, so it anchors at
         // `start` (session lookup and plan compilation count against it).
         let fanout_deadline = deadline.map(|d| start + d);
-        let seed = deadline
-            .is_none()
-            .then(|| self.corpus.kth_distance(query, previous, k))
-            .flatten();
+        let bound = bound.filter(|_| deadline.is_none());
         let report = match self
             .executor
-            .fanout(&self.corpus, query, k, fanout_deadline, seed)
+            .fanout(&self.corpus, query, k, fanout_deadline, bound)
         {
             Ok(report) => report,
             Err(e) => {
@@ -498,7 +506,8 @@ impl Service {
                 ShardFailureKind::Timeout => self.metrics.record_shard_timeout(),
             }
         }
-        if report.degraded() {
+        let degraded = report.degraded();
+        if degraded {
             self.metrics.record_degraded_response();
         }
         let (mut neighbors, mut stats) = (report.neighbors, report.stats);
@@ -516,6 +525,9 @@ impl Service {
                 n.id += self.base_len;
             }
             neighbors = merge_top_k(vec![neighbors, extra], k);
+        }
+        if let Some(tau0) = bound.filter(|_| !degraded) {
+            neighbors.retain(|n| n.distance <= tau0);
         }
         self.metrics.record_quant(
             stats.quant_phase1_points,

@@ -4,11 +4,14 @@
 //! `close`, `feed` and `query`. A session is one user's feedback loop
 //! (the paper's Algorithm 1): a method of
 //! [`METHODS`](qcluster_baselines::METHODS), its compiled-plan cache,
-//! its feed count and the ids of the last answer its host recorded.
-//! A node records every answer, so each refined round can seed its scan
-//! from the previous one's neighbours; a router records none (DESIGN.md
-//! §9). At most `max_sessions` live at once; creating one
-//! more evicts the least recently used.
+//! its feed count, and the points it last saw with their vectors
+//! ([`Seen`]): the last answer its host recorded and, on a router,
+//! the last feed.
+//! Algorithm 1 refines one query over one corpus, so the previous
+//! answer's `k` points bound the next answer by τ₀, their `k`-th
+//! distance under the new query, and both hosts bound each refined
+//! round's scan by it (DESIGN.md §9). At most `max_sessions` live at
+//! once; creating one more evicts the least recently used.
 //!
 //! A session is process state: no host persists it, so after a restart
 //! every earlier id is unknown. Ids are never reissued: each registry's
@@ -27,7 +30,7 @@ use crate::error::ServiceError;
 use crate::metrics::ServiceMetrics;
 use qcluster_baselines::{method_by_name, RetrievalMethod};
 use qcluster_core::{FeedbackPoint, QclusterConfig};
-use qcluster_index::{EuclideanQuery, FanoutQuery, Neighbor};
+use qcluster_index::{EuclideanQuery, FanoutQuery, QueryDistance};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -42,14 +45,62 @@ pub struct FeedOutcome {
     pub clusters: Option<usize>,
 }
 
+/// Points a session's host saw, each id with its vector: the last
+/// answer or the last feed.
+#[derive(Debug, Default)]
+pub struct Seen {
+    ids: Vec<usize>,
+    /// The vectors, row-major in `ids` order.
+    rows: Vec<f64>,
+}
+
+impl Seen {
+    /// `ids` with their vectors, one equal-length row each, row-major
+    /// in the same order.
+    pub fn new(ids: Vec<usize>, rows: Vec<f64>) -> Self {
+        Seen { ids, rows }
+    }
+
+    fn dim(&self) -> usize {
+        self.rows.len() / self.ids.len().max(1)
+    }
+
+    /// τ₀ for a round of `query` asking for `k`: the `k`-th smallest of
+    /// the query's own [`QueryDistance::distance_batch`] (the kernel a
+    /// finish reranks with) over these distinct corpus points, which
+    /// bounds the round's scan
+    /// ([`CooperativeScan::bound`](qcluster_index::CooperativeScan::bound)).
+    /// `None` for fewer than `k` points, another dimensionality, or a
+    /// τ₀ that is not finite and positive.
+    pub fn bound(&self, query: &dyn QueryDistance, k: usize) -> Option<f64> {
+        let dim = self.dim();
+        if k == 0 || self.ids.len() < k || query.dim() != dim {
+            return None;
+        }
+        let mut dist = vec![0.0; self.ids.len()];
+        query.distance_batch(&self.rows, dim, &mut dist);
+        dist.select_nth_unstable_by(k - 1, f64::total_cmp);
+        let tau0 = dist[k - 1];
+        (tau0.is_finite() && tau0 > 0.0).then_some(tau0)
+    }
+
+    fn vector(&self, id: usize) -> Option<&[f64]> {
+        let i = self.ids.iter().position(|&seen| seen == id)?;
+        let dim = self.dim();
+        Some(&self.rows[i * dim..(i + 1) * dim])
+    }
+}
+
 /// One client's retrieval state.
 struct Session {
     method: Box<dyn RetrievalMethod>,
     /// The method's last compiled query; every feed drops it.
     plan: Option<Box<dyn FanoutQuery>>,
     feeds: u64,
-    /// The ids of the last answer recorded by [`SessionRegistry::remember`].
-    answer: Vec<usize>,
+    /// The last answer recorded by [`SessionRegistry::remember`].
+    answer: Arc<Seen>,
+    /// The last feed recorded by [`SessionRegistry::remember_feed`].
+    fed: Seen,
 }
 
 struct Entry {
@@ -119,7 +170,8 @@ impl SessionRegistry {
                 method,
                 plan: None,
                 feeds: 0,
-                answer: Vec::new(),
+                answer: Arc::default(),
+                fed: Seen::default(),
             }),
             touched: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
         });
@@ -148,15 +200,6 @@ impl SessionRegistry {
             Ordering::Relaxed,
         );
         Ok(Arc::clone(entry))
-    }
-
-    /// Refreshes `id`'s recency.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownSession`] when the id is not live.
-    pub fn touch(&self, id: u64) -> Result<(), ServiceError> {
-        self.get(id).map(drop)
     }
 
     /// Closes a session and counts it.
@@ -204,9 +247,9 @@ impl SessionRegistry {
     /// The query of one round: the `example` vector's Euclidean query
     /// (the example-image round), or else the session's refined query —
     /// the cached plan (a hit) or a fresh compile kept until the next
-    /// feed (a miss), each counted in `metrics` — with the ids of the
-    /// last recorded answer (none for an example round). No lock is
-    /// held once it returns.
+    /// feed (a miss), each counted in `metrics` — with the last
+    /// recorded answer, whose [`Seen::bound`] bounds the round (none
+    /// for an example round). No lock is held once it returns.
     ///
     /// # Errors
     ///
@@ -217,13 +260,13 @@ impl SessionRegistry {
         id: u64,
         example: Option<Vec<f64>>,
         metrics: &ServiceMetrics,
-    ) -> Result<(Box<dyn FanoutQuery>, Vec<usize>), ServiceError> {
+    ) -> Result<(Box<dyn FanoutQuery>, Arc<Seen>), ServiceError> {
         let entry = self.get(id)?;
         if let Some(center) = example {
-            return Ok((Box::new(EuclideanQuery::new(center)), Vec::new()));
+            return Ok((Box::new(EuclideanQuery::new(center)), Arc::default()));
         }
         let mut session = entry.lock();
-        let answer = session.answer.clone();
+        let answer = Arc::clone(&session.answer);
         if let Some(plan) = &session.plan {
             metrics.record_plan_cache_hit();
             return Ok((plan.clone_fanout(), answer));
@@ -234,14 +277,44 @@ impl SessionRegistry {
         Ok((compiled, answer))
     }
 
-    /// Records `answer` as the session's last, whose ids the next
-    /// refined [`Self::query`] returns. A session closed or evicted
-    /// meanwhile is left alone, and recency is not refreshed.
-    pub fn remember(&self, id: u64, answer: &[Neighbor]) {
+    /// Records `answer` as the session's last, which the next refined
+    /// [`Self::query`] returns. A session closed or evicted meanwhile
+    /// is left alone, and recency is not refreshed.
+    pub fn remember(&self, id: u64, answer: Seen) {
         let entry = self.lock_entries().get(&id).map(Arc::clone);
         if let Some(entry) = entry {
-            entry.lock().answer = answer.iter().map(|n| n.id).collect();
+            entry.lock().answer = Arc::new(answer);
         }
+    }
+
+    /// Records `points` as the session's last feed, which
+    /// [`Self::recall`] resolves ids from: a router's, whose feeds fetch
+    /// vectors over the network (a node resolves ids from its corpus).
+    /// A session closed or evicted meanwhile is left alone.
+    pub fn remember_feed(&self, id: u64, points: &[FeedbackPoint]) {
+        let entry = self.lock_entries().get(&id).map(Arc::clone);
+        if let Some(entry) = entry {
+            let ids = points.iter().map(|p| p.id).collect();
+            let rows = points.iter().flat_map(|p| p.vector.iter().copied());
+            entry.lock().fed = Seen::new(ids, rows.collect());
+        }
+    }
+
+    /// The vectors of `ids` the session last saw — in its last recorded
+    /// answer or its last feed — in order, `None` for the others.
+    /// Refreshes the session's recency.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownSession`] when the id is not live.
+    pub fn recall(&self, id: u64, ids: &[usize]) -> Result<Vec<Option<Vec<f64>>>, ServiceError> {
+        let entry = self.get(id)?;
+        let session = entry.lock();
+        let seen = |id| session.answer.vector(id).or_else(|| session.fed.vector(id));
+        Ok(ids
+            .iter()
+            .map(|&id| seen(id).map(<[f64]>::to_vec))
+            .collect())
     }
 }
 
@@ -281,7 +354,7 @@ mod tests {
         assert_eq!(r.query(id, None, &m).unwrap().0.dim(), 2);
         r.close(id, &m).unwrap();
         assert!(matches!(
-            r.touch(id),
+            r.recall(id, &[]),
             Err(ServiceError::UnknownSession(got)) if got == id
         ));
         assert!(r.close(id, &m).is_err());
@@ -320,12 +393,12 @@ mod tests {
         let a = r.create("qcluster", &m).unwrap();
         let b = r.create("qcluster", &m).unwrap();
         // Touch `a` so `b` is now the LRU.
-        r.touch(a).unwrap();
+        r.recall(a, &[]).unwrap();
         let c = r.create("qcluster", &m).unwrap();
         assert_eq!(r.len(), 2);
-        assert!(r.touch(a).is_ok(), "recently touched survives");
-        assert!(r.touch(b).is_err(), "LRU evicted");
-        assert!(r.touch(c).is_ok());
+        assert!(r.recall(a, &[]).is_ok(), "recently touched survives");
+        assert!(r.recall(b, &[]).is_err(), "LRU evicted");
+        assert!(r.recall(c, &[]).is_ok());
         let s = m.snapshot(2, Default::default(), Default::default());
         assert_eq!((s.evictions, s.sessions_created), (1, 3));
     }
@@ -354,27 +427,35 @@ mod tests {
     fn a_refined_round_returns_the_last_remembered_answer() {
         let (r, m) = (SessionRegistry::new(4), ServiceMetrics::new());
         let id = r.create("qcluster", &m).unwrap();
-        let answer = |ids: &[usize]| -> Vec<Neighbor> {
-            ids.iter()
-                .map(|&id| Neighbor { id, distance: 0.0 })
-                .collect()
+        // Points on the x axis, at squared distance x² from the origin.
+        let answer = |ids: &[usize], xs: &[f64]| {
+            Seen::new(ids.to_vec(), xs.iter().flat_map(|&x| [x, 0.0]).collect())
         };
-        r.remember(id, &answer(&[4, 1]));
-        assert!(r.query(id, Some(vec![0.0, 0.0]), &m).unwrap().1.is_empty());
-        r.feed(id, &points(), &m).unwrap();
+        let origin = EuclideanQuery::new(vec![0.0, 0.0]);
+        let bound = |k| r.query(id, None, &m).unwrap().1.bound(&origin, k);
+        r.remember(id, answer(&[4, 1], &[3.0, 1.0]));
+        let (_, example) = r.query(id, Some(vec![0.0, 0.0]), &m).unwrap();
         assert_eq!(
-            r.query(id, None, &m).unwrap().1,
-            [4, 1],
-            "kept across a feed"
+            example.bound(&origin, 1),
+            None,
+            "an example round is unbounded"
         );
-        r.remember(id, &answer(&[7]));
+        r.feed(id, &points(), &m).unwrap();
+        r.remember_feed(id, &points());
+        assert_eq!((bound(1), bound(2), bound(3)), (Some(1.0), Some(9.0), None));
+        r.remember(id, answer(&[5], &[0.0]));
         assert_eq!(
-            r.query(id, None, &m).unwrap().1,
-            [7],
-            "the last answer wins"
+            bound(1),
+            None,
+            "the last answer wins; a zero bound bounds nothing"
+        );
+        assert_eq!(
+            r.recall(id, &[5, 1, 3]).unwrap(),
+            [Some(vec![0.0, 0.0]), Some(vec![0.0, 1.0]), None],
+            "the last answer and the last feed resolve their ids"
         );
         r.close(id, &m).unwrap();
-        r.remember(id, &answer(&[9]));
+        r.remember(id, answer(&[9], &[1.0]));
         assert!(r.is_empty(), "a closed session is not revived");
     }
 

@@ -230,33 +230,6 @@ impl ShardedCorpus {
         self.shards[id / self.chunk].point(id % self.chunk)
     }
 
-    /// The `k`-th smallest exact distance from `query` to the points of
-    /// `ids` (distinct global ids; those past the corpus, as overlay ids
-    /// are, are skipped), by the query's batch kernel — the one the
-    /// finish reranks with, so the value can seed a
-    /// [`CooperativeScan`]. `None` when fewer than `k` ids remain.
-    pub(crate) fn kth_distance<Q: QueryDistance + ?Sized>(
-        &self,
-        query: &Q,
-        ids: &[usize],
-        k: usize,
-    ) -> Option<f64> {
-        let ids: Vec<usize> = ids.iter().copied().filter(|&id| id < self.len).collect();
-        if k == 0 || ids.len() < k || query.dim() != self.dim {
-            return None;
-        }
-        let dim = self.dim;
-        let mut rows = vec![0.0; ids.len() * dim];
-        for (&id, row) in ids.iter().zip(rows.chunks_exact_mut(dim)) {
-            let shard = &self.shards[id / self.chunk];
-            shard.scan.corpus().copy_point(id - shard.base, row);
-        }
-        let mut dist = vec![0.0; ids.len()];
-        query.distance_batch(&rows, dim, &mut dist);
-        dist.select_nth_unstable_by(k - 1, f64::total_cmp);
-        Some(dist[k - 1])
-    }
-
     /// Finishes `scan` over the shards that replied with a phase 1 —
     /// `(shard index, part)` pairs: one rerank for all of them, exact
     /// over exactly those shards.

@@ -169,11 +169,11 @@ fn a_shard_failing_after_it_published_its_threshold_costs_the_others_nothing() {
     assert_eq!(svc.stats().faults.shard_panics, 1);
 }
 
-/// A refined round seeds its scan with the previous answer's `k`-th
-/// distance. Here every point of that answer lies on shard 0, which
-/// panics: shards 1–3 hold nothing under the seed, screen every tile
-/// away and bring no candidate, so the finish scans them exactly — the
-/// answer is the exact top-k over the shards that replied. Disarmed,
+/// A refined round is bounded by the previous answer's `k`-th distance.
+/// Here every point of that answer lies on shard 0, which panics:
+/// shards 1–3 hold nothing under the bound, screen every tile away and
+/// bring no candidate, and a finish that lost a shard answers the
+/// exact top-k over the others, so it scans them exactly. Disarmed,
 /// the next round answers over all four shards with no rescan.
 #[test]
 fn a_seeded_query_that_loses_a_shard_answers_exactly_over_the_others() {

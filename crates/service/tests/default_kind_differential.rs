@@ -15,13 +15,14 @@
 //! pair of identical vectors either side of the first shard boundary,
 //! which the example query asks for: the tie must go to the lower id.
 //!
-//! A node seeds each refined round's scan with the `k`-th distance of
+//! A node bounds each refined round's scan by the `k`-th distance of
 //! the session's previous answer, so a session of several refined
 //! rounds is pinned too: three feeds, the last query repeated (a plan
-//! cache hit whose seed is exactly its `d_k`, every tie at it included),
-//! then a larger `k` than the recorded answer holds (no seed) and a
-//! smaller one again — and, on a durable node, a previous answer
-//! holding overlay ids, which are outside the seeded scan.
+//! cache hit whose bound is exactly its `d_k`, every tie at it
+//! included), then a larger `k` than the recorded answer holds (no
+//! bound) and a smaller one again — and, on a durable node, a previous
+//! answer holding overlay ids, which count towards the bound although
+//! the overlay is outside the bounded scan.
 
 use proptest::prelude::*;
 use qcluster_core::{
@@ -149,7 +150,7 @@ proptest! {
 
             // No diagonal weights, no plan: each full-inverse shard scan
             // is served exactly and counted.
-            let got_full = shipped.query_compiled(&full, k, deadline).unwrap();
+            let got_full = shipped.query_compiled(&full, k, deadline, None).unwrap();
             prop_assert_eq!(bits(&got_full.neighbors), want_full.clone(), "full-inverse, workers={} deadline={:?}", workers, deadline);
             let quant = shipped.stats().quant;
             prop_assert_eq!(quant.fallback_rescans, 0);
@@ -170,7 +171,7 @@ fn marks(n: usize, round: usize) -> Vec<usize> {
 
 /// The `k` of each refined query of [`session_rounds`] after its feeds:
 /// the last feed's `k` again (a plan-cache hit), `wide` (more than the
-/// recorded answer holds) and `k` once more (seeded by the wide answer).
+/// recorded answer holds) and `k` once more (bounded by the wide answer).
 fn tail_ks(k: usize, wide: usize) -> [usize; 3] {
     [k, wide, k]
 }
@@ -258,11 +259,11 @@ proptest! {
 }
 
 /// A durable node whose overlay holds copies of the points the session
-/// looks at: the example and refined answers hold overlay ids, which
-/// the next round's seed leaves out — with fewer than `k` base ids it
-/// does not seed, with enough it seeds from those. Every answer equals
-/// the exact scan over base and overlay, and no round falls back to an
-/// exact rescan.
+/// looks at: the example and refined answers hold overlay ids, whose
+/// remembered vectors count towards the next round's bound, so the
+/// base fan-out may bring fewer than `k` points under it and the
+/// overlay scan the rest. Every answer equals the exact scan over base
+/// and overlay, and no round falls back to an exact rescan.
 #[test]
 fn a_previous_answer_holding_overlay_ids_seeds_an_exact_round() {
     let (n, dim, k) = (95, 4, 12);
@@ -287,9 +288,8 @@ fn a_previous_answer_holding_overlay_ids_seeds_an_exact_round() {
     let want = session_oracle(&union, k, wide);
     let got = session_rounds(&svc, &base[1], k, wide, None);
     assert_eq!(got, want);
-    // Every answer holds overlay ids, so each `k` round after a `k`
-    // round has fewer than `k` base ids to seed from; the wide answer
-    // has `k` of them, and the last round seeds from those.
+    // Every answer holds overlay ids, so every bound after the example
+    // round counts overlay points; the wide answer holds `k` base ids.
     let base_ids = |answer: &Bits| answer.iter().filter(|(id, _)| *id < n).count();
     assert!(got.iter().all(|a| base_ids(a) < a.len()), "{got:?}");
     assert!(base_ids(&got[4]) >= k, "{got:?}");

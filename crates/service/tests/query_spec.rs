@@ -211,6 +211,13 @@ proptest! {
             }
             let mut want = vec![0.0; probes.len()];
             let mut got = vec![0.0; probes.len()];
+            // The batch kernel a router's bound τ₀ is computed with.
+            let rows = probes.concat();
+            query.distance_batch(&rows, dim, &mut want);
+            rebuilt.distance_batch(&rows, dim, &mut got);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.to_bits(), w.to_bits());
+            }
             query.distance_tiles(tiles.tiles(), dim, &mut want);
             rebuilt.distance_tiles(tiles.tiles(), dim, &mut got);
             for (g, w) in got.iter().zip(&want) {
@@ -231,11 +238,12 @@ proptest! {
     fn hostile_specs_are_typed_errors(spec in hostile_spec(), k in 0usize..4) {
         let service = two_d_service();
         let well_formed = spec.check().is_ok();
-        let response = dispatch(&service, Request::QueryCompiled { query: spec, k, deadline_ms: None });
+        let response = dispatch(&service, Request::QueryCompiled { query: spec, k, deadline_ms: None, bound: None });
         match response {
-            Response::Neighbors { neighbors, .. } => {
+            Response::Scanned { neighbors, vectors, .. } => {
                 prop_assert!(well_formed && k > 0);
                 prop_assert_eq!(neighbors.len(), k);
+                prop_assert_eq!(vectors.len(), k);
                 prop_assert!(neighbors.iter().all(|n| !n.distance.is_nan()));
             }
             Response::Error(ServiceError::InvalidRequest(_)) => {}
@@ -262,16 +270,24 @@ fn a_spec_answers_like_the_session_it_was_compiled_from() {
         .collect();
     engine.feed(&fed).unwrap();
     let spec = QuerySpec::of(&engine.query().unwrap()).unwrap();
-    let Response::Neighbors { neighbors: got, .. } = dispatch(
+    let Response::Scanned {
+        neighbors: got,
+        vectors,
+        ..
+    } = dispatch(
         &service,
         Request::QueryCompiled {
             query: spec,
             k: 12,
             deadline_ms: None,
+            bound: None,
         },
-    ) else {
+    )
+    else {
         panic!("expected neighbors")
     };
+    let ids: Vec<usize> = got.iter().map(|n| n.id).collect();
+    assert_eq!(vectors, service.vectors_by_id(&ids).unwrap());
     let want = service.query(session, 12).unwrap().neighbors;
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(&want) {
@@ -293,6 +309,7 @@ fn an_absurd_k_is_rejected_before_any_work() {
             },
             k: usize::MAX,
             deadline_ms: None,
+            bound: None,
         },
     );
     assert!(matches!(
