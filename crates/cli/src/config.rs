@@ -1,9 +1,7 @@
-//! Soak workload shape: fleet size, session depth, pacing, chaos.
-
-use crate::chaos::ChaosEvent;
+//! Soak workload shape: fleet size, session depth, pacing.
 
 /// Everything that shapes one soak run. One `seed` determines the whole
-/// workload (fleet plan, think jitter, ingest content, chaos timeline),
+/// workload (fleet plan, think jitter, ingest content),
 /// so two runs with equal configs drive byte-identical request
 /// sequences per user.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,8 +28,6 @@ pub struct SoakConfig {
     pub ingest_per_sec: u32,
     /// Optional per-query deadline forwarded on the wire.
     pub deadline_ms: Option<u64>,
-    /// Scheduled faults (see [`crate::chaos::seeded_timeline`]).
-    pub chaos: Vec<ChaosEvent>,
 }
 
 impl Default for SoakConfig {
@@ -46,7 +42,6 @@ impl Default for SoakConfig {
             abandon_per_mille: 0,
             ingest_per_sec: 0,
             deadline_ms: None,
-            chaos: Vec::new(),
         }
     }
 }

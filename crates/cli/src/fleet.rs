@@ -19,7 +19,6 @@
 //! loop on `qcluster-eval`'s in-process target to bound how much
 //! retrieval quality the served path may lose.
 
-use crate::chaos::{ChaosHit, ChaosScheduler};
 use crate::config::SoakConfig;
 use crate::rng::SeedRng;
 use crate::target::{SoakBackend, SoakTarget};
@@ -188,8 +187,6 @@ pub struct SoakOutcome {
     pub latency: LatencyHistogram,
     /// Retrieval quality per feedback iteration.
     pub precision: Vec<IterationRow>,
-    /// Per-failpoint fire counts from the chaos scheduler.
-    pub chaos: Vec<ChaosHit>,
 }
 
 /// What one user thread hands back.
@@ -325,10 +322,10 @@ fn pace(per_sec: u32, stop: &AtomicBool, mut send: impl FnMut()) {
     }
 }
 
-/// Runs one soak: starts the chaos scheduler and the background ingest
-/// pacer, drives every planned user on its own thread against
-/// `backend`, and folds the per-user results into one
-/// [`SoakOutcome`] (latency histograms merged lock-free).
+/// Runs one soak: starts the background ingest pacer, drives every
+/// planned user on its own thread against `backend`, and folds the
+/// per-user results into one [`SoakOutcome`] (latency histograms merged
+/// lock-free).
 ///
 /// # Errors
 ///
@@ -346,8 +343,6 @@ pub fn run_soak(
     }
     let plan = FleetPlan::build(config, dataset.len());
     let t0 = Instant::now();
-    let scheduler =
-        (!config.chaos.is_empty()).then(|| ChaosScheduler::start(config.chaos.clone(), t0));
     let stop_ingest = AtomicBool::new(false);
 
     let (user_results, (ingests_ok, ingest_errors)) = std::thread::scope(|scope| {
@@ -388,7 +383,6 @@ pub fn run_soak(
         (results, ingest)
     });
 
-    let chaos = scheduler.map(ChaosScheduler::finish).unwrap_or_default();
     let wall = t0.elapsed();
 
     let latency = LatencyHistogram::default();
@@ -407,15 +401,14 @@ pub fn run_soak(
         counters,
         latency,
         precision: precision.rows(),
-        chaos,
     })
 }
 
 /// Replays the *same* fleet plan through the same closed loop on
 /// `qcluster-eval`'s in-process target (no sharding, no network, no
 /// faults, no think time), reporting per-iteration mean precision-at-k.
-/// This is the quality reference a chaos-free soak must match to within
-/// tie-break noise: both sides run the identical query images,
+/// This is the quality reference a soak must match to within tie-break
+/// noise: both sides run the identical query images,
 /// iteration counts, marking protocol, and engine configuration.
 ///
 /// # Errors

@@ -15,13 +15,12 @@
 //! in-process (see `tests/pipeline_e2e.rs`); `main.rs` is a thin
 //! argument-parsing shell over these modules, plus `repro` and the
 //! soak's node boot. The soak harness is [`rng`], [`config`], [`fleet`],
-//! [`target`] (whose TCP and router backends `eval` and `run` use too),
-//! [`chaos`] and [`report`]; DESIGN.md §15 maps them.
+//! [`target`] (whose TCP and router backends `eval` and `run` use too)
+//! and [`report`]; DESIGN.md §15 maps them.
 
 #![warn(missing_docs)]
 
 pub mod build;
-pub mod chaos;
 pub mod config;
 pub mod error;
 pub mod eval;
@@ -37,7 +36,6 @@ pub mod synth;
 pub mod target;
 
 pub use build::{build, BuildReport};
-pub use chaos::{seeded_timeline, ChaosEvent, ChaosKind};
 pub use config::SoakConfig;
 pub use error::{CliError, SkipReason, SkippedFile};
 pub use eval::{
@@ -46,9 +44,7 @@ pub use eval::{
 pub use fleet::{offline_baseline, run_soak};
 pub use ingest::{ingest, parse_feature_kind, IngestConfig, IngestReport, IngestSource};
 pub use recipe::Recipe;
-pub use report::{
-    soak_artifact_json, write_metrics_artifact, write_soak_artifact, LeaderKillReport, SoakReport,
-};
+pub use report::{soak_artifact_json, write_metrics_artifact, write_soak_artifact, SoakReport};
 pub use run::{run, RunReport};
 pub use serve::{serve, ServeHandle, ServeOptions};
 pub use stats::{PipelineStats, StageStats};

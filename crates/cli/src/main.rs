@@ -42,9 +42,8 @@ const USAGE: &str = "usage: qcluster <synth|ingest|build|serve|eval|run|repro|so
           [--seed N] [--epsilon F] [--json] [--progress]\n\
   run     <recipe.toml> [--workdir DIR] [--json] [--progress]\n\
   repro   <fig5..fig19|table2|table3|headline|ablation|all>... [--paper-scale] [--csv DIR]\n\
-  soak    [--smoke] [--cluster] [--kill-leader-ms MS] [--users N] [--sessions N]\n\
-          [--iterations N] [--k N] [--think-ms MS] [--abandon-per-mille N]\n\
-          [--ingest-rate N] [--deadline-ms MS] [--chaos N] [--chaos-window-ms MS]\n\
+  soak    [--smoke] [--cluster] [--users N] [--sessions N] [--iterations N] [--k N]\n\
+          [--think-ms MS] [--abandon-per-mille N] [--ingest-rate N] [--deadline-ms MS]\n\
           [--seed N] [--out PATH] [--scrape HOST:PORT]";
 
 fn main() -> ExitCode {
@@ -291,8 +290,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     };
     let stats = stats_for("serve", &parsed);
     let handle = serve(&store, &opts, &stats)?;
-    for (i, addr) in handle.addrs().iter().enumerate() {
-        println!("node {i}: listening on {addr}");
+    for (i, (addr, part)) in handle.addrs().iter().zip(handle.partitions()).enumerate() {
+        println!("node {i}: listening on {addr}, id_base {}", part.id_base);
     }
     if let Some(path) = &opts.scrape_json {
         println!(

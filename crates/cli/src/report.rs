@@ -7,7 +7,6 @@
 //! returns, so the soak report, one-shot scrapes, and external
 //! monitoring all parse one shape.
 
-use crate::chaos::ChaosHit;
 use crate::config::SoakConfig;
 use crate::fleet::{SoakCounters, SoakOutcome};
 use qcluster_eval::IterationRow;
@@ -47,50 +46,8 @@ pub struct SoakReport {
     pub breaker_trips: u64,
     /// Mean precision-at-k per feedback iteration.
     pub precision_at_k: Vec<IterationRow>,
-    /// Scheduled-chaos fire counts per failpoint.
-    pub chaos: Vec<ChaosHit>,
     /// The server-side metrics snapshot at soak end (wire schema).
     pub metrics: MetricsSnapshot,
-    /// Outcome of the `--kill-leader-ms` leader-kill chaos scenario
-    /// (`None` when no kill was scheduled).
-    pub leader_kill: Option<LeaderKillReport>,
-}
-
-/// What the leader-kill chaos scenario (`soak --cluster
-/// --kill-leader-ms N`) observed: the ingest partition's leader is
-/// shut down mid-soak, the router promotes a follower under load, and
-/// the run asserts two bars — no majority-acked ingest is lost across
-/// the promotion, and a read-after-ack probe after the kill finds each
-/// freshly acked ingest in the very next query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LeaderKillReport {
-    /// Soak offset at which the leader was killed, milliseconds.
-    pub at_ms: u64,
-    /// Partition whose leader was killed (the ingest partition).
-    pub partition: usize,
-    /// Replica index that was leader at the kill.
-    pub killed_replica: usize,
-    /// Replica index serving as leader at soak end.
-    pub final_leader: usize,
-    /// Router promotions observed over the whole run.
-    pub promotions: u64,
-    /// Elections the router won over the whole run.
-    pub elections_won: u64,
-    /// Majority-acked record floor at the kill: the median replica
-    /// total across the partition — every acked ingest is ≤ this on a
-    /// majority, so the new leader must end at or above it.
-    pub acked_floor_at_kill: u64,
-    /// The final leader's committed total at soak end.
-    pub final_leader_total: u64,
-    /// `final_leader_total >= acked_floor_at_kill`: no acked ingest
-    /// was lost across the promotion.
-    pub acked_ingest_survived: bool,
-    /// Read-after-ack probe rounds run after the soak (each ingests a
-    /// marker and immediately queries it back through a session).
-    pub ryw_probe_rounds: u64,
-    /// Probe rounds whose query did NOT return the freshly acked
-    /// marker — the bar requires zero.
-    pub ryw_violations: u64,
 }
 
 impl SoakReport {
@@ -124,9 +81,7 @@ impl SoakReport {
             shed_rate: metrics.faults.overload_rejections as f64 / attempts.max(1) as f64,
             breaker_trips: metrics.cluster.node_breaker_trips,
             precision_at_k: outcome.precision.clone(),
-            chaos: outcome.chaos.clone(),
             metrics,
-            leader_kill: None,
         }
     }
 }
@@ -281,10 +236,6 @@ mod tests {
                 mean_recall: 0.5,
                 sessions: 8,
             }],
-            chaos: vec![ChaosHit {
-                failpoint: "executor.shard".into(),
-                hits: 3,
-            }],
         }
     }
 
@@ -381,44 +332,5 @@ mod tests {
         for line in json.lines() {
             assert!(line.trim_end().ends_with(','), "fragment line: {line:?}");
         }
-    }
-
-    #[test]
-    fn leader_kill_section_round_trips_and_defaults_to_none() {
-        let mut report = SoakReport::new(
-            &SoakConfig::default(),
-            "router://t".into(),
-            &outcome(),
-            metrics(),
-        );
-        report.leader_kill = Some(LeaderKillReport {
-            at_ms: 500,
-            partition: 2,
-            killed_replica: 0,
-            final_leader: 1,
-            promotions: 1,
-            elections_won: 1,
-            acked_floor_at_kill: 40,
-            final_leader_total: 57,
-            acked_ingest_survived: true,
-            ryw_probe_rounds: 16,
-            ryw_violations: 0,
-        });
-        let json = soak_artifact_json(&report).unwrap();
-        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let body = serde_json::to_string(value.get("report").unwrap()).unwrap();
-        let decoded: SoakReport = serde_json::from_str(&body).unwrap();
-        assert_eq!(decoded, report);
-        // Artifacts written before the scenario existed still parse.
-        let stripped = {
-            let v: serde_json::Value = serde_json::from_str(&body).unwrap();
-            let serde::Value::Map(mut entries) = v else {
-                panic!("report body is not an object");
-            };
-            entries.retain(|(k, _)| k != "leader_kill");
-            serde_json::to_string(&serde::Value::Map(entries)).unwrap()
-        };
-        let legacy: SoakReport = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(legacy.leader_kill, None);
     }
 }

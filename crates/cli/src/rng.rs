@@ -1,8 +1,8 @@
 //! Seeded randomness for the soak harness (splitmix64).
 //!
 //! One `--seed` must reproduce an entire soak byte-for-byte: the fleet
-//! plan, every user's think-time jitter, the ingest content stream, and
-//! the chaos timeline. Each of those consumers draws from its own
+//! plan, every user's think-time jitter and the ingest content stream.
+//! Each of those consumers draws from its own
 //! *derived* stream ([`SeedRng::derived`]) so the streams are
 //! independent of each other and of construction order — adding a draw
 //! to one consumer can never shift the values another consumer sees.

@@ -9,9 +9,11 @@
 //! crash-recovery path the fault-tolerance tests exercise. `bind`
 //! starts the `qcluster-net` server — one node by default, or
 //! `nodes > 1` for a scatter-gather cluster: the corpus is split into
-//! contiguous partitions, each served by its own in-process node, and
-//! clients front them with the `qcluster-router` library (which is how
-//! `qcluster eval --cluster` connects).
+//! contiguous partitions by [`even_bases`], each served by its own
+//! in-process node, and a client fronts them with a `qcluster-router`
+//! [`Router`](qcluster_router::Router) over
+//! [`ShardMap::even`](qcluster_router::ShardMap::even) of the node
+//! addresses, which cuts the same bases.
 //!
 //! With a scrape path set, a background thread periodically snapshots
 //! the primary node's [`MetricsSnapshot`](qcluster_service::MetricsSnapshot)
@@ -22,7 +24,7 @@
 use crate::error::CliError;
 use crate::stats::PipelineStats;
 use qcluster_net::{Server, ServerConfig};
-use qcluster_router::Partition;
+use qcluster_router::{even_bases, Partition};
 use qcluster_service::{Service, ServiceConfig};
 use qcluster_store::{StoreConfig, VectorStore};
 use std::net::SocketAddr;
@@ -117,12 +119,18 @@ impl ServeHandle {
 ///
 /// # Errors
 ///
-/// Store recovery failures, an empty store, or bind failures.
+/// [`CliError::Usage`] for a zero scrape interval with a scrape path
+/// set; store recovery failures, an empty store, or bind failures.
 pub fn serve(
     dir: &Path,
     opts: &ServeOptions,
     stats: &PipelineStats,
 ) -> Result<ServeHandle, CliError> {
+    if opts.scrape_json.is_some() && opts.scrape_interval.is_zero() {
+        return Err(CliError::Usage(
+            "--scrape-interval-secs must be positive".into(),
+        ));
+    }
     let recover = stats.stage("recover");
     let bind = stats.stage("bind");
     let service_config = ServiceConfig {
@@ -163,12 +171,11 @@ pub fn serve(
                 format!("{n} vectors cannot split over {nodes} nodes"),
             ));
         }
-        let per = n / nodes;
+        let bases = even_bases(n, nodes);
         let mut services = Vec::with_capacity(nodes);
         let mut partitions = Vec::with_capacity(nodes);
-        for i in 0..nodes {
-            let id_base = i * per;
-            let end = if i + 1 == nodes { n } else { id_base + per };
+        for (i, &id_base) in bases.iter().enumerate() {
+            let end = bases.get(i + 1).copied().unwrap_or(n);
             let service = Service::new(&recovered.vectors[id_base..end], service_config.clone())
                 .map_err(|e| CliError::stage("recover", format!("node {i}: {e}")))?;
             services.push(Arc::new(service));
@@ -239,6 +246,7 @@ mod tests {
     use crate::ingest::{ingest, IngestConfig, IngestSource};
     use crate::synth::SynthImagesConfig;
     use qcluster_net::{Client, ClientConfig};
+    use qcluster_router::ShardMap;
     use qcluster_service::{Request, Response};
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -319,7 +327,33 @@ mod tests {
         assert_eq!(parts[1].id_base, 8);
         assert_eq!(parts[2].id_base, 16);
         handle.shutdown();
+
+        // 24 over 5 leaves a remainder: the bases a router computes
+        // with `ShardMap::even` are the ones the nodes were given.
+        let opts = ServeOptions {
+            nodes: 5,
+            ..ServeOptions::default()
+        };
+        let handle = serve(&store, &opts, &PipelineStats::new("serve")).unwrap();
+        let bases: Vec<usize> = handle.partitions().iter().map(|p| p.id_base).collect();
+        let map = ShardMap::even(&handle.addrs(), 24).unwrap();
+        let want: Vec<usize> = map.partitions().iter().map(|p| p.id_base).collect();
+        assert_eq!(bases, want);
+        assert_eq!(bases, vec![0, 5, 10, 15, 20]);
+        handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_zero_scrape_interval_is_a_usage_error() {
+        let opts = ServeOptions {
+            scrape_json: Some(PathBuf::from("unused.json")),
+            scrape_interval: Duration::ZERO,
+            ..ServeOptions::default()
+        };
+        let dir = Path::new("no-such-store");
+        let err = serve(dir, &opts, &PipelineStats::new("serve")).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Soak-vs-offline quality equivalence (the acceptance bar): with
-//! chaos disarmed, a seeded soak's per-iteration precision-at-k must
+//! Soak-vs-offline quality equivalence (the acceptance bar): with no
+//! fault armed, a seeded soak's per-iteration precision-at-k must
 //! match the offline `qcluster-eval` baseline built from the *same*
 //! fleet plan to within tie-break noise.
 //!
@@ -20,9 +20,6 @@ const EPSILON: f64 = 0.05;
 
 #[test]
 fn chaos_free_soak_matches_offline_baseline_within_epsilon() {
-    let _serial = qcluster_failpoint::test_lock();
-    qcluster_failpoint::clear_all();
-
     let dataset =
         qcluster_eval::Dataset::small_default(qcluster_imaging::FeatureKind::ColorMoments, 9)
             .unwrap();
@@ -51,11 +48,10 @@ fn chaos_free_soak_matches_offline_baseline_within_epsilon() {
         abandon_per_mille: 0,
         ingest_per_sec: 0,
         deadline_ms: None,
-        chaos: Vec::new(),
     };
 
     let soak = run_soak(&dataset, &backend, &config).unwrap();
-    assert_eq!(soak.counters.query_errors, 0, "healthy target, no chaos");
+    assert_eq!(soak.counters.query_errors, 0, "healthy target");
     assert_eq!(soak.counters.degraded_responses, 0);
 
     let offline = offline_baseline(&dataset, &config).unwrap();
@@ -89,9 +85,6 @@ fn chaos_free_soak_matches_offline_baseline_within_epsilon() {
 /// every round of every session.
 #[test]
 fn served_and_offline_sessions_agree_id_for_id() {
-    let _serial = qcluster_failpoint::test_lock();
-    qcluster_failpoint::clear_all();
-
     let dataset =
         qcluster_eval::Dataset::small_default(qcluster_imaging::FeatureKind::ColorMoments, 9)
             .unwrap();

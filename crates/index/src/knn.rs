@@ -41,6 +41,12 @@ pub struct SearchStats {
     pub quant_phase1_points: u64,
     /// Candidates exactly reranked by a two-phase scan's phase 2.
     pub quant_reranked: u64,
+    /// Tiles a two-phase scan's phase 1 ran its square-root tail on
+    /// ([`QuantScanStats::tail_tiles`](crate::QuantScanStats::tail_tiles)).
+    pub quant_tail_tiles: u64,
+    /// Bound-driven second rounds of a two-phase scan
+    /// ([`QuantScanStats::second_rounds`](crate::QuantScanStats::second_rounds)).
+    pub quant_second_rounds: u64,
     /// Full exact rescans a two-phase scan fell back to.
     pub quant_fallbacks: u64,
     /// Queries that could not compile a quantized plan and ran exact.
@@ -56,6 +62,8 @@ impl SearchStats {
         self.distance_evaluations += other.distance_evaluations;
         self.quant_phase1_points += other.quant_phase1_points;
         self.quant_reranked += other.quant_reranked;
+        self.quant_tail_tiles += other.quant_tail_tiles;
+        self.quant_second_rounds += other.quant_second_rounds;
         self.quant_fallbacks += other.quant_fallbacks;
         self.quant_plan_misses += other.quant_plan_misses;
     }

@@ -28,7 +28,7 @@ pub mod map;
 pub mod router;
 
 pub use corpus::{synthetic_point, synthetic_slice};
-pub use map::{MapError, Partition, ShardMap};
+pub use map::{even_bases, MapError, Partition, ShardMap};
 pub use router::{
     AntiEntropyHandle, NodeFailure, NodeFailureKind, Router, RouterConfig, RouterError,
     ScatterReport, SyncOutcome,

@@ -2,8 +2,9 @@
 //! the global id space, and which replicas hold copies of each slice.
 //!
 //! A cluster splits the corpus into **partitions** — contiguous,
-//! disjoint global-id ranges, exactly like the in-process
-//! `ShardedCorpus` splits a corpus into shards. Every partition is
+//! disjoint global-id ranges, as the in-process `ShardedCorpus` splits
+//! a corpus into shards (at other cut points: [`even_bases`] spreads
+//! the remainder, `ShardedCorpus` cuts `div_ceil` chunks). Every partition is
 //! served by one or more **replicas** (node processes speaking the
 //! `qcluster-net` framed protocol); replica 0 starts as the leader and
 //! the router promotes a follower when the leader fails.
@@ -37,6 +38,22 @@ pub struct Partition {
     /// Node addresses replicating this slice. Index 0 is the initial
     /// leader; the router may promote another replica on failure.
     pub replicas: Vec<SocketAddr>,
+}
+
+/// The first ids of `n` contiguous partitions of `0..total`, split as
+/// evenly as contiguous ranges allow: every partition holds `total / n`
+/// ids and the first `total % n` hold one more (10 over 3 is 4/3/3,
+/// bases 0, 4, 7). [`ShardMap::even`] and `qcluster serve --nodes`
+/// both cut by this rule, so a router built with `even` in front of a
+/// `serve` stack adds the base each node was given.
+///
+/// # Panics
+///
+/// Panics when `n == 0`.
+pub fn even_bases(total: usize, n: usize) -> Vec<usize> {
+    assert!(n > 0, "at least one partition required");
+    let (len, remainder) = (total / n, total % n);
+    (0..n).map(|i| i * len + i.min(remainder)).collect()
 }
 
 /// The cluster topology: partitions sorted by `id_base`.
@@ -79,8 +96,7 @@ impl ShardMap {
     }
 
     /// Convenience: `n` single-replica partitions over a corpus of
-    /// `total` ids, split as evenly as contiguous ranges allow (the
-    /// same arithmetic `ShardedCorpus` uses for shards).
+    /// `total` ids, cut by [`even_bases`].
     ///
     /// # Errors
     ///
@@ -95,19 +111,17 @@ impl ShardMap {
                 addrs.len()
             )));
         }
-        let n = addrs.len();
-        let base_len = total / n;
-        let remainder = total % n;
-        let mut partitions = Vec::with_capacity(n);
-        let mut id_base = 0usize;
-        for (i, &addr) in addrs.iter().enumerate() {
-            partitions.push(Partition {
-                id_base,
-                replicas: vec![addr],
-            });
-            id_base += base_len + usize::from(i < remainder);
-        }
-        ShardMap::new(partitions)
+        let bases = even_bases(total, addrs.len());
+        ShardMap::new(
+            bases
+                .into_iter()
+                .zip(addrs)
+                .map(|(id_base, &addr)| Partition {
+                    id_base,
+                    replicas: vec![addr],
+                })
+                .collect(),
+        )
     }
 
     /// The partitions, sorted by `id_base`.
@@ -176,7 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn even_split_matches_sharded_corpus_arithmetic() {
+    fn even_split_spreads_the_remainder_from_the_front() {
         let map = ShardMap::even(&[addr(1), addr(2), addr(3)], 10).unwrap();
         let bases: Vec<usize> = map.partitions().iter().map(|p| p.id_base).collect();
         // 10 over 3: lengths 4, 3, 3 -> bases 0, 4, 7.
@@ -211,12 +225,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `even` over any valid `(nodes, total)` shape produces the
-        /// same contiguous even split `ShardedCorpus` uses: slice
-        /// lengths `total / n` with the remainder spread one-per-slice
-        /// from the front, bases strictly increasing from 0.
+        /// `even` over any valid `(nodes, total)` shape produces a
+        /// contiguous even split: slice lengths `total / n` with the
+        /// remainder spread one-per-slice from the front, bases
+        /// strictly increasing from 0.
         #[test]
-        fn even_split_pins_sharded_corpus_arithmetic(
+        fn even_split_tiles_the_ids_remainder_first(
             n in 1usize..32,
             extra in 0usize..512,
         ) {

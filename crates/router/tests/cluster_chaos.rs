@@ -5,10 +5,12 @@
 //!   degraded (`nodes_ok = 2/3`) but **exact** over the surviving
 //!   partitions, and the failure is attributed.
 //! - `leader_kill_loses_no_acked_ingest`: 1 partition × 3 durable
-//!   replicas; an ingest storm is majority-acked via WAL shipping; the
-//!   leader is SIGKILLed; the router promotes the most caught-up
-//!   follower, every acked ingest is still readable, and a router
-//!   query finds the last one.
+//!   replicas; an ingest and a query thread run while the leader is
+//!   SIGKILLed; the router promotes the most caught-up follower, both
+//!   threads complete calls on each side of the kill, an ack before the
+//!   kill is on all three replicas at a contiguous id, every acked
+//!   ingest is on the new leader byte for byte, and every ingest acked
+//!   after the promotion is the next query's `k = 1` answer at 0.
 
 use qcluster_index::{merge_top_k, EuclideanQuery, LinearScan, Neighbor};
 use qcluster_net::{Client, ClientConfig};
@@ -20,7 +22,8 @@ use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 struct NodeProc {
     child: Child,
@@ -244,9 +247,48 @@ fn kill_one_node_mid_query_storm_degrades_exactly() {
     );
 }
 
+/// Calls a storm thread completed on each side of the leader kill:
+/// `[0]` returned before the kill began, `[1]` started after it
+/// finished; a call across the kill counts in neither.
+type Tally = [AtomicUsize; 2];
+
+fn tally(calls: &Tally, started_after_kill: bool, kill: &AtomicU8) {
+    if started_after_kill || kill.load(Ordering::SeqCst) == 0 {
+        calls[usize::from(started_after_kill)].fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+fn read(calls: &Tally) -> [usize; 2] {
+    calls.each_ref().map(|n| n.load(Ordering::SeqCst))
+}
+
+/// Polls `done` every 5 ms for up to 60 s; `false` when it never held.
+fn wait_for(done: impl Fn() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !done() {
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    true
+}
+
+/// One acked ingest, whether it returned before the kill began or
+/// started after it finished, and what the ingest thread's next query
+/// answered (`k = 1`) when it started after the kill.
+struct Acked {
+    id: usize,
+    vector: Vec<f64>,
+    copies: usize,
+    before_kill: bool,
+    after_kill: bool,
+    probe: Option<Result<(usize, f64), String>>,
+}
+
 #[test]
 fn leader_kill_loses_no_acked_ingest() {
-    let (dim, count) = (5usize, 60usize);
+    let (dim, count, k) = (5usize, 60usize, 8usize);
     let dirs: Vec<PathBuf> = (0..3).map(|i| fresh_dir(&format!("repl{i}"))).collect();
     let mut nodes: Vec<NodeProc> = dirs
         .iter()
@@ -258,44 +300,155 @@ fn leader_kill_loses_no_acked_ingest() {
     }])
     .unwrap();
     let router = Router::new(map, chaos_router_config()).unwrap();
-
-    // Ingest storm: every ack requires a majority of replicas.
-    let ingest_vec = |i: usize| synthetic_point(500_000 + i, dim);
-    let mut acked: Vec<(usize, Vec<f64>)> = Vec::new();
-    for i in 0..20 {
-        let v = ingest_vec(i);
-        let (global_id, copies) = router.ingest(v.clone()).unwrap();
-        assert_eq!(copies, 3, "ingest {i}: all replicas up, all must hold it");
-        assert_eq!(global_id, count + i, "ingest ids stay contiguous");
-        acked.push((global_id, v));
-    }
-
-    // SIGKILL the leader. Every ingest above was acked.
     let old_leader = router.leader_of(0);
     assert_eq!(old_leader, 0);
-    nodes[old_leader].kill();
 
-    // The next ingest fails over: promotion elects the most caught-up
-    // follower, the write lands there, and the surviving follower still
-    // gives it a majority (2 of 3).
-    for i in 20..26 {
-        let v = ingest_vec(i);
-        let (global_id, copies) = router.ingest(v.clone()).unwrap();
-        assert_eq!(copies, 2, "ingest {i}: majority without the dead leader");
-        assert_eq!(global_id, count + i);
-        acked.push((global_id, v));
-    }
+    // An ingest thread and a query thread run until `stop`; the leader
+    // is SIGKILLed once each has completed calls, and `stop` is set
+    // once each has completed calls after the kill. `kill` is the
+    // kill's phase: 0 before the SIGKILL is sent, 1 while it is, 2 once
+    // the process is reaped.
+    let (kill, stop) = (AtomicU8::new(0), AtomicBool::new(false));
+    let (ingests, queries): (Tally, Tally) = Default::default();
+    let (storm_ran, (acked, failed), query_errors) = std::thread::scope(|s| {
+        let ingest = s.spawn(|| {
+            // Read-after-ack: after an ingest acked through the promoted
+            // leader, the next query must answer it at distance 0.
+            let probe = router.create_session(None).unwrap();
+            let (mut acked, mut failed): (Vec<Acked>, usize) = (Vec::new(), 0);
+            for i in 0.. {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let vector = synthetic_point(500_000 + i, dim);
+                let after_kill = kill.load(Ordering::SeqCst) == 2;
+                let result = router.ingest(vector.clone());
+                let before_kill = kill.load(Ordering::SeqCst) == 0;
+                // With every replica up an ingest must ack; one across
+                // the kill may fail, and is then not acked.
+                let (id, copies) = match result {
+                    Ok(ack) => ack,
+                    Err(e) if before_kill => panic!("ingest {i}, all replicas up: {e}"),
+                    Err(_) => {
+                        failed += 1;
+                        continue;
+                    }
+                };
+                let probe = after_kill.then(|| {
+                    let report = router.query(probe, 1, Some(vector.clone()), None);
+                    match report.map(|r| r.response) {
+                        Ok(Response::Neighbors { neighbors, .. }) if neighbors.len() == 1 => {
+                            Ok((neighbors[0].id, neighbors[0].distance))
+                        }
+                        other => Err(format!("{other:?}")),
+                    }
+                });
+                tally(&ingests, after_kill, &kill);
+                acked.push(Acked {
+                    id,
+                    vector,
+                    copies,
+                    before_kill,
+                    after_kill,
+                    probe,
+                });
+            }
+            (acked, failed)
+        });
+        let query = s.spawn(|| {
+            let session = router.create_session(None).unwrap();
+            let mut errors = 0usize;
+            for round in 0.. {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let after_kill = kill.load(Ordering::SeqCst) == 2;
+                let q = synthetic_point(90_000 + round, dim);
+                match router.query(session, k, Some(q), None) {
+                    Ok(report) => {
+                        let Response::Neighbors {
+                            neighbors,
+                            nodes_ok,
+                            nodes_total,
+                            ..
+                        } = report.response
+                        else {
+                            panic!("round {round}: expected neighbors")
+                        };
+                        assert_eq!((nodes_ok, nodes_total), (1, 1), "round {round}");
+                        assert_eq!(neighbors.len(), k, "round {round}");
+                        tally(&queries, after_kill, &kill);
+                    }
+                    // Between the kill and the promotion the only leader
+                    // is dead: those rounds fail, and the thread goes on.
+                    Err(_) => {
+                        errors += 1;
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                }
+            }
+            errors
+        });
+        let both = |min: [usize; 2]| {
+            [read(&ingests), read(&queries)]
+                .iter()
+                .all(|n| n[0] >= min[0] && n[1] >= min[1])
+        };
+        let before = wait_for(|| both([5, 0]));
+        if before {
+            kill.store(1, Ordering::SeqCst);
+            nodes[old_leader].kill();
+            kill.store(2, Ordering::SeqCst);
+        }
+        let after = before && wait_for(|| both([5, 5]));
+        stop.store(true, Ordering::SeqCst);
+        let acked = ingest.join().expect("ingest thread");
+        let query_errors = query.join().expect("query thread");
+        (before && after, acked, query_errors)
+    });
+
+    // Both threads completed calls on both sides of the kill.
+    assert!(
+        storm_ran,
+        "ingests (before, after) {:?}, queries {:?}, query errors {query_errors}",
+        read(&ingests),
+        read(&queries)
+    );
     let new_leader = router.leader_of(0);
     assert_ne!(new_leader, old_leader, "promotion must have happened");
     assert_eq!(router.cluster_gauges().promotions, 1);
 
-    // Zero acked-ingest loss: every acked record is on the new leader,
-    // byte-for-byte.
+    // An ack with every replica up is on all three, at the next
+    // contiguous id; one through the promoted leader is on exactly the
+    // two survivors; one across the kill still had a majority. Ids
+    // grow with the acks.
+    for (n, a) in acked.iter().filter(|a| a.before_kill).enumerate() {
+        assert_eq!((a.id, a.copies), (count + n, 3), "all replicas up");
+    }
+    for a in &acked {
+        let want = if a.after_kill { 2..=2 } else { 2..=3 };
+        assert!(
+            want.contains(&a.copies),
+            "ingest {}: {} copies",
+            a.id,
+            a.copies
+        );
+    }
+    assert!(acked.windows(2).all(|w| w[0].id < w[1].id), "ids increase");
+
+    // Zero acked-ingest loss: the new leader holds the corpus, every
+    // acked record byte-for-byte, and at most one record per failed
+    // ingest besides.
     let (total, durable) = router.replica_status(0, new_leader).unwrap();
-    assert_eq!(total, (count + acked.len()) as u64);
+    let least = (count + acked.len()) as u64;
+    assert!(
+        (least..=least + failed as u64).contains(&total),
+        "total {total}: {} acked, {failed} failed",
+        acked.len()
+    );
     assert_eq!(durable, total, "durable node: everything committed");
     let mut client = Client::connect(nodes[new_leader].addr, ClientConfig::default()).unwrap();
-    let ids: Vec<usize> = acked.iter().map(|(id, _)| *id).collect();
+    let ids: Vec<usize> = acked.iter().map(|a| a.id).collect();
     let Response::Vectors { vectors } = client
         .call(&Request::FetchVectors { ids })
         .expect("new leader serves acked records")
@@ -303,28 +456,24 @@ fn leader_kill_loses_no_acked_ingest() {
         panic!("expected vectors")
     };
     assert_eq!(vectors.len(), acked.len());
-    for ((id, want), got) in acked.iter().zip(&vectors) {
-        assert_eq!(got, want, "acked ingest {id} must survive the leader kill");
+    for (a, got) in acked.iter().zip(&vectors) {
+        assert_eq!(
+            got, &a.vector,
+            "acked ingest {} must survive the leader kill",
+            a.id
+        );
     }
 
-    // Read-after-ack through the router: the next query, answered by
-    // the promoted leader, finds the last acked ingest at distance 0.
-    let (last_id, last) = acked.last().unwrap().clone();
-    let session = router.create_session(None).unwrap();
-    let report = router.query(session, 1, Some(last), None).unwrap();
-    let Response::Neighbors {
-        neighbors,
-        nodes_ok,
-        nodes_total,
-        ..
-    } = report.response
-    else {
-        panic!("expected neighbors, got {:?}", report.response)
-    };
-    assert_eq!(nodes_ok, nodes_total, "{:?}", report.failures);
-    assert_eq!(neighbors.len(), 1);
-    assert_eq!(neighbors[0].id, last_id);
-    assert_eq!(neighbors[0].distance, 0.0);
+    // Read-after-ack through the router: every ingest acked after the
+    // promotion was the next query's answer at distance 0.
+    for a in acked.iter().filter(|a| a.after_kill) {
+        assert_eq!(
+            a.probe,
+            Some(Ok((a.id, 0.0))),
+            "read-after-ack of ingest {}",
+            a.id
+        );
+    }
 
     // Replication bookkeeping: records were shipped and applied.
     let gauges = router.cluster_gauges();

@@ -2,6 +2,7 @@
 //! plan-cache, eviction and session gauges — all plain atomics so the hot
 //! query path never takes a lock to record.
 
+use qcluster_index::SearchStats;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -198,6 +199,8 @@ pub struct ServiceMetrics {
     plan_cache_misses: AtomicU64,
     quant_phase1_points: AtomicU64,
     quant_reranked: AtomicU64,
+    quant_tail_tiles: AtomicU64,
+    quant_second_rounds: AtomicU64,
     quant_fallbacks: AtomicU64,
     quant_plan_misses: AtomicU64,
     evictions: AtomicU64,
@@ -241,12 +244,17 @@ impl ServiceMetrics {
 
     /// Folds one query's two-phase quantized-scan accounting into the
     /// totals (all zero when no shard ran a quantized scan).
-    pub fn record_quant(&self, phase1_points: u64, reranked: u64, fallbacks: u64, misses: u64) {
-        self.quant_phase1_points
-            .fetch_add(phase1_points, Ordering::Relaxed);
-        self.quant_reranked.fetch_add(reranked, Ordering::Relaxed);
-        self.quant_fallbacks.fetch_add(fallbacks, Ordering::Relaxed);
-        self.quant_plan_misses.fetch_add(misses, Ordering::Relaxed);
+    pub fn record_quant(&self, stats: &SearchStats) {
+        for (total, n) in [
+            (&self.quant_phase1_points, stats.quant_phase1_points),
+            (&self.quant_reranked, stats.quant_reranked),
+            (&self.quant_tail_tiles, stats.quant_tail_tiles),
+            (&self.quant_second_rounds, stats.quant_second_rounds),
+            (&self.quant_fallbacks, stats.quant_fallbacks),
+            (&self.quant_plan_misses, stats.quant_plan_misses),
+        ] {
+            total.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Counts `n` sessions evicted at capacity (least recently used).
@@ -372,6 +380,8 @@ impl ServiceMetrics {
             quant: QuantGauges {
                 phase1_points: self.quant_phase1_points.load(Ordering::Relaxed),
                 reranked: self.quant_reranked.load(Ordering::Relaxed),
+                tail_tiles: self.quant_tail_tiles.load(Ordering::Relaxed),
+                second_rounds: self.quant_second_rounds.load(Ordering::Relaxed),
                 fallback_rescans: self.quant_fallbacks.load(Ordering::Relaxed),
                 plan_misses: self.quant_plan_misses.load(Ordering::Relaxed),
             },
@@ -482,6 +492,8 @@ impl MetricsSnapshot {
         self.plan_cache_misses += other.plan_cache_misses;
         self.quant.phase1_points += other.quant.phase1_points;
         self.quant.reranked += other.quant.reranked;
+        self.quant.tail_tiles += other.quant.tail_tiles;
+        self.quant.second_rounds += other.quant.second_rounds;
         self.quant.fallback_rescans += other.quant.fallback_rescans;
         self.quant.plan_misses += other.quant.plan_misses;
         self.evictions += other.evictions;
@@ -535,15 +547,22 @@ impl MetricsSnapshot {
 
 /// Two-phase quantized-scan counters, summed over every query the
 /// shards served. `phase1_points / reranked` is the pruning ratio; a
-/// non-zero `fallback_rescans` means candidate sets failed
-/// certification and were rescanned exactly (results stay exact either
-/// way).
+/// non-zero `second_rounds` means a window (or a bound) did not
+/// certify and phase 1 was streamed again, and a non-zero
+/// `fallback_rescans` means candidate sets failed certification and
+/// were rescanned exactly (results stay exact either way).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuantGauges {
     /// Points lower-bounded from u8 codes in phase 1.
     pub phase1_points: u64,
     /// Candidates exactly reranked in phase 2.
     pub reranked: u64,
+    /// Tiles phase 1 ran its square-root tail on, second rounds
+    /// included (`QuantScanStats::tail_tiles`).
+    pub tail_tiles: u64,
+    /// Bound-driven second rounds: phase 1 streamed again to rerank
+    /// every point under the threshold (`QuantScanStats::second_rounds`).
+    pub second_rounds: u64,
     /// Full exact rescans after a failed window certification.
     pub fallback_rescans: u64,
     /// Queries whose distance could not be soundly bounded (served

@@ -529,12 +529,7 @@ impl Service {
         if let Some(tau0) = bound.filter(|_| !degraded) {
             neighbors.retain(|n| n.distance <= tau0);
         }
-        self.metrics.record_quant(
-            stats.quant_phase1_points,
-            stats.quant_reranked,
-            stats.quant_fallbacks,
-            stats.quant_plan_misses,
-        );
+        self.metrics.record_quant(&stats);
         self.metrics.query_hist.record(start.elapsed());
         Ok(QueryOutcome {
             neighbors,
@@ -757,8 +752,9 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::QuantGauges;
     use qcluster_core::{QclusterConfig, QclusterEngine};
-    use qcluster_index::EuclideanQuery;
+    use qcluster_index::{EuclideanQuery, QuantizedScan};
 
     fn two_blob_corpus(n_per: usize) -> Vec<Vec<f64>> {
         // Two well-separated blobs; ids < n_per are blob A.
@@ -857,6 +853,42 @@ mod tests {
         assert!(stats.quant.phase1_points > 0, "phase 1 should have run");
         assert!(stats.quant.reranked > 0, "phase 2 should have reranked");
         assert_eq!(stats.quant.plan_misses, 0, "diagonal queries plan cleanly");
+    }
+
+    /// A one-shard node's quant gauges after one query are the counters
+    /// of one `two_phase_knn` over the same points, on a corpus whose
+    /// window certifies and on a ring around the query, where every
+    /// point ties and phase 1 must stream again.
+    #[test]
+    fn quant_gauges_equal_the_scans_own_counters() {
+        let ring: Vec<Vec<f64>> = (0..300)
+            .map(|i| {
+                let a = i as f64 * std::f64::consts::TAU / 300.0;
+                vec![0.4 + a.cos(), 0.1 + a.sin()]
+            })
+            .collect();
+        for (points, second_round) in [(two_blob_corpus(40), false), (ring, true)] {
+            let config = ServiceConfig {
+                num_shards: 1,
+                num_workers: 1,
+                ..ServiceConfig::default()
+            };
+            let svc = Service::new(&points, config).unwrap();
+            let id = svc.create_session().unwrap();
+            let example = EuclideanQuery::new(vec![0.4, 0.1]);
+            svc.query_vector(id, example.center().to_vec(), 9).unwrap();
+            let (_, want) = QuantizedScan::from_rows(&points).two_phase_knn(&example, 9, None);
+            let want = QuantGauges {
+                phase1_points: want.phase1_points,
+                reranked: want.reranked,
+                tail_tiles: want.tail_tiles,
+                second_rounds: want.second_rounds,
+                fallback_rescans: want.fallback_rescans,
+                plan_misses: want.plan_misses,
+            };
+            assert_eq!(svc.stats().quant, want);
+            assert_eq!(want.second_rounds > 0, second_round, "{want:?}");
+        }
     }
 
     #[test]

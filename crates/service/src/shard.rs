@@ -121,6 +121,8 @@ fn quant_search_stats(q: &QuantScanStats, len: usize) -> SearchStats {
         distance_evaluations: q.reranked + (q.fallback_rescans + q.plan_misses) * len as u64,
         quant_phase1_points: q.phase1_points,
         quant_reranked: q.reranked,
+        quant_tail_tiles: q.tail_tiles,
+        quant_second_rounds: q.second_rounds,
         quant_fallbacks: q.fallback_rescans,
         quant_plan_misses: q.plan_misses,
         ..SearchStats::default()
