@@ -29,22 +29,24 @@ use std::time::Duration;
 mod repro;
 mod soak;
 
-const USAGE: &str = "usage: qcluster <synth|ingest|build|serve|eval|run|repro|soak> ...\n\
-  synth   <out-dir> [--categories N] [--images-per-category N] [--image-size N]\n\
-          [--categories-per-super N] [--seed N]\n\
-  synth   <out.qseg> <n> <dim> [--centers G] [--seed S]\n\
-  ingest  <images-dir> <out.qdsb> [--features color|texture|histogram|layout]\n\
-          [--workers N] [--progress]\n\
-  build   <features> <store-dir> [--progress]\n\
-  serve   <store-dir> [--nodes N] [--max-connections N] [--max-sessions N]\n\
-          [--scrape-json PATH] [--scrape-interval-secs S]\n\
-  eval    <features> [--addr HOST:PORT] [--k N] [--rounds N] [--queries N]\n\
-          [--seed N] [--epsilon F] [--json] [--progress]\n\
-  run     <recipe.toml> [--workdir DIR] [--json] [--progress]\n\
-  repro   <fig5..fig19|table2|table3|headline|ablation|all>... [--paper-scale] [--csv DIR]\n\
-  soak    [--smoke] [--cluster] [--users N] [--sessions N] [--iterations N] [--k N]\n\
-          [--think-ms MS] [--abandon-per-mille N] [--ingest-rate N] [--deadline-ms MS]\n\
-          [--seed N] [--out PATH] [--scrape HOST:PORT]";
+const USAGE: &str = concat!(
+    "usage: qcluster <synth|ingest|build|serve|eval|run|repro|soak> ...\n",
+    "  synth   <out-dir> [--categories N] [--images-per-category N] [--image-size N]\n",
+    "          [--categories-per-super N] [--seed N]\n",
+    "  synth   <out.qseg> <n> <dim> [--centers G] [--seed S]\n",
+    "  ingest  <images-dir> <out.qdsb> [--features color|texture|histogram|layout]\n",
+    "          [--workers N] [--progress]\n",
+    "  build   <features> <store-dir> [--progress]\n",
+    "  serve   <store-dir> [--nodes N] [--max-connections N] [--max-sessions N]\n",
+    "          [--scrape-json PATH] [--scrape-interval-secs S]\n",
+    "  eval    <features> [--addr HOST:PORT] [--k N] [--rounds N] [--queries N]\n",
+    "          [--seed N] [--epsilon F] [--json] [--progress]\n",
+    "  run     <recipe.toml> [--workdir DIR] [--json] [--progress]\n",
+    "  repro   <fig5..fig19|table2|table3|headline|ablation|all>... [--paper-scale] [--csv DIR]\n",
+    "  soak    [--smoke] [--cluster] [--users N] [--sessions N] [--iterations N] [--k N]\n",
+    "          [--think-ms MS] [--abandon-per-mille N] [--ingest-rate N] [--deadline-ms MS]\n",
+    "          [--seed N] [--out PATH] [--scrape HOST:PORT]",
+);
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -479,5 +481,22 @@ mod tests {
         assert!(usage_error("missing.qdsb --addr nowhere").contains("--addr"));
         let ok = parse_eval(&["missing.qdsb".into(), "--epsilon".into(), "1".into()]).unwrap();
         assert_eq!((ok.opts, ok.epsilon), (EvalOptions::default(), Some(1.0)));
+    }
+
+    /// A command line is indented two spaces and its continuation lines
+    /// ten, so the flags line up under the command's operands.
+    #[test]
+    fn usage_keeps_its_indentation() {
+        let mut lines = USAGE.lines().skip(1).peekable();
+        assert!(lines.peek().is_some());
+        for line in lines {
+            let indent = if line.trim_start().starts_with('[') {
+                10
+            } else {
+                2
+            };
+            assert!(line.starts_with(&" ".repeat(indent)), "{line:?}");
+            assert!(!line[indent..].starts_with(' '), "{line:?}");
+        }
     }
 }

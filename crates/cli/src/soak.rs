@@ -19,7 +19,8 @@
 //! ```
 //!
 //! The node boot is this command's own, not `serve`'s: in-memory or
-//! scratch-dir durable nodes and a 3× ingest partition.
+//! scratch-dir durable nodes and a 3× ingest partition (the cluster's
+//! only durable nodes).
 
 use crate::{parse_args, Parsed};
 use qcluster_cli::{
@@ -199,20 +200,18 @@ fn run(args: &SoakArgs) -> Result<(), String> {
         for (i, &id_base) in bases.iter().enumerate() {
             let end = bases.get(i + 1).copied().unwrap_or(points.len());
             // The ingest partition (the last slice — unbounded above,
-            // so it owns live writes) is replicated 3× when durable:
-            // every ingest is majority-acked through WAL shipping, so
-            // the fleet's writes carry the replication path's cost.
-            let copies = if i + 1 == bases.len() && durable {
-                3
-            } else {
-                1
-            };
+            // so it owns live writes) is durable and replicated 3× when
+            // ingest is on: every ingest is majority-acked through WAL
+            // shipping, so the fleet's writes carry the replication
+            // path's cost. The read-only partitions stay in memory.
+            let ingests = i + 1 == bases.len() && durable;
+            let copies = if ingests { 3 } else { 1 };
             let mut replicas = Vec::new();
             for r in 0..copies {
                 // The router hosts the sessions; nodes hold none.
                 let service = node_service(
                     &points[id_base..end],
-                    durable,
+                    ingests,
                     ServiceConfig::default(),
                     &mut scratch,
                 )?;

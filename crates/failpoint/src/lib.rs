@@ -7,8 +7,7 @@
 //! paths (WAL appends, fsyncs, segment seals, shard fan-out jobs). In a
 //! normal process every failpoint is inert: [`evaluate`] first reads one
 //! relaxed atomic and returns `None`, so the instrumented hot paths pay
-//! a single predictable branch. Chaos tests (or an operator via the
-//! `QCLUSTER_FAILPOINTS` environment variable) arm failpoints with an
+//! a single predictable branch. Chaos tests arm failpoints with an
 //! [`Action`] — inject an error, panic, sleep, or perform a *partial*
 //! (torn) write — optionally skipping the first `skip` evaluations and
 //! firing at most `times` times, which makes scenarios like "the third
@@ -35,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, Once, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// What an armed failpoint does when it fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +70,6 @@ struct Armed {
 /// `true` while at least one failpoint is armed — the only state the
 /// disabled fast path reads.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
 
 fn registry() -> &'static Mutex<HashMap<String, Armed>> {
     static REGISTRY: OnceLock<Mutex<HashMap<String, Armed>>> = OnceLock::new();
@@ -87,7 +85,6 @@ fn lock_registry() -> MutexGuard<'static, HashMap<String, Armed>> {
 /// formatting behind this so the disabled path allocates nothing.
 #[inline]
 pub fn active() -> bool {
-    init_from_env();
     ACTIVE.load(Ordering::Relaxed)
 }
 
@@ -101,7 +98,6 @@ pub fn configure(name: &str, action: Action) {
 /// evaluation of a failpoint always behaves the same for a fixed
 /// configuration.
 pub fn configure_counted(name: &str, action: Action, skip: u64, times: Option<u64>) {
-    init_from_env();
     let mut reg = lock_registry();
     reg.insert(
         name.to_string(),
@@ -223,53 +219,6 @@ pub fn scoped_counted(name: &str, action: Action, skip: u64, times: Option<u64>)
 pub fn test_lock() -> MutexGuard<'static, ()> {
     static TEST_LOCK: Mutex<()> = Mutex::new(());
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Parses the `QCLUSTER_FAILPOINTS` environment variable once per
-/// process: `name=action[;name=action…]` where `action` is one of
-/// `error:<msg>`, `panic:<msg>`, `sleep:<ms>`, `partial:<bytes>`, or
-/// `off`. Malformed entries are ignored (fault injection must never
-/// break a production start-up).
-fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        let Ok(spec) = std::env::var("QCLUSTER_FAILPOINTS") else {
-            return;
-        };
-        for entry in spec.split(';') {
-            let entry = entry.trim();
-            let Some((name, action)) = entry.split_once('=') else {
-                continue;
-            };
-            let (kind, arg) = action.split_once(':').unwrap_or((action, ""));
-            let action = match kind {
-                "error" => Action::Error(arg.to_string()),
-                "panic" => Action::Panic(arg.to_string()),
-                "sleep" => match arg.parse() {
-                    Ok(ms) => Action::Sleep(ms),
-                    Err(_) => continue,
-                },
-                "partial" => match arg.parse() {
-                    Ok(n) => Action::Partial(n),
-                    Err(_) => continue,
-                },
-                _ => continue,
-            };
-            // Direct insert (not `configure`) to avoid re-entering the
-            // Once through `init_from_env`.
-            let mut reg = lock_registry();
-            reg.insert(
-                name.to_string(),
-                Armed {
-                    action,
-                    skip: 0,
-                    remaining: None,
-                    seen: 0,
-                    hits: 0,
-                },
-            );
-            ACTIVE.store(true, Ordering::Relaxed);
-        }
-    });
 }
 
 #[cfg(test)]

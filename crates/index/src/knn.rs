@@ -12,6 +12,7 @@
 
 use crate::cache::NodeCache;
 use crate::distance::QueryDistance;
+use crate::quant::QuantScanStats;
 use crate::tree::{HybridTree, Node};
 use qcluster_linalg::vecops::TILE_LANES;
 use std::cmp::Ordering;
@@ -37,20 +38,9 @@ pub struct SearchStats {
     pub disk_reads: u64,
     /// Point-level distance evaluations.
     pub distance_evaluations: u64,
-    /// Points filtered by a quantized phase-1 kernel (two-phase scans).
-    pub quant_phase1_points: u64,
-    /// Candidates exactly reranked by a two-phase scan's phase 2.
-    pub quant_reranked: u64,
-    /// Tiles a two-phase scan's phase 1 ran its square-root tail on
-    /// ([`QuantScanStats::tail_tiles`](crate::QuantScanStats::tail_tiles)).
-    pub quant_tail_tiles: u64,
-    /// Bound-driven second rounds of a two-phase scan
-    /// ([`QuantScanStats::second_rounds`](crate::QuantScanStats::second_rounds)).
-    pub quant_second_rounds: u64,
-    /// Full exact rescans a two-phase scan fell back to.
-    pub quant_fallbacks: u64,
-    /// Queries that could not compile a quantized plan and ran exact.
-    pub quant_plan_misses: u64,
+    /// A two-phase scan's counters (all zero for a tree search or an
+    /// exact scan).
+    pub quant: QuantScanStats,
 }
 
 impl SearchStats {
@@ -60,12 +50,7 @@ impl SearchStats {
         self.cache_hits += other.cache_hits;
         self.disk_reads += other.disk_reads;
         self.distance_evaluations += other.distance_evaluations;
-        self.quant_phase1_points += other.quant_phase1_points;
-        self.quant_reranked += other.quant_reranked;
-        self.quant_tail_tiles += other.quant_tail_tiles;
-        self.quant_second_rounds += other.quant_second_rounds;
-        self.quant_fallbacks += other.quant_fallbacks;
-        self.quant_plan_misses += other.quant_plan_misses;
+        self.quant.absorb(&other.quant);
     }
 }
 

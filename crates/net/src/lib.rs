@@ -25,9 +25,10 @@
 //!   exponential backoff, full jitter).
 //!
 //! Transport activity (connections, frames, decode errors, shutdown
-//! drains) is recorded into the fronted service's
-//! [`ServiceMetrics`](qcluster_service::ServiceMetrics), so a wire
-//! `Request::Stats` round-trip reports the transport's own counters.
+//! drains) is counted in the `transport` gauges of the fronted
+//! service's [`ServiceMetrics`](qcluster_service::ServiceMetrics)
+//! (its one `count` call), so a wire `Request::Stats` round-trip
+//! reports the transport's own counters.
 //!
 //! ```no_run
 //! use qcluster_net::{Client, ClientConfig, Server, ServerConfig};

@@ -43,7 +43,7 @@
 use crate::codec::{decode_request, encode_response};
 use crate::error::NetError;
 use crate::frame::{self, FrameKind, ReadFrame, DEFAULT_MAX_PAYLOAD};
-use qcluster_service::{dispatch, Response, Service, ServiceError};
+use qcluster_service::{dispatch, Response, Service, ServiceError, TransportGauges};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -292,7 +292,7 @@ fn acceptor_loop(
         if qcluster_failpoint::active()
             && qcluster_failpoint::evaluate_sleepy("net.accept").is_some()
         {
-            shared.service.metrics().record_connection_rejected();
+            count(&shared, |t| t.connections_rejected += 1);
             drop(stream);
             continue;
         }
@@ -304,7 +304,7 @@ fn acceptor_loop(
         let conn_id = next_conn_id;
         next_conn_id += 1;
         if spawn_connection(&shared, &conn_threads, conn_id, stream).is_err() {
-            shared.service.metrics().record_connection_rejected();
+            count(&shared, |t| t.connections_rejected += 1);
         }
         prune_finished(&conn_threads);
     }
@@ -313,7 +313,7 @@ fn acceptor_loop(
 /// Best-effort typed reject for a connection over the cap: one
 /// `Overloaded` frame with request id 0, then close.
 fn reject_connection(shared: &Arc<Shared>, mut stream: TcpStream, active: usize) {
-    shared.service.metrics().record_connection_rejected();
+    count(shared, |t| t.connections_rejected += 1);
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let response = Response::Error(ServiceError::Overloaded {
         queued: active,
@@ -340,7 +340,10 @@ fn spawn_connection(
         .unwrap_or_else(|e| e.into_inner())
         .insert(conn_id, registry_clone);
     shared.active_conns.fetch_add(1, Ordering::SeqCst);
-    shared.service.metrics().record_connection_opened();
+    count(shared, |t| {
+        t.connections_accepted += 1;
+        t.connections_active += 1;
+    });
     let spawned = {
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
@@ -377,7 +380,12 @@ fn close_connection(shared: &Shared, conn_id: u64) {
         let _ = stream.shutdown(Shutdown::Both);
     }
     shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-    shared.service.metrics().record_connection_closed();
+    count(shared, |t| t.connections_active -= 1);
+}
+
+/// Bumps the served node's transport counters.
+fn count(shared: &Shared, bump: impl FnOnce(&mut TransportGauges)) {
+    shared.service.metrics().count(|m| bump(&mut m.transport));
 }
 
 /// Joins connection threads that have already exited, so long-lived
@@ -413,12 +421,12 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
                 {
                     break;
                 }
-                shared.service.metrics().record_frame_in();
+                count(shared, |t| t.frames_in += 1);
                 (f.request_id, answer(shared, f.kind, &f.payload), false)
             }
             Ok(ReadFrame::Idle) => continue,
             Ok(ReadFrame::Corrupt { request_id, error }) => {
-                shared.service.metrics().record_decode_error();
+                count(shared, |t| t.decode_errors += 1);
                 let reply = undecodable(format!("frame decode failed: {error}"));
                 (request_id, reply, error.is_fatal())
             }
@@ -429,7 +437,7 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
         }
         if guard.is_some() && shared.shutdown.load(Ordering::SeqCst) {
             shared.drained.fetch_add(1, Ordering::SeqCst);
-            shared.service.metrics().record_shutdown_drains(1);
+            count(shared, |t| t.shutdown_drains += 1);
         }
     }
 }
@@ -443,7 +451,7 @@ fn answer<'a>(
     payload: &[u8],
 ) -> (Vec<u8>, Option<InflightGuard<'a>>) {
     if kind != FrameKind::Request {
-        shared.service.metrics().record_decode_error();
+        count(shared, |t| t.decode_errors += 1);
         return undecodable("expected a request frame, got a response frame".into());
     }
     match decode_request(payload) {
@@ -459,7 +467,7 @@ fn answer<'a>(
             (encode_response(&response), Some(guard))
         }
         Err(e) => {
-            shared.service.metrics().record_decode_error();
+            count(shared, |t| t.decode_errors += 1);
             undecodable(format!("request payload did not parse: {e}"))
         }
     }
@@ -495,7 +503,7 @@ fn write_reply(shared: &Shared, stream: &mut TcpStream, request_id: u64, payload
     }
     let written = frame::write_frame(stream, FrameKind::Response, request_id, payload).is_ok();
     if written {
-        shared.service.metrics().record_frame_out();
+        count(shared, |t| t.frames_out += 1);
     }
     written
 }

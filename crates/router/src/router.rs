@@ -104,7 +104,7 @@ use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -371,23 +371,6 @@ struct PartitionState {
     election: Mutex<()>,
 }
 
-/// Router-side cluster counters, mirrored into
-/// [`MetricsSnapshot::cluster`] by [`Router::stats`].
-#[derive(Debug, Default)]
-struct Counters {
-    node_failures: AtomicU64,
-    node_timeouts: AtomicU64,
-    node_breaker_skips: AtomicU64,
-    degraded_responses: AtomicU64,
-    promotions: AtomicU64,
-    replication_records_shipped: AtomicU64,
-    replication_records_applied: AtomicU64,
-    elections_won: AtomicU64,
-    elections_lost: AtomicU64,
-    fenced_stale_ships: AtomicU64,
-    anti_entropy_chunks_shipped: AtomicU64,
-}
-
 /// Per-replica outcome of a [`Router::sync_partition`] pass: each
 /// follower's index paired with its post-sync committed total, or the
 /// failure that kept it behind.
@@ -405,7 +388,11 @@ pub struct Router {
     /// Session, plan-cache and feed counters, which [`Router::stats`]
     /// reports in place of the nodes'.
     metrics: ServiceMetrics,
-    counters: Counters,
+    /// The router's cluster counters, behind a leaf lock (a few integer
+    /// additions, no I/O, no other lock taken under it). The gauges
+    /// `nodes_total`, `node_breaker_trips` and `terms` stay zero here:
+    /// [`Router::cluster_gauges`] computes them.
+    cluster: Mutex<ClusterGauges>,
     /// Keys the election-retry jitter: each router draws its own
     /// stream, the hash of a counter under this key.
     jitter: RandomState,
@@ -467,7 +454,7 @@ impl Router {
             sessions: SessionRegistry::new(config.max_sessions),
             metrics: ServiceMetrics::new(),
             config,
-            counters: Counters::default(),
+            cluster: Mutex::default(),
             jitter: RandomState::new(),
             jitter_draws: AtomicU64::new(0),
         })
@@ -489,42 +476,33 @@ impl Router {
         self.partitions[partition].term.load(Ordering::Acquire)
     }
 
+    /// Bumps the router's cluster counters in place.
+    fn count(&self, bump: impl FnOnce(&mut ClusterGauges)) {
+        bump(&mut self.cluster.lock().unwrap_or_else(PoisonError::into_inner));
+    }
+
     /// The router's own cluster counters, as the gauge struct the
     /// metrics snapshot embeds.
     pub fn cluster_gauges(&self) -> ClusterGauges {
+        let counts = self
+            .cluster
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         ClusterGauges {
             nodes_total: self.map.num_nodes() as u64,
-            node_failures: self.counters.node_failures.load(Ordering::Relaxed),
-            node_timeouts: self.counters.node_timeouts.load(Ordering::Relaxed),
-            node_breaker_skips: self.counters.node_breaker_skips.load(Ordering::Relaxed),
             node_breaker_trips: self
                 .partitions
                 .iter()
                 .flat_map(|p| &p.replicas)
                 .map(|node| node.breaker.trips())
                 .sum(),
-            degraded_responses: self.counters.degraded_responses.load(Ordering::Relaxed),
-            promotions: self.counters.promotions.load(Ordering::Relaxed),
-            replication_records_shipped: self
-                .counters
-                .replication_records_shipped
-                .load(Ordering::Relaxed),
-            replication_records_applied: self
-                .counters
-                .replication_records_applied
-                .load(Ordering::Relaxed),
             terms: self
                 .partitions
                 .iter()
                 .map(|p| p.term.load(Ordering::Relaxed))
                 .collect(),
-            elections_won: self.counters.elections_won.load(Ordering::Relaxed),
-            elections_lost: self.counters.elections_lost.load(Ordering::Relaxed),
-            fenced_stale_ships: self.counters.fenced_stale_ships.load(Ordering::Relaxed),
-            anti_entropy_chunks_shipped: self
-                .counters
-                .anti_entropy_chunks_shipped
-                .load(Ordering::Relaxed),
+            ..counts
         }
     }
 }

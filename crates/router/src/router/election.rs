@@ -85,12 +85,12 @@ impl Router {
             }
             if grants >= majority {
                 part.term.store(candidate, Ordering::Release);
-                self.counters.elections_won.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.elections_won += 1);
                 return Ok(candidate);
             }
             observed = observed.max(candidate);
             if Instant::now() >= deadline {
-                self.counters.elections_lost.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.elections_lost += 1);
                 return Err(RouterError::ElectionLost {
                     partition,
                     term: observed,
@@ -193,7 +193,7 @@ impl Router {
         };
         part.leader.store(winner, Ordering::Release);
         part.replicas[winner].breaker.record_success();
-        self.counters.promotions.fetch_add(1, Ordering::Relaxed);
+        self.count(|c| c.promotions += 1);
         Ok(winner)
     }
 }

@@ -172,9 +172,7 @@ impl Router {
         node.checkin(client, result.as_ref().err());
         match result? {
             Response::Error(ServiceError::StaleTerm { current }) => {
-                self.counters
-                    .fenced_stale_ships
-                    .fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.fenced_stale_ships += 1);
                 Err(NodeFailureKind::StaleTerm(current))
             }
             Response::Error(e) => Err(NodeFailureKind::Remote(e.to_string())),
@@ -259,18 +257,12 @@ impl Router {
                     "leader has {leader_total} records but shipped none from {follower_total}"
                 )));
             }
-            self.counters
-                .replication_records_shipped
-                .fetch_add(shipped, Ordering::Relaxed);
+            self.count(|c| c.replication_records_shipped += shipped);
             let (total, applied) = self.ship(partition, follower, frames)?;
-            self.counters
-                .replication_records_applied
-                .fetch_add(applied, Ordering::Relaxed);
-            if anti_entropy {
-                self.counters
-                    .anti_entropy_chunks_shipped
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            self.count(|c| {
+                c.replication_records_applied += applied;
+                c.anti_entropy_chunks_shipped += u64::from(anti_entropy);
+            });
             if total <= follower_total {
                 return Err(NodeFailureKind::Remote(format!(
                     "follower stuck at {total} records"

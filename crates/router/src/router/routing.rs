@@ -122,9 +122,7 @@ impl Router {
         outcome: Option<Result<Response, NodeFailureKind>>,
     ) -> Result<Response, NodeFailureKind> {
         let Some(outcome) = outcome else {
-            self.counters
-                .node_breaker_skips
-                .fetch_add(1, Ordering::Relaxed);
+            self.count(|c| c.node_breaker_skips += 1);
             return Err(NodeFailureKind::BreakerOpen);
         };
         match &outcome {
@@ -134,11 +132,10 @@ impl Router {
                     (self.config.breaker_threshold, self.config.breaker_cooldown);
                 node.breaker
                     .record_failure(Instant::now(), threshold, cooldown);
-                let counter = match kind {
-                    NodeFailureKind::Timeout => &self.counters.node_timeouts,
-                    _ => &self.counters.node_failures,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| match kind {
+                    NodeFailureKind::Timeout => c.node_timeouts += 1,
+                    _ => c.node_failures += 1,
+                });
             }
         }
         outcome
@@ -293,9 +290,7 @@ impl Router {
         }
         let degraded = nodes_ok < nodes_total || round.shards_ok < round.shards_total;
         if degraded {
-            self.counters
-                .degraded_responses
-                .fetch_add(1, Ordering::Relaxed);
+            self.count(|c| c.degraded_responses += 1);
         }
         let merged = merge_top_k(round.lists, k);
         let ids: Vec<usize> = merged.iter().map(|n| n.id).collect();

@@ -573,7 +573,7 @@ mod tests {
             let q = EuclideanQuery::new(vec![1.0, -2.0, 3.0]);
             let report = executor.try_knn(&corpus, &q, 25, None, None).unwrap();
             assert_eq!(report.neighbors, expect, "{shards} shards");
-            assert_eq!(report.stats.quant_phase1_points, pts.len() as u64);
+            assert_eq!(report.stats.quant.phase1_points, pts.len() as u64);
         }
     }
 

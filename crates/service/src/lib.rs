@@ -16,8 +16,8 @@
 //! - [`session`] — the session lifecycle both a node and a cluster
 //!   router host: per-client method + compiled plan behind a registry
 //!   with a max-sessions cap and LRU eviction.
-//! - [`metrics`] — lock-free latency summaries and plan-cache, eviction
-//!   and session counters, snapshotable at any time.
+//! - [`metrics`] — lock-free latency histograms, and the snapshot's
+//!   counters behind one leaf lock, snapshotable at any time.
 //! - [`protocol`] — serializable `Request`/`Response` enums plus the
 //!   [`dispatch`] function, so any byte transport can front the service.
 //! - [`spec`] — [`QuerySpec`], the wire form of a compiled query, which

@@ -1,10 +1,10 @@
-//! Lock-free service metrics: per-operation latency histograms plus
-//! plan-cache, eviction and session gauges — all plain atomics so the hot
-//! query path never takes a lock to record.
+//! Service metrics: lock-free per-operation latency histograms, and the
+//! [`MetricsSnapshot`]'s counters behind one leaf lock.
 
-use qcluster_index::SearchStats;
+use qcluster_index::QuantScanStats;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Exact sub-8ns buckets before the logarithmic region starts.
@@ -95,11 +95,6 @@ impl LatencyHistogram {
     /// `fetch_max`.
     pub fn record(&self, elapsed: Duration) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.record_ns(ns);
-    }
-
-    /// Records one duration given directly in nanoseconds.
-    pub fn record_ns(&self, ns: u64) {
         self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
@@ -186,7 +181,15 @@ pub struct HistogramSummary {
     pub max_ns: u64,
 }
 
-/// All counters the service maintains.
+/// Every service metric: three lock-free latency histograms, and every
+/// counter behind one leaf lock.
+///
+/// The counters are the [`MetricsSnapshot`]'s own fields: a caller bumps
+/// one in place with [`ServiceMetrics::count`], and
+/// [`ServiceMetrics::snapshot`] clones them and fills in what is sampled
+/// elsewhere. The lock is held for a few integer additions and no I/O,
+/// and no other lock is ever taken under it, so it is a leaf in every
+/// lock order.
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
     /// End-to-end `query` latency (engine compile + fan-out + merge).
@@ -195,33 +198,15 @@ pub struct ServiceMetrics {
     pub feed_latency: LatencyHistogram,
     /// Shard fan-out time alone (submit → all shard results merged).
     pub shard_fanout: LatencyHistogram,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    quant_phase1_points: AtomicU64,
-    quant_reranked: AtomicU64,
-    quant_tail_tiles: AtomicU64,
-    quant_second_rounds: AtomicU64,
-    quant_fallbacks: AtomicU64,
-    quant_plan_misses: AtomicU64,
-    evictions: AtomicU64,
-    sessions_created: AtomicU64,
-    sessions_closed: AtomicU64,
-    ingests: AtomicU64,
-    flushes: AtomicU64,
-    recoveries: AtomicU64,
-    shard_panics: AtomicU64,
-    shard_failures: AtomicU64,
-    shard_timeouts: AtomicU64,
-    degraded_responses: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    overload_rejections: AtomicU64,
-    connections_accepted: AtomicU64,
-    connections_active: AtomicU64,
-    connections_rejected: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    decode_errors: AtomicU64,
-    shutdown_drains: AtomicU64,
+    counts: Mutex<Counts>,
+}
+
+/// What [`ServiceMetrics`]'s lock guards: the snapshot's counters, and
+/// the two-phase scan counters that become [`MetricsSnapshot::quant`].
+#[derive(Debug, Default)]
+struct Counts {
+    snapshot: MetricsSnapshot,
+    scan: QuantScanStats,
 }
 
 impl ServiceMetrics {
@@ -230,132 +215,22 @@ impl ServiceMetrics {
         ServiceMetrics::default()
     }
 
-    /// Counts one query served from a session's compiled-plan cache
-    /// (engine version unchanged since the plan was compiled).
-    pub fn record_plan_cache_hit(&self) {
-        self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+    fn lock(&self) -> MutexGuard<'_, Counts> {
+        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Counts one query that had to (re)compile its plan — first query,
-    /// post-feed version bump, or an engine without plan versioning.
-    pub fn record_plan_cache_miss(&self) {
-        self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+    /// Bumps counters in place, under the leaf lock:
+    /// `metrics.count(|m| m.ingests += 1)`. Only the counter fields
+    /// count: [`Self::snapshot`] overwrites the latency summaries,
+    /// `active_sessions`, `storage` and `quant`.
+    pub fn count(&self, bump: impl FnOnce(&mut MetricsSnapshot)) {
+        bump(&mut self.lock().snapshot);
     }
 
-    /// Folds one query's two-phase quantized-scan accounting into the
-    /// totals (all zero when no shard ran a quantized scan).
-    pub fn record_quant(&self, stats: &SearchStats) {
-        for (total, n) in [
-            (&self.quant_phase1_points, stats.quant_phase1_points),
-            (&self.quant_reranked, stats.quant_reranked),
-            (&self.quant_tail_tiles, stats.quant_tail_tiles),
-            (&self.quant_second_rounds, stats.quant_second_rounds),
-            (&self.quant_fallbacks, stats.quant_fallbacks),
-            (&self.quant_plan_misses, stats.quant_plan_misses),
-        ] {
-            total.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts `n` sessions evicted at capacity (least recently used).
-    pub fn record_evictions(&self, n: u64) {
-        self.evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one created session.
-    pub fn record_create_session(&self) {
-        self.sessions_created.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one explicitly closed session.
-    pub fn record_close_session(&self) {
-        self.sessions_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one ingested vector.
-    pub fn record_ingest(&self) {
-        self.ingests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one WAL → segment flush (compaction).
-    pub fn record_flush(&self) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one crash recovery (a durable open that found prior state).
-    pub fn record_recovery(&self) {
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one shard job that panicked during a fan-out.
-    pub fn record_shard_panic(&self) {
-        self.shard_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one shard job that failed without unwinding (injected
-    /// fault).
-    pub fn record_shard_failure(&self) {
-        self.shard_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one shard that missed a query's deadline.
-    pub fn record_shard_timeout(&self) {
-        self.shard_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one query answered with partial shard coverage.
-    pub fn record_degraded_response(&self) {
-        self.degraded_responses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one query that returned nothing before its deadline.
-    pub fn record_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one query rejected by admission control.
-    pub fn record_overload_rejection(&self) {
-        self.overload_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one accepted transport connection (and raises the active
-    /// gauge).
-    pub fn record_connection_opened(&self) {
-        self.connections_accepted.fetch_add(1, Ordering::Relaxed);
-        self.connections_active.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Lowers the active-connection gauge when a connection closes.
-    pub fn record_connection_closed(&self) {
-        self.connections_active.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Counts one connection turned away at the transport's capacity
-    /// limit (never admitted, the active gauge never moved).
-    pub fn record_connection_rejected(&self) {
-        self.connections_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request frame decoded off a transport connection.
-    pub fn record_frame_in(&self) {
-        self.frames_in.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one response frame written to a transport connection.
-    pub fn record_frame_out(&self) {
-        self.frames_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one frame that failed to decode (bad magic, bad CRC,
-    /// oversize, unknown version, or malformed payload).
-    pub fn record_decode_error(&self) {
-        self.decode_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` in-flight requests that completed during a graceful
-    /// shutdown's drain window.
-    pub fn record_shutdown_drains(&self, n: u64) {
-        self.shutdown_drains.fetch_add(n, Ordering::Relaxed);
+    /// Folds one query's two-phase scan counters into the totals (all
+    /// zero when no shard ran a quantized scan).
+    pub fn count_scan(&self, stats: &QuantScanStats) {
+        self.lock().scan.absorb(stats);
     }
 
     /// A serializable snapshot; `active_sessions` is supplied by the
@@ -370,49 +245,26 @@ impl ServiceMetrics {
         storage: StorageGauges,
         shard_latency: HistogramSummary,
     ) -> MetricsSnapshot {
+        let (counts, scan) = {
+            let counts = self.lock();
+            (counts.snapshot.clone(), counts.scan)
+        };
         MetricsSnapshot {
             feed: self.feed_latency.summary(),
             fanout: self.shard_fanout.summary(),
             query_percentiles: self.query_hist.summary(),
             shard_latency,
-            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
             quant: QuantGauges {
-                phase1_points: self.quant_phase1_points.load(Ordering::Relaxed),
-                reranked: self.quant_reranked.load(Ordering::Relaxed),
-                tail_tiles: self.quant_tail_tiles.load(Ordering::Relaxed),
-                second_rounds: self.quant_second_rounds.load(Ordering::Relaxed),
-                fallback_rescans: self.quant_fallbacks.load(Ordering::Relaxed),
-                plan_misses: self.quant_plan_misses.load(Ordering::Relaxed),
+                phase1_points: scan.phase1_points,
+                reranked: scan.reranked,
+                tail_tiles: scan.tail_tiles,
+                second_rounds: scan.second_rounds,
+                fallback_rescans: scan.fallback_rescans,
+                plan_misses: scan.plan_misses,
             },
-            evictions: self.evictions.load(Ordering::Relaxed),
-            sessions_created: self.sessions_created.load(Ordering::Relaxed),
-            sessions_closed: self.sessions_closed.load(Ordering::Relaxed),
             active_sessions,
-            ingests: self.ingests.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
             storage,
-            faults: FaultGauges {
-                shard_panics: self.shard_panics.load(Ordering::Relaxed),
-                shard_failures: self.shard_failures.load(Ordering::Relaxed),
-                shard_timeouts: self.shard_timeouts.load(Ordering::Relaxed),
-                breaker_trips: 0,
-                degraded_responses: self.degraded_responses.load(Ordering::Relaxed),
-                deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-                overload_rejections: self.overload_rejections.load(Ordering::Relaxed),
-            },
-            transport: TransportGauges {
-                connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-                connections_active: self.connections_active.load(Ordering::Relaxed),
-                connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
-                frames_in: self.frames_in.load(Ordering::Relaxed),
-                frames_out: self.frames_out.load(Ordering::Relaxed),
-                decode_errors: self.decode_errors.load(Ordering::Relaxed),
-                write_queue_sheds: 0,
-                shutdown_drains: self.shutdown_drains.load(Ordering::Relaxed),
-            },
-            cluster: ClusterGauges::default(),
+            ..counts
         }
     }
 }
@@ -632,7 +484,7 @@ pub struct StorageGauges {
 
 /// Point-in-time view of every service metric, as returned by the
 /// `Stats` request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Feed latency quantiles.
     pub feed: HistogramSummary,
@@ -689,13 +541,15 @@ mod tests {
     #[test]
     fn cache_ratio_and_counters() {
         let m = ServiceMetrics::new();
-        m.record_plan_cache_miss();
-        m.record_plan_cache_hit();
-        m.record_plan_cache_hit();
-        m.record_evictions(2);
-        m.record_create_session();
-        m.record_create_session();
-        m.record_close_session();
+        m.count(|s| s.plan_cache_misses += 1);
+        m.count(|s| {
+            s.plan_cache_hits += 2;
+            s.evictions += 2;
+            s.sessions_created += 2;
+            s.sessions_closed += 1;
+            // Sampled, not counted: the snapshot overwrites it.
+            s.active_sessions = 9;
+        });
         let s = m.snapshot(1, StorageGauges::default(), HistogramSummary::default());
         assert_eq!(s.plan_cache_hits, 2);
         assert_eq!(s.plan_cache_misses, 1);
@@ -708,13 +562,15 @@ mod tests {
     #[test]
     fn fault_counters_surface_in_snapshot() {
         let m = ServiceMetrics::new();
-        m.record_shard_panic();
-        m.record_shard_failure();
-        m.record_shard_failure();
-        m.record_shard_timeout();
-        m.record_degraded_response();
-        m.record_deadline_exceeded();
-        m.record_overload_rejection();
+        m.count(|s| {
+            let f = &mut s.faults;
+            f.shard_failures += 2;
+            f.shard_panics += 1;
+            f.shard_timeouts += 1;
+            f.degraded_responses += 1;
+            f.deadline_exceeded += 1;
+            f.overload_rejections += 1;
+        });
         let s = m.snapshot(0, StorageGauges::default(), HistogramSummary::default());
         assert_eq!(
             s.faults,
@@ -750,7 +606,7 @@ mod tests {
     fn latency_histogram_quantiles_are_close_and_max_exact() {
         let h = LatencyHistogram::new();
         for ns in 1..=10_000u64 {
-            h.record_ns(ns);
+            h.record(Duration::from_nanos(ns));
         }
         let s = h.summary();
         assert_eq!(s.count, 10_000);
@@ -783,7 +639,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.summary(), HistogramSummary::default());
         // Merging an empty histogram into a populated one is a no-op.
-        a.record_ns(42);
+        a.record(Duration::from_nanos(42));
         let before = a.summary();
         a.merge(&b);
         assert_eq!(a.summary(), before);
@@ -795,9 +651,9 @@ mod tests {
         // is that bucket, clamped to the exact merged max.
         let a = LatencyHistogram::new();
         let b = LatencyHistogram::new();
-        a.record_ns(5);
-        b.record_ns(5);
-        b.record_ns(5);
+        a.record(Duration::from_nanos(5));
+        b.record(Duration::from_nanos(5));
+        b.record(Duration::from_nanos(5));
         a.merge(&b);
         let s = a.summary();
         assert_eq!(s.count, 3);
@@ -816,8 +672,8 @@ mod tests {
         for (t, part) in parts.iter().enumerate() {
             for i in 0..500u64 {
                 let ns = (t as u64) * 1_000 + i * 7;
-                part.record_ns(ns);
-                reference.record_ns(ns);
+                part.record(Duration::from_nanos(ns));
+                reference.record(Duration::from_nanos(ns));
             }
         }
         for part in &parts {
@@ -832,7 +688,7 @@ mod tests {
         // counter if merge used plain fetch_add; saturation pegs them
         // at u64::MAX so counts never travel backwards.
         let h = LatencyHistogram::new();
-        h.record_ns(100);
+        h.record(Duration::from_nanos(100));
         for _ in 0..70 {
             let snapshot = {
                 // Merge a copy, not &h into itself, so loads and adds
@@ -864,7 +720,7 @@ mod tests {
                 let src = std::sync::Arc::clone(&src);
                 scope.spawn(move || {
                     for i in 0..1_000u64 {
-                        src.record_ns(i);
+                        src.record(Duration::from_nanos(i));
                     }
                 });
             }
@@ -891,7 +747,7 @@ mod tests {
                 let h = std::sync::Arc::clone(&h);
                 scope.spawn(move || {
                     for i in 0..500u64 {
-                        h.record_ns(t * 1_000 + i);
+                        h.record(Duration::from_nanos(t * 1_000 + i));
                     }
                 });
             }
@@ -904,15 +760,16 @@ mod tests {
     #[test]
     fn transport_counters_surface_in_snapshot() {
         let m = ServiceMetrics::new();
-        m.record_connection_opened();
-        m.record_connection_opened();
-        m.record_connection_closed();
-        m.record_connection_rejected();
-        m.record_frame_in();
-        m.record_frame_in();
-        m.record_frame_out();
-        m.record_decode_error();
-        m.record_shutdown_drains(3);
+        m.count(|s| {
+            let t = &mut s.transport;
+            t.connections_accepted += 2;
+            t.connections_active += 1;
+            t.connections_rejected += 1;
+            t.frames_in += 2;
+            t.frames_out += 1;
+            t.decode_errors += 1;
+            t.shutdown_drains += 3;
+        });
         let s = m.snapshot(0, StorageGauges::default(), HistogramSummary::default());
         assert_eq!(
             s.transport,
@@ -933,12 +790,16 @@ mod tests {
     fn absorb_sums_counters_and_bounds_quantiles() {
         let a_metrics = ServiceMetrics::new();
         a_metrics.query_hist.record(Duration::from_nanos(100));
-        a_metrics.record_plan_cache_hit();
-        a_metrics.record_ingest();
+        a_metrics.count(|s| {
+            s.plan_cache_hits += 1;
+            s.ingests += 1;
+        });
         let b_metrics = ServiceMetrics::new();
         b_metrics.query_hist.record(Duration::from_nanos(300));
-        b_metrics.record_plan_cache_miss();
-        b_metrics.record_shard_timeout();
+        b_metrics.count(|s| {
+            s.plan_cache_misses += 1;
+            s.faults.shard_timeouts += 1;
+        });
         let mut a = a_metrics.snapshot(1, StorageGauges::default(), HistogramSummary::default());
         let b = b_metrics.snapshot(2, StorageGauges::default(), HistogramSummary::default());
         a.absorb(&b);
@@ -968,7 +829,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 1..=250u64 {
                         m.query_hist.record(Duration::from_nanos(i));
-                        m.record_plan_cache_hit();
+                        m.count(|s| s.plan_cache_hits += 1);
                     }
                 });
             }
@@ -977,5 +838,52 @@ mod tests {
         assert_eq!(s.query_percentiles.count, 1000);
         assert_eq!(s.plan_cache_hits, 1000);
         assert_eq!(s.query_percentiles.max_ns, 250);
+    }
+
+    /// Every key path of the `Stats` JSON, nested keys included, sorted:
+    /// `BENCH_soak.json`, `qcluster serve --scrape-json` and `soak
+    /// --scrape` write this document, so a renamed, added or dropped
+    /// key must show here.
+    #[test]
+    fn stats_json_keys_are_pinned() {
+        fn paths(prefix: &str, value: &serde_json::Value, out: &mut Vec<String>) {
+            for (key, inner) in value.as_map().unwrap_or(&[]) {
+                let path = format!("{prefix}{key}");
+                paths(&format!("{path}."), inner, out);
+                out.push(path);
+            }
+        }
+        let snapshot = ServiceMetrics::new().snapshot(
+            0,
+            StorageGauges::default(),
+            HistogramSummary::default(),
+        );
+        let json = serde_json::to_string(&snapshot).unwrap();
+        let mut keys = Vec::new();
+        paths("", &serde_json::from_str(&json).unwrap(), &mut keys);
+        keys.sort();
+        let expected = "
+            active_sessions cluster cluster.anti_entropy_chunks_shipped cluster.degraded_responses
+            cluster.elections_lost cluster.elections_won cluster.fenced_stale_ships
+            cluster.node_breaker_skips cluster.node_breaker_trips cluster.node_failures
+            cluster.node_timeouts cluster.nodes_total cluster.promotions
+            cluster.replication_records_applied cluster.replication_records_shipped cluster.terms
+            evictions fanout fanout.count fanout.max_ns fanout.mean_ns fanout.p50_ns fanout.p95_ns
+            fanout.p99_ns faults faults.breaker_trips faults.deadline_exceeded
+            faults.degraded_responses faults.overload_rejections faults.shard_failures
+            faults.shard_panics faults.shard_timeouts feed feed.count feed.max_ns feed.mean_ns
+            feed.p50_ns feed.p95_ns feed.p99_ns flushes ingests plan_cache_hits plan_cache_misses
+            quant quant.fallback_rescans quant.phase1_points quant.plan_misses quant.reranked
+            quant.second_rounds quant.tail_tiles query_percentiles query_percentiles.count
+            query_percentiles.max_ns query_percentiles.mean_ns query_percentiles.p50_ns
+            query_percentiles.p95_ns query_percentiles.p99_ns recoveries sessions_closed
+            sessions_created shard_latency shard_latency.count shard_latency.max_ns
+            shard_latency.mean_ns shard_latency.p50_ns shard_latency.p95_ns shard_latency.p99_ns
+            storage storage.segment_vectors storage.segments storage.wal_appends
+            storage.wal_fsyncs storage.wal_vectors transport transport.connections_accepted
+            transport.connections_active transport.connections_rejected transport.decode_errors
+            transport.frames_in transport.frames_out transport.shutdown_drains
+            transport.write_queue_sheds";
+        assert_eq!(keys, expected.split_whitespace().collect::<Vec<_>>());
     }
 }

@@ -223,7 +223,7 @@ impl Service {
         };
         let service = Service::build(corpus, config, Writer::durable(store, recovered.term))?;
         if had_prior {
-            service.metrics.record_recovery();
+            service.metrics.count(|m| m.recoveries += 1);
         }
         Ok(service)
     }
@@ -488,27 +488,28 @@ impl Service {
         {
             Ok(report) => report,
             Err(e) => {
-                match &e {
-                    ServiceError::DeadlineExceeded { .. } => {
-                        self.metrics.record_deadline_exceeded()
-                    }
-                    ServiceError::Overloaded { .. } => self.metrics.record_overload_rejection(),
+                self.metrics.count(|m| match &e {
+                    ServiceError::DeadlineExceeded { .. } => m.faults.deadline_exceeded += 1,
+                    ServiceError::Overloaded { .. } => m.faults.overload_rejections += 1,
                     _ => {}
-                }
+                });
                 return Err(e);
             }
         };
         self.metrics.shard_fanout.record(fanout_start.elapsed());
-        for failure in &report.failures {
-            match failure.kind {
-                ShardFailureKind::Panic(_) => self.metrics.record_shard_panic(),
-                ShardFailureKind::Failed(_) => self.metrics.record_shard_failure(),
-                ShardFailureKind::Timeout => self.metrics.record_shard_timeout(),
-            }
-        }
         let degraded = report.degraded();
         if degraded {
-            self.metrics.record_degraded_response();
+            self.metrics.count(|m| {
+                let faults = &mut m.faults;
+                faults.degraded_responses += 1;
+                for failure in &report.failures {
+                    match failure.kind {
+                        ShardFailureKind::Panic(_) => faults.shard_panics += 1,
+                        ShardFailureKind::Failed(_) => faults.shard_failures += 1,
+                        ShardFailureKind::Timeout => faults.shard_timeouts += 1,
+                    }
+                }
+            });
         }
         let (mut neighbors, mut stats) = (report.neighbors, report.stats);
         // Merge in live-ingested vectors (ids offset past the base
@@ -529,7 +530,7 @@ impl Service {
         if let Some(tau0) = bound.filter(|_| !degraded) {
             neighbors.retain(|n| n.distance <= tau0);
         }
-        self.metrics.record_quant(&stats);
+        self.metrics.count_scan(&stats.quant);
         self.metrics.query_hist.record(start.elapsed());
         Ok(QueryOutcome {
             neighbors,
@@ -576,7 +577,7 @@ impl Service {
             self.base_len + overlay.len()
         };
         debug_assert_eq!(id + 1, total, "store and overlay ids agree");
-        self.metrics.record_ingest();
+        self.metrics.count(|m| m.ingests += 1);
         Ok(IngestOutcome { id, total })
     }
 
@@ -589,7 +590,7 @@ impl Service {
     /// fold fails.
     pub fn flush(&self) -> Result<CompactionStats, ServiceError> {
         let stats = self.lock_writer().compact()?;
-        self.metrics.record_flush();
+        self.metrics.count(|m| m.flushes += 1);
         Ok(stats)
     }
 
@@ -807,7 +808,7 @@ mod tests {
         let refined = svc.query(id, 8).unwrap();
         assert_eq!(refined.neighbors.len(), 8);
         assert!(refined.neighbors.iter().all(|n| n.id < 24));
-        assert_eq!(refined.stats.quant_plan_misses, 0, "the u8 path served it");
+        assert_eq!(refined.stats.quant.plan_misses, 0, "the u8 path served it");
 
         svc.close_session(id).unwrap();
         assert!(svc.query(id, 3).is_err());

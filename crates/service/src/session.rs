@@ -176,6 +176,7 @@ impl SessionRegistry {
             touched: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
         });
         let mut entries = self.lock_entries();
+        let mut evicted = 0;
         while entries.len() >= self.max_sessions {
             let victim = entries
                 .iter()
@@ -183,10 +184,13 @@ impl SessionRegistry {
                 .map(|(&id, _)| id)
                 .expect("non-empty map at capacity");
             entries.remove(&victim);
-            metrics.record_evictions(1);
+            evicted += 1;
         }
         entries.insert(id, entry);
-        metrics.record_create_session();
+        metrics.count(|m| {
+            m.evictions += evicted;
+            m.sessions_created += 1;
+        });
         Ok(id)
     }
 
@@ -211,7 +215,7 @@ impl SessionRegistry {
         self.lock_entries()
             .remove(&id)
             .ok_or(ServiceError::UnknownSession(id))?;
-        metrics.record_close_session();
+        metrics.count(|m| m.sessions_closed += 1);
         Ok(())
     }
 
@@ -268,11 +272,11 @@ impl SessionRegistry {
         let mut session = entry.lock();
         let answer = Arc::clone(&session.answer);
         if let Some(plan) = &session.plan {
-            metrics.record_plan_cache_hit();
+            metrics.count(|m| m.plan_cache_hits += 1);
             return Ok((plan.clone_fanout(), answer));
         }
         let compiled = session.method.query().map_err(ServiceError::from_core)?;
-        metrics.record_plan_cache_miss();
+        metrics.count(|m| m.plan_cache_misses += 1);
         session.plan = Some(compiled.clone_fanout());
         Ok((compiled, answer))
     }

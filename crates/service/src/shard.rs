@@ -74,7 +74,7 @@ impl Shard {
         for n in &mut neighbors {
             n.id += self.base;
         }
-        (neighbors, quant_search_stats(&q, self.len()))
+        (neighbors, quant_search_stats(q, self.len()))
     }
 
     /// This shard's job in a fan-out: phase 1 of `scan` when the query
@@ -116,15 +116,11 @@ pub(crate) enum ShardPart {
 /// f64 distance evaluations actually performed: the reranked window,
 /// plus full scans when the plan was unusable (miss) or its candidate
 /// set could not be certified (fallback rescan).
-fn quant_search_stats(q: &QuantScanStats, len: usize) -> SearchStats {
+fn quant_search_stats(quant: QuantScanStats, len: usize) -> SearchStats {
     SearchStats {
-        distance_evaluations: q.reranked + (q.fallback_rescans + q.plan_misses) * len as u64,
-        quant_phase1_points: q.phase1_points,
-        quant_reranked: q.reranked,
-        quant_tail_tiles: q.tail_tiles,
-        quant_second_rounds: q.second_rounds,
-        quant_fallbacks: q.fallback_rescans,
-        quant_plan_misses: q.plan_misses,
+        distance_evaluations: quant.reranked
+            + (quant.fallback_rescans + quant.plan_misses) * len as u64,
+        quant,
         ..SearchStats::default()
     }
 }
@@ -246,7 +242,7 @@ impl ShardedCorpus {
             .into_iter()
             .map(|(i, part)| (&self.shards[i].scan, part));
         let (neighbors, q) = scan.finish(query, parts);
-        (neighbors, quant_search_stats(&q, len))
+        (neighbors, quant_search_stats(q, len))
     }
 }
 
@@ -316,9 +312,9 @@ mod tests {
         let want = LinearScan::new(&pts).knn(&q, 9);
         let (got, stats) = corpus.shards()[0].knn(&q, 9, None);
         assert_eq!(got, want, "two-phase results must be bit-for-bit exact");
-        assert_eq!(stats.quant_plan_misses, 0);
-        assert_eq!(stats.quant_phase1_points, 200);
-        assert!(stats.quant_reranked >= 9);
+        assert_eq!(stats.quant.plan_misses, 0);
+        assert_eq!(stats.quant.phase1_points, 200);
+        assert!(stats.quant.reranked >= 9);
         assert!(
             stats.distance_evaluations < 200,
             "phase 1 must prune exact work"

@@ -221,7 +221,7 @@ fn a_seeded_query_that_loses_a_shard_answers_exactly_over_the_others() {
     }
     assert_eq!(bits(&out.neighbors), bits(&want));
     assert_eq!(
-        out.stats.quant_fallbacks, 1,
+        out.stats.quant.fallback_rescans, 1,
         "the survivors were scanned exactly"
     );
 
@@ -231,7 +231,7 @@ fn a_seeded_query_that_loses_a_shard_answers_exactly_over_the_others() {
     assert_eq!((whole.shards_ok, whole.shards_total), (4, 4));
     let want = LinearScan::new(&points).knn(&refined, 10);
     assert_eq!(bits(&whole.neighbors), bits(&want));
-    assert_eq!(whole.stats.quant_fallbacks, 0);
+    assert_eq!(whole.stats.quant.fallback_rescans, 0);
 }
 
 /// Same scenario through the wire protocol: the response carries the
